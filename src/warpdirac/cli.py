@@ -205,25 +205,21 @@ def cmd_evolve(cfg: RunConfig, args) -> tuple[int, list]:
 
 def cmd_strichartz_scan(cfg: RunConfig, args) -> tuple[int, list]:
     mus = [float(m.mu) for m in cfg.modes]
-    files = []
-    scans = []
-    failed = False
-    for triple in cfg.triples:
-        result = mu_scan(cfg.profile, triple, mus, data_template=cfg.data,
-                         grid=cfg.grid, t_max=cfg.t_max, samples=cfg.samples,
-                         n=cfg.n, epsilon_loss=cfg.epsilon_loss,
-                         threads=args.threads)
-        scans.append(result.to_dict())
-        for ok in (result.strichartz_slope_ok, result.smoothing_slope_ok):
-            if ok is False:
-                failed = True
-        header = ["mu", "ratio_strichartz", "ratio_smoothing"]
+    results = mu_scan(cfg.profile, cfg.triples, mus, data_template=cfg.data,
+                      grid=cfg.grid, t_max=cfg.t_max, samples=cfg.samples,
+                      n=cfg.n, epsilon_loss=cfg.epsilon_loss,
+                      threads=args.threads, scan=cfg.scan)
+    failed = any(ok is False for result in results
+                 for ok in (result.strichartz_slope_ok, result.smoothing_slope_ok))
+    files = [("strichartz_scan.json", "json",
+              {"scans": [result.to_dict() for result in results]})]
+    header = ["mu", "ratio_strichartz", "ratio_smoothing"]
+    for result in results:
         rows = [(row.mu, row.ratio_strichartz, row.ratio_smoothing)
                 for row in result.rows]
-        p_label = "inf" if math.isinf(triple.p) else f"{triple.p:g}"
-        files.append((f"strichartz_scan_p{p_label}_q{triple.q:g}.csv", "csv",
+        p_label = "inf" if math.isinf(result.p) else f"{result.p:g}"
+        files.append((f"strichartz_scan_p{p_label}_q{result.q:g}.csv", "csv",
                       (header, rows)))
-    files.insert(0, ("strichartz_scan.json", "json", {"scans": scans}))
     return (2 if failed else 0), files
 
 

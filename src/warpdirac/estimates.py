@@ -18,8 +18,9 @@ import numpy as np
 from .admissibility import check_admissible
 from .errors import ConfigurationError, ContractViolationError, NonAdmissibleError, PolicyError
 from .evolution import SpinorState, SpinorTrajectory, evolve, gaussian_state
-from .operators import RadialGrid, assemble_dirac, flat_reference_operator
+from .operators import RadialGrid, assemble_dirac, flat_reference_operator, real_matmul
 from .profiles import MetricProfile
+from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy
 from .spectrum import ModeIndex
 
 __all__ = ["ExponentTriple", "is_admissible_triple", "SobolevCalculus",
@@ -79,9 +80,15 @@ class SobolevCalculus:
         self._w, self._u = SobolevCalculus._cache[key]
 
     def apply(self, v: np.ndarray, s: float) -> np.ndarray:
-        """(1 + H0)^(s/2) v by spectral calculus."""
+        """(1 + H0)^(s/2) v by spectral calculus, for a vector or an N x T block.
+
+        A block is transformed column by column in one split-real GEMM each
+        way, so the eigenbasis is never cast to complex.
+        """
         powers = np.maximum(1.0 + self._w, 0.0) ** (s / 2.0)
-        return self._u @ (powers * (self._u.T @ v))
+        block = v.reshape(len(powers), -1)
+        out = real_matmul(self._u, powers[:, None] * real_matmul(self._u.T, block))
+        return out.reshape(v.shape)
 
     def norm(self, state: SpinorState, s: float) -> float:
         gp = self.apply(state.plus, s)
@@ -119,15 +126,10 @@ def smoothing_norm(traj: SpinorTrajectory, window: tuple[float, float]) -> float
     if np.count_nonzero(mask) < 2:
         raise ConfigurationError("window must contain at least two samples")
     times = traj.times[mask]
-    r = traj.grid.nodes
-    dr = traj.grid.dr
-    densities = []
-    for state, keep in zip(traj.states, mask):
-        if not keep:
-            continue
-        densities.append(dr * float(np.sum((np.abs(state.plus) ** 2
-                                            + np.abs(state.minus) ** 2) / r**2)))
-    return float(np.sqrt(np.sum(_time_weights(times) * np.asarray(densities))))
+    r = traj.grid.nodes[:, None]
+    density = (np.abs(traj.block("plus")) ** 2 + np.abs(traj.block("minus")) ** 2) / r**2
+    densities = traj.grid.dr * np.sum(density[:, mask], axis=0)
+    return float(np.sqrt(np.sum(_time_weights(times) * densities)))
 
 
 def strichartz_weight(profile: MetricProfile, r: np.ndarray, n: int, q: float) -> np.ndarray:
@@ -145,14 +147,12 @@ def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple,
     q = triple.q
     r = traj.grid.nodes
     dr = traj.grid.dr
-    weight = strichartz_weight(profile, r, traj.n, q)
+    weight = strichartz_weight(profile, r, traj.n, q)[:, None]
     calc = SobolevCalculus(traj.grid, traj.n)
-    spatial = np.empty(len(traj.times))
-    for k, state in enumerate(traj.states):
-        gp = calc.apply(weight * state.plus, s)
-        gm = calc.apply(weight * state.minus, s)
-        mag = np.sqrt(np.abs(gp) ** 2 + np.abs(gm) ** 2)
-        spatial[k] = (dr * np.sum(mag**q)) ** (1.0 / q)
+    gp = calc.apply(weight * traj.block("plus"), s)
+    gm = calc.apply(weight * traj.block("minus"), s)
+    mag = np.sqrt(np.abs(gp) ** 2 + np.abs(gm) ** 2)
+    spatial = (dr * np.sum(mag**q, axis=0)) ** (1.0 / q)
     if math.isinf(triple.p):
         return float(np.max(spatial))
     return float(np.sum(_time_weights(traj.times) * spatial**triple.p)
@@ -262,20 +262,32 @@ def _fit_slope(abs_mu: np.ndarray, ratios: np.ndarray) -> Optional[float]:
     return float(np.polyfit(np.log(abs_mu), np.log(ratios), 1)[0])
 
 
-def mu_scan(profile: MetricProfile, triple: ExponentTriple,
+def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
             mu_list: Sequence[float], data_template: DataTemplate = DataTemplate(),
             grid: Optional[RadialGrid] = None, t_max: float = 8.0,
             samples: int = 33, n: int = 3,
             epsilon_loss: float = DEFAULT_EPSILON_LOSS,
-            threads: int = 1) -> NormScanResult:
+            threads: int = 1,
+            scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> list[NormScanResult]:
     """Evolve identical radial data per mode and fit the norm-ratio growth.
 
-    Aborts with the admissibility report attached when any requested mu is
-    not admissible for the profile.  Modes evaluate independently (in
-    ``threads`` workers when asked); results merge in mode order, so the
-    output does not depend on the worker count.
+    Returns one result per triple.  Each mode is checked for admissibility
+    under ``scan``, assembled, evolved and smoothing-normed once, and every
+    triple's Strichartz norm is taken on that one trajectory, so all
+    triples must share one mass.  Aborts with the admissibility report
+    attached when any requested mu is not admissible for the profile.
+    Modes evaluate independently (in ``threads`` workers when asked);
+    results merge in mode order, so the output does not depend on the
+    worker count.
     """
-    triple.require_admissible(n)
+    triples = tuple(triples)
+    masses = {triple.m for triple in triples}
+    if len(masses) != 1:
+        raise ContractViolationError(
+            f"a scan needs triples that share one mass, got masses {sorted(masses)}")
+    m = masses.pop()
+    for triple in triples:
+        triple.require_admissible(n)
     grid = grid or RadialGrid()
     initial = data_template.realize(grid)
     if initial.support_radius is not None:
@@ -285,38 +297,45 @@ def mu_scan(profile: MetricProfile, triple: ExponentTriple,
     times = np.linspace(0.0, t_max, samples)
     h_half = h_sobolev_norm(initial, 0.5, n=n)
 
-    def one_mode(mu: float) -> ModeScanRow:
-        report = check_admissible(profile, mu)
+    def one_mode(mu: float) -> list[ModeScanRow]:
+        report = check_admissible(profile, mu, scan)
         if not report.admissible:
             raise NonAdmissibleError(
                 f"mu={mu} is not admissible for {profile.family.value}", report)
-        op = assemble_dirac(profile, mu, triple.m, n, grid)
+        op = assemble_dirac(profile, mu, m, n, grid)
         traj = evolve(op, initial, times)
-        stri = strichartz_norm(traj, triple, profile)
         smoo = smoothing_norm(traj, (0.0, t_max))
-        return ModeScanRow(
-            mu=float(mu), strichartz=stri, smoothing=smoo, h_half=h_half,
-            ratio_strichartz=stri / h_half, ratio_smoothing=smoo / h_half,
-            delta_plus=report.delta_plus, delta_minus=report.delta_minus,
-        )
+        rows = []
+        for triple in triples:
+            stri = strichartz_norm(traj, triple, profile)
+            rows.append(ModeScanRow(
+                mu=float(mu), strichartz=stri, smoothing=smoo, h_half=h_half,
+                ratio_strichartz=stri / h_half, ratio_smoothing=smoo / h_half,
+                delta_plus=report.delta_plus, delta_minus=report.delta_minus,
+            ))
+        return rows
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_mode, mu_list))
+            per_mode = list(pool.map(one_mode, mu_list))
     else:
-        rows = [one_mode(mu) for mu in mu_list]
-    abs_mu = np.array([abs(row.mu) for row in rows])
-    slope_s = _fit_slope(abs_mu, np.array([row.ratio_strichartz for row in rows]))
-    slope_m = _fit_slope(abs_mu, np.array([row.ratio_smoothing for row in rows]))
-    p_inv = 0.0 if math.isinf(triple.p) else 1.0 / triple.p
-    return NormScanResult(
-        family=profile.family.value, n=n, p=triple.p, q=triple.q, m=triple.m,
-        epsilon_loss=epsilon_loss, rows=tuple(rows),
-        strichartz_slope=slope_s, smoothing_slope=slope_m,
-        strichartz_slope_limit=5.0 * p_inv + epsilon_loss + SLOPE_SLACK,
-        smoothing_slope_limit=SMOOTHING_SLOPE_LIMIT,
-    )
+        per_mode = [one_mode(mu) for mu in mu_list]
+    abs_mu = np.array([abs(float(mu)) for mu in mu_list])
+    results = []
+    for k, triple in enumerate(triples):
+        rows = tuple(mode_rows[k] for mode_rows in per_mode)
+        slope_s = _fit_slope(abs_mu, np.array([row.ratio_strichartz for row in rows]))
+        slope_m = _fit_slope(abs_mu, np.array([row.ratio_smoothing for row in rows]))
+        p_inv = 0.0 if math.isinf(triple.p) else 1.0 / triple.p
+        results.append(NormScanResult(
+            family=profile.family.value, n=n, p=triple.p, q=triple.q, m=triple.m,
+            epsilon_loss=epsilon_loss, rows=rows,
+            strichartz_slope=slope_s, smoothing_slope=slope_m,
+            strichartz_slope_limit=5.0 * p_inv + epsilon_loss + SLOPE_SLACK,
+            smoothing_slope_limit=SMOOTHING_SLOPE_LIMIT,
+        ))
+    return results
 
 
 def mixed_regularity_aggregate(profile: MetricProfile, triple: ExponentTriple,

@@ -99,6 +99,20 @@ class DiscreteRadialOperator:
                 and self.mu == other.mu and self.m == other.m and self.n == other.n)
 
 
+def real_matmul(a: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """a @ block for a real matrix ``a`` and a real or complex N x K block.
+
+    A complex block's real and imaginary parts go through one real GEMM side
+    by side, so ``a`` is never cast to complex (NumPy would otherwise copy
+    the whole matrix to complex on every call).
+    """
+    if not np.iscomplexobj(block):
+        return a @ block
+    cols = block.shape[1]
+    out = a @ np.hstack([block.real, block.imag])
+    return out[:, :cols] + 1j * out[:, cols:]
+
+
 def sigma(profile: MetricProfile, r):
     """(sigma, sigma') with sigma = r/phi, continued by sigma(0) = 1.
 

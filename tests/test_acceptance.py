@@ -180,8 +180,8 @@ def test_criterion_8_kg_crosscheck_order(flat_dirac_2048):
 
 def test_criterion_9_growth_gates():
     triple = ExponentTriple(p=4.0, q=4.0, m=0.0)
-    result = mu_scan(FLAT, triple, [float(k) for k in range(1, 9)],
-                     grid=RadialGrid(R_MAX, 2048), t_max=8.0, samples=33)
+    (result,) = mu_scan(FLAT, [triple], [float(k) for k in range(1, 9)],
+                        grid=RadialGrid(R_MAX, 2048), t_max=8.0, samples=33)
     s_ok = result.strichartz_slope <= result.strichartz_slope_limit
     m_ok = result.smoothing_slope <= result.smoothing_slope_limit
     verdict(9, s_ok and m_ok,

@@ -181,6 +181,25 @@ def test_cli_strichartz_scan(tmp_path):
     assert len(csv_lines) == 3
 
 
+def test_cli_strichartz_scan_uses_configured_scan_policy(tmp_path, monkeypatch):
+    import warpdirac.estimates as estimates
+
+    text = SMALL + "scan.r_min = 1e-4\nscan.r_max = 1e4\nscan.points = 5000\n"
+    seen = []
+    real = estimates.check_admissible
+
+    def recording(profile, mu, scan=None):
+        seen.append(scan)
+        return real(profile, mu, scan)
+
+    monkeypatch.setattr(estimates, "check_admissible", recording)
+    cfg = _write(tmp_path, text)
+    assert main(["strichartz-scan", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--threads", "1"]) == 0
+    assert seen == [parse_config(text).scan]
+    assert seen[0].points == 5000
+
+
 def test_cli_out_dir_env(tmp_path, monkeypatch):
     cfg = _write(tmp_path, MINIMAL + "modes.mu_max = 1\n")
     env_dir = tmp_path / "envout"

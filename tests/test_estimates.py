@@ -61,6 +61,19 @@ def test_sobolev_norm_on_eigenvector():
     assert h_sobolev_norm(state, 1.0) == pytest.approx(expect, rel=1e-12)
 
 
+def test_sobolev_apply_block_matches_columns():
+    calc = SobolevCalculus(GRID, 3)
+    rng = np.random.default_rng(7)
+    block = (rng.standard_normal((GRID.n_cells, 6))
+             + 1j * rng.standard_normal((GRID.n_cells, 6)))
+    for s in (-1.0, 0.5, 1.0):
+        got = calc.apply(block, s)
+        powers = np.maximum(1.0 + calc._w, 0.0) ** (s / 2.0)
+        for k in range(block.shape[1]):
+            want = calc._u @ (powers * (calc._u.T @ block[:, k]))
+            assert np.linalg.norm(got[:, k] - want) <= 1e-14 * np.linalg.norm(want)
+
+
 def test_sobolev_norm_exponent_gate():
     with pytest.raises(ContractViolationError):
         h_sobolev_norm(gaussian_state(GRID), 1.2)
@@ -206,7 +219,7 @@ def test_fractional_kg_norm_tracks_mode_weight():
 
 
 def test_mu_scan_small():
-    res = mu_scan(FLAT, T44, [1.0, 2.0, 4.0], grid=GRID, t_max=8.0, samples=9)
+    (res,) = mu_scan(FLAT, [T44], [1.0, 2.0, 4.0], grid=GRID, t_max=8.0, samples=9)
     assert res.strichartz_slope is not None
     assert res.strichartz_slope <= res.strichartz_slope_limit
     assert res.smoothing_slope <= res.smoothing_slope_limit
@@ -216,7 +229,7 @@ def test_mu_scan_small():
 
 
 def test_mu_scan_single_mode_degenerate_fit():
-    res = mu_scan(FLAT, T44, [2.0], grid=GRID, t_max=8.0, samples=9)
+    (res,) = mu_scan(FLAT, [T44], [2.0], grid=GRID, t_max=8.0, samples=9)
     assert res.strichartz_slope is None
     assert res.smoothing_slope is None
     assert res.strichartz_slope_ok is None
@@ -224,15 +237,46 @@ def test_mu_scan_single_mode_degenerate_fit():
 
 
 def test_mu_scan_threads_deterministic():
-    seq = mu_scan(FLAT, T44, [1.0, 2.0], grid=GRID, t_max=8.0, samples=9, threads=1)
-    par = mu_scan(FLAT, T44, [1.0, 2.0], grid=GRID, t_max=8.0, samples=9, threads=2)
-    assert seq.rows == par.rows
+    seq = mu_scan(FLAT, [T44], [1.0, 2.0], grid=GRID, t_max=8.0, samples=9, threads=1)
+    par = mu_scan(FLAT, [T44], [1.0, 2.0], grid=GRID, t_max=8.0, samples=9, threads=2)
+    assert seq[0].rows == par[0].rows
+
+
+def test_mu_scan_two_triples_share_one_trajectory(monkeypatch):
+    import warpdirac.estimates as estimates
+
+    evolved = []
+    real = estimates.evolve
+
+    def counting(op, initial, times):
+        evolved.append(op.mu)
+        return real(op, initial, times)
+
+    monkeypatch.setattr(estimates, "evolve", counting)
+    t_inf2 = ExponentTriple(p=math.inf, q=2.0, m=0.0)
+    mus = [1.0, -1.0, 2.0]
+    both = mu_scan(AF001, [T44, t_inf2], mus, grid=GRID, t_max=8.0, samples=9)
+    assert evolved == mus
+    for triple, got in zip((T44, t_inf2), both):
+        (alone,) = mu_scan(AF001, [triple], mus, grid=GRID, t_max=8.0, samples=9)
+        assert (got.p, got.q, got.m) == (triple.p, triple.q, triple.m)
+        for row, ref in zip(got.rows, alone.rows):
+            for key, value in vars(ref).items():
+                assert getattr(row, key) == pytest.approx(value, rel=1e-12)
+        assert got.strichartz_slope == pytest.approx(alone.strichartz_slope, rel=1e-12)
+        assert got.smoothing_slope == pytest.approx(alone.smoothing_slope, rel=1e-12)
+
+
+def test_mu_scan_rejects_mixed_masses():
+    with pytest.raises(ContractViolationError):
+        mu_scan(FLAT, [T44, ExponentTriple(p=4.0, q=3.0, m=1.0)], [1.0],
+                grid=GRID, t_max=8.0, samples=9)
 
 
 def test_mu_scan_aborts_on_non_admissible():
     sinh = MetricProfile(Family.SINH)
     with pytest.raises(NonAdmissibleError) as err:
-        mu_scan(sinh, T44, [1.0], grid=GRID, t_max=8.0, samples=9)
+        mu_scan(sinh, [T44], [1.0], grid=GRID, t_max=8.0, samples=9)
     assert err.value.report is not None
     assert not err.value.report.admissible
 

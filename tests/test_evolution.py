@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpdirac import (ConfigurationError, Family, FlatBesselOracle,
                        MetricProfile, RadialGrid, SpinorState,
@@ -45,6 +47,36 @@ def test_reversibility(flat_op):
     fwd = evolve(flat_op, init, [13.0]).states[0]
     back = evolve(flat_op, fwd, [-13.0]).states[0]
     assert state_diff(back, init) <= 1e-9
+
+
+PROPERTY_GRID = RadialGrid(40.0, 96)
+PROPERTY_OP = assemble_dirac(FLAT, 1.0, 0.0, 3, PROPERTY_GRID)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       times=st.lists(st.floats(-30.0, 30.0, allow_nan=False), min_size=1,
+                      max_size=12, unique=True).map(sorted))
+def test_evolve_property_random_data_and_times(seed, times):
+    """Unitary, reversible, exactly labelled and equal to the per-sample
+    formula u (exp(-i t w) * u^T v0), for Gaussian random data and random
+    (negative, non-uniform) time sets."""
+    rng = np.random.default_rng(seed)
+    nn = PROPERTY_GRID.n_cells
+    vec = rng.standard_normal(2 * nn) + 1j * rng.standard_normal(2 * nn)
+    init = SpinorState.from_vector(PROPERTY_GRID, vec)
+    traj = evolve(PROPERTY_OP, init, times)
+    assert traj.times.tolist() == times
+    w, u = PROPERTY_OP.eigh()
+    coeff = u.T @ vec
+    base = init.norm()
+    for t, state in zip(times, traj.states):
+        assert abs(state.norm() / base - 1.0) <= 1e-12
+        want = u @ (np.exp(-1j * t * w) * coeff)
+        got = np.concatenate([state.plus, state.minus])
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(vec)
+        back = evolve(PROPERTY_OP, state, [-t]).states[0]
+        assert state_diff(back, init) <= 1e-12
 
 
 def test_causal_window_recorded(flat_op):
