@@ -143,9 +143,10 @@ def cmd_validate(cfg: RunConfig, args) -> tuple[int, list]:
         })
     c_phi = sigma_log_derivative_bound(cfg.profile, cfg.scan)
     equivalence = []
-    for s in (0.0, 0.5, 1.0):
-        worst, worst_inv = norm_equivalence_check(
-            cfg.profile, cfg.n, s, trials=cfg.trials, grid=cfg.grid, seed=args.seed)
+    exponents = (0.0, 0.5, 1.0)
+    ratios = norm_equivalence_check(cfg.profile, cfg.n, exponents, trials=cfg.trials,
+                                    grid=cfg.grid, seed=args.seed)
+    for s, (worst, worst_inv) in zip(exponents, ratios):
         bound = (1.0 + c_phi * (cfg.n - 1) / 2.0) ** s + _NORM_EQUIV_SLACK
         equivalence.append({
             "s": s, "worst_ratio": worst, "worst_inverse_ratio": worst_inv,

@@ -25,6 +25,7 @@ from .spectrum import lp_band, make_mode, sphere_spectrum
 __all__ = ["RunConfig", "parse_config", "load_config"]
 
 _FAMILIES = {f.value: f for f in Family}
+_MAX_ABS_MU = 1024  # largest |mu| that modes.mu_max or modes.band_j may enumerate
 
 
 @dataclass(frozen=True)
@@ -76,9 +77,12 @@ class _Parser:
             return default
         value, lineno = got
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
-            raise ConfigurationError(f"line {lineno}: '{key}' must be a number") from None
+            number = math.nan
+        if not math.isfinite(number):
+            raise ConfigurationError(f"line {lineno}: '{key}' must be a finite number")
+        return number
 
     def take_int(self, key: str, default: int) -> int:
         got = self.take(key)
@@ -137,7 +141,7 @@ def _parse_multiplicities(parser: _Parser) -> Optional[dict]:
         mu_s, count_s = (s.strip() for s in chunk.split(":", 1))
         try:
             table[Fraction(mu_s)] = int(count_s)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ConfigurationError(
                 f"line {lineno}: bad multiplicity entry '{chunk.strip()}'") from None
         if table[Fraction(mu_s)] < 1:
@@ -160,7 +164,7 @@ def _parse_modes(parser: _Parser, n: int) -> tuple:
         for chunk in value.split(","):
             try:
                 mu = Fraction(chunk.strip())
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise ConfigurationError(
                     f"line {lineno}: '{chunk.strip()}' is not a rational number") from None
             mult = None if mult_table is None else mult_table.get(abs(mu))
@@ -178,6 +182,10 @@ def _parse_modes(parser: _Parser, n: int) -> tuple:
             j = int(value)
         except ValueError:
             raise ConfigurationError(f"line {lineno}: band index must be an integer") from None
+        # 2^(j+1) alone passes the cap once j reaches the cap's bit length
+        if j >= _MAX_ABS_MU.bit_length() or lp_band(n, j).b > _MAX_ABS_MU:
+            raise ConfigurationError(
+                f"line {lineno}: band {j} reaches past |mu| = {_MAX_ABS_MU}")
         band = lp_band(n, j)
         return tuple(m for m in sphere_spectrum(n, band.b, multiplicity_table=mult_table)
                      if band.a <= m.abs_mu <= band.b)
@@ -187,6 +195,9 @@ def _parse_modes(parser: _Parser, n: int) -> tuple:
             cap = float(value)
         except ValueError:
             raise ConfigurationError(f"line {lineno}: modes.mu_max must be a number") from None
+        if not cap <= _MAX_ABS_MU:
+            raise ConfigurationError(
+                f"line {lineno}: modes.mu_max must be a number at most {_MAX_ABS_MU}")
         return tuple(sphere_spectrum(n, cap, multiplicity_table=mult_table))
     return tuple(sphere_spectrum(n, (n - 1) / 2 + 1, multiplicity_table=mult_table))
 
@@ -243,11 +254,14 @@ def parse_config(text: str) -> RunConfig:
     if data.amplitude == 0:
         raise ConfigurationError("data.amplitude must be nonzero")
 
-    scan = InfimumScanPolicy(
-        r_min=parser.take_float("scan.r_min", 1e-6),
-        r_max=parser.take_float("scan.r_max", 1e6),
-        points=parser.take_int("scan.points", 100_000),
-    )
+    try:
+        scan = InfimumScanPolicy(
+            r_min=parser.take_float("scan.r_min", 1e-6),
+            r_max=parser.take_float("scan.r_max", 1e6),
+            points=parser.take_int("scan.points", 100_000),
+        )
+    except ValueError as exc:
+        raise ConfigurationError(f"scan policy: {exc}") from None
     aggregate_a = parser.take_float("aggregate.a", 0.6)
     aggregate_b = parser.take_float("aggregate.b", 8.0)
     if aggregate_a <= 0 or aggregate_b <= 0:

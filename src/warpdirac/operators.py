@@ -18,7 +18,8 @@ effective Dirichlet truncation at r_max.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -62,24 +63,41 @@ class RadialGrid:
         return (np.arange(self.n_cells) + 0.5) * self.dr
 
 
-@dataclass(eq=False)
 class DiscreteRadialOperator:
-    """Hermitian matrix representation of one flattened radial operator.
+    """Hermitian representation of one flattened radial operator.
 
     ``kind`` is one of "dirac", "kg_plus", "kg_minus", "flat_shift",
-    "weighted_laplacian".  Dirac matrices are 2N x 2N in block layout
-    (first block v_plus, second v_minus); the rest are N x N.
+    "weighted_laplacian".  A Dirac operator is stored by its bands: the
+    potential V on the nodes (``potential``), the mass ``m`` and the
+    off-diagonal 1/(2 dr) of the grid.  Its dense 2N x 2N ``matrix`` (block
+    layout, first block v_plus, second v_minus) is built on first access
+    only; the other kinds are N x N matrices given at construction.
     """
 
-    grid: RadialGrid
-    kind: str
-    matrix: np.ndarray
-    profile: Optional[MetricProfile] = None
-    mu: Optional[float] = None
-    m: Optional[float] = None
-    n: Optional[int] = None
-    flattened: bool = True
-    _eig: Optional[tuple] = field(default=None, repr=False, compare=False)
+    def __init__(self, grid: RadialGrid, kind: str, matrix: Optional[np.ndarray] = None,
+                 profile: Optional[MetricProfile] = None, mu: Optional[float] = None,
+                 m: Optional[float] = None, n: Optional[int] = None,
+                 potential: Optional[np.ndarray] = None):
+        if (matrix is None) == (potential is None):
+            raise ConfigurationError("an operator needs either a matrix or Dirac bands")
+        if matrix is not None:
+            self.matrix = matrix
+        self.grid, self.kind, self.potential = grid, kind, potential
+        self.profile, self.mu, self.m, self.n = profile, mu, m, n
+        self._eig: Optional[tuple] = None
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense Dirac matrix, assembled from the bands and then kept."""
+        v = np.diag(self.potential)
+        d = _first_derivative(self.grid)
+        nn = self.grid.n_cells
+        h = np.zeros((2 * nn, 2 * nn))
+        h[:nn, :nn] = self.m * np.eye(nn)
+        h[nn:, nn:] = -self.m * np.eye(nn)
+        h[:nn, nn:] = -d + v
+        h[nn:, :nn] = d + v
+        return h
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached eigendecomposition (eigenvalues, orthonormal columns)."""
@@ -164,18 +182,13 @@ def _check_grid(grid: RadialGrid):
 
 def assemble_dirac(profile: MetricProfile, mu: float, m: float, n: int,
                    grid: RadialGrid) -> DiscreteRadialOperator:
-    """Flattened mode Dirac operator as an exactly symmetric 2N x 2N matrix."""
+    """Flattened mode Dirac operator, stored by its bands in O(N) memory.
+
+    The exactly symmetric 2N x 2N matrix is ``op.matrix``, built on demand.
+    """
     _check_grid(grid)
     pot = ModePotential(profile=profile, mu=mu, n=n)
-    v = np.diag(pot.V(grid.nodes))
-    d = _first_derivative(grid)
-    nn = grid.n_cells
-    h = np.zeros((2 * nn, 2 * nn))
-    h[:nn, :nn] = m * np.eye(nn)
-    h[nn:, nn:] = -m * np.eye(nn)
-    h[:nn, nn:] = -d + v
-    h[nn:, :nn] = d + v
-    return DiscreteRadialOperator(grid=grid, kind="dirac", matrix=h,
+    return DiscreteRadialOperator(grid=grid, kind="dirac", potential=pot.V(grid.nodes),
                                   profile=profile, mu=mu, m=m, n=n)
 
 
@@ -322,34 +335,38 @@ def _random_bump(rng: np.random.Generator, grid: RadialGrid) -> np.ndarray:
     return out
 
 
-def norm_equivalence_check(profile: MetricProfile, n: int, s: float,
+def norm_equivalence_check(profile: MetricProfile, n: int, s,
                            trials: int = 100, grid: Optional[RadialGrid] = None,
-                           seed: int = 0) -> tuple[float, float]:
+                           seed: int = 0):
     """Empirical two-sided H^s ratio between phi-weighted and flat norms.
 
     Multiplication by sigma_n maps the flat-measure H^s onto the weighted
     one; in flattened variables both norms act on the same vector, through
     (1 + A_phi)^(s/2) and (1 + H0)^(s/2) respectively.  Returns
-    (max ratio, max inverse ratio) over the random trials.
+    (max ratio, max inverse ratio) over the random trials.  ``s`` may also
+    be a sequence of exponents: the two eigendecompositions and the seeded
+    bumps are then shared, and one pair is returned per exponent.
     """
-    if not 0.0 <= s <= 1.0:
-        raise ConfigurationError(f"s must be in [0, 1], got {s}")
+    exponents = [s] if np.isscalar(s) else list(s)
+    for expo in exponents:
+        if not 0.0 <= expo <= 1.0:
+            raise ConfigurationError(f"s must be in [0, 1], got {expo}")
     grid = grid or RadialGrid()
-    a_phi = weighted_laplacian_operator(profile, n, grid)
-    a_flat = flat_reference_operator(n, grid)
-    w_phi, u_phi = a_phi.eigh()
-    w_flat, u_flat = a_flat.eigh()
-    # clip tiny negative roundoff before the fractional power
-    pw_phi = np.maximum(1.0 + w_phi, 0.0) ** (s / 2.0)
-    pw_flat = np.maximum(1.0 + w_flat, 0.0) ** (s / 2.0)
+    w_phi, u_phi = weighted_laplacian_operator(profile, n, grid).eigh()
+    w_flat, u_flat = flat_reference_operator(n, grid).eigh()
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_inv = 0.0
-    for _ in range(trials):
-        v = _random_bump(rng, grid)
-        num = np.linalg.norm(pw_phi * (u_phi.T @ v))
-        den = np.linalg.norm(pw_flat * (u_flat.T @ v))
-        ratio = num / den
-        worst = max(worst, ratio)
-        worst_inv = max(worst_inv, 1.0 / ratio)
-    return worst, worst_inv
+    bumps = [_random_bump(rng, grid) for _ in range(trials)]
+    coeffs = [(u_phi.T @ v, u_flat.T @ v) for v in bumps]
+    out = []
+    for expo in exponents:
+        # clip tiny negative roundoff before the fractional power
+        pw_phi = np.maximum(1.0 + w_phi, 0.0) ** (expo / 2.0)
+        pw_flat = np.maximum(1.0 + w_flat, 0.0) ** (expo / 2.0)
+        worst = 0.0
+        worst_inv = 0.0
+        for c_phi, c_flat in coeffs:
+            ratio = np.linalg.norm(pw_phi * c_phi) / np.linalg.norm(pw_flat * c_flat)
+            worst = max(worst, ratio)
+            worst_inv = max(worst_inv, 1.0 / ratio)
+        out.append((worst, worst_inv))
+    return out[0] if np.isscalar(s) else out

@@ -3,9 +3,11 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpdirac.cli import main
-from warpdirac.config import parse_config
+from warpdirac.config import RunConfig, parse_config
 from warpdirac.errors import ConfigurationError
 from warpdirac.reporting import canonical_json
 
@@ -87,6 +89,46 @@ def test_causal_window_gate():
 def test_inf_exponent():
     cfg = parse_config(MINIMAL + "triples = inf:2\n")
     assert math.isinf(cfg.triples[0].p)
+
+
+CONFIG_KEYS = ("profile.family", "n", "m", "profile.epsilon", "profile.alpha",
+               "profile.beta", "profile.degree", "modes.mu_list", "modes.band_j",
+               "modes.mu_max", "modes.multiplicities", "grid.r_max", "grid.n_cells",
+               "time.t_max", "time.samples", "triples", "data.center", "data.width",
+               "data.amplitude", "data.component", "scan.r_min", "scan.r_max",
+               "scan.points", "aggregate.a", "aggregate.b", "epsilon_loss", "trials",
+               "out_dir")
+CONFIG_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers(-10**9, 10**9).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["flat", "sinh", "polynomial", "asymptotically_flat", "plus", "1/0",
+                     "0/0", "1, -1", "2:0", "4:4, inf:2", "inf:2", "nan", "-inf", "1e308"]),
+)
+CONFIG_PAIRS = st.dictionaries(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES, max_size=4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairs=CONFIG_PAIRS, junk=st.lists(st.text(max_size=24), max_size=1),
+       family=st.sampled_from(["", "profile.family = flat", "profile.family = sinh"]))
+def test_parse_config_raises_only_configuration_errors(pairs, junk, family):
+    """Any text either parses into a RunConfig or raises ConfigurationError."""
+    lines = [family, *(f"{key} = {value}" for key, value in pairs.items()), *junk]
+    try:
+        cfg = parse_config("\n".join(lines))
+    except ConfigurationError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+@pytest.mark.parametrize("line", ["modes.mu_list = 1/0", "modes.multiplicities = 1/0:2",
+                                  "scan.r_min = -1", "modes.mu_max = 1e300",
+                                  "modes.band_j = 1000", "grid.r_max = nan",
+                                  "time.t_max = -inf"],
+                         ids=lambda line: line.split(" = ")[0])
+def test_degenerate_values_are_configuration_errors(line):
+    with pytest.raises(ConfigurationError):
+        parse_config(MINIMAL + line + "\n")
 
 
 def test_canonical_json_shape():

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,9 +13,10 @@ from warpdirac import (ConfigurationError, Family, FlatBesselOracle,
                        UnsupportedFamilyError, assemble_dirac, assemble_kg,
                        evolve, flat_exact_solution, gaussian_state,
                        kg_crosscheck)
-from warpdirac.evolution import bessel_orders, causal_time_limit, evolve_crank_nicolson
+from warpdirac.evolution import _bessel_coefficients, bessel_orders, causal_time_limit
 
 FLAT = MetricProfile(Family.FLAT)
+AF001 = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=0.01)
 GRID = RadialGrid(40.0, 512)
 
 
@@ -79,6 +83,57 @@ def test_evolve_property_random_data_and_times(seed, times):
         assert state_diff(back, init) <= 1e-12
 
 
+REFEREE_GRID = RadialGrid(40.0, 96)
+
+
+@pytest.mark.parametrize("profile", [FLAT, AF001], ids=["flat", "af"])
+@pytest.mark.parametrize("mu, m", [(1.0, 0.0), (-2.0, 0.7), (3.0, 1.5)])
+def test_evolve_matches_dense_expm(profile, mu, m):
+    """The banded Chebyshev flow equals expm(-i t h) v for random complex
+    data, negative, zero and long times included."""
+    op = assemble_dirac(profile, mu, m, 3, REFEREE_GRID)
+    nn = REFEREE_GRID.n_cells
+    rng = np.random.default_rng(11)
+    vec = rng.standard_normal(2 * nn) + 1j * rng.standard_normal(2 * nn)
+    times = [-30.0, -7.3, 0.0, 0.4, 12.0, 30.0]
+    traj = evolve(op, SpinorState.from_vector(REFEREE_GRID, vec), times)
+    for t, state in zip(times, traj.states):
+        want = scipy.linalg.expm(-1j * t * op.matrix) @ vec
+        got = np.concatenate([state.plus, state.minus])
+        assert np.linalg.norm(got - want) <= 2e-13 * np.linalg.norm(vec)
+
+
+def test_bessel_coefficients_match_scipy():
+    """The expansion's coefficients (2 - delta_k0) s_k J_k(x), from jv below
+    x = 1 and from Miller's backward recurrence above it."""
+    x = np.array([0.0, 0.4, -3.0, 250.0, 1228.8, -2048.0])
+    coeffs = _bessel_coefficients(x)
+    k = np.arange(coeffs.shape[1])
+    want = (scipy.special.jv(k, x[:, None]) * np.where(k % 4 < 2, 1.0, -1.0)
+            * np.where(k == 0, 1.0, 2.0))
+    assert np.max(np.abs(coeffs - want)) <= 1e-13
+    assert coeffs.shape[1] < 2048 + 12 * 2048 ** (1 / 3) + 28
+
+
+def test_evolve_bounded_memory_at_8192_cells():
+    """Assembly and propagation stay O(N): a dense 2N x 2N matrix alone
+    would take 2.1 GB here."""
+    grid = RadialGrid(40.0, 8192)
+    times = np.linspace(0.0, 1.0, 5)
+    tracemalloc.start()
+    try:
+        op = assemble_dirac(FLAT, 1.0, 0.0, 3, grid)
+        init = gaussian_state(grid)
+        traj = evolve(op, init, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert traj.times.tolist() == times.tolist()
+    base = init.norm()
+    assert max(abs(state.norm() / base - 1.0) for state in traj.states) <= 1e-12
+
+
 def test_causal_window_recorded(flat_op):
     init = gaussian_state(GRID, center=12.0, width=1.5)
     traj = evolve(flat_op, init, [1.0])
@@ -140,14 +195,6 @@ def test_oracle_unitary():
     init = gaussian_state(GRID, center=7.5, width=1.5)
     out = flat_exact_solution(1.0, 0.0, 3, init, 5.0)
     assert out.norm() == pytest.approx(init.norm(), rel=1e-6)
-
-
-def test_crank_nicolson_matches_spectral(flat_op):
-    init = gaussian_state(GRID)
-    spectral = evolve(flat_op, init, [2.0]).states[0]
-    stepped = evolve_crank_nicolson(flat_op, init, [2.0], dt=0.002).states[0]
-    assert state_diff(stepped, spectral) <= 1e-5
-    assert abs(stepped.norm() / init.norm() - 1.0) <= 1e-12
 
 
 def test_kg_crosscheck_refinement():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from warpdirac import (ConfigurationError, Family, GridTooCoarseError,
-                       MetricProfile, RadialGrid, assemble_dirac,
+                       MetricProfile, ModePotential, RadialGrid, assemble_dirac,
                        assemble_kg, check_admissible, factorization_check,
                        flat_reference_operator, norm_equivalence_check, sigma,
                        sigma_n, verify_square)
@@ -68,6 +68,24 @@ def test_dirac_exactly_symmetric():
     for prof in (FLAT, AF001, SINH):
         op = assemble_dirac(prof, 2.0, 0.5, 3, GRID)
         assert op.hermiticity_defect() == 0.0
+
+
+def test_dirac_matrix_is_the_dense_assembly():
+    """The on-demand dense matrix is, bit for bit, the np.diag assembly of
+    [[m, -d/dr + V], [d/dr + V, -m]]."""
+    grid = RadialGrid(40.0, 64)
+    for prof, mu, m in ((FLAT, 1.0, 0.0), (AF001, -2.0, 0.7), (SINH, 3.0, 1.5)):
+        op = assemble_dirac(prof, mu, m, 3, grid)
+        nn = grid.n_cells
+        e = np.ones(nn - 1) / (2.0 * grid.dr)
+        d = np.diag(e, 1) - np.diag(e, -1)
+        v = np.diag(ModePotential(profile=prof, mu=mu, n=3).V(grid.nodes))
+        want = np.zeros((2 * nn, 2 * nn))
+        want[:nn, :nn] = m * np.eye(nn)
+        want[nn:, nn:] = -m * np.eye(nn)
+        want[:nn, nn:] = -d + v
+        want[nn:, :nn] = d + v
+        assert op.matrix.tobytes() == want.tobytes()
 
 
 def test_kg_flat_potentials_exact():
@@ -175,6 +193,15 @@ def test_norm_equivalence_s_zero_isometry():
         worst, worst_inv = norm_equivalence_check(prof, 3, 0.0, trials=10, grid=GRID)
         assert worst == pytest.approx(1.0, abs=1e-8)
         assert worst_inv == pytest.approx(1.0, abs=1e-8)
+
+
+def test_norm_equivalence_exponent_sequence_shares_one_setup():
+    exponents = (0.0, 0.5, 1.0)
+    pairs = norm_equivalence_check(AF001, 3, exponents, trials=12, grid=GRID, seed=3)
+    assert pairs == [norm_equivalence_check(AF001, 3, s, trials=12, grid=GRID, seed=3)
+                     for s in exponents]
+    with pytest.raises(ConfigurationError):
+        norm_equivalence_check(AF001, 3, (0.5, 1.5), trials=1, grid=GRID)
 
 
 def test_norm_equivalence_af_bound():
