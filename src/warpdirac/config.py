@@ -195,9 +195,9 @@ def _parse_modes(parser: _Parser, n: int) -> tuple:
             cap = float(value)
         except ValueError:
             raise ConfigurationError(f"line {lineno}: modes.mu_max must be a number") from None
-        if not cap <= _MAX_ABS_MU:
+        if not (math.isfinite(cap) and cap <= _MAX_ABS_MU):
             raise ConfigurationError(
-                f"line {lineno}: modes.mu_max must be a number at most {_MAX_ABS_MU}")
+                f"line {lineno}: modes.mu_max must be a finite number at most {_MAX_ABS_MU}")
         return tuple(sphere_spectrum(n, cap, multiplicity_table=mult_table))
     return tuple(sphere_spectrum(n, (n - 1) / 2 + 1, multiplicity_table=mult_table))
 

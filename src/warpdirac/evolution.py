@@ -15,6 +15,15 @@ non-uniform ones included), so nothing of size N^2 is built.  At the
 default grid the samples are within 2e-15 relative of an extended-precision
 evaluation of the same series, and their norm drift is below 1e-15.
 
+The term count grows with rho |t|, and rho with |mu| (V = mu / r is
+2 mu / dr at the first cell on the flat profile), while an exact
+diagonalization costs the same for every mode.  So when rho max|t| exceeds
+N^2 / 100 (about where one dense N x N SVD costs as much as the recurrence)
+and the grid has at most 4096 cells, the flow comes instead from the SVD
+B = U S W^T of the coupling block B = -d/dr + V: h = [[m, B], [B^T, -m]]
+acts on each pair (u_k, w_k) as the 2 x 2 matrix [[m, s_k], [s_k, -m]],
+which is exponentiated in closed form.
+
 The flat oracle never touches the discrete operator: initial data are
 expanded in the generalized eigenbasis sqrt(rho r) J_a(rho r) by quadrature,
 each frequency advances through the exact 2x2 rotation with energy
@@ -30,6 +39,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.special
 
 from .errors import ConfigurationError, NumericalError, UnsupportedFamilyError
@@ -47,6 +57,10 @@ _SUPPORT_SIGMAS = 3.0  # Gaussian support radius = center + 3 widths
 _CAUSAL_MARGIN = 2.0
 _CHUNK = 64  # Chebyshev vectors added into the samples per GEMM (even)
 _BESSEL_TAIL = 1e-18  # |J_k| at or below which a term is dropped
+# One N x N SVD costs about N^2 / 100 Chebyshev steps (2-core machine: SVD
+# 0.09 s at N = 512 and 3.1 s at N = 2048, where a step costs 70-80 us).
+_SVD_BREAK_EVEN = 100.0
+_SVD_MAX_CELLS = 4096  # the SVD path holds three dense N x N arrays, 384 MB at 4096 cells
 
 
 @dataclass(frozen=True)
@@ -137,10 +151,11 @@ def evolve(op: DiscreteRadialOperator, initial: SpinorState,
            times: Sequence[float]) -> SpinorTrajectory:
     """Sample exp(-i t h) initial at the requested times.
 
-    Chebyshev expansion of the propagator on the operator's bands (see the
-    module docstring).  Every sample comes from one recurrence, negative
-    and non-uniform times included; a sample at t = 0 is the initial vector
-    itself.
+    Chebyshev expansion of the propagator on the operator's bands, or the
+    SVD of its coupling block where that is cheaper (see the module
+    docstring).  Every sample comes from one recurrence or one
+    decomposition, negative and non-uniform times included; a sample at
+    t = 0 is the initial vector itself.
     """
     if op.kind != "dirac":
         raise ConfigurationError("evolve needs a Dirac-mode operator")
@@ -148,7 +163,12 @@ def evolve(op: DiscreteRadialOperator, initial: SpinorState,
         raise ConfigurationError("initial data grid does not match the operator")
     times = np.asarray(times, dtype=float)
     v0 = initial.as_vector()
-    vecs = _chebyshev_propagate(op, v0, times)
+    nn = op.grid.n_cells
+    terms = _spectral_bound(op) * float(np.max(np.abs(times), initial=0.0))
+    if terms > nn**2 / _SVD_BREAK_EVEN and nn <= _SVD_MAX_CELLS:
+        vecs = _svd_propagate(op, v0, times)
+    else:
+        vecs = _chebyshev_propagate(op, v0, times)
     vecs[:, times == 0.0] = v0[:, None]
     states = tuple(SpinorState.from_vector(op.grid, vecs[:, k],
                                            support_radius=initial.support_radius)
@@ -216,6 +236,11 @@ def _bessel_coefficients(x: np.ndarray) -> np.ndarray:
     return out[:, :keep[-1] + 1] if len(keep) else out[:, :1]
 
 
+def _spectral_bound(op: DiscreteRadialOperator) -> float:
+    """Gershgorin bound |m| + max|V| + 1/dr on the spectrum of h."""
+    return abs(op.m) + float(np.max(np.abs(op.potential))) + 1.0 / op.grid.dr
+
+
 def _dirac_step(op: DiscreteRadialOperator, rho: float):
     """out = 2 (h / rho) x - prev on (rows, 2N) blocks, from the bands of h."""
     nn = op.grid.n_cells
@@ -250,7 +275,7 @@ def _chebyshev_propagate(op: DiscreteRadialOperator, v0: np.ndarray,
     two parities are kept apart and combined as complex numbers at the end.
     """
     nn = op.grid.n_cells
-    rho = abs(op.m) + float(np.max(np.abs(op.potential))) + 1.0 / op.grid.dr
+    rho = _spectral_bound(op)
     coeffs = _bessel_coefficients(rho * times)
     n_terms = coeffs.shape[1]
     step = _dirac_step(op, rho)
@@ -274,6 +299,29 @@ def _chebyshev_propagate(op: DiscreteRadialOperator, v0: np.ndarray,
     re = acc[0, :, 0] + acc[1, :, 1]
     im = acc[0, :, 1] - acc[1, :, 0]
     return (re + 1j * im).T
+
+
+def _svd_propagate(op: DiscreteRadialOperator, v0: np.ndarray,
+                   times: np.ndarray) -> np.ndarray:
+    """exp(-i t h) v0 for every t from the SVD of the coupling block.
+
+    With B = U S W^T, a = U^T v_plus and b = W^T v_minus, each pair evolves
+    by exp(-i t [[m, s], [s, -m]]) = cos(w t) - i sin(w t) / w [[m, s], [s, -m]],
+    w = sqrt(m^2 + s^2), and the samples are U a(t) over W b(t).
+    """
+    nn = op.grid.n_cells
+    try:
+        u, sv, wt = scipy.linalg.svd(op.coupling_block())
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NumericalError(f"SVD of the coupling block failed: {exc}") from exc
+    a = real_matmul(u.T, v0[:nn, None])
+    b = real_matmul(wt, v0[nn:, None])
+    omega = np.hypot(op.m, sv)[:, None]
+    phase = omega * times
+    sinc = np.where(omega > 0.0, np.sin(phase) / np.where(omega > 0.0, omega, 1.0), times)
+    a_t = np.cos(phase) * a - 1j * sinc * (op.m * a + sv[:, None] * b)
+    b_t = np.cos(phase) * b - 1j * sinc * (sv[:, None] * a - op.m * b)
+    return np.vstack([real_matmul(u, a_t), real_matmul(wt.T, b_t)])
 
 
 def bessel_orders(mu: float) -> tuple[float, float]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -78,8 +78,10 @@ class DiscreteRadialOperator:
                  profile: Optional[MetricProfile] = None, mu: Optional[float] = None,
                  m: Optional[float] = None, n: Optional[int] = None,
                  potential: Optional[np.ndarray] = None):
-        if (matrix is None) == (potential is None):
-            raise ConfigurationError("an operator needs either a matrix or Dirac bands")
+        if kind == "dirac" and (potential is None or m is None or matrix is not None):
+            raise ConfigurationError("a Dirac operator is given by its potential and mass")
+        if kind != "dirac" and (matrix is None or potential is not None):
+            raise ConfigurationError(f"a {kind} operator is given by its matrix")
         if matrix is not None:
             self.matrix = matrix
         self.grid, self.kind, self.potential = grid, kind, potential
@@ -89,15 +91,18 @@ class DiscreteRadialOperator:
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense Dirac matrix, assembled from the bands and then kept."""
-        v = np.diag(self.potential)
-        d = _first_derivative(self.grid)
+        b = self.coupling_block()
         nn = self.grid.n_cells
         h = np.zeros((2 * nn, 2 * nn))
         h[:nn, :nn] = self.m * np.eye(nn)
         h[nn:, nn:] = -self.m * np.eye(nn)
-        h[:nn, nn:] = -d + v
-        h[nn:, :nn] = d + v
+        h[:nn, nn:] = b
+        h[nn:, :nn] = b.T
         return h
+
+    def coupling_block(self) -> np.ndarray:
+        """Dense N x N upper-right block -d/dr + V of a Dirac operator."""
+        return np.diag(self.potential) - _first_derivative(self.grid)
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached eigendecomposition (eigenvalues, orthonormal columns)."""
@@ -335,19 +340,17 @@ def _random_bump(rng: np.random.Generator, grid: RadialGrid) -> np.ndarray:
     return out
 
 
-def norm_equivalence_check(profile: MetricProfile, n: int, s,
+def norm_equivalence_check(profile: MetricProfile, n: int, exponents: Sequence[float],
                            trials: int = 100, grid: Optional[RadialGrid] = None,
-                           seed: int = 0):
-    """Empirical two-sided H^s ratio between phi-weighted and flat norms.
+                           seed: int = 0) -> list[tuple[float, float]]:
+    """Empirical two-sided H^s ratios between phi-weighted and flat norms.
 
     Multiplication by sigma_n maps the flat-measure H^s onto the weighted
     one; in flattened variables both norms act on the same vector, through
-    (1 + A_phi)^(s/2) and (1 + H0)^(s/2) respectively.  Returns
-    (max ratio, max inverse ratio) over the random trials.  ``s`` may also
-    be a sequence of exponents: the two eigendecompositions and the seeded
-    bumps are then shared, and one pair is returned per exponent.
+    (1 + A_phi)^(s/2) and (1 + H0)^(s/2) respectively.  Returns one pair
+    (max ratio, max inverse ratio) over the random trials per exponent s;
+    the two eigendecompositions and the seeded bumps are shared by all.
     """
-    exponents = [s] if np.isscalar(s) else list(s)
     for expo in exponents:
         if not 0.0 <= expo <= 1.0:
             raise ConfigurationError(f"s must be in [0, 1], got {expo}")
@@ -369,4 +372,4 @@ def norm_equivalence_check(profile: MetricProfile, n: int, s,
             worst = max(worst, ratio)
             worst_inv = max(worst_inv, 1.0 / ratio)
         out.append((worst, worst_inv))
-    return out[0] if np.isscalar(s) else out
+    return out

@@ -195,10 +195,10 @@ def test_criterion_10_norm_equivalence():
     worst_excess = -math.inf
     for profile, tag in ((FLAT, "flat"), (AF001, "af")):
         c_phi = sigma_log_derivative_bound(profile)
-        for s in (0.0, 0.5, 1.0):
+        exponents = (0.0, 0.5, 1.0)
+        ratios = norm_equivalence_check(profile, 3, exponents, trials=100, grid=grid)
+        for s, (worst, worst_inv) in zip(exponents, ratios):
             bound = (1.0 + c_phi) ** s + 1e-3
-            worst, worst_inv = norm_equivalence_check(profile, 3, s,
-                                                      trials=100, grid=grid)
             worst_excess = max(worst_excess, max(worst, worst_inv) - bound)
     verdict(10, worst_excess <= 0.0,
             f"weighted/flat H^s ratios within (1 + c_phi)^s + 1e-3 "

@@ -13,7 +13,8 @@ from warpdirac import (ConfigurationError, Family, FlatBesselOracle,
                        UnsupportedFamilyError, assemble_dirac, assemble_kg,
                        evolve, flat_exact_solution, gaussian_state,
                        kg_crosscheck)
-from warpdirac.evolution import _bessel_coefficients, bessel_orders, causal_time_limit
+from warpdirac.evolution import (_bessel_coefficients, _chebyshev_propagate,
+                                 _svd_propagate, bessel_orders, causal_time_limit)
 
 FLAT = MetricProfile(Family.FLAT)
 AF001 = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=0.01)
@@ -57,6 +58,8 @@ PROPERTY_GRID = RadialGrid(40.0, 96)
 PROPERTY_OP = assemble_dirac(FLAT, 1.0, 0.0, 3, PROPERTY_GRID)
 
 
+# On this grid evolve takes the Chebyshev path up to max|t| of about 12.8
+# and the SVD path beyond, so the draws below reach both.
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        times=st.lists(st.floats(-30.0, 30.0, allow_nan=False), min_size=1,
@@ -86,21 +89,50 @@ def test_evolve_property_random_data_and_times(seed, times):
 REFEREE_GRID = RadialGrid(40.0, 96)
 
 
+def _evolve_block(op, vec, times):
+    traj = evolve(op, SpinorState.from_vector(op.grid, vec), times)
+    return np.stack([np.concatenate([s.plus, s.minus]) for s in traj.states], axis=1)
+
+
+@pytest.mark.parametrize("propagate", [_evolve_block, _chebyshev_propagate, _svd_propagate],
+                         ids=["evolve", "chebyshev", "svd"])
 @pytest.mark.parametrize("profile", [FLAT, AF001], ids=["flat", "af"])
 @pytest.mark.parametrize("mu, m", [(1.0, 0.0), (-2.0, 0.7), (3.0, 1.5)])
-def test_evolve_matches_dense_expm(profile, mu, m):
-    """The banded Chebyshev flow equals expm(-i t h) v for random complex
-    data, negative, zero and long times included."""
+def test_evolve_matches_dense_expm(propagate, profile, mu, m):
+    """evolve and each of its two propagators equal expm(-i t h) v for
+    random complex data, negative, zero and long times included."""
     op = assemble_dirac(profile, mu, m, 3, REFEREE_GRID)
     nn = REFEREE_GRID.n_cells
     rng = np.random.default_rng(11)
     vec = rng.standard_normal(2 * nn) + 1j * rng.standard_normal(2 * nn)
-    times = [-30.0, -7.3, 0.0, 0.4, 12.0, 30.0]
-    traj = evolve(op, SpinorState.from_vector(REFEREE_GRID, vec), times)
-    for t, state in zip(times, traj.states):
+    times = np.array([-30.0, -7.3, 0.0, 0.4, 12.0, 30.0])
+    got = propagate(op, vec, times)
+    for k, t in enumerate(times):
         want = scipy.linalg.expm(-1j * t * op.matrix) @ vec
+        assert np.linalg.norm(got[:, k] - want) <= 2e-13 * np.linalg.norm(vec)
+
+
+@pytest.mark.parametrize("mu, t_max, path", [(1.0, 8.0, "chebyshev"), (1.0, 0.5, "chebyshev"),
+                                             (64.0, 8.0, "svd"), (-64.0, -8.0, "svd")])
+def test_evolve_takes_the_cheaper_propagator(monkeypatch, mu, t_max, path):
+    """At 512 cells the recurrence needs about rho |t| steps, and rho grows
+    with |mu|: past 512^2 / 100 steps evolve diagonalizes the coupling
+    block instead, with the same samples to roundoff."""
+    grid = RadialGrid(40.0, 512)
+    op = assemble_dirac(AF001, mu, 0.7, 3, grid)
+    init = gaussian_state(grid)
+    times = np.linspace(0.0, t_max, 5) if t_max > 0 else np.linspace(t_max, 0.0, 5)
+    calls = []
+    for name, fn in (("chebyshev", _chebyshev_propagate), ("svd", _svd_propagate)):
+        monkeypatch.setattr(f"warpdirac.evolution._{name}_propagate",
+                            lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    traj = evolve(op, init, times)
+    assert calls == [path]
+    v0 = init.as_vector()
+    other = (_svd_propagate if path == "chebyshev" else _chebyshev_propagate)(op, v0, times)
+    for k, state in enumerate(traj.states[1:], start=1):
         got = np.concatenate([state.plus, state.minus])
-        assert np.linalg.norm(got - want) <= 2e-13 * np.linalg.norm(vec)
+        assert np.linalg.norm(got - other[:, k]) <= 1e-12 * np.linalg.norm(v0)
 
 
 def test_bessel_coefficients_match_scipy():

@@ -8,7 +8,8 @@ from warpdirac import (ConfigurationError, Family, GridTooCoarseError,
                        assemble_kg, check_admissible, factorization_check,
                        flat_reference_operator, norm_equivalence_check, sigma,
                        sigma_n, verify_square)
-from warpdirac.operators import sigma_log_derivative_bound, weighted_laplacian_operator
+from warpdirac.operators import (DiscreteRadialOperator, sigma_log_derivative_bound,
+                                 weighted_laplacian_operator)
 
 FLAT = MetricProfile(Family.FLAT)
 SINH = MetricProfile(Family.SINH)
@@ -182,15 +183,30 @@ def test_factorization_sign_swap_under_mu_flip():
     assert rp == pytest.approx(rm_neg, rel=1e-10)
 
 
+def test_operator_data_must_fit_its_kind():
+    """A Dirac operator is given by its potential and mass, every other kind
+    by its matrix; a mismatch is a ConfigurationError, not a later crash."""
+    h = assemble_dirac(FLAT, 1.0, 0.0, 3, GRID).matrix
+    pot = np.ones(GRID.n_cells)
+    with pytest.raises(ConfigurationError):
+        DiscreteRadialOperator(grid=GRID, kind="dirac", matrix=h)
+    with pytest.raises(ConfigurationError):
+        DiscreteRadialOperator(grid=GRID, kind="dirac", potential=pot)
+    with pytest.raises(ConfigurationError):
+        DiscreteRadialOperator(grid=GRID, kind="kg_plus", potential=pot, m=0.0)
+    with pytest.raises(ConfigurationError):
+        DiscreteRadialOperator(grid=GRID, kind="kg_plus", matrix=h[:8, :8], potential=pot)
+
+
 def test_norm_equivalence_flat_is_exact():
-    worst, worst_inv = norm_equivalence_check(FLAT, 3, 0.7, trials=20, grid=GRID)
+    [(worst, worst_inv)] = norm_equivalence_check(FLAT, 3, [0.7], trials=20, grid=GRID)
     assert worst == pytest.approx(1.0, abs=1e-10)
     assert worst_inv == pytest.approx(1.0, abs=1e-10)
 
 
 def test_norm_equivalence_s_zero_isometry():
     for prof in (AF001, SINH):
-        worst, worst_inv = norm_equivalence_check(prof, 3, 0.0, trials=10, grid=GRID)
+        [(worst, worst_inv)] = norm_equivalence_check(prof, 3, [0.0], trials=10, grid=GRID)
         assert worst == pytest.approx(1.0, abs=1e-8)
         assert worst_inv == pytest.approx(1.0, abs=1e-8)
 
@@ -198,21 +214,21 @@ def test_norm_equivalence_s_zero_isometry():
 def test_norm_equivalence_exponent_sequence_shares_one_setup():
     exponents = (0.0, 0.5, 1.0)
     pairs = norm_equivalence_check(AF001, 3, exponents, trials=12, grid=GRID, seed=3)
-    assert pairs == [norm_equivalence_check(AF001, 3, s, trials=12, grid=GRID, seed=3)
+    assert pairs == [norm_equivalence_check(AF001, 3, [s], trials=12, grid=GRID, seed=3)[0]
                      for s in exponents]
     with pytest.raises(ConfigurationError):
         norm_equivalence_check(AF001, 3, (0.5, 1.5), trials=1, grid=GRID)
 
 
 def test_norm_equivalence_af_bound():
-    worst, worst_inv = norm_equivalence_check(AF001, 3, 1.0, trials=40, grid=GRID)
+    [(worst, worst_inv)] = norm_equivalence_check(AF001, 3, [1.0], trials=40, grid=GRID)
     assert max(worst, worst_inv) <= 1.02
 
 
 def test_norm_equivalence_exponent_range():
     from warpdirac.errors import ConfigurationError as CfgErr
     with pytest.raises(CfgErr):
-        norm_equivalence_check(FLAT, 3, 1.5, trials=1, grid=GRID)
+        norm_equivalence_check(FLAT, 3, [1.5], trials=1, grid=GRID)
 
 
 def test_sigma_log_derivative_bounds():
