@@ -17,19 +17,26 @@ The two are tied by the algebraic identity 4 r^2 W + 1 = 4 (1/4 + r^2 (V^2 - V')
 which is kept as a permanent regression test.  All infima are evaluated in
 overflow-safe scaled variables (r V, r^2 V', r^3 V'', r^3 W') so the scan
 grid can span [1e-6, 1e6] for every family including sinh.
+
+:func:`check_admissible` checks a whole sequence of modes in one pass: the
+profile is evaluated once on the scan grid, the scaled parts once per signed
+mu, and every golden-section refinement of every mode steps together
+(:func:`warpdirac.scan.scan_infima`).  Its values equal those of the
+per-functional scans (:func:`delta_pm`, :func:`delta_phi`) bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .profiles import MetricProfile, ProfileConstants
-from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_infimum, scan_supremum
+from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_infima, scan_infimum
 
 __all__ = ["ModePotential", "TermInfimum", "DeltaPair", "DeltaPhi", "DeltaC",
            "AdmissibilityReport", "delta_pm", "delta_phi", "delta_c",
@@ -84,29 +91,33 @@ class ModePotential:
     # scaled, overflow-safe combinations used by the scans
     def scaled_parts(self, r):
         """(rV, r^2 V', r^3 V'', r^3 W') with W = mu (mu + phi')/phi^2, r > 0."""
-        s1, s2, s3 = self.profile.ratios(r)
-        mu = self.mu
-        rv = mu * s1
-        r2vp = -mu * s1 * s2
-        r3vpp = 2.0 * mu * s1 * s2**2 - mu * s3
-        r3wp = mu * s3 - 2.0 * rv**2 * s2 - 2.0 * mu * s1 * s2**2
-        return rv, r2vp, r3vpp, r3wp
+        return _parts(self.mu, self.profile.ratios(r))
 
     def scaled_parts_at_zero(self):
         """Limits of scaled_parts as r -> 0+ (phi(0)=0, phi'(0)=1)."""
-        mu = self.mu
-        return mu, -mu, 2.0 * mu, -2.0 * mu * (mu + 1.0)
+        return _parts_at_zero(self.mu)
 
     def scaled_parts_at_infinity(self) -> Optional[tuple]:
-        lims = self.profile.ratios_at_infinity()
-        if lims is None:
-            return None
-        s1, s2, s3 = lims
-        mu = self.mu
-        rv = mu * s1
-        return (rv, -mu * s1 * s2,
-                2.0 * mu * s1 * s2**2 - mu * s3,
-                mu * s3 - 2.0 * rv**2 * s2 - 2.0 * mu * s1 * s2**2)
+        return _parts_at_infinity(self.profile, self.mu)
+
+
+def _parts(mu, ratios):
+    """(rV, r^2 V', r^3 V'', r^3 W') from the profile ratios; ``mu`` may be an array."""
+    s1, s2, s3 = ratios
+    rv = mu * s1
+    r2vp = -mu * s1 * s2
+    r3vpp = 2.0 * mu * s1 * s2**2 - mu * s3
+    r3wp = mu * s3 - 2.0 * rv**2 * s2 - 2.0 * mu * s1 * s2**2
+    return rv, r2vp, r3vpp, r3wp
+
+
+def _parts_at_zero(mu: float) -> tuple:
+    return mu, -mu, 2.0 * mu, -2.0 * mu * (mu + 1.0)
+
+
+def _parts_at_infinity(profile: MetricProfile, mu: float) -> Optional[tuple]:
+    lims = profile.ratios_at_infinity()
+    return None if lims is None else _parts(mu, lims)
 
 
 def _term_I(parts, sign: int):
@@ -161,12 +172,24 @@ class DeltaPair:
     minus_quadratic: TermInfimum
     minus_cubic: TermInfimum
 
+    @classmethod
+    def from_terms(cls, pq: TermInfimum, pc: TermInfimum,
+                   mq: TermInfimum, mc: TermInfimum) -> "DeltaPair":
+        return cls(delta_plus=min(0.25, pq.value, pc.value),
+                   delta_minus=min(0.25, mq.value, mc.value),
+                   plus_quadratic=pq, plus_cubic=pc,
+                   minus_quadratic=mq, minus_cubic=mc)
+
 
 @dataclass(frozen=True)
 class DeltaPhi:
     value: float
     quad_term: TermInfimum
     cubic_term: TermInfimum
+
+    @classmethod
+    def from_terms(cls, quad: TermInfimum, cubic: TermInfimum) -> "DeltaPhi":
+        return cls(value=min(1.0, quad.value, cubic.value), quad_term=quad, cubic_term=cubic)
 
     def violating_term(self) -> Optional[TermInfimum]:
         """First non-positive term (quadratic checked before cubic), if any."""
@@ -192,12 +215,7 @@ def delta_pm(pot: ModePotential,
     pc = _scan_term(pot, _term_Q, +1, scan)
     mq = _scan_term(pot, _term_I, -1, scan)
     mc = _scan_term(pot, _term_Q, -1, scan)
-    return DeltaPair(
-        delta_plus=min(0.25, pq.value, pc.value),
-        delta_minus=min(0.25, mq.value, mc.value),
-        plus_quadratic=pq, plus_cubic=pc,
-        minus_quadratic=mq, minus_cubic=mc,
-    )
+    return DeltaPair.from_terms(pq, pc, mq, mc)
 
 
 def delta_phi(profile: MetricProfile, mu: float,
@@ -206,8 +224,7 @@ def delta_phi(profile: MetricProfile, mu: float,
     pot = ModePotential(profile=profile, mu=mu, n=profile.n)
     quad = _scan_term(pot, _term_quad, None, scan)
     cubic = _scan_term(pot, _term_cubic, None, scan)
-    return DeltaPhi(value=min(1.0, quad.value, cubic.value),
-                    quad_term=quad, cubic_term=cubic)
+    return DeltaPhi.from_terms(quad, cubic)
 
 
 def delta_c(pot: ModePotential, sign: int,
@@ -273,59 +290,110 @@ class AdmissibilityReport:
         }
 
 
-def _r2w(pot: ModePotential, r):
-    """r^2 W with W = mu (mu + phi')/phi^2, in overflow-safe variables."""
-    rv, r2vp, _, _ = pot.scaled_parts(r)
-    return rv**2 - r2vp
+def _term_sup(parts):
+    """-|4 r^2 W|, whose infimum is minus sup |4 r^2 W|."""
+    rv, r2vp, _, _ = parts
+    return -np.abs(4.0 * (rv**2 - r2vp))
 
 
-def _potential_decays(pot: ModePotential) -> bool:
+# Infimum functionals of one signed mu: delta_pm's four terms, delta_phi's
+# two, and the one behind sup |4 r^2 W|.
+_MODE_TERMS = (partial(_term_I, sign=+1), partial(_term_Q, sign=+1),
+               partial(_term_I, sign=-1), partial(_term_Q, sign=-1),
+               _term_quad, _term_cubic, _term_sup)
+_PM_TERMS, _PHI_TERMS, _SUP_TERM = range(4), (4, 5), 6
+
+
+def _potential_decays(mu: float, probe_ratios) -> bool:
     """Surrogate for lim_{r->inf} W = 0: monotone decay below 1e-6 at probes."""
-    vals = []
-    for r in _DECAY_PROBES:
-        rv, r2vp, _, _ = pot.scaled_parts(np.array([r]))
-        vals.append(abs(float(rv[0] ** 2 - r2vp[0])) / r**2)
+    rv, r2vp, _, _ = _parts(mu, probe_ratios)
+    vals = [abs(float(rv[k] ** 2 - r2vp[k])) / r**2 for k, r in enumerate(_DECAY_PROBES)]
     return vals[0] >= vals[1] >= vals[2] and vals[2] < _DECAY_TOL
 
 
-def check_admissible(profile: MetricProfile, mu: float,
-                     scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> AdmissibilityReport:
-    """Full sufficient-condition report for one angular eigenvalue."""
-    pot = ModePotential(profile=profile, mu=mu, n=profile.n)
-    pair = delta_pm(pot, scan)
-    dphi_pos = delta_phi(profile, mu, scan)
-    dphi_neg = delta_phi(profile, -mu, scan)
+def check_admissible(profile: MetricProfile, mus: Sequence[float],
+                     scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY
+                     ) -> list[AdmissibilityReport]:
+    """Full sufficient-condition report for each angular eigenvalue, in order.
 
-    zero = pot.scaled_parts_at_zero()
-    infp = pot.scaled_parts_at_infinity()
-    sup = scan_supremum(
-        lambda r: np.abs(4.0 * _r2w(pot, r)),
-        scan,
-        limit_at_zero=abs(4.0 * (zero[0] ** 2 - zero[1])),
-        limit_at_infinity=None if infp is None else abs(4.0 * (infp[0] ** 2 - infp[1])),
-    )
-    sup_finite = not sup.diverging and math.isfinite(sup.value)
-    decay_ok = _potential_decays(pot)
-    admissible = (dphi_pos.value > 0.0 and dphi_neg.value > 0.0
-                  and sup_finite and decay_ok)
+    Mode mu needs delta_pm(mu), delta_phi(+-mu) and sup |4 r^2 W| at mu.
+    All of these are scanned in one pass: ``profile.ratios`` once on the
+    policy grid, the scaled parts once per signed mu (delta_phi(-mu) is
+    shared with mode -mu), each functional reduced to its grid minimum as
+    soon as it is computed, and every golden-section refinement stepped in
+    lockstep with one ``profile.ratios`` call per step.  The values are
+    those of :func:`delta_pm`, :func:`delta_phi` and a supremum scan per
+    mode, bit for bit.
+    """
+    pots = [ModePotential(profile=profile, mu=mu, n=profile.n) for mu in mus]
+    if not pots:
+        return []
+    needed = {}  # signed mu -> indices into _MODE_TERMS
+    for pot in pots:
+        needed[pot.mu] = range(len(_MODE_TERMS))
+        needed.setdefault(-pot.mu, _PHI_TERMS)
+    jobs = [(mu, t) for mu, terms in needed.items() for t in terms]
+    r = scan.grid()
+    ratios = profile.ratios(r)
 
-    witness = None
-    if not admissible:
-        for d in (dphi_pos, dphi_neg):
-            t = d.violating_term()
-            if t is not None:
-                witness = t.arg_r
-                break
-        if witness is None and not sup_finite:
-            witness = sup.arg_r
+    def grid_values():
+        for mu, terms in needed.items():
+            parts = _parts(mu, ratios)
+            zero, at_inf = _parts_at_zero(mu), _parts_at_infinity(profile, mu)
+            for t in terms:
+                term = _MODE_TERMS[t]
+                yield term(parts), term(zero), None if at_inf is None else term(at_inf)
+            del parts  # free before the next mu's parts are built
 
-    return AdmissibilityReport(
-        mu=mu, family=profile.family.value, n=profile.n,
-        delta_plus=pair.delta_plus, delta_minus=pair.delta_minus,
-        delta_phi_mu=dphi_pos.value, delta_phi_neg_mu=dphi_neg.value,
-        sup_4r2V=sup.value, limit_at_infinity_ok=decay_ok,
-        admissible=admissible, witness_r=witness,
-    )
+    job_mu = np.array([mu for mu, _ in jobs], dtype=float)
+    job_term = np.array([t for _, t in jobs])
+
+    def evaluate(ids, radii):
+        parts = _parts(job_mu[ids], profile.ratios(radii))
+        terms = job_term[ids]
+        out = np.empty(len(ids))
+        for t in np.unique(terms):
+            sel = terms == t
+            out[sel] = _MODE_TERMS[t](tuple(p[sel] for p in parts))
+        return out
+
+    found = dict(zip(jobs, scan_infima(r, grid_values(), evaluate)))
+    probe_ratios = profile.ratios(np.array(_DECAY_PROBES))
+
+    def term(mu, t):
+        res = found[(mu, t)]
+        return TermInfimum(res.value, res.arg_r)
+
+    reports = []
+    for pot in pots:
+        mu = pot.mu
+        pair = DeltaPair.from_terms(*(term(mu, t) for t in _PM_TERMS))
+        dphi_pos = DeltaPhi.from_terms(*(term(mu, t) for t in _PHI_TERMS))
+        dphi_neg = DeltaPhi.from_terms(*(term(-mu, t) for t in _PHI_TERMS))
+        sup = found[(mu, _SUP_TERM)].negated()
+        sup_finite = not sup.diverging and math.isfinite(sup.value)
+        decay_ok = _potential_decays(mu, probe_ratios)
+        admissible = (dphi_pos.value > 0.0 and dphi_neg.value > 0.0
+                      and sup_finite and decay_ok)
+
+        witness = None
+        if not admissible:
+            for d in (dphi_pos, dphi_neg):
+                t = d.violating_term()
+                if t is not None:
+                    witness = t.arg_r
+                    break
+            if witness is None and not sup_finite:
+                witness = sup.arg_r
+
+        reports.append(AdmissibilityReport(
+            mu=mu, family=profile.family.value, n=profile.n,
+            delta_plus=pair.delta_plus, delta_minus=pair.delta_minus,
+            delta_phi_mu=dphi_pos.value, delta_phi_neg_mu=dphi_neg.value,
+            sup_4r2V=sup.value, limit_at_infinity_ok=decay_ok,
+            admissible=admissible, witness_r=witness,
+        ))
+    return reports
 
 
 def delta_lower_bound(constants: ProfileConstants, mu0: float) -> float:

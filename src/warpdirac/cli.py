@@ -74,7 +74,7 @@ def _write_all(out_dir: Path, files: list):
 
 def cmd_check_metric(cfg: RunConfig, args) -> tuple[int, list]:
     mus = sorted({float(m.mu) for m in cfg.modes})
-    reports = [check_admissible(cfg.profile, mu, cfg.scan) for mu in mus]
+    reports = check_admissible(cfg.profile, mus, cfg.scan)
     payload = {
         "profile": _profile_dict(cfg.profile),
         "reports": [r.to_dict() for r in reports],

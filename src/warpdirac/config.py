@@ -38,8 +38,6 @@ class RunConfig:
     t_max: float
     samples: int
     triples: tuple
-    aggregate_a: float
-    aggregate_b: float
     epsilon_loss: float
     data: DataTemplate
     scan: InfimumScanPolicy
@@ -225,6 +223,10 @@ def parse_config(text: str) -> RunConfig:
     )
     m = parser.take_float("m", 0.0)
     modes = _parse_modes(parser, n)
+    if not modes:
+        raise ConfigurationError(
+            f"the modes section enumerates no mode: the smallest |mu| for n={n} "
+            f"is {(n - 1) / 2:g}")
 
     grid = RadialGrid(r_max=parser.take_float("grid.r_max", 40.0),
                       n_cells=parser.take_int("grid.n_cells", 2048))
@@ -262,10 +264,6 @@ def parse_config(text: str) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigurationError(f"scan policy: {exc}") from None
-    aggregate_a = parser.take_float("aggregate.a", 0.6)
-    aggregate_b = parser.take_float("aggregate.b", 8.0)
-    if aggregate_a <= 0 or aggregate_b <= 0:
-        raise ConfigurationError("aggregate.a and aggregate.b must be positive")
     epsilon_loss = parser.take_float("epsilon_loss", 0.1)
     if epsilon_loss < 0:
         raise ConfigurationError("epsilon_loss must be nonnegative")
@@ -285,8 +283,8 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(profile=profile, n=n, m=m, modes=modes, grid=grid,
                      t_max=t_max, samples=samples, triples=triples,
-                     aggregate_a=aggregate_a, aggregate_b=aggregate_b, epsilon_loss=epsilon_loss,
-                     data=data, scan=scan, trials=trials, out_dir=out_dir)
+                     epsilon_loss=epsilon_loss, data=data, scan=scan, trials=trials,
+                     out_dir=out_dir)
 
 
 def load_config(path) -> RunConfig:

@@ -271,11 +271,12 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
             scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> list[NormScanResult]:
     """Evolve identical radial data per mode and fit the norm-ratio growth.
 
-    Returns one result per triple.  Each mode is checked for admissibility
-    under ``scan``, assembled, evolved and smoothing-normed once, and every
-    triple's Strichartz norm is taken on that one trajectory, so all
-    triples must share one mass.  Aborts with the admissibility report
-    attached when any requested mu is not admissible for the profile.
+    Returns one result per triple.  All modes are checked for
+    admissibility under ``scan`` in one pass before anything is evolved;
+    the scan aborts with the report of the first requested mu that is not
+    admissible for the profile.  Each mode is then assembled, evolved and
+    smoothing-normed once, and every triple's Strichartz norm is taken on
+    that one trajectory, so all triples must share one mass.
     Modes evaluate independently (in ``threads`` workers when asked);
     results merge in mode order, so the output does not depend on the
     worker count.
@@ -297,11 +298,13 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
     times = np.linspace(0.0, t_max, samples)
     h_half = h_sobolev_norm(initial, 0.5, n=n)
 
-    def one_mode(mu: float) -> list[ModeScanRow]:
-        report = check_admissible(profile, mu, scan)
+    reports = check_admissible(profile, mu_list, scan)
+    for mu, report in zip(mu_list, reports):
         if not report.admissible:
             raise NonAdmissibleError(
                 f"mu={mu} is not admissible for {profile.family.value}", report)
+
+    def one_mode(mu: float, report) -> list[ModeScanRow]:
         op = assemble_dirac(profile, mu, m, n, grid)
         traj = evolve(op, initial, times)
         smoo = smoothing_norm(traj, (0.0, t_max))
@@ -318,9 +321,9 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_mode = list(pool.map(one_mode, mu_list))
+            per_mode = list(pool.map(one_mode, mu_list, reports))
     else:
-        per_mode = [one_mode(mu) for mu in mu_list]
+        per_mode = [one_mode(mu, report) for mu, report in zip(mu_list, reports)]
     abs_mu = np.array([abs(float(mu)) for mu in mu_list])
     results = []
     for k, triple in enumerate(triples):

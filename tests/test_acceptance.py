@@ -106,13 +106,13 @@ def test_criterion_4_delta_floor():
 
 def test_criterion_5_failure_reproduction():
     sinh_profile = MetricProfile(Family.SINH)
-    rep = check_admissible(sinh_profile, -1.0)
+    (rep,) = check_admissible(sinh_profile, [-1.0])
     value_at_2 = 16.0 * (1.0 - math.cosh(2.0)) / math.sinh(2.0) ** 2 + 1.0
     sinh_ok = (not rep.admissible and rep.witness_r is not None
                and 1.0 < rep.witness_r < 4.0
                and abs(value_at_2 - (-2.36)) < 0.01)
     poly = MetricProfile(Family.POLYNOMIAL, degree=3)
-    poly_reports = [check_admissible(poly, mu) for mu in (1.0, -1.0, 2.0, -2.0)]
+    poly_reports = check_admissible(poly, [1.0, -1.0, 2.0, -2.0])
     poly_ok = any(not r.admissible and r.witness_r is not None
                   for r in poly_reports)
     verdict(5, sinh_ok and poly_ok,

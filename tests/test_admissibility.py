@@ -9,6 +9,7 @@ from warpdirac import (ConfigurationError, Family,
                        MetricProfile, ModePotential, check_admissible, delta_c,
                        delta_phi, delta_pm, delta_lower_bound,
                        profile_constants)
+from warpdirac.scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_supremum
 
 FLAT = MetricProfile(Family.FLAT)
 SINH = MetricProfile(Family.SINH)
@@ -110,8 +111,7 @@ def test_delta_c_dimension_shift():
 
 
 def test_flat_admissible():
-    for mu in (1.0, -1.0, 2.0):
-        rep = check_admissible(FLAT, mu)
+    for rep in check_admissible(FLAT, [1.0, -1.0, 2.0]):
         assert rep.admissible
         assert rep.witness_r is None
         assert rep.limit_at_infinity_ok
@@ -119,12 +119,12 @@ def test_flat_admissible():
 
 
 def test_af_admissible():
-    rep = check_admissible(AF001, 1.0)
+    (rep,) = check_admissible(AF001, [1.0])
     assert rep.admissible
 
 
 def test_sinh_fails_with_witness_near_two():
-    rep = check_admissible(SINH, -1.0)
+    (rep,) = check_admissible(SINH, [-1.0])
     assert not rep.admissible
     assert rep.witness_r is not None and 1.0 < rep.witness_r < 4.0
     # quoted failure value at r = 2: 16 (1 - cosh 2)/sinh^2 2 + 1
@@ -137,15 +137,87 @@ def test_sinh_fails_with_witness_near_two():
 
 
 def test_polynomial_fails():
-    results = [check_admissible(POLY3, mu) for mu in (1.0, -1.0, 2.0, -2.0)]
+    results = check_admissible(POLY3, [1.0, -1.0, 2.0, -2.0])
     assert any(not r.admissible for r in results)
     for r in results:
         if not r.admissible:
             assert r.witness_r is not None and r.witness_r > 0.0
 
 
+PROFILES = {"flat": FLAT, "af": AF001, "sinh": SINH, "poly": POLY3}
+SIGNED_MUS = [float(sign * k) for k in range(1, 9) for sign in (1, -1)]
+
+
+def _single_functional_report(prof, mu, scan):
+    """Report fields from one scan per functional, as check_admissible once did per mode."""
+    pot = ModePotential(profile=prof, mu=mu, n=3)
+    pair = delta_pm(pot, scan)
+    pos, neg = delta_phi(prof, mu, scan), delta_phi(prof, -mu, scan)
+
+    def r2w(parts):
+        return parts[0] ** 2 - parts[1]
+
+    at_inf = pot.scaled_parts_at_infinity()
+    sup = scan_supremum(lambda r: np.abs(4.0 * r2w(pot.scaled_parts(r))), scan,
+                        limit_at_zero=abs(4.0 * r2w(pot.scaled_parts_at_zero())),
+                        limit_at_infinity=None if at_inf is None else abs(4.0 * r2w(at_inf)))
+    probes = []
+    for r in (1e4, 1e5, 1e6):
+        rv, r2vp, _, _ = pot.scaled_parts(np.array([r]))
+        probes.append(abs(float(rv[0] ** 2 - r2vp[0])) / r**2)
+    decays = probes[0] >= probes[1] >= probes[2] and probes[2] < 1e-6
+    sup_finite = not sup.diverging and math.isfinite(sup.value)
+    admissible = pos.value > 0.0 and neg.value > 0.0 and sup_finite and decays
+    witness = None
+    if not admissible:
+        terms = [d.violating_term() for d in (pos, neg)]
+        terms = [t for t in terms if t is not None]
+        witness = terms[0].arg_r if terms else (None if sup_finite else sup.arg_r)
+    return dict(mu=mu, family=prof.family.value, n=3,
+                delta_plus=pair.delta_plus, delta_minus=pair.delta_minus,
+                delta_phi_mu=pos.value, delta_phi_neg_mu=neg.value,
+                sup_4r2V=sup.value, limit_at_infinity_ok=decays,
+                admissible=admissible, witness_r=witness)
+
+
+@pytest.mark.parametrize("scan", [DEFAULT_SCAN_POLICY, InfimumScanPolicy(1e-4, 1e4, 5000)],
+                         ids=["default", "narrow"])
+@pytest.mark.parametrize("tag", sorted(PROFILES))
+def test_batched_reports_equal_single_functional_scans(tag, scan):
+    """One check over all modes gives every field of the per-functional scans, bit for bit."""
+    prof = PROFILES[tag]
+    reports = check_admissible(prof, SIGNED_MUS, scan)
+    assert len(reports) == len(SIGNED_MUS)
+    for mu, rep in zip(SIGNED_MUS, reports):
+        assert rep.to_dict() == _single_functional_report(prof, mu, scan), mu
+    if tag in ("sinh", "poly"):
+        assert any(rep.witness_r is not None for rep in reports)
+
+
+def test_one_profile_evaluation_per_scan_grid(monkeypatch):
+    """One ratios call on the policy grid; refinements share their small calls across modes."""
+    sizes = []
+    real = MetricProfile.ratios
+
+    def counting(self, r):
+        sizes.append(np.size(r))
+        return real(self, r)
+
+    monkeypatch.setattr(MetricProfile, "ratios", counting)
+
+    def small_calls(mus):
+        sizes.clear()
+        check_admissible(AF001, mus)
+        assert sizes.count(DEFAULT_SCAN_POLICY.points) == 1
+        return len(sizes) - 1
+
+    two = small_calls([1.0, -1.0])
+    assert two > 2  # the refinement ran
+    assert small_calls(SIGNED_MUS) == two
+
+
 def test_report_serialization_fields():
-    rep = check_admissible(FLAT, 1.0)
+    (rep,) = check_admissible(FLAT, [1.0])
     d = rep.to_dict()
     for key in ("delta_plus", "delta_minus", "delta_phi_mu", "delta_phi_neg_mu",
                 "sup_4r2V", "limit_at_infinity_ok", "admissible", "witness_r"):

@@ -96,7 +96,7 @@ CONFIG_KEYS = ("profile.family", "n", "m", "profile.epsilon", "profile.alpha",
                "modes.mu_max", "modes.multiplicities", "grid.r_max", "grid.n_cells",
                "time.t_max", "time.samples", "triples", "data.center", "data.width",
                "data.amplitude", "data.component", "scan.r_min", "scan.r_max",
-               "scan.points", "aggregate.a", "aggregate.b", "epsilon_loss", "trials",
+               "scan.points", "epsilon_loss", "trials",
                "out_dir")
 CONFIG_VALUES = st.one_of(
     st.text(max_size=12),
@@ -124,11 +124,26 @@ def test_parse_config_raises_only_configuration_errors(pairs, junk, family):
 @pytest.mark.parametrize("line", ["modes.mu_list = 1/0", "modes.multiplicities = 1/0:2",
                                   "scan.r_min = -1", "modes.mu_max = 1e300",
                                   "modes.mu_max = -inf", "modes.band_j = 1000",
-                                  "grid.r_max = nan", "time.t_max = -inf"],
+                                  "grid.r_max = nan", "time.t_max = -inf",
+                                  "modes.mu_max = -5", "modes.mu_max = 0.5"],
                          ids=lambda line: line.replace(" ", ""))
 def test_degenerate_values_are_configuration_errors(line):
     with pytest.raises(ConfigurationError):
         parse_config(MINIMAL + line + "\n")
+
+
+@pytest.mark.parametrize("key", ["aggregate.a", "aggregate.b"])
+def test_removed_aggregate_keys_are_unknown(key):
+    with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
+        parse_config(MINIMAL + f"{key} = 1.0\n")
+
+
+@pytest.mark.parametrize("command", ["check-metric", "evolve"])
+def test_cli_rejects_config_without_modes(tmp_path, command):
+    cfg = _write(tmp_path, SMALL.replace("modes.mu_list = 1", "modes.mu_max = 0.5"))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_canonical_json_shape():
@@ -230,9 +245,9 @@ def test_cli_strichartz_scan_uses_configured_scan_policy(tmp_path, monkeypatch):
     seen = []
     real = estimates.check_admissible
 
-    def recording(profile, mu, scan=None):
+    def recording(profile, mus, scan=None):
         seen.append(scan)
-        return real(profile, mu, scan)
+        return real(profile, mus, scan)
 
     monkeypatch.setattr(estimates, "check_admissible", recording)
     cfg = _write(tmp_path, text)

@@ -273,12 +273,26 @@ def test_mu_scan_rejects_mixed_masses():
                 grid=GRID, t_max=8.0, samples=9)
 
 
-def test_mu_scan_aborts_on_non_admissible():
+def test_mu_scan_aborts_on_non_admissible(monkeypatch):
+    import warpdirac.estimates as estimates
+
     sinh = MetricProfile(Family.SINH)
     with pytest.raises(NonAdmissibleError) as err:
         mu_scan(sinh, [T44], [1.0], grid=GRID, t_max=8.0, samples=9)
     assert err.value.report is not None
     assert not err.value.report.admissible
+
+    # eps = 1 admits |mu| >= 2 but not |mu| = 1: the middle mode stops the
+    # scan before any mode is evolved.
+    strong = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=1.0)
+    evolved = []
+    monkeypatch.setattr(estimates, "evolve", lambda *args: evolved.append(args))
+    with pytest.raises(NonAdmissibleError) as err:
+        mu_scan(strong, [T44], [2.0, 1.0, 3.0], grid=GRID, t_max=8.0, samples=9,
+                threads=2)
+    assert err.value.report.mu == 1.0
+    assert not err.value.report.admissible
+    assert evolved == []
 
 
 def test_aggregate_exponent_gate():

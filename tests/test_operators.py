@@ -119,7 +119,7 @@ def test_mu_sign_flip_unitary_equivalence():
 
 def test_kg_positive_when_admissible():
     for prof, mu in ((FLAT, 1.0), (AF001, 2.0)):
-        assert check_admissible(prof, mu).admissible
+        assert check_admissible(prof, [mu])[0].admissible
         for sign in (+1, -1):
             k = assemble_kg(prof, mu, 0.0, 3, sign, GRID)
             w = np.linalg.eigvalsh(k.matrix)
