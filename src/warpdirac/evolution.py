@@ -43,7 +43,8 @@ import scipy.linalg
 import scipy.special
 
 from .errors import ConfigurationError, NumericalError, UnsupportedFamilyError
-from .operators import DiscreteRadialOperator, RadialGrid, real_matmul
+from .operators import (DiscreteRadialOperator, RadialGrid, check_kg_pair,
+                        dirac_band_product, real_matmul)
 from .profiles import Family, MetricProfile
 
 __all__ = ["SpinorState", "SpinorTrajectory", "gaussian_state", "evolve",
@@ -243,23 +244,12 @@ def _spectral_bound(op: DiscreteRadialOperator) -> float:
 
 def _dirac_step(op: DiscreteRadialOperator, rho: float):
     """out = 2 (h / rho) x - prev on (rows, 2N) blocks, from the bands of h."""
-    nn = op.grid.n_cells
     v = 2.0 * op.potential / rho
     e = 1.0 / (op.grid.dr * rho)  # 2 * 1/(2 dr) / rho
     mass = 2.0 * op.m / rho
 
     def step(x: np.ndarray, prev: np.ndarray, out: np.ndarray) -> None:
-        p, q = x[:, :nn], x[:, nn:]
-        out_p, out_q = out[:, :nn], out[:, nn:]
-        np.multiply(q, v, out=out_p)
-        np.multiply(p, v, out=out_q)
-        out_p[:, :-1] -= e * q[:, 1:]
-        out_p[:, 1:] += e * q[:, :-1]
-        out_q[:, :-1] += e * p[:, 1:]
-        out_q[:, 1:] -= e * p[:, :-1]
-        if mass:
-            out_p += mass * p
-            out_q -= mass * q
+        dirac_band_product(x, v, e, mass, out)
         out -= prev
 
     return step
@@ -393,7 +383,8 @@ def kg_crosscheck(traj: SpinorTrajectory, kg_minus: DiscreteRadialOperator,
 
     max over interior times of || D_t^2 v_pm + K v_pm || / || v_pm || with
     the centered time second difference and K the matching Klein-Gordon
-    matrix (v_plus pairs with kg_minus).  O(dt^2) under refinement.
+    operator of the trajectory's grid and mode (v_plus pairs with kg_minus).
+    O(dt^2) under refinement.
     """
     times = traj.times
     if len(times) < 3:
@@ -402,16 +393,13 @@ def kg_crosscheck(traj: SpinorTrajectory, kg_minus: DiscreteRadialOperator,
     dt = dts[0]
     if not np.allclose(dts, dt, rtol=1e-10, atol=1e-12):
         raise ConfigurationError("kg_crosscheck needs uniform time samples")
-    nn = traj.grid.n_cells
-    for kg in (kg_minus, kg_plus):
-        if kg.matrix.shape != (nn, nn):
-            raise ConfigurationError("Klein-Gordon matrix does not match the grid")
+    check_kg_pair(traj, kg_minus, kg_plus)
     worst = 0.0
     for comp, kg in (("plus", kg_minus), ("minus", kg_plus)):
         block = traj.block(comp)
         here = block[:, 1:-1]
         dtt = (block[:, 2:] - 2.0 * here + block[:, :-2]) / dt**2
-        num = np.linalg.norm(dtt + real_matmul(kg.matrix, here), axis=0)
+        num = np.linalg.norm(dtt + kg.apply(here), axis=0)
         denom = np.linalg.norm(here, axis=0)
         keep = denom != 0.0
         worst = max(worst, float(np.max(num[keep] / denom[keep], initial=0.0)))

@@ -19,7 +19,6 @@ effective Dirichlet truncation at r_max.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,62 +63,104 @@ class RadialGrid:
 
 
 class DiscreteRadialOperator:
-    """Hermitian representation of one flattened radial operator.
+    """Hermitian flattened radial operator, stored by its bands in O(N) memory.
 
-    ``kind`` is one of "dirac", "kg_plus", "kg_minus", "flat_shift",
-    "weighted_laplacian".  A Dirac operator is stored by its bands: the
-    potential V on the nodes (``potential``), the mass ``m`` and the
-    off-diagonal 1/(2 dr) of the grid.  Its dense 2N x 2N ``matrix`` (block
-    layout, first block v_plus, second v_minus) is built on first access
-    only; the other kinds are N x N matrices given at construction.
+    ``kind`` is one of _KINDS and ``potential`` its potential on the nodes.
+    A Dirac operator is [[m, -d/dr + V], [d/dr + V, -m]] (first block v_plus)
+    with the centered antisymmetric d/dr; every other kind is the 3-point
+    -d2/dr2 plus its potential, a symmetric tridiagonal matrix.  ``apply``
+    works on the bands; the dense ``matrix`` is assembled on each access.
     """
 
-    def __init__(self, grid: RadialGrid, kind: str, matrix: Optional[np.ndarray] = None,
+    def __init__(self, grid: RadialGrid, kind: str, potential: np.ndarray,
                  profile: Optional[MetricProfile] = None, mu: Optional[float] = None,
-                 m: Optional[float] = None, n: Optional[int] = None,
-                 potential: Optional[np.ndarray] = None):
-        if kind == "dirac" and (potential is None or m is None or matrix is not None):
-            raise ConfigurationError("a Dirac operator is given by its potential and mass")
-        if kind != "dirac" and (matrix is None or potential is not None):
-            raise ConfigurationError(f"a {kind} operator is given by its matrix")
-        if matrix is not None:
-            self.matrix = matrix
+                 m: Optional[float] = None, n: Optional[int] = None):
+        if kind not in _KINDS or np.shape(potential) != grid.nodes.shape or (
+                kind == "dirac" and m is None):
+            raise ConfigurationError(f"bad {kind} operator: need a potential per node (and m)")
         self.grid, self.kind, self.potential = grid, kind, potential
         self.profile, self.mu, self.m, self.n = profile, mu, m, n
         self._eig: Optional[tuple] = None
 
-    @cached_property
+    def _tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
+        """(diagonal, off-diagonal) of a second-difference kind."""
+        dr2 = self.grid.dr ** 2
+        return 2.0 / dr2 + self.potential, np.full(self.grid.n_cells - 1, -1.0 / dr2)
+
+    @property
     def matrix(self) -> np.ndarray:
-        """Dense Dirac matrix, assembled from the bands and then kept."""
+        """Dense matrix, assembled from the bands on every access."""
+        if self.kind != "dirac":
+            d, e = self._tridiagonal()
+            return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         b = self.coupling_block()
-        nn = self.grid.n_cells
-        h = np.zeros((2 * nn, 2 * nn))
-        h[:nn, :nn] = self.m * np.eye(nn)
-        h[nn:, nn:] = -self.m * np.eye(nn)
-        h[:nn, nn:] = b
-        h[nn:, :nn] = b.T
-        return h
+        mass = self.m * np.eye(self.grid.n_cells)
+        return np.block([[mass, b], [b.T, -mass]])
 
     def coupling_block(self) -> np.ndarray:
         """Dense N x N upper-right block -d/dr + V of a Dirac operator."""
-        return np.diag(self.potential) - _first_derivative(self.grid)
+        e = np.full(self.grid.n_cells - 1, 1.0 / (2.0 * self.grid.dr))
+        return np.diag(self.potential) - np.diag(e, 1) + np.diag(e, -1)
+
+    def apply(self, block: np.ndarray) -> np.ndarray:
+        """The operator times a real or complex vector or column block, from the bands."""
+        x = np.asarray(block)
+        rows = x.reshape(len(x), -1).T  # one row per column of the block
+        out = np.empty(rows.shape, dtype=np.result_type(rows, self.potential))
+        if self.kind == "dirac":
+            dirac_band_product(rows, self.potential, 0.5 / self.grid.dr, self.m, out)
+        else:
+            d, e = self._tridiagonal()
+            np.multiply(rows, d, out=out)
+            out[:, 1:] += e * rows[:, :-1]
+            out[:, :-1] += e * rows[:, 1:]
+        return out.T.reshape(x.shape)
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached eigendecomposition (eigenvalues, orthonormal columns)."""
+        """Cached (ascending eigenvalues, orthonormal columns) of a tridiagonal kind."""
+        if self.kind == "dirac":
+            raise ConfigurationError("eigh takes a tridiagonal kind, not a Dirac operator")
         if self._eig is None:
             try:
-                self._eig = scipy.linalg.eigh(self.matrix)
+                self._eig = scipy.linalg.eigh_tridiagonal(*self._tridiagonal())
             except scipy.linalg.LinAlgError as exc:  # pragma: no cover
                 raise NumericalError(f"eigendecomposition failed: {exc}") from exc
         return self._eig
 
-    def hermiticity_defect(self) -> float:
-        m = self.matrix
-        return float(np.max(np.abs(m - m.T.conj())))
 
-    def same_mode(self, other: "DiscreteRadialOperator") -> bool:
-        return (self.grid == other.grid and self.profile == other.profile
-                and self.mu == other.mu and self.m == other.m and self.n == other.n)
+_KINDS = ("dirac", "kg_plus", "kg_minus", "flat_shift", "weighted_laplacian")
+
+
+def dirac_band_product(x: np.ndarray, v: np.ndarray, e: float, mass: float,
+                       out: np.ndarray) -> None:
+    """out = [[mass, v - e D], [v + e D, -mass]] x on (rows, 2N) blocks.
+
+    (D y)_i = y_(i+1) - y_(i-1) with zero extension, so e = 1/(2 dr) gives
+    the Dirac operator; its Chebyshev step passes the bands scaled by 2/rho.
+    """
+    nn = len(v)
+    p, q = x[:, :nn], x[:, nn:]
+    out_p, out_q = out[:, :nn], out[:, nn:]
+    np.multiply(q, v, out=out_p)
+    np.multiply(p, v, out=out_q)
+    out_p[:, :-1] -= e * q[:, 1:]
+    out_p[:, 1:] += e * q[:, :-1]
+    out_q[:, :-1] += e * p[:, 1:]
+    out_q[:, 1:] -= e * p[:, :-1]
+    if mass:
+        out_p += mass * p
+        out_q -= mass * q
+
+
+def check_kg_pair(mode, kg_minus: DiscreteRadialOperator,
+                  kg_plus: DiscreteRadialOperator) -> None:
+    """Raise unless the Klein-Gordon pair has the grid and mode of ``mode``,
+    a Dirac operator or a trajectory."""
+    key = (mode.grid, mode.profile, mode.mu, mode.m, mode.n)
+    for kg, kind in ((kg_minus, "kg_minus"), (kg_plus, "kg_plus")):
+        if kg.kind != kind or (kg.grid, kg.profile, kg.mu, kg.m, kg.n) != key:
+            raise ConfigurationError(
+                f"operator mismatch: expected {kind} on the same mode/grid")
 
 
 def real_matmul(a: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -164,21 +205,6 @@ def sigma_n(profile: MetricProfile, r, n: int):
     return s ** ((n - 1) / 2.0)
 
 
-def _first_derivative(grid: RadialGrid) -> np.ndarray:
-    """Centered antisymmetric d/dr with zero extension at both ends."""
-    n = grid.n_cells
-    e = np.ones(n - 1) / (2.0 * grid.dr)
-    return np.diag(e, 1) - np.diag(e, -1)
-
-
-def _second_difference(grid: RadialGrid) -> np.ndarray:
-    """-d2/dr2, 3-point stencil, zero extension (positive semidefinite)."""
-    n = grid.n_cells
-    main = np.full(n, 2.0) / grid.dr**2
-    off = np.full(n - 1, -1.0) / grid.dr**2
-    return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-
-
 def _check_grid(grid: RadialGrid):
     if grid.n_cells < _MIN_CELLS:
         raise GridTooCoarseError(
@@ -187,10 +213,7 @@ def _check_grid(grid: RadialGrid):
 
 def assemble_dirac(profile: MetricProfile, mu: float, m: float, n: int,
                    grid: RadialGrid) -> DiscreteRadialOperator:
-    """Flattened mode Dirac operator, stored by its bands in O(N) memory.
-
-    The exactly symmetric 2N x 2N matrix is ``op.matrix``, built on demand.
-    """
+    """Flattened mode Dirac operator [[m, -d/dr + V], [d/dr + V, -m]]."""
     _check_grid(grid)
     pot = ModePotential(profile=profile, mu=mu, n=n)
     return DiscreteRadialOperator(grid=grid, kind="dirac", potential=pot.V(grid.nodes),
@@ -205,10 +228,9 @@ def assemble_kg(profile: MetricProfile, mu: float, m: float, n: int,
         raise ConfigurationError("sign must be +1 or -1")
     pot = ModePotential(profile=profile, mu=mu, n=n)
     r = grid.nodes
-    pot_diag = pot.V(r) ** 2 + sign * pot.V_prime(r) + m * m
-    k = _second_difference(grid) + np.diag(pot_diag)
     kind = "kg_plus" if sign > 0 else "kg_minus"
-    return DiscreteRadialOperator(grid=grid, kind=kind, matrix=k,
+    return DiscreteRadialOperator(grid=grid, kind=kind,
+                                  potential=pot.V(r) ** 2 + sign * pot.V_prime(r) + m * m,
                                   profile=profile, mu=mu, m=m, n=n)
 
 
@@ -216,8 +238,8 @@ def flat_reference_operator(n: int, grid: RadialGrid) -> DiscreteRadialOperator:
     """Flattened flat radial Laplacian H0 = -d2/dr2 + (n-1)(n-3)/(4 r^2)."""
     _check_grid(grid)
     r = grid.nodes
-    h0 = _second_difference(grid) + np.diag((n - 1) * (n - 3) / (4.0 * r**2))
-    return DiscreteRadialOperator(grid=grid, kind="flat_shift", matrix=h0, n=n)
+    return DiscreteRadialOperator(grid=grid, kind="flat_shift",
+                                  potential=(n - 1) * (n - 3) / (4.0 * r**2), n=n)
 
 
 def weighted_laplacian_operator(profile: MetricProfile, n: int,
@@ -232,8 +254,7 @@ def weighted_laplacian_operator(profile: MetricProfile, n: int,
     phi, dphi, d2phi = profile.phi_dphi_d2phi(r)
     k = (n - 1) / 2.0
     w = k * (k - 1.0) * (dphi / phi) ** 2 + k * d2phi / phi
-    a = _second_difference(grid) + np.diag(w)
-    return DiscreteRadialOperator(grid=grid, kind="weighted_laplacian", matrix=a,
+    return DiscreteRadialOperator(grid=grid, kind="weighted_laplacian", potential=w,
                                   profile=profile, n=n)
 
 
@@ -267,12 +288,20 @@ def probe_functions(grid: RadialGrid, count: int = 5) -> np.ndarray:
     r = grid.nodes
     centers = np.linspace(0.25, 0.65, count) * grid.r_max
     widths = np.linspace(0.035, 0.06, count) * grid.r_max
-    cols = [np.exp(-((r - c) / w) ** 2) for c, w in zip(centers, widths)]
-    return np.stack(cols, axis=1)
+    return np.exp(-((r[:, None] - centers) / widths) ** 2)
 
 
 def _interior(vcols: np.ndarray) -> np.ndarray:
     return vcols[_BOUNDARY_SKIN:-_BOUNDARY_SKIN, :]
+
+
+def _square_defect(dirac: DiscreteRadialOperator, kg_minus: DiscreteRadialOperator,
+                   kg_plus: DiscreteRadialOperator, top: np.ndarray, bottom: np.ndarray):
+    """Per component, (h^2 - diag(K-, K+)) [top; bottom] and diag(K-, K+) [top; bottom]."""
+    nn = dirac.grid.n_cells
+    hh = dirac.apply(dirac.apply(np.vstack([top, bottom])))
+    kk = (kg_minus.apply(top), kg_plus.apply(bottom))
+    return (hh[:nn] - kk[0], hh[nn:] - kk[1]), kk
 
 
 def verify_square(dirac: DiscreteRadialOperator,
@@ -285,18 +314,11 @@ def verify_square(dirac: DiscreteRadialOperator,
     (h^2 - diag(K-, K+)) P over interior cells, relative to diag(K-, K+) P.
     Second-order decay in dr is the contract.
     """
-    for kg, kind in ((kg_minus, "kg_minus"), (kg_plus, "kg_plus")):
-        if kg.kind != kind or not dirac.same_mode(kg):
-            raise ConfigurationError(
-                f"operator mismatch: expected {kind} on the same mode/grid")
-    nn = dirac.grid.n_cells
+    check_kg_pair(dirac, kg_minus, kg_plus)
     p = probe_functions(dirac.grid)
-    pp = np.vstack([p, p[:, ::-1]])
-    hhp = dirac.matrix @ (dirac.matrix @ pp)
-    kp = np.vstack([kg_minus.matrix @ p, kg_plus.matrix @ p[:, ::-1]])
-    res = hhp - kp
-    num = np.linalg.norm(_interior(res[:nn])) ** 2 + np.linalg.norm(_interior(res[nn:])) ** 2
-    den = np.linalg.norm(_interior(kp[:nn])) ** 2 + np.linalg.norm(_interior(kp[nn:])) ** 2
+    res, kp = _square_defect(dirac, kg_minus, kg_plus, p, p[:, ::-1])
+    num = np.linalg.norm(_interior(res[0])) ** 2 + np.linalg.norm(_interior(res[1])) ** 2
+    den = np.linalg.norm(_interior(kp[0])) ** 2 + np.linalg.norm(_interior(kp[1])) ** 2
     return float(np.sqrt(num / den))
 
 
@@ -304,26 +326,18 @@ def factorization_check(profile: MetricProfile, mu: float, m: float, n: int,
                         grid: RadialGrid) -> tuple[float, float]:
     """Residuals of V_- V_+ = KG_minus and V_+ V_- = KG_plus.
 
-    V_pm are the flattened first-order factors V +- d/dr.  The identity is
-    mass-free, so both sides are compared without the m^2 shift and the
-    result does not depend on ``m`` at all.
+    V_pm are the flattened first-order factors V +- d/dr, and the massless
+    Dirac operator squares to diag(V_- V_+, V_+ V_-), so both products come
+    from applying it twice.  The identity is mass-free, so both sides are
+    compared without the m^2 shift and the result does not depend on ``m``.
     """
-    _check_grid(grid)
-    pot = ModePotential(profile=profile, mu=mu, n=n)
-    v = np.diag(pot.V(grid.nodes))
-    d = _first_derivative(grid)
-    a_plus = v + d
-    a_minus = v - d
-    kg_m = assemble_kg(profile, mu, 0.0, n, -1, grid).matrix
-    kg_p = assemble_kg(profile, mu, 0.0, n, +1, grid).matrix
+    dirac = assemble_dirac(profile, mu, 0.0, n, grid)
+    kg_m = assemble_kg(profile, mu, 0.0, n, -1, grid)
+    kg_p = assemble_kg(profile, mu, 0.0, n, +1, grid)
     p = probe_functions(grid)
-
-    def rel(lhs_cols, rhs_cols):
-        return float(np.linalg.norm(_interior(lhs_cols - rhs_cols))
-                     / np.linalg.norm(_interior(rhs_cols)))
-
-    res_minus = rel(a_minus @ (a_plus @ p), kg_m @ p)
-    res_plus = rel(a_plus @ (a_minus @ p), kg_p @ p)
+    res, kp = _square_defect(dirac, kg_m, kg_p, p, p)
+    res_minus, res_plus = (float(np.linalg.norm(_interior(r)) / np.linalg.norm(_interior(k)))
+                           for r, k in zip(res, kp))
     return res_minus, res_plus
 
 
@@ -358,18 +372,15 @@ def norm_equivalence_check(profile: MetricProfile, n: int, exponents: Sequence[f
     w_phi, u_phi = weighted_laplacian_operator(profile, n, grid).eigh()
     w_flat, u_flat = flat_reference_operator(n, grid).eigh()
     rng = np.random.default_rng(seed)
-    bumps = [_random_bump(rng, grid) for _ in range(trials)]
-    coeffs = [(u_phi.T @ v, u_flat.T @ v) for v in bumps]
+    bumps = np.stack([_random_bump(rng, grid) for _ in range(trials)], axis=1)
+    c_phi, c_flat = u_phi.T @ bumps, u_flat.T @ bumps
     out = []
     for expo in exponents:
         # clip tiny negative roundoff before the fractional power
         pw_phi = np.maximum(1.0 + w_phi, 0.0) ** (expo / 2.0)
         pw_flat = np.maximum(1.0 + w_flat, 0.0) ** (expo / 2.0)
-        worst = 0.0
-        worst_inv = 0.0
-        for c_phi, c_flat in coeffs:
-            ratio = np.linalg.norm(pw_phi * c_phi) / np.linalg.norm(pw_flat * c_flat)
-            worst = max(worst, ratio)
-            worst_inv = max(worst_inv, 1.0 / ratio)
-        out.append((worst, worst_inv))
+        ratio = (np.linalg.norm(pw_phi[:, None] * c_phi, axis=0)
+                 / np.linalg.norm(pw_flat[:, None] * c_flat, axis=0))
+        out.append((float(np.max(ratio, initial=0.0)),
+                    float(np.max(1.0 / ratio, initial=0.0))))
     return out

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from warpdirac import (ConfigurationError, Family, FlatBesselOracle,
                        MetricProfile, RadialGrid, SpinorState,
                        UnsupportedFamilyError, assemble_dirac, assemble_kg,
-                       evolve, flat_exact_solution, gaussian_state,
-                       kg_crosscheck)
+                       evolve, factorization_check, flat_exact_solution,
+                       gaussian_state, kg_crosscheck, verify_square)
 from warpdirac.evolution import (_bessel_coefficients, _chebyshev_propagate,
                                  _svd_propagate, bessel_orders, causal_time_limit)
 
@@ -56,6 +56,7 @@ def test_reversibility(flat_op):
 
 PROPERTY_GRID = RadialGrid(40.0, 96)
 PROPERTY_OP = assemble_dirac(FLAT, 1.0, 0.0, 3, PROPERTY_GRID)
+PROPERTY_EIG = scipy.linalg.eigh(PROPERTY_OP.matrix)
 
 
 # On this grid evolve takes the Chebyshev path up to max|t| of about 12.8
@@ -74,7 +75,7 @@ def test_evolve_property_random_data_and_times(seed, times):
     init = SpinorState.from_vector(PROPERTY_GRID, vec)
     traj = evolve(PROPERTY_OP, init, times)
     assert traj.times.tolist() == times
-    w, u = PROPERTY_OP.eigh()
+    w, u = PROPERTY_EIG
     coeff = u.T @ vec
     base = init.norm()
     for t, state in zip(times, traj.states):
@@ -249,19 +250,31 @@ def test_kg_crosscheck_refinement():
     assert res[0] / res[1] >= 3.5
 
 
+class DenseKG:
+    """Stand-in for a Klein-Gordon operator: a dense K (for instance a
+    pentadiagonal block of h^2, which no tridiagonal kind can hold) with the
+    grid and mode of the Dirac operator ``op``."""
+
+    def __init__(self, op, kind, matrix):
+        self.grid, self.profile, self.mu, self.m, self.n = op.grid, op.profile, op.mu, op.m, op.n
+        self.kind, self.matrix = kind, matrix
+
+    def apply(self, block):
+        return self.matrix @ block
+
+
 def test_kg_crosscheck_eigenmode_exact(flat_op):
     """On an eigenvector, with the squared operator itself on the right,
     the residual is exactly the cos second-difference defect."""
-    w, u = flat_op.eigh()
+    w, u = scipy.linalg.eigh(flat_op.matrix)
     k = np.argmin(np.abs(w - 1.0))
     lam = w[k]
     nn = GRID.n_cells
     vec = u[:, k].astype(complex)
     init = SpinorState(grid=GRID, plus=vec[:nn], minus=vec[nn:])
     h2 = flat_op.matrix @ flat_op.matrix
-    from warpdirac.operators import DiscreteRadialOperator
-    km = DiscreteRadialOperator(grid=GRID, kind="kg_minus", matrix=h2[:nn, :nn])
-    kp = DiscreteRadialOperator(grid=GRID, kind="kg_plus", matrix=h2[nn:, nn:])
+    km = DenseKG(flat_op, "kg_minus", h2[:nn, :nn])
+    kp = DenseKG(flat_op, "kg_plus", h2[nn:, nn:])
     dt = 0.25
     traj = evolve(flat_op, init, [0.0, dt, 2 * dt])
     res = kg_crosscheck(traj, km, kp)
@@ -273,7 +286,7 @@ def test_kg_crosscheck_eigenmode_exact(flat_op):
 def test_kg_crosscheck_mass_shift_on_eigenmode(flat_op):
     """Shifting the right-hand operator by m^2 changes the residual vector
     by exactly m^2 v on an eigenmode."""
-    w, u = flat_op.eigh()
+    w, u = scipy.linalg.eigh(flat_op.matrix)
     k = np.argmin(np.abs(w - 1.0))
     nn = GRID.n_cells
     vec = u[:, k].astype(complex)
@@ -284,11 +297,8 @@ def test_kg_crosscheck_mass_shift_on_eigenmode(flat_op):
     # residuals computed directly from the scalar time factor
     base = (2.0 * math.cos(lam * dt) - 2.0) / dt**2 + lam**2
     shifted = base + m2
-    from warpdirac.operators import DiscreteRadialOperator
-    km = DiscreteRadialOperator(grid=GRID, kind="kg_minus",
-                                matrix=h2[:nn, :nn] + m2 * np.eye(nn))
-    kp = DiscreteRadialOperator(grid=GRID, kind="kg_plus",
-                                matrix=h2[nn:, nn:] + m2 * np.eye(nn))
+    km = DenseKG(flat_op, "kg_minus", h2[:nn, :nn] + m2 * np.eye(nn))
+    kp = DenseKG(flat_op, "kg_plus", h2[nn:, nn:] + m2 * np.eye(nn))
     init = SpinorState(grid=GRID, plus=vec[:nn], minus=vec[nn:])
     traj = evolve(flat_op, init, [0.0, dt, 2 * dt])
     res = kg_crosscheck(traj, km, kp)
@@ -305,3 +315,38 @@ def test_kg_crosscheck_needs_uniform_times(flat_op):
     short = evolve(flat_op, init, [0.0, 0.5])
     with pytest.raises(ConfigurationError):
         kg_crosscheck(short, km, kp)
+
+
+def test_kg_crosscheck_rejects_swapped_or_foreign_operators(flat_op):
+    """The Klein-Gordon pair must be (kg_minus, kg_plus) of the trajectory's
+    own grid and mode, as verify_square requires of its operators."""
+    km = assemble_kg(FLAT, 1.0, 0.0, 3, -1, GRID)
+    kp = assemble_kg(FLAT, 1.0, 0.0, 3, +1, GRID)
+    traj = evolve(flat_op, gaussian_state(GRID), [0.0, 0.5, 1.0])
+    assert kg_crosscheck(traj, km, kp) > 0.0
+    with pytest.raises(ConfigurationError):
+        kg_crosscheck(traj, kp, km)
+    with pytest.raises(ConfigurationError):
+        kg_crosscheck(traj, km, assemble_kg(FLAT, 3.0, 0.0, 3, +1, GRID))
+    with pytest.raises(ConfigurationError):
+        kg_crosscheck(traj, km, assemble_kg(FLAT, 1.0, 0.0, 3, +1, RadialGrid(40.0, 256)))
+
+
+def test_validate_residuals_bounded_memory_at_8192_cells():
+    """The squaring and factorization residuals work on the bands: a dense
+    Klein-Gordon matrix alone would take 512 MB here and a dense Dirac
+    matrix 2.1 GB."""
+    grid = RadialGrid(40.0, 8192)
+    tracemalloc.start()
+    try:
+        op = assemble_dirac(AF001, 1.0, 0.0, 3, grid)
+        km = assemble_kg(AF001, 1.0, 0.0, 3, -1, grid)
+        kp = assemble_kg(AF001, 1.0, 0.0, 3, +1, grid)
+        square = verify_square(op, km, kp)
+        res_minus, res_plus = factorization_check(AF001, 1.0, 0.0, 3, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert 0.0 < square < 1e-3
+    assert 0.0 < res_minus < 1e-3 and 0.0 < res_plus < 1e-3

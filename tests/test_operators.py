@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from warpdirac import (ConfigurationError, Family, GridTooCoarseError,
                        MetricProfile, ModePotential, RadialGrid, assemble_dirac,
                        assemble_kg, check_admissible, factorization_check,
                        flat_reference_operator, norm_equivalence_check, sigma,
                        sigma_n, verify_square)
-from warpdirac.operators import (DiscreteRadialOperator, sigma_log_derivative_bound,
-                                 weighted_laplacian_operator)
+from warpdirac.operators import (DiscreteRadialOperator, _random_bump,
+                                 sigma_log_derivative_bound, weighted_laplacian_operator)
 
 FLAT = MetricProfile(Family.FLAT)
 SINH = MetricProfile(Family.SINH)
@@ -68,25 +69,82 @@ def test_grid_too_coarse():
 def test_dirac_exactly_symmetric():
     for prof in (FLAT, AF001, SINH):
         op = assemble_dirac(prof, 2.0, 0.5, 3, GRID)
-        assert op.hermiticity_defect() == 0.0
+        assert np.array_equal(op.matrix, op.matrix.T)
 
 
-def test_dirac_matrix_is_the_dense_assembly():
-    """The on-demand dense matrix is, bit for bit, the np.diag assembly of
-    [[m, -d/dr + V], [d/dr + V, -m]]."""
+def _dense_dirac(prof, mu, m, grid):
+    nn = grid.n_cells
+    e = np.ones(nn - 1) / (2.0 * grid.dr)
+    d = np.diag(e, 1) - np.diag(e, -1)
+    v = np.diag(ModePotential(profile=prof, mu=mu, n=3).V(grid.nodes))
+    want = np.zeros((2 * nn, 2 * nn))
+    want[:nn, :nn] = m * np.eye(nn)
+    want[nn:, nn:] = -m * np.eye(nn)
+    want[:nn, nn:] = -d + v
+    want[nn:, :nn] = d + v
+    return want
+
+
+def _dense_second_difference(pot, grid):
+    nn = grid.n_cells
+    main = np.full(nn, 2.0) / grid.dr**2
+    off = np.full(nn - 1, -1.0) / grid.dr**2
+    return np.diag(main) + np.diag(off, 1) + np.diag(off, -1) + np.diag(pot)
+
+
+def _dense_kg(sign):
+    def build(prof, mu, m, grid):
+        pot = ModePotential(profile=prof, mu=mu, n=3)
+        r = grid.nodes
+        return _dense_second_difference(pot.V(r) ** 2 + sign * pot.V_prime(r) + m * m, grid)
+    return build
+
+
+def _dense_flat(prof, mu, m, grid, n=4):
+    return _dense_second_difference((n - 1) * (n - 3) / (4.0 * grid.nodes**2), grid)
+
+
+def _dense_weighted(prof, mu, m, grid, n=4):
+    phi, dphi, d2phi = prof.phi_dphi_d2phi(grid.nodes)
+    k = (n - 1) / 2.0
+    return _dense_second_difference(k * (k - 1.0) * (dphi / phi) ** 2 + k * d2phi / phi, grid)
+
+
+KINDS = {
+    "dirac": (lambda prof, mu, m, g: assemble_dirac(prof, mu, m, 3, g), _dense_dirac),
+    "kg_plus": (lambda prof, mu, m, g: assemble_kg(prof, mu, m, 3, +1, g), _dense_kg(+1)),
+    "kg_minus": (lambda prof, mu, m, g: assemble_kg(prof, mu, m, 3, -1, g), _dense_kg(-1)),
+    "flat_shift": (lambda prof, mu, m, g: flat_reference_operator(4, g), _dense_flat),
+    "weighted_laplacian": (lambda prof, mu, m, g: weighted_laplacian_operator(prof, 4, g),
+                           _dense_weighted),
+}
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_dirac_matrix_is_the_dense_assembly(kind):
+    """For every kind, the on-demand dense matrix is, bit for bit, the np.diag
+    assembly ([[m, -d/dr + V], [d/dr + V, -m]] for Dirac, -d2/dr2 plus the
+    potential otherwise); apply is that matrix product on real and complex
+    blocks; and the tridiagonal eigensolver matches the dense one."""
+    build, dense = KINDS[kind]
     grid = RadialGrid(40.0, 64)
+    rng = np.random.default_rng(7)
     for prof, mu, m in ((FLAT, 1.0, 0.0), (AF001, -2.0, 0.7), (SINH, 3.0, 1.5)):
-        op = assemble_dirac(prof, mu, m, 3, grid)
-        nn = grid.n_cells
-        e = np.ones(nn - 1) / (2.0 * grid.dr)
-        d = np.diag(e, 1) - np.diag(e, -1)
-        v = np.diag(ModePotential(profile=prof, mu=mu, n=3).V(grid.nodes))
-        want = np.zeros((2 * nn, 2 * nn))
-        want[:nn, :nn] = m * np.eye(nn)
-        want[nn:, nn:] = -m * np.eye(nn)
-        want[:nn, nn:] = -d + v
-        want[nn:, :nn] = d + v
-        assert op.matrix.tobytes() == want.tobytes()
+        op = build(prof, mu, m, grid)
+        assert op.kind == kind
+        a = op.matrix
+        assert a.tobytes() == dense(prof, mu, m, grid).tobytes()
+        x = rng.standard_normal((len(a), 3))
+        for block in (x, x + 1j * rng.standard_normal(x.shape), x[:, 0]):
+            want = a @ block
+            assert np.linalg.norm(op.apply(block) - want) <= 1e-14 * np.linalg.norm(want)
+        if kind == "dirac":
+            continue
+        w, u = op.eigh()
+        w_ref = scipy.linalg.eigh(a)[0]
+        assert np.max(np.abs(w - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
+        assert np.linalg.norm(a @ u - u * w) <= 1e-13 * np.linalg.norm(a)
+        assert np.max(np.abs(u.T @ u - np.eye(len(w)))) <= 1e-13
 
 
 def test_kg_flat_potentials_exact():
@@ -101,13 +159,13 @@ def test_kg_flat_potentials_exact():
 
 def test_massless_spectrum_symmetric():
     op = assemble_dirac(FLAT, 1.0, 0.0, 3, GRID)
-    w, _ = op.eigh()
+    w = np.linalg.eigvalsh(op.matrix)
     assert np.max(np.abs(w + w[::-1])) <= 1e-9 * np.max(np.abs(w))
 
 
 def test_mass_gap():
     op = assemble_dirac(FLAT, 1.0, 1.0, 3, GRID)
-    w, _ = op.eigh()
+    w = np.linalg.eigvalsh(op.matrix)
     assert np.min(np.abs(w)) >= 1.0 - 5.0 * GRID.dr
 
 
@@ -184,18 +242,18 @@ def test_factorization_sign_swap_under_mu_flip():
 
 
 def test_operator_data_must_fit_its_kind():
-    """A Dirac operator is given by its potential and mass, every other kind
-    by its matrix; a mismatch is a ConfigurationError, not a later crash."""
-    h = assemble_dirac(FLAT, 1.0, 0.0, 3, GRID).matrix
+    """An operator is a known kind with a potential on the nodes, and a Dirac
+    operator also has a mass; a mismatch is a ConfigurationError, not a later
+    crash.  A Dirac operator has no tridiagonal eigendecomposition."""
     pot = np.ones(GRID.n_cells)
-    with pytest.raises(ConfigurationError):
-        DiscreteRadialOperator(grid=GRID, kind="dirac", matrix=h)
     with pytest.raises(ConfigurationError):
         DiscreteRadialOperator(grid=GRID, kind="dirac", potential=pot)
     with pytest.raises(ConfigurationError):
-        DiscreteRadialOperator(grid=GRID, kind="kg_plus", potential=pot, m=0.0)
+        DiscreteRadialOperator(grid=GRID, kind="kg_plus", potential=pot[:8], m=0.0)
     with pytest.raises(ConfigurationError):
-        DiscreteRadialOperator(grid=GRID, kind="kg_plus", matrix=h[:8, :8], potential=pot)
+        DiscreteRadialOperator(grid=GRID, kind="kg", potential=pot, m=0.0)
+    with pytest.raises(ConfigurationError):
+        assemble_dirac(FLAT, 1.0, 0.0, 3, GRID).eigh()
 
 
 def test_norm_equivalence_flat_is_exact():
@@ -216,6 +274,17 @@ def test_norm_equivalence_exponent_sequence_shares_one_setup():
     pairs = norm_equivalence_check(AF001, 3, exponents, trials=12, grid=GRID, seed=3)
     assert pairs == [norm_equivalence_check(AF001, 3, [s], trials=12, grid=GRID, seed=3)[0]
                      for s in exponents]
+    # reference: one matvec pair per seeded bump instead of one stacked GEMM
+    w_phi, u_phi = weighted_laplacian_operator(AF001, 3, GRID).eigh()
+    w_flat, u_flat = flat_reference_operator(3, GRID).eigh()
+    rng = np.random.default_rng(3)
+    bumps = [_random_bump(rng, GRID) for _ in range(12)]
+    for s, (worst, worst_inv) in zip(exponents, pairs):
+        ratios = [np.linalg.norm(np.maximum(1.0 + w_phi, 0.0) ** (s / 2) * (u_phi.T @ v))
+                  / np.linalg.norm(np.maximum(1.0 + w_flat, 0.0) ** (s / 2) * (u_flat.T @ v))
+                  for v in bumps]
+        assert worst == pytest.approx(max(ratios), rel=1e-14)
+        assert worst_inv == pytest.approx(max(1.0 / r for r in ratios), rel=1e-14)
     with pytest.raises(ConfigurationError):
         norm_equivalence_check(AF001, 3, (0.5, 1.5), trials=1, grid=GRID)
 
