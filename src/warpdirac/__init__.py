@@ -5,14 +5,13 @@ from .admissibility import (AdmissibilityReport, ModePotential, check_admissible
 from .errors import (ConfigurationError, ContractViolationError, GridTooCoarseError,
                      HypothesisViolationError, NonAdmissibleError, NumericalError,
                      PolicyError, UnsupportedFamilyError, WarpDiracError)
-from .estimates import (DataTemplate, ExponentTriple, NormScanResult, h_ab_norm,
-                        h_sobolev_norm, is_admissible_triple, mu_scan,
-                        smoothing_norm, strichartz_norm, mixed_regularity_aggregate)
+from .estimates import (DataTemplate, ExponentTriple, NormScanResult, h_sobolev_norm,
+                        is_admissible_triple, mu_scan, smoothing_norm, strichartz_norm)
 from .evolution import (FlatBesselOracle, SpinorState, SpinorTrajectory,
                         evolve, flat_exact_solution, gaussian_state, kg_crosscheck)
 from .operators import (DiscreteRadialOperator, RadialGrid, assemble_dirac,
                         assemble_kg, factorization_check, flat_reference_operator,
-                        norm_equivalence_check, sigma, sigma_n, verify_square)
+                        norm_equivalence_check, sigma, verify_square)
 from .profiles import (A2Verdict, Family, MetricProfile, ProfileConstants,
                        check_A2, eval_phi, profile_constants)
 from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy

@@ -175,22 +175,21 @@ def cmd_evolve(cfg: RunConfig, args) -> tuple[int, list]:
     meta_modes = []
     header = ["t", "r", "re_v_plus", "im_v_plus", "re_v_minus", "im_v_minus"]
     initial = cfg.data.realize(cfg.grid)
+    r = cfg.grid.nodes
     for mode in cfg.modes:
         mu = float(mode.mu)
         op = assemble_dirac(cfg.profile, mu, cfg.m, cfg.n, cfg.grid)
         traj = evolve(op, initial, times)
-        rows = []
-        r = cfg.grid.nodes
-        for t, state in zip(traj.times, traj.states):
-            for i in range(cfg.grid.n_cells):
-                rows.append((float(t), float(r[i]),
-                             float(state.plus[i].real), float(state.plus[i].imag),
-                             float(state.minus[i].real), float(state.minus[i].imag)))
+        # one row per (time, node), time-major: the CSV is this T*N x 6 block
+        plus, minus = traj.block("plus").T, traj.block("minus").T
+        table = np.column_stack([np.repeat(traj.times, len(r)), np.tile(r, len(times)),
+                                 plus.real.ravel(), plus.imag.ravel(),
+                                 minus.real.ravel(), minus.imag.ravel()])
         name = f"trajectory_mu_{_mu_label(mu)}.csv"
-        files.append((name, "csv", (header, rows)))
+        files.append((name, "csv", (header, table)))
+        norms = traj.norms()
         meta_modes.append({"mu": mu, "file": name,
-                           "norm_drift": max(abs(s.norm() / traj.states[0].norm() - 1.0)
-                                             for s in traj.states)})
+                           "norm_drift": float(np.max(np.abs(norms / norms[0] - 1.0)))})
     meta = {
         "profile": _profile_dict(cfg.profile),
         "m": cfg.m,

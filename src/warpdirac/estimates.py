@@ -21,13 +21,11 @@ from .evolution import SpinorState, SpinorTrajectory, evolve, gaussian_state
 from .operators import RadialGrid, assemble_dirac, flat_reference_operator, real_matmul
 from .profiles import MetricProfile
 from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy
-from .spectrum import ModeIndex
 
 __all__ = ["ExponentTriple", "is_admissible_triple", "SobolevCalculus",
-           "h_sobolev_norm", "smoothing_norm", "strichartz_norm", "h_ab_norm",
+           "h_sobolev_norm", "smoothing_norm", "strichartz_norm",
            "DataTemplate", "ModeScanRow", "NormScanResult", "mu_scan",
-           "mixed_regularity_aggregate", "DEFAULT_EPSILON_LOSS", "SLOPE_SLACK",
-           "SMOOTHING_SLOPE_LIMIT"]
+           "DEFAULT_EPSILON_LOSS", "SLOPE_SLACK", "SMOOTHING_SLOPE_LIMIT"]
 
 DEFAULT_EPSILON_LOSS = 0.1
 SLOPE_SLACK = 0.25
@@ -157,30 +155,6 @@ def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple,
         return float(np.max(spatial))
     return float(np.sum(_time_weights(traj.times) * spatial**triple.p)
                  ** (1.0 / triple.p))
-
-
-def h_ab_norm(mode_states: Sequence[tuple[ModeIndex, SpinorState]],
-              a: float, b: float, n: int = 3) -> float:
-    """Mixed radial/angular norm (sum over orthogonal modes).
-
-    Per mode: ||.||_{H^a}^2 plus, for b != 0, the angular term
-    lam^b ||component||^2 with lam = l (l + n - 2) at the component degree.
-    b = 0 reduces to the plain H^a norm.
-    """
-    if not -1.0 <= a <= 1.0:
-        raise ContractViolationError(f"radial exponent a must be in [-1, 1], got {a}")
-    total = 0.0
-    for mode, state in mode_states:
-        if mode.degree_plus is None or mode.degree_minus is None:
-            raise ConfigurationError(f"mode mu={mode.mu} lacks degree metadata")
-        total += h_sobolev_norm(state, a, n=n) ** 2
-        if b != 0.0:
-            lam_p = float(mode.angular_laplace_eigenvalue("+"))
-            lam_m = float(mode.angular_laplace_eigenvalue("-"))
-            dr = state.grid.dr
-            total += (lam_p**b) * dr * float(np.sum(np.abs(state.plus) ** 2))
-            total += (lam_m**b) * dr * float(np.sum(np.abs(state.minus) ** 2))
-    return float(np.sqrt(total))
 
 
 @dataclass(frozen=True)
@@ -340,36 +314,3 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
         ))
     return results
 
-
-def mixed_regularity_aggregate(profile: MetricProfile, triple: ExponentTriple,
-                               a: float, b: float,
-                               mode_data: Sequence[tuple[ModeIndex, SpinorState]],
-                               t_max: float = 8.0, samples: int = 17,
-                               n: int = 3) -> tuple[float, float]:
-    """Triangle-inequality aggregate against the mixed-regularity norm.
-
-    Returns (lhs, rhs): the sum of weighted per-mode Strichartz norms and
-    the H^(a,b) norm of the aggregate initial data.  The exponent gate
-    5/(p b) + 1/(2 a) < 1 (massless 3d) or <= 1 (otherwise) mirrors the
-    angular-derivative trading condition.
-    """
-    triple.require_admissible(n)
-    if a <= 0.0 or b <= 0.0:
-        raise ContractViolationError("exponents a, b must be positive")
-    p_inv = 0.0 if math.isinf(triple.p) else 1.0 / triple.p
-    gate = 5.0 * p_inv / b + 0.5 / a
-    strict = (triple.m == 0.0 and n == 3)
-    if (strict and not gate < 1.0) or (not strict and not gate <= 1.0):
-        cmp = "<" if strict else "<="
-        raise ContractViolationError(
-            f"exponent condition 5/(p b) + 1/(2 a) {cmp} 1 fails: got {gate:g}")
-    if not mode_data:
-        raise ConfigurationError("mode_data must not be empty")
-    times = np.linspace(0.0, t_max, samples)
-    lhs = 0.0
-    for mode, state in mode_data:
-        op = assemble_dirac(profile, float(mode.mu), triple.m, n, state.grid)
-        traj = evolve(op, state, times)
-        lhs += strichartz_norm(traj, triple, profile)
-    rhs = h_ab_norm(mode_data, a, b, n=n)
-    return lhs, rhs

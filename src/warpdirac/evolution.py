@@ -39,8 +39,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from .errors import ConfigurationError, NumericalError, UnsupportedFamilyError
 from .operators import (DiscreteRadialOperator, RadialGrid, check_kg_pair,
@@ -83,50 +81,62 @@ class SpinorState:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.plus, self.minus]).astype(complex)
 
-    @classmethod
-    def from_vector(cls, grid: RadialGrid, vec: np.ndarray,
-                    support_radius: Optional[float] = None) -> "SpinorState":
-        n = grid.n_cells
-        return cls(grid=grid, plus=vec[:n].copy(), minus=vec[n:].copy(),
-                   support_radius=support_radius)
-
     def norm(self) -> float:
         """L^2(dr) norm under the flattened measure."""
         return float(np.sqrt(self.grid.dr
                              * (np.sum(np.abs(self.plus) ** 2)
                                 + np.sum(np.abs(self.minus) ** 2))))
 
-    def scaled(self, factor: complex) -> "SpinorState":
-        return SpinorState(grid=self.grid, plus=factor * self.plus,
-                           minus=factor * self.minus,
-                           support_radius=self.support_radius)
-
 
 @dataclass(frozen=True)
 class SpinorTrajectory:
-    """Time samples of one mode flow, immutable after creation."""
+    """Time samples of one mode flow, immutable after creation.
+
+    ``samples`` is one C-ordered complex 2N x T array: column k is the
+    state at times[k], v_plus in the first N rows and v_minus below, so
+    each component's N x T block is a contiguous view.
+    """
 
     times: np.ndarray
-    states: tuple
+    samples: np.ndarray
+    grid: RadialGrid
     profile: MetricProfile
     mu: float
     m: float
     n: int
-    causal_t_max: Optional[float] = None
+    support_radius: Optional[float] = None
 
     def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ConfigurationError("times and states must align")
+        if self.samples.shape != (2 * self.grid.n_cells, len(self.times)):
+            raise ConfigurationError("samples must be 2N x T for the grid and times")
         if np.any(np.diff(self.times) <= 0):
             raise ConfigurationError("times must be strictly increasing")
 
     @property
-    def grid(self) -> RadialGrid:
-        return self.states[0].grid
+    def causal_t_max(self) -> Optional[float]:
+        if self.support_radius is None:
+            return None
+        return causal_time_limit(self.grid.r_max, self.support_radius)
 
     def block(self, component: str) -> np.ndarray:
-        """N x T samples of one component ("plus" or "minus"), one column per time."""
-        return np.stack([getattr(state, component) for state in self.states], axis=1)
+        """N x T view of one component ("plus" or "minus"), one column per time."""
+        if component not in ("plus", "minus"):
+            raise ConfigurationError("component must be 'plus' or 'minus'")
+        nn = self.grid.n_cells
+        return self.samples[:nn] if component == "plus" else self.samples[nn:]
+
+    def state(self, k: int) -> SpinorState:
+        """The sample at times[k], its components viewing the stored samples."""
+        return SpinorState(grid=self.grid, plus=self.block("plus")[:, k],
+                           minus=self.block("minus")[:, k],
+                           support_radius=self.support_radius)
+
+    def norms(self) -> np.ndarray:
+        """L^2(dr) norm of every sample, summed along each sample as SpinorState.norm."""
+        nn = self.grid.n_cells
+        density = np.abs(self.samples.T.copy()) ** 2
+        return np.sqrt(self.grid.dr * (density[:, :nn].sum(axis=1)
+                                       + density[:, nn:].sum(axis=1)))
 
 
 def causal_time_limit(r_max: float, support_radius: float) -> float:
@@ -156,7 +166,8 @@ def evolve(op: DiscreteRadialOperator, initial: SpinorState,
     SVD of its coupling block where that is cheaper (see the module
     docstring).  Every sample comes from one recurrence or one
     decomposition, negative and non-uniform times included; a sample at
-    t = 0 is the initial vector itself.
+    t = 0 is the initial vector itself.  Both propagators return the
+    samples as one C-ordered 2N x T array, which the trajectory keeps.
     """
     if op.kind != "dirac":
         raise ConfigurationError("evolve needs a Dirac-mode operator")
@@ -171,14 +182,10 @@ def evolve(op: DiscreteRadialOperator, initial: SpinorState,
     else:
         vecs = _chebyshev_propagate(op, v0, times)
     vecs[:, times == 0.0] = v0[:, None]
-    states = tuple(SpinorState.from_vector(op.grid, vecs[:, k],
-                                           support_radius=initial.support_radius)
-                   for k in range(len(times)))
-    causal = None
-    if initial.support_radius is not None:
-        causal = causal_time_limit(op.grid.r_max, initial.support_radius)
-    return SpinorTrajectory(times=times, states=states, profile=op.profile,
-                            mu=op.mu, m=op.m, n=op.n, causal_t_max=causal)
+    vecs.flags.writeable = False  # blocks and states are views of it
+    return SpinorTrajectory(times=times, samples=vecs, grid=op.grid, profile=op.profile,
+                            mu=op.mu, m=op.m, n=op.n,
+                            support_radius=initial.support_radius)
 
 
 def _tail_terms(x: np.ndarray) -> np.ndarray:
@@ -200,6 +207,8 @@ def _bessel_j(x: np.ndarray, width: int) -> np.ndarray:
     J_(k-1) = (2k / x) J_k - J_(k+1), seeded 16 terms past each row's tail
     and normalized by J_0 + 2 sum J_2k = 1 (a few 1e-16 absolute).
     """
+    import scipy.special
+
     out = np.zeros((len(x), width))
     small = x < 1.0
     k_small = np.arange(min(width, 41))
@@ -257,7 +266,7 @@ def _dirac_step(op: DiscreteRadialOperator, rho: float):
 
 def _chebyshev_propagate(op: DiscreteRadialOperator, v0: np.ndarray,
                          times: np.ndarray) -> np.ndarray:
-    """exp(-i t h) v0 for every t, as the columns of a complex 2N x T array.
+    """exp(-i t h) v0 for every t, as the columns of a C-ordered complex 2N x T array.
 
     The recurrence runs on the real rows [Re v0, Im v0]; every _CHUNK
     Chebyshev vectors are added into the samples by one GEMM per parity of
@@ -286,9 +295,12 @@ def _chebyshev_propagate(op: DiscreteRadialOperator, v0: np.ndarray,
             acc[parity] += (coeffs[:, k0 + parity:k0 + count:2]
                             @ rows.reshape(len(rows), 4 * nn)).reshape(-1, 2, 2 * nn)
         buf[:2] = buf[count:count + 2]
-    re = acc[0, :, 0] + acc[1, :, 1]
-    im = acc[0, :, 1] - acc[1, :, 0]
-    return (re + 1j * im).T
+    re, im = acc[0, :, 0], acc[0, :, 1]  # combined in place, acc is done
+    re += acc[1, :, 1]
+    im -= acc[1, :, 0]
+    out = np.multiply(im.T, 1j, out=np.empty((2 * nn, len(times)), dtype=complex))
+    out += re.T  # re + 1j im, zero signs included
+    return out
 
 
 def _svd_propagate(op: DiscreteRadialOperator, v0: np.ndarray,
@@ -299,6 +311,8 @@ def _svd_propagate(op: DiscreteRadialOperator, v0: np.ndarray,
     by exp(-i t [[m, s], [s, -m]]) = cos(w t) - i sin(w t) / w [[m, s], [s, -m]],
     w = sqrt(m^2 + s^2), and the samples are U a(t) over W b(t).
     """
+    import scipy.linalg
+
     nn = op.grid.n_cells
     try:
         u, sv, wt = scipy.linalg.svd(op.coupling_block())
@@ -333,24 +347,29 @@ class FlatBesselOracle:
             raise ConfigurationError("mu must be nonzero")
         if n < 3:
             raise ConfigurationError("dimension n must be >= 3")
+        import scipy.special
+
         self.mu, self.m, self.n, self.grid = mu, m, n, grid
         nodes, weights = np.polynomial.legendre.leggauss(n_rho)
         self.rho = 0.5 * rho_max * (nodes + 1.0)
         self.w_rho = 0.5 * rho_max * weights
         a_plus, a_minus = bessel_orders(mu)
         x = np.outer(self.rho, grid.nodes)
-        root = np.sqrt(x)
-        self._b_plus = root * scipy.special.jv(a_plus, x)
-        self._b_minus = root * scipy.special.jv(a_minus, x)
+        self._b_plus = scipy.special.jv(a_plus, x)
+        self._b_minus = scipy.special.jv(a_minus, x)
+        root = np.sqrt(x, out=x)  # at most three n_rho x N arrays are alive
+        self._b_plus *= root
+        self._b_minus *= root
         self.coupling_sign = 1.0 if mu > 0 else -1.0
 
     def _forward(self, state: SpinorState) -> tuple[np.ndarray, np.ndarray]:
         dr = self.grid.dr
-        return dr * (self._b_plus @ state.plus), dr * (self._b_minus @ state.minus)
+        return (dr * real_matmul(self._b_plus, state.plus[:, None])[:, 0],
+                dr * real_matmul(self._b_minus, state.minus[:, None])[:, 0])
 
     def _inverse(self, hat_plus: np.ndarray, hat_minus: np.ndarray) -> SpinorState:
-        plus = self._b_plus.T @ (self.w_rho * hat_plus)
-        minus = self._b_minus.T @ (self.w_rho * hat_minus)
+        plus = real_matmul(self._b_plus.T, (self.w_rho * hat_plus)[:, None])[:, 0]
+        minus = real_matmul(self._b_minus.T, (self.w_rho * hat_minus)[:, None])[:, 0]
         return SpinorState(grid=self.grid, plus=plus, minus=minus)
 
     def propagate(self, initial: SpinorState, t: float) -> SpinorState:

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .admissibility import ModePotential
 from .errors import ConfigurationError, GridTooCoarseError, NumericalError
 from .profiles import Family, MetricProfile
 
-__all__ = ["RadialGrid", "DiscreteRadialOperator", "sigma", "sigma_n",
+__all__ = ["RadialGrid", "DiscreteRadialOperator", "sigma",
            "assemble_dirac", "assemble_kg", "flat_reference_operator",
            "weighted_laplacian_operator", "verify_square", "factorization_check",
            "norm_equivalence_check", "probe_functions",
@@ -121,6 +120,8 @@ class DiscreteRadialOperator:
         if self.kind == "dirac":
             raise ConfigurationError("eigh takes a tridiagonal kind, not a Dirac operator")
         if self._eig is None:
+            import scipy.linalg
+
             try:
                 self._eig = scipy.linalg.eigh_tridiagonal(*self._tridiagonal())
             except scipy.linalg.LinAlgError as exc:  # pragma: no cover
@@ -197,12 +198,6 @@ def sigma(profile: MetricProfile, r):
     if scalar:
         return float(s[0]), float(sp[0])
     return s, sp
-
-
-def sigma_n(profile: MetricProfile, r, n: int):
-    """sigma^((n-1)/2), the weighted-spinor conjugation factor."""
-    s, _ = sigma(profile, r)
-    return s ** ((n - 1) / 2.0)
 
 
 def _check_grid(grid: RadialGrid):
@@ -359,7 +354,7 @@ def norm_equivalence_check(profile: MetricProfile, n: int, exponents: Sequence[f
                            seed: int = 0) -> list[tuple[float, float]]:
     """Empirical two-sided H^s ratios between phi-weighted and flat norms.
 
-    Multiplication by sigma_n maps the flat-measure H^s onto the weighted
+    Multiplication by sigma^((n-1)/2) maps the flat-measure H^s onto the weighted
     one; in flattened variables both norms act on the same vector, through
     (1 + A_phi)^(s/2) and (1 + H0)^(s/2) respectively.  Returns one pair
     (max ratio, max inverse ratio) over the random trials per exponent s;

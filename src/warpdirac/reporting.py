@@ -2,8 +2,9 @@
 
 JSON is rendered by a canonical writer (sorted keys, floats at 17
 significant digits in lowercase scientific notation, non-finite values as
-strings) so identical inputs produce byte-identical files.  All writes go
-through temp-and-rename so failed runs never leave partial artifacts.
+strings) so identical inputs produce byte-identical files; a CSV float is
+its shortest round-trip repr.  All writes go through temp-and-rename so
+failed runs never leave partial artifacts.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import os
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 __all__ = ["canonical_json", "write_text_atomic", "write_json_atomic",
            "write_csv_atomic", "format_float"]
@@ -95,28 +98,16 @@ def write_json_atomic(path: Path, obj):
     write_text_atomic(path, canonical_json(obj) + "\n")
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return repr(v)
-    if isinstance(v, Fraction):
-        return _csv_cell(float(v)) if v.denominator != 1 else str(v.numerator)
-    if hasattr(v, "item"):
-        return _csv_cell(v.item())
-    raise TypeError(f"cannot render {type(v)} as a CSV cell")
+def write_csv_atomic(path: Path, header: Sequence[str], rows: Sequence[Sequence] | np.ndarray):
+    """Header line, then one line per row, every cell rendered by str.
 
-
-def write_csv_atomic(path: Path, header: Sequence[str], rows: Iterable[Sequence]):
+    ``rows`` is a sequence of rows or a 2-D float array, which becomes
+    Python floats here, one file at a time.  str renders a float as its
+    shortest round-trip repr (nan, inf and -inf bare), an int as its
+    digits and a str as itself.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+    lines.extend(",".join(map(str, row)) for row in rows)
     write_text_atomic(path, "\n".join(lines) + "\n")

@@ -64,11 +64,6 @@ class ModeIndex:
     def abs_mu(self) -> Fraction:
         return abs(self.mu)
 
-    def angular_laplace_eigenvalue(self, component: str) -> int:
-        """l (l + n - 2) at the stored degree of the requested component."""
-        deg = self.degree_plus if component == "+" else self.degree_minus
-        return deg * (deg + self.n - 2)
-
 
 @dataclass(frozen=True)
 class LPBand:

@@ -127,7 +127,7 @@ def test_criterion_6_flat_exact_solution(flat_dirac_2048):
         init = gaussian_state(grid, center=7.5, width=1.5)
         op = (flat_dirac_2048 if n_cells == 2048
               else assemble_dirac(FLAT, 1.0, 0.0, 3, grid))
-        got = evolve(op, init, [8.0]).states[0]
+        got = evolve(op, init, [8.0]).state(0)
         expect = flat_exact_solution(1.0, 0.0, 3, init, 8.0)
         num = np.sqrt(np.sum(np.abs(got.plus - expect.plus) ** 2)
                       + np.sum(np.abs(got.minus - expect.minus) ** 2))
@@ -145,9 +145,9 @@ def test_criterion_7_unitarity_reversibility(flat_dirac_2048):
     init = gaussian_state(grid, center=12.0, width=1.5)
     t_max = grid.r_max - init.support_radius - 2.0
     traj = evolve(flat_dirac_2048, init, np.linspace(0.0, t_max, 23))
-    base = traj.states[0].norm()
-    drift = max(abs(s.norm() / base - 1.0) for s in traj.states)
-    back = evolve(flat_dirac_2048, traj.states[-1], [-t_max]).states[0]
+    base = traj.state(0).norm()
+    drift = max(abs(traj.state(k).norm() / base - 1.0) for k in range(len(traj.times)))
+    back = evolve(flat_dirac_2048, traj.state(-1), [-t_max]).state(0)
     num = np.sqrt(np.sum(np.abs(back.plus - init.plus) ** 2)
                   + np.sum(np.abs(back.minus - init.minus) ** 2))
     rt = float(num) / base

@@ -1,15 +1,22 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warpdirac import assemble_dirac, evolve
 from warpdirac.cli import main
 from warpdirac.config import RunConfig, parse_config
 from warpdirac.errors import ConfigurationError
-from warpdirac.reporting import canonical_json
+from warpdirac.reporting import canonical_json, write_csv_atomic
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 MINIMAL = "profile.family = flat\nn = 3\n"
 
@@ -223,6 +230,59 @@ def test_cli_evolve_artifacts(tmp_path):
     lines = (out / "trajectory_mu_1.csv").read_text().strip().split("\n")
     assert lines[0] == "t,r,re_v_plus,im_v_plus,re_v_minus,im_v_minus"
     assert len(lines) == 1 + 5 * 512
+
+
+def test_cli_evolve_csv_is_the_trajectory(tmp_path):
+    """The trajectory CSV holds every sample of evolve, one row per (time,
+    node), each float as its repr; norm_drift is the per-state formula."""
+    text = ("profile.family = flat\nmodes.mu_list = 1, -1\ngrid.n_cells = 64\n"
+            "time.samples = 3\n")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    meta = json.loads((out / "evolve_meta.json").read_text())
+    cfg = parse_config(text)
+    times = np.linspace(0.0, cfg.t_max, cfg.samples)
+    initial = cfg.data.realize(cfg.grid)
+    for mu, mode in zip((1.0, -1.0), meta["modes"]):
+        traj = evolve(assemble_dirac(cfg.profile, mu, cfg.m, cfg.n, cfg.grid), initial, times)
+        lines = ["t,r,re_v_plus,im_v_plus,re_v_minus,im_v_minus"]
+        for k, t in enumerate(times):
+            state = traj.state(k)
+            for i, r in enumerate(cfg.grid.nodes):
+                cells = (t, r, state.plus[i].real, state.plus[i].imag,
+                         state.minus[i].real, state.minus[i].imag)
+                lines.append(",".join(repr(float(c)) for c in cells))
+        assert mode["file"] == f"trajectory_mu_{mu:g}.csv"
+        assert (out / mode["file"]).read_bytes() == ("\n".join(lines) + "\n").encode()
+        base = traj.state(0).norm()
+        drift = max(abs(traj.state(k).norm() / base - 1.0) for k in range(len(times)))
+        assert mode["norm_drift"] == drift
+
+
+def test_csv_cells_are_repr_or_the_value(tmp_path):
+    path = tmp_path / "cells.csv"
+    floats = [-0.0, 5e-324, 1e16, 1e-05, 0.1, math.nan, math.inf, -math.inf]
+    want = "-0.0,5e-324,1e+16,1e-05,0.1,nan,inf,-inf"
+    write_csv_atomic(path, ["a", "b"], [floats + [7, ""], (-3, "x")])
+    assert path.read_text() == "a,b\n" + want + ",7,\n-3,x\n"
+    write_csv_atomic(path, ["a"], np.array([floats, floats[::-1]]))
+    assert path.read_text() == "a\n" + want + "\n" + ",".join(want.split(",")[::-1]) + "\n"
+
+
+def test_check_metric_and_spectrum_never_load_scipy(tmp_path):
+    cfg = _write(tmp_path, "profile.family = asymptotically_flat\nprofile.epsilon = 0.01\n"
+                           "modes.mu_max = 2\n")
+    script = ("import sys\nimport warpdirac\nfrom warpdirac import cli\n"
+              "for command in ('check-metric', 'spectrum'):\n"
+              f"    assert cli.main([command, '--config', {cfg!r}, '--out', "
+              f"{str(tmp_path / 'out')!r}]) == 0\n"
+              "print('scipy' in sys.modules)\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert result.stdout == "False\n"
+    assert (tmp_path / "out" / "check_metric.json").exists()
+    assert (tmp_path / "out" / "spectrum.csv").exists()
 
 
 def test_cli_strichartz_scan(tmp_path):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from warpdirac import (ConfigurationError, ContractViolationError,
                        ExponentTriple, Family, MetricProfile, NonAdmissibleError,
                        RadialGrid, SpinorState, assemble_dirac, assemble_kg,
-                       evolve, gaussian_state, h_ab_norm, h_sobolev_norm,
-                       is_admissible_triple, make_mode, mu_scan, smoothing_norm,
-                       strichartz_norm, mixed_regularity_aggregate)
+                       evolve, gaussian_state, h_sobolev_norm,
+                       is_admissible_triple, mu_scan, smoothing_norm,
+                       strichartz_norm)
 from warpdirac.errors import PolicyError
 from warpdirac.estimates import SobolevCalculus, strichartz_weight
 
@@ -127,7 +127,7 @@ def test_strichartz_norm_s_zero_two_paths(flat_traj):
     t = flat_traj.times
     spatial = np.array([
         (dr * np.sum((np.abs(s.plus) ** 2 + np.abs(s.minus) ** 2) ** 2)) ** 0.25
-        for s in flat_traj.states])
+        for s in map(flat_traj.state, range(len(flat_traj.times)))])
     wts = np.zeros_like(t)
     wts[:-1] += 0.5 * np.diff(t)
     wts[1:] += 0.5 * np.diff(t)
@@ -143,7 +143,7 @@ def test_strichartz_norm_sup_in_time(flat_traj):
         math.sqrt(GRID.dr) * math.sqrt(
             np.sum(np.abs(calc.apply(s.plus, 0.5)) ** 2)
             + np.sum(np.abs(calc.apply(s.minus, 0.5)) ** 2))
-        for s in flat_traj.states]
+        for s in map(flat_traj.state, range(len(flat_traj.times)))]
     assert val == pytest.approx(max(per_time), rel=1e-12)
 
 
@@ -153,44 +153,15 @@ def test_norm_homogeneity(scale):
     grid = RadialGrid(40.0, 128)
     op = assemble_dirac(FLAT, 1.0, 0.0, 3, grid)
     init = gaussian_state(grid)
+    init_scaled = SpinorState(grid=grid, plus=scale * init.plus, minus=scale * init.minus,
+                              support_radius=init.support_radius)
     traj = evolve(op, init, np.linspace(0.0, 4.0, 5))
-    scaled = evolve(op, init.scaled(scale), np.linspace(0.0, 4.0, 5))
+    scaled = evolve(op, init_scaled, np.linspace(0.0, 4.0, 5))
     for fn in (lambda tr: smoothing_norm(tr, (0.0, 4.0)),
                lambda tr: strichartz_norm(tr, T44, FLAT)):
         assert fn(scaled) == pytest.approx(scale * fn(traj), rel=1e-9)
-    assert h_sobolev_norm(init.scaled(scale), 0.5) == pytest.approx(
+    assert h_sobolev_norm(init_scaled, 0.5) == pytest.approx(
         scale * h_sobolev_norm(init, 0.5), rel=1e-9)
-
-
-def test_h_ab_norm_reductions():
-    mode = make_mode(1, 3)
-    state = gaussian_state(GRID)
-    base = h_sobolev_norm(state, 0.5)
-    # b = 0 collapses to the radial norm
-    assert h_ab_norm([(mode, state)], 0.5, 0.0) == pytest.approx(base, rel=1e-12)
-    # mu = 1 plus component has degree 0, so only the minus component
-    # contributes an angular term; here the minus component is zero
-    with_b = h_ab_norm([(mode, state)], 0.5, 2.0)
-    assert with_b == pytest.approx(base, rel=1e-12)
-
-
-def test_h_ab_norm_orthogonal_additivity():
-    m1, m2 = make_mode(1, 3), make_mode(2, 3)
-    s1 = gaussian_state(GRID, center=10.0)
-    s2 = gaussian_state(GRID, center=14.0, amplitude=0.5)
-    total = h_ab_norm([(m1, s1), (m2, s2)], 0.5, 1.0)
-    only1 = h_ab_norm([(m1, s1)], 0.5, 1.0)
-    only2 = h_ab_norm([(m2, s2)], 0.5, 1.0)
-    assert total**2 == pytest.approx(only1**2 + only2**2, rel=1e-12)
-
-
-def test_h_ab_norm_angular_eigenvalue():
-    mode = make_mode(2, 3)  # degrees (1, 2): angular eigenvalues 2 and 6
-    bump = gaussian_state(GRID).plus
-    state = SpinorState(grid=GRID, plus=bump, minus=np.zeros_like(bump))
-    l2 = state.norm()
-    val = h_ab_norm([(mode, state)], 0.0, 1.0)
-    assert val == pytest.approx(math.sqrt(l2**2 + 2.0 * l2**2), rel=1e-12)
 
 
 def test_fractional_kg_norm_tracks_mode_weight():
@@ -294,39 +265,3 @@ def test_mu_scan_aborts_on_non_admissible(monkeypatch):
     assert not err.value.report.admissible
     assert evolved == []
 
-
-def test_aggregate_exponent_gate():
-    mode = make_mode(1, 3)
-    state = gaussian_state(GRID)
-    # 5/(p b) + 1/(2 a) = 5/(4*2.5) + 1/(2*0.71) ~ 1.2 > 1 in the massless 3d case
-    with pytest.raises(ContractViolationError):
-        mixed_regularity_aggregate(FLAT, T44, 0.71, 2.5, [(mode, state)], t_max=4.0, samples=5)
-
-
-def test_aggregate_single_mode_reduces_to_per_mode():
-    mode = make_mode(1, 3)
-    state = gaussian_state(GRID)
-    lhs, rhs = mixed_regularity_aggregate(FLAT, T44, 0.7, 8.0, [(mode, state)],
-                              t_max=8.0, samples=9)
-    op = assemble_dirac(FLAT, 1.0, 0.0, 3, GRID)
-    traj = evolve(op, state, np.linspace(0.0, 8.0, 9))
-    assert lhs == pytest.approx(strichartz_norm(traj, T44, FLAT), rel=1e-12)
-    assert rhs == pytest.approx(h_ab_norm([(mode, state)], 0.7, 8.0), rel=1e-12)
-
-
-def test_aggregate_cutoff_stability():
-    """Coefficients decaying like |mu|^(-b-1) keep the aggregate ratio
-    within a factor 2 across mode cutoffs."""
-    grid = RadialGrid(40.0, 256)
-    b = 6.0
-    ratios = []
-    for cutoff in (4, 8, 16):
-        mode_data = []
-        for k in range(1, cutoff + 1):
-            mode = make_mode(k, 3)
-            amp = float(k) ** (-b - 1.0)
-            mode_data.append((mode, gaussian_state(grid, amplitude=amp)))
-        lhs, rhs = mixed_regularity_aggregate(FLAT, T44, 0.7, b, mode_data,
-                                  t_max=6.0, samples=7)
-        ratios.append(lhs / rhs)
-    assert max(ratios) / min(ratios) <= 2.0

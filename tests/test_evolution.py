@@ -36,21 +36,21 @@ def flat_op():
 def test_time_zero_is_identity(flat_op):
     init = gaussian_state(GRID)
     traj = evolve(flat_op, init, [0.0])
-    assert state_diff(traj.states[0], init) == 0.0
+    assert state_diff(traj.state(0), init) == 0.0
 
 
 def test_unitarity(flat_op):
     init = gaussian_state(GRID)
     traj = evolve(flat_op, init, np.linspace(0.0, 20.0, 11))
-    base = traj.states[0].norm()
-    for state in traj.states:
-        assert abs(state.norm() / base - 1.0) <= 1e-10
+    base = traj.state(0).norm()
+    for k in range(len(traj.times)):
+        assert abs(traj.state(k).norm() / base - 1.0) <= 1e-10
 
 
 def test_reversibility(flat_op):
     init = gaussian_state(GRID)
-    fwd = evolve(flat_op, init, [13.0]).states[0]
-    back = evolve(flat_op, fwd, [-13.0]).states[0]
+    fwd = evolve(flat_op, init, [13.0]).state(0)
+    back = evolve(flat_op, fwd, [-13.0]).state(0)
     assert state_diff(back, init) <= 1e-9
 
 
@@ -72,18 +72,19 @@ def test_evolve_property_random_data_and_times(seed, times):
     rng = np.random.default_rng(seed)
     nn = PROPERTY_GRID.n_cells
     vec = rng.standard_normal(2 * nn) + 1j * rng.standard_normal(2 * nn)
-    init = SpinorState.from_vector(PROPERTY_GRID, vec)
+    init = SpinorState(grid=PROPERTY_GRID, plus=vec[:nn], minus=vec[nn:])
     traj = evolve(PROPERTY_OP, init, times)
     assert traj.times.tolist() == times
     w, u = PROPERTY_EIG
     coeff = u.T @ vec
     base = init.norm()
-    for t, state in zip(times, traj.states):
+    for k, t in enumerate(times):
+        state = traj.state(k)
         assert abs(state.norm() / base - 1.0) <= 1e-12
         want = u @ (np.exp(-1j * t * w) * coeff)
-        got = np.concatenate([state.plus, state.minus])
+        got = traj.samples[:, k]
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(vec)
-        back = evolve(PROPERTY_OP, state, [-t]).states[0]
+        back = evolve(PROPERTY_OP, state, [-t]).state(0)
         assert state_diff(back, init) <= 1e-12
 
 
@@ -91,8 +92,8 @@ REFEREE_GRID = RadialGrid(40.0, 96)
 
 
 def _evolve_block(op, vec, times):
-    traj = evolve(op, SpinorState.from_vector(op.grid, vec), times)
-    return np.stack([np.concatenate([s.plus, s.minus]) for s in traj.states], axis=1)
+    nn = op.grid.n_cells
+    return evolve(op, SpinorState(grid=op.grid, plus=vec[:nn], minus=vec[nn:]), times).samples
 
 
 @pytest.mark.parametrize("propagate", [_evolve_block, _chebyshev_propagate, _svd_propagate],
@@ -131,9 +132,29 @@ def test_evolve_takes_the_cheaper_propagator(monkeypatch, mu, t_max, path):
     assert calls == [path]
     v0 = init.as_vector()
     other = (_svd_propagate if path == "chebyshev" else _chebyshev_propagate)(op, v0, times)
-    for k, state in enumerate(traj.states[1:], start=1):
-        got = np.concatenate([state.plus, state.minus])
-        assert np.linalg.norm(got - other[:, k]) <= 1e-12 * np.linalg.norm(v0)
+    for k in range(1, len(times)):
+        assert np.linalg.norm(traj.samples[:, k] - other[:, k]) <= 1e-12 * np.linalg.norm(v0)
+
+
+@pytest.mark.parametrize("mu", [1.0, 64.0], ids=["chebyshev", "svd"])
+def test_trajectory_is_one_sample_block(mu):
+    """Whichever propagator ran, the samples are one read-only, C-ordered
+    2N x T array: block() views it, state(k) is its column k, and norms()
+    sums each sample as SpinorState.norm does, bit for bit."""
+    grid = RadialGrid(40.0, 512)
+    op = assemble_dirac(AF001, mu, 0.7, 3, grid)
+    traj = evolve(op, gaussian_state(grid), np.linspace(0.0, 8.0, 5))
+    assert traj.samples.shape == (1024, 5) and traj.samples.flags.c_contiguous
+    for component, rows in (("plus", slice(None, 512)), ("minus", slice(512, None))):
+        block = traj.block(component)
+        assert np.shares_memory(block, traj.samples) and block.flags.c_contiguous
+        assert np.array_equal(block, traj.samples[rows])
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.0
+    states = [traj.state(k) for k in range(5)]
+    assert traj.norms().tolist() == [state.norm() for state in states]
+    for k, state in enumerate(states):
+        assert np.array_equal(np.concatenate([state.plus, state.minus]), traj.samples[:, k])
 
 
 def test_bessel_coefficients_match_scipy():
@@ -164,7 +185,7 @@ def test_evolve_bounded_memory_at_8192_cells():
     assert peak < 64 * 2**20
     assert traj.times.tolist() == times.tolist()
     base = init.norm()
-    assert max(abs(state.norm() / base - 1.0) for state in traj.states) <= 1e-12
+    assert np.max(np.abs(traj.norms() / base - 1.0)) <= 1e-12
 
 
 def test_causal_window_recorded(flat_op):
@@ -211,7 +232,7 @@ def test_oracle_rejects_curved_profile():
 
 def test_oracle_agreement_massless(flat_op):
     init = gaussian_state(GRID, center=7.5, width=1.5)
-    got = evolve(flat_op, init, [8.0]).states[0]
+    got = evolve(flat_op, init, [8.0]).state(0)
     expect = flat_exact_solution(1.0, 0.0, 3, init, 8.0)
     assert state_diff(got, expect) <= 1e-2  # coarse grid; 1e-3 at 2048 cells
 
@@ -219,9 +240,28 @@ def test_oracle_agreement_massless(flat_op):
 def test_oracle_agreement_massive():
     init = gaussian_state(GRID, center=7.5, width=1.5)
     op = assemble_dirac(FLAT, 2.0, 1.0, 3, GRID)
-    got = evolve(op, init, [6.0]).states[0]
+    got = evolve(op, init, [6.0]).state(0)
     expect = flat_exact_solution(2.0, 1.0, 3, init, 6.0)
     assert state_diff(got, expect) <= 2e-2
+
+
+def test_oracle_holds_at_most_three_kernel_arrays():
+    """The oracle keeps two real n_rho x N kernels; building them needs one
+    more array and applying them none (no complex copy of a kernel)."""
+    grid = RadialGrid(40.0, 512)
+    init = gaussian_state(grid, center=7.5, width=1.5)
+    kernel_bytes = 1200 * grid.n_cells * 8
+    tracemalloc.start()
+    try:
+        oracle = FlatBesselOracle(1.0, 0.7, 3, grid)
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        oracle.propagate(init, 5.0)
+        _, applied = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built < 3.2 * kernel_bytes
+    assert applied < 2.2 * kernel_bytes
 
 
 def test_oracle_unitary():

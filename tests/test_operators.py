@@ -8,7 +8,7 @@ from warpdirac import (ConfigurationError, Family, GridTooCoarseError,
                        MetricProfile, ModePotential, RadialGrid, assemble_dirac,
                        assemble_kg, check_admissible, factorization_check,
                        flat_reference_operator, norm_equivalence_check, sigma,
-                       sigma_n, verify_square)
+                       verify_square)
 from warpdirac.operators import (DiscreteRadialOperator, _random_bump,
                                  sigma_log_derivative_bound, weighted_laplacian_operator)
 
@@ -54,11 +54,6 @@ def test_sigma_af_origin_slope():
     # phi''(0) = 2 eps for alpha = 1, so sigma'(0) = -eps
     _, sp = sigma(AF001, 0.0)
     assert sp == pytest.approx(-0.01, rel=1e-12)
-
-
-def test_sigma_n_power():
-    s, _ = sigma(SINH, 2.0)
-    assert sigma_n(SINH, 2.0, 5) == pytest.approx(s**2, rel=1e-14)
 
 
 def test_grid_too_coarse():
