@@ -2,7 +2,8 @@
 
 Fractional Sobolev norms are defined once and for all through the flat
 flattened reference operator: ||(1 + H0)^(s/2) v||, with H0 the discrete
-flat radial Laplacian.  Strichartz norms weight the state pointwise by
+flat radial Laplacian, by a DST-I for n = 3 and an eigenbasis otherwise
+(SobolevCalculus).  Strichartz norms weight the state pointwise by
 (phi/r)^((n-1)/2 (1 - 2/q)) before the fractional power, take l^q(dr) in
 space and L^p (trapezoid over the causal window) in time.
 """
@@ -65,27 +66,43 @@ class ExponentTriple:
 
 
 class SobolevCalculus:
-    """Fractional calculus of (1 + H0) on one grid, eigenbasis cached."""
+    """Fractional calculus of (1 + H0) on one grid.
 
-    _cache: dict = {}
+    For n = 3, H0 is the plain Dirichlet second difference, whose
+    orthonormal eigenbasis is exactly the DST-I (Strang, SIAM Review 41
+    (1999) 135): eigenvalues (2 sin(pi k / (2 (N + 1))) / dr)^2 and
+    eigenvectors sqrt(2 / (N + 1)) sin(pi j k / (N + 1)), j, k = 1..N.  So
+    the calculus needs no eigensolve and no N x N array.  For other n, H0
+    carries (n-1)(n-3)/(4 r^2), and the eigenbasis comes from one
+    eigh_tridiagonal per calculus; share one calculus to share it.
+    """
 
     def __init__(self, grid: RadialGrid, n: int):
         self.grid, self.n = grid, n
-        key = (grid.r_max, grid.n_cells, n)
-        if key not in SobolevCalculus._cache:
-            h0 = flat_reference_operator(n, grid)
-            SobolevCalculus._cache[key] = h0.eigh()
-        self._w, self._u = SobolevCalculus._cache[key]
+        if n == 3:
+            k = np.arange(1, grid.n_cells + 1)
+            self._w = (2.0 * np.sin(0.5 * np.pi * k / (grid.n_cells + 1)) / grid.dr) ** 2
+            self._u = None
+        else:
+            self._w, self._u = flat_reference_operator(n, grid).eigh()
+
+    def powers(self, s: float) -> np.ndarray:
+        """(1 + w)^(s/2) for the ascending eigenvalues w of H0."""
+        return np.maximum(1.0 + self._w, 0.0) ** (s / 2.0)
+
+    def coefficients(self, block: np.ndarray) -> np.ndarray:
+        """U^T block: each column of a real or complex N x K block in the eigenbasis."""
+        return _dst1(block) if self._u is None else real_matmul(self._u.T, block)
 
     def apply(self, v: np.ndarray, s: float) -> np.ndarray:
         """(1 + H0)^(s/2) v by spectral calculus, for a vector or an N x T block.
 
-        A block is transformed column by column in one split-real GEMM each
-        way, so the eigenbasis is never cast to complex.
+        A complex block goes through every transform as its real and
+        imaginary parts side by side, so the eigenbasis is never cast to
+        complex.
         """
-        powers = np.maximum(1.0 + self._w, 0.0) ** (s / 2.0)
-        block = v.reshape(len(powers), -1)
-        out = real_matmul(self._u, powers[:, None] * real_matmul(self._u.T, block))
+        block = self.powers(s)[:, None] * self.coefficients(v.reshape(len(self._w), -1))
+        out = _dst1(block) if self._u is None else real_matmul(self._u, block)
         return out.reshape(v.shape)
 
     def norm(self, state: SpinorState, s: float) -> float:
@@ -93,6 +110,24 @@ class SobolevCalculus:
         gm = self.apply(state.minus, s)
         return float(np.sqrt(state.grid.dr
                              * (np.sum(np.abs(gp) ** 2) + np.sum(np.abs(gm) ** 2))))
+
+
+def _dst1(block: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I of each column of a real or complex N x K block.
+
+    sum_j x_j sin(pi j k / (N + 1)) is -Im/2 of the FFT of the odd extension
+    [0, x, 0, -reversed x] of length 2 (N + 1); scaled by sqrt(2 / (N + 1)),
+    the transform is orthonormal and its own inverse.
+    """
+    if np.iscomplexobj(block):
+        cols = block.shape[1]
+        out = _dst1(np.hstack([block.real, block.imag]))
+        return out[:, :cols] + 1j * out[:, cols:]
+    nn = len(block)
+    ext = np.zeros((2 * (nn + 1), block.shape[1]))
+    ext[1:nn + 1] = block
+    ext[nn + 2:] = -block[::-1]
+    return -np.sqrt(0.5 / (nn + 1)) * np.fft.rfft(ext, axis=0)[1:nn + 1].imag
 
 
 def h_sobolev_norm(state: SpinorState, exponent: float, n: int = 3) -> float:
@@ -137,8 +172,13 @@ def strichartz_weight(profile: MetricProfile, r: np.ndarray, n: int, q: float) -
 
 
 def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple,
-                    profile: Optional[MetricProfile] = None) -> float:
-    """Weighted L^p_t W^(s,q) norm of a trajectory, s = 1/q - 1/p."""
+                    profile: Optional[MetricProfile] = None,
+                    calculus: Optional[SobolevCalculus] = None) -> float:
+    """Weighted L^p_t W^(s,q) norm of a trajectory, s = 1/q - 1/p.
+
+    ``calculus`` is the trajectory grid's SobolevCalculus, built here if not
+    given.
+    """
     profile = profile or traj.profile
     triple.require_admissible(traj.n)
     s = triple.s
@@ -146,7 +186,7 @@ def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple,
     r = traj.grid.nodes
     dr = traj.grid.dr
     weight = strichartz_weight(profile, r, traj.n, q)[:, None]
-    calc = SobolevCalculus(traj.grid, traj.n)
+    calc = SobolevCalculus(traj.grid, traj.n) if calculus is None else calculus
     gp = calc.apply(weight * traj.block("plus"), s)
     gm = calc.apply(weight * traj.block("minus"), s)
     mag = np.sqrt(np.abs(gp) ** 2 + np.abs(gm) ** 2)
@@ -270,7 +310,8 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
         if t_max > limit + 1e-9:
             raise PolicyError(f"t_max={t_max} exceeds the causal limit {limit:g}")
     times = np.linspace(0.0, t_max, samples)
-    h_half = h_sobolev_norm(initial, 0.5, n=n)
+    calc = SobolevCalculus(grid, n)  # one eigenbasis per scan when n != 3
+    h_half = calc.norm(initial, 0.5)
 
     reports = check_admissible(profile, mu_list, scan)
     for mu, report in zip(mu_list, reports):
@@ -284,7 +325,7 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
         smoo = smoothing_norm(traj, (0.0, t_max))
         rows = []
         for triple in triples:
-            stri = strichartz_norm(traj, triple, profile)
+            stri = strichartz_norm(traj, triple, profile, calc)
             rows.append(ModeScanRow(
                 mu=float(mu), strichartz=stri, smoothing=smoo, h_half=h_half,
                 ratio_strichartz=stri / h_half, ratio_smoothing=smoo / h_half,

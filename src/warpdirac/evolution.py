@@ -56,6 +56,7 @@ _SUPPORT_SIGMAS = 3.0  # Gaussian support radius = center + 3 widths
 _CAUSAL_MARGIN = 2.0
 _CHUNK = 64  # Chebyshev vectors added into the samples per GEMM (even)
 _BESSEL_TAIL = 1e-18  # |J_k| at or below which a term is dropped
+_SERIES_TERMS = 20  # power-series terms of J_k(x) for x < 1
 # One N x N SVD costs about N^2 / 100 Chebyshev steps (2-core machine: SVD
 # 0.09 s at N = 512 and 3.1 s at N = 2048, where a step costs 70-80 us).
 _SVD_BREAK_EVEN = 100.0
@@ -200,19 +201,18 @@ def _tail_terms(x: np.ndarray) -> np.ndarray:
 def _bessel_j(x: np.ndarray, width: int) -> np.ndarray:
     """J_k(x) for k < width, one row per x >= 0.
 
-    Below x = 1 SciPy's jv is accurate to roundoff and at most
-    _tail_terms(1) = 41 terms matter.  Above it, jv loses several 1e-14
-    absolute at x ~ 1e3, which would dominate the propagator's error, so
-    those rows come from Miller's backward recurrence
+    Below x = 1 at most _tail_terms(1) = 41 orders matter, and those rows
+    come from the power series (_bessel_series), which gives exactly
+    [1, 0, ...] at x = 0, where the recurrence below would overflow.  Above
+    it, the rows come from Miller's backward recurrence
     J_(k-1) = (2k / x) J_k - J_(k+1), seeded 16 terms past each row's tail
-    and normalized by J_0 + 2 sum J_2k = 1 (a few 1e-16 absolute).
+    and normalized by J_0 + 2 sum J_2k = 1 (a few 1e-16 absolute; SciPy's jv
+    loses several 1e-14 at x ~ 1e3, which would dominate the propagator's
+    error).
     """
-    import scipy.special
-
     out = np.zeros((len(x), width))
     small = x < 1.0
-    k_small = np.arange(min(width, 41))
-    out[small, :len(k_small)] = scipy.special.jv(k_small, x[small, None])
+    out[small, :min(width, 41)] = _bessel_series(x[small], min(width, 41))
     big = x[~small]
     starts = _tail_terms(big) + 16
     rows = np.zeros((max(width, int(starts.max(initial=0)) + 1), len(big)))
@@ -224,6 +224,25 @@ def _bessel_j(x: np.ndarray, width: int) -> np.ndarray:
         rows[k - 1] = cur
     rows = rows[:width].T
     out[~small] = rows / (rows[:, 0] + 2.0 * rows[:, 2::2].sum(axis=1))[:, None]
+    return out
+
+
+def _bessel_series(x: np.ndarray, width: int) -> np.ndarray:
+    """J_k(x) = sum_m (-1)^m (x/2)^(2m+k) / (m! (m+k)!) for k < width, 0 <= x <= 1.
+
+    The leading terms (x/2)^k / k! are built as running products, so tiny x
+    underflows to zero instead of overflowing.  The sum runs in increasing m
+    over _SERIES_TERMS terms; for x <= 1 those from m = 10 on are below 1e-19.
+    """
+    half = x[:, None] / 2.0
+    term = np.ones((len(x), width))
+    term[:, 1:] = half / np.arange(1, width)
+    term = np.cumprod(term, axis=1)
+    out = term.copy()
+    k = np.arange(width)
+    for m in range(1, _SERIES_TERMS):
+        term *= -(half * half) / (m * (m + k))
+        out += term
     return out
 
 

@@ -356,26 +356,28 @@ def norm_equivalence_check(profile: MetricProfile, n: int, exponents: Sequence[f
 
     Multiplication by sigma^((n-1)/2) maps the flat-measure H^s onto the weighted
     one; in flattened variables both norms act on the same vector, through
-    (1 + A_phi)^(s/2) and (1 + H0)^(s/2) respectively.  Returns one pair
+    (1 + A_phi)^(s/2) and (1 + H0)^(s/2) respectively, the latter by the
+    one flat Sobolev calculus (estimates.SobolevCalculus).  Returns one pair
     (max ratio, max inverse ratio) over the random trials per exponent s;
-    the two eigendecompositions and the seeded bumps are shared by all.
+    both spectral transforms of the seeded bumps are shared by all.
     """
+    from .estimates import SobolevCalculus  # estimates imports this module
+
     for expo in exponents:
         if not 0.0 <= expo <= 1.0:
             raise ConfigurationError(f"s must be in [0, 1], got {expo}")
     grid = grid or RadialGrid()
     w_phi, u_phi = weighted_laplacian_operator(profile, n, grid).eigh()
-    w_flat, u_flat = flat_reference_operator(n, grid).eigh()
+    flat = SobolevCalculus(grid, n)
     rng = np.random.default_rng(seed)
     bumps = np.stack([_random_bump(rng, grid) for _ in range(trials)], axis=1)
-    c_phi, c_flat = u_phi.T @ bumps, u_flat.T @ bumps
+    c_phi, c_flat = u_phi.T @ bumps, flat.coefficients(bumps)
     out = []
     for expo in exponents:
         # clip tiny negative roundoff before the fractional power
         pw_phi = np.maximum(1.0 + w_phi, 0.0) ** (expo / 2.0)
-        pw_flat = np.maximum(1.0 + w_flat, 0.0) ** (expo / 2.0)
         ratio = (np.linalg.norm(pw_phi[:, None] * c_phi, axis=0)
-                 / np.linalg.norm(pw_flat[:, None] * c_flat, axis=0))
+                 / np.linalg.norm(flat.powers(expo)[:, None] * c_flat, axis=0))
         out.append((float(np.max(ratio, initial=0.0)),
                     float(np.max(1.0 / ratio, initial=0.0))))
     return out

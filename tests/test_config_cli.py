@@ -285,6 +285,29 @@ def test_check_metric_and_spectrum_never_load_scipy(tmp_path):
     assert (tmp_path / "out" / "spectrum.csv").exists()
 
 
+def test_evolve_and_strichartz_scan_never_load_scipy(tmp_path):
+    """Both mode-flow commands on their default n = 3 paths: Chebyshev
+    propagation (|mu| <= 2 is below the SVD break-even), power-series Bessel
+    rows and the DST-I Sobolev calculus."""
+    flat = _write(tmp_path, SMALL.replace("modes.mu_list = 1", "modes.mu_list = 1, -1"))
+    (tmp_path / "af").mkdir()
+    af = _write(tmp_path / "af", "profile.family = asymptotically_flat\nprofile.epsilon = 0.01\n"
+                                 "modes.mu_list = 1, -1, 2\ntriples = 4:4, inf:2\n"
+                                 "grid.n_cells = 512\ntime.samples = 9\n")
+    script = ("import sys\nfrom warpdirac import cli\n"
+              f"assert cli.main(['evolve', '--config', {flat!r}, '--out', "
+              f"{str(tmp_path / 'evolve')!r}]) == 0\n"
+              f"assert cli.main(['strichartz-scan', '--config', {af!r}, '--out', "
+              f"{str(tmp_path / 'scan')!r}, '--threads', '1']) == 0\n"
+              "print('scipy' in sys.modules)\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert result.stdout == "False\n"
+    assert (tmp_path / "evolve" / "trajectory_mu_-1.csv").exists()
+    assert (tmp_path / "scan" / "strichartz_scan.json").exists()
+
+
 def test_cli_strichartz_scan(tmp_path):
     cfg = _write(tmp_path, SMALL.replace("modes.mu_list = 1",
                                          "modes.mu_list = 1, 2"))

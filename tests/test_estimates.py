@@ -13,6 +13,7 @@ from warpdirac import (ConfigurationError, ContractViolationError,
                        strichartz_norm)
 from warpdirac.errors import PolicyError
 from warpdirac.estimates import SobolevCalculus, strichartz_weight
+from warpdirac.operators import DiscreteRadialOperator, flat_reference_operator
 
 FLAT = MetricProfile(Family.FLAT)
 AF001 = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=0.01)
@@ -51,9 +52,18 @@ def test_sobolev_norm_zero_exponent_is_l2():
     assert h_sobolev_norm(state, 0.0) == pytest.approx(state.norm(), rel=1e-12)
 
 
+def _sine_basis(grid):
+    """Analytic Dirichlet eigenvectors sqrt(2/(N+1)) sin(pi j k/(N+1)), columns
+    k = 1..N, and their eigenvalues (2 sin(pi k/(2(N+1))) / dr)^2; j k is reduced
+    mod 2(N+1) in integers, so every sine argument is below 2 pi."""
+    nn = grid.n_cells
+    j = np.arange(1, nn + 1)
+    u = np.sqrt(2.0 / (nn + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (nn + 1))) / (nn + 1))
+    return (2.0 * np.sin(0.5 * np.pi * j / (nn + 1)) / grid.dr) ** 2, u
+
+
 def test_sobolev_norm_on_eigenvector():
-    calc = SobolevCalculus(GRID, 3)
-    lam, u = calc._w, calc._u
+    lam, u = flat_reference_operator(3, GRID).eigh()
     k = 40
     state = SpinorState(grid=GRID, plus=u[:, k].astype(complex),
                         minus=np.zeros(GRID.n_cells, dtype=complex))
@@ -63,15 +73,38 @@ def test_sobolev_norm_on_eigenvector():
 
 def test_sobolev_apply_block_matches_columns():
     calc = SobolevCalculus(GRID, 3)
+    lam, u = _sine_basis(GRID)
     rng = np.random.default_rng(7)
     block = (rng.standard_normal((GRID.n_cells, 6))
              + 1j * rng.standard_normal((GRID.n_cells, 6)))
     for s in (-1.0, 0.5, 1.0):
         got = calc.apply(block, s)
-        powers = np.maximum(1.0 + calc._w, 0.0) ** (s / 2.0)
+        powers = np.maximum(1.0 + lam, 0.0) ** (s / 2.0)
         for k in range(block.shape[1]):
-            want = calc._u @ (powers * (calc._u.T @ block[:, k]))
+            want = u @ (powers * (u.T @ block[:, k]))
             assert np.linalg.norm(got[:, k] - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n_cells", [1024, 2048])
+def test_sobolev_dst_matches_eigenbasis(n_cells):
+    """The n = 3 DST-I calculus against U diag((1 + w)^(s/2)) U^T from
+    eigh_tridiagonal of the Dirichlet second difference."""
+    import scipy.linalg
+
+    grid = RadialGrid(40.0, n_cells)
+    calc = SobolevCalculus(grid, 3)
+    dr2 = grid.dr ** 2
+    w, u = scipy.linalg.eigh_tridiagonal(np.full(n_cells, 2.0 / dr2),
+                                         np.full(n_cells - 1, -1.0 / dr2))
+    rng = np.random.default_rng(n_cells)
+    real = rng.standard_normal((n_cells, 4))
+    for block in (real, real + 1j * rng.standard_normal((n_cells, 4))):
+        for s in (-1.0, -0.5, 0.5, 1.0):
+            powers = ((1.0 + w) ** (s / 2.0))[:, None]
+            want = u @ (powers * (u.T @ block.real)) + 1j * (u @ (powers * (u.T @ block.imag)))
+            got = calc.apply(block, s)
+            assert got.dtype == block.dtype
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_sobolev_norm_exponent_gate():
@@ -197,6 +230,35 @@ def test_mu_scan_small():
     assert all(row.strichartz > 0 and row.h_half > 0 for row in res.rows)
     d = res.to_dict()
     assert d["strichartz_slope_ok"] and d["smoothing_slope_ok"]
+
+
+def test_mu_scan_n5_builds_one_eigenbasis(monkeypatch):
+    """For n != 3 one scan shares one flat eigenbasis between h_half and every
+    (mode, triple) norm, and gets what per-call calculi give."""
+    grid = RadialGrid(40.0, 256)
+    triples = [ExponentTriple(p=math.inf, q=2.0), ExponentTriple(p=4.0, q=8.0 / 3.0)]
+    mus = [1.0, 2.0]
+    calls = []
+    eigh = DiscreteRadialOperator.eigh
+
+    def counted(op):
+        calls.append(op.kind)
+        return eigh(op)
+
+    monkeypatch.setattr(DiscreteRadialOperator, "eigh", counted)
+    results = mu_scan(FLAT, triples, mus, grid=grid, t_max=4.0, samples=5, n=5)
+    assert calls == ["flat_shift"]
+    monkeypatch.undo()
+    initial = gaussian_state(grid)
+    h_half = h_sobolev_norm(initial, 0.5, n=5)
+    for k, mu in enumerate(mus):
+        traj = evolve(assemble_dirac(FLAT, mu, 0.0, 5, grid), initial,
+                      np.linspace(0.0, 4.0, 5))
+        for result, triple in zip(results, triples):
+            row = result.rows[k]
+            assert row.h_half == pytest.approx(h_half, rel=1e-12)
+            assert row.strichartz == pytest.approx(strichartz_norm(traj, triple, FLAT),
+                                                   rel=1e-12)
 
 
 def test_mu_scan_single_mode_degenerate_fit():

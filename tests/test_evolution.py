@@ -158,8 +158,8 @@ def test_trajectory_is_one_sample_block(mu):
 
 
 def test_bessel_coefficients_match_scipy():
-    """The expansion's coefficients (2 - delta_k0) s_k J_k(x), from jv below
-    x = 1 and from Miller's backward recurrence above it."""
+    """The expansion's coefficients (2 - delta_k0) s_k J_k(x), from the power
+    series below x = 1 and from Miller's backward recurrence above it."""
     x = np.array([0.0, 0.4, -3.0, 250.0, 1228.8, -2048.0])
     coeffs = _bessel_coefficients(x)
     k = np.arange(coeffs.shape[1])
@@ -167,6 +167,13 @@ def test_bessel_coefficients_match_scipy():
             * np.where(k == 0, 1.0, 2.0))
     assert np.max(np.abs(coeffs - want)) <= 1e-13
     assert coeffs.shape[1] < 2048 + 12 * 2048 ** (1 / 3) + 28
+    small = np.array([0.0, 1e-12, 1e-6, 1e-3, 0.3, 0.999999, 1.0])
+    small = np.concatenate([small, -small])
+    coeffs = _bessel_coefficients(small)
+    k = np.arange(coeffs.shape[1])
+    bessel = coeffs * np.where(k % 4 < 2, 1.0, -1.0) / np.where(k == 0, 1.0, 2.0)
+    assert np.max(np.abs(bessel - scipy.special.jv(k, small[:, None]))) <= 1e-16
+    assert bessel[0].tolist() == [1.0] + [0.0] * (len(k) - 1)
 
 
 def test_evolve_bounded_memory_at_8192_cells():
