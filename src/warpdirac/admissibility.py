@@ -19,10 +19,14 @@ overflow-safe scaled variables (r V, r^2 V', r^3 V'', r^3 W') so the scan
 grid can span [1e-6, 1e6] for every family including sinh.
 
 :func:`check_admissible` checks a whole sequence of modes in one pass: the
-profile is evaluated once on the scan grid, the scaled parts once per signed
-mu, and every golden-section refinement of every mode steps together
-(:func:`warpdirac.scan.scan_infima`).  Its values equal those of the
-per-functional scans (:func:`delta_pm`, :func:`delta_phi`) bit for bit.
+profile is evaluated once on the scan grid, then block by block the scaled
+parts of each signed mu and every distinct functional on them
+(:func:`warpdirac.scan.scan_infima`), and every golden-section refinement
+of every mode steps together.  Negating mu negates each scaled part exactly
+(IEEE negation is exact), so the delta_pm terms of -mu are the
+channel-swapped terms of mu, and each is scanned once.  Its values equal
+those of the per-functional scans (:func:`delta_pm`, :func:`delta_phi`) bit
+for bit.
 """
 
 from __future__ import annotations
@@ -42,8 +46,6 @@ __all__ = ["ModePotential", "TermInfimum", "DeltaPair", "DeltaPhi", "DeltaC",
            "AdmissibilityReport", "delta_pm", "delta_phi", "delta_c",
            "check_admissible", "delta_lower_bound"]
 
-# points probing decay of the potential toward infinity
-_DECAY_PROBES = (1e4, 1e5, 1e6)
 _DECAY_TOL = 1e-6
 
 
@@ -302,12 +304,23 @@ _MODE_TERMS = (partial(_term_I, sign=+1), partial(_term_Q, sign=+1),
                partial(_term_I, sign=-1), partial(_term_Q, sign=-1),
                _term_quad, _term_cubic, _term_sup)
 _PM_TERMS, _PHI_TERMS, _SUP_TERM = range(4), (4, 5), 6
+# Negating mu negates every scaled part exactly, so delta_pm term t of -mu is
+# term _CHANNEL_SWAP[t] of mu, bit for bit.
+_CHANNEL_SWAP = (2, 3, 0, 1)
 
 
-def _potential_decays(mu: float, probe_ratios) -> bool:
+def _functional(mu: float, t: int) -> tuple[float, int]:
+    """Key (mu, term) of the grid functional that term t of mode mu reads.
+
+    A delta_pm term of a negative mu reads the channel-swapped term of -mu.
+    """
+    return (-mu, _CHANNEL_SWAP[t]) if t in _PM_TERMS and mu < 0 else (mu, t)
+
+
+def _potential_decays(mu: float, probes: tuple, probe_ratios) -> bool:
     """Surrogate for lim_{r->inf} W = 0: monotone decay below 1e-6 at probes."""
     rv, r2vp, _, _ = _parts(mu, probe_ratios)
-    vals = [abs(float(rv[k] ** 2 - r2vp[k])) / r**2 for k, r in enumerate(_DECAY_PROBES)]
+    vals = [abs(float(rv[k] ** 2 - r2vp[k])) / r**2 for k, r in enumerate(probes)]
     return vals[0] >= vals[1] >= vals[2] and vals[2] < _DECAY_TOL
 
 
@@ -318,12 +331,15 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
 
     Mode mu needs delta_pm(mu), delta_phi(+-mu) and sup |4 r^2 W| at mu.
     All of these are scanned in one pass: ``profile.ratios`` once on the
-    policy grid, the scaled parts once per signed mu (delta_phi(-mu) is
-    shared with mode -mu), each functional reduced to its grid minimum as
-    soon as it is computed, and every golden-section refinement stepped in
-    lockstep with one ``profile.ratios`` call per step.  The values are
-    those of :func:`delta_pm`, :func:`delta_phi` and a supremum scan per
-    mode, bit for bit.
+    policy grid, then block by block the scaled parts of each signed mu and
+    every distinct functional on them (:func:`warpdirac.scan.scan_infima`).
+    delta_phi(-mu) is shared with mode -mu, and the delta_pm terms of -mu
+    are the channel-swapped ones of mu, so modes +-mu scan 10 functionals,
+    not 14.  Every golden-section refinement steps in lockstep with one
+    ``profile.ratios`` call per step.  The potential's decay is probed at
+    the top of the policy range.  The values are those of
+    :func:`delta_pm`, :func:`delta_phi` and a supremum scan per mode, bit
+    for bit.
     """
     pots = [ModePotential(profile=profile, mu=mu, n=profile.n) for mu in mus]
     if not pots:
@@ -332,18 +348,26 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     for pot in pots:
         needed[pot.mu] = range(len(_MODE_TERMS))
         needed.setdefault(-pot.mu, _PHI_TERMS)
-    jobs = [(mu, t) for mu, terms in needed.items() for t in terms]
+    jobs = list(dict.fromkeys(_functional(mu, t) for mu, terms in needed.items()
+                              for t in terms))
+    rows = {}  # signed mu -> (term, row) pairs to fill from its scaled parts
+    for row, (mu, t) in enumerate(jobs):
+        rows.setdefault(mu, []).append((t, row))
     r = scan.grid()
     ratios = profile.ratios(r)
 
-    def grid_values():
-        for mu, terms in needed.items():
-            parts = _parts(mu, ratios)
-            zero, at_inf = _parts_at_zero(mu), _parts_at_infinity(profile, mu)
-            for t in terms:
-                term = _MODE_TERMS[t]
-                yield term(parts), term(zero), None if at_inf is None else term(at_inf)
-            del parts  # free before the next mu's parts are built
+    def fill(lo, hi, out):
+        block = tuple(s[lo:hi] for s in ratios)
+        for mu, terms in rows.items():
+            parts = _parts(mu, block)
+            for t, row in terms:
+                out[row] = _MODE_TERMS[t](parts)
+
+    limits = []
+    for mu, t in jobs:
+        at_inf = _parts_at_infinity(profile, mu)
+        term = _MODE_TERMS[t]
+        limits.append((term(_parts_at_zero(mu)), None if at_inf is None else term(at_inf)))
 
     job_mu = np.array([mu for mu, _ in jobs], dtype=float)
     job_term = np.array([t for _, t in jobs])
@@ -357,11 +381,12 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
             out[sel] = _MODE_TERMS[t](tuple(p[sel] for p in parts))
         return out
 
-    found = dict(zip(jobs, scan_infima(r, grid_values(), evaluate)))
-    probe_ratios = profile.ratios(np.array(_DECAY_PROBES))
+    found = dict(zip(jobs, scan_infima(r, limits, fill, evaluate)))
+    probes = (scan.r_max / 100, scan.r_max / 10, scan.r_max)
+    probe_ratios = profile.ratios(np.array(probes))
 
     def term(mu, t):
-        res = found[(mu, t)]
+        res = found[_functional(mu, t)]
         return TermInfimum(res.value, res.arg_r)
 
     reports = []
@@ -372,7 +397,7 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
         dphi_neg = DeltaPhi.from_terms(*(term(-mu, t) for t in _PHI_TERMS))
         sup = found[(mu, _SUP_TERM)].negated()
         sup_finite = not sup.diverging and math.isfinite(sup.value)
-        decay_ok = _potential_decays(mu, probe_ratios)
+        decay_ok = _potential_decays(mu, probes, probe_ratios)
         admissible = (dphi_pos.value > 0.0 and dphi_neg.value > 0.0
                       and sup_finite and decay_ok)
 

@@ -242,8 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="output directory "
                        f"(overrides ${OUT_DIR_ENV} and the config)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker count for per-mode parallelism")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker count for per-mode parallelism (default 1; "
+                       "the BLAS is already multithreaded)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for random test functions")
     return parser

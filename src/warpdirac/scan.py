@@ -6,19 +6,23 @@ discrete extremum, and analytic limits at r -> 0+ and r -> infinity appended
 when the caller can supply them.  This makes every reported constant
 reproducible bit for bit.
 
-:func:`scan_infima` runs many functionals on one grid: each is reduced to
-its grid minimum as soon as its values arrive, and all the golden-section
-refinements then step in lockstep, one evaluation call per step.
-:func:`scan_infimum` and :func:`scan_supremum` are its one-functional case.
+:func:`scan_infima` runs many functionals on one grid, one block of at most
+BLOCK points at a time: the caller fills a reused ``(functionals, block)``
+buffer, and the scan keeps per functional only its running minimum with the
+first index where it occurs, its maximum, its second and next-to-last
+values and its first non-finite radius.  That summary settles the grid
+minimum, the divergence sentinel and the non-finite error exactly as the
+whole grid array would, with no grid-sized temporary.  All the
+golden-section refinements then step in lockstep, one evaluation call per
+step.  :func:`scan_infimum` and :func:`scan_supremum` are its
+one-functional case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from itertools import starmap
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +31,9 @@ __all__ = ["InfimumScanPolicy", "ScanExtremum", "scan_infima", "scan_infimum",
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_ITERS = 80
+# Grid points per block: one functional's block (32 KB) stays below glibc's
+# 128 KB mmap threshold and in L2.
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -80,26 +87,57 @@ class _GridMinimum:
     limit_at_infinity: Optional[float]
 
 
-def _grid_minimum(r: np.ndarray, vals, limit_at_zero: Optional[float],
-                  limit_at_infinity: Optional[float]):
-    """Reduce grid values to a :class:`_GridMinimum`, or to the divergence sentinel."""
-    vals = np.asarray(vals, dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.argmax(~np.isfinite(vals)))
-        raise FloatingPointError(f"scan functional not finite at r={r[bad]:g}")
-    i = int(np.argmin(vals))
-    best = float(vals[i])
+def _grid_minima(r: np.ndarray, limits: Sequence[tuple[Optional[float], Optional[float]]],
+                 fill: Callable[[int, int, np.ndarray], None]) -> list:
+    """Reduce each functional to a :class:`_GridMinimum`, or to the divergence sentinel.
 
-    # Edge heuristics: a strict decrease into an edge with no limit available
-    # is reported as divergence rather than a spurious finite infimum.
-    span = float(np.max(vals) - np.min(vals))
-    tol = 1e-9 * max(1.0, abs(best)) + 1e-12 * span
-    if i == len(r) - 1 and limit_at_infinity is None and vals[-1] < vals[-2] - tol:
-        return ScanExtremum(-math.inf, math.inf, diverging=True)
-    if i == 0 and limit_at_zero is None and vals[0] < vals[1] - tol:
-        return ScanExtremum(-math.inf, 0.0, diverging=True)
-    bracket = (float(r[i - 1]), float(r[i + 1])) if 0 < i < len(r) - 1 else None
-    return _GridMinimum(best, float(r[i]), bracket, limit_at_zero, limit_at_infinity)
+    ``fill`` writes the functionals on ``r[lo:hi]`` into one reused
+    ``(len(limits), hi - lo)`` buffer, one block of at most BLOCK points at
+    a time.  A minimum found in an earlier block wins ties, so its index is
+    the first one, as ``argmin`` over the whole grid gives.  Raises
+    FloatingPointError at the first non-finite value of the first
+    functional (in order) that has one.
+    """
+    n, count = len(r), len(limits)
+    buf = np.empty((count, min(n, BLOCK)))
+    rows = np.arange(count)
+    low = np.full(count, np.inf)
+    where = np.zeros(count, dtype=int)
+    high = np.full(count, -np.inf)
+    bad = np.full(count, n)  # first non-finite index; n while none is seen
+    for lo in range(0, n, BLOCK):
+        block = buf[:, :min(n - lo, BLOCK)]
+        fill(lo, lo + block.shape[1], block)
+        at = block.argmin(axis=1)  # a NaN is its own argmin
+        lows, highs = block[rows, at], block.max(axis=1)
+        for k in np.flatnonzero(~(np.isfinite(lows) & np.isfinite(highs)) & (bad == n)):
+            bad[k] = lo + int(np.argmax(~np.isfinite(block[k])))
+        new = lows < low
+        low[new], where[new] = lows[new], lo + at[new]
+        np.maximum(high, highs, out=high)
+        if lo == 0:
+            second = block[:, 1].copy()
+        if lo <= n - 2 < lo + block.shape[1]:
+            penultimate = block[:, n - 2 - lo].copy()
+    if np.any(bad < n):
+        first = int(bad[np.argmax(bad < n)])
+        raise FloatingPointError(f"scan functional not finite at r={r[first]:g}")
+
+    found = []
+    for k, (limit_at_zero, limit_at_infinity) in enumerate(limits):
+        i, best = int(where[k]), float(low[k])
+        # Edge heuristics: a strict decrease into an edge with no limit available
+        # is reported as divergence rather than a spurious finite infimum.
+        tol = 1e-9 * max(1.0, abs(best)) + 1e-12 * (float(high[k]) - best)
+        if i == n - 1 and limit_at_infinity is None and best < penultimate[k] - tol:
+            found.append(ScanExtremum(-math.inf, math.inf, diverging=True))
+        elif i == 0 and limit_at_zero is None and best < second[k] - tol:
+            found.append(ScanExtremum(-math.inf, 0.0, diverging=True))
+        else:
+            bracket = (float(r[i - 1]), float(r[i + 1])) if 0 < i < n - 1 else None
+            found.append(_GridMinimum(best, float(r[i]), bracket, limit_at_zero,
+                                      limit_at_infinity))
+    return found
 
 
 def _settle(found: _GridMinimum, refined: Optional[tuple[float, float]]) -> ScanExtremum:
@@ -164,20 +202,20 @@ def _golden_lanes(evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 def scan_infima(
     r: np.ndarray,
-    grid_values: Iterable[tuple[np.ndarray, Optional[float], Optional[float]]],
+    limits: Sequence[tuple[Optional[float], Optional[float]]],
+    fill: Callable[[int, int, np.ndarray], None],
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> list[ScanExtremum]:
     """Infima of many radial functionals scanned on one grid ``r``.
 
-    ``grid_values`` yields, per functional, its values on ``r`` and its
-    analytic limits at 0 and infinity (None when unknown).  Each item is
-    reduced before the next is drawn, so a generator keeps one functional's
-    values alive at a time.  ``evaluate(ids, radii)`` returns functional
-    ``ids[k]`` (its position in ``grid_values``) at ``radii[k]``; it serves
-    every golden-section refinement step at once.
+    ``limits`` holds, per functional, its analytic limits at 0 and infinity
+    (None when unknown).  ``fill(lo, hi, out)`` writes functional k's values
+    on ``r[lo:hi]`` into row k of ``out``, one reused ``(len(limits),
+    hi - lo)`` buffer of at most BLOCK columns.  ``evaluate(ids, radii)``
+    returns functional ``ids[k]`` (its position in ``limits``) at
+    ``radii[k]``; it serves every golden-section refinement step at once.
     """
-    # starmap holds no reference to an item once it is reduced
-    found = list(starmap(partial(_grid_minimum, r), grid_values))
+    found = _grid_minima(r, limits, fill)
     lanes = [k for k, f in enumerate(found)
              if isinstance(f, _GridMinimum) and f.bracket is not None]
     refined = dict(zip(lanes, _golden_lanes(evaluate, lanes,
@@ -194,11 +232,16 @@ def scan_infimum(
 ) -> ScanExtremum:
     """Infimum of a vectorized radial functional under the scan policy.
 
-    ``f`` must accept an ndarray of radii r > 0.  Analytic limits are
-    appended as candidate values with witnesses 0.0 / inf.
+    ``f`` must accept an ndarray of radii r > 0, and is called on one grid
+    block at a time.  Analytic limits are appended as candidate values
+    with witnesses 0.0 / inf.
     """
     r = policy.grid()
-    (res,) = scan_infima(r, [(f(r), limit_at_zero, limit_at_infinity)],
+
+    def fill(lo, hi, out):
+        out[0] = f(r[lo:hi])
+
+    (res,) = scan_infima(r, [(limit_at_zero, limit_at_infinity)], fill,
                          lambda ids, radii: np.asarray(f(radii), dtype=float))
     return res
 

@@ -9,7 +9,8 @@ from warpdirac import (ConfigurationError, Family,
                        MetricProfile, ModePotential, check_admissible, delta_c,
                        delta_phi, delta_pm, delta_lower_bound,
                        profile_constants)
-from warpdirac.scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_supremum
+from warpdirac import admissibility
+from warpdirac.scan import BLOCK, DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_supremum
 
 FLAT = MetricProfile(Family.FLAT)
 SINH = MetricProfile(Family.SINH)
@@ -162,7 +163,7 @@ def _single_functional_report(prof, mu, scan):
                         limit_at_zero=abs(4.0 * r2w(pot.scaled_parts_at_zero())),
                         limit_at_infinity=None if at_inf is None else abs(4.0 * r2w(at_inf)))
     probes = []
-    for r in (1e4, 1e5, 1e6):
+    for r in (scan.r_max / 100, scan.r_max / 10, scan.r_max):
         rv, r2vp, _, _ = pot.scaled_parts(np.array([r]))
         probes.append(abs(float(rv[0] ** 2 - r2vp[0])) / r**2)
     decays = probes[0] >= probes[1] >= probes[2] and probes[2] < 1e-6
@@ -214,6 +215,46 @@ def test_one_profile_evaluation_per_scan_grid(monkeypatch):
     two = small_calls([1.0, -1.0])
     assert two > 2  # the refinement ran
     assert small_calls(SIGNED_MUS) == two
+
+
+def test_profile_is_never_evaluated_beyond_the_policy_range(monkeypatch):
+    """The decay probes come from the policy, not from fixed radii up to 1e6."""
+    scan = InfimumScanPolicy(1e-4, 1e4, 5000)
+    largest = []
+    real = MetricProfile.ratios
+
+    def recording(self, r):
+        largest.append(float(np.max(r)))
+        return real(self, r)
+
+    monkeypatch.setattr(MetricProfile, "ratios", recording)
+    check_admissible(AF001, SIGNED_MUS, scan)
+    assert largest and max(largest) <= scan.r_max
+
+
+def test_blocked_scan_of_distinct_functionals(monkeypatch):
+    """Mode terms only see one grid block; modes +-mu share their delta_pm functionals."""
+    expected = check_admissible(AF001, SIGNED_MUS)
+    longest, counts = [0], []
+
+    def sized(term):
+        def wrapped(parts):
+            longest[0] = max(longest[0], np.size(parts[0]))
+            return term(parts)
+        return wrapped
+
+    real_scan = admissibility.scan_infima
+
+    def counting(r, limits, fill, evaluate):
+        counts.append(len(limits))
+        return real_scan(r, limits, fill, evaluate)
+
+    monkeypatch.setattr(admissibility, "_MODE_TERMS",
+                        tuple(sized(t) for t in admissibility._MODE_TERMS))
+    monkeypatch.setattr(admissibility, "scan_infima", counting)
+    assert check_admissible(AF001, SIGNED_MUS) == expected
+    assert 0 < longest[0] <= BLOCK
+    assert counts == [80]  # 8 pairs +-mu: 4 delta_pm + 2 x 2 delta_phi + 2 sup terms
 
 
 def test_report_serialization_fields():

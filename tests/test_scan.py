@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from warpdirac.scan import InfimumScanPolicy, scan_infima, scan_infimum, scan_supremum
+from warpdirac.scan import (BLOCK, InfimumScanPolicy, ScanExtremum, _GridMinimum, _golden_lanes,
+                            _settle, scan_infima, scan_infimum, scan_supremum)
+
+
+def _fill(r, fs):
+    """Block filler for functionals given as callables of r."""
+    def fill(lo, hi, out):
+        for k, f in enumerate(fs):
+            out[k] = f(r[lo:hi])
+    return fill
 
 
 def test_constant_function():
@@ -64,7 +73,8 @@ def test_scan_infima_equals_one_scan_per_functional():
     def evaluate(ids, radii):
         return np.array([cases[i][0](np.array([x]))[0] for i, x in zip(ids, radii)])
 
-    batched = scan_infima(r, [(f(r), lim0, liminf) for f, lim0, liminf in cases], evaluate)
+    batched = scan_infima(r, [(lim0, liminf) for _, lim0, liminf in cases],
+                          _fill(r, [f for f, _, _ in cases]), evaluate)
     assert batched == [scan_infimum(f, policy, lim0, liminf) for f, lim0, liminf in cases]
 
 
@@ -77,6 +87,129 @@ def test_lockstep_lanes_stop_on_their_own():
     def evaluate(ids, radii):
         return np.array([fs[i](np.array([x]))[0] for i, x in zip(ids, radii)])
 
-    together = scan_infima(r, [(f(r), None, None) for f in fs], evaluate)
-    alone = [scan_infima(r, [(f(r), None, None)], lambda ids, x, f=f: f(x))[0] for f in fs]
+    together = scan_infima(r, [(None, None)] * len(fs), _fill(r, fs), evaluate)
+    alone = [scan_infima(r, [(None, None)], _fill(r, [f]), lambda ids, x, f=f: f(x))[0]
+             for f in fs]
     assert together == alone
+
+
+def _whole_array_infima(r, values, limits, evaluate):
+    """Reference: each functional reduced from its whole grid array at once."""
+    found = []
+    for vals, (limit_at_zero, limit_at_infinity) in zip(values, limits):
+        if not np.all(np.isfinite(vals)):
+            bad = int(np.argmax(~np.isfinite(vals)))
+            raise FloatingPointError(f"scan functional not finite at r={r[bad]:g}")
+        i = int(np.argmin(vals))
+        best = float(vals[i])
+        span = float(np.max(vals) - np.min(vals))
+        tol = 1e-9 * max(1.0, abs(best)) + 1e-12 * span
+        if i == len(r) - 1 and limit_at_infinity is None and vals[-1] < vals[-2] - tol:
+            found.append(ScanExtremum(-math.inf, math.inf, diverging=True))
+        elif i == 0 and limit_at_zero is None and vals[0] < vals[1] - tol:
+            found.append(ScanExtremum(-math.inf, 0.0, diverging=True))
+        else:
+            bracket = (float(r[i - 1]), float(r[i + 1])) if 0 < i < len(r) - 1 else None
+            found.append(_GridMinimum(best, float(r[i]), bracket, limit_at_zero,
+                                      limit_at_infinity))
+    lanes = [k for k, f in enumerate(found)
+             if isinstance(f, _GridMinimum) and f.bracket is not None]
+    refined = dict(zip(lanes, _golden_lanes(evaluate, lanes,
+                                            [found[k].bracket for k in lanes])))
+    return [f if isinstance(f, ScanExtremum) else _settle(f, refined.get(k))
+            for k, f in enumerate(found)]
+
+
+def _tabulated(r, values):
+    """Block filler and refinement evaluator for functionals tabulated on ``r``.
+
+    Between grid points a functional is linear in log r, so on the grid it
+    is exactly its table.
+    """
+    log_r = np.log(r)
+
+    def fill(lo, hi, out):
+        for k, vals in enumerate(values):
+            out[k] = vals[lo:hi]
+
+    def evaluate(ids, radii):
+        return np.array([np.interp(math.log(x), log_r, values[i]) for i, x in zip(ids, radii)])
+
+    return fill, evaluate
+
+
+def _blocked_and_whole(r, values, limits):
+    fill, evaluate = _tabulated(r, values)
+    return (scan_infima(r, limits, fill, evaluate),
+            _whole_array_infima(r, values, limits, evaluate))
+
+
+BLOCK_SIZES = [16, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+
+
+@pytest.mark.parametrize("points", BLOCK_SIZES)
+def test_tie_between_blocks_keeps_first_index(points):
+    r = np.geomspace(1e-3, 1e3, points)
+    first, last = points // 3, points - 1   # different blocks once points > BLOCK
+    vals = 1.0 + np.abs(np.linspace(-1.0, 1.0, points))
+    vals[first] = vals[last] = 0.0
+    blocked, whole = _blocked_and_whole(r, [vals], [(None, None)])
+    assert blocked == whole
+    assert r[first - 1] <= blocked[0].arg_r <= r[first + 1]
+
+
+@pytest.mark.parametrize("points", BLOCK_SIZES)
+def test_minimum_at_last_point_reads_the_point_before(points):
+    """With points = k BLOCK + 1 the last block holds one point and value N-1 sits in the block before."""
+    r = np.geomspace(1e-3, 1e3, points)
+    falling = np.linspace(2.0, 1.0, points)        # strict decrease into r_max: diverging
+    flat_tail = falling.copy()
+    flat_tail[-2] = flat_tail[-1] + 1e-12          # within tolerance: a finite edge minimum
+    limits = [(None, None), (None, None), (None, 0.5)]
+    blocked, whole = _blocked_and_whole(r, [falling, flat_tail, falling], limits)
+    assert blocked == whole
+    assert blocked[0] == ScanExtremum(-math.inf, math.inf, diverging=True)
+    assert blocked[1] == ScanExtremum(1.0, float(r[-1]))
+    assert blocked[2] == ScanExtremum(0.5, math.inf)
+
+
+@pytest.mark.parametrize("points", BLOCK_SIZES)
+def test_divergence_at_either_edge(points):
+    r = np.geomspace(1e-3, 1e3, points)
+    down, up = np.linspace(1.0, 0.0, points), np.linspace(0.0, 1.0, points)
+    flat_head = up.copy()
+    flat_head[1] = flat_head[0] + 1e-12            # within tolerance: a finite edge minimum
+    limits = [(None, None), (None, None), (-1.0, None), (None, None)]
+    blocked, whole = _blocked_and_whole(r, [down, up, up, flat_head], limits)
+    assert blocked == whole
+    assert blocked[:2] == [ScanExtremum(-math.inf, math.inf, diverging=True),
+                           ScanExtremum(-math.inf, 0.0, diverging=True)]
+    assert blocked[2:] == [ScanExtremum(-1.0, 0.0), ScanExtremum(0.0, float(r[0]))]
+
+
+@pytest.mark.parametrize("points", BLOCK_SIZES)
+def test_nan_in_a_later_block_names_its_radius(points):
+    r = np.geomspace(1e-3, 1e3, points)
+    late, early = np.ones(points), np.ones(points)
+    late[[points - 2, points - 1]] = np.nan, np.inf   # first functional with a bad value
+    early[1] = -np.inf                                # an earlier radius, later functional
+    fill, evaluate = _tabulated(r, [np.ones(points), late, early])
+    limits = [(None, None)] * 3
+    with pytest.raises(FloatingPointError) as whole:
+        _whole_array_infima(r, [np.ones(points), late, early], limits, evaluate)
+    with pytest.raises(FloatingPointError) as blocked:
+        scan_infima(r, limits, fill, evaluate)
+    assert str(blocked.value) == str(whole.value) == f"scan functional not finite at r={r[-2]:g}"
+
+
+def test_fill_sees_blocks_of_at_most_block_points():
+    r = np.geomspace(1e-3, 1e3, 2 * BLOCK + 1)
+    spans = []
+
+    def fill(lo, hi, out):
+        spans.append((lo, hi, out.shape))
+        out[0] = np.log(r[lo:hi]) ** 2
+
+    scan_infima(r, [(None, None)], fill, lambda ids, x: np.log(x) ** 2)
+    assert spans == [(0, BLOCK, (1, BLOCK)), (BLOCK, 2 * BLOCK, (1, BLOCK)),
+                     (2 * BLOCK, 2 * BLOCK + 1, (1, 1))]
