@@ -75,20 +75,11 @@ class ModePotential:
         phi, dphi, _ = self.profile.phi_dphi_d2phi(np.asarray(r, dtype=float))
         return -self.mu * dphi / phi**2
 
-    def V_second(self, r):
-        phi, dphi, d2phi = self.profile.phi_dphi_d2phi(np.asarray(r, dtype=float))
-        return self.mu * (2.0 * dphi**2 / phi**3 - d2phi / phi**2)
-
     def c_channel(self, r, sign: int):
         """c_+ (sign=+1) or c_- (sign=-1) at radii r > 0."""
         r = np.asarray(r, dtype=float)
         v, vp = self.V(r), self.V_prime(r)
         return -((self.n - 1) * (self.n - 3)) / (4.0 * r**2) + v**2 + sign * vp
-
-    def c_channel_prime(self, r, sign: int):
-        r = np.asarray(r, dtype=float)
-        v, vp, vpp = self.V(r), self.V_prime(r), self.V_second(r)
-        return ((self.n - 1) * (self.n - 3)) / (2.0 * r**3) + 2.0 * v * vp + sign * vpp
 
     # scaled, overflow-safe combinations used by the scans
     def scaled_parts(self, r):

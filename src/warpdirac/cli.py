@@ -9,16 +9,15 @@ evolve           trajectory CSV per mode plus a JSON metadata header
 strichartz-scan  growth-in-mu scan with fitted slopes
 
 Exit codes: 0 pass, 2 contract violation, 3 non-admissible metric,
-4 configuration error, 5 numerical failure.  Failed runs never leave
-partial artifacts; every file is written via temp-and-rename after the
-whole workflow has finished.
+4 configuration error (command-line usage errors included), 5 numerical
+failure.  Failed runs never leave partial artifacts; every file is written
+via temp-and-rename after the whole workflow has finished.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -36,7 +35,6 @@ from .profiles import MetricProfile
 from .reporting import write_csv_atomic, write_json_atomic
 from .spectrum import band_index
 
-OUT_DIR_ENV = "WARPDIRAC_OUT"
 _NORM_EQUIV_SLACK = 1e-3
 _ORDER_GATE = 1.9
 
@@ -54,22 +52,13 @@ def _mu_label(mu: float) -> str:
     return f"{mu:g}"
 
 
-def _resolve_out_dir(cfg: RunConfig, args) -> Path:
-    if args.out:
-        return Path(args.out)
-    env = os.environ.get(OUT_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path(cfg.out_dir)
-
-
-def _write_all(out_dir: Path, files: list):
+def _write_all(out: Path, files: list):
     for name, kind, payload in files:
         if kind == "json":
-            write_json_atomic(out_dir / name, payload)
+            write_json_atomic(out / name, payload)
         else:
             header, rows = payload
-            write_csv_atomic(out_dir / name, header, rows)
+            write_csv_atomic(out / name, header, rows)
 
 
 def cmd_check_metric(cfg: RunConfig, args) -> tuple[int, list]:
@@ -207,8 +196,7 @@ def cmd_strichartz_scan(cfg: RunConfig, args) -> tuple[int, list]:
     mus = [float(m.mu) for m in cfg.modes]
     results = mu_scan(cfg.profile, cfg.triples, mus, data_template=cfg.data,
                       grid=cfg.grid, t_max=cfg.t_max, samples=cfg.samples,
-                      n=cfg.n, epsilon_loss=cfg.epsilon_loss,
-                      threads=args.threads, scan=cfg.scan)
+                      n=cfg.n, epsilon_loss=cfg.epsilon_loss, scan=cfg.scan)
     failed = any(ok is False for result in results
                  for ok in (result.strichartz_slope_ok, result.smoothing_slope_ok))
     files = [("strichartz_scan.json", "json",
@@ -232,30 +220,40 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is a configuration error (exit 4), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
+def _seed(text: str) -> int:
+    """--seed: a nonnegative integer, as np.random.default_rng requires."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="warpdirac",
         description="Radial Dirac verification lab on warped-product manifolds")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run configuration file")
-        p.add_argument("--out", default=None, help="output directory "
-                       f"(overrides ${OUT_DIR_ENV} and the config)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker count for per-mode parallelism (default 1; "
-                       "the BLAS is already multithreaded)")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--out", default="out", help="output directory (default out)")
+        p.add_argument("--seed", type=_seed, default=0,
                        help="seed for random test functions")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
         code, files = _COMMANDS[args.command](cfg, args)
-        _write_all(_resolve_out_dir(cfg, args), files)
+        _write_all(Path(args.out), files)
         return code
     except WarpDiracError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,11 +16,11 @@ from typing import Optional
 
 from .errors import ConfigurationError
 from .estimates import DataTemplate, ExponentTriple, is_admissible_triple
-from .evolution import causal_time_limit
+from .evolution import causal_time_limit, gaussian_support_radius
 from .operators import RadialGrid
 from .profiles import Family, MetricProfile
 from .scan import InfimumScanPolicy
-from .spectrum import lp_band, make_mode, sphere_spectrum
+from .spectrum import lp_band, make_mode, modes_in_band, sphere_spectrum
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
 
@@ -42,7 +42,6 @@ class RunConfig:
     data: DataTemplate
     scan: InfimumScanPolicy
     trials: int
-    out_dir: str
 
 
 class _Parser:
@@ -185,8 +184,8 @@ def _parse_modes(parser: _Parser, n: int) -> tuple:
             raise ConfigurationError(
                 f"line {lineno}: band {j} reaches past |mu| = {_MAX_ABS_MU}")
         band = lp_band(n, j)
-        return tuple(m for m in sphere_spectrum(n, band.b, multiplicity_table=mult_table)
-                     if band.a <= m.abs_mu <= band.b)
+        return tuple(modes_in_band(band, sphere_spectrum(n, band.b,
+                                                         multiplicity_table=mult_table)))
     if mu_max is not None:
         value, lineno = mu_max
         try:
@@ -270,11 +269,9 @@ def parse_config(text: str) -> RunConfig:
     trials = parser.take_int("trials", 100)
     if trials < 1:
         raise ConfigurationError("trials must be positive")
-    out_dir = parser.take_str("out_dir", "out")
     parser.reject_unknown()
 
-    support = data.center + 3.0 * data.width
-    limit = causal_time_limit(grid.r_max, support)
+    limit = causal_time_limit(grid.r_max, gaussian_support_radius(data.center, data.width))
     if t_max > limit + 1e-9:
         raise ConfigurationError(
             f"time.t_max={t_max:g} exceeds the causal window "
@@ -283,8 +280,7 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(profile=profile, n=n, m=m, modes=modes, grid=grid,
                      t_max=t_max, samples=samples, triples=triples,
-                     epsilon_loss=epsilon_loss, data=data, scan=scan, trials=trials,
-                     out_dir=out_dir)
+                     epsilon_loss=epsilon_loss, data=data, scan=scan, trials=trials)
 
 
 def load_config(path) -> RunConfig:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .admissibility import check_admissible
 from .errors import ConfigurationError, ContractViolationError, NonAdmissibleError, PolicyError
-from .evolution import SpinorState, SpinorTrajectory, evolve, gaussian_state
+from .evolution import (SpinorState, SpinorTrajectory, causal_time_limit, evolve,
+                        gaussian_state)
 from .operators import RadialGrid, assemble_dirac, flat_reference_operator, real_matmul
 from .profiles import MetricProfile
 from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy
@@ -172,20 +173,18 @@ def strichartz_weight(profile: MetricProfile, r: np.ndarray, n: int, q: float) -
 
 
 def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple,
-                    profile: Optional[MetricProfile] = None,
                     calculus: Optional[SobolevCalculus] = None) -> float:
     """Weighted L^p_t W^(s,q) norm of a trajectory, s = 1/q - 1/p.
 
     ``calculus`` is the trajectory grid's SobolevCalculus, built here if not
     given.
     """
-    profile = profile or traj.profile
     triple.require_admissible(traj.n)
     s = triple.s
     q = triple.q
     r = traj.grid.nodes
     dr = traj.grid.dr
-    weight = strichartz_weight(profile, r, traj.n, q)[:, None]
+    weight = strichartz_weight(traj.profile, r, traj.n, q)[:, None]
     calc = SobolevCalculus(traj.grid, traj.n) if calculus is None else calculus
     gp = calc.apply(weight * traj.block("plus"), s)
     gm = calc.apply(weight * traj.block("minus"), s)
@@ -281,7 +280,6 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
             grid: Optional[RadialGrid] = None, t_max: float = 8.0,
             samples: int = 33, n: int = 3,
             epsilon_loss: float = DEFAULT_EPSILON_LOSS,
-            threads: int = 1,
             scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> list[NormScanResult]:
     """Evolve identical radial data per mode and fit the norm-ratio growth.
 
@@ -290,10 +288,8 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
     the scan aborts with the report of the first requested mu that is not
     admissible for the profile.  Each mode is then assembled, evolved and
     smoothing-normed once, and every triple's Strichartz norm is taken on
-    that one trajectory, so all triples must share one mass.
-    Modes evaluate independently (in ``threads`` workers when asked);
-    results merge in mode order, so the output does not depend on the
-    worker count.
+    that one trajectory, so all triples must share one mass.  Modes run
+    one after another, in the order of ``mu_list``.
     """
     triples = tuple(triples)
     masses = {triple.m for triple in triples}
@@ -306,7 +302,7 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
     grid = grid or RadialGrid()
     initial = data_template.realize(grid)
     if initial.support_radius is not None:
-        limit = grid.r_max - initial.support_radius - 2.0
+        limit = causal_time_limit(grid.r_max, initial.support_radius)
         if t_max > limit + 1e-9:
             raise PolicyError(f"t_max={t_max} exceeds the causal limit {limit:g}")
     times = np.linspace(0.0, t_max, samples)
@@ -320,12 +316,13 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
                 f"mu={mu} is not admissible for {profile.family.value}", report)
 
     def one_mode(mu: float, report) -> list[ModeScanRow]:
+        # a function scope, so each trajectory is freed before the next mode evolves
         op = assemble_dirac(profile, mu, m, n, grid)
         traj = evolve(op, initial, times)
         smoo = smoothing_norm(traj, (0.0, t_max))
         rows = []
         for triple in triples:
-            stri = strichartz_norm(traj, triple, profile, calc)
+            stri = strichartz_norm(traj, triple, calc)
             rows.append(ModeScanRow(
                 mu=float(mu), strichartz=stri, smoothing=smoo, h_half=h_half,
                 ratio_strichartz=stri / h_half, ratio_smoothing=smoo / h_half,
@@ -333,12 +330,7 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
             ))
         return rows
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_mode = list(pool.map(one_mode, mu_list, reports))
-    else:
-        per_mode = [one_mode(mu, report) for mu, report in zip(mu_list, reports)]
+    per_mode = [one_mode(mu, report) for mu, report in zip(mu_list, reports)]
     abs_mu = np.array([abs(float(mu)) for mu in mu_list])
     results = []
     for k, triple in enumerate(triples):

@@ -47,12 +47,12 @@ from .profiles import Family, MetricProfile
 
 __all__ = ["SpinorState", "SpinorTrajectory", "gaussian_state", "evolve",
            "FlatBesselOracle", "flat_exact_solution",
-           "kg_crosscheck", "causal_time_limit",
+           "kg_crosscheck", "causal_time_limit", "gaussian_support_radius",
            "DEFAULT_BUMP_CENTER", "DEFAULT_BUMP_WIDTH"]
 
 DEFAULT_BUMP_CENTER = 12.0
 DEFAULT_BUMP_WIDTH = 1.5
-_SUPPORT_SIGMAS = 3.0  # Gaussian support radius = center + 3 widths
+_SUPPORT_SIGMAS = 3.0
 _CAUSAL_MARGIN = 2.0
 _CHUNK = 64  # Chebyshev vectors added into the samples per GEMM (even)
 _BESSEL_TAIL = 1e-18  # |J_k| at or below which a term is dropped
@@ -145,6 +145,11 @@ def causal_time_limit(r_max: float, support_radius: float) -> float:
     return r_max - support_radius - _CAUSAL_MARGIN
 
 
+def gaussian_support_radius(center: float, width: float) -> float:
+    """Radius past which a Gaussian bump counts as zero: center + 3 widths."""
+    return center + _SUPPORT_SIGMAS * width
+
+
 def gaussian_state(grid: RadialGrid, center: float = DEFAULT_BUMP_CENTER,
                    width: float = DEFAULT_BUMP_WIDTH, amplitude: float = 1.0,
                    component: str = "plus") -> SpinorState:
@@ -156,7 +161,7 @@ def gaussian_state(grid: RadialGrid, center: float = DEFAULT_BUMP_CENTER,
     plus, minus = (bump, zero) if component == "plus" else (zero, bump)
     return SpinorState(grid=grid, plus=plus.astype(complex),
                        minus=minus.astype(complex),
-                       support_radius=center + _SUPPORT_SIGMAS * width)
+                       support_radius=gaussian_support_radius(center, width))
 
 
 def evolve(op: DiscreteRadialOperator, initial: SpinorState,

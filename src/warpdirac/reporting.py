@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -56,8 +55,6 @@ def canonical_json(obj, indent: int = 0) -> str:
         return str(obj)
     if isinstance(obj, float):
         return format_float(obj)
-    if isinstance(obj, Fraction):
-        return format_float(float(obj))
     if isinstance(obj, str):
         return f'"{_escape(obj)}"'
     if isinstance(obj, dict):
@@ -74,9 +71,6 @@ def canonical_json(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{inner}{canonical_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    # numpy scalars and similar
-    if hasattr(obj, "item"):
-        return canonical_json(obj.item(), indent)
     raise TypeError(f"cannot serialize {type(obj)} canonically")
 
 

@@ -57,10 +57,6 @@ class ModeIndex:
     multiplicity: Optional[int] = None
 
     @property
-    def mu_float(self) -> float:
-        return float(self.mu)
-
-    @property
     def abs_mu(self) -> Fraction:
         return abs(self.mu)
 

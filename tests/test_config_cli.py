@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,8 +104,7 @@ CONFIG_KEYS = ("profile.family", "n", "m", "profile.epsilon", "profile.alpha",
                "modes.mu_max", "modes.multiplicities", "grid.r_max", "grid.n_cells",
                "time.t_max", "time.samples", "triples", "data.center", "data.width",
                "data.amplitude", "data.component", "scan.r_min", "scan.r_max",
-               "scan.points", "epsilon_loss", "trials",
-               "out_dir")
+               "scan.points", "epsilon_loss", "trials")
 CONFIG_VALUES = st.one_of(
     st.text(max_size=12),
     st.integers(-10**9, 10**9).map(str),
@@ -139,7 +139,7 @@ def test_degenerate_values_are_configuration_errors(line):
         parse_config(MINIMAL + line + "\n")
 
 
-@pytest.mark.parametrize("key", ["aggregate.a", "aggregate.b"])
+@pytest.mark.parametrize("key", ["aggregate.a", "aggregate.b", "out_dir"])
 def test_removed_aggregate_keys_are_unknown(key):
     with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
         parse_config(MINIMAL + f"{key} = 1.0\n")
@@ -298,7 +298,7 @@ def test_evolve_and_strichartz_scan_never_load_scipy(tmp_path):
               f"assert cli.main(['evolve', '--config', {flat!r}, '--out', "
               f"{str(tmp_path / 'evolve')!r}]) == 0\n"
               f"assert cli.main(['strichartz-scan', '--config', {af!r}, '--out', "
-              f"{str(tmp_path / 'scan')!r}, '--threads', '1']) == 0\n"
+              f"{str(tmp_path / 'scan')!r}]) == 0\n"
               "print('scipy' in sys.modules)\n")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -312,8 +312,7 @@ def test_cli_strichartz_scan(tmp_path):
     cfg = _write(tmp_path, SMALL.replace("modes.mu_list = 1",
                                          "modes.mu_list = 1, 2"))
     out = tmp_path / "out"
-    assert main(["strichartz-scan", "--config", cfg, "--out", str(out),
-                 "--threads", "1"]) == 0
+    assert main(["strichartz-scan", "--config", cfg, "--out", str(out)]) == 0
     data = json.loads((out / "strichartz_scan.json").read_text())
     assert data["scans"][0]["strichartz_slope_ok"] is True
     csv_lines = (out / "strichartz_scan_p4_q4.csv").read_text().strip().split("\n")
@@ -334,19 +333,35 @@ def test_cli_strichartz_scan_uses_configured_scan_policy(tmp_path, monkeypatch):
 
     monkeypatch.setattr(estimates, "check_admissible", recording)
     cfg = _write(tmp_path, text)
-    assert main(["strichartz-scan", "--config", cfg, "--out", str(tmp_path / "out"),
-                 "--threads", "1"]) == 0
+    assert main(["strichartz-scan", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert seen == [parse_config(text).scan]
     assert seen[0].points == 5000
 
 
-def test_cli_out_dir_env(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, MINIMAL + "modes.mu_max = 1\n")
-    env_dir = tmp_path / "envout"
-    monkeypatch.setenv("WARPDIRAC_OUT", str(env_dir))
-    assert main(["spectrum", "--config", cfg]) == 0
-    assert (env_dir / "spectrum.csv").exists()
-
-
 def test_cli_missing_config(tmp_path):
     assert main(["spectrum", "--config", str(tmp_path / "absent.cfg")]) == 4
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--out", "{out}"],
+    ["strichartz-scan", "--config", "{cfg}", "--out", "{out}", "--threads", "2"],
+    ["validate", "--config", "{cfg}", "--out", "{out}", "--seed", "abc"],
+    ["validate", "--config", "{cfg}", "--out", "{out}", "--seed", "-1"],
+], ids=["missing-config", "threads", "seed-abc", "seed-negative"])
+def test_cli_usage_errors_are_configuration_errors(tmp_path, capsys, args):
+    cfg = _write(tmp_path, SMALL)
+    out = tmp_path / "out"
+    assert main([a.format(cfg=cfg, out=out) for a in args]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check-metric", "spectrum", "validate", "evolve",
+                                     "strichartz-scan"])
+def test_cli_help_lists_config_out_seed(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    options = re.findall(r"--[a-z]+", capsys.readouterr().out)
+    assert sorted(set(options)) == ["--config", "--help", "--out", "--seed"]

@@ -144,18 +144,18 @@ def test_smoothing_norm_window_stability():
 def test_strichartz_weight_flat_is_one(flat_traj):
     w = strichartz_weight(FLAT, GRID.nodes, 3, 4.0)
     assert np.all(w == 1.0)
-    direct = strichartz_norm(flat_traj, T44, FLAT)
+    direct = strichartz_norm(flat_traj, T44)
     assert direct > 0.0
 
 
 def test_strichartz_norm_gate(flat_traj):
     with pytest.raises(ContractViolationError):
-        strichartz_norm(flat_traj, ExponentTriple(p=4.0, q=3.0, m=0.0), FLAT)
+        strichartz_norm(flat_traj, ExponentTriple(p=4.0, q=3.0, m=0.0))
 
 
 def test_strichartz_norm_s_zero_two_paths(flat_traj):
     """p = q triple has s = 0; spectral path must equal direct quadrature."""
-    spectral = strichartz_norm(flat_traj, T44, FLAT)
+    spectral = strichartz_norm(flat_traj, T44)
     dr = GRID.dr
     t = flat_traj.times
     spatial = np.array([
@@ -170,7 +170,7 @@ def test_strichartz_norm_s_zero_two_paths(flat_traj):
 
 def test_strichartz_norm_sup_in_time(flat_traj):
     trip = ExponentTriple(p=math.inf, q=2.0, m=0.0)
-    val = strichartz_norm(flat_traj, trip, FLAT)
+    val = strichartz_norm(flat_traj, trip)
     calc = SobolevCalculus(GRID, 3)
     per_time = [
         math.sqrt(GRID.dr) * math.sqrt(
@@ -191,7 +191,7 @@ def test_norm_homogeneity(scale):
     traj = evolve(op, init, np.linspace(0.0, 4.0, 5))
     scaled = evolve(op, init_scaled, np.linspace(0.0, 4.0, 5))
     for fn in (lambda tr: smoothing_norm(tr, (0.0, 4.0)),
-               lambda tr: strichartz_norm(tr, T44, FLAT)):
+               lambda tr: strichartz_norm(tr, T44)):
         assert fn(scaled) == pytest.approx(scale * fn(traj), rel=1e-9)
     assert h_sobolev_norm(init_scaled, 0.5) == pytest.approx(
         scale * h_sobolev_norm(init, 0.5), rel=1e-9)
@@ -257,7 +257,7 @@ def test_mu_scan_n5_builds_one_eigenbasis(monkeypatch):
         for result, triple in zip(results, triples):
             row = result.rows[k]
             assert row.h_half == pytest.approx(h_half, rel=1e-12)
-            assert row.strichartz == pytest.approx(strichartz_norm(traj, triple, FLAT),
+            assert row.strichartz == pytest.approx(strichartz_norm(traj, triple),
                                                    rel=1e-12)
 
 
@@ -267,12 +267,6 @@ def test_mu_scan_single_mode_degenerate_fit():
     assert res.smoothing_slope is None
     assert res.strichartz_slope_ok is None
     assert res.rows[0].ratio_strichartz > 0.0
-
-
-def test_mu_scan_threads_deterministic():
-    seq = mu_scan(FLAT, [T44], [1.0, 2.0], grid=GRID, t_max=8.0, samples=9, threads=1)
-    par = mu_scan(FLAT, [T44], [1.0, 2.0], grid=GRID, t_max=8.0, samples=9, threads=2)
-    assert seq[0].rows == par[0].rows
 
 
 def test_mu_scan_two_triples_share_one_trajectory(monkeypatch):
@@ -321,8 +315,7 @@ def test_mu_scan_aborts_on_non_admissible(monkeypatch):
     evolved = []
     monkeypatch.setattr(estimates, "evolve", lambda *args: evolved.append(args))
     with pytest.raises(NonAdmissibleError) as err:
-        mu_scan(strong, [T44], [2.0, 1.0, 3.0], grid=GRID, t_max=8.0, samples=9,
-                threads=2)
+        mu_scan(strong, [T44], [2.0, 1.0, 3.0], grid=GRID, t_max=8.0, samples=9)
     assert err.value.report.mu == 1.0
     assert not err.value.report.admissible
     assert evolved == []
