@@ -32,7 +32,7 @@ for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Optional, Sequence
 
@@ -53,18 +53,16 @@ _DECAY_TOL = 1e-6
 class ModePotential:
     """V = mu/phi together with its first two derivatives.
 
-    The channel potentials are c_pm = -(n-1)(n-3)/(4 r^2) + V^2 +- V'.
+    The channel potentials are c_pm = -(n-1)(n-3)/(4 r^2) + V^2 +- V',
+    with n = profile.n.
     """
 
     profile: MetricProfile
     mu: float
-    n: int = 3
 
     def __post_init__(self):
         if self.mu == 0.0:
             raise ConfigurationError("angular eigenvalue mu must be nonzero")
-        if self.n < 3:
-            raise ConfigurationError(f"dimension n must be >= 3, got {self.n}")
 
     # direct values, fine for moderate r (operator assembly on a grid)
     def V(self, r):
@@ -79,7 +77,8 @@ class ModePotential:
         """c_+ (sign=+1) or c_- (sign=-1) at radii r > 0."""
         r = np.asarray(r, dtype=float)
         v, vp = self.V(r), self.V_prime(r)
-        return -((self.n - 1) * (self.n - 3)) / (4.0 * r**2) + v**2 + sign * vp
+        n = self.profile.n
+        return -((n - 1) * (n - 3)) / (4.0 * r**2) + v**2 + sign * vp
 
     # scaled, overflow-safe combinations used by the scans
     def scaled_parts(self, r):
@@ -214,7 +213,7 @@ def delta_pm(pot: ModePotential,
 def delta_phi(profile: MetricProfile, mu: float,
               scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> DeltaPhi:
     """Quadratic-weight variant built on W = mu (mu + phi')/phi^2."""
-    pot = ModePotential(profile=profile, mu=mu, n=profile.n)
+    pot = ModePotential(profile=profile, mu=mu)
     quad = _scan_term(pot, _term_quad, None, scan)
     cubic = _scan_term(pot, _term_cubic, None, scan)
     return DeltaPhi.from_terms(quad, cubic)
@@ -229,7 +228,7 @@ def delta_c(pot: ModePotential, sign: int,
     """
     if sign not in (+1, -1):
         raise ConfigurationError("sign must be +1 or -1")
-    n = pot.n
+    n = pot.profile.n
     shift = (n - 2) ** 2 / 4.0
     corner = (n - 1) * (n - 3) / 4.0
 
@@ -268,19 +267,7 @@ class AdmissibilityReport:
     witness_r: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "family": self.family,
-            "n": self.n,
-            "delta_plus": self.delta_plus,
-            "delta_minus": self.delta_minus,
-            "delta_phi_mu": self.delta_phi_mu,
-            "delta_phi_neg_mu": self.delta_phi_neg_mu,
-            "sup_4r2V": self.sup_4r2V,
-            "limit_at_infinity_ok": self.limit_at_infinity_ok,
-            "admissible": self.admissible,
-            "witness_r": self.witness_r,
-        }
+        return asdict(self)
 
 
 def _term_sup(parts):
@@ -332,7 +319,7 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     :func:`delta_pm`, :func:`delta_phi` and a supremum scan per mode, bit
     for bit.
     """
-    pots = [ModePotential(profile=profile, mu=mu, n=profile.n) for mu in mus]
+    pots = [ModePotential(profile=profile, mu=mu) for mu in mus]
     if not pots:
         return []
     needed = {}  # signed mu -> indices into _MODE_TERMS

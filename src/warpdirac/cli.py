@@ -29,9 +29,8 @@ from .errors import ConfigurationError, WarpDiracError
 from .estimates import mu_scan
 from .evolution import evolve
 from .operators import (RadialGrid, assemble_dirac, assemble_kg,
-                        factorization_check, norm_equivalence_check,
-                        sigma_log_derivative_bound, verify_square)
-from .profiles import MetricProfile
+                        factorization_check, norm_equivalence_check, verify_square)
+from .profiles import MetricProfile, sigma_log_derivative_bound
 from .reporting import write_csv_atomic, write_json_atomic
 from .spectrum import band_index
 
@@ -108,11 +107,11 @@ def cmd_validate(cfg: RunConfig, args) -> tuple[int, list]:
         sq_res, fa_res_m, fa_res_p = [], [], []
         for n_cells in ns:
             grid = RadialGrid(cfg.grid.r_max, n_cells)
-            dirac = assemble_dirac(cfg.profile, mu, cfg.m, cfg.n, grid)
-            kg_m = assemble_kg(cfg.profile, mu, cfg.m, cfg.n, -1, grid)
-            kg_p = assemble_kg(cfg.profile, mu, cfg.m, cfg.n, +1, grid)
+            dirac = assemble_dirac(cfg.profile, mu, cfg.m, grid)
+            kg_m = assemble_kg(cfg.profile, mu, cfg.m, -1, grid)
+            kg_p = assemble_kg(cfg.profile, mu, cfg.m, +1, grid)
             sq_res.append(verify_square(dirac, kg_m, kg_p))
-            rm, rp = factorization_check(cfg.profile, mu, cfg.m, cfg.n, grid)
+            rm, rp = factorization_check(cfg.profile, mu, grid)
             fa_res_m.append(rm)
             fa_res_p.append(rp)
         sq_order = _order(ns, sq_res)
@@ -133,7 +132,7 @@ def cmd_validate(cfg: RunConfig, args) -> tuple[int, list]:
     c_phi = sigma_log_derivative_bound(cfg.profile, cfg.scan)
     equivalence = []
     exponents = (0.0, 0.5, 1.0)
-    ratios = norm_equivalence_check(cfg.profile, cfg.n, exponents, trials=cfg.trials,
+    ratios = norm_equivalence_check(cfg.profile, exponents, trials=cfg.trials,
                                     grid=cfg.grid, seed=args.seed)
     for s, (worst, worst_inv) in zip(exponents, ratios):
         bound = (1.0 + c_phi * (cfg.n - 1) / 2.0) ** s + _NORM_EQUIV_SLACK
@@ -167,7 +166,7 @@ def cmd_evolve(cfg: RunConfig, args) -> tuple[int, list]:
     r = cfg.grid.nodes
     for mode in cfg.modes:
         mu = float(mode.mu)
-        op = assemble_dirac(cfg.profile, mu, cfg.m, cfg.n, cfg.grid)
+        op = assemble_dirac(cfg.profile, mu, cfg.m, cfg.grid)
         traj = evolve(op, initial, times)
         # one row per (time, node), time-major: the CSV is this T*N x 6 block
         plus, minus = traj.block("plus").T, traj.block("minus").T
@@ -196,7 +195,7 @@ def cmd_strichartz_scan(cfg: RunConfig, args) -> tuple[int, list]:
     mus = [float(m.mu) for m in cfg.modes]
     results = mu_scan(cfg.profile, cfg.triples, mus, data_template=cfg.data,
                       grid=cfg.grid, t_max=cfg.t_max, samples=cfg.samples,
-                      n=cfg.n, epsilon_loss=cfg.epsilon_loss, scan=cfg.scan)
+                      m=cfg.m, epsilon_loss=cfg.epsilon_loss, scan=cfg.scan)
     failed = any(ok is False for result in results
                  for ok in (result.strichartz_slope_ok, result.smoothing_slope_ok))
     files = [("strichartz_scan.json", "json",

@@ -31,7 +31,6 @@ _MAX_ABS_MU = 1024  # largest |mu| that modes.mu_max or modes.band_j may enumera
 @dataclass(frozen=True)
 class RunConfig:
     profile: MetricProfile
-    n: int
     m: float
     modes: tuple
     grid: RadialGrid
@@ -42,6 +41,11 @@ class RunConfig:
     data: DataTemplate
     scan: InfimumScanPolicy
     trials: int
+
+    @property
+    def n(self) -> int:
+        """The spatial dimension, which the profile carries."""
+        return self.profile.n
 
 
 class _Parser:
@@ -119,7 +123,7 @@ def _parse_triples(spec: str, lineno: int, m: float, n: int) -> tuple:
                 f"line {lineno}: (p={ps}, q={qs}, m={m:g}) violates the admissible-triple "
                 f"scaling rule (2/p + (n-1)/q = (n-1)/2 for m = 0, 2/p + n/q = n/2 "
                 f"otherwise, with p, q >= 2)")
-        triples.append(ExponentTriple(p=p, q=q, m=m))
+        triples.append(ExponentTriple(p=p, q=q))
     if not triples:
         raise ConfigurationError(f"line {lineno}: empty triple list")
     return tuple(triples)
@@ -229,7 +233,10 @@ def parse_config(text: str) -> RunConfig:
 
     grid = RadialGrid(r_max=parser.take_float("grid.r_max", 40.0),
                       n_cells=parser.take_int("grid.n_cells", 2048))
+    t_max_got = parser.pairs.get("time.t_max")
     t_max = parser.take_float("time.t_max", 8.0)
+    if t_max <= 0:  # the default is positive, so the key was given
+        raise ConfigurationError(f"line {t_max_got[1]}: 'time.t_max' must be positive")
     samples = parser.take_int("time.samples", 17)
     if samples < 2:
         raise ConfigurationError("time.samples must be at least 2")
@@ -238,7 +245,7 @@ def parse_config(text: str) -> RunConfig:
     if triples_got is None:
         # diagonal admissible exponent: p = q on the scaling line
         p_diag = 2.0 * (n + 1) / (n - 1) if m == 0.0 else 2.0 * (n + 2) / n
-        triples = (ExponentTriple(p=p_diag, q=p_diag, m=m),)
+        triples = (ExponentTriple(p=p_diag, q=p_diag),)
     else:
         triples = _parse_triples(triples_got[0], triples_got[1], m, n)
 
@@ -278,7 +285,7 @@ def parse_config(text: str) -> RunConfig:
             f"(r_max - data support - 2 = {limit:g}); enlarge grid.r_max or "
             f"shrink the window")
 
-    return RunConfig(profile=profile, n=n, m=m, modes=modes, grid=grid,
+    return RunConfig(profile=profile, m=m, modes=modes, grid=grid,
                      t_max=t_max, samples=samples, triples=triples,
                      epsilon_loss=epsilon_loss, data=data, scan=scan, trials=trials)
 

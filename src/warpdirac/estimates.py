@@ -11,7 +11,7 @@ space and L^p (trapezoid over the causal window) in time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,20 +50,23 @@ def is_admissible_triple(p: float, q: float, m: float, n: int) -> bool:
 
 @dataclass(frozen=True)
 class ExponentTriple:
-    """Admissible (p, q, m) with the derived regularity s = 1/q - 1/p."""
+    """Exponent pair (p, q) with the derived regularity s = 1/q - 1/p.
+
+    Admissibility depends on the mass and dimension of the flow the pair is
+    measured on, so they come from the caller.
+    """
 
     p: float
     q: float
-    m: float = 0.0
 
     @property
     def s(self) -> float:
         return 1.0 / self.q - (0.0 if math.isinf(self.p) else 1.0 / self.p)
 
-    def require_admissible(self, n: int):
-        if not is_admissible_triple(self.p, self.q, self.m, n):
+    def require_admissible(self, m: float, n: int):
+        if not is_admissible_triple(self.p, self.q, m, n):
             raise ContractViolationError(
-                f"triple (p={self.p}, q={self.q}, m={self.m}) is not admissible in n={n}")
+                f"triple (p={self.p}, q={self.q}) is not admissible for m={m} in n={n}")
 
 
 class SobolevCalculus:
@@ -166,25 +169,26 @@ def smoothing_norm(traj: SpinorTrajectory, window: tuple[float, float]) -> float
     return float(np.sqrt(np.sum(_time_weights(times) * densities)))
 
 
-def strichartz_weight(profile: MetricProfile, r: np.ndarray, n: int, q: float) -> np.ndarray:
-    """(phi/r)^((n-1)/2 (1 - 2/q)) evaluated on the grid."""
+def strichartz_weight(profile: MetricProfile, r: np.ndarray, q: float) -> np.ndarray:
+    """(phi/r)^((n-1)/2 (1 - 2/q)) evaluated on the grid, n = profile.n."""
     phi, _, _ = profile.phi_dphi_d2phi(r)
-    return (phi / r) ** (0.5 * (n - 1) * (1.0 - 2.0 / q))
+    return (phi / r) ** (0.5 * (profile.n - 1) * (1.0 - 2.0 / q))
 
 
 def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple,
                     calculus: Optional[SobolevCalculus] = None) -> float:
     """Weighted L^p_t W^(s,q) norm of a trajectory, s = 1/q - 1/p.
 
-    ``calculus`` is the trajectory grid's SobolevCalculus, built here if not
-    given.
+    The triple must be admissible for the trajectory's own mass and
+    dimension.  ``calculus`` is the trajectory grid's SobolevCalculus, built
+    here if not given.
     """
-    triple.require_admissible(traj.n)
+    triple.require_admissible(traj.m, traj.n)
     s = triple.s
     q = triple.q
     r = traj.grid.nodes
     dr = traj.grid.dr
-    weight = strichartz_weight(traj.profile, r, traj.n, q)[:, None]
+    weight = strichartz_weight(traj.profile, r, q)[:, None]
     calc = SobolevCalculus(traj.grid, traj.n) if calculus is None else calculus
     gp = calc.apply(weight * traj.block("plus"), s)
     gm = calc.apply(weight * traj.block("minus"), s)
@@ -251,21 +255,8 @@ class NormScanResult:
         return self.smoothing_slope <= self.smoothing_slope_limit
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "p": self.p,
-            "q": self.q,
-            "m": self.m,
-            "epsilon_loss": self.epsilon_loss,
-            "rows": [vars(row) for row in self.rows],
-            "strichartz_slope": self.strichartz_slope,
-            "smoothing_slope": self.smoothing_slope,
-            "strichartz_slope_limit": self.strichartz_slope_limit,
-            "smoothing_slope_limit": self.smoothing_slope_limit,
-            "strichartz_slope_ok": self.strichartz_slope_ok,
-            "smoothing_slope_ok": self.smoothing_slope_ok,
-        }
+        return {**asdict(self), "strichartz_slope_ok": self.strichartz_slope_ok,
+                "smoothing_slope_ok": self.smoothing_slope_ok}
 
 
 def _fit_slope(abs_mu: np.ndarray, ratios: np.ndarray) -> Optional[float]:
@@ -278,33 +269,29 @@ def _fit_slope(abs_mu: np.ndarray, ratios: np.ndarray) -> Optional[float]:
 def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
             mu_list: Sequence[float], data_template: DataTemplate = DataTemplate(),
             grid: Optional[RadialGrid] = None, t_max: float = 8.0,
-            samples: int = 33, n: int = 3,
+            samples: int = 33, m: float = 0.0,
             epsilon_loss: float = DEFAULT_EPSILON_LOSS,
             scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> list[NormScanResult]:
     """Evolve identical radial data per mode and fit the norm-ratio growth.
 
-    Returns one result per triple.  All modes are checked for
+    Returns one result per triple.  Every triple must be admissible for the
+    mass ``m`` in dimension ``profile.n``.  All modes are checked for
     admissibility under ``scan`` in one pass before anything is evolved;
     the scan aborts with the report of the first requested mu that is not
     admissible for the profile.  Each mode is then assembled, evolved and
     smoothing-normed once, and every triple's Strichartz norm is taken on
-    that one trajectory, so all triples must share one mass.  Modes run
-    one after another, in the order of ``mu_list``.
+    that one trajectory.  Modes run one after another, in the order of
+    ``mu_list``.
     """
     triples = tuple(triples)
-    masses = {triple.m for triple in triples}
-    if len(masses) != 1:
-        raise ContractViolationError(
-            f"a scan needs triples that share one mass, got masses {sorted(masses)}")
-    m = masses.pop()
+    n = profile.n
     for triple in triples:
-        triple.require_admissible(n)
+        triple.require_admissible(m, n)
     grid = grid or RadialGrid()
     initial = data_template.realize(grid)
-    if initial.support_radius is not None:
-        limit = causal_time_limit(grid.r_max, initial.support_radius)
-        if t_max > limit + 1e-9:
-            raise PolicyError(f"t_max={t_max} exceeds the causal limit {limit:g}")
+    limit = causal_time_limit(grid.r_max, initial.support_radius)
+    if t_max > limit + 1e-9:
+        raise PolicyError(f"t_max={t_max} exceeds the causal limit {limit:g}")
     times = np.linspace(0.0, t_max, samples)
     calc = SobolevCalculus(grid, n)  # one eigenbasis per scan when n != 3
     h_half = calc.norm(initial, 0.5)
@@ -317,7 +304,7 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
 
     def one_mode(mu: float, report) -> list[ModeScanRow]:
         # a function scope, so each trajectory is freed before the next mode evolves
-        op = assemble_dirac(profile, mu, m, n, grid)
+        op = assemble_dirac(profile, mu, m, grid)
         traj = evolve(op, initial, times)
         smoo = smoothing_norm(traj, (0.0, t_max))
         rows = []
@@ -339,7 +326,7 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
         slope_m = _fit_slope(abs_mu, np.array([row.ratio_smoothing for row in rows]))
         p_inv = 0.0 if math.isinf(triple.p) else 1.0 / triple.p
         results.append(NormScanResult(
-            family=profile.family.value, n=n, p=triple.p, q=triple.q, m=triple.m,
+            family=profile.family.value, n=n, p=triple.p, q=triple.q, m=m,
             epsilon_loss=epsilon_loss, rows=rows,
             strichartz_slope=slope_s, smoothing_slope=slope_m,
             strichartz_slope_limit=5.0 * p_inv + epsilon_loss + SLOPE_SLACK,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .admissibility import ModePotential
 from .errors import ConfigurationError, GridTooCoarseError, NumericalError
-from .profiles import Family, MetricProfile
+from .profiles import MetricProfile
 
 __all__ = ["RadialGrid", "DiscreteRadialOperator", "sigma",
            "assemble_dirac", "assemble_kg", "flat_reference_operator",
@@ -206,27 +206,27 @@ def _check_grid(grid: RadialGrid):
             f"need at least {_MIN_CELLS} cells, got {grid.n_cells}")
 
 
-def assemble_dirac(profile: MetricProfile, mu: float, m: float, n: int,
+def assemble_dirac(profile: MetricProfile, mu: float, m: float,
                    grid: RadialGrid) -> DiscreteRadialOperator:
     """Flattened mode Dirac operator [[m, -d/dr + V], [d/dr + V, -m]]."""
     _check_grid(grid)
-    pot = ModePotential(profile=profile, mu=mu, n=n)
+    pot = ModePotential(profile=profile, mu=mu)
     return DiscreteRadialOperator(grid=grid, kind="dirac", potential=pot.V(grid.nodes),
-                                  profile=profile, mu=mu, m=m, n=n)
+                                  profile=profile, mu=mu, m=m, n=profile.n)
 
 
-def assemble_kg(profile: MetricProfile, mu: float, m: float, n: int,
+def assemble_kg(profile: MetricProfile, mu: float, m: float,
                 sign: int, grid: RadialGrid) -> DiscreteRadialOperator:
     """Flattened Klein-Gordon operator m^2 - d2/dr2 + V^2 + sign V'."""
     _check_grid(grid)
     if sign not in (+1, -1):
         raise ConfigurationError("sign must be +1 or -1")
-    pot = ModePotential(profile=profile, mu=mu, n=n)
+    pot = ModePotential(profile=profile, mu=mu)
     r = grid.nodes
     kind = "kg_plus" if sign > 0 else "kg_minus"
     return DiscreteRadialOperator(grid=grid, kind=kind,
                                   potential=pot.V(r) ** 2 + sign * pot.V_prime(r) + m * m,
-                                  profile=profile, mu=mu, m=m, n=n)
+                                  profile=profile, mu=mu, m=m, n=profile.n)
 
 
 def flat_reference_operator(n: int, grid: RadialGrid) -> DiscreteRadialOperator:
@@ -237,7 +237,7 @@ def flat_reference_operator(n: int, grid: RadialGrid) -> DiscreteRadialOperator:
                                   potential=(n - 1) * (n - 3) / (4.0 * r**2), n=n)
 
 
-def weighted_laplacian_operator(profile: MetricProfile, n: int,
+def weighted_laplacian_operator(profile: MetricProfile,
                                 grid: RadialGrid) -> DiscreteRadialOperator:
     """Flattened phi-weighted radial Laplacian.
 
@@ -247,31 +247,10 @@ def weighted_laplacian_operator(profile: MetricProfile, n: int,
     _check_grid(grid)
     r = grid.nodes
     phi, dphi, d2phi = profile.phi_dphi_d2phi(r)
-    k = (n - 1) / 2.0
+    k = (profile.n - 1) / 2.0
     w = k * (k - 1.0) * (dphi / phi) ** 2 + k * d2phi / phi
     return DiscreteRadialOperator(grid=grid, kind="weighted_laplacian", potential=w,
-                                  profile=profile, n=n)
-
-
-def sigma_log_derivative_bound(profile: MetricProfile, scan=None) -> float:
-    """sup over r of |sigma'/sigma| = |1/r - phi'/phi|, by extremum scan.
-
-    This is the constant entering the weighted/flat Sobolev norm
-    equivalence; finite for every supported family.
-    """
-    from .scan import DEFAULT_SCAN_POLICY, scan_supremum
-
-    scan = scan or DEFAULT_SCAN_POLICY
-
-    def f(r):
-        _, s2, _ = profile.ratios(r)
-        return np.abs((1.0 - s2) / r)
-
-    _, _, d2_at_0 = profile.phi_dphi_d2phi(np.array([0.0]))
-    at_zero = abs(0.5 * float(d2_at_0[0]))
-    at_inf = 1.0 if profile.family is Family.SINH else 0.0
-    return scan_supremum(f, scan, limit_at_zero=at_zero,
-                         limit_at_infinity=at_inf).value
+                                  profile=profile, n=profile.n)
 
 
 def probe_functions(grid: RadialGrid, count: int = 5) -> np.ndarray:
@@ -317,18 +296,18 @@ def verify_square(dirac: DiscreteRadialOperator,
     return float(np.sqrt(num / den))
 
 
-def factorization_check(profile: MetricProfile, mu: float, m: float, n: int,
+def factorization_check(profile: MetricProfile, mu: float,
                         grid: RadialGrid) -> tuple[float, float]:
     """Residuals of V_- V_+ = KG_minus and V_+ V_- = KG_plus.
 
     V_pm are the flattened first-order factors V +- d/dr, and the massless
     Dirac operator squares to diag(V_- V_+, V_+ V_-), so both products come
-    from applying it twice.  The identity is mass-free, so both sides are
-    compared without the m^2 shift and the result does not depend on ``m``.
+    from applying it twice.  The identity is mass-free, so it takes no mass:
+    both sides are compared without the m^2 shift.
     """
-    dirac = assemble_dirac(profile, mu, 0.0, n, grid)
-    kg_m = assemble_kg(profile, mu, 0.0, n, -1, grid)
-    kg_p = assemble_kg(profile, mu, 0.0, n, +1, grid)
+    dirac = assemble_dirac(profile, mu, 0.0, grid)
+    kg_m = assemble_kg(profile, mu, 0.0, -1, grid)
+    kg_p = assemble_kg(profile, mu, 0.0, +1, grid)
     p = probe_functions(grid)
     res, kp = _square_defect(dirac, kg_m, kg_p, p, p)
     res_minus, res_plus = (float(np.linalg.norm(_interior(r)) / np.linalg.norm(_interior(k)))
@@ -349,7 +328,7 @@ def _random_bump(rng: np.random.Generator, grid: RadialGrid) -> np.ndarray:
     return out
 
 
-def norm_equivalence_check(profile: MetricProfile, n: int, exponents: Sequence[float],
+def norm_equivalence_check(profile: MetricProfile, exponents: Sequence[float],
                            trials: int = 100, grid: Optional[RadialGrid] = None,
                            seed: int = 0) -> list[tuple[float, float]]:
     """Empirical two-sided H^s ratios between phi-weighted and flat norms.
@@ -367,8 +346,8 @@ def norm_equivalence_check(profile: MetricProfile, n: int, exponents: Sequence[f
         if not 0.0 <= expo <= 1.0:
             raise ConfigurationError(f"s must be in [0, 1], got {expo}")
     grid = grid or RadialGrid()
-    w_phi, u_phi = weighted_laplacian_operator(profile, n, grid).eigh()
-    flat = SobolevCalculus(grid, n)
+    w_phi, u_phi = weighted_laplacian_operator(profile, grid).eigh()
+    flat = SobolevCalculus(grid, profile.n)
     rng = np.random.default_rng(seed)
     bumps = np.stack([_random_bump(rng, grid) for _ in range(trials)], axis=1)
     c_phi, c_flat = u_phi.T @ bumps, flat.coefficients(bumps)

@@ -25,7 +25,7 @@ from .errors import ConfigurationError, HypothesisViolationError, UnsupportedFam
 from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_supremum
 
 __all__ = ["Family", "MetricProfile", "ProfileConstants", "A2Verdict",
-           "eval_phi", "profile_constants", "check_A2"]
+           "eval_phi", "sigma_log_derivative_bound", "profile_constants", "check_A2"]
 
 _MAX_POLY_DEGREE = 20  # keeps phi^2 within double range on the scan grid
 _MAX_AF_EXPONENT = 12
@@ -225,6 +225,25 @@ def eval_phi(profile: MetricProfile, r):
     return phi, dphi, d2phi
 
 
+def sigma_log_derivative_bound(profile: MetricProfile,
+                               scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> float:
+    """sup over r of |sigma'/sigma| = |1/r - phi'/phi|, by extremum scan.
+
+    sigma = r/phi; this is the constant entering the weighted/flat Sobolev
+    norm equivalence, finite for every supported family.
+    """
+
+    def f(r):
+        _, s2, _ = profile.ratios(r)
+        return np.abs((1.0 - s2) / r)
+
+    _, _, d2_at_0 = profile.phi_dphi_d2phi(np.array([0.0]))
+    at_zero = abs(0.5 * float(d2_at_0[0]))
+    at_inf = 1.0 if profile.family is Family.SINH else 0.0
+    return scan_supremum(f, scan, limit_at_zero=at_zero,
+                         limit_at_infinity=at_inf).value
+
+
 def profile_constants(profile: MetricProfile,
                       scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> ProfileConstants:
     """Scan the A_phi, B_phi, c_phi suprema for a flat / asymptotically flat profile."""
@@ -249,20 +268,14 @@ def profile_constants(profile: MetricProfile,
         phi1, rp, rpp = profile.phi1_parts(r)
         return np.abs(2.0 * rp**2 + (1.0 + phi1) * rpp)
 
-    def f_c(r):
-        phi1, rp, _ = profile.phi1_parts(r)
-        return np.abs(rp / r) / (1.0 + phi1)
-
     sup_a = scan_supremum(f_a, scan, limit_at_zero=0.0, limit_at_infinity=abs(lim))
     sup_b1 = scan_supremum(f_b1, scan, limit_at_zero=0.0,
                            limit_at_infinity=abs((1.0 + lim) * lim))
     sup_b2 = scan_supremum(f_b2, scan, limit_at_zero=0.0, limit_at_infinity=0.0)
-    c_zero = profile.epsilon if profile.alpha == 1 else 0.0
-    sup_c = scan_supremum(f_c, scan, limit_at_zero=c_zero, limit_at_infinity=0.0)
     return ProfileConstants(
         a_phi=sup_a.value,
         b_phi=sup_b1.value + sup_b2.value,
-        c_phi=sup_c.value,
+        c_phi=sigma_log_derivative_bound(profile, scan),
         arg_a=sup_a.arg_r,
         arg_b1=sup_b1.arg_r,
         arg_b2=sup_b2.arg_r,

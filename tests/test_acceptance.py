@@ -18,7 +18,7 @@ from warpdirac import (ExponentTriple, Family, MetricProfile, ModePotential,
                        norm_equivalence_check, profile_constants,
                        sphere_spectrum, verify_square)
 from warpdirac.cli import main as cli_main
-from warpdirac.operators import sigma_log_derivative_bound
+from warpdirac.profiles import sigma_log_derivative_bound
 
 FLAT = MetricProfile(Family.FLAT)
 AF001 = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=0.01)
@@ -33,7 +33,7 @@ def verdict(number: int, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def flat_dirac_2048():
-    return assemble_dirac(FLAT, 1.0, 0.0, 3, RadialGrid(R_MAX, 2048))
+    return assemble_dirac(FLAT, 1.0, 0.0, RadialGrid(R_MAX, 2048))
 
 
 def _ladder_order(residuals):
@@ -49,9 +49,9 @@ def test_criterion_1_squaring_convergence():
                 res = []
                 for n_cells in LADDER:
                     grid = RadialGrid(R_MAX, n_cells)
-                    h = assemble_dirac(profile, mu, m, 3, grid)
-                    km = assemble_kg(profile, mu, m, 3, -1, grid)
-                    kp = assemble_kg(profile, mu, m, 3, +1, grid)
+                    h = assemble_dirac(profile, mu, m, grid)
+                    km = assemble_kg(profile, mu, m, -1, grid)
+                    kp = assemble_kg(profile, mu, m, +1, grid)
                     res.append(verify_square(h, km, kp))
                 order = _ladder_order(res)
                 if order < worst:
@@ -65,16 +65,14 @@ def test_criterion_2_factorization_convergence():
     worst_case = ""
     for profile, tag in ((FLAT, "flat"), (AF001, "af")):
         for mu in (1.0, 2.0):
-            for m in (0.0, 1.0):
-                res_m, res_p = [], []
-                for n_cells in LADDER:
-                    rm, rp = factorization_check(profile, mu, m, 3,
-                                                 RadialGrid(R_MAX, n_cells))
-                    res_m.append(rm)
-                    res_p.append(rp)
-                order = min(_ladder_order(res_m), _ladder_order(res_p))
-                if order < worst:
-                    worst, worst_case = order, f"{tag} mu={mu:g} m={m:g}"
+            res_m, res_p = [], []
+            for n_cells in LADDER:
+                rm, rp = factorization_check(profile, mu, RadialGrid(R_MAX, n_cells))
+                res_m.append(rm)
+                res_p.append(rp)
+            order = min(_ladder_order(res_m), _ladder_order(res_p))
+            if order < worst:
+                worst, worst_case = order, f"{tag} mu={mu:g}"
     verdict(2, worst >= 1.9,
             f"factorization residual order >= 1.9 on all cases (worst {worst:.3f} at {worst_case})")
 
@@ -82,7 +80,7 @@ def test_criterion_2_factorization_convergence():
 def test_criterion_3_flat_delta_values():
     worst = 0.0
     for k in range(1, 9):
-        pair = delta_pm(ModePotential(profile=FLAT, mu=float(k), n=3))
+        pair = delta_pm(ModePotential(profile=FLAT, mu=float(k)))
         worst = max(worst, abs(pair.delta_plus - 0.25), abs(pair.delta_minus - 0.25))
     verdict(3, worst <= 1e-6,
             f"flat delta_pm(mu) = 1/4 for mu in 1..8 (max deviation {worst:.2e})")
@@ -96,7 +94,7 @@ def test_criterion_4_delta_floor():
         bound = delta_lower_bound(profile_constants(profile), 1.0)
         for k in range(1, 9):
             for mu in (float(k), -float(k)):
-                pair = delta_pm(ModePotential(profile=profile, mu=mu, n=3))
+                pair = delta_pm(ModePotential(profile=profile, mu=mu))
                 margin = min(pair.delta_plus, pair.delta_minus) - (bound - 1e-6)
                 worst_margin = min(worst_margin, margin)
     verdict(4, worst_margin >= 0.0,
@@ -126,7 +124,7 @@ def test_criterion_6_flat_exact_solution(flat_dirac_2048):
         grid = RadialGrid(R_MAX, n_cells)
         init = gaussian_state(grid, center=7.5, width=1.5)
         op = (flat_dirac_2048 if n_cells == 2048
-              else assemble_dirac(FLAT, 1.0, 0.0, 3, grid))
+              else assemble_dirac(FLAT, 1.0, 0.0, grid))
         got = evolve(op, init, [8.0]).state(0)
         expect = flat_exact_solution(1.0, 0.0, 3, init, 8.0)
         num = np.sqrt(np.sum(np.abs(got.plus - expect.plus) ** 2)
@@ -163,8 +161,8 @@ def test_criterion_8_kg_crosscheck_order(flat_dirac_2048):
                        plus=np.exp(-((r - 16.0) / 3.0) ** 2).astype(complex),
                        minus=0.8 * np.exp(-((r - 14.0) / 2.5) ** 2).astype(complex),
                        support_radius=25.0)
-    km = assemble_kg(FLAT, 1.0, 0.0, 3, -1, grid)
-    kp = assemble_kg(FLAT, 1.0, 0.0, 3, +1, grid)
+    km = assemble_kg(FLAT, 1.0, 0.0, -1, grid)
+    kp = assemble_kg(FLAT, 1.0, 0.0, +1, grid)
     dts = (0.8, 0.4, 0.2)
     res = []
     for dt in dts:
@@ -179,7 +177,7 @@ def test_criterion_8_kg_crosscheck_order(flat_dirac_2048):
 
 
 def test_criterion_9_growth_gates():
-    triple = ExponentTriple(p=4.0, q=4.0, m=0.0)
+    triple = ExponentTriple(p=4.0, q=4.0)
     (result,) = mu_scan(FLAT, [triple], [float(k) for k in range(1, 9)],
                         grid=RadialGrid(R_MAX, 2048), t_max=8.0, samples=33)
     s_ok = result.strichartz_slope <= result.strichartz_slope_limit
@@ -196,7 +194,7 @@ def test_criterion_10_norm_equivalence():
     for profile, tag in ((FLAT, "flat"), (AF001, "af")):
         c_phi = sigma_log_derivative_bound(profile)
         exponents = (0.0, 0.5, 1.0)
-        ratios = norm_equivalence_check(profile, 3, exponents, trials=100, grid=grid)
+        ratios = norm_equivalence_check(profile, exponents, trials=100, grid=grid)
         for s, (worst, worst_inv) in zip(exponents, ratios):
             bound = (1.0 + c_phi) ** s + 1e-3
             worst_excess = max(worst_excess, max(worst, worst_inv) - bound)

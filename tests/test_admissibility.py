@@ -31,14 +31,14 @@ def flat_delta_phi_oracle(mu: float) -> float:
 
 @pytest.mark.parametrize("mu", [1.0, 2.0, 3.0, 5.0, 8.0, -1.0, -4.0, -8.0])
 def test_flat_delta_pm_matches_oracle(mu):
-    pair = delta_pm(ModePotential(profile=FLAT, mu=mu, n=3))
+    pair = delta_pm(ModePotential(profile=FLAT, mu=mu))
     assert pair.delta_plus == pytest.approx(flat_delta_oracle(mu, +1), abs=1e-9)
     assert pair.delta_minus == pytest.approx(flat_delta_oracle(mu, -1), abs=1e-9)
 
 
 def test_flat_deltas_are_one_quarter():
     for mu in range(1, 9):
-        pair = delta_pm(ModePotential(profile=FLAT, mu=float(mu), n=3))
+        pair = delta_pm(ModePotential(profile=FLAT, mu=float(mu)))
         assert pair.delta_plus == pytest.approx(0.25, abs=1e-6)
         assert pair.delta_minus == pytest.approx(0.25, abs=1e-6)
 
@@ -51,12 +51,12 @@ def test_flat_delta_phi_matches_oracle(mu):
 
 def test_mu_zero_rejected():
     with pytest.raises(ConfigurationError):
-        ModePotential(profile=FLAT, mu=0.0, n=3)
+        ModePotential(profile=FLAT, mu=0.0)
 
 
 def test_flat_channel_potentials():
     # c_pm = (mu^2 -+ mu)/r^2 in three flat dimensions
-    pot = ModePotential(profile=FLAT, mu=2.0, n=3)
+    pot = ModePotential(profile=FLAT, mu=2.0)
     r = np.geomspace(0.1, 30.0, 50)
     assert np.allclose(pot.c_channel(r, +1) * r**2, 2.0, rtol=1e-12)
     assert np.allclose(pot.c_channel(r, -1) * r**2, 6.0, rtol=1e-12)
@@ -69,7 +69,7 @@ def test_flat_channel_potentials():
 def test_quadratic_weight_identity(mu, r, tag):
     """4 (1/4 + r^2 (V^2 - V')) equals 4 r^2 mu(mu + phi')/phi^2 + 1."""
     prof = {"flat": FLAT, "af": AF001, "sinh": SINH, "poly": POLY3}[tag]
-    pot = ModePotential(profile=prof, mu=mu, n=3)
+    pot = ModePotential(profile=prof, mu=mu)
     rv, r2vp, _, _ = pot.scaled_parts(np.array([r]))
     lhs = 4.0 * (0.25 + rv[0] ** 2 - r2vp[0])
     phi, dphi, _ = prof.phi_dphi_d2phi(np.array([r]))
@@ -80,7 +80,7 @@ def test_quadratic_weight_identity(mu, r, tag):
 def test_delta_phi_equals_four_delta_minus():
     for prof in (FLAT, AF001):
         for mu in (1.0, -1.0, 2.0, -3.0):
-            pair = delta_pm(ModePotential(profile=prof, mu=mu, n=3))
+            pair = delta_pm(ModePotential(profile=prof, mu=mu))
             res = delta_phi(prof, mu)
             assert res.value == pytest.approx(4.0 * pair.delta_minus, rel=1e-9)
 
@@ -88,7 +88,7 @@ def test_delta_phi_equals_four_delta_minus():
 @pytest.mark.parametrize("prof", [FLAT, AF001], ids=["flat", "af"])
 def test_delta_c_equals_delta_pm(prof):
     for mu in [float(k) for k in range(1, 9)] + [-1.0, -2.0, -5.0, -8.0]:
-        pot = ModePotential(profile=prof, mu=mu, n=3)
+        pot = ModePotential(profile=prof, mu=mu)
         pair = delta_pm(pot)
         assert delta_c(pot, +1).value == pytest.approx(pair.delta_plus, abs=1e-9)
         assert delta_c(pot, -1).value == pytest.approx(pair.delta_minus, abs=1e-9)
@@ -97,14 +97,14 @@ def test_delta_c_equals_delta_pm(prof):
 def test_delta_c_zero_potential_shape():
     # c == 0 gives min(1/4, (n-2)^2/4, (n-2)^2/4) = 1/4 for n >= 3; realized
     # here through the flat mu = 1 plus channel whose potential vanishes.
-    pot = ModePotential(profile=FLAT, mu=1.0, n=3)
+    pot = ModePotential(profile=FLAT, mu=1.0)
     res = delta_c(pot, +1)
     assert res.value == pytest.approx(0.25, abs=1e-9)
 
 
 def test_delta_c_dimension_shift():
     # same channel, higher n: the (n-2)^2/4 shift raises both infima
-    pot5 = ModePotential(profile=FLAT, mu=2.0, n=5)
+    pot5 = ModePotential(profile=MetricProfile(Family.FLAT, n=5), mu=2.0)
     res = delta_c(pot5, +1)
     assert res.value == pytest.approx(0.25, abs=1e-9)
     assert res.quad_term.value == pytest.approx(9.0 / 4.0 + (4.0 - 2.0), abs=1e-9) \
@@ -131,7 +131,7 @@ def test_sinh_fails_with_witness_near_two():
     # quoted failure value at r = 2: 16 (1 - cosh 2)/sinh^2 2 + 1
     expected = 16.0 * (1.0 - math.cosh(2.0)) / math.sinh(2.0) ** 2 + 1.0
     assert expected == pytest.approx(-2.36, abs=0.01)
-    pot = ModePotential(profile=SINH, mu=-1.0, n=3)
+    pot = ModePotential(profile=SINH, mu=-1.0)
     rv, r2vp, _, _ = pot.scaled_parts(np.array([2.0]))
     assert 4.0 * (rv[0] ** 2 - r2vp[0]) + 1.0 == pytest.approx(expected, rel=1e-12)
     assert rep.delta_phi_mu < expected + 0.2  # infimum at least as deep
@@ -151,7 +151,7 @@ SIGNED_MUS = [float(sign * k) for k in range(1, 9) for sign in (1, -1)]
 
 def _single_functional_report(prof, mu, scan):
     """Report fields from one scan per functional, as check_admissible once did per mode."""
-    pot = ModePotential(profile=prof, mu=mu, n=3)
+    pot = ModePotential(profile=prof, mu=mu)
     pair = delta_pm(pot, scan)
     pos, neg = delta_phi(prof, mu, scan), delta_phi(prof, -mu, scan)
 
@@ -289,7 +289,7 @@ def test_delta_floor_holds_on_sphere_modes(eps):
     assert quarter == 0.25
     for k in range(1, 11):
         for mu in (float(k), -float(k)):
-            pair = delta_pm(ModePotential(profile=prof, mu=mu, n=3))
+            pair = delta_pm(ModePotential(profile=prof, mu=mu))
             assert pair.delta_plus >= bound - 1e-6
             assert pair.delta_minus >= bound - 1e-6
             if k >= 2:

@@ -203,6 +203,16 @@ def test_cli_configuration_error_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["check-metric", "evolve", "strichartz-scan"])
+@pytest.mark.parametrize("t_max", ["0", "-2"])
+def test_cli_rejects_nonpositive_t_max(tmp_path, capsys, command, t_max):
+    cfg = _write(tmp_path, SMALL + f"time.t_max = {t_max}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert "line 6: 'time.t_max' must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_validate_small(tmp_path):
     cfg = _write(tmp_path, SMALL)
     out = tmp_path / "out"
@@ -244,7 +254,7 @@ def test_cli_evolve_csv_is_the_trajectory(tmp_path):
     times = np.linspace(0.0, cfg.t_max, cfg.samples)
     initial = cfg.data.realize(cfg.grid)
     for mu, mode in zip((1.0, -1.0), meta["modes"]):
-        traj = evolve(assemble_dirac(cfg.profile, mu, cfg.m, cfg.n, cfg.grid), initial, times)
+        traj = evolve(assemble_dirac(cfg.profile, mu, cfg.m, cfg.grid), initial, times)
         lines = ["t,r,re_v_plus,im_v_plus,re_v_minus,im_v_minus"]
         for k, t in enumerate(times):
             state = traj.state(k)

@@ -18,12 +18,12 @@ from warpdirac.operators import DiscreteRadialOperator, flat_reference_operator
 FLAT = MetricProfile(Family.FLAT)
 AF001 = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=0.01)
 GRID = RadialGrid(40.0, 512)
-T44 = ExponentTriple(p=4.0, q=4.0, m=0.0)
+T44 = ExponentTriple(p=4.0, q=4.0)
 
 
 @pytest.fixture(scope="module")
 def flat_traj():
-    op = assemble_dirac(FLAT, 1.0, 0.0, 3, GRID)
+    op = assemble_dirac(FLAT, 1.0, 0.0, GRID)
     init = gaussian_state(GRID)
     return evolve(op, init, np.linspace(0.0, 8.0, 17))
 
@@ -115,7 +115,7 @@ def test_sobolev_norm_exponent_gate():
 def test_smoothing_norm_zero_state(flat_traj):
     zero = SpinorState(grid=GRID, plus=np.zeros(GRID.n_cells, complex),
                        minus=np.zeros(GRID.n_cells, complex))
-    op = assemble_dirac(FLAT, 1.0, 0.0, 3, GRID)
+    op = assemble_dirac(FLAT, 1.0, 0.0, GRID)
     # evolve rejects nothing about zero data; norm is zero throughout
     traj = evolve(op, zero, [0.0, 1.0, 2.0])
     assert smoothing_norm(traj, (0.0, 2.0)) == 0.0
@@ -134,7 +134,7 @@ def test_smoothing_norm_window_stability():
     vals = []
     for r_max, t_max in ((40.0, 20.0), (80.0, 40.0)):
         grid = RadialGrid(r_max, int(r_max / 40.0 * 512))
-        op = assemble_dirac(FLAT, 1.0, 0.0, 3, grid)
+        op = assemble_dirac(FLAT, 1.0, 0.0, grid)
         init = gaussian_state(grid, center=12.0, width=1.5)
         traj = evolve(op, init, np.linspace(0.0, t_max, int(t_max * 4) + 1))
         vals.append(smoothing_norm(traj, (0.0, t_max)))
@@ -142,7 +142,7 @@ def test_smoothing_norm_window_stability():
 
 
 def test_strichartz_weight_flat_is_one(flat_traj):
-    w = strichartz_weight(FLAT, GRID.nodes, 3, 4.0)
+    w = strichartz_weight(FLAT, GRID.nodes, 4.0)
     assert np.all(w == 1.0)
     direct = strichartz_norm(flat_traj, T44)
     assert direct > 0.0
@@ -150,7 +150,20 @@ def test_strichartz_weight_flat_is_one(flat_traj):
 
 def test_strichartz_norm_gate(flat_traj):
     with pytest.raises(ContractViolationError):
-        strichartz_norm(flat_traj, ExponentTriple(p=4.0, q=3.0, m=0.0))
+        strichartz_norm(flat_traj, ExponentTriple(p=4.0, q=3.0))
+
+
+def test_strichartz_norm_checks_the_flow_mass(flat_traj):
+    """A triple is admissible or not for the mass of the flow it is measured on:
+    wave scaling on a massless flow, Klein-Gordon scaling on a massive one."""
+    t43 = ExponentTriple(p=4.0, q=3.0)
+    massive = evolve(assemble_dirac(FLAT, 1.0, 1.0, GRID), gaussian_state(GRID),
+                     np.linspace(0.0, 8.0, 5))
+    with pytest.raises(ContractViolationError):
+        strichartz_norm(massive, T44)
+    with pytest.raises(ContractViolationError):
+        strichartz_norm(flat_traj, t43)
+    assert strichartz_norm(massive, t43) > 0.0
 
 
 def test_strichartz_norm_s_zero_two_paths(flat_traj):
@@ -169,7 +182,7 @@ def test_strichartz_norm_s_zero_two_paths(flat_traj):
 
 
 def test_strichartz_norm_sup_in_time(flat_traj):
-    trip = ExponentTriple(p=math.inf, q=2.0, m=0.0)
+    trip = ExponentTriple(p=math.inf, q=2.0)
     val = strichartz_norm(flat_traj, trip)
     calc = SobolevCalculus(GRID, 3)
     per_time = [
@@ -184,7 +197,7 @@ def test_strichartz_norm_sup_in_time(flat_traj):
 @given(st.floats(min_value=0.01, max_value=50.0))
 def test_norm_homogeneity(scale):
     grid = RadialGrid(40.0, 128)
-    op = assemble_dirac(FLAT, 1.0, 0.0, 3, grid)
+    op = assemble_dirac(FLAT, 1.0, 0.0, grid)
     init = gaussian_state(grid)
     init_scaled = SpinorState(grid=grid, plus=scale * init.plus, minus=scale * init.minus,
                               support_radius=init.support_radius)
@@ -213,7 +226,7 @@ def test_fractional_kg_norm_tracks_mode_weight():
         for k in range(1, 9):
             mu = float(k)
             for sign in (+1, -1):
-                kg = assemble_kg(profile, mu, 0.0, 3, sign, grid)
+                kg = assemble_kg(profile, mu, 0.0, sign, grid)
                 w, u = scipy.linalg.eigh(kg.matrix)
                 frac = u @ (np.maximum(w, 0.0) ** 0.25 * (u.T @ v))
                 lhs = math.sqrt(grid.dr) * np.linalg.norm(frac)
@@ -246,13 +259,14 @@ def test_mu_scan_n5_builds_one_eigenbasis(monkeypatch):
         return eigh(op)
 
     monkeypatch.setattr(DiscreteRadialOperator, "eigh", counted)
-    results = mu_scan(FLAT, triples, mus, grid=grid, t_max=4.0, samples=5, n=5)
+    flat5 = MetricProfile(Family.FLAT, n=5)
+    results = mu_scan(flat5, triples, mus, grid=grid, t_max=4.0, samples=5)
     assert calls == ["flat_shift"]
     monkeypatch.undo()
     initial = gaussian_state(grid)
     h_half = h_sobolev_norm(initial, 0.5, n=5)
     for k, mu in enumerate(mus):
-        traj = evolve(assemble_dirac(FLAT, mu, 0.0, 5, grid), initial,
+        traj = evolve(assemble_dirac(flat5, mu, 0.0, grid), initial,
                       np.linspace(0.0, 4.0, 5))
         for result, triple in zip(results, triples):
             row = result.rows[k]
@@ -280,24 +294,18 @@ def test_mu_scan_two_triples_share_one_trajectory(monkeypatch):
         return real(op, initial, times)
 
     monkeypatch.setattr(estimates, "evolve", counting)
-    t_inf2 = ExponentTriple(p=math.inf, q=2.0, m=0.0)
+    t_inf2 = ExponentTriple(p=math.inf, q=2.0)
     mus = [1.0, -1.0, 2.0]
     both = mu_scan(AF001, [T44, t_inf2], mus, grid=GRID, t_max=8.0, samples=9)
     assert evolved == mus
     for triple, got in zip((T44, t_inf2), both):
         (alone,) = mu_scan(AF001, [triple], mus, grid=GRID, t_max=8.0, samples=9)
-        assert (got.p, got.q, got.m) == (triple.p, triple.q, triple.m)
+        assert (got.p, got.q, got.m) == (triple.p, triple.q, 0.0)
         for row, ref in zip(got.rows, alone.rows):
             for key, value in vars(ref).items():
                 assert getattr(row, key) == pytest.approx(value, rel=1e-12)
         assert got.strichartz_slope == pytest.approx(alone.strichartz_slope, rel=1e-12)
         assert got.smoothing_slope == pytest.approx(alone.smoothing_slope, rel=1e-12)
-
-
-def test_mu_scan_rejects_mixed_masses():
-    with pytest.raises(ContractViolationError):
-        mu_scan(FLAT, [T44, ExponentTriple(p=4.0, q=3.0, m=1.0)], [1.0],
-                grid=GRID, t_max=8.0, samples=9)
 
 
 def test_mu_scan_aborts_on_non_admissible(monkeypatch):

@@ -30,7 +30,7 @@ def state_diff(a: SpinorState, b: SpinorState) -> float:
 
 @pytest.fixture(scope="module")
 def flat_op():
-    return assemble_dirac(FLAT, 1.0, 0.0, 3, GRID)
+    return assemble_dirac(FLAT, 1.0, 0.0, GRID)
 
 
 def test_time_zero_is_identity(flat_op):
@@ -55,7 +55,7 @@ def test_reversibility(flat_op):
 
 
 PROPERTY_GRID = RadialGrid(40.0, 96)
-PROPERTY_OP = assemble_dirac(FLAT, 1.0, 0.0, 3, PROPERTY_GRID)
+PROPERTY_OP = assemble_dirac(FLAT, 1.0, 0.0, PROPERTY_GRID)
 PROPERTY_EIG = scipy.linalg.eigh(PROPERTY_OP.matrix)
 
 
@@ -103,7 +103,7 @@ def _evolve_block(op, vec, times):
 def test_evolve_matches_dense_expm(propagate, profile, mu, m):
     """evolve and each of its two propagators equal expm(-i t h) v for
     random complex data, negative, zero and long times included."""
-    op = assemble_dirac(profile, mu, m, 3, REFEREE_GRID)
+    op = assemble_dirac(profile, mu, m, REFEREE_GRID)
     nn = REFEREE_GRID.n_cells
     rng = np.random.default_rng(11)
     vec = rng.standard_normal(2 * nn) + 1j * rng.standard_normal(2 * nn)
@@ -121,7 +121,7 @@ def test_evolve_takes_the_cheaper_propagator(monkeypatch, mu, t_max, path):
     with |mu|: past 512^2 / 100 steps evolve diagonalizes the coupling
     block instead, with the same samples to roundoff."""
     grid = RadialGrid(40.0, 512)
-    op = assemble_dirac(AF001, mu, 0.7, 3, grid)
+    op = assemble_dirac(AF001, mu, 0.7, grid)
     init = gaussian_state(grid)
     times = np.linspace(0.0, t_max, 5) if t_max > 0 else np.linspace(t_max, 0.0, 5)
     calls = []
@@ -142,7 +142,7 @@ def test_trajectory_is_one_sample_block(mu):
     2N x T array: block() views it, state(k) is its column k, and norms()
     sums each sample as SpinorState.norm does, bit for bit."""
     grid = RadialGrid(40.0, 512)
-    op = assemble_dirac(AF001, mu, 0.7, 3, grid)
+    op = assemble_dirac(AF001, mu, 0.7, grid)
     traj = evolve(op, gaussian_state(grid), np.linspace(0.0, 8.0, 5))
     assert traj.samples.shape == (1024, 5) and traj.samples.flags.c_contiguous
     for component, rows in (("plus", slice(None, 512)), ("minus", slice(512, None))):
@@ -183,7 +183,7 @@ def test_evolve_bounded_memory_at_8192_cells():
     times = np.linspace(0.0, 1.0, 5)
     tracemalloc.start()
     try:
-        op = assemble_dirac(FLAT, 1.0, 0.0, 3, grid)
+        op = assemble_dirac(FLAT, 1.0, 0.0, grid)
         init = gaussian_state(grid)
         traj = evolve(op, init, times)
         _, peak = tracemalloc.get_traced_memory()
@@ -246,7 +246,7 @@ def test_oracle_agreement_massless(flat_op):
 
 def test_oracle_agreement_massive():
     init = gaussian_state(GRID, center=7.5, width=1.5)
-    op = assemble_dirac(FLAT, 2.0, 1.0, 3, GRID)
+    op = assemble_dirac(FLAT, 2.0, 1.0, GRID)
     got = evolve(op, init, [6.0]).state(0)
     expect = flat_exact_solution(2.0, 1.0, 3, init, 6.0)
     assert state_diff(got, expect) <= 2e-2
@@ -284,9 +284,9 @@ def test_kg_crosscheck_refinement():
                        plus=np.exp(-((r - 16.0) / 3.0) ** 2).astype(complex),
                        minus=0.8 * np.exp(-((r - 14.0) / 2.5) ** 2).astype(complex),
                        support_radius=25.0)
-    op = assemble_dirac(FLAT, 1.0, 0.0, 3, grid)
-    km = assemble_kg(FLAT, 1.0, 0.0, 3, -1, grid)
-    kp = assemble_kg(FLAT, 1.0, 0.0, 3, +1, grid)
+    op = assemble_dirac(FLAT, 1.0, 0.0, grid)
+    km = assemble_kg(FLAT, 1.0, 0.0, -1, grid)
+    kp = assemble_kg(FLAT, 1.0, 0.0, +1, grid)
     res = []
     for dt in (0.8, 0.4):
         worst = 0.0
@@ -354,8 +354,8 @@ def test_kg_crosscheck_mass_shift_on_eigenmode(flat_op):
 
 def test_kg_crosscheck_needs_uniform_times(flat_op):
     init = gaussian_state(GRID)
-    km = assemble_kg(FLAT, 1.0, 0.0, 3, -1, GRID)
-    kp = assemble_kg(FLAT, 1.0, 0.0, 3, +1, GRID)
+    km = assemble_kg(FLAT, 1.0, 0.0, -1, GRID)
+    kp = assemble_kg(FLAT, 1.0, 0.0, +1, GRID)
     traj = evolve(flat_op, init, [0.0, 0.5, 1.5])
     with pytest.raises(ConfigurationError):
         kg_crosscheck(traj, km, kp)
@@ -367,16 +367,16 @@ def test_kg_crosscheck_needs_uniform_times(flat_op):
 def test_kg_crosscheck_rejects_swapped_or_foreign_operators(flat_op):
     """The Klein-Gordon pair must be (kg_minus, kg_plus) of the trajectory's
     own grid and mode, as verify_square requires of its operators."""
-    km = assemble_kg(FLAT, 1.0, 0.0, 3, -1, GRID)
-    kp = assemble_kg(FLAT, 1.0, 0.0, 3, +1, GRID)
+    km = assemble_kg(FLAT, 1.0, 0.0, -1, GRID)
+    kp = assemble_kg(FLAT, 1.0, 0.0, +1, GRID)
     traj = evolve(flat_op, gaussian_state(GRID), [0.0, 0.5, 1.0])
     assert kg_crosscheck(traj, km, kp) > 0.0
     with pytest.raises(ConfigurationError):
         kg_crosscheck(traj, kp, km)
     with pytest.raises(ConfigurationError):
-        kg_crosscheck(traj, km, assemble_kg(FLAT, 3.0, 0.0, 3, +1, GRID))
+        kg_crosscheck(traj, km, assemble_kg(FLAT, 3.0, 0.0, +1, GRID))
     with pytest.raises(ConfigurationError):
-        kg_crosscheck(traj, km, assemble_kg(FLAT, 1.0, 0.0, 3, +1, RadialGrid(40.0, 256)))
+        kg_crosscheck(traj, km, assemble_kg(FLAT, 1.0, 0.0, +1, RadialGrid(40.0, 256)))
 
 
 def test_validate_residuals_bounded_memory_at_8192_cells():
@@ -386,11 +386,11 @@ def test_validate_residuals_bounded_memory_at_8192_cells():
     grid = RadialGrid(40.0, 8192)
     tracemalloc.start()
     try:
-        op = assemble_dirac(AF001, 1.0, 0.0, 3, grid)
-        km = assemble_kg(AF001, 1.0, 0.0, 3, -1, grid)
-        kp = assemble_kg(AF001, 1.0, 0.0, 3, +1, grid)
+        op = assemble_dirac(AF001, 1.0, 0.0, grid)
+        km = assemble_kg(AF001, 1.0, 0.0, -1, grid)
+        kp = assemble_kg(AF001, 1.0, 0.0, +1, grid)
         square = verify_square(op, km, kp)
-        res_minus, res_plus = factorization_check(AF001, 1.0, 0.0, 3, grid)
+        res_minus, res_plus = factorization_check(AF001, 1.0, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
