@@ -15,11 +15,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ConfigurationError
-from .estimates import DataTemplate, ExponentTriple, is_admissible_triple
+from .estimates import DEFAULT_EPSILON_LOSS, DataTemplate, ExponentTriple, is_admissible_triple
 from .evolution import causal_time_limit, gaussian_support_radius
-from .operators import RadialGrid
+from .operators import DEFAULT_N_CELLS, DEFAULT_R_MAX, RadialGrid
 from .profiles import Family, MetricProfile
-from .scan import InfimumScanPolicy
+from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy
 from .spectrum import lp_band, make_mode, modes_in_band, sphere_spectrum
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
@@ -85,15 +85,26 @@ class _Parser:
             raise ConfigurationError(f"line {lineno}: '{key}' must be a finite number")
         return number
 
-    def take_int(self, key: str, default: int) -> int:
+    def take_positive(self, key: str, default: float) -> float:
+        """take_float for a key whose value must be positive (as its default is)."""
+        lineno = self.pairs.get(key, (None, None))[1]
+        number = self.take_float(key, default)
+        if number <= 0:
+            raise ConfigurationError(f"line {lineno}: '{key}' must be positive")
+        return number
+
+    def take_int(self, key: str, default: int, minimum: Optional[int] = None) -> int:
         got = self.take(key)
         if got is None:
             return default
         value, lineno = got
         try:
-            return int(value)
+            number = int(value)
         except ValueError:
             raise ConfigurationError(f"line {lineno}: '{key}' must be an integer") from None
+        if minimum is not None and number < minimum:
+            raise ConfigurationError(f"line {lineno}: '{key}' must be at least {minimum}")
+        return number
 
     def take_str(self, key: str, default: str) -> str:
         got = self.take(key)
@@ -231,15 +242,10 @@ def parse_config(text: str) -> RunConfig:
             f"the modes section enumerates no mode: the smallest |mu| for n={n} "
             f"is {(n - 1) / 2:g}")
 
-    grid = RadialGrid(r_max=parser.take_float("grid.r_max", 40.0),
-                      n_cells=parser.take_int("grid.n_cells", 2048))
-    t_max_got = parser.pairs.get("time.t_max")
-    t_max = parser.take_float("time.t_max", 8.0)
-    if t_max <= 0:  # the default is positive, so the key was given
-        raise ConfigurationError(f"line {t_max_got[1]}: 'time.t_max' must be positive")
-    samples = parser.take_int("time.samples", 17)
-    if samples < 2:
-        raise ConfigurationError("time.samples must be at least 2")
+    grid = RadialGrid(r_max=parser.take_positive("grid.r_max", DEFAULT_R_MAX),
+                      n_cells=parser.take_int("grid.n_cells", DEFAULT_N_CELLS, minimum=2))
+    t_max = parser.take_positive("time.t_max", 8.0)
+    samples = parser.take_int("time.samples", 17, minimum=2)
 
     triples_got = parser.take("triples")
     if triples_got is None:
@@ -249,33 +255,30 @@ def parse_config(text: str) -> RunConfig:
     else:
         triples = _parse_triples(triples_got[0], triples_got[1], m, n)
 
+    default = DataTemplate()
     data = DataTemplate(
-        center=parser.take_float("data.center", 12.0),
-        width=parser.take_float("data.width", 1.5),
-        amplitude=parser.take_float("data.amplitude", 1.0),
-        component=parser.take_str("data.component", "plus"),
+        center=parser.take_positive("data.center", default.center),
+        width=parser.take_positive("data.width", default.width),
+        amplitude=parser.take_float("data.amplitude", default.amplitude),
+        component=parser.take_str("data.component", default.component),
     )
     if data.component not in ("plus", "minus"):
         raise ConfigurationError("data.component must be 'plus' or 'minus'")
-    if data.width <= 0 or data.center <= 0:
-        raise ConfigurationError("data.center and data.width must be positive")
     if data.amplitude == 0:
         raise ConfigurationError("data.amplitude must be nonzero")
 
     try:
         scan = InfimumScanPolicy(
-            r_min=parser.take_float("scan.r_min", 1e-6),
-            r_max=parser.take_float("scan.r_max", 1e6),
-            points=parser.take_int("scan.points", 100_000),
+            r_min=parser.take_float("scan.r_min", DEFAULT_SCAN_POLICY.r_min),
+            r_max=parser.take_float("scan.r_max", DEFAULT_SCAN_POLICY.r_max),
+            points=parser.take_int("scan.points", DEFAULT_SCAN_POLICY.points),
         )
     except ValueError as exc:
         raise ConfigurationError(f"scan policy: {exc}") from None
-    epsilon_loss = parser.take_float("epsilon_loss", 0.1)
+    epsilon_loss = parser.take_float("epsilon_loss", DEFAULT_EPSILON_LOSS)
     if epsilon_loss < 0:
         raise ConfigurationError("epsilon_loss must be nonnegative")
-    trials = parser.take_int("trials", 100)
-    if trials < 1:
-        raise ConfigurationError("trials must be positive")
+    trials = parser.take_int("trials", 100, minimum=1)
     parser.reject_unknown()
 
     limit = causal_time_limit(grid.r_max, gaussian_support_radius(data.center, data.width))

@@ -18,8 +18,8 @@ import numpy as np
 
 from .admissibility import check_admissible
 from .errors import ConfigurationError, ContractViolationError, NonAdmissibleError, PolicyError
-from .evolution import (SpinorState, SpinorTrajectory, causal_time_limit, evolve,
-                        gaussian_state)
+from .evolution import (DEFAULT_BUMP_CENTER, DEFAULT_BUMP_WIDTH, SpinorState,
+                        SpinorTrajectory, causal_time_limit, evolve, gaussian_state)
 from .operators import RadialGrid, assemble_dirac, flat_reference_operator, real_matmul
 from .profiles import MetricProfile
 from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy
@@ -183,13 +183,13 @@ def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple,
     dimension.  ``calculus`` is the trajectory grid's SobolevCalculus, built
     here if not given.
     """
-    triple.require_admissible(traj.m, traj.n)
+    triple.require_admissible(traj.m, traj.profile.n)
     s = triple.s
     q = triple.q
     r = traj.grid.nodes
     dr = traj.grid.dr
     weight = strichartz_weight(traj.profile, r, q)[:, None]
-    calc = SobolevCalculus(traj.grid, traj.n) if calculus is None else calculus
+    calc = SobolevCalculus(traj.grid, traj.profile.n) if calculus is None else calculus
     gp = calc.apply(weight * traj.block("plus"), s)
     gm = calc.apply(weight * traj.block("minus"), s)
     mag = np.sqrt(np.abs(gp) ** 2 + np.abs(gm) ** 2)
@@ -204,8 +204,8 @@ def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple,
 class DataTemplate:
     """Shared radial initial data used across a mu scan."""
 
-    center: float = 12.0
-    width: float = 1.5
+    center: float = DEFAULT_BUMP_CENTER
+    width: float = DEFAULT_BUMP_WIDTH
     amplitude: float = 1.0
     component: str = "plus"
 

@@ -15,14 +15,17 @@ non-uniform ones included), so nothing of size N^2 is built.  At the
 default grid the samples are within 2e-15 relative of an extended-precision
 evaluation of the same series, and their norm drift is below 1e-15.
 
-The term count grows with rho |t|, and rho with |mu| (V = mu / r is
-2 mu / dr at the first cell on the flat profile), while an exact
-diagonalization costs the same for every mode.  So when rho max|t| exceeds
-N^2 / 100 (about where one dense N x N SVD costs as much as the recurrence)
-and the grid has at most 4096 cells, the flow comes instead from the SVD
-B = U S W^T of the coupling block B = -d/dr + V: h = [[m, B], [B^T, -m]]
-acts on each pair (u_k, w_k) as the 2 x 2 matrix [[m, s_k], [s_k, -m]],
-which is exponentiated in closed form.
+The term count grows with rho |t|, and rho with |mu|: V = mu / r is
+2 mu / dr at the first cell on the flat profile, where the mode never goes.
+Inside its centrifugal barrier a solution of energy E decays like
+exp(-int sqrt(V^2 - E^2) dr) (Agmon, Lectures on Exponential Decay, 1982).
+So evolve bounds the datum's energy by E = 4 sqrt(|h^2 v0| / |v0|) and runs
+the recurrence only on the cells outward of where that integral, taken
+inward from the turning point V^2 = E^2, reaches 40: Dirichlet at the cut,
+exact zeros below it.  It cuts only where that divides rho by 4 or more and
+the datum vanishes in the cut cells (below 1e-14 of its largest amplitude),
+and if any sample then reaches 1e-14 of it in the first 8 kept cells, the
+full grid runs once instead: a flow costs at most 1.25 full-grid ones.
 
 The flat oracle never touches the discrete operator: initial data are
 expanded in the generalized eigenbasis sqrt(rho r) J_a(rho r) by quadrature,
@@ -57,10 +60,11 @@ _CAUSAL_MARGIN = 2.0
 _CHUNK = 64  # Chebyshev vectors added into the samples per GEMM (even)
 _BESSEL_TAIL = 1e-18  # |J_k| at or below which a term is dropped
 _SERIES_TERMS = 20  # power-series terms of J_k(x) for x < 1
-# One N x N SVD costs about N^2 / 100 Chebyshev steps (2-core machine: SVD
-# 0.09 s at N = 512 and 3.1 s at N = 2048, where a step costs 70-80 us).
-_SVD_BREAK_EVEN = 100.0
-_SVD_MAX_CELLS = 4096  # the SVD path holds three dense N x N arrays, 384 MB at 4096 cells
+_AGMON_DEPTH = 40.0  # Agmon distance from the turning point to the first kept cell
+_ENERGY_FACTOR = 4.0  # E = 4 sqrt(|h^2 v0| / |v0|) places the turning point
+_CUT_GAIN = 4.0  # a cut must divide rho by at least this much
+_EDGE_CELLS = 8  # kept cells next to the cut that every sample must leave empty
+_EDGE_TOL = 1e-14  # relative to the datum's largest amplitude
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,6 @@ class SpinorTrajectory:
     profile: MetricProfile
     mu: float
     m: float
-    n: int
     support_radius: Optional[float] = None
 
     def __post_init__(self):
@@ -168,12 +171,12 @@ def evolve(op: DiscreteRadialOperator, initial: SpinorState,
            times: Sequence[float]) -> SpinorTrajectory:
     """Sample exp(-i t h) initial at the requested times.
 
-    Chebyshev expansion of the propagator on the operator's bands, or the
-    SVD of its coupling block where that is cheaper (see the module
-    docstring).  Every sample comes from one recurrence or one
-    decomposition, negative and non-uniform times included; a sample at
-    t = 0 is the initial vector itself.  Both propagators return the
-    samples as one C-ordered 2N x T array, which the trajectory keeps.
+    Chebyshev expansion of the propagator on the operator's bands, cut at
+    the mode's centrifugal barrier where that pays and certified (see the
+    module docstring).  Every sample comes from one recurrence, negative
+    and non-uniform times included; a sample at t = 0 is the initial vector
+    itself.  The samples are one C-ordered 2N x T array, which the
+    trajectory keeps.
     """
     if op.kind != "dirac":
         raise ConfigurationError("evolve needs a Dirac-mode operator")
@@ -181,17 +184,41 @@ def evolve(op: DiscreteRadialOperator, initial: SpinorState,
         raise ConfigurationError("initial data grid does not match the operator")
     times = np.asarray(times, dtype=float)
     v0 = initial.as_vector()
-    nn = op.grid.n_cells
-    terms = _spectral_bound(op) * float(np.max(np.abs(times), initial=0.0))
-    if terms > nn**2 / _SVD_BREAK_EVEN and nn <= _SVD_MAX_CELLS:
-        vecs = _svd_propagate(op, v0, times)
-    else:
-        vecs = _chebyshev_propagate(op, v0, times)
+    start = _barrier_cell(op, v0)
+    vecs = _chebyshev_propagate(op, v0, times, start)
+    if start and _peak(vecs, start, start + _EDGE_CELLS) > _EDGE_TOL * np.max(np.abs(v0)):
+        vecs = _chebyshev_propagate(op, v0, times)  # the cut failed its certificate
     vecs[:, times == 0.0] = v0[:, None]
     vecs.flags.writeable = False  # blocks and states are views of it
     return SpinorTrajectory(times=times, samples=vecs, grid=op.grid, profile=op.profile,
-                            mu=op.mu, m=op.m, n=op.n,
-                            support_radius=initial.support_radius)
+                            mu=op.mu, m=op.m, support_radius=initial.support_radius)
+
+
+def _barrier_cell(op: DiscreteRadialOperator, v0: np.ndarray) -> int:
+    """First cell the flow of v0 keeps: the Agmon cut if it pays, else 0.
+
+    The whole grid is kept unless the cut divides rho by _CUT_GAIN and the
+    datum vanishes in the cut cells (see the module docstring).
+    """
+    if not np.any(v0):
+        return 0
+    energy = _ENERGY_FACTOR * np.sqrt(np.linalg.norm(op.apply(op.apply(v0)))
+                                      / np.linalg.norm(v0))
+    kappa = np.sqrt(np.maximum(op.potential**2 - energy**2, 0.0))
+    turn = int(np.argmax(kappa == 0.0)) if np.any(kappa == 0.0) else len(kappa)
+    depth = np.cumsum(kappa[:turn][::-1])[::-1] * op.grid.dr
+    start = max(int(np.count_nonzero(depth >= _AGMON_DEPTH)) - 1, 0)
+    if (not start or _spectral_bound(op) < _CUT_GAIN * _spectral_bound(op, start)
+            or _peak(v0, 0, start) > _EDGE_TOL * np.max(np.abs(v0))):
+        return 0
+    return start
+
+
+def _peak(block: np.ndarray, lo: int, hi: int) -> float:
+    """Largest amplitude in cells lo <= i < hi of both components of a 2N-row block."""
+    nn = len(block) // 2
+    cells = np.concatenate([block[lo:hi], block[nn + lo:nn + hi]])
+    return float(np.max(np.abs(cells), initial=0.0))
 
 
 def _tail_terms(x: np.ndarray) -> np.ndarray:
@@ -270,86 +297,59 @@ def _bessel_coefficients(x: np.ndarray) -> np.ndarray:
     return out[:, :keep[-1] + 1] if len(keep) else out[:, :1]
 
 
-def _spectral_bound(op: DiscreteRadialOperator) -> float:
-    """Gershgorin bound |m| + max|V| + 1/dr on the spectrum of h."""
-    return abs(op.m) + float(np.max(np.abs(op.potential))) + 1.0 / op.grid.dr
-
-
-def _dirac_step(op: DiscreteRadialOperator, rho: float):
-    """out = 2 (h / rho) x - prev on (rows, 2N) blocks, from the bands of h."""
-    v = 2.0 * op.potential / rho
-    e = 1.0 / (op.grid.dr * rho)  # 2 * 1/(2 dr) / rho
-    mass = 2.0 * op.m / rho
-
-    def step(x: np.ndarray, prev: np.ndarray, out: np.ndarray) -> None:
-        dirac_band_product(x, v, e, mass, out)
-        out -= prev
-
-    return step
+def _spectral_bound(op: DiscreteRadialOperator, start: int = 0) -> float:
+    """Gershgorin bound |m| + max|V| + 1/dr on the spectrum of h on cells >= start."""
+    return abs(op.m) + float(np.max(np.abs(op.potential[start:]))) + 1.0 / op.grid.dr
 
 
 def _chebyshev_propagate(op: DiscreteRadialOperator, v0: np.ndarray,
-                         times: np.ndarray) -> np.ndarray:
+                         times: np.ndarray, start: int = 0) -> np.ndarray:
     """exp(-i t h) v0 for every t, as the columns of a C-ordered complex 2N x T array.
 
-    The recurrence runs on the real rows [Re v0, Im v0]; every _CHUNK
-    Chebyshev vectors are added into the samples by one GEMM per parity of
-    k.  Even k carry a real coefficient and odd k an imaginary one, so the
-    two parities are kept apart and combined as complex numbers at the end.
+    The recurrence runs on the bands of cells >= start, with Dirichlet at
+    cell start - 1, and the samples are exact zeros below it.  It runs on
+    the real rows [Re v0, Im v0]; every _CHUNK Chebyshev vectors are added
+    into the samples by one GEMM per parity of k.  Even k carry a real
+    coefficient and odd k an imaginary one, so the two parities are kept
+    apart and combined as complex numbers at the end.
     """
     nn = op.grid.n_cells
-    rho = _spectral_bound(op)
+    kept = nn - start
+    rho = _spectral_bound(op, start)
     coeffs = _bessel_coefficients(rho * times)
     n_terms = coeffs.shape[1]
-    step = _dirac_step(op, rho)
-    acc = np.zeros((2, len(times), 2, 2 * nn))  # [parity of k, sample, re/im row, 2N]
-    buf = np.zeros((_CHUNK + 2, 2, 2 * nn))  # T_{k0-2}, T_{k0-1}, T_{k0}, ...
+    v = 2.0 * op.potential[start:] / rho
+    e = 1.0 / (op.grid.dr * rho)  # 2 * 1/(2 dr) / rho
+    mass = 2.0 * op.m / rho
+    x0 = np.concatenate([v0[start:nn], v0[nn + start:]])
+    acc = np.zeros((2, len(times), 2, 2 * kept))  # [parity of k, sample, re/im row, kept rows]
+    buf = np.zeros((_CHUNK + 2, 2, 2 * kept))  # T_{k0-2}, T_{k0-1}, T_{k0}, ...
     for k0 in range(0, n_terms, _CHUNK):
         count = min(_CHUNK, n_terms - k0)
         for j in range(2, count + 2):
             k = k0 + j - 2
             if k == 0:
-                buf[j] = (v0.real, v0.imag)
-            else:
-                step(buf[j - 1], buf[j - 2], buf[j])
+                buf[j] = (x0.real, x0.imag)
+            else:  # T_(k+1) = 2 (h / rho) T_k - T_(k-1)
+                dirac_band_product(buf[j - 1], v, e, mass, buf[j])
+                buf[j] -= buf[j - 2]
                 if k == 1:
                     buf[j] *= 0.5  # T_1 = (h / rho) T_0
         for parity in (0, 1):
             rows = buf[2 + parity:2 + count:2]
             acc[parity] += (coeffs[:, k0 + parity:k0 + count:2]
-                            @ rows.reshape(len(rows), 4 * nn)).reshape(-1, 2, 2 * nn)
+                            @ rows.reshape(len(rows), 4 * kept)).reshape(-1, 2, 2 * kept)
         buf[:2] = buf[count:count + 2]
     re, im = acc[0, :, 0], acc[0, :, 1]  # combined in place, acc is done
     re += acc[1, :, 1]
     im -= acc[1, :, 0]
-    out = np.multiply(im.T, 1j, out=np.empty((2 * nn, len(times)), dtype=complex))
+    out = np.multiply(im.T, 1j, out=np.empty((2 * kept, len(times)), dtype=complex))
     out += re.T  # re + 1j im, zero signs included
-    return out
-
-
-def _svd_propagate(op: DiscreteRadialOperator, v0: np.ndarray,
-                   times: np.ndarray) -> np.ndarray:
-    """exp(-i t h) v0 for every t from the SVD of the coupling block.
-
-    With B = U S W^T, a = U^T v_plus and b = W^T v_minus, each pair evolves
-    by exp(-i t [[m, s], [s, -m]]) = cos(w t) - i sin(w t) / w [[m, s], [s, -m]],
-    w = sqrt(m^2 + s^2), and the samples are U a(t) over W b(t).
-    """
-    import scipy.linalg
-
-    nn = op.grid.n_cells
-    try:
-        u, sv, wt = scipy.linalg.svd(op.coupling_block())
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"SVD of the coupling block failed: {exc}") from exc
-    a = real_matmul(u.T, v0[:nn, None])
-    b = real_matmul(wt, v0[nn:, None])
-    omega = np.hypot(op.m, sv)[:, None]
-    phase = omega * times
-    sinc = np.where(omega > 0.0, np.sin(phase) / np.where(omega > 0.0, omega, 1.0), times)
-    a_t = np.cos(phase) * a - 1j * sinc * (op.m * a + sv[:, None] * b)
-    b_t = np.cos(phase) * b - 1j * sinc * (sv[:, None] * a - op.m * b)
-    return np.vstack([real_matmul(u, a_t), real_matmul(wt.T, b_t)])
+    if not start:
+        return out
+    full = np.zeros((2 * nn, len(times)), dtype=complex)
+    full[start:nn], full[nn + start:] = out[:kept], out[kept:]
+    return full
 
 
 def bessel_orders(mu: float) -> tuple[float, float]:

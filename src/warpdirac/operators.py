@@ -73,12 +73,12 @@ class DiscreteRadialOperator:
 
     def __init__(self, grid: RadialGrid, kind: str, potential: np.ndarray,
                  profile: Optional[MetricProfile] = None, mu: Optional[float] = None,
-                 m: Optional[float] = None, n: Optional[int] = None):
+                 m: Optional[float] = None):
         if kind not in _KINDS or np.shape(potential) != grid.nodes.shape or (
                 kind == "dirac" and m is None):
             raise ConfigurationError(f"bad {kind} operator: need a potential per node (and m)")
         self.grid, self.kind, self.potential = grid, kind, potential
-        self.profile, self.mu, self.m, self.n = profile, mu, m, n
+        self.profile, self.mu, self.m = profile, mu, m
         self._eig: Optional[tuple] = None
 
     def _tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
@@ -92,14 +92,10 @@ class DiscreteRadialOperator:
         if self.kind != "dirac":
             d, e = self._tridiagonal()
             return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        b = self.coupling_block()
+        e = np.full(self.grid.n_cells - 1, 1.0 / (2.0 * self.grid.dr))
+        b = np.diag(self.potential) - np.diag(e, 1) + np.diag(e, -1)  # -d/dr + V
         mass = self.m * np.eye(self.grid.n_cells)
         return np.block([[mass, b], [b.T, -mass]])
-
-    def coupling_block(self) -> np.ndarray:
-        """Dense N x N upper-right block -d/dr + V of a Dirac operator."""
-        e = np.full(self.grid.n_cells - 1, 1.0 / (2.0 * self.grid.dr))
-        return np.diag(self.potential) - np.diag(e, 1) + np.diag(e, -1)
 
     def apply(self, block: np.ndarray) -> np.ndarray:
         """The operator times a real or complex vector or column block, from the bands."""
@@ -157,9 +153,9 @@ def check_kg_pair(mode, kg_minus: DiscreteRadialOperator,
                   kg_plus: DiscreteRadialOperator) -> None:
     """Raise unless the Klein-Gordon pair has the grid and mode of ``mode``,
     a Dirac operator or a trajectory."""
-    key = (mode.grid, mode.profile, mode.mu, mode.m, mode.n)
+    key = (mode.grid, mode.profile, mode.mu, mode.m)
     for kg, kind in ((kg_minus, "kg_minus"), (kg_plus, "kg_plus")):
-        if kg.kind != kind or (kg.grid, kg.profile, kg.mu, kg.m, kg.n) != key:
+        if kg.kind != kind or (kg.grid, kg.profile, kg.mu, kg.m) != key:
             raise ConfigurationError(
                 f"operator mismatch: expected {kind} on the same mode/grid")
 
@@ -212,7 +208,7 @@ def assemble_dirac(profile: MetricProfile, mu: float, m: float,
     _check_grid(grid)
     pot = ModePotential(profile=profile, mu=mu)
     return DiscreteRadialOperator(grid=grid, kind="dirac", potential=pot.V(grid.nodes),
-                                  profile=profile, mu=mu, m=m, n=profile.n)
+                                  profile=profile, mu=mu, m=m)
 
 
 def assemble_kg(profile: MetricProfile, mu: float, m: float,
@@ -226,7 +222,7 @@ def assemble_kg(profile: MetricProfile, mu: float, m: float,
     kind = "kg_plus" if sign > 0 else "kg_minus"
     return DiscreteRadialOperator(grid=grid, kind=kind,
                                   potential=pot.V(r) ** 2 + sign * pot.V_prime(r) + m * m,
-                                  profile=profile, mu=mu, m=m, n=profile.n)
+                                  profile=profile, mu=mu, m=m)
 
 
 def flat_reference_operator(n: int, grid: RadialGrid) -> DiscreteRadialOperator:
@@ -234,7 +230,7 @@ def flat_reference_operator(n: int, grid: RadialGrid) -> DiscreteRadialOperator:
     _check_grid(grid)
     r = grid.nodes
     return DiscreteRadialOperator(grid=grid, kind="flat_shift",
-                                  potential=(n - 1) * (n - 3) / (4.0 * r**2), n=n)
+                                  potential=(n - 1) * (n - 3) / (4.0 * r**2))
 
 
 def weighted_laplacian_operator(profile: MetricProfile,
@@ -250,7 +246,7 @@ def weighted_laplacian_operator(profile: MetricProfile,
     k = (profile.n - 1) / 2.0
     w = k * (k - 1.0) * (dphi / phi) ** 2 + k * d2phi / phi
     return DiscreteRadialOperator(grid=grid, kind="weighted_laplacian", potential=w,
-                                  profile=profile, n=profile.n)
+                                  profile=profile)
 
 
 def probe_functions(grid: RadialGrid, count: int = 5) -> np.ndarray:

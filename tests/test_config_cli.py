@@ -15,6 +15,9 @@ from warpdirac import assemble_dirac, evolve
 from warpdirac.cli import main
 from warpdirac.config import RunConfig, parse_config
 from warpdirac.errors import ConfigurationError
+from warpdirac.estimates import DEFAULT_EPSILON_LOSS, DataTemplate
+from warpdirac.operators import RadialGrid
+from warpdirac.scan import InfimumScanPolicy
 from warpdirac.reporting import canonical_json, write_csv_atomic
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -38,6 +41,14 @@ def test_minimal_config_defaults():
     assert cfg.t_max == 8.0
     assert [float(t.p) for t in cfg.triples] == [4.0]
     assert sorted(float(m.mu) for m in cfg.modes) == [-2.0, -1.0, 1.0, 2.0]
+
+
+def test_minimal_config_takes_the_library_defaults():
+    cfg = parse_config(MINIMAL)
+    assert cfg.grid == RadialGrid()
+    assert cfg.data == DataTemplate()
+    assert cfg.scan == InfimumScanPolicy()
+    assert cfg.epsilon_loss == DEFAULT_EPSILON_LOSS
 
 
 def test_comments_and_blank_lines():
@@ -213,6 +224,19 @@ def test_cli_rejects_nonpositive_t_max(tmp_path, capsys, command, t_max):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("grid.r_max = -1", "'grid.r_max' must be positive"),
+    ("grid.n_cells = 1", "'grid.n_cells' must be at least 2"),
+    ("data.width = 0", "'data.width' must be positive"),
+], ids=["r_max", "n_cells", "width"])
+def test_cli_out_of_range_value_names_its_key_and_line(tmp_path, capsys, line, message):
+    cfg = _write(tmp_path, MINIMAL + line + "\n")
+    out = tmp_path / "out"
+    assert main(["check-metric", "--config", cfg, "--out", str(out)]) == 4
+    assert f"line 3: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_validate_small(tmp_path):
     cfg = _write(tmp_path, SMALL)
     out = tmp_path / "out"
@@ -297,9 +321,10 @@ def test_check_metric_and_spectrum_never_load_scipy(tmp_path):
 
 def test_evolve_and_strichartz_scan_never_load_scipy(tmp_path):
     """Both mode-flow commands on their default n = 3 paths: Chebyshev
-    propagation (|mu| <= 2 is below the SVD break-even), power-series Bessel
-    rows and the DST-I Sobolev calculus."""
-    flat = _write(tmp_path, SMALL.replace("modes.mu_list = 1", "modes.mu_list = 1, -1"))
+    propagation on the full grid (|mu| <= 2) and cut at the centrifugal
+    barrier (|mu| = 64), power-series Bessel rows and the DST-I Sobolev
+    calculus."""
+    flat = _write(tmp_path, SMALL.replace("modes.mu_list = 1", "modes.mu_list = 1, -1, 64"))
     (tmp_path / "af").mkdir()
     af = _write(tmp_path / "af", "profile.family = asymptotically_flat\nprofile.epsilon = 0.01\n"
                                  "modes.mu_list = 1, -1, 2\ntriples = 4:4, inf:2\n"
@@ -315,6 +340,7 @@ def test_evolve_and_strichartz_scan_never_load_scipy(tmp_path):
                             env={**os.environ, "PYTHONPATH": path}, check=True)
     assert result.stdout == "False\n"
     assert (tmp_path / "evolve" / "trajectory_mu_-1.csv").exists()
+    assert (tmp_path / "evolve" / "trajectory_mu_64.csv").exists()
     assert (tmp_path / "scan" / "strichartz_scan.json").exists()
 
 

@@ -13,8 +13,9 @@ from warpdirac import (ConfigurationError, Family, FlatBesselOracle,
                        UnsupportedFamilyError, assemble_dirac, assemble_kg,
                        evolve, factorization_check, flat_exact_solution,
                        gaussian_state, kg_crosscheck, verify_square)
-from warpdirac.evolution import (_bessel_coefficients, _chebyshev_propagate,
-                                 _svd_propagate, bessel_orders, causal_time_limit)
+from warpdirac import evolution
+from warpdirac.evolution import (_barrier_cell, _bessel_coefficients, _chebyshev_propagate,
+                                 bessel_orders, causal_time_limit)
 
 FLAT = MetricProfile(Family.FLAT)
 AF001 = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=0.01)
@@ -59,8 +60,8 @@ PROPERTY_OP = assemble_dirac(FLAT, 1.0, 0.0, PROPERTY_GRID)
 PROPERTY_EIG = scipy.linalg.eigh(PROPERTY_OP.matrix)
 
 
-# On this grid evolve takes the Chebyshev path up to max|t| of about 12.8
-# and the SVD path beyond, so the draws below reach both.
+# Random data fill every cell, so evolve keeps the whole grid here; the
+# cut is checked against the full grid below.
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        times=st.lists(st.floats(-30.0, 30.0, allow_nan=False), min_size=1,
@@ -96,54 +97,127 @@ def _evolve_block(op, vec, times):
     return evolve(op, SpinorState(grid=op.grid, plus=vec[:nn], minus=vec[nn:]), times).samples
 
 
-@pytest.mark.parametrize("propagate", [_evolve_block, _chebyshev_propagate, _svd_propagate],
-                         ids=["evolve", "chebyshev", "svd"])
+REFEREE_CUT = 5
+
+
+def _cut_block(op, vec, times):
+    return _chebyshev_propagate(op, vec, times, REFEREE_CUT)
+
+
+@pytest.mark.parametrize("propagate", [_evolve_block, _chebyshev_propagate, _cut_block],
+                         ids=["evolve", "chebyshev", "cut"])
 @pytest.mark.parametrize("profile", [FLAT, AF001], ids=["flat", "af"])
 @pytest.mark.parametrize("mu, m", [(1.0, 0.0), (-2.0, 0.7), (3.0, 1.5)])
 def test_evolve_matches_dense_expm(propagate, profile, mu, m):
-    """evolve and each of its two propagators equal expm(-i t h) v for
-    random complex data, negative, zero and long times included."""
+    """evolve and the recurrence equal expm(-i t h) v for random complex
+    data, negative, zero and long times included.  Cut at a cell, the
+    recurrence is expm of h on the kept cells (Dirichlet at the cut), and
+    the cut cells are exact zeros."""
     op = assemble_dirac(profile, mu, m, REFEREE_GRID)
     nn = REFEREE_GRID.n_cells
     rng = np.random.default_rng(11)
     vec = rng.standard_normal(2 * nn) + 1j * rng.standard_normal(2 * nn)
     times = np.array([-30.0, -7.3, 0.0, 0.4, 12.0, 30.0])
+    start = REFEREE_CUT if propagate is _cut_block else 0
+    keep = np.r_[start:nn, nn + start:2 * nn]
     got = propagate(op, vec, times)
+    assert not np.any(np.delete(got, keep, axis=0))
     for k, t in enumerate(times):
-        want = scipy.linalg.expm(-1j * t * op.matrix) @ vec
-        assert np.linalg.norm(got[:, k] - want) <= 2e-13 * np.linalg.norm(vec)
+        want = scipy.linalg.expm(-1j * t * op.matrix[np.ix_(keep, keep)]) @ vec[keep]
+        assert np.linalg.norm(got[keep, k] - want) <= 2e-13 * np.linalg.norm(vec)
+
+
+def _record_starts(monkeypatch):
+    """Record the first kept cell of every recurrence evolve runs."""
+    starts = []
+
+    def recording(op, v0, times, start=0):
+        starts.append(start)
+        return _chebyshev_propagate(op, v0, times, start)
+
+    monkeypatch.setattr(evolution, "_chebyshev_propagate", recording)
+    return starts
 
 
 @pytest.mark.parametrize("mu, t_max, path", [(1.0, 8.0, "chebyshev"), (1.0, 0.5, "chebyshev"),
-                                             (64.0, 8.0, "svd"), (-64.0, -8.0, "svd")])
+                                             (64.0, 8.0, "cut"), (-64.0, -8.0, "cut")])
 def test_evolve_takes_the_cheaper_propagator(monkeypatch, mu, t_max, path):
-    """At 512 cells the recurrence needs about rho |t| steps, and rho grows
-    with |mu|: past 512^2 / 100 steps evolve diagonalizes the coupling
-    block instead, with the same samples to roundoff."""
+    """At 512 cells |mu| = 1 runs the recurrence on the full grid, and
+    |mu| = 64 on the cells outward of its centrifugal barrier, once, with
+    the full grid's samples to roundoff."""
     grid = RadialGrid(40.0, 512)
     op = assemble_dirac(AF001, mu, 0.7, grid)
     init = gaussian_state(grid)
     times = np.linspace(0.0, t_max, 5) if t_max > 0 else np.linspace(t_max, 0.0, 5)
-    calls = []
-    for name, fn in (("chebyshev", _chebyshev_propagate), ("svd", _svd_propagate)):
-        monkeypatch.setattr(f"warpdirac.evolution._{name}_propagate",
-                            lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    starts = _record_starts(monkeypatch)
     traj = evolve(op, init, times)
-    assert calls == [path]
+    assert len(starts) == 1 and (starts[0] > 0) == (path == "cut")
     v0 = init.as_vector()
-    other = (_svd_propagate if path == "chebyshev" else _chebyshev_propagate)(op, v0, times)
-    for k in range(1, len(times)):
-        assert np.linalg.norm(traj.samples[:, k] - other[:, k]) <= 1e-12 * np.linalg.norm(v0)
+    full = _chebyshev_propagate(op, v0, times)
+    for k in range(len(times)):
+        assert np.linalg.norm(traj.samples[:, k] - full[:, k]) <= 1e-12 * np.linalg.norm(v0)
 
 
-@pytest.mark.parametrize("mu", [1.0, 64.0], ids=["chebyshev", "svd"])
+@pytest.mark.parametrize("profile", [FLAT, AF001], ids=["flat", "af"])
+@pytest.mark.parametrize("mu", [16.0, -64.0, 64.0, 256.0])
+@pytest.mark.parametrize("m", [0.0, 0.7])
+def test_cut_matches_the_full_grid(monkeypatch, profile, mu, m):
+    """At 1024 cells every one of these modes is cut at its centrifugal
+    barrier, once, and the samples stay within 1e-12 relative of the
+    recurrence on the full grid; the cut cells are exact zeros."""
+    grid = RadialGrid(40.0, 1024)
+    op = assemble_dirac(profile, mu, m, grid)
+    init = gaussian_state(grid)
+    times = np.array([-2.0, 0.0, 0.5, 2.0])
+    starts = _record_starts(monkeypatch)
+    traj = evolve(op, init, times)
+    assert len(starts) == 1 and starts[0] > 0
+    full = _chebyshev_propagate(op, init.as_vector(), times)
+    for k in range(len(times)):
+        diff = np.linalg.norm(traj.samples[:, k] - full[:, k])
+        assert diff <= 1e-12 * np.linalg.norm(full[:, k])
+    nn = grid.n_cells
+    cut = np.r_[:starts[0], nn:nn + starts[0]]
+    assert not np.any(traj.samples[np.ix_(cut, times != 0.0)])
+
+
+@pytest.mark.parametrize("n_cells", [1024, 2048])
+@pytest.mark.parametrize("profile", [FLAT, AF001], ids=["flat", "af"])
+@pytest.mark.parametrize("mu", [1.0, -1.0, 2.0, -2.0, 8.0])
+def test_no_cut_where_it_does_not_pay(profile, mu, n_cells):
+    """Low modes on the benchmark grids keep the whole grid, so their
+    samples are the uncut recurrence's."""
+    grid = RadialGrid(40.0, n_cells)
+    op = assemble_dirac(profile, mu, 0.0, grid)
+    assert _barrier_cell(op, gaussian_state(grid).as_vector()) == 0
+
+
+def test_shallow_cut_fails_its_certificate(monkeypatch):
+    """A cut 2 Agmon units deep lets the flow reach the first kept cells,
+    so evolve runs the full grid once more and returns its samples, bit
+    for bit."""
+    monkeypatch.setattr(evolution, "_AGMON_DEPTH", 2.0)
+    grid = RadialGrid(40.0, 1024)
+    op = assemble_dirac(AF001, 16.0, 0.0, grid)
+    init = gaussian_state(grid)
+    times = np.linspace(0.0, 8.0, 5)
+    starts = _record_starts(monkeypatch)
+    traj = evolve(op, init, times)
+    assert starts[0] > 0 and starts[1:] == [0]
+    full = _chebyshev_propagate(op, init.as_vector(), times)
+    assert np.array_equal(traj.samples[:, 1:], full[:, 1:])
+
+
+@pytest.mark.parametrize("mu", [1.0, 64.0], ids=["chebyshev", "cut"])
 def test_trajectory_is_one_sample_block(mu):
-    """Whichever propagator ran, the samples are one read-only, C-ordered
-    2N x T array: block() views it, state(k) is its column k, and norms()
-    sums each sample as SpinorState.norm does, bit for bit."""
+    """Cut or not, the samples are one read-only, C-ordered 2N x T array:
+    block() views it, state(k) is its column k, and norms() sums each
+    sample as SpinorState.norm does, bit for bit."""
     grid = RadialGrid(40.0, 512)
     op = assemble_dirac(AF001, mu, 0.7, grid)
-    traj = evolve(op, gaussian_state(grid), np.linspace(0.0, 8.0, 5))
+    init = gaussian_state(grid)
+    traj = evolve(op, init, np.linspace(0.0, 8.0, 5))
+    assert (_barrier_cell(op, init.as_vector()) > 0) == (mu == 64.0)
     assert traj.samples.shape == (1024, 5) and traj.samples.flags.c_contiguous
     for component, rows in (("plus", slice(None, 512)), ("minus", slice(512, None))):
         block = traj.block(component)
@@ -176,23 +250,33 @@ def test_bessel_coefficients_match_scipy():
     assert bessel[0].tolist() == [1.0] + [0.0] * (len(k) - 1)
 
 
-def test_evolve_bounded_memory_at_8192_cells():
-    """Assembly and propagation stay O(N): a dense 2N x 2N matrix alone
-    would take 2.1 GB here."""
+def _peak_memory_of_evolve(profile, mu, times):
+    """tracemalloc peak of assembling and evolving one mode on 8192 cells."""
     grid = RadialGrid(40.0, 8192)
-    times = np.linspace(0.0, 1.0, 5)
     tracemalloc.start()
     try:
-        op = assemble_dirac(FLAT, 1.0, 0.0, grid)
+        op = assemble_dirac(profile, mu, 0.0, grid)
         init = gaussian_state(grid)
         traj = evolve(op, init, times)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
     assert traj.times.tolist() == times.tolist()
     base = init.norm()
     assert np.max(np.abs(traj.norms() / base - 1.0)) <= 1e-12
+    return peak
+
+
+def test_evolve_bounded_memory_at_8192_cells():
+    """Assembly and propagation stay O(N): a dense 2N x 2N matrix alone
+    would take 2.1 GB here."""
+    assert _peak_memory_of_evolve(FLAT, 1.0, np.linspace(0.0, 1.0, 5)) < 64 * 2**20
+
+
+def test_cut_flow_bounded_memory_at_8192_cells():
+    """At |mu| = 256 the full grid's Bessel table alone would hold about
+    840k terms per sample; cut at the barrier, the flow stays small."""
+    assert _peak_memory_of_evolve(AF001, 256.0, np.linspace(0.0, 8.0, 17)) < 64 * 2**20
 
 
 def test_causal_window_recorded(flat_op):
@@ -303,7 +387,7 @@ class DenseKG:
     grid and mode of the Dirac operator ``op``."""
 
     def __init__(self, op, kind, matrix):
-        self.grid, self.profile, self.mu, self.m, self.n = op.grid, op.profile, op.mu, op.m, op.n
+        self.grid, self.profile, self.mu, self.m = op.grid, op.profile, op.mu, op.m
         self.kind, self.matrix = kind, matrix
 
     def apply(self, block):

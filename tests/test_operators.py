@@ -1,6 +1,6 @@
 import inspect
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from warpdirac import (ConfigurationError, Family, GridTooCoarseError,
                        flat_reference_operator, norm_equivalence_check, sigma,
                        verify_square)
 from warpdirac.estimates import mu_scan, strichartz_weight
+from warpdirac.evolution import SpinorTrajectory
 from warpdirac.operators import (DiscreteRadialOperator, _random_bump,
                                  weighted_laplacian_operator)
 from warpdirac.profiles import sigma_log_derivative_bound
@@ -33,6 +34,13 @@ def test_profile_apis_take_no_dimension(api):
     assert "profile" in params and "n" not in params
     if api is factorization_check:
         assert "m" not in params  # the factorization identity is mass-free
+
+
+def test_operators_and_trajectories_store_no_dimension():
+    """The dimension is stored once, on the profile."""
+    assert "n" not in inspect.signature(DiscreteRadialOperator).parameters
+    assert "n" not in {field.name for field in fields(SpinorTrajectory)}
+    assert not hasattr(flat_reference_operator(5, GRID), "n")
 
 
 def test_grid_nodes_offset():
