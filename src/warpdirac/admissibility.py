@@ -20,29 +20,27 @@ grid can span [1e-6, 1e6] for every family including sinh.
 
 :func:`check_admissible` checks a whole sequence of modes in one pass: the
 profile is evaluated once on the scan grid, then block by block the scaled
-parts of each signed mu and every distinct functional on them
+parts of each signed mu and its functionals (:func:`_mode_terms`, the one
+place they are written) are scanned together
 (:func:`warpdirac.scan.scan_infima`), and every golden-section refinement
-of every mode steps together.  Negating mu negates each scaled part exactly
-(IEEE negation is exact), so the delta_pm terms of -mu are the
-channel-swapped terms of mu, and each is scanned once.  Its values equal
-those of the per-functional scans (:func:`delta_pm`, :func:`delta_phi`) bit
-for bit.
+of every mode steps together.  Its values equal those of the
+per-functional scans (:func:`delta_pm`, :func:`delta_phi`) bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .profiles import MetricProfile, ProfileConstants
-from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_infima, scan_infimum
+from .scan import (DEFAULT_SCAN_POLICY, InfimumScanPolicy, ScanExtremum, scan_infima,
+                   scan_infimum)
 
-__all__ = ["ModePotential", "TermInfimum", "DeltaPair", "DeltaPhi", "DeltaC",
+__all__ = ["ModePotential", "DeltaPair", "DeltaPhi", "DeltaC",
            "AdmissibilityReport", "delta_pm", "delta_phi", "delta_c",
            "check_admissible", "delta_lower_bound"]
 
@@ -97,10 +95,9 @@ def _parts(mu, ratios):
     """(rV, r^2 V', r^3 V'', r^3 W') from the profile ratios; ``mu`` may be an array."""
     s1, s2, s3 = ratios
     rv = mu * s1
-    r2vp = -mu * s1 * s2
-    r3vpp = 2.0 * mu * s1 * s2**2 - mu * s3
-    r3wp = mu * s3 - 2.0 * rv**2 * s2 - 2.0 * mu * s1 * s2**2
-    return rv, r2vp, r3vpp, r3wp
+    mu_s3 = mu * s3
+    bend = 2.0 * rv * s2**2  # 2 mu s1 s2^2
+    return rv, -rv * s2, bend - mu_s3, mu_s3 - 2.0 * rv**2 * s2 - bend
 
 
 def _parts_at_zero(mu: float) -> tuple:
@@ -112,45 +109,34 @@ def _parts_at_infinity(profile: MetricProfile, mu: float) -> Optional[tuple]:
     return None if lims is None else _parts(mu, lims)
 
 
-def _term_I(parts, sign: int):
-    rv, r2vp, _, _ = parts
-    return 0.25 + rv**2 + sign * r2vp
+# Rows of _mode_terms: delta_pm's four terms, delta_phi's two, and the one
+# behind sup |4 r^2 W|.
+_PM_TERMS, _PHI_TERMS, _SUP_TERM = range(4), (4, 5), 6
 
 
-def _term_Q(parts, sign: int):
-    rv, r2vp, r3vpp, _ = parts
-    return 0.25 - (2.0 * rv * r2vp + sign * r3vpp) - (rv**2 + sign * r2vp)
+def _mode_terms(parts) -> tuple:
+    """The seven infimum functionals of one signed mu, from its scaled parts.
+
+    In order: 1/4 + r^2 (V^2 +- V') and 1/4 - r^3 (2VV' +- V'') - r^2 (V^2 +- V')
+    for + then -, 4 r^2 W + 1, -4 r^2 W - 4 r^3 W' + 1 and -|4 r^2 W|.
+    """
+    rv, r2vp, r3vpp, r3wp = parts
+    rv2 = rv**2
+    quarter = 0.25 + rv2
+    cross = 2.0 * rv * r2vp
+    w4 = 4.0 * (rv2 - r2vp)  # 4 r^2 W
+    return (quarter + r2vp, 0.25 - (cross + r3vpp) - (rv2 + r2vp),
+            quarter - r2vp, 0.25 - (cross - r3vpp) - (rv2 - r2vp),
+            w4 + 1.0, -w4 - 4.0 * r3wp + 1.0, -np.abs(w4))
 
 
-def _term_quad(parts):
-    rv, r2vp, _, _ = parts
-    return 4.0 * (rv**2 - r2vp) + 1.0
-
-
-def _term_cubic(parts):
-    rv, r2vp, _, r3wp = parts
-    return -4.0 * (rv**2 - r2vp) - 4.0 * r3wp + 1.0
-
-
-@dataclass(frozen=True)
-class TermInfimum:
-    value: float
-    arg_r: float
-
-
-def _scan_term(pot: ModePotential, term, sign: Optional[int],
-               scan: InfimumScanPolicy) -> TermInfimum:
-    zero = pot.scaled_parts_at_zero()
-    inf_parts = pot.scaled_parts_at_infinity()
-    if sign is None:
-        f = lambda r: term(pot.scaled_parts(r))
-        lim0, liminf = term(zero), (None if inf_parts is None else term(inf_parts))
-    else:
-        f = lambda r: term(pot.scaled_parts(r), sign)
-        lim0 = term(zero, sign)
-        liminf = None if inf_parts is None else term(inf_parts, sign)
-    res = scan_infimum(f, scan, limit_at_zero=lim0, limit_at_infinity=liminf)
-    return TermInfimum(res.value, res.arg_r)
+def _scan_term(pot: ModePotential, t: int, scan: InfimumScanPolicy) -> ScanExtremum:
+    """Infimum of row t of :func:`_mode_terms` for one mode, scanned alone."""
+    at_inf = pot.scaled_parts_at_infinity()
+    return scan_infimum(
+        lambda r: _mode_terms(pot.scaled_parts(r))[t], scan,
+        limit_at_zero=_mode_terms(pot.scaled_parts_at_zero())[t],
+        limit_at_infinity=None if at_inf is None else _mode_terms(at_inf)[t])
 
 
 @dataclass(frozen=True)
@@ -159,14 +145,14 @@ class DeltaPair:
 
     delta_plus: float
     delta_minus: float
-    plus_quadratic: TermInfimum
-    plus_cubic: TermInfimum
-    minus_quadratic: TermInfimum
-    minus_cubic: TermInfimum
+    plus_quadratic: ScanExtremum
+    plus_cubic: ScanExtremum
+    minus_quadratic: ScanExtremum
+    minus_cubic: ScanExtremum
 
     @classmethod
-    def from_terms(cls, pq: TermInfimum, pc: TermInfimum,
-                   mq: TermInfimum, mc: TermInfimum) -> "DeltaPair":
+    def from_terms(cls, pq: ScanExtremum, pc: ScanExtremum,
+                   mq: ScanExtremum, mc: ScanExtremum) -> "DeltaPair":
         return cls(delta_plus=min(0.25, pq.value, pc.value),
                    delta_minus=min(0.25, mq.value, mc.value),
                    plus_quadratic=pq, plus_cubic=pc,
@@ -176,14 +162,14 @@ class DeltaPair:
 @dataclass(frozen=True)
 class DeltaPhi:
     value: float
-    quad_term: TermInfimum
-    cubic_term: TermInfimum
+    quad_term: ScanExtremum
+    cubic_term: ScanExtremum
 
     @classmethod
-    def from_terms(cls, quad: TermInfimum, cubic: TermInfimum) -> "DeltaPhi":
+    def from_terms(cls, quad: ScanExtremum, cubic: ScanExtremum) -> "DeltaPhi":
         return cls(value=min(1.0, quad.value, cubic.value), quad_term=quad, cubic_term=cubic)
 
-    def violating_term(self) -> Optional[TermInfimum]:
+    def violating_term(self) -> Optional[ScanExtremum]:
         """First non-positive term (quadratic checked before cubic), if any."""
         if self.value > 0.0:
             return None
@@ -196,27 +182,21 @@ class DeltaPhi:
 @dataclass(frozen=True)
 class DeltaC:
     value: float
-    quad_term: TermInfimum
-    cubic_term: TermInfimum
+    quad_term: ScanExtremum
+    cubic_term: ScanExtremum
 
 
 def delta_pm(pot: ModePotential,
              scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> DeltaPair:
     """Both Hardy-form infima for the +/- channels of one mode."""
-    pq = _scan_term(pot, _term_I, +1, scan)
-    pc = _scan_term(pot, _term_Q, +1, scan)
-    mq = _scan_term(pot, _term_I, -1, scan)
-    mc = _scan_term(pot, _term_Q, -1, scan)
-    return DeltaPair.from_terms(pq, pc, mq, mc)
+    return DeltaPair.from_terms(*(_scan_term(pot, t, scan) for t in _PM_TERMS))
 
 
 def delta_phi(profile: MetricProfile, mu: float,
               scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> DeltaPhi:
     """Quadratic-weight variant built on W = mu (mu + phi')/phi^2."""
     pot = ModePotential(profile=profile, mu=mu)
-    quad = _scan_term(pot, _term_quad, None, scan)
-    cubic = _scan_term(pot, _term_cubic, None, scan)
-    return DeltaPhi.from_terms(quad, cubic)
+    return DeltaPhi.from_terms(*(_scan_term(pot, t, scan) for t in _PHI_TERMS))
 
 
 def delta_c(pot: ModePotential, sign: int,
@@ -244,8 +224,14 @@ def delta_c(pot: ModePotential, sign: int,
         r3cp = 2.0 * corner + 2.0 * rv * r2vp + sign * r3vpp
         return -r3cp - r2c(parts) + shift
 
-    quad = _scan_term(pot, term2, None, scan)
-    cubic = _scan_term(pot, term3, None, scan)
+    at_inf = pot.scaled_parts_at_infinity()
+
+    def infimum(term):
+        return scan_infimum(lambda r: term(pot.scaled_parts(r)), scan,
+                            limit_at_zero=term(pot.scaled_parts_at_zero()),
+                            limit_at_infinity=None if at_inf is None else term(at_inf))
+
+    quad, cubic = infimum(term2), infimum(term3)
     return DeltaC(value=min(0.25, quad.value, cubic.value),
                   quad_term=quad, cubic_term=cubic)
 
@@ -270,31 +256,6 @@ class AdmissibilityReport:
         return asdict(self)
 
 
-def _term_sup(parts):
-    """-|4 r^2 W|, whose infimum is minus sup |4 r^2 W|."""
-    rv, r2vp, _, _ = parts
-    return -np.abs(4.0 * (rv**2 - r2vp))
-
-
-# Infimum functionals of one signed mu: delta_pm's four terms, delta_phi's
-# two, and the one behind sup |4 r^2 W|.
-_MODE_TERMS = (partial(_term_I, sign=+1), partial(_term_Q, sign=+1),
-               partial(_term_I, sign=-1), partial(_term_Q, sign=-1),
-               _term_quad, _term_cubic, _term_sup)
-_PM_TERMS, _PHI_TERMS, _SUP_TERM = range(4), (4, 5), 6
-# Negating mu negates every scaled part exactly, so delta_pm term t of -mu is
-# term _CHANNEL_SWAP[t] of mu, bit for bit.
-_CHANNEL_SWAP = (2, 3, 0, 1)
-
-
-def _functional(mu: float, t: int) -> tuple[float, int]:
-    """Key (mu, term) of the grid functional that term t of mode mu reads.
-
-    A delta_pm term of a negative mu reads the channel-swapped term of -mu.
-    """
-    return (-mu, _CHANNEL_SWAP[t]) if t in _PM_TERMS and mu < 0 else (mu, t)
-
-
 def _potential_decays(mu: float, probes: tuple, probe_ratios) -> bool:
     """Surrogate for lim_{r->inf} W = 0: monotone decay below 1e-6 at probes."""
     rv, r2vp, _, _ = _parts(mu, probe_ratios)
@@ -310,24 +271,21 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     Mode mu needs delta_pm(mu), delta_phi(+-mu) and sup |4 r^2 W| at mu.
     All of these are scanned in one pass: ``profile.ratios`` once on the
     policy grid, then block by block the scaled parts of each signed mu and
-    every distinct functional on them (:func:`warpdirac.scan.scan_infima`).
-    delta_phi(-mu) is shared with mode -mu, and the delta_pm terms of -mu
-    are the channel-swapped ones of mu, so modes +-mu scan 10 functionals,
-    not 14.  Every golden-section refinement steps in lockstep with one
-    ``profile.ratios`` call per step.  The potential's decay is probed at
-    the top of the policy range.  The values are those of
-    :func:`delta_pm`, :func:`delta_phi` and a supremum scan per mode, bit
-    for bit.
+    the :func:`_mode_terms` rows it needs (:func:`warpdirac.scan.scan_infima`);
+    delta_phi(-mu) also serves mode -mu.  Every golden-section refinement
+    steps in lockstep with one ``profile.ratios`` call per step.  The
+    potential's decay is probed at the top of the policy range.  The values
+    are those of :func:`delta_pm`, :func:`delta_phi` and a supremum scan per
+    mode, bit for bit.
     """
     pots = [ModePotential(profile=profile, mu=mu) for mu in mus]
     if not pots:
         return []
-    needed = {}  # signed mu -> indices into _MODE_TERMS
+    needed = {}  # signed mu -> the _mode_terms rows it needs
     for pot in pots:
-        needed[pot.mu] = range(len(_MODE_TERMS))
+        needed[pot.mu] = range(_SUP_TERM + 1)
         needed.setdefault(-pot.mu, _PHI_TERMS)
-    jobs = list(dict.fromkeys(_functional(mu, t) for mu, terms in needed.items()
-                              for t in terms))
+    jobs = [(mu, t) for mu, terms in needed.items() for t in terms]
     rows = {}  # signed mu -> (term, row) pairs to fill from its scaled parts
     for row, (mu, t) in enumerate(jobs):
         rows.setdefault(mu, []).append((t, row))
@@ -337,42 +295,34 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     def fill(lo, hi, out):
         block = tuple(s[lo:hi] for s in ratios)
         for mu, terms in rows.items():
-            parts = _parts(mu, block)
+            values = _mode_terms(_parts(mu, block))
             for t, row in terms:
-                out[row] = _MODE_TERMS[t](parts)
+                out[row] = values[t]
 
     limits = []
-    for mu, t in jobs:
+    for mu, terms in needed.items():
+        at_zero = _mode_terms(_parts_at_zero(mu))
         at_inf = _parts_at_infinity(profile, mu)
-        term = _MODE_TERMS[t]
-        limits.append((term(_parts_at_zero(mu)), None if at_inf is None else term(at_inf)))
+        at_inf = None if at_inf is None else _mode_terms(at_inf)
+        limits += [(at_zero[t], None if at_inf is None else at_inf[t]) for t in terms]
 
     job_mu = np.array([mu for mu, _ in jobs], dtype=float)
     job_term = np.array([t for _, t in jobs])
 
     def evaluate(ids, radii):
-        parts = _parts(job_mu[ids], profile.ratios(radii))
-        terms = job_term[ids]
-        out = np.empty(len(ids))
-        for t in np.unique(terms):
-            sel = terms == t
-            out[sel] = _MODE_TERMS[t](tuple(p[sel] for p in parts))
-        return out
+        values = np.stack(_mode_terms(_parts(job_mu[ids], profile.ratios(radii))))
+        return values[job_term[ids], np.arange(len(ids))]
 
     found = dict(zip(jobs, scan_infima(r, limits, fill, evaluate)))
     probes = (scan.r_max / 100, scan.r_max / 10, scan.r_max)
     probe_ratios = profile.ratios(np.array(probes))
 
-    def term(mu, t):
-        res = found[_functional(mu, t)]
-        return TermInfimum(res.value, res.arg_r)
-
     reports = []
     for pot in pots:
         mu = pot.mu
-        pair = DeltaPair.from_terms(*(term(mu, t) for t in _PM_TERMS))
-        dphi_pos = DeltaPhi.from_terms(*(term(mu, t) for t in _PHI_TERMS))
-        dphi_neg = DeltaPhi.from_terms(*(term(-mu, t) for t in _PHI_TERMS))
+        pair = DeltaPair.from_terms(*(found[(mu, t)] for t in _PM_TERMS))
+        dphi_pos = DeltaPhi.from_terms(*(found[(mu, t)] for t in _PHI_TERMS))
+        dphi_neg = DeltaPhi.from_terms(*(found[(-mu, t)] for t in _PHI_TERMS))
         sup = found[(mu, _SUP_TERM)].negated()
         sup_finite = not sup.diverging and math.isfinite(sup.value)
         decay_ok = _potential_decays(mu, probes, probe_ratios)

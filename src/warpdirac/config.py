@@ -17,7 +17,7 @@ from typing import Optional
 from .errors import ConfigurationError
 from .estimates import DEFAULT_EPSILON_LOSS, DataTemplate, ExponentTriple, is_admissible_triple
 from .evolution import causal_time_limit, gaussian_support_radius
-from .operators import DEFAULT_N_CELLS, DEFAULT_R_MAX, RadialGrid
+from .operators import DEFAULT_N_CELLS, DEFAULT_R_MAX, MIN_CELLS, RadialGrid
 from .profiles import Family, MetricProfile
 from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy
 from .spectrum import lp_band, make_mode, modes_in_band, sphere_spectrum
@@ -242,8 +242,9 @@ def parse_config(text: str) -> RunConfig:
             f"the modes section enumerates no mode: the smallest |mu| for n={n} "
             f"is {(n - 1) / 2:g}")
 
-    grid = RadialGrid(r_max=parser.take_positive("grid.r_max", DEFAULT_R_MAX),
-                      n_cells=parser.take_int("grid.n_cells", DEFAULT_N_CELLS, minimum=2))
+    grid = RadialGrid(
+        r_max=parser.take_positive("grid.r_max", DEFAULT_R_MAX),
+        n_cells=parser.take_int("grid.n_cells", DEFAULT_N_CELLS, minimum=MIN_CELLS))
     t_max = parser.take_positive("time.t_max", 8.0)
     samples = parser.take_int("time.samples", 17, minimum=2)
 

@@ -35,7 +35,7 @@ __all__ = ["RadialGrid", "DiscreteRadialOperator", "sigma",
 
 DEFAULT_R_MAX = 40.0
 DEFAULT_N_CELLS = 2048
-_MIN_CELLS = 16
+MIN_CELLS = 16  # fewest cells of any grid
 _BOUNDARY_SKIN = 4  # cells dropped at each end in stencil-mismatch residuals
 
 
@@ -49,8 +49,9 @@ class RadialGrid:
     def __post_init__(self):
         if self.r_max <= 0:
             raise ConfigurationError("r_max must be positive")
-        if self.n_cells < 2:
-            raise ConfigurationError("grid needs at least 2 cells")
+        if self.n_cells < MIN_CELLS:
+            raise GridTooCoarseError(
+                f"grid needs at least {MIN_CELLS} cells, got {self.n_cells}")
 
     @property
     def dr(self) -> float:
@@ -196,16 +197,9 @@ def sigma(profile: MetricProfile, r):
     return s, sp
 
 
-def _check_grid(grid: RadialGrid):
-    if grid.n_cells < _MIN_CELLS:
-        raise GridTooCoarseError(
-            f"need at least {_MIN_CELLS} cells, got {grid.n_cells}")
-
-
 def assemble_dirac(profile: MetricProfile, mu: float, m: float,
                    grid: RadialGrid) -> DiscreteRadialOperator:
     """Flattened mode Dirac operator [[m, -d/dr + V], [d/dr + V, -m]]."""
-    _check_grid(grid)
     pot = ModePotential(profile=profile, mu=mu)
     return DiscreteRadialOperator(grid=grid, kind="dirac", potential=pot.V(grid.nodes),
                                   profile=profile, mu=mu, m=m)
@@ -214,7 +208,6 @@ def assemble_dirac(profile: MetricProfile, mu: float, m: float,
 def assemble_kg(profile: MetricProfile, mu: float, m: float,
                 sign: int, grid: RadialGrid) -> DiscreteRadialOperator:
     """Flattened Klein-Gordon operator m^2 - d2/dr2 + V^2 + sign V'."""
-    _check_grid(grid)
     if sign not in (+1, -1):
         raise ConfigurationError("sign must be +1 or -1")
     pot = ModePotential(profile=profile, mu=mu)
@@ -227,7 +220,6 @@ def assemble_kg(profile: MetricProfile, mu: float, m: float,
 
 def flat_reference_operator(n: int, grid: RadialGrid) -> DiscreteRadialOperator:
     """Flattened flat radial Laplacian H0 = -d2/dr2 + (n-1)(n-3)/(4 r^2)."""
-    _check_grid(grid)
     r = grid.nodes
     return DiscreteRadialOperator(grid=grid, kind="flat_shift",
                                   potential=(n - 1) * (n - 3) / (4.0 * r**2))
@@ -240,7 +232,6 @@ def weighted_laplacian_operator(profile: MetricProfile,
     Conjugating -phi^(1-n) d(phi^(n-1) d .) by phi^((n-1)/2) gives
     -d2/dr2 + k(k-1)(phi'/phi)^2 + k phi''/phi with k = (n-1)/2.
     """
-    _check_grid(grid)
     r = grid.nodes
     phi, dphi, d2phi = profile.phi_dphi_d2phi(r)
     k = (profile.n - 1) / 2.0

@@ -195,6 +195,27 @@ def test_batched_reports_equal_single_functional_scans(tag, scan):
         assert any(rep.witness_r is not None for rep in reports)
 
 
+@pytest.mark.parametrize("tag", sorted(PROFILES))
+def test_mode_terms_equal_the_written_out_functionals(tag):
+    """The shared subexpressions of _parts and _mode_terms change no bit of any functional."""
+    ratios = PROFILES[tag].ratios(InfimumScanPolicy(1e-4, 1e4, 5000).grid())
+    s1, s2, s3 = ratios
+    for mu in SIGNED_MUS + [np.resize(SIGNED_MUS, len(s1))]:  # array mu as in refinements
+        rv = mu * s1
+        r2vp = -mu * s1 * s2
+        r3vpp = 2.0 * mu * s1 * s2**2 - mu * s3
+        r3wp = mu * s3 - 2.0 * rv**2 * s2 - 2.0 * mu * s1 * s2**2
+        hardy = [0.25 + rv**2 + sign * r2vp for sign in (1, -1)]
+        cubic = [0.25 - (2.0 * rv * r2vp + sign * r3vpp) - (rv**2 + sign * r2vp)
+                 for sign in (1, -1)]
+        expected = (hardy[0], cubic[0], hardy[1], cubic[1], 4.0 * (rv**2 - r2vp) + 1.0,
+                    -4.0 * (rv**2 - r2vp) - 4.0 * r3wp + 1.0, -np.abs(4.0 * (rv**2 - r2vp)))
+        parts = admissibility._parts(mu, ratios)
+        for got, want in zip((*parts, *admissibility._mode_terms(parts)),
+                             (rv, r2vp, r3vpp, r3wp, *expected), strict=True):
+            assert np.array_equal(got, want)
+
+
 def test_one_profile_evaluation_per_scan_grid(monkeypatch):
     """One ratios call on the policy grid; refinements share their small calls across modes."""
     sizes = []
@@ -233,28 +254,40 @@ def test_profile_is_never_evaluated_beyond_the_policy_range(monkeypatch):
 
 
 def test_blocked_scan_of_distinct_functionals(monkeypatch):
-    """Mode terms only see one grid block; modes +-mu share their delta_pm functionals."""
+    """Mode terms only see one grid block; each signed mu scans its seven functionals once."""
     expected = check_admissible(AF001, SIGNED_MUS)
-    longest, counts = [0], []
-
-    def sized(term):
-        def wrapped(parts):
-            longest[0] = max(longest[0], np.size(parts[0]))
-            return term(parts)
-        return wrapped
-
+    longest, counts, blocks = [0], [], []
+    filling = [False]
+    real_terms, real_parts = admissibility._mode_terms, admissibility._parts
     real_scan = admissibility.scan_infima
+
+    def sized(parts):
+        longest[0] = max(longest[0], np.size(parts[0]))
+        return real_terms(parts)
+
+    def recorded(mu, ratios):
+        if filling[0]:
+            blocks[-1].append(mu)
+        return real_parts(mu, ratios)
 
     def counting(r, limits, fill, evaluate):
         counts.append(len(limits))
-        return real_scan(r, limits, fill, evaluate)
 
-    monkeypatch.setattr(admissibility, "_MODE_TERMS",
-                        tuple(sized(t) for t in admissibility._MODE_TERMS))
+        def block_fill(lo, hi, out):
+            blocks.append([])
+            filling[0] = True
+            fill(lo, hi, out)
+            filling[0] = False
+
+        return real_scan(r, limits, block_fill, evaluate)
+
+    monkeypatch.setattr(admissibility, "_mode_terms", sized)
+    monkeypatch.setattr(admissibility, "_parts", recorded)
     monkeypatch.setattr(admissibility, "scan_infima", counting)
     assert check_admissible(AF001, SIGNED_MUS) == expected
     assert 0 < longest[0] <= BLOCK
-    assert counts == [80]  # 8 pairs +-mu: 4 delta_pm + 2 x 2 delta_phi + 2 sup terms
+    assert counts == [16 * 7]  # every (mu, term) of 16 signed modes
+    assert len(blocks) > 1 and all(sorted(b) == sorted(SIGNED_MUS) for b in blocks)
 
 
 def test_report_serialization_fields():

@@ -226,7 +226,7 @@ def test_cli_rejects_nonpositive_t_max(tmp_path, capsys, command, t_max):
 
 @pytest.mark.parametrize("line, message", [
     ("grid.r_max = -1", "'grid.r_max' must be positive"),
-    ("grid.n_cells = 1", "'grid.n_cells' must be at least 2"),
+    ("grid.n_cells = 8", "'grid.n_cells' must be at least 16"),
     ("data.width = 0", "'data.width' must be positive"),
 ], ids=["r_max", "n_cells", "width"])
 def test_cli_out_of_range_value_names_its_key_and_line(tmp_path, capsys, line, message):
@@ -237,6 +237,16 @@ def test_cli_out_of_range_value_names_its_key_and_line(tmp_path, capsys, line, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["check-metric", "spectrum", "evolve"])
+def test_cli_rejects_a_grid_below_the_assembly_minimum(tmp_path, capsys, command):
+    """Every command refuses a grid that operator assembly could not use, at its line."""
+    cfg = _write(tmp_path, MINIMAL + "grid.n_cells = 8\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert "line 3: 'grid.n_cells' must be at least 16" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_validate_small(tmp_path):
     cfg = _write(tmp_path, SMALL)
     out = tmp_path / "out"
@@ -244,6 +254,14 @@ def test_cli_validate_small(tmp_path):
     data = json.loads((out / "validate.json").read_text())
     assert data["pass"] is True
     assert {e["s"] for e in data["norm_equivalence"]} == {0.0, 0.5, 1.0}
+
+
+def test_cli_validate_needs_two_ladder_rungs(tmp_path, capsys):
+    cfg = _write(tmp_path, SMALL.replace("grid.n_cells = 512", "grid.n_cells = 256"))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 4
+    assert "too small for a refinement ladder" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_validate_byte_identical(tmp_path):

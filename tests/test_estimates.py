@@ -308,6 +308,16 @@ def test_mu_scan_two_triples_share_one_trajectory(monkeypatch):
         assert got.smoothing_slope == pytest.approx(alone.smoothing_slope, rel=1e-12)
 
 
+def test_mu_scan_rejects_a_window_past_the_causal_limit_first(monkeypatch):
+    import warpdirac.estimates as estimates
+
+    scanned = []
+    monkeypatch.setattr(estimates, "check_admissible", lambda *args: scanned.append(args))
+    with pytest.raises(PolicyError):
+        mu_scan(FLAT, [T44], [1.0], grid=GRID, t_max=39.0, samples=9)
+    assert scanned == []
+
+
 def test_mu_scan_aborts_on_non_admissible(monkeypatch):
     import warpdirac.estimates as estimates
 

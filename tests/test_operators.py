@@ -44,9 +44,9 @@ def test_operators_and_trajectories_store_no_dimension():
 
 
 def test_grid_nodes_offset():
-    g = RadialGrid(10.0, 8)
+    g = RadialGrid(20.0, 16)
     assert g.dr == 1.25
-    assert np.allclose(g.nodes, [0.625 + 1.25 * i for i in range(8)])
+    assert np.allclose(g.nodes, [0.625 + 1.25 * i for i in range(16)])
     assert np.all(g.nodes > 0.0)
     assert np.all(np.diff(g.nodes) > 0.0)
 
@@ -81,8 +81,8 @@ def test_sigma_af_origin_slope():
 
 
 def test_grid_too_coarse():
-    with pytest.raises(GridTooCoarseError):
-        assemble_dirac(FLAT, 1.0, 0.0, RadialGrid(40.0, 8))
+    with pytest.raises(GridTooCoarseError, match="at least 16 cells, got 8"):
+        RadialGrid(40.0, 8)
 
 
 def test_dirac_exactly_symmetric():
@@ -281,6 +281,15 @@ def test_norm_equivalence_flat_is_exact():
     [(worst, worst_inv)] = norm_equivalence_check(FLAT, [0.7], trials=20, grid=GRID)
     assert worst == pytest.approx(1.0, abs=1e-10)
     assert worst_inv == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_norm_equivalence_flat_is_exact_in_higher_dimensions(n):
+    """On the flat profile both sides are (n-1)(n-3)/(4 r^2) - d2/dr2: every ratio is 1."""
+    flat = MetricProfile(Family.FLAT, n=n)
+    for worst, worst_inv in norm_equivalence_check(flat, [0.0, 0.5, 1.0], trials=10, grid=GRID):
+        assert worst == pytest.approx(1.0, abs=1e-12)
+        assert worst_inv == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_equivalence_s_zero_isometry():
