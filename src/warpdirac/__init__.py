@@ -11,9 +11,9 @@ from .evolution import (FlatBesselOracle, SpinorState, SpinorTrajectory,
                         evolve, flat_exact_solution, gaussian_state, kg_crosscheck)
 from .operators import (DiscreteRadialOperator, RadialGrid, assemble_dirac,
                         assemble_kg, factorization_check, flat_reference_operator,
-                        norm_equivalence_check, sigma, verify_square)
+                        norm_equivalence_check, verify_square)
 from .profiles import (A2Verdict, Family, MetricProfile, ProfileConstants,
-                       check_A2, eval_phi, profile_constants)
+                       check_A2, profile_constants)
 from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy
 from .spectrum import (LPBand, ModeIndex, band_index, laplace_eigenvalue_check,
                        lp_band, make_mode, modes_in_band, sphere_spectrum)

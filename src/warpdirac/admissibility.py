@@ -49,11 +49,7 @@ _DECAY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ModePotential:
-    """V = mu/phi together with its first two derivatives.
-
-    The channel potentials are c_pm = -(n-1)(n-3)/(4 r^2) + V^2 +- V',
-    with n = profile.n.
-    """
+    """V = mu/phi together with its first two derivatives."""
 
     profile: MetricProfile
     mu: float
@@ -70,13 +66,6 @@ class ModePotential:
     def V_prime(self, r):
         phi, dphi, _ = self.profile.phi_dphi_d2phi(np.asarray(r, dtype=float))
         return -self.mu * dphi / phi**2
-
-    def c_channel(self, r, sign: int):
-        """c_+ (sign=+1) or c_- (sign=-1) at radii r > 0."""
-        r = np.asarray(r, dtype=float)
-        v, vp = self.V(r), self.V_prime(r)
-        n = self.profile.n
-        return -((n - 1) * (n - 3)) / (4.0 * r**2) + v**2 + sign * vp
 
     # scaled, overflow-safe combinations used by the scans
     def scaled_parts(self, r):

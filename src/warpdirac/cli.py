@@ -77,7 +77,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple[int, list]:
     for mode in cfg.modes:
         rows.append((
             _mu_label(float(mode.mu)),
-            mode.multiplicity if mode.multiplicity is not None else "",
+            mode.multiplicity,
             mode.degree_plus,
             mode.degree_minus,
             band_index(mode),

@@ -15,11 +15,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ConfigurationError
-from .estimates import DEFAULT_EPSILON_LOSS, DataTemplate, ExponentTriple, is_admissible_triple
+from .estimates import (DEFAULT_EPSILON_LOSS, DEFAULT_SAMPLES, DEFAULT_T_MAX, DataTemplate,
+                        ExponentTriple, is_admissible_triple)
 from .evolution import causal_time_limit, gaussian_support_radius
-from .operators import DEFAULT_N_CELLS, DEFAULT_R_MAX, MIN_CELLS, RadialGrid
+from .operators import DEFAULT_N_CELLS, DEFAULT_R_MAX, DEFAULT_TRIALS, MIN_CELLS, RadialGrid
 from .profiles import Family, MetricProfile
-from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy
+from .scan import DEFAULT_SCAN_POLICY, MIN_SCAN_POINTS, InfimumScanPolicy
 from .spectrum import lp_band, make_mode, modes_in_band, sphere_spectrum
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
@@ -68,47 +69,55 @@ class _Parser:
             if key in self.pairs:
                 raise ConfigurationError(f"line {lineno}: duplicate key '{key}'")
             self.pairs[key] = (value, lineno)
+        self.lines = {key: lineno for key, (_, lineno) in self.pairs.items()}
+
+    def error(self, key: str, problem: str) -> ConfigurationError:
+        """The error for a value the config gave ``key``, at that key's line."""
+        return ConfigurationError(f"line {self.lines[key]}: '{key}' {problem}")
 
     def take(self, key: str) -> Optional[tuple[str, int]]:
         return self.pairs.pop(key, None)
 
-    def take_float(self, key: str, default: float) -> float:
+    def take_float(self, key: str, default: float, minimum: Optional[float] = None) -> float:
         got = self.take(key)
         if got is None:
             return default
-        value, lineno = got
         try:
-            number = float(value)
+            number = float(got[0])
         except ValueError:
             number = math.nan
         if not math.isfinite(number):
-            raise ConfigurationError(f"line {lineno}: '{key}' must be a finite number")
+            raise self.error(key, "must be a finite number")
+        if minimum is not None and number < minimum:
+            raise self.error(key, f"must be at least {minimum:g}")
         return number
 
     def take_positive(self, key: str, default: float) -> float:
         """take_float for a key whose value must be positive (as its default is)."""
-        lineno = self.pairs.get(key, (None, None))[1]
         number = self.take_float(key, default)
         if number <= 0:
-            raise ConfigurationError(f"line {lineno}: '{key}' must be positive")
+            raise self.error(key, "must be positive")
         return number
 
     def take_int(self, key: str, default: int, minimum: Optional[int] = None) -> int:
         got = self.take(key)
         if got is None:
             return default
-        value, lineno = got
         try:
-            number = int(value)
+            number = int(got[0])
         except ValueError:
-            raise ConfigurationError(f"line {lineno}: '{key}' must be an integer") from None
+            raise self.error(key, "must be an integer") from None
         if minimum is not None and number < minimum:
-            raise ConfigurationError(f"line {lineno}: '{key}' must be at least {minimum}")
+            raise self.error(key, f"must be at least {minimum}")
         return number
 
-    def take_str(self, key: str, default: str) -> str:
+    def take_str(self, key: str, default: str, choices: tuple) -> str:
         got = self.take(key)
-        return default if got is None else got[0]
+        if got is None:
+            return default
+        if got[0] not in choices:
+            raise self.error(key, f"must be one of {', '.join(choices)}")
+        return got[0]
 
     def reject_unknown(self):
         if self.pairs:
@@ -140,29 +149,7 @@ def _parse_triples(spec: str, lineno: int, m: float, n: int) -> tuple:
     return tuple(triples)
 
 
-def _parse_multiplicities(parser: _Parser) -> Optional[dict]:
-    got = parser.take("modes.multiplicities")
-    if got is None:
-        return None
-    value, lineno = got
-    table = {}
-    for chunk in value.split(","):
-        if ":" not in chunk:
-            raise ConfigurationError(
-                f"line {lineno}: multiplicity entry '{chunk.strip()}' must be 'mu:count'")
-        mu_s, count_s = (s.strip() for s in chunk.split(":", 1))
-        try:
-            table[Fraction(mu_s)] = int(count_s)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigurationError(
-                f"line {lineno}: bad multiplicity entry '{chunk.strip()}'") from None
-        if table[Fraction(mu_s)] < 1:
-            raise ConfigurationError(f"line {lineno}: multiplicities must be positive")
-    return table
-
-
 def _parse_modes(parser: _Parser, n: int) -> tuple:
-    mult_table = _parse_multiplicities(parser)
     mu_list = parser.take("modes.mu_list")
     band_j = parser.take("modes.band_j")
     mu_max = parser.take("modes.mu_max")
@@ -172,22 +159,23 @@ def _parse_modes(parser: _Parser, n: int) -> tuple:
             "choose exactly one of modes.mu_list, modes.band_j, modes.mu_max")
     if mu_list is not None:
         value, lineno = mu_list
-        modes = []
+        modes = {}
         for chunk in value.split(","):
             try:
                 mu = Fraction(chunk.strip())
             except (ValueError, ZeroDivisionError):
                 raise ConfigurationError(
                     f"line {lineno}: '{chunk.strip()}' is not a rational number") from None
-            mult = None if mult_table is None else mult_table.get(abs(mu))
+            if mu in modes:
+                raise ConfigurationError(f"line {lineno}: mode {mu} is listed twice")
             try:
-                modes.append(make_mode(mu, n, multiplicity=mult))
+                modes[mu] = make_mode(mu, n)
             except ConfigurationError as exc:
                 raise ConfigurationError(
                     f"line {lineno}: mu={chunk.strip()} rejected: not in the sphere "
                     f"spectrum +-((n-1)/2 + N) for n={n}, or |mu| <= 1/2 "
                     f"(self-adjointness hypothesis). Underlying check: {exc}") from None
-        return tuple(modes)
+        return tuple(modes.values())
     if band_j is not None:
         value, lineno = band_j
         try:
@@ -199,8 +187,7 @@ def _parse_modes(parser: _Parser, n: int) -> tuple:
             raise ConfigurationError(
                 f"line {lineno}: band {j} reaches past |mu| = {_MAX_ABS_MU}")
         band = lp_band(n, j)
-        return tuple(modes_in_band(band, sphere_spectrum(n, band.b,
-                                                         multiplicity_table=mult_table)))
+        return tuple(modes_in_band(band, sphere_spectrum(n, band.b)))
     if mu_max is not None:
         value, lineno = mu_max
         try:
@@ -210,8 +197,8 @@ def _parse_modes(parser: _Parser, n: int) -> tuple:
         if not (math.isfinite(cap) and cap <= _MAX_ABS_MU):
             raise ConfigurationError(
                 f"line {lineno}: modes.mu_max must be a finite number at most {_MAX_ABS_MU}")
-        return tuple(sphere_spectrum(n, cap, multiplicity_table=mult_table))
-    return tuple(sphere_spectrum(n, (n - 1) / 2 + 1, multiplicity_table=mult_table))
+        return tuple(sphere_spectrum(n, cap))
+    return tuple(sphere_spectrum(n, (n - 1) / 2 + 1))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -227,13 +214,15 @@ def parse_config(text: str) -> RunConfig:
             f"line {fam_line}: unknown family '{fam_name}' "
             f"(choose from {', '.join(sorted(_FAMILIES))})")
 
-    n = parser.take_int("n", 3)
+    family = _FAMILIES[fam_name]
+    default_profile = MetricProfile(family)
+    n = parser.take_int("n", default_profile.n, minimum=3)
     profile = MetricProfile(
-        family=_FAMILIES[fam_name], n=n,
-        epsilon=parser.take_float("profile.epsilon", 0.01),
-        alpha=parser.take_int("profile.alpha", 1),
-        beta=parser.take_int("profile.beta", 1),
-        degree=parser.take_int("profile.degree", 3),
+        family=family, n=n,
+        epsilon=parser.take_float("profile.epsilon", default_profile.epsilon, minimum=0),
+        alpha=parser.take_int("profile.alpha", default_profile.alpha),
+        beta=parser.take_int("profile.beta", default_profile.beta),
+        degree=parser.take_int("profile.degree", default_profile.degree),
     )
     m = parser.take_float("m", 0.0)
     modes = _parse_modes(parser, n)
@@ -245,8 +234,8 @@ def parse_config(text: str) -> RunConfig:
     grid = RadialGrid(
         r_max=parser.take_positive("grid.r_max", DEFAULT_R_MAX),
         n_cells=parser.take_int("grid.n_cells", DEFAULT_N_CELLS, minimum=MIN_CELLS))
-    t_max = parser.take_positive("time.t_max", 8.0)
-    samples = parser.take_int("time.samples", 17, minimum=2)
+    t_max = parser.take_positive("time.t_max", DEFAULT_T_MAX)
+    samples = parser.take_int("time.samples", DEFAULT_SAMPLES, minimum=2)
 
     triples_got = parser.take("triples")
     if triples_got is None:
@@ -261,25 +250,22 @@ def parse_config(text: str) -> RunConfig:
         center=parser.take_positive("data.center", default.center),
         width=parser.take_positive("data.width", default.width),
         amplitude=parser.take_float("data.amplitude", default.amplitude),
-        component=parser.take_str("data.component", default.component),
+        component=parser.take_str("data.component", default.component, ("plus", "minus")),
     )
-    if data.component not in ("plus", "minus"):
-        raise ConfigurationError("data.component must be 'plus' or 'minus'")
     if data.amplitude == 0:
-        raise ConfigurationError("data.amplitude must be nonzero")
+        raise parser.error("data.amplitude", "must be nonzero")
 
     try:
         scan = InfimumScanPolicy(
             r_min=parser.take_float("scan.r_min", DEFAULT_SCAN_POLICY.r_min),
             r_max=parser.take_float("scan.r_max", DEFAULT_SCAN_POLICY.r_max),
-            points=parser.take_int("scan.points", DEFAULT_SCAN_POLICY.points),
+            points=parser.take_int("scan.points", DEFAULT_SCAN_POLICY.points,
+                                   minimum=MIN_SCAN_POINTS),
         )
     except ValueError as exc:
         raise ConfigurationError(f"scan policy: {exc}") from None
-    epsilon_loss = parser.take_float("epsilon_loss", DEFAULT_EPSILON_LOSS)
-    if epsilon_loss < 0:
-        raise ConfigurationError("epsilon_loss must be nonnegative")
-    trials = parser.take_int("trials", 100, minimum=1)
+    epsilon_loss = parser.take_float("epsilon_loss", DEFAULT_EPSILON_LOSS, minimum=0)
+    trials = parser.take_int("trials", DEFAULT_TRIALS, minimum=1)
     parser.reject_unknown()
 
     limit = causal_time_limit(grid.r_max, gaussian_support_radius(data.center, data.width))

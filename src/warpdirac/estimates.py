@@ -27,9 +27,12 @@ from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy
 __all__ = ["ExponentTriple", "is_admissible_triple", "SobolevCalculus",
            "h_sobolev_norm", "smoothing_norm", "strichartz_norm",
            "DataTemplate", "ModeScanRow", "NormScanResult", "mu_scan",
-           "DEFAULT_EPSILON_LOSS", "SLOPE_SLACK", "SMOOTHING_SLOPE_LIMIT"]
+           "DEFAULT_EPSILON_LOSS", "DEFAULT_T_MAX", "DEFAULT_SAMPLES", "SLOPE_SLACK",
+           "SMOOTHING_SLOPE_LIMIT"]
 
 DEFAULT_EPSILON_LOSS = 0.1
+DEFAULT_T_MAX = 8.0
+DEFAULT_SAMPLES = 17
 SLOPE_SLACK = 0.25
 SMOOTHING_SLOPE_LIMIT = 0.5 + SLOPE_SLACK
 _SCALING_TOL = 1e-12
@@ -268,8 +271,8 @@ def _fit_slope(abs_mu: np.ndarray, ratios: np.ndarray) -> Optional[float]:
 
 def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
             mu_list: Sequence[float], data_template: DataTemplate = DataTemplate(),
-            grid: Optional[RadialGrid] = None, t_max: float = 8.0,
-            samples: int = 33, m: float = 0.0,
+            grid: Optional[RadialGrid] = None, t_max: float = DEFAULT_T_MAX,
+            samples: int = DEFAULT_SAMPLES, m: float = 0.0,
             epsilon_loss: float = DEFAULT_EPSILON_LOSS,
             scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> list[NormScanResult]:
     """Evolve identical radial data per mode and fit the norm-ratio growth.

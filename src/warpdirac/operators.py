@@ -27,11 +27,11 @@ from .admissibility import ModePotential
 from .errors import ConfigurationError, GridTooCoarseError, NumericalError
 from .profiles import MetricProfile
 
-__all__ = ["RadialGrid", "DiscreteRadialOperator", "sigma",
+__all__ = ["RadialGrid", "DiscreteRadialOperator",
            "assemble_dirac", "assemble_kg", "flat_reference_operator",
            "weighted_laplacian_operator", "verify_square", "factorization_check",
            "norm_equivalence_check", "probe_functions",
-           "DEFAULT_R_MAX", "DEFAULT_N_CELLS"]
+           "DEFAULT_R_MAX", "DEFAULT_N_CELLS", "DEFAULT_TRIALS"]
 
 DEFAULT_R_MAX = 40.0
 DEFAULT_N_CELLS = 2048
@@ -175,28 +175,6 @@ def real_matmul(a: np.ndarray, block: np.ndarray) -> np.ndarray:
     return out[:, :cols] + 1j * out[:, cols:]
 
 
-def sigma(profile: MetricProfile, r):
-    """(sigma, sigma') with sigma = r/phi, continued by sigma(0) = 1.
-
-    sigma'(0) = -phi''(0)/2; elsewhere sigma' = (1/r - phi'/phi) sigma.
-    """
-    arr = np.asarray(r, dtype=float)
-    scalar = np.isscalar(r) or arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    phi, dphi, d2phi = profile.phi_dphi_d2phi(arr)
-    s = np.empty_like(arr)
-    sp = np.empty_like(arr)
-    pos = arr > 0.0
-    s[pos] = arr[pos] / phi[pos]
-    sp[pos] = (1.0 / arr[pos] - dphi[pos] / phi[pos]) * s[pos]
-    s[~pos] = 1.0
-    _, _, d2_at_0 = profile.phi_dphi_d2phi(np.array([0.0]))
-    sp[~pos] = -0.5 * d2_at_0[0]
-    if scalar:
-        return float(s[0]), float(sp[0])
-    return s, sp
-
-
 def assemble_dirac(profile: MetricProfile, mu: float, m: float,
                    grid: RadialGrid) -> DiscreteRadialOperator:
     """Flattened mode Dirac operator [[m, -d/dr + V], [d/dr + V, -m]]."""
@@ -240,15 +218,15 @@ def weighted_laplacian_operator(profile: MetricProfile,
                                   profile=profile)
 
 
-def probe_functions(grid: RadialGrid, count: int = 5) -> np.ndarray:
-    """Fixed family of smooth interior bumps used by residual checks.
+def probe_functions(grid: RadialGrid) -> np.ndarray:
+    """Fixed family of five smooth interior bumps used by residual checks.
 
     Columns are Gaussians with centers on [0.25, 0.65] r_max and widths
     scaled to r_max, so they vanish at both boundaries to double precision.
     """
     r = grid.nodes
-    centers = np.linspace(0.25, 0.65, count) * grid.r_max
-    widths = np.linspace(0.035, 0.06, count) * grid.r_max
+    centers = np.linspace(0.25, 0.65, 5) * grid.r_max
+    widths = np.linspace(0.035, 0.06, 5) * grid.r_max
     return np.exp(-((r[:, None] - centers) / widths) ** 2)
 
 
@@ -315,8 +293,11 @@ def _random_bump(rng: np.random.Generator, grid: RadialGrid) -> np.ndarray:
     return out
 
 
+DEFAULT_TRIALS = 100  # random test functions per norm-equivalence check
+
+
 def norm_equivalence_check(profile: MetricProfile, exponents: Sequence[float],
-                           trials: int = 100, grid: Optional[RadialGrid] = None,
+                           trials: int = DEFAULT_TRIALS, grid: Optional[RadialGrid] = None,
                            seed: int = 0) -> list[tuple[float, float]]:
     """Empirical two-sided H^s ratios between phi-weighted and flat norms.
 

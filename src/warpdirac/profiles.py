@@ -25,7 +25,7 @@ from .errors import ConfigurationError, HypothesisViolationError, UnsupportedFam
 from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_supremum
 
 __all__ = ["Family", "MetricProfile", "ProfileConstants", "A2Verdict",
-           "eval_phi", "sigma_log_derivative_bound", "profile_constants", "check_A2"]
+           "sigma_log_derivative_bound", "profile_constants", "check_A2"]
 
 _MAX_POLY_DEGREE = 20  # keeps phi^2 within double range on the scan grid
 _MAX_AF_EXPONENT = 12
@@ -45,15 +45,16 @@ class MetricProfile:
 
     ``epsilon``, ``alpha``, ``beta`` only apply to the asymptotically flat
     family, ``degree`` only to the polynomial one.  ``n`` is the spatial
-    dimension of the warped product.
+    dimension of the warped product.  The field defaults are also those of
+    a run configuration.
     """
 
     family: Family
     n: int = 3
-    epsilon: float = 0.0
+    epsilon: float = 0.01
     alpha: int = 1
     beta: int = 1
-    degree: int = 2
+    degree: int = 3
 
     def __post_init__(self):
         if self.n < 3:
@@ -212,17 +213,6 @@ class A2Verdict:
     achieved: float
     mu0: float
     constants: ProfileConstants
-
-
-def eval_phi(profile: MetricProfile, r):
-    """(phi(r), phi'(r), phi''(r)); accepts scalars or arrays, r >= 0."""
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0):
-        raise ConfigurationError("radius must be nonnegative")
-    phi, dphi, d2phi = profile.phi_dphi_d2phi(arr)
-    if np.isscalar(r) or arr.ndim == 0:
-        return float(phi), float(dphi), float(d2phi)
-    return phi, dphi, d2phi
 
 
 def sigma_log_derivative_bound(profile: MetricProfile,

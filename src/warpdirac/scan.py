@@ -27,13 +27,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 __all__ = ["InfimumScanPolicy", "ScanExtremum", "scan_infima", "scan_infimum",
-           "scan_supremum", "DEFAULT_SCAN_POLICY"]
+           "scan_supremum", "DEFAULT_SCAN_POLICY", "MIN_SCAN_POINTS"]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_ITERS = 80
 # Grid points per block: one functional's block (32 KB) stays below glibc's
 # 128 KB mmap threshold and in L2.
 BLOCK = 4096
+MIN_SCAN_POINTS = 16  # fewest grid points of any scan
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,8 @@ class InfimumScanPolicy:
     def __post_init__(self):
         if not (0 < self.r_min < self.r_max):
             raise ValueError("scan range must satisfy 0 < r_min < r_max")
-        if self.points < 16:
-            raise ValueError("scan needs at least 16 points")
+        if self.points < MIN_SCAN_POINTS:
+            raise ValueError(f"scan needs at least {MIN_SCAN_POINTS} points")
 
     def grid(self) -> np.ndarray:
         return np.geomspace(self.r_min, self.r_max, self.points)

@@ -1,16 +1,17 @@
 """Angular Dirac spectrum bookkeeping on the round sphere.
 
-Eigenvalues live in +-((n-1)/2 + N); each eigenvalue carries the spherical
-harmonic degrees of its two spinor components and, in three dimensions, an
-explicit multiplicity.  Everything here is exact arithmetic on dyadic
-rationals; no floats enter the combinatorics.
+Eigenvalues live in +-((n-1)/2 + k), k = 0, 1, ...; each eigenvalue carries
+the spherical harmonic degrees of its two spinor components and the
+dimension of its eigenspace on S^(n-1), 2^floor((n-1)/2) C(k + n - 2, k)
+(Camporesi and Higuchi, J. Geom. Phys. 20 (1996) 1).  Everything here is
+exact arithmetic on dyadic rationals; no floats enter the combinatorics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import ConfigurationError
 
@@ -43,22 +44,23 @@ def _degrees(mu: Fraction, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ModeIndex:
-    """One angular eigenvalue with its degree and multiplicity metadata.
-
-    ``multiplicity`` is exact for n = 3 (2|mu|); for n > 3 it is optional
-    metadata supplied from an external table and only used as a weight,
-    never in correctness checks.
-    """
+    """One angular eigenvalue of the Dirac operator on S^(n-1) with its degrees."""
 
     mu: Fraction
     n: int
     degree_plus: int
     degree_minus: int
-    multiplicity: Optional[int] = None
 
     @property
     def abs_mu(self) -> Fraction:
         return abs(self.mu)
+
+    @property
+    def multiplicity(self) -> int:
+        """Dimension of the eigenspace: 2^floor((n-1)/2) C(k + n - 2, k) at
+        |mu| = (n-1)/2 + k, the same for both signs; 2|mu| when n = 3."""
+        k = int(self.abs_mu - Fraction(self.n - 1, 2))
+        return 2 ** ((self.n - 1) // 2) * math.comb(k + self.n - 2, k)
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ class LPBand:
     b: Fraction
 
 
-def make_mode(mu, n: int, multiplicity: Optional[int] = None) -> ModeIndex:
+def make_mode(mu, n: int) -> ModeIndex:
     """Build one ModeIndex, validating mu against the sphere spectrum."""
     if n < 3:
         raise ConfigurationError(f"dimension n must be >= 3, got {n}")
@@ -78,19 +80,11 @@ def make_mode(mu, n: int, multiplicity: Optional[int] = None) -> ModeIndex:
     if muf == 0:
         raise ConfigurationError("mu = 0 is not in the sphere Dirac spectrum")
     dp, dm = _degrees(muf, n)
-    if multiplicity is None and n == 3:
-        multiplicity = int(2 * abs(muf))
-    return ModeIndex(mu=muf, n=n, degree_plus=dp, degree_minus=dm,
-                     multiplicity=multiplicity)
+    return ModeIndex(mu=muf, n=n, degree_plus=dp, degree_minus=dm)
 
 
-def sphere_spectrum(n: int, mu_max,
-                    multiplicity_table: Optional[dict] = None) -> list[ModeIndex]:
-    """All modes with |mu| <= mu_max, both signs, ordered by mu.
-
-    ``multiplicity_table`` maps |mu| (as Fraction or float) to a positive
-    integer; required only if multiplicities matter for n > 3.
-    """
+def sphere_spectrum(n: int, mu_max) -> list[ModeIndex]:
+    """All modes with |mu| <= mu_max, both signs, ordered by mu."""
     if n < 3:
         raise ConfigurationError(f"dimension n must be >= 3, got {n}")
     mu_max = Fraction(mu_max).limit_denominator(10**6)
@@ -98,11 +92,8 @@ def sphere_spectrum(n: int, mu_max,
     modes: list[ModeIndex] = []
     mu = gap
     while mu <= mu_max:
-        mult = None
-        if multiplicity_table is not None:
-            mult = multiplicity_table.get(mu, multiplicity_table.get(float(mu)))
         for signed in (-mu, mu):
-            modes.append(make_mode(signed, n, multiplicity=mult))
+            modes.append(make_mode(signed, n))
         mu += 1
     modes.sort(key=lambda m: m.mu)
     return modes

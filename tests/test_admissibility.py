@@ -55,11 +55,11 @@ def test_mu_zero_rejected():
 
 
 def test_flat_channel_potentials():
-    # c_pm = (mu^2 -+ mu)/r^2 in three flat dimensions
+    # V^2 +- V' = (mu^2 -+ mu)/r^2 for phi = r
     pot = ModePotential(profile=FLAT, mu=2.0)
     r = np.geomspace(0.1, 30.0, 50)
-    assert np.allclose(pot.c_channel(r, +1) * r**2, 2.0, rtol=1e-12)
-    assert np.allclose(pot.c_channel(r, -1) * r**2, 6.0, rtol=1e-12)
+    assert np.allclose((pot.V(r) ** 2 + pot.V_prime(r)) * r**2, 2.0, rtol=1e-12)
+    assert np.allclose((pot.V(r) ** 2 - pot.V_prime(r)) * r**2, 6.0, rtol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

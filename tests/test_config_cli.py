@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -11,16 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpdirac import assemble_dirac, evolve
+from warpdirac import Family, MetricProfile, assemble_dirac, evolve
 from warpdirac.cli import main
 from warpdirac.config import RunConfig, parse_config
 from warpdirac.errors import ConfigurationError
-from warpdirac.estimates import DEFAULT_EPSILON_LOSS, DataTemplate
-from warpdirac.operators import RadialGrid
+from warpdirac.estimates import (DEFAULT_EPSILON_LOSS, DEFAULT_SAMPLES, DEFAULT_T_MAX,
+                                 DataTemplate, mu_scan)
+from warpdirac.operators import DEFAULT_TRIALS, RadialGrid, norm_equivalence_check
 from warpdirac.scan import InfimumScanPolicy
 from warpdirac.reporting import canonical_json, write_csv_atomic
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MINIMAL = "profile.family = flat\nn = 3\n"
 
@@ -45,10 +48,18 @@ def test_minimal_config_defaults():
 
 def test_minimal_config_takes_the_library_defaults():
     cfg = parse_config(MINIMAL)
+    assert cfg.profile == MetricProfile(Family.FLAT)
     assert cfg.grid == RadialGrid()
     assert cfg.data == DataTemplate()
     assert cfg.scan == InfimumScanPolicy()
     assert cfg.epsilon_loss == DEFAULT_EPSILON_LOSS
+    assert (cfg.t_max, cfg.samples, cfg.trials) == (DEFAULT_T_MAX, DEFAULT_SAMPLES,
+                                                    DEFAULT_TRIALS)
+    # the library functions default to the same values
+    scan_params = inspect.signature(mu_scan).parameters
+    assert scan_params["t_max"].default == cfg.t_max
+    assert scan_params["samples"].default == cfg.samples
+    assert inspect.signature(norm_equivalence_check).parameters["trials"].default == cfg.trials
 
 
 def test_comments_and_blank_lines():
@@ -91,15 +102,6 @@ def test_band_selection():
     assert sorted(float(m.mu) for m in cfg.modes) == [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]
 
 
-def test_multiplicity_table_from_config():
-    cfg = parse_config("profile.family = flat\nn = 5\nmodes.mu_max = 3\n"
-                       "modes.multiplicities = 2:16, 3:40\n")
-    mult = {float(m.mu): m.multiplicity for m in cfg.modes}
-    assert mult[2.0] == 16 and mult[-3.0] == 40
-    with pytest.raises(ConfigurationError, match="multiplicity"):
-        parse_config(MINIMAL + "modes.multiplicities = 2=16\n")
-
-
 def test_causal_window_gate():
     with pytest.raises(ConfigurationError, match="causal"):
         parse_config(MINIMAL + "time.t_max = 30\n")
@@ -112,7 +114,7 @@ def test_inf_exponent():
 
 CONFIG_KEYS = ("profile.family", "n", "m", "profile.epsilon", "profile.alpha",
                "profile.beta", "profile.degree", "modes.mu_list", "modes.band_j",
-               "modes.mu_max", "modes.multiplicities", "grid.r_max", "grid.n_cells",
+               "modes.mu_max", "grid.r_max", "grid.n_cells",
                "time.t_max", "time.samples", "triples", "data.center", "data.width",
                "data.amplitude", "data.component", "scan.r_min", "scan.r_max",
                "scan.points", "epsilon_loss", "trials")
@@ -150,9 +152,10 @@ def test_degenerate_values_are_configuration_errors(line):
         parse_config(MINIMAL + line + "\n")
 
 
-@pytest.mark.parametrize("key", ["aggregate.a", "aggregate.b", "out_dir"])
+@pytest.mark.parametrize("key", ["aggregate.a", "aggregate.b", "out_dir",
+                                 "modes.multiplicities"])
 def test_removed_aggregate_keys_are_unknown(key):
-    with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
+    with pytest.raises(ConfigurationError, match=f"line 3: unknown key '{key}'"):
         parse_config(MINIMAL + f"{key} = 1.0\n")
 
 
@@ -228,13 +231,40 @@ def test_cli_rejects_nonpositive_t_max(tmp_path, capsys, command, t_max):
     ("grid.r_max = -1", "'grid.r_max' must be positive"),
     ("grid.n_cells = 8", "'grid.n_cells' must be at least 16"),
     ("data.width = 0", "'data.width' must be positive"),
-], ids=["r_max", "n_cells", "width"])
+    ("n = 2", "'n' must be at least 3"),
+    ("profile.epsilon = -1", "'profile.epsilon' must be at least 0"),
+    ("data.component = up", "'data.component' must be one of plus, minus"),
+    ("data.amplitude = 0", "'data.amplitude' must be nonzero"),
+    ("epsilon_loss = -1", "'epsilon_loss' must be at least 0"),
+    ("scan.points = 3", "'scan.points' must be at least 16"),
+], ids=["r_max", "n_cells", "width", "n", "epsilon", "component", "amplitude",
+        "epsilon_loss", "scan_points"])
 def test_cli_out_of_range_value_names_its_key_and_line(tmp_path, capsys, line, message):
-    cfg = _write(tmp_path, MINIMAL + line + "\n")
+    cfg = _write(tmp_path, "profile.family = flat\n" + line + "\n")
     out = tmp_path / "out"
     assert main(["check-metric", "--config", cfg, "--out", str(out)]) == 4
-    assert f"line 3: {message}" in capsys.readouterr().err
+    assert f"line 2: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check-metric", "evolve", "strichartz-scan"])
+@pytest.mark.parametrize("mu_list", ["1, 1", "1.0, -1, 2/2"])
+def test_cli_rejects_a_mode_listed_twice(tmp_path, capsys, command, mu_list):
+    """1, 1.0 and 2/2 are one mode, which a run may list only once."""
+    cfg = _write(tmp_path, SMALL.replace("modes.mu_list = 1", f"modes.mu_list = {mu_list}"))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert "line 2: mode 1 is listed twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_configuration_block_sets_every_key():
+    """README's example config parses, and its keys, with the modes.*
+    alternatives its comment names, are exactly the accepted ones."""
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    assert isinstance(parse_config(block), RunConfig)
+    keys = re.findall(r"^([\w.]+) *=", block, re.M) + re.findall(r"modes\.\w+", block)
+    assert set(keys) == set(CONFIG_KEYS)
 
 
 @pytest.mark.parametrize("command", ["check-metric", "spectrum", "evolve"])

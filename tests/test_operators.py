@@ -1,5 +1,4 @@
 import inspect
-import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -9,7 +8,7 @@ import scipy.linalg
 from warpdirac import (ConfigurationError, Family, GridTooCoarseError,
                        MetricProfile, ModePotential, RadialGrid, assemble_dirac,
                        assemble_kg, check_admissible, factorization_check,
-                       flat_reference_operator, norm_equivalence_check, sigma,
+                       flat_reference_operator, norm_equivalence_check,
                        verify_square)
 from warpdirac.estimates import mu_scan, strichartz_weight
 from warpdirac.evolution import SpinorTrajectory
@@ -49,35 +48,6 @@ def test_grid_nodes_offset():
     assert np.allclose(g.nodes, [0.625 + 1.25 * i for i in range(16)])
     assert np.all(g.nodes > 0.0)
     assert np.all(np.diff(g.nodes) > 0.0)
-
-
-def test_sigma_flat():
-    s, sp = sigma(FLAT, 3.7)
-    assert s == 1.0 and sp == 0.0
-
-
-def test_sigma_sinh_origin():
-    s, sp = sigma(SINH, 0.0)
-    assert s == 1.0
-    assert sp == 0.0  # phi''(0) = sinh 0 = 0
-
-
-def test_sigma_sinh_at_one():
-    s, sp = sigma(SINH, 1.0)
-    assert s == pytest.approx(1.0 / math.sinh(1.0), rel=1e-14)
-    expected_sp = (1.0 - math.cosh(1.0) / math.sinh(1.0)) / math.sinh(1.0)
-    assert sp == pytest.approx(expected_sp, rel=1e-14)
-    # cross-check the derivative by central differences
-    h = 1e-6
-    s_hi, _ = sigma(SINH, 1.0 + h)
-    s_lo, _ = sigma(SINH, 1.0 - h)
-    assert sp == pytest.approx((s_hi - s_lo) / (2.0 * h), abs=1e-9)
-
-
-def test_sigma_af_origin_slope():
-    # phi''(0) = 2 eps for alpha = 1, so sigma'(0) = -eps
-    _, sp = sigma(AF001, 0.0)
-    assert sp == pytest.approx(-0.01, rel=1e-12)
 
 
 def test_grid_too_coarse():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from warpdirac import (ConfigurationError, Family, HypothesisViolationError,
                        MetricProfile, UnsupportedFamilyError, check_A2,
-                       eval_phi, profile_constants)
+                       profile_constants)
 
 FLAT = MetricProfile(Family.FLAT)
 SINH = MetricProfile(Family.SINH)
@@ -23,27 +23,27 @@ AF0001_B_PHI = 0.001972913368
 
 def test_flat_is_identity():
     r = np.linspace(0.0, 50.0, 101)
-    phi, dphi, d2phi = eval_phi(FLAT, r)
+    phi, dphi, d2phi = FLAT.phi_dphi_d2phi(r)
     assert np.array_equal(phi, r)
     assert np.all(dphi == 1.0)
     assert np.all(d2phi == 0.0)
 
 
 def test_sinh_values():
-    phi, dphi, d2phi = eval_phi(SINH, 1.0)
+    phi, dphi, d2phi = SINH.phi_dphi_d2phi(1.0)
     assert phi == pytest.approx(math.sinh(1.0), abs=1e-15)
     assert dphi == pytest.approx(math.cosh(1.0), abs=1e-15)
     assert d2phi == pytest.approx(math.sinh(1.0), abs=1e-15)
 
 
 def test_af_value_at_one():
-    phi, _, _ = eval_phi(AF001, 1.0)
+    phi, _, _ = AF001.phi_dphi_d2phi(1.0)
     assert phi == pytest.approx(1.0 + 0.01 / math.sqrt(2.0), rel=1e-14)
 
 
 def test_origin_limits():
     for prof in (FLAT, SINH, AF001, POLY3):
-        phi, dphi, _ = eval_phi(prof, 0.0)
+        phi, dphi, _ = prof.phi_dphi_d2phi(0.0)
         assert phi == 0.0
         assert dphi == 1.0
 
@@ -52,13 +52,8 @@ def test_positive_away_from_origin():
     # direct sinh evaluation overflows past r ~ 710; scans use scaled ratios
     r = np.geomspace(1e-6, 500.0, 400)
     for prof in (FLAT, SINH, AF001, POLY3):
-        phi, _, _ = eval_phi(prof, r)
+        phi, _, _ = prof.phi_dphi_d2phi(r)
         assert np.all(phi > 0.0)
-
-
-def test_negative_radius_rejected():
-    with pytest.raises(ConfigurationError):
-        eval_phi(FLAT, -1.0)
 
 
 def test_invalid_parameters():
@@ -82,9 +77,9 @@ def test_derivatives_match_finite_differences(tag, r):
                                  alpha=2, beta=3),
     }[tag]
     h = 1e-5
-    phi, dphi, d2phi = eval_phi(prof, r)
-    pm, _, _ = eval_phi(prof, max(r - h, 0.0))
-    pp, _, _ = eval_phi(prof, r + h)
+    phi, dphi, d2phi = prof.phi_dphi_d2phi(r)
+    pm, _, _ = prof.phi_dphi_d2phi(max(r - h, 0.0))
+    pp, _, _ = prof.phi_dphi_d2phi(r + h)
     fd1 = (pp - pm) / (2.0 * h)
     fd2 = (pp - 2.0 * phi + pm) / h**2
     scale1 = max(abs(dphi), 1.0)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ def test_n3_multiplicity():
     mode = make_mode(2, 3)
     assert mode.multiplicity == 4
     assert make_mode(-5, 3).multiplicity == 10
+    assert all(m.multiplicity == 2 * abs(m.mu) for m in sphere_spectrum(3, 64))
 
 
 def test_n5_spectrum_starts_at_two():
@@ -51,13 +53,24 @@ def test_degrees_by_sign():
 
 
 def test_multiplicity_table_for_higher_dimensions():
-    # multiplicities above n = 3 come from a caller-supplied table
-    table = {2: 16, 3: 40}
-    modes = {m.mu: m for m in sphere_spectrum(5, 3, multiplicity_table=table)}
-    assert modes[2].multiplicity == 16
-    assert modes[-3].multiplicity == 40
-    bare = sphere_spectrum(5, 2)
-    assert all(m.multiplicity is None for m in bare)
+    tables = {4: {Fraction(3, 2): 2, Fraction(5, 2): 6, Fraction(7, 2): 12, Fraction(9, 2): 20},
+              5: {2: 4, 3: 16, 4: 40, 5: 80}}
+    for n, table in tables.items():
+        for mu, count in table.items():
+            assert make_mode(mu, n).multiplicity == make_mode(-mu, n).multiplicity == count
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_multiplicities_obey_weyls_law(n):
+    """Eigenvalues with |mu| <= lam, counted with multiplicity, grow like the
+    spinor rank 2^floor((n-1)/2) times |B^(n-1)| |S^(n-1)| lam^(n-1) / (2 pi)^(n-1),
+    which is 2^(floor((n-1)/2) + 1) lam^(n-1) / (n-1)!."""
+    lam = Fraction(n - 1, 2) + 400
+    modes = sphere_spectrum(n, lam)
+    assert all(type(m.multiplicity) is int for m in modes)
+    count = sum(m.multiplicity for m in modes)
+    weyl = 2 ** ((n - 1) // 2 + 1) * lam ** (n - 1) / math.factorial(n - 1)
+    assert count / weyl == pytest.approx(1.0, abs=0.01)
 
 
 def test_invalid_modes_rejected():
