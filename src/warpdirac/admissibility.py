@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, HypothesisViolationError
 from .profiles import MetricProfile, ProfileConstants
 from .scan import (DEFAULT_SCAN_POLICY, InfimumScanPolicy, ScanExtremum, scan_infima,
                    scan_infimum)
@@ -49,14 +49,20 @@ _DECAY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ModePotential:
-    """V = mu/phi together with its first two derivatives."""
+    """V = mu/phi together with its first two derivatives.
+
+    mu must satisfy the standing hypothesis |mu| > 1/2, under which the mode
+    is limit-point at r = 0; the CLI's modes are refused the same way.
+    """
 
     profile: MetricProfile
     mu: float
 
     def __post_init__(self):
-        if self.mu == 0.0:
-            raise ConfigurationError("angular eigenvalue mu must be nonzero")
+        if not abs(self.mu) > 0.5:
+            raise HypothesisViolationError(
+                f"angular eigenvalue mu={self.mu} needs |mu| > 1/2 "
+                f"(self-adjointness hypothesis)")
 
     # direct values, fine for moderate r (operator assembly on a grid)
     def V(self, r):

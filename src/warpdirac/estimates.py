@@ -105,8 +105,8 @@ class SobolevCalculus:
         """(1 + H0)^(s/2) v by spectral calculus, for a vector or an N x T block.
 
         A complex block goes through every transform as its real and
-        imaginary parts side by side, so the eigenbasis is never cast to
-        complex.
+        imaginary parts side by side (the DST-I skips a part that is all
+        zero), so the eigenbasis is never cast to complex.
         """
         block = self.powers(s)[:, None] * self.coefficients(v.reshape(len(self._w), -1))
         out = _dst1(block) if self._u is None else real_matmul(self._u, block)
@@ -124,11 +124,20 @@ def _dst1(block: np.ndarray) -> np.ndarray:
 
     sum_j x_j sin(pi j k / (N + 1)) is -Im/2 of the FFT of the odd extension
     [0, x, 0, -reversed x] of length 2 (N + 1); scaled by sqrt(2 / (N + 1)),
-    the transform is orthonormal and its own inverse.
+    the transform is orthonormal and its own inverse.  A complex block's
+    real and imaginary parts go through one FFT side by side, and a part
+    that is all zero is not transformed (at m = 0 a flow's v_plus is real
+    and its v_minus imaginary); the FFT treats each column alone, so the
+    result is the joint transform's, bit for bit.
     """
     if np.iscomplexobj(block):
+        re, im = block.real, block.imag
+        if not np.any(im):
+            return _dst1(re) + 0j
+        if not np.any(re):
+            return 1j * _dst1(im)
         cols = block.shape[1]
-        out = _dst1(np.hstack([block.real, block.imag]))
+        out = _dst1(np.hstack([re, im]))
         return out[:, :cols] + 1j * out[:, cols:]
     nn = len(block)
     ext = np.zeros((2 * (nn + 1), block.shape[1]))
@@ -284,12 +293,17 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
     admissible for the profile.  Each mode is then assembled, evolved and
     smoothing-normed once, and every triple's Strichartz norm is taken on
     that one trajectory.  Modes run one after another, in the order of
-    ``mu_list``.
+    ``mu_list``, which must not list a mode twice.
     """
     triples = tuple(triples)
     n = profile.n
     for triple in triples:
         triple.require_admissible(m, n)
+    seen = set()
+    for mu in mu_list:
+        if float(mu) in seen:
+            raise ConfigurationError(f"mode {mu} is listed twice")
+        seen.add(float(mu))
     grid = grid or RadialGrid()
     initial = data_template.realize(grid)
     limit = causal_time_limit(grid.r_max, initial.support_radius)

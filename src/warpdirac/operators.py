@@ -135,19 +135,27 @@ def dirac_band_product(x: np.ndarray, v: np.ndarray, e: float, mass: float,
 
     (D y)_i = y_(i+1) - y_(i-1) with zero extension, so e = 1/(2 dr) gives
     the Dirac operator; its Chebyshev step passes the bands scaled by 2/rho.
+    Each off-diagonal block is one coupling_product, the lower one with -e.
     """
     nn = len(v)
     p, q = x[:, :nn], x[:, nn:]
     out_p, out_q = out[:, :nn], out[:, nn:]
-    np.multiply(q, v, out=out_p)
-    np.multiply(p, v, out=out_q)
-    out_p[:, :-1] -= e * q[:, 1:]
-    out_p[:, 1:] += e * q[:, :-1]
-    out_q[:, :-1] += e * p[:, 1:]
-    out_q[:, 1:] -= e * p[:, :-1]
+    coupling_product(q, v, e, out_p)
+    coupling_product(p, v, -e, out_q)
     if mass:
         out_p += mass * p
         out_q -= mass * q
+
+
+def coupling_product(x: np.ndarray, v: np.ndarray, e: float, out: np.ndarray) -> None:
+    """out = (v - e D) x on (rows, N) blocks, D as in dirac_band_product.
+
+    e and -e give the v_plus and v_minus rows of the massless Dirac operator,
+    bit for bit, since negating e is exact.
+    """
+    np.multiply(x, v, out=out)
+    out[:, :-1] -= e * x[:, 1:]
+    out[:, 1:] += e * x[:, :-1]
 
 
 def check_kg_pair(mode, kg_minus: DiscreteRadialOperator,
@@ -166,7 +174,10 @@ def real_matmul(a: np.ndarray, block: np.ndarray) -> np.ndarray:
 
     A complex block's real and imaginary parts go through one real GEMM side
     by side, so ``a`` is never cast to complex (NumPy would otherwise copy
-    the whole matrix to complex on every call).
+    the whole matrix to complex on every call).  Both parts go through even
+    when one is all zero: a GEMM rounds a column according to the width of
+    its block (a one-column block takes the matrix-vector path), so the
+    other part alone would change the last digits of n != 3 artifacts.
     """
     if not np.iscomplexobj(block):
         return a @ block

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpdirac import (ConfigurationError, Family,
-                       MetricProfile, ModePotential, check_admissible, delta_c,
+from warpdirac import (ConfigurationError, Family, HypothesisViolationError,
+                       MetricProfile, ModePotential, RadialGrid, assemble_dirac,
+                       check_admissible, delta_c,
                        delta_phi, delta_pm, delta_lower_bound,
                        profile_constants)
 from warpdirac import admissibility
@@ -52,6 +53,19 @@ def test_flat_delta_phi_matches_oracle(mu):
 def test_mu_zero_rejected():
     with pytest.raises(ConfigurationError):
         ModePotential(profile=FLAT, mu=0.0)
+
+
+@pytest.mark.parametrize("mu", [0.3, -0.3, 0.5, -0.5])
+def test_modes_below_the_self_adjointness_hypothesis_are_refused(mu):
+    """|mu| <= 1/2 is refused by the library as by the CLI (exit 4): no
+    admissibility report, no operator.  0.55 is still a mode."""
+    for build in (lambda: ModePotential(profile=FLAT, mu=mu),
+                  lambda: check_admissible(FLAT, [2.0, mu]),
+                  lambda: assemble_dirac(FLAT, mu, 0.0, RadialGrid(40.0, 64))):
+        with pytest.raises(HypothesisViolationError, match="1/2") as err:
+            build()
+        assert err.value.exit_code == 4
+    assert ModePotential(profile=FLAT, mu=math.copysign(0.55, mu)).mu == math.copysign(0.55, mu)
 
 
 def test_flat_channel_potentials():

@@ -12,8 +12,8 @@ from warpdirac import (ConfigurationError, ContractViolationError,
                        is_admissible_triple, mu_scan, smoothing_norm,
                        strichartz_norm)
 from warpdirac.errors import PolicyError
-from warpdirac.estimates import SobolevCalculus, strichartz_weight
-from warpdirac.operators import DiscreteRadialOperator, flat_reference_operator
+from warpdirac.estimates import SobolevCalculus, _dst1, strichartz_weight
+from warpdirac.operators import DiscreteRadialOperator, flat_reference_operator, real_matmul
 
 FLAT = MetricProfile(Family.FLAT)
 AF001 = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=0.01)
@@ -98,13 +98,39 @@ def test_sobolev_dst_matches_eigenbasis(n_cells):
                                          np.full(n_cells - 1, -1.0 / dr2))
     rng = np.random.default_rng(n_cells)
     real = rng.standard_normal((n_cells, 4))
-    for block in (real, real + 1j * rng.standard_normal((n_cells, 4))):
+    imag = 1j * rng.standard_normal((n_cells, 4))
+    for block in (real, imag, real + imag):
         for s in (-1.0, -0.5, 0.5, 1.0):
             powers = ((1.0 + w) ** (s / 2.0))[:, None]
             want = u @ (powers * (u.T @ block.real)) + 1j * (u @ (powers * (u.T @ block.imag)))
             got = calc.apply(block, s)
             assert got.dtype == block.dtype
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _joint(transform, block):
+    """transform of a complex block with its real and imaginary parts side by side."""
+    cols = block.shape[1]
+    out = transform(np.hstack([block.real, block.imag]))
+    return out[:, :cols] + 1j * out[:, cols:]
+
+
+@pytest.mark.parametrize("part", ["real", "imaginary", "complex"])
+def test_zero_part_transforms_equal_the_joint_transform(part):
+    """The DST-I transforms only the part of a complex block that is not all
+    zero, and it, real_matmul and the n = 3 and n = 5 calculi equal the
+    joint transform of [Re | Im] exactly."""
+    grid = RadialGrid(40.0, 128)
+    rng = np.random.default_rng(7)
+    re, im = rng.standard_normal((2, grid.n_cells, 5))
+    block = {"real": re + 0j, "imaginary": 1j * im, "complex": re + 1j * im}[part]
+    a = rng.standard_normal((grid.n_cells, grid.n_cells))
+    calc3, calc5 = SobolevCalculus(grid, 3), SobolevCalculus(grid, 5)
+    for transform in (_dst1, lambda x: real_matmul(a, x),
+                      lambda x: calc3.apply(x, 0.5), lambda x: calc5.apply(x, -0.5)):
+        got = transform(block)
+        assert got.dtype == complex
+        assert np.array_equal(got, _joint(transform, block))
 
 
 def test_sobolev_norm_exponent_gate():
@@ -316,6 +342,22 @@ def test_mu_scan_rejects_a_window_past_the_causal_limit_first(monkeypatch):
     with pytest.raises(PolicyError):
         mu_scan(FLAT, [T44], [1.0], grid=GRID, t_max=39.0, samples=9)
     assert scanned == []
+
+
+def test_mu_scan_rejects_a_repeated_mode(monkeypatch):
+    """A mode listed twice is refused before anything is scanned or evolved,
+    as the config refuses it."""
+    import warpdirac.estimates as estimates
+
+    ran = []
+    monkeypatch.setattr(estimates, "check_admissible", lambda *args: ran.append(args))
+    monkeypatch.setattr(estimates, "evolve", lambda *args: ran.append(args))
+    with pytest.raises(ConfigurationError, match="listed twice"):
+        mu_scan(FLAT, [ExponentTriple(4, 4)], [1.0, 1.0, 2.0],
+                grid=RadialGrid(40, 256), samples=5)
+    with pytest.raises(ConfigurationError, match="listed twice"):
+        mu_scan(FLAT, [T44], [2, 1.0, 2.0], grid=RadialGrid(40, 256), samples=5)
+    assert ran == []
 
 
 def test_mu_scan_aborts_on_non_admissible(monkeypatch):

@@ -104,27 +104,68 @@ def _cut_block(op, vec, times):
     return _chebyshev_propagate(op, vec, times, REFEREE_CUT)
 
 
+def _referee_data(nn):
+    """Random complex data, and real data in v_plus alone and in v_minus alone."""
+    rng = np.random.default_rng(11)
+    vec = rng.standard_normal(2 * nn) + 1j * rng.standard_normal(2 * nn)
+    plus, minus = np.zeros(2 * nn, complex), np.zeros(2 * nn, complex)
+    plus[:nn] = rng.standard_normal(nn)
+    minus[nn:] = rng.standard_normal(nn)
+    return {"complex": vec, "plus": plus, "minus": minus}
+
+
 @pytest.mark.parametrize("propagate", [_evolve_block, _chebyshev_propagate, _cut_block],
                          ids=["evolve", "chebyshev", "cut"])
 @pytest.mark.parametrize("profile", [FLAT, AF001], ids=["flat", "af"])
 @pytest.mark.parametrize("mu, m", [(1.0, 0.0), (-2.0, 0.7), (3.0, 1.5)])
 def test_evolve_matches_dense_expm(propagate, profile, mu, m):
     """evolve and the recurrence equal expm(-i t h) v for random complex
-    data, negative, zero and long times included.  Cut at a cell, the
-    recurrence is expm of h on the kept cells (Dirichlet at the cut), and
-    the cut cells are exact zeros."""
+    data and for real data in one component (whose recurrence runs on one
+    real row, and at m = 0 on one component's cells), negative, zero and
+    long times included.  Cut at a cell, the recurrence is expm of h on the
+    kept cells (Dirichlet at the cut), and the cut cells are exact zeros."""
     op = assemble_dirac(profile, mu, m, REFEREE_GRID)
     nn = REFEREE_GRID.n_cells
-    rng = np.random.default_rng(11)
-    vec = rng.standard_normal(2 * nn) + 1j * rng.standard_normal(2 * nn)
+    data = _referee_data(nn)
     times = np.array([-30.0, -7.3, 0.0, 0.4, 12.0, 30.0])
     start = REFEREE_CUT if propagate is _cut_block else 0
     keep = np.r_[start:nn, nn + start:2 * nn]
-    got = propagate(op, vec, times)
-    assert not np.any(np.delete(got, keep, axis=0))
+    got = {name: propagate(op, vec, times) for name, vec in data.items()}
+    for name, vec in data.items():
+        assert not np.any(np.delete(got[name], keep, axis=0)), name
     for k, t in enumerate(times):
-        want = scipy.linalg.expm(-1j * t * op.matrix[np.ix_(keep, keep)]) @ vec[keep]
-        assert np.linalg.norm(got[keep, k] - want) <= 2e-13 * np.linalg.norm(vec)
+        flow = scipy.linalg.expm(-1j * t * op.matrix[np.ix_(keep, keep)])
+        for name, vec in data.items():
+            want = flow @ vec[keep]
+            assert np.linalg.norm(got[name][keep, k] - want) <= 2e-13 * np.linalg.norm(vec), name
+
+
+@pytest.mark.parametrize("component", ["plus", "minus"])
+@pytest.mark.parametrize("m, width", [(0.0, 1), (0.7, 2)])
+def test_real_one_component_flow_steps_single_rows(monkeypatch, component, m, width):
+    """A real datum runs the recurrence on one real row, and at m = 0 a
+    datum in one component steps only that row's N cells through the
+    coupling stencil; with a mass, every step takes the full 2N band
+    product.  ``width`` is the number of components per step."""
+    grid = RadialGrid(40.0, 256)
+    op = assemble_dirac(FLAT, 1.0, m, grid)
+    shapes = []
+
+    def counting(product):
+        def wrapped(x, *args):
+            shapes.append((product.__name__, x.shape))
+            return product(x, *args)
+        return wrapped
+
+    for name in ("coupling_product", "dirac_band_product"):
+        monkeypatch.setattr(evolution, name, counting(getattr(evolution, name)))
+    init = gaussian_state(grid, component=component)
+    traj = evolve(op, init, np.linspace(0.0, 8.0, 5))
+    want = {("coupling_product" if width == 1 else "dirac_band_product",
+             (1, width * grid.n_cells))}
+    assert shapes and set(shapes) == want
+    full = scipy.linalg.expm(-8j * op.matrix) @ init.as_vector()
+    assert np.linalg.norm(traj.samples[:, -1] - full) <= 1e-12 * np.linalg.norm(full)
 
 
 def _record_starts(monkeypatch):
