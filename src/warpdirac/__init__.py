@@ -5,10 +5,10 @@ from .admissibility import (AdmissibilityReport, ModePotential, check_admissible
 from .errors import (ConfigurationError, ContractViolationError, GridTooCoarseError,
                      HypothesisViolationError, NonAdmissibleError, NumericalError,
                      PolicyError, UnsupportedFamilyError, WarpDiracError)
-from .estimates import (DataTemplate, ExponentTriple, NormScanResult, h_sobolev_norm,
-                        is_admissible_triple, mu_scan, smoothing_norm, strichartz_norm)
-from .evolution import (FlatBesselOracle, SpinorState, SpinorTrajectory,
-                        evolve, flat_exact_solution, gaussian_state, kg_crosscheck)
+from .estimates import (DataTemplate, ExponentTriple, NormScanResult, is_admissible_triple,
+                        mu_scan, smoothing_norm, strichartz_norm)
+from .evolution import (FlatBesselOracle, SpinorState, SpinorTrajectory, evolve,
+                        gaussian_state, kg_crosscheck)
 from .operators import (DiscreteRadialOperator, RadialGrid, assemble_dirac,
                         assemble_kg, factorization_check, flat_reference_operator,
                         norm_equivalence_check, verify_square)

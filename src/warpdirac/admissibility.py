@@ -49,7 +49,7 @@ _DECAY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ModePotential:
-    """V = mu/phi together with its first two derivatives.
+    """V = mu/phi and its derivative, for operator assembly on a grid.
 
     mu must satisfy the standing hypothesis |mu| > 1/2, under which the mode
     is limit-point at r = 0; the CLI's modes are refused the same way.
@@ -64,7 +64,6 @@ class ModePotential:
                 f"angular eigenvalue mu={self.mu} needs |mu| > 1/2 "
                 f"(self-adjointness hypothesis)")
 
-    # direct values, fine for moderate r (operator assembly on a grid)
     def V(self, r):
         phi, _, _ = self.profile.phi_dphi_d2phi(np.asarray(r, dtype=float))
         return self.mu / phi
@@ -73,21 +72,12 @@ class ModePotential:
         phi, dphi, _ = self.profile.phi_dphi_d2phi(np.asarray(r, dtype=float))
         return -self.mu * dphi / phi**2
 
-    # scaled, overflow-safe combinations used by the scans
-    def scaled_parts(self, r):
-        """(rV, r^2 V', r^3 V'', r^3 W') with W = mu (mu + phi')/phi^2, r > 0."""
-        return _parts(self.mu, self.profile.ratios(r))
-
-    def scaled_parts_at_zero(self):
-        """Limits of scaled_parts as r -> 0+ (phi(0)=0, phi'(0)=1)."""
-        return _parts_at_zero(self.mu)
-
-    def scaled_parts_at_infinity(self) -> Optional[tuple]:
-        return _parts_at_infinity(self.profile, self.mu)
-
 
 def _parts(mu, ratios):
-    """(rV, r^2 V', r^3 V'', r^3 W') from the profile ratios; ``mu`` may be an array."""
+    """(rV, r^2 V', r^3 V'', r^3 W') from the profile ratios, W = mu (mu + phi')/phi^2.
+
+    ``mu`` may be an array.
+    """
     s1, s2, s3 = ratios
     rv = mu * s1
     mu_s3 = mu * s3
@@ -96,6 +86,7 @@ def _parts(mu, ratios):
 
 
 def _parts_at_zero(mu: float) -> tuple:
+    """Limits of _parts as r -> 0+ (phi(0) = 0, phi'(0) = 1)."""
     return mu, -mu, 2.0 * mu, -2.0 * mu * (mu + 1.0)
 
 
@@ -127,10 +118,10 @@ def _mode_terms(parts) -> tuple:
 
 def _scan_term(pot: ModePotential, t: int, scan: InfimumScanPolicy) -> ScanExtremum:
     """Infimum of row t of :func:`_mode_terms` for one mode, scanned alone."""
-    at_inf = pot.scaled_parts_at_infinity()
+    at_inf = _parts_at_infinity(pot.profile, pot.mu)
     return scan_infimum(
-        lambda r: _mode_terms(pot.scaled_parts(r))[t], scan,
-        limit_at_zero=_mode_terms(pot.scaled_parts_at_zero())[t],
+        lambda r: _mode_terms(_parts(pot.mu, pot.profile.ratios(r)))[t], scan,
+        limit_at_zero=_mode_terms(_parts_at_zero(pot.mu))[t],
         limit_at_infinity=None if at_inf is None else _mode_terms(at_inf)[t])
 
 
@@ -219,11 +210,11 @@ def delta_c(pot: ModePotential, sign: int,
         r3cp = 2.0 * corner + 2.0 * rv * r2vp + sign * r3vpp
         return -r3cp - r2c(parts) + shift
 
-    at_inf = pot.scaled_parts_at_infinity()
+    at_inf = _parts_at_infinity(pot.profile, pot.mu)
 
     def infimum(term):
-        return scan_infimum(lambda r: term(pot.scaled_parts(r)), scan,
-                            limit_at_zero=term(pot.scaled_parts_at_zero()),
+        return scan_infimum(lambda r: term(_parts(pot.mu, pot.profile.ratios(r))), scan,
+                            limit_at_zero=term(_parts_at_zero(pot.mu)),
                             limit_at_infinity=None if at_inf is None else term(at_inf))
 
     quad, cubic = infimum(term2), infimum(term3)

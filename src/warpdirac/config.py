@@ -246,14 +246,15 @@ def parse_config(text: str) -> RunConfig:
         triples = _parse_triples(triples_got[0], triples_got[1], m, n)
 
     default = DataTemplate()
-    data = DataTemplate(
+    bump = dict(
         center=parser.take_positive("data.center", default.center),
         width=parser.take_positive("data.width", default.width),
         amplitude=parser.take_float("data.amplitude", default.amplitude),
         component=parser.take_str("data.component", default.component, ("plus", "minus")),
     )
-    if data.amplitude == 0:
+    if bump["amplitude"] == 0:
         raise parser.error("data.amplitude", "must be nonzero")
+    data = DataTemplate(**bump)
 
     try:
         scan = InfimumScanPolicy(

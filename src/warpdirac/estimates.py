@@ -19,13 +19,14 @@ import numpy as np
 from .admissibility import check_admissible
 from .errors import ConfigurationError, ContractViolationError, NonAdmissibleError, PolicyError
 from .evolution import (DEFAULT_BUMP_CENTER, DEFAULT_BUMP_WIDTH, SpinorState,
-                        SpinorTrajectory, causal_time_limit, evolve, gaussian_state)
+                        SpinorTrajectory, causal_time_limit, check_bump, evolve,
+                        gaussian_state)
 from .operators import RadialGrid, assemble_dirac, flat_reference_operator, real_matmul
 from .profiles import MetricProfile
 from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy
 
 __all__ = ["ExponentTriple", "is_admissible_triple", "SobolevCalculus",
-           "h_sobolev_norm", "smoothing_norm", "strichartz_norm",
+           "smoothing_norm", "strichartz_norm",
            "DataTemplate", "ModeScanRow", "NormScanResult", "mu_scan",
            "DEFAULT_EPSILON_LOSS", "DEFAULT_T_MAX", "DEFAULT_SAMPLES", "SLOPE_SLACK",
            "SMOOTHING_SLOPE_LIMIT"]
@@ -85,6 +86,8 @@ class SobolevCalculus:
     """
 
     def __init__(self, grid: RadialGrid, n: int):
+        if n < 3:
+            raise ConfigurationError(f"dimension n must be >= 3, got {n}")
         self.grid, self.n = grid, n
         if n == 3:
             k = np.arange(1, grid.n_cells + 1)
@@ -146,13 +149,6 @@ def _dst1(block: np.ndarray) -> np.ndarray:
     return -np.sqrt(0.5 / (nn + 1)) * np.fft.rfft(ext, axis=0)[1:nn + 1].imag
 
 
-def h_sobolev_norm(state: SpinorState, exponent: float, n: int = 3) -> float:
-    """H^s norm of a flattened state, |s| <= 1, via the flat reference operator."""
-    if not -1.0 <= exponent <= 1.0:
-        raise ContractViolationError(f"Sobolev exponent must be in [-1, 1], got {exponent}")
-    return SobolevCalculus(state.grid, n).norm(state, exponent)
-
-
 def _time_weights(times: np.ndarray) -> np.ndarray:
     """Trapezoid weights for the sampled window."""
     w = np.zeros_like(times)
@@ -192,16 +188,19 @@ def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple,
     """Weighted L^p_t W^(s,q) norm of a trajectory, s = 1/q - 1/p.
 
     The triple must be admissible for the trajectory's own mass and
-    dimension.  ``calculus`` is the trajectory grid's SobolevCalculus, built
-    here if not given.
+    dimension.  ``calculus`` is the SobolevCalculus of the trajectory's grid
+    and dimension, built here if not given.
     """
     triple.require_admissible(traj.m, traj.profile.n)
+    calc = SobolevCalculus(traj.grid, traj.profile.n) if calculus is None else calculus
+    if calc.grid != traj.grid or calc.n != traj.profile.n:
+        raise ConfigurationError(f"the calculus is for {calc.grid} in n={calc.n}, the "
+                                 f"trajectory for {traj.grid} in n={traj.profile.n}")
     s = triple.s
     q = triple.q
     r = traj.grid.nodes
     dr = traj.grid.dr
     weight = strichartz_weight(traj.profile, r, q)[:, None]
-    calc = SobolevCalculus(traj.grid, traj.profile.n) if calculus is None else calculus
     gp = calc.apply(weight * traj.block("plus"), s)
     gm = calc.apply(weight * traj.block("minus"), s)
     mag = np.sqrt(np.abs(gp) ** 2 + np.abs(gm) ** 2)
@@ -220,6 +219,9 @@ class DataTemplate:
     width: float = DEFAULT_BUMP_WIDTH
     amplitude: float = 1.0
     component: str = "plus"
+
+    def __post_init__(self):
+        check_bump(self.center, self.width, self.amplitude)
 
     def realize(self, grid: RadialGrid) -> SpinorState:
         return gaussian_state(grid, self.center, self.width, self.amplitude,

@@ -52,15 +52,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, UnsupportedFamilyError
+from .admissibility import ModePotential
+from .errors import ConfigurationError, NumericalError
 from .operators import (DiscreteRadialOperator, RadialGrid, check_kg_pair,
                         coupling_product, dirac_band_product, real_matmul)
 from .profiles import Family, MetricProfile
 
 __all__ = ["SpinorState", "SpinorTrajectory", "gaussian_state", "evolve",
-           "FlatBesselOracle", "flat_exact_solution",
-           "kg_crosscheck", "causal_time_limit", "gaussian_support_radius",
-           "DEFAULT_BUMP_CENTER", "DEFAULT_BUMP_WIDTH"]
+           "FlatBesselOracle", "kg_crosscheck", "causal_time_limit",
+           "gaussian_support_radius", "DEFAULT_BUMP_CENTER", "DEFAULT_BUMP_WIDTH"]
 
 DEFAULT_BUMP_CENTER = 12.0
 DEFAULT_BUMP_WIDTH = 1.5
@@ -162,10 +162,19 @@ def gaussian_support_radius(center: float, width: float) -> float:
     return center + _SUPPORT_SIGMAS * width
 
 
+def check_bump(center: float, width: float, amplitude: float) -> None:
+    """Refuse center <= 0 or width <= 0 (the support radius and causal limit
+    would be wrong) and amplitude 0 (every norm ratio divides by it)."""
+    if not (center > 0.0 and width > 0.0 and amplitude != 0.0):
+        raise ConfigurationError(f"a Gaussian bump needs center > 0, width > 0 and amplitude "
+                                 f"!= 0, got {center}, {width} and {amplitude}")
+
+
 def gaussian_state(grid: RadialGrid, center: float = DEFAULT_BUMP_CENTER,
                    width: float = DEFAULT_BUMP_WIDTH, amplitude: float = 1.0,
                    component: str = "plus") -> SpinorState:
     """Gaussian bump in one component, zero in the other."""
+    check_bump(center, width, amplitude)
     if component not in ("plus", "minus"):
         raise ConfigurationError("component must be 'plus' or 'minus'")
     bump = amplitude * np.exp(-((grid.nodes - center) / width) ** 2)
@@ -398,10 +407,8 @@ class FlatBesselOracle:
 
     def __init__(self, mu: float, m: float, n: int, grid: RadialGrid,
                  rho_max: float = 20.0, n_rho: int = 1200):
-        if mu == 0.0:
-            raise ConfigurationError("mu must be nonzero")
-        if n < 3:
-            raise ConfigurationError("dimension n must be >= 3")
+        # the flat mode mu: refuses n < 3 and |mu| <= 1/2 as every mode flow does
+        ModePotential(MetricProfile(Family.FLAT, n), mu)
         import scipy.special
 
         self.mu, self.m, self.n, self.grid = mu, m, n, grid
@@ -439,16 +446,6 @@ class FlatBesselOracle:
         out = self._inverse(pt, mt)
         return SpinorState(grid=self.grid, plus=out.plus, minus=out.minus,
                            support_radius=initial.support_radius)
-
-
-def flat_exact_solution(mu: float, m: float, n: int, initial: SpinorState,
-                        t: float, profile: Optional[MetricProfile] = None,
-                        rho_max: float = 20.0, n_rho: int = 1200) -> SpinorState:
-    """One-shot oracle evaluation; accepts only the flat profile."""
-    if profile is not None and profile.family is not Family.FLAT:
-        raise UnsupportedFamilyError("exact solution exists for the flat profile only")
-    oracle = FlatBesselOracle(mu, m, n, initial.grid, rho_max=rho_max, n_rho=n_rho)
-    return oracle.propagate(initial, t)
 
 
 def kg_crosscheck(traj: SpinorTrajectory, kg_minus: DiscreteRadialOperator,

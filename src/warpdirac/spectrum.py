@@ -32,7 +32,7 @@ def _as_fraction(x) -> Fraction:
 
 def _degrees(mu: Fraction, n: int) -> tuple[int, int]:
     """Harmonic degrees (plus component, minus component) for eigenvalue mu."""
-    half = Fraction(n - 1, 2)
+    mu, half = Fraction(mu), Fraction(n - 1, 2)
     if mu > 0:
         dp, dm = mu - half, mu - half + 1
     else:
@@ -44,16 +44,27 @@ def _degrees(mu: Fraction, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ModeIndex:
-    """One angular eigenvalue of the Dirac operator on S^(n-1) with its degrees."""
+    """Dirac eigenvalue mu on S^(n-1); its degrees and multiplicity derive from (mu, n)."""
 
     mu: Fraction
     n: int
-    degree_plus: int
-    degree_minus: int
+
+    def __post_init__(self):
+        if self.n < 3:
+            raise ConfigurationError(f"dimension n must be >= 3, got {self.n}")
+        _degrees(self.mu, self.n)  # raises unless mu is in the spectrum (0 never is)
 
     @property
     def abs_mu(self) -> Fraction:
         return abs(self.mu)
+
+    @property
+    def degree_plus(self) -> int:
+        return _degrees(self.mu, self.n)[0]
+
+    @property
+    def degree_minus(self) -> int:
+        return _degrees(self.mu, self.n)[1]
 
     @property
     def multiplicity(self) -> int:
@@ -73,14 +84,8 @@ class LPBand:
 
 
 def make_mode(mu, n: int) -> ModeIndex:
-    """Build one ModeIndex, validating mu against the sphere spectrum."""
-    if n < 3:
-        raise ConfigurationError(f"dimension n must be >= 3, got {n}")
-    muf = _as_fraction(mu)
-    if muf == 0:
-        raise ConfigurationError("mu = 0 is not in the sphere Dirac spectrum")
-    dp, dm = _degrees(muf, n)
-    return ModeIndex(mu=muf, n=n, degree_plus=dp, degree_minus=dm)
+    """Build one ModeIndex from a half-integer mu given as any number."""
+    return ModeIndex(mu=_as_fraction(mu), n=n)
 
 
 def sphere_spectrum(n: int, mu_max) -> list[ModeIndex]:
@@ -128,8 +133,8 @@ def band_index(mode: ModeIndex) -> int:
 def laplace_eigenvalue_check(mode: ModeIndex, component: str) -> tuple[Fraction, Fraction]:
     """(lhs, rhs) of the flat-Laplacian eigenvalue identity for one component.
 
-    lhs is the product formula in mu; rhs is l (l + n - 2) at the stored
-    degree.  The contract lhs == rhs holds exactly.
+    lhs is the product formula in mu; rhs is l (l + n - 2) at the
+    component's degree.  The contract lhs == rhs holds exactly.
     """
     if component not in ("+", "-"):
         raise ConfigurationError("component must be '+' or '-'")

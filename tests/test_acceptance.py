@@ -13,7 +13,7 @@ from warpdirac import (ExponentTriple, Family, MetricProfile, ModePotential,
                        RadialGrid, SpinorState, assemble_dirac, assemble_kg,
                        check_A2, check_admissible, delta_pm,
                        delta_lower_bound, evolve, factorization_check,
-                       flat_exact_solution, gaussian_state, kg_crosscheck,
+                       FlatBesselOracle, gaussian_state, kg_crosscheck,
                        lp_band, laplace_eigenvalue_check, mu_scan,
                        norm_equivalence_check, profile_constants,
                        sphere_spectrum, verify_square)
@@ -126,7 +126,7 @@ def test_criterion_6_flat_exact_solution(flat_dirac_2048):
         op = (flat_dirac_2048 if n_cells == 2048
               else assemble_dirac(FLAT, 1.0, 0.0, grid))
         got = evolve(op, init, [8.0]).state(0)
-        expect = flat_exact_solution(1.0, 0.0, 3, init, 8.0)
+        expect = FlatBesselOracle(1.0, 0.0, 3, grid).propagate(init, 8.0)
         num = np.sqrt(np.sum(np.abs(got.plus - expect.plus) ** 2)
                       + np.sum(np.abs(got.minus - expect.minus) ** 2))
         den = np.sqrt(np.sum(np.abs(expect.plus) ** 2)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpdirac import (ConfigurationError, Family, HypothesisViolationError,
-                       MetricProfile, ModePotential, RadialGrid, assemble_dirac,
-                       check_admissible, delta_c,
+from warpdirac import (ConfigurationError, Family, FlatBesselOracle,
+                       HypothesisViolationError, MetricProfile, ModePotential,
+                       RadialGrid, assemble_dirac, check_admissible, delta_c,
                        delta_phi, delta_pm, delta_lower_bound,
                        profile_constants)
 from warpdirac import admissibility
+from warpdirac.admissibility import _parts, _parts_at_infinity, _parts_at_zero
 from warpdirac.scan import BLOCK, DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_supremum
 
 FLAT = MetricProfile(Family.FLAT)
@@ -58,10 +59,11 @@ def test_mu_zero_rejected():
 @pytest.mark.parametrize("mu", [0.3, -0.3, 0.5, -0.5])
 def test_modes_below_the_self_adjointness_hypothesis_are_refused(mu):
     """|mu| <= 1/2 is refused by the library as by the CLI (exit 4): no
-    admissibility report, no operator.  0.55 is still a mode."""
+    admissibility report, no operator, no oracle flow.  0.55 is still a mode."""
     for build in (lambda: ModePotential(profile=FLAT, mu=mu),
                   lambda: check_admissible(FLAT, [2.0, mu]),
-                  lambda: assemble_dirac(FLAT, mu, 0.0, RadialGrid(40.0, 64))):
+                  lambda: assemble_dirac(FLAT, mu, 0.0, RadialGrid(40.0, 64)),
+                  lambda: FlatBesselOracle(mu, 0.0, 3, RadialGrid(40.0, 64))):
         with pytest.raises(HypothesisViolationError, match="1/2") as err:
             build()
         assert err.value.exit_code == 4
@@ -83,8 +85,7 @@ def test_flat_channel_potentials():
 def test_quadratic_weight_identity(mu, r, tag):
     """4 (1/4 + r^2 (V^2 - V')) equals 4 r^2 mu(mu + phi')/phi^2 + 1."""
     prof = {"flat": FLAT, "af": AF001, "sinh": SINH, "poly": POLY3}[tag]
-    pot = ModePotential(profile=prof, mu=mu)
-    rv, r2vp, _, _ = pot.scaled_parts(np.array([r]))
+    rv, r2vp, _, _ = _parts(mu, prof.ratios(np.array([r])))
     lhs = 4.0 * (0.25 + rv[0] ** 2 - r2vp[0])
     phi, dphi, _ = prof.phi_dphi_d2phi(np.array([r]))
     rhs = 4.0 * r**2 * mu * (mu + dphi[0]) / phi[0] ** 2 + 1.0
@@ -145,8 +146,7 @@ def test_sinh_fails_with_witness_near_two():
     # quoted failure value at r = 2: 16 (1 - cosh 2)/sinh^2 2 + 1
     expected = 16.0 * (1.0 - math.cosh(2.0)) / math.sinh(2.0) ** 2 + 1.0
     assert expected == pytest.approx(-2.36, abs=0.01)
-    pot = ModePotential(profile=SINH, mu=-1.0)
-    rv, r2vp, _, _ = pot.scaled_parts(np.array([2.0]))
+    rv, r2vp, _, _ = _parts(-1.0, SINH.ratios(np.array([2.0])))
     assert 4.0 * (rv[0] ** 2 - r2vp[0]) + 1.0 == pytest.approx(expected, rel=1e-12)
     assert rep.delta_phi_mu < expected + 0.2  # infimum at least as deep
 
@@ -172,13 +172,13 @@ def _single_functional_report(prof, mu, scan):
     def r2w(parts):
         return parts[0] ** 2 - parts[1]
 
-    at_inf = pot.scaled_parts_at_infinity()
-    sup = scan_supremum(lambda r: np.abs(4.0 * r2w(pot.scaled_parts(r))), scan,
-                        limit_at_zero=abs(4.0 * r2w(pot.scaled_parts_at_zero())),
+    at_inf = _parts_at_infinity(prof, mu)
+    sup = scan_supremum(lambda r: np.abs(4.0 * r2w(_parts(mu, prof.ratios(r)))), scan,
+                        limit_at_zero=abs(4.0 * r2w(_parts_at_zero(mu))),
                         limit_at_infinity=None if at_inf is None else abs(4.0 * r2w(at_inf)))
     probes = []
     for r in (scan.r_max / 100, scan.r_max / 10, scan.r_max):
-        rv, r2vp, _, _ = pot.scaled_parts(np.array([r]))
+        rv, r2vp, _, _ = _parts(mu, prof.ratios(np.array([r])))
         probes.append(abs(float(rv[0] ** 2 - r2vp[0])) / r**2)
     decays = probes[0] >= probes[1] >= probes[2] and probes[2] < 1e-6
     sup_finite = not sup.diverging and math.isfinite(sup.value)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpdirac import (ConfigurationError, ContractViolationError,
+from warpdirac import (ConfigurationError, ContractViolationError, DataTemplate,
                        ExponentTriple, Family, MetricProfile, NonAdmissibleError,
                        RadialGrid, SpinorState, assemble_dirac, assemble_kg,
-                       evolve, gaussian_state, h_sobolev_norm,
-                       is_admissible_triple, mu_scan, smoothing_norm,
+                       evolve, gaussian_state, is_admissible_triple, mu_scan, smoothing_norm,
                        strichartz_norm)
 from warpdirac.errors import PolicyError
 from warpdirac.estimates import SobolevCalculus, _dst1, strichartz_weight
@@ -49,7 +48,26 @@ def test_triple_s_derived():
 
 def test_sobolev_norm_zero_exponent_is_l2():
     state = gaussian_state(GRID)
-    assert h_sobolev_norm(state, 0.0) == pytest.approx(state.norm(), rel=1e-12)
+    assert SobolevCalculus(GRID, 3).norm(state, 0.0) == pytest.approx(state.norm(), rel=1e-12)
+
+
+def test_sobolev_calculus_refuses_n_below_3():
+    """H0 = -d2/dr2 + (n-1)(n-3)/(4 r^2) has a negative potential at n = 2;
+    MetricProfile refuses n < 3 the same way."""
+    with pytest.raises(ConfigurationError, match="n must be >= 3"):
+        SobolevCalculus(GRID, 2)
+
+
+@pytest.mark.parametrize("bump", [{"center": 0.0}, {"center": -12.0}, {"width": 0.0},
+                                  {"width": -1.5}, {"amplitude": 0.0}])
+def test_gaussian_data_that_the_config_refuses_are_refused(bump):
+    """A width of -1.5 would give support radius 7.5 (causal limit 30.5
+    instead of 21.5), a center of -12 an almost-zero datum and amplitude 0 a
+    division by zero in every norm ratio; parse_config refuses all three."""
+    for build in (lambda: DataTemplate(**bump), lambda: gaussian_state(GRID, **bump)):
+        with pytest.raises(ConfigurationError) as err:
+            build()
+        assert err.value.exit_code == 4
 
 
 def _sine_basis(grid):
@@ -68,7 +86,7 @@ def test_sobolev_norm_on_eigenvector():
     state = SpinorState(grid=GRID, plus=u[:, k].astype(complex),
                         minus=np.zeros(GRID.n_cells, dtype=complex))
     expect = math.sqrt(1.0 + lam[k]) * state.norm()
-    assert h_sobolev_norm(state, 1.0) == pytest.approx(expect, rel=1e-12)
+    assert SobolevCalculus(GRID, 3).norm(state, 1.0) == pytest.approx(expect, rel=1e-12)
 
 
 def test_sobolev_apply_block_matches_columns():
@@ -133,11 +151,6 @@ def test_zero_part_transforms_equal_the_joint_transform(part):
         assert np.array_equal(got, _joint(transform, block))
 
 
-def test_sobolev_norm_exponent_gate():
-    with pytest.raises(ContractViolationError):
-        h_sobolev_norm(gaussian_state(GRID), 1.2)
-
-
 def test_smoothing_norm_zero_state(flat_traj):
     zero = SpinorState(grid=GRID, plus=np.zeros(GRID.n_cells, complex),
                        minus=np.zeros(GRID.n_cells, complex))
@@ -172,6 +185,18 @@ def test_strichartz_weight_flat_is_one(flat_traj):
     assert np.all(w == 1.0)
     direct = strichartz_norm(flat_traj, T44)
     assert direct > 0.0
+
+
+def test_strichartz_norm_refuses_a_calculus_of_another_grid_or_dimension(flat_traj):
+    """Another dimension or r_max would change the norm silently, and another
+    cell count would fail in a reshape; only the trajectory's own calculus
+    is taken."""
+    for calc in (SobolevCalculus(GRID, 5), SobolevCalculus(RadialGrid(20.0, 512), 3),
+                 SobolevCalculus(RadialGrid(40.0, 1024), 3)):
+        with pytest.raises(ConfigurationError, match="calculus"):
+            strichartz_norm(flat_traj, ExponentTriple(p=math.inf, q=2.0), calc)
+    own = SobolevCalculus(GRID, 3)
+    assert strichartz_norm(flat_traj, T44, own) == strichartz_norm(flat_traj, T44)
 
 
 def test_strichartz_norm_gate(flat_traj):
@@ -232,8 +257,8 @@ def test_norm_homogeneity(scale):
     for fn in (lambda tr: smoothing_norm(tr, (0.0, 4.0)),
                lambda tr: strichartz_norm(tr, T44)):
         assert fn(scaled) == pytest.approx(scale * fn(traj), rel=1e-9)
-    assert h_sobolev_norm(init_scaled, 0.5) == pytest.approx(
-        scale * h_sobolev_norm(init, 0.5), rel=1e-9)
+    calc = SobolevCalculus(grid, 3)
+    assert calc.norm(init_scaled, 0.5) == pytest.approx(scale * calc.norm(init, 0.5), rel=1e-9)
 
 
 def test_fractional_kg_norm_tracks_mode_weight():
@@ -246,7 +271,7 @@ def test_fractional_kg_norm_tracks_mode_weight():
     grid = RadialGrid(40.0, 512)
     state = gaussian_state(grid, center=2.5, width=1.0)
     v = state.plus.real
-    h_half = h_sobolev_norm(state, 0.5)
+    h_half = SobolevCalculus(grid, 3).norm(state, 0.5)
     for profile in (FLAT, AF001):
         ratios = []
         for k in range(1, 9):
@@ -290,7 +315,7 @@ def test_mu_scan_n5_builds_one_eigenbasis(monkeypatch):
     assert calls == ["flat_shift"]
     monkeypatch.undo()
     initial = gaussian_state(grid)
-    h_half = h_sobolev_norm(initial, 0.5, n=5)
+    h_half = SobolevCalculus(grid, 5).norm(initial, 0.5)
     for k, mu in enumerate(mus):
         traj = evolve(assemble_dirac(flat5, mu, 0.0, grid), initial,
                       np.linspace(0.0, 4.0, 5))

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from warpdirac import (ConfigurationError, Family, FlatBesselOracle,
                        MetricProfile, RadialGrid, SpinorState,
-                       UnsupportedFamilyError, assemble_dirac, assemble_kg,
-                       evolve, factorization_check, flat_exact_solution,
+                       assemble_dirac, assemble_kg, evolve, factorization_check,
                        gaussian_state, kg_crosscheck, verify_square)
 from warpdirac import evolution
 from warpdirac.evolution import (_barrier_cell, _bessel_coefficients, _chebyshev_propagate,
@@ -351,21 +350,14 @@ def test_half_integer_bessel_closed_form():
 
 def test_oracle_roundtrip(flat_op):
     init = gaussian_state(GRID, center=7.5, width=1.5)
-    out = flat_exact_solution(1.0, 0.0, 3, init, 0.0)
+    out = FlatBesselOracle(1.0, 0.0, 3, GRID).propagate(init, 0.0)
     assert state_diff(out, init) <= 1e-6
-
-
-def test_oracle_rejects_curved_profile():
-    init = gaussian_state(GRID)
-    with pytest.raises(UnsupportedFamilyError):
-        flat_exact_solution(1.0, 0.0, 3, init, 1.0,
-                            profile=MetricProfile(Family.SINH))
 
 
 def test_oracle_agreement_massless(flat_op):
     init = gaussian_state(GRID, center=7.5, width=1.5)
     got = evolve(flat_op, init, [8.0]).state(0)
-    expect = flat_exact_solution(1.0, 0.0, 3, init, 8.0)
+    expect = FlatBesselOracle(1.0, 0.0, 3, GRID).propagate(init, 8.0)
     assert state_diff(got, expect) <= 1e-2  # coarse grid; 1e-3 at 2048 cells
 
 
@@ -373,7 +365,7 @@ def test_oracle_agreement_massive():
     init = gaussian_state(GRID, center=7.5, width=1.5)
     op = assemble_dirac(FLAT, 2.0, 1.0, GRID)
     got = evolve(op, init, [6.0]).state(0)
-    expect = flat_exact_solution(2.0, 1.0, 3, init, 6.0)
+    expect = FlatBesselOracle(2.0, 1.0, 3, GRID).propagate(init, 6.0)
     assert state_diff(got, expect) <= 2e-2
 
 
@@ -398,7 +390,7 @@ def test_oracle_holds_at_most_three_kernel_arrays():
 
 def test_oracle_unitary():
     init = gaussian_state(GRID, center=7.5, width=1.5)
-    out = flat_exact_solution(1.0, 0.0, 3, init, 5.0)
+    out = FlatBesselOracle(1.0, 0.0, 3, GRID).propagate(init, 5.0)
     assert out.norm() == pytest.approx(init.norm(), rel=1e-6)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from warpdirac import (ConfigurationError, band_index, laplace_eigenvalue_check,
+from warpdirac import (ConfigurationError, ModeIndex, band_index, laplace_eigenvalue_check,
                        lp_band, make_mode, modes_in_band, sphere_spectrum)
 
 
@@ -50,6 +50,22 @@ def test_degrees_by_sign():
     assert (minus.degree_plus, minus.degree_minus) == (2, 1)
     one = make_mode(1, 3)
     assert (one.degree_plus, one.degree_minus) == (0, 1)
+
+
+def test_mode_index_derives_its_degrees_and_refuses_a_mu_outside_the_spectrum():
+    """(mu, n) is all a mode stores: the degrees come from them, so the
+    Laplacian identity holds for every mode that builds."""
+    assert ModeIndex(Fraction(1), 3) == make_mode(1, 3)
+    assert (ModeIndex(Fraction(-5, 2), 4).degree_plus,
+            ModeIndex(Fraction(-5, 2), 4).degree_minus) == (2, 1)
+    for mode in (ModeIndex(Fraction(1), 3), ModeIndex(Fraction(3), 5)):
+        for component in ("+", "-"):
+            lhs, rhs = laplace_eigenvalue_check(mode, component)
+            assert lhs == rhs
+    for mu, n in ((Fraction(1), 5), (Fraction(1, 2), 3), (Fraction(3, 2), 3),
+                  (Fraction(0), 3), (Fraction(1), 2)):
+        with pytest.raises(ConfigurationError):
+            ModeIndex(mu, n)
 
 
 def test_multiplicity_table_for_higher_dimensions():
