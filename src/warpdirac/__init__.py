@@ -16,6 +16,6 @@ from .profiles import (A2Verdict, Family, MetricProfile, ProfileConstants,
                        check_A2, profile_constants)
 from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy
 from .spectrum import (LPBand, ModeIndex, band_index, laplace_eigenvalue_check,
-                       lp_band, make_mode, modes_in_band, sphere_spectrum)
+                       lp_band, sphere_spectrum)
 
 __version__ = "0.1.0"

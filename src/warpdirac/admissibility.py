@@ -255,10 +255,11 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     """Full sufficient-condition report for each angular eigenvalue, in order.
 
     Mode mu needs delta_pm(mu), delta_phi(+-mu) and sup |4 r^2 W| at mu.
-    All of these are scanned in one pass: ``profile.ratios`` once on the
-    policy grid, then block by block the scaled parts of each signed mu and
-    the :func:`_mode_terms` rows it needs (:func:`warpdirac.scan.scan_infima`);
-    delta_phi(-mu) also serves mode -mu.  Every golden-section refinement
+    All of these are scanned in one pass, as one table holding the
+    :func:`_mode_terms` rows of every signed mu in +-mus, row 7k + t for
+    the k-th signed mu: ``profile.ratios`` once on the policy grid, then
+    block by block the scaled parts of each signed mu
+    (:func:`warpdirac.scan.scan_infima`).  Every golden-section refinement
     steps in lockstep with one ``profile.ratios`` call per step.  The
     potential's decay is probed at the top of the policy range.  The values
     are those of :func:`delta_pm`, :func:`delta_phi` and a supremum scan per
@@ -267,49 +268,41 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     pots = [ModePotential(profile=profile, mu=mu) for mu in mus]
     if not pots:
         return []
-    needed = {}  # signed mu -> the _mode_terms rows it needs
-    for pot in pots:
-        needed[pot.mu] = range(_SUP_TERM + 1)
-        needed.setdefault(-pot.mu, _PHI_TERMS)
-    jobs = [(mu, t) for mu, terms in needed.items() for t in terms]
-    rows = {}  # signed mu -> (term, row) pairs to fill from its scaled parts
-    for row, (mu, t) in enumerate(jobs):
-        rows.setdefault(mu, []).append((t, row))
+    signed = list(dict.fromkeys(sign * pot.mu for pot in pots for sign in (1, -1)))
+    width = _SUP_TERM + 1  # rows of _mode_terms per signed mu
     r = scan.grid()
     ratios = profile.ratios(r)
 
     def fill(lo, hi, out):
         block = tuple(s[lo:hi] for s in ratios)
-        for mu, terms in rows.items():
-            values = _mode_terms(_parts(mu, block))
-            for t, row in terms:
-                out[row] = values[t]
+        for k, mu in enumerate(signed):
+            for t, values in enumerate(_mode_terms(_parts(mu, block))):
+                out[width * k + t] = values
 
     limits = []
-    for mu, terms in needed.items():
-        at_zero = _mode_terms(_parts_at_zero(mu))
+    for mu in signed:
         at_inf = _parts_at_infinity(profile, mu)
-        at_inf = None if at_inf is None else _mode_terms(at_inf)
-        limits += [(at_zero[t], None if at_inf is None else at_inf[t]) for t in terms]
+        at_inf = (None,) * width if at_inf is None else _mode_terms(at_inf)
+        limits += zip(_mode_terms(_parts_at_zero(mu)), at_inf)
 
-    job_mu = np.array([mu for mu, _ in jobs], dtype=float)
-    job_term = np.array([t for _, t in jobs])
+    signed_mu = np.array(signed, dtype=float)
 
     def evaluate(ids, radii):
-        values = np.stack(_mode_terms(_parts(job_mu[ids], profile.ratios(radii))))
-        return values[job_term[ids], np.arange(len(ids))]
+        values = np.stack(_mode_terms(_parts(signed_mu[ids // width], profile.ratios(radii))))
+        return values[ids % width, np.arange(len(ids))]
 
-    found = dict(zip(jobs, scan_infima(r, limits, fill, evaluate)))
+    found = scan_infima(r, limits, fill, evaluate)
+    terms = {mu: found[width * k:width * (k + 1)] for k, mu in enumerate(signed)}
     probes = (scan.r_max / 100, scan.r_max / 10, scan.r_max)
     probe_ratios = profile.ratios(np.array(probes))
 
     reports = []
     for pot in pots:
         mu = pot.mu
-        pair = DeltaPair.from_terms(*(found[(mu, t)] for t in _PM_TERMS))
-        dphi_pos = DeltaPhi.from_terms(*(found[(mu, t)] for t in _PHI_TERMS))
-        dphi_neg = DeltaPhi.from_terms(*(found[(-mu, t)] for t in _PHI_TERMS))
-        sup = found[(mu, _SUP_TERM)].negated()
+        pair = DeltaPair.from_terms(*(terms[mu][t] for t in _PM_TERMS))
+        dphi_pos = DeltaPhi.from_terms(*(terms[mu][t] for t in _PHI_TERMS))
+        dphi_neg = DeltaPhi.from_terms(*(terms[-mu][t] for t in _PHI_TERMS))
+        sup = terms[mu][_SUP_TERM].negated()
         sup_finite = not sup.diverging and math.isfinite(sup.value)
         decay_ok = _potential_decays(mu, probes, probe_ratios)
         admissible = (dphi_pos.value > 0.0 and dphi_neg.value > 0.0

@@ -28,8 +28,8 @@ from .config import RunConfig, load_config
 from .errors import ConfigurationError, WarpDiracError
 from .estimates import mu_scan
 from .evolution import evolve
-from .operators import (RadialGrid, assemble_dirac, assemble_kg,
-                        factorization_check, norm_equivalence_check, verify_square)
+from .operators import (RadialGrid, assemble_dirac, factorization_check,
+                        norm_equivalence_check, verify_square)
 from .profiles import MetricProfile, sigma_log_derivative_bound
 from .reporting import write_csv_atomic, write_json_atomic
 from .spectrum import band_index
@@ -107,10 +107,7 @@ def cmd_validate(cfg: RunConfig, args) -> tuple[int, list]:
         sq_res, fa_res_m, fa_res_p = [], [], []
         for n_cells in ns:
             grid = RadialGrid(cfg.grid.r_max, n_cells)
-            dirac = assemble_dirac(cfg.profile, mu, cfg.m, grid)
-            kg_m = assemble_kg(cfg.profile, mu, cfg.m, -1, grid)
-            kg_p = assemble_kg(cfg.profile, mu, cfg.m, +1, grid)
-            sq_res.append(verify_square(dirac, kg_m, kg_p))
+            sq_res.append(verify_square(cfg.profile, mu, cfg.m, grid))
             rm, rp = factorization_check(cfg.profile, mu, grid)
             fa_res_m.append(rm)
             fa_res_p.append(rp)

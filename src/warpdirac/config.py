@@ -21,7 +21,7 @@ from .evolution import causal_time_limit, gaussian_support_radius
 from .operators import DEFAULT_N_CELLS, DEFAULT_R_MAX, DEFAULT_TRIALS, MIN_CELLS, RadialGrid
 from .profiles import Family, MetricProfile
 from .scan import DEFAULT_SCAN_POLICY, MIN_SCAN_POINTS, InfimumScanPolicy
-from .spectrum import lp_band, make_mode, modes_in_band, sphere_spectrum
+from .spectrum import ModeIndex, lp_band, sphere_spectrum
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
 
@@ -169,7 +169,7 @@ def _parse_modes(parser: _Parser, n: int) -> tuple:
             if mu in modes:
                 raise ConfigurationError(f"line {lineno}: mode {mu} is listed twice")
             try:
-                modes[mu] = make_mode(mu, n)
+                modes[mu] = ModeIndex(mu, n)
             except ConfigurationError as exc:
                 raise ConfigurationError(
                     f"line {lineno}: mu={chunk.strip()} rejected: not in the sphere "
@@ -187,7 +187,7 @@ def _parse_modes(parser: _Parser, n: int) -> tuple:
             raise ConfigurationError(
                 f"line {lineno}: band {j} reaches past |mu| = {_MAX_ABS_MU}")
         band = lp_band(n, j)
-        return tuple(modes_in_band(band, sphere_spectrum(n, band.b)))
+        return tuple(m for m in sphere_spectrum(n, band.b) if band.a <= m.abs_mu)
     if mu_max is not None:
         value, lineno = mu_max
         try:

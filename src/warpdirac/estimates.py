@@ -116,6 +116,8 @@ class SobolevCalculus:
         return out.reshape(v.shape)
 
     def norm(self, state: SpinorState, s: float) -> float:
+        if state.grid != self.grid:
+            raise ConfigurationError(f"the calculus is for {self.grid}, the state on {state.grid}")
         gp = self.apply(state.plus, s)
         gm = self.apply(state.minus, s)
         return float(np.sqrt(state.grid.dr
@@ -158,15 +160,19 @@ def _time_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
+def _check_causal(traj: SpinorTrajectory, t0: float, t1: float) -> None:
+    """Refuse a window [t0, t1] that reaches past the trajectory's causal limit."""
+    limit = traj.causal_t_max
+    if limit is not None and (abs(t0) > limit + 1e-9 or abs(t1) > limit + 1e-9):
+        raise PolicyError(f"window [{t0}, {t1}] exceeds the causal limit {limit:g}")
+
+
 def smoothing_norm(traj: SpinorTrajectory, window: tuple[float, float]) -> float:
     """Space-time L^2 of r^-1 u over the window, flattened measure dr."""
     t0, t1 = window
     if t1 <= t0:
         raise ConfigurationError("window must have positive length")
-    if traj.causal_t_max is not None and (abs(t0) > traj.causal_t_max + 1e-9
-                                          or abs(t1) > traj.causal_t_max + 1e-9):
-        raise PolicyError(
-            f"window [{t0}, {t1}] exceeds the causal limit {traj.causal_t_max:g}")
+    _check_causal(traj, t0, t1)
     mask = (traj.times >= t0 - 1e-12) & (traj.times <= t1 + 1e-12)
     if np.count_nonzero(mask) < 2:
         raise ConfigurationError("window must contain at least two samples")
@@ -188,10 +194,12 @@ def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple,
     """Weighted L^p_t W^(s,q) norm of a trajectory, s = 1/q - 1/p.
 
     The triple must be admissible for the trajectory's own mass and
-    dimension.  ``calculus`` is the SobolevCalculus of the trajectory's grid
-    and dimension, built here if not given.
+    dimension, and its samples must lie in the causal window.  ``calculus``
+    is the SobolevCalculus of the trajectory's grid and dimension, built
+    here if not given.
     """
     triple.require_admissible(traj.m, traj.profile.n)
+    _check_causal(traj, traj.times[0], traj.times[-1])
     calc = SobolevCalculus(traj.grid, traj.profile.n) if calculus is None else calculus
     if calc.grid != traj.grid or calc.n != traj.profile.n:
         raise ConfigurationError(f"the calculus is for {calc.grid} in n={calc.n}, the "

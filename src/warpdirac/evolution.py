@@ -54,8 +54,8 @@ import numpy as np
 
 from .admissibility import ModePotential
 from .errors import ConfigurationError, NumericalError
-from .operators import (DiscreteRadialOperator, RadialGrid, check_kg_pair,
-                        coupling_product, dirac_band_product, real_matmul)
+from .operators import (DiscreteRadialOperator, RadialGrid, coupling_product,
+                        dirac_band_product, real_matmul)
 from .profiles import Family, MetricProfile
 
 __all__ = ["SpinorState", "SpinorTrajectory", "gaussian_state", "evolve",
@@ -139,10 +139,12 @@ class SpinorTrajectory:
         return self.samples[:nn] if component == "plus" else self.samples[nn:]
 
     def state(self, k: int) -> SpinorState:
-        """The sample at times[k], its components viewing the stored samples."""
+        """The sample at times[k], its components viewing the stored samples;
+        its support radius is the datum's grown by the light cone |times[k]|."""
+        reach = (None if self.support_radius is None
+                 else self.support_radius + float(abs(self.times[k])))
         return SpinorState(grid=self.grid, plus=self.block("plus")[:, k],
-                           minus=self.block("minus")[:, k],
-                           support_radius=self.support_radius)
+                           minus=self.block("minus")[:, k], support_radius=reach)
 
     def norms(self) -> np.ndarray:
         """L^2(dr) norm of every sample, summed along each sample as SpinorState.norm."""
@@ -464,7 +466,11 @@ def kg_crosscheck(traj: SpinorTrajectory, kg_minus: DiscreteRadialOperator,
     dt = dts[0]
     if not np.allclose(dts, dt, rtol=1e-10, atol=1e-12):
         raise ConfigurationError("kg_crosscheck needs uniform time samples")
-    check_kg_pair(traj, kg_minus, kg_plus)
+    key = (traj.grid, traj.profile, traj.mu, traj.m)
+    for kg, kind in ((kg_minus, "kg_minus"), (kg_plus, "kg_plus")):
+        if kg.kind != kind or (kg.grid, kg.profile, kg.mu, kg.m) != key:
+            raise ConfigurationError(
+                f"operator mismatch: expected {kind} on the trajectory's mode and grid")
     worst = 0.0
     for comp, kg in (("plus", kg_minus), ("minus", kg_plus)):
         block = traj.block(comp)

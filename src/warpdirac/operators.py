@@ -158,17 +158,6 @@ def coupling_product(x: np.ndarray, v: np.ndarray, e: float, out: np.ndarray) ->
     out[:, 1:] += e * x[:, :-1]
 
 
-def check_kg_pair(mode, kg_minus: DiscreteRadialOperator,
-                  kg_plus: DiscreteRadialOperator) -> None:
-    """Raise unless the Klein-Gordon pair has the grid and mode of ``mode``,
-    a Dirac operator or a trajectory."""
-    key = (mode.grid, mode.profile, mode.mu, mode.m)
-    for kg, kind in ((kg_minus, "kg_minus"), (kg_plus, "kg_plus")):
-        if kg.kind != kind or (kg.grid, kg.profile, kg.mu, kg.m) != key:
-            raise ConfigurationError(
-                f"operator mismatch: expected {kind} on the same mode/grid")
-
-
 def real_matmul(a: np.ndarray, block: np.ndarray) -> np.ndarray:
     """a @ block for a real matrix ``a`` and a real or complex N x K block.
 
@@ -245,28 +234,28 @@ def _interior(vcols: np.ndarray) -> np.ndarray:
     return vcols[_BOUNDARY_SKIN:-_BOUNDARY_SKIN, :]
 
 
-def _square_defect(dirac: DiscreteRadialOperator, kg_minus: DiscreteRadialOperator,
-                   kg_plus: DiscreteRadialOperator, top: np.ndarray, bottom: np.ndarray):
-    """Per component, (h^2 - diag(K-, K+)) [top; bottom] and diag(K-, K+) [top; bottom]."""
-    nn = dirac.grid.n_cells
+def _square_defect(profile: MetricProfile, mu: float, m: float, grid: RadialGrid,
+                   top: np.ndarray, bottom: np.ndarray):
+    """Per component, (h^2 - diag(K-, K+)) [top; bottom] and diag(K-, K+) [top; bottom],
+    with h, K- and K+ the mode's Dirac and Klein-Gordon operators on ``grid``."""
+    dirac = assemble_dirac(profile, mu, m, grid)
     hh = dirac.apply(dirac.apply(np.vstack([top, bottom])))
-    kk = (kg_minus.apply(top), kg_plus.apply(bottom))
+    kk = (assemble_kg(profile, mu, m, -1, grid).apply(top),
+          assemble_kg(profile, mu, m, +1, grid).apply(bottom))
+    nn = grid.n_cells
     return (hh[:nn] - kk[0], hh[nn:] - kk[1]), kk
 
 
-def verify_square(dirac: DiscreteRadialOperator,
-                  kg_minus: DiscreteRadialOperator,
-                  kg_plus: DiscreteRadialOperator) -> float:
-    """Consistency residual of h^2 = diag(KG_minus, KG_plus).
+def verify_square(profile: MetricProfile, mu: float, m: float, grid: RadialGrid) -> float:
+    """Consistency residual of h^2 = diag(KG_minus, KG_plus) for one mode.
 
     The identity cannot hold entrywise between inequivalent stencils, so the
     residual is measured on the fixed smooth probe family: Frobenius norm of
     (h^2 - diag(K-, K+)) P over interior cells, relative to diag(K-, K+) P.
     Second-order decay in dr is the contract.
     """
-    check_kg_pair(dirac, kg_minus, kg_plus)
-    p = probe_functions(dirac.grid)
-    res, kp = _square_defect(dirac, kg_minus, kg_plus, p, p[:, ::-1])
+    p = probe_functions(grid)
+    res, kp = _square_defect(profile, mu, m, grid, p, p[:, ::-1])
     num = np.linalg.norm(_interior(res[0])) ** 2 + np.linalg.norm(_interior(res[1])) ** 2
     den = np.linalg.norm(_interior(kp[0])) ** 2 + np.linalg.norm(_interior(kp[1])) ** 2
     return float(np.sqrt(num / den))
@@ -281,11 +270,8 @@ def factorization_check(profile: MetricProfile, mu: float,
     from applying it twice.  The identity is mass-free, so it takes no mass:
     both sides are compared without the m^2 shift.
     """
-    dirac = assemble_dirac(profile, mu, 0.0, grid)
-    kg_m = assemble_kg(profile, mu, 0.0, -1, grid)
-    kg_p = assemble_kg(profile, mu, 0.0, +1, grid)
     p = probe_functions(grid)
-    res, kp = _square_defect(dirac, kg_m, kg_p, p, p)
+    res, kp = _square_defect(profile, mu, 0.0, grid, p, p)
     res_minus, res_plus = (float(np.linalg.norm(_interior(r)) / np.linalg.norm(_interior(k)))
                            for r, k in zip(res, kp))
     return res_minus, res_plus

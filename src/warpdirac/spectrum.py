@@ -15,19 +15,8 @@ from fractions import Fraction
 
 from .errors import ConfigurationError
 
-__all__ = ["ModeIndex", "LPBand", "sphere_spectrum", "lp_band", "modes_in_band",
-           "band_index", "laplace_eigenvalue_check"]
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    f = Fraction(x).limit_denominator(2)
-    if float(f) != float(x):
-        raise ConfigurationError(f"eigenvalue {x} is not a half-integer")
-    return f
+__all__ = ["ModeIndex", "LPBand", "sphere_spectrum", "lp_band", "band_index",
+           "laplace_eigenvalue_check"]
 
 
 def _degrees(mu: Fraction, n: int) -> tuple[int, int]:
@@ -44,12 +33,15 @@ def _degrees(mu: Fraction, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ModeIndex:
-    """Dirac eigenvalue mu on S^(n-1); its degrees and multiplicity derive from (mu, n)."""
+    """Dirac eigenvalue mu on S^(n-1); its degrees and multiplicity derive from (mu, n).
+
+    ``mu`` is stored as the exact Fraction of the int, float or str given."""
 
     mu: Fraction
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "mu", Fraction(self.mu))
         if self.n < 3:
             raise ConfigurationError(f"dimension n must be >= 3, got {self.n}")
         _degrees(self.mu, self.n)  # raises unless mu is in the spectrum (0 never is)
@@ -83,11 +75,6 @@ class LPBand:
     b: Fraction
 
 
-def make_mode(mu, n: int) -> ModeIndex:
-    """Build one ModeIndex from a half-integer mu given as any number."""
-    return ModeIndex(mu=_as_fraction(mu), n=n)
-
-
 def sphere_spectrum(n: int, mu_max) -> list[ModeIndex]:
     """All modes with |mu| <= mu_max, both signs, ordered by mu."""
     if n < 3:
@@ -98,7 +85,7 @@ def sphere_spectrum(n: int, mu_max) -> list[ModeIndex]:
     mu = gap
     while mu <= mu_max:
         for signed in (-mu, mu):
-            modes.append(make_mode(signed, n))
+            modes.append(ModeIndex(signed, n))
         mu += 1
     modes.sort(key=lambda m: m.mu)
     return modes
@@ -114,20 +101,11 @@ def lp_band(n: int, j: int) -> LPBand:
     return LPBand(j=j, a=half + 2**j - 1, b=half + 2 ** (j + 1))
 
 
-def modes_in_band(band: LPBand, modes: list[ModeIndex]) -> list[ModeIndex]:
-    return [m for m in modes if band.a <= m.abs_mu <= band.b]
-
-
 def band_index(mode: ModeIndex) -> int:
-    """Smallest j whose band [a_j, b_j] contains |mu| (bands overlap)."""
-    j = 0
-    while True:
-        band = lp_band(mode.n, j)
-        if band.a <= mode.abs_mu <= band.b:
-            return j
-        if band.a > mode.abs_mu:
-            raise ConfigurationError(f"|mu|={mode.abs_mu} below every band")
-        j += 1
+    """Smallest j whose band [a_j, b_j] contains |mu| (bands overlap): at
+    |mu| = (n-1)/2 + k, the j with 2^j < k <= 2^(j+1), or 0 for k <= 2."""
+    k = int(mode.abs_mu - Fraction(mode.n - 1, 2))
+    return max(0, (k - 1).bit_length() - 1)
 
 
 def laplace_eigenvalue_check(mode: ModeIndex, component: str) -> tuple[Fraction, Fraction]:

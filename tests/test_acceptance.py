@@ -48,11 +48,7 @@ def test_criterion_1_squaring_convergence():
             for m in (0.0, 1.0):
                 res = []
                 for n_cells in LADDER:
-                    grid = RadialGrid(R_MAX, n_cells)
-                    h = assemble_dirac(profile, mu, m, grid)
-                    km = assemble_kg(profile, mu, m, -1, grid)
-                    kp = assemble_kg(profile, mu, m, +1, grid)
-                    res.append(verify_square(h, km, kp))
+                    res.append(verify_square(profile, mu, m, RadialGrid(R_MAX, n_cells)))
                 order = _ladder_order(res)
                 if order < worst:
                     worst, worst_case = order, f"{tag} mu={mu:g} m={m:g}"

@@ -100,6 +100,9 @@ def test_mode_selection_exclusive():
 def test_band_selection():
     cfg = parse_config(MINIMAL + "modes.band_j = 0\n")
     assert sorted(float(m.mu) for m in cfg.modes) == [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]
+    cfg = parse_config(MINIMAL + "modes.band_j = 1\n")  # [2, 5]: its lower edge filters
+    assert sorted(float(m.mu) for m in cfg.modes) == [-5.0, -4.0, -3.0, -2.0,
+                                                      2.0, 3.0, 4.0, 5.0]
 
 
 def test_causal_window_gate():

@@ -165,6 +165,16 @@ def test_smoothing_norm_window_policy(flat_traj):
         smoothing_norm(flat_traj, (0.0, flat_traj.causal_t_max + 5.0))
     with pytest.raises(ConfigurationError):
         smoothing_norm(flat_traj, (2.0, 1.0))
+    op = assemble_dirac(FLAT, 1.0, 0.0, GRID)
+    long = evolve(op, gaussian_state(GRID), np.linspace(0.0, 30.0, 31))  # limit 21.5
+    with pytest.raises(PolicyError):  # strichartz_norm integrates every sample
+        strichartz_norm(long, T44)
+    # a sample's support has grown by the light cone, so a second 20-unit leg
+    # from t = 20 has 1.5 units left
+    leg = evolve(op, long.state(20), np.linspace(0.0, 20.0, 21))
+    assert leg.causal_t_max == pytest.approx(1.5)
+    with pytest.raises(PolicyError):
+        smoothing_norm(leg, (0.0, 20.0))
 
 
 def test_smoothing_norm_window_stability():
@@ -197,6 +207,11 @@ def test_strichartz_norm_refuses_a_calculus_of_another_grid_or_dimension(flat_tr
             strichartz_norm(flat_traj, ExponentTriple(p=math.inf, q=2.0), calc)
     own = SobolevCalculus(GRID, 3)
     assert strichartz_norm(flat_traj, T44, own) == strichartz_norm(flat_traj, T44)
+    # a state's norm folds a finer grid into columns or reads another dr
+    for cells, calc_grid in ((512, RadialGrid(40.0, 256)), (256, RadialGrid(20.0, 256))):
+        state = gaussian_state(RadialGrid(40.0, cells), center=10.0)
+        with pytest.raises(ConfigurationError, match="calculus"):
+            SobolevCalculus(calc_grid, 3).norm(state, 0.5)
 
 
 def test_strichartz_norm_gate(flat_traj):

@@ -483,7 +483,7 @@ def test_kg_crosscheck_needs_uniform_times(flat_op):
 
 def test_kg_crosscheck_rejects_swapped_or_foreign_operators(flat_op):
     """The Klein-Gordon pair must be (kg_minus, kg_plus) of the trajectory's
-    own grid and mode, as verify_square requires of its operators."""
+    own grid and mode."""
     km = assemble_kg(FLAT, 1.0, 0.0, -1, GRID)
     kp = assemble_kg(FLAT, 1.0, 0.0, +1, GRID)
     traj = evolve(flat_op, gaussian_state(GRID), [0.0, 0.5, 1.0])
@@ -503,10 +503,7 @@ def test_validate_residuals_bounded_memory_at_8192_cells():
     grid = RadialGrid(40.0, 8192)
     tracemalloc.start()
     try:
-        op = assemble_dirac(AF001, 1.0, 0.0, grid)
-        km = assemble_kg(AF001, 1.0, 0.0, -1, grid)
-        kp = assemble_kg(AF001, 1.0, 0.0, +1, grid)
-        square = verify_square(op, km, kp)
+        square = verify_square(AF001, 1.0, 0.0, grid)
         res_minus, res_plus = factorization_check(AF001, 1.0, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:

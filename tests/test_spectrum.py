@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from warpdirac import (ConfigurationError, ModeIndex, band_index, laplace_eigenvalue_check,
-                       lp_band, make_mode, modes_in_band, sphere_spectrum)
+                       lp_band, sphere_spectrum)
 
 
 def test_n3_spectrum_is_signed_integers():
@@ -13,9 +13,9 @@ def test_n3_spectrum_is_signed_integers():
 
 
 def test_n3_multiplicity():
-    mode = make_mode(2, 3)
+    mode = ModeIndex(2, 3)
     assert mode.multiplicity == 4
-    assert make_mode(-5, 3).multiplicity == 10
+    assert ModeIndex(-5, 3).multiplicity == 10
     assert all(m.multiplicity == 2 * abs(m.mu) for m in sphere_spectrum(3, 64))
 
 
@@ -44,18 +44,18 @@ def test_spectrum_symmetry():
 
 
 def test_degrees_by_sign():
-    plus = make_mode(2, 3)
+    plus = ModeIndex(2, 3)
     assert (plus.degree_plus, plus.degree_minus) == (1, 2)
-    minus = make_mode(-2, 3)
+    minus = ModeIndex(-2, 3)
     assert (minus.degree_plus, minus.degree_minus) == (2, 1)
-    one = make_mode(1, 3)
+    one = ModeIndex(1, 3)
     assert (one.degree_plus, one.degree_minus) == (0, 1)
 
 
 def test_mode_index_derives_its_degrees_and_refuses_a_mu_outside_the_spectrum():
     """(mu, n) is all a mode stores: the degrees come from them, so the
     Laplacian identity holds for every mode that builds."""
-    assert ModeIndex(Fraction(1), 3) == make_mode(1, 3)
+    assert ModeIndex(Fraction(1), 3) == ModeIndex(1, 3)
     assert (ModeIndex(Fraction(-5, 2), 4).degree_plus,
             ModeIndex(Fraction(-5, 2), 4).degree_minus) == (2, 1)
     for mode in (ModeIndex(Fraction(1), 3), ModeIndex(Fraction(3), 5)):
@@ -73,7 +73,7 @@ def test_multiplicity_table_for_higher_dimensions():
               5: {2: 4, 3: 16, 4: 40, 5: 80}}
     for n, table in tables.items():
         for mu, count in table.items():
-            assert make_mode(mu, n).multiplicity == make_mode(-mu, n).multiplicity == count
+            assert ModeIndex(mu, n).multiplicity == ModeIndex(-mu, n).multiplicity == count
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -91,11 +91,16 @@ def test_multiplicities_obey_weyls_law(n):
 
 def test_invalid_modes_rejected():
     with pytest.raises(ConfigurationError):
-        make_mode(0, 3)
+        ModeIndex(0, 3)
     with pytest.raises(ConfigurationError):
-        make_mode(Fraction(1, 2), 3)
+        ModeIndex(Fraction(1, 2), 3)
     with pytest.raises(ConfigurationError):
-        make_mode(1, 5)  # below the n=5 gap
+        ModeIndex(1, 5)  # below the n=5 gap
+    with pytest.raises(ConfigurationError):
+        ModeIndex(1.3, 3)  # its exact binary value is no half-integer
+    with pytest.raises(ConfigurationError):
+        ModeIndex(1.5000000000000002, 4)  # one ulp above 3/2
+    assert ModeIndex("3/2", 4).mu == Fraction(3, 2)
 
 
 @pytest.mark.parametrize("n,j,a,b", [
@@ -110,24 +115,21 @@ def test_band_edges(n, j, a, b):
     assert band.a < band.b
 
 
-def test_modes_in_band():
-    modes = sphere_spectrum(3, 10)
-    band = lp_band(3, 1)  # [2, 5]
-    inside = modes_in_band(band, modes)
-    assert sorted(abs(m.mu) for m in inside) == [2, 2, 3, 3, 4, 4, 5, 5]
-
-
 def test_band_index_smallest():
-    assert band_index(make_mode(1, 3)) == 0
-    assert band_index(make_mode(3, 3)) == 0  # bands overlap; smallest j wins
-    assert band_index(make_mode(4, 3)) == 1
+    assert band_index(ModeIndex(1, 3)) == 0
+    assert band_index(ModeIndex(3, 3)) == 0  # bands overlap; smallest j wins
+    assert band_index(ModeIndex(4, 3)) == 1
+    for n in range(3, 9):  # against the band definition, |mu| <= 1024
+        bands = [lp_band(n, j) for j in range(12)]
+        for mode in sphere_spectrum(n, 1024):
+            assert band_index(mode) == next(b.j for b in bands if b.a <= mode.abs_mu <= b.b)
 
 
 @pytest.mark.parametrize("mu,component,expected", [
     (2, "+", 2), (1, "+", 0), (-1, "-", 0), (3, "-", 12),
 ])
 def test_laplace_eigenvalue_examples_n3(mu, component, expected):
-    lhs, rhs = laplace_eigenvalue_check(make_mode(mu, 3), component)
+    lhs, rhs = laplace_eigenvalue_check(ModeIndex(mu, 3), component)
     assert lhs == rhs == expected
 
 
