@@ -2,16 +2,17 @@
 
 The format is one ``key = value`` pair per line, ``#`` comments, no
 sections.  Unknown keys are rejected so a config means the same thing
-across versions.  All cross-field constraints (triple admissibility, mode
-membership in the sphere spectrum, causal window against the grid) are
-validated before any computation starts.
+across versions.  Every value is read by one parser, which refuses a bad
+value with an error naming its key and line; cross-field constraints
+(triple admissibility, mode membership in the sphere spectrum, the scan
+range, the causal window against the grid) are validated before any
+computation starts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import ConfigurationError
@@ -25,7 +26,7 @@ from .spectrum import ModeIndex, lp_band, sphere_spectrum
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
 
-_FAMILIES = {f.value: f for f in Family}
+_MODE_KEYS = ("modes.mu_list", "modes.band_j", "modes.mu_max")  # choose at most one
 _MAX_ABS_MU = 1024  # largest |mu| that modes.mu_max or modes.band_j may enumerate
 
 
@@ -53,7 +54,8 @@ class _Parser:
     """Line-oriented key=value reader with positional error reporting."""
 
     def __init__(self, text: str):
-        self.pairs: dict[str, tuple[str, int]] = {}
+        self.pairs: dict[str, str] = {}
+        self.lines: dict[str, int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -68,22 +70,22 @@ class _Parser:
                 raise ConfigurationError(f"line {lineno}: empty key or value")
             if key in self.pairs:
                 raise ConfigurationError(f"line {lineno}: duplicate key '{key}'")
-            self.pairs[key] = (value, lineno)
-        self.lines = {key: lineno for key, (_, lineno) in self.pairs.items()}
+            self.pairs[key], self.lines[key] = value, lineno
 
     def error(self, key: str, problem: str) -> ConfigurationError:
         """The error for a value the config gave ``key``, at that key's line."""
         return ConfigurationError(f"line {self.lines[key]}: '{key}' {problem}")
 
-    def take(self, key: str) -> Optional[tuple[str, int]]:
+    def take(self, key: str) -> Optional[str]:
         return self.pairs.pop(key, None)
 
-    def take_float(self, key: str, default: float, minimum: Optional[float] = None) -> float:
+    def take_float(self, key: str, default: Optional[float],
+                   minimum: Optional[float] = None) -> Optional[float]:
         got = self.take(key)
         if got is None:
             return default
         try:
-            number = float(got[0])
+            number = float(got)
         except ValueError:
             number = math.nan
         if not math.isfinite(number):
@@ -99,104 +101,84 @@ class _Parser:
             raise self.error(key, "must be positive")
         return number
 
-    def take_int(self, key: str, default: int, minimum: Optional[int] = None) -> int:
+    def take_int(self, key: str, default: Optional[int],
+                 minimum: Optional[int] = None) -> Optional[int]:
         got = self.take(key)
         if got is None:
             return default
         try:
-            number = int(got[0])
+            number = int(got)
         except ValueError:
             raise self.error(key, "must be an integer") from None
         if minimum is not None and number < minimum:
             raise self.error(key, f"must be at least {minimum}")
         return number
 
-    def take_str(self, key: str, default: str, choices: tuple) -> str:
+    def take_str(self, key: str, default: Optional[str], choices: tuple) -> Optional[str]:
         got = self.take(key)
-        if got is None:
-            return default
-        if got[0] not in choices:
+        if got is not None and got not in choices:
             raise self.error(key, f"must be one of {', '.join(choices)}")
-        return got[0]
+        return default if got is None else got
 
     def reject_unknown(self):
         if self.pairs:
-            key, (_, lineno) = next(iter(self.pairs.items()))
-            raise ConfigurationError(f"line {lineno}: unknown key '{key}'")
+            key = next(iter(self.pairs))
+            raise ConfigurationError(f"line {self.lines[key]}: unknown key '{key}'")
 
 
-def _parse_triples(spec: str, lineno: int, m: float, n: int) -> tuple:
+def _parse_triples(parser: _Parser, m: float, n: int) -> tuple:
+    spec = parser.take("triples")
+    if spec is None:
+        # diagonal admissible exponent: p = q on the scaling line
+        p_diag = 2.0 * (n + 1) / (n - 1) if m == 0.0 else 2.0 * (n + 2) / n
+        return (ExponentTriple(p=p_diag, q=p_diag),)
     triples = []
-    for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if ":" not in chunk:
-            raise ConfigurationError(
-                f"line {lineno}: triple '{chunk}' must look like 'p:q'")
-        ps, qs = (s.strip() for s in chunk.split(":", 1))
+    for chunk in map(str.strip, spec.split(",")):
+        ps, _, qs = (s.strip() for s in chunk.partition(":"))
         try:
-            p = math.inf if ps in ("inf", "Inf") else float(ps)
-            q = float(qs)
+            p, q = float(ps), float(qs)  # float reads 'inf' for p
         except ValueError:
-            raise ConfigurationError(f"line {lineno}: bad exponents in '{chunk}'") from None
+            raise parser.error("triples", f"has '{chunk}', which is not 'p:q'") from None
         if not is_admissible_triple(p, q, m, n):
-            raise ConfigurationError(
-                f"line {lineno}: (p={ps}, q={qs}, m={m:g}) violates the admissible-triple "
-                f"scaling rule (2/p + (n-1)/q = (n-1)/2 for m = 0, 2/p + n/q = n/2 "
-                f"otherwise, with p, q >= 2)")
+            raise parser.error(
+                "triples", f"has (p={ps}, q={qs}), which for m={m:g} violates the "
+                f"admissible-triple scaling rule (2/p + (n-1)/q = (n-1)/2 for m = 0, "
+                f"2/p + n/q = n/2 otherwise, with p, q >= 2)")
         triples.append(ExponentTriple(p=p, q=q))
-    if not triples:
-        raise ConfigurationError(f"line {lineno}: empty triple list")
     return tuple(triples)
 
 
 def _parse_modes(parser: _Parser, n: int) -> tuple:
-    mu_list = parser.take("modes.mu_list")
-    band_j = parser.take("modes.band_j")
-    mu_max = parser.take("modes.mu_max")
-    given = [x for x in (mu_list, band_j, mu_max) if x is not None]
+    given = sorted((key for key in _MODE_KEYS if key in parser.pairs), key=parser.lines.get)
     if len(given) > 1:
-        raise ConfigurationError(
-            "choose exactly one of modes.mu_list, modes.band_j, modes.mu_max")
-    if mu_list is not None:
-        value, lineno = mu_list
+        raise parser.error(given[1], f"cannot be given with '{given[0]}': choose exactly "
+                                     f"one of {', '.join(_MODE_KEYS)}")
+    spec = parser.take("modes.mu_list")
+    if spec is not None:
         modes = {}
-        for chunk in value.split(","):
+        for chunk in map(str.strip, spec.split(",")):
             try:
-                mu = Fraction(chunk.strip())
-            except (ValueError, ZeroDivisionError):
-                raise ConfigurationError(
-                    f"line {lineno}: '{chunk.strip()}' is not a rational number") from None
-            if mu in modes:
-                raise ConfigurationError(f"line {lineno}: mode {mu} is listed twice")
-            try:
-                modes[mu] = ModeIndex(mu, n)
-            except ConfigurationError as exc:
-                raise ConfigurationError(
-                    f"line {lineno}: mu={chunk.strip()} rejected: not in the sphere "
-                    f"spectrum +-((n-1)/2 + N) for n={n}, or |mu| <= 1/2 "
-                    f"(self-adjointness hypothesis). Underlying check: {exc}") from None
+                mode = ModeIndex(chunk, n)
+            except (ValueError, ZeroDivisionError, ConfigurationError):
+                raise parser.error("modes.mu_list", f"must list modes of the sphere spectrum "
+                                   f"+-((n-1)/2 + N) for n={n}, not '{chunk}'") from None
+            if mode.mu in modes:
+                raise parser.error("modes.mu_list", f"lists mode {mode.mu} twice")
+            modes[mode.mu] = mode
         return tuple(modes.values())
-    if band_j is not None:
-        value, lineno = band_j
-        try:
-            j = int(value)
-        except ValueError:
-            raise ConfigurationError(f"line {lineno}: band index must be an integer") from None
+    j = parser.take_int("modes.band_j", None, minimum=0)
+    if j is not None:
         # 2^(j+1) alone passes the cap once j reaches the cap's bit length
         if j >= _MAX_ABS_MU.bit_length() or lp_band(n, j).b > _MAX_ABS_MU:
-            raise ConfigurationError(
-                f"line {lineno}: band {j} reaches past |mu| = {_MAX_ABS_MU}")
+            raise parser.error("modes.band_j", f"reaches past |mu| = {_MAX_ABS_MU}")
         band = lp_band(n, j)
         return tuple(m for m in sphere_spectrum(n, band.b) if band.a <= m.abs_mu)
-    if mu_max is not None:
-        value, lineno = mu_max
-        try:
-            cap = float(value)
-        except ValueError:
-            raise ConfigurationError(f"line {lineno}: modes.mu_max must be a number") from None
-        if not (math.isfinite(cap) and cap <= _MAX_ABS_MU):
-            raise ConfigurationError(
-                f"line {lineno}: modes.mu_max must be a finite number at most {_MAX_ABS_MU}")
+    cap = parser.take_float("modes.mu_max", None)
+    if cap is not None:
+        if not (n - 1) / 2 <= cap <= _MAX_ABS_MU:
+            # below (n-1)/2, the smallest |mu| of the sphere spectrum, it enumerates no mode
+            raise parser.error("modes.mu_max", f"must lie between (n-1)/2 = {(n - 1) / 2:g} "
+                                               f"and {_MAX_ABS_MU}")
         return tuple(sphere_spectrum(n, cap))
     return tuple(sphere_spectrum(n, (n - 1) / 2 + 1))
 
@@ -205,20 +187,13 @@ def parse_config(text: str) -> RunConfig:
     """Parse and cross-validate one configuration document."""
     parser = _Parser(text)
 
-    fam_got = parser.take("profile.family")
-    if fam_got is None:
+    family = parser.take_str("profile.family", None, tuple(f.value for f in Family))
+    if family is None:
         raise ConfigurationError("missing required key 'profile.family'")
-    fam_name, fam_line = fam_got
-    if fam_name not in _FAMILIES:
-        raise ConfigurationError(
-            f"line {fam_line}: unknown family '{fam_name}' "
-            f"(choose from {', '.join(sorted(_FAMILIES))})")
-
-    family = _FAMILIES[fam_name]
-    default_profile = MetricProfile(family)
+    default_profile = MetricProfile(Family(family))
     n = parser.take_int("n", default_profile.n, minimum=3)
     profile = MetricProfile(
-        family=family, n=n,
+        family=default_profile.family, n=n,
         epsilon=parser.take_float("profile.epsilon", default_profile.epsilon, minimum=0),
         alpha=parser.take_int("profile.alpha", default_profile.alpha),
         beta=parser.take_int("profile.beta", default_profile.beta),
@@ -226,24 +201,13 @@ def parse_config(text: str) -> RunConfig:
     )
     m = parser.take_float("m", 0.0)
     modes = _parse_modes(parser, n)
-    if not modes:
-        raise ConfigurationError(
-            f"the modes section enumerates no mode: the smallest |mu| for n={n} "
-            f"is {(n - 1) / 2:g}")
 
     grid = RadialGrid(
         r_max=parser.take_positive("grid.r_max", DEFAULT_R_MAX),
         n_cells=parser.take_int("grid.n_cells", DEFAULT_N_CELLS, minimum=MIN_CELLS))
     t_max = parser.take_positive("time.t_max", DEFAULT_T_MAX)
     samples = parser.take_int("time.samples", DEFAULT_SAMPLES, minimum=2)
-
-    triples_got = parser.take("triples")
-    if triples_got is None:
-        # diagonal admissible exponent: p = q on the scaling line
-        p_diag = 2.0 * (n + 1) / (n - 1) if m == 0.0 else 2.0 * (n + 2) / n
-        triples = (ExponentTriple(p=p_diag, q=p_diag),)
-    else:
-        triples = _parse_triples(triples_got[0], triples_got[1], m, n)
+    triples = _parse_triples(parser, m, n)
 
     default = DataTemplate()
     bump = dict(
@@ -256,15 +220,13 @@ def parse_config(text: str) -> RunConfig:
         raise parser.error("data.amplitude", "must be nonzero")
     data = DataTemplate(**bump)
 
-    try:
-        scan = InfimumScanPolicy(
-            r_min=parser.take_float("scan.r_min", DEFAULT_SCAN_POLICY.r_min),
-            r_max=parser.take_float("scan.r_max", DEFAULT_SCAN_POLICY.r_max),
-            points=parser.take_int("scan.points", DEFAULT_SCAN_POLICY.points,
-                                   minimum=MIN_SCAN_POINTS),
-        )
-    except ValueError as exc:
-        raise ConfigurationError(f"scan policy: {exc}") from None
+    r_min = parser.take_positive("scan.r_min", DEFAULT_SCAN_POLICY.r_min)
+    r_max = parser.take_float("scan.r_max", DEFAULT_SCAN_POLICY.r_max)
+    if r_min >= r_max:
+        raise parser.error("scan.r_max" if "scan.r_max" in parser.lines else "scan.r_min",
+                           f"must keep scan.r_min < scan.r_max, got {r_min:g} and {r_max:g}")
+    points = parser.take_int("scan.points", DEFAULT_SCAN_POLICY.points, minimum=MIN_SCAN_POINTS)
+    scan = InfimumScanPolicy(r_min=r_min, r_max=r_max, points=points)
     epsilon_loss = parser.take_float("epsilon_loss", DEFAULT_EPSILON_LOSS, minimum=0)
     trials = parser.take_int("trials", DEFAULT_TRIALS, minimum=1)
     parser.reject_unknown()

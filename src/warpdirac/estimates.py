@@ -309,6 +309,8 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
     n = profile.n
     for triple in triples:
         triple.require_admissible(m, n)
+    if samples < 2:
+        raise ConfigurationError(f"mu_scan needs at least two time samples, got {samples}")
     seen = set()
     for mu in mu_list:
         if float(mu) in seen:

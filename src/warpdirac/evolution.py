@@ -437,7 +437,8 @@ class FlatBesselOracle:
         return SpinorState(grid=self.grid, plus=plus, minus=minus)
 
     def propagate(self, initial: SpinorState, t: float) -> SpinorState:
-        """Advance by the exact per-frequency rotation of the coupled system."""
+        """Advance by the exact per-frequency rotation of the coupled system;
+        the support radius grows by the light cone |t|, as in SpinorTrajectory.state."""
         p0, m0 = self._forward(initial)
         omega = np.sqrt(self.rho**2 + self.m**2)
         cos = np.cos(omega * t)
@@ -446,8 +447,9 @@ class FlatBesselOracle:
         pt = cos * p0 - 1j * sinc * (self.m * p0 + s * self.rho * m0)
         mt = cos * m0 - 1j * sinc * (s * self.rho * p0 - self.m * m0)
         out = self._inverse(pt, mt)
+        reach = None if initial.support_radius is None else initial.support_radius + abs(t)
         return SpinorState(grid=self.grid, plus=out.plus, minus=out.minus,
-                           support_radius=initial.support_radius)
+                           support_radius=reach)
 
 
 def kg_crosscheck(traj: SpinorTrajectory, kg_minus: DiscreteRadialOperator,

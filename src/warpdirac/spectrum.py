@@ -79,7 +79,7 @@ def sphere_spectrum(n: int, mu_max) -> list[ModeIndex]:
     """All modes with |mu| <= mu_max, both signs, ordered by mu."""
     if n < 3:
         raise ConfigurationError(f"dimension n must be >= 3, got {n}")
-    mu_max = Fraction(mu_max).limit_denominator(10**6)
+    mu_max = Fraction(mu_max)  # exact for a float, so a cap below a mode leaves it out
     gap = Fraction(n - 1, 2)
     modes: list[ModeIndex] = []
     mu = gap

@@ -105,6 +105,11 @@ def test_band_selection():
                                                       2.0, 3.0, 4.0, 5.0]
 
 
+def test_mu_max_is_an_exact_cap():
+    cfg = parse_config(MINIMAL + "modes.mu_max = 2.9999999\n")
+    assert sorted(float(m.mu) for m in cfg.modes) == [-2.0, -1.0, 1.0, 2.0]
+
+
 def test_causal_window_gate():
     with pytest.raises(ConfigurationError, match="causal"):
         parse_config(MINIMAL + "time.t_max = 30\n")
@@ -230,23 +235,68 @@ def test_cli_rejects_nonpositive_t_max(tmp_path, capsys, command, t_max):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line, message", [
-    ("grid.r_max = -1", "'grid.r_max' must be positive"),
-    ("grid.n_cells = 8", "'grid.n_cells' must be at least 16"),
-    ("data.width = 0", "'data.width' must be positive"),
-    ("n = 2", "'n' must be at least 3"),
-    ("profile.epsilon = -1", "'profile.epsilon' must be at least 0"),
-    ("data.component = up", "'data.component' must be one of plus, minus"),
-    ("data.amplitude = 0", "'data.amplitude' must be nonzero"),
-    ("epsilon_loss = -1", "'epsilon_loss' must be at least 0"),
-    ("scan.points = 3", "'scan.points' must be at least 16"),
-], ids=["r_max", "n_cells", "width", "n", "epsilon", "component", "amplitude",
-        "epsilon_loss", "scan_points"])
-def test_cli_out_of_range_value_names_its_key_and_line(tmp_path, capsys, line, message):
-    cfg = _write(tmp_path, "profile.family = flat\n" + line + "\n")
+FLAT = "profile.family = flat\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param(FLAT + "grid.r_max = -1", "line 2: 'grid.r_max' must be positive", id="r_max"),
+    pytest.param(FLAT + "grid.n_cells = 8", "line 2: 'grid.n_cells' must be at least 16",
+                 id="n_cells"),
+    pytest.param(FLAT + "data.width = 0", "line 2: 'data.width' must be positive", id="width"),
+    pytest.param(FLAT + "n = 2", "line 2: 'n' must be at least 3", id="n"),
+    pytest.param(FLAT + "profile.epsilon = -1", "line 2: 'profile.epsilon' must be at least 0",
+                 id="epsilon"),
+    pytest.param(FLAT + "data.component = up",
+                 "line 2: 'data.component' must be one of plus, minus", id="component"),
+    pytest.param(FLAT + "data.amplitude = 0", "line 2: 'data.amplitude' must be nonzero",
+                 id="amplitude"),
+    pytest.param(FLAT + "epsilon_loss = -1", "line 2: 'epsilon_loss' must be at least 0",
+                 id="epsilon_loss"),
+    pytest.param(FLAT + "scan.points = 3", "line 2: 'scan.points' must be at least 16",
+                 id="scan_points"),
+    pytest.param(FLAT + "modes.band_j = -1", "line 2: 'modes.band_j' must be at least 0",
+                 id="band_j_negative"),
+    pytest.param(FLAT + "modes.band_j = x", "line 2: 'modes.band_j' must be an integer",
+                 id="band_j_word"),
+    pytest.param(FLAT + "modes.mu_max = 2000",
+                 "line 2: 'modes.mu_max' must lie between (n-1)/2 = 1 and 1024",
+                 id="mu_max_above_cap"),
+    pytest.param(FLAT + "modes.mu_max = nan", "line 2: 'modes.mu_max' must be a finite number",
+                 id="mu_max_nan"),
+    pytest.param(FLAT + "modes.mu_max = 0.5",
+                 "line 2: 'modes.mu_max' must lie between (n-1)/2 = 1 and 1024",
+                 id="mu_max_below_gap"),
+    pytest.param(FLAT + "modes.mu_list = 1, x",
+                 "line 2: 'modes.mu_list' must list modes of the sphere spectrum "
+                 "+-((n-1)/2 + N) for n=3, not 'x'", id="mu_list_word"),
+    pytest.param(FLAT + "modes.mu_list = 1.3",
+                 "line 2: 'modes.mu_list' must list modes of the sphere spectrum "
+                 "+-((n-1)/2 + N) for n=3, not '1.3'", id="mu_list_off_spectrum"),
+    pytest.param(FLAT + "modes.mu_list = 1\nmodes.mu_max = 2",
+                 "line 3: 'modes.mu_max' cannot be given with 'modes.mu_list': choose exactly "
+                 "one of modes.mu_list, modes.band_j, modes.mu_max", id="two_mode_selectors"),
+    pytest.param(FLAT + "triples = 4", "line 2: 'triples' has '4', which is not 'p:q'",
+                 id="triple_without_colon"),
+    pytest.param(FLAT + "triples = 3:3",
+                 "line 2: 'triples' has (p=3, q=3), which for m=0 violates the "
+                 "admissible-triple scaling rule", id="triple_not_admissible"),
+    pytest.param(FLAT + "scan.r_min = 5\nscan.r_max = 1",
+                 "line 3: 'scan.r_max' must keep scan.r_min < scan.r_max, got 5 and 1",
+                 id="scan_range_reversed"),
+    pytest.param(FLAT + "scan.r_min = -1", "line 2: 'scan.r_min' must be positive",
+                 id="scan_r_min_negative"),
+    pytest.param(FLAT + "scan.r_max = 1e-7",
+                 "line 2: 'scan.r_max' must keep scan.r_min < scan.r_max, got 1e-06 and 1e-07",
+                 id="scan_r_max_below_default_r_min"),
+    pytest.param("profile.family = torus",
+                 "line 1: 'profile.family' must be one of flat, asymptotically_flat, sinh, "
+                 "polynomial", id="family"),
+])
+def test_cli_out_of_range_value_names_its_key_and_line(tmp_path, capsys, text, message):
+    cfg = _write(tmp_path, text + "\n")
     out = tmp_path / "out"
     assert main(["check-metric", "--config", cfg, "--out", str(out)]) == 4
-    assert f"line 2: {message}" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -257,7 +307,7 @@ def test_cli_rejects_a_mode_listed_twice(tmp_path, capsys, command, mu_list):
     cfg = _write(tmp_path, SMALL.replace("modes.mu_list = 1", f"modes.mu_list = {mu_list}"))
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 4
-    assert "line 2: mode 1 is listed twice" in capsys.readouterr().err
+    assert "line 2: 'modes.mu_list' lists mode 1 twice" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -384,6 +384,19 @@ def test_mu_scan_rejects_a_window_past_the_causal_limit_first(monkeypatch):
     assert scanned == []
 
 
+def test_mu_scan_needs_two_samples_before_scanning(monkeypatch):
+    """A single time sample leaves no smoothing window; it is refused before
+    anything is scanned or evolved."""
+    import warpdirac.estimates as estimates
+
+    ran = []
+    monkeypatch.setattr(estimates, "check_admissible", lambda *args: ran.append(args))
+    monkeypatch.setattr(estimates, "evolve", lambda *args: ran.append(args))
+    with pytest.raises(ConfigurationError, match="at least two time samples, got 1"):
+        mu_scan(FLAT, [T44], [1.0, 2.0], grid=RadialGrid(40, 512), samples=1)
+    assert ran == []
+
+
 def test_mu_scan_rejects_a_repeated_mode(monkeypatch):
     """A mode listed twice is refused before anything is scanned or evolved,
     as the config refuses it."""

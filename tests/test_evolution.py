@@ -359,6 +359,8 @@ def test_oracle_agreement_massless(flat_op):
     got = evolve(flat_op, init, [8.0]).state(0)
     expect = FlatBesselOracle(1.0, 0.0, 3, GRID).propagate(init, 8.0)
     assert state_diff(got, expect) <= 1e-2  # coarse grid; 1e-3 at 2048 cells
+    # both grow the datum's support radius by the light cone |t|
+    assert expect.support_radius == got.support_radius == init.support_radius + 8.0
 
 
 def test_oracle_agreement_massive():

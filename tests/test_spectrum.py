@@ -10,6 +10,9 @@ from warpdirac import (ConfigurationError, ModeIndex, band_index, laplace_eigenv
 def test_n3_spectrum_is_signed_integers():
     mus = sorted(m.mu for m in sphere_spectrum(3, 3))
     assert mus == [-3, -2, -1, 1, 2, 3]
+    # the cap is exact: one just below a mode leaves that mode out
+    assert sorted(m.mu for m in sphere_spectrum(3, 2.9999999)) == [-2, -1, 1, 2]
+    assert len(sphere_spectrum(3, 8)) == 16
 
 
 def test_n3_multiplicity():
