@@ -13,6 +13,8 @@ V = mu / phi.  Two derived quantities drive everything here:
 
       delta_phi(mu) = min( 1, inf 4 r^2 W + 1, inf -4 r^2 W - 4 r^3 W' + 1 )
 
+Each is a :class:`Delta`: min(cap, quadratic infimum, cubic infimum) with
+both scanned infima, the first non-positive of which witnesses a failure.
 The two are tied by the algebraic identity 4 r^2 W + 1 = 4 (1/4 + r^2 (V^2 - V'))
 which is kept as a permanent regression test.  All infima are evaluated in
 overflow-safe scaled variables (r V, r^2 V', r^3 V'', r^3 W') so the scan
@@ -25,6 +27,8 @@ place they are written) are scanned together
 (:func:`warpdirac.scan.scan_infima`), and every golden-section refinement
 of every mode steps together.  Its values equal those of the
 per-functional scans (:func:`delta_pm`, :func:`delta_phi`) bit for bit.
+:func:`delta_lower_bound` is the floor on delta_pm that the A2 smallness
+test (:func:`warpdirac.profiles.check_A2`) guarantees.
 """
 
 from __future__ import annotations
@@ -36,12 +40,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, HypothesisViolationError
-from .profiles import MetricProfile, ProfileConstants
+from .profiles import A2Verdict, MetricProfile
 from .scan import (DEFAULT_SCAN_POLICY, InfimumScanPolicy, ScanExtremum, scan_infima,
                    scan_infimum)
 
-__all__ = ["ModePotential", "DeltaPair", "DeltaPhi", "DeltaC",
-           "AdmissibilityReport", "delta_pm", "delta_phi", "delta_c",
+__all__ = ["ModePotential", "Delta", "AdmissibilityReport", "delta_pm", "delta_phi", "delta_c",
            "check_admissible", "delta_lower_bound"]
 
 _DECAY_TOL = 1e-6
@@ -95,9 +98,9 @@ def _parts_at_infinity(profile: MetricProfile, mu: float) -> Optional[tuple]:
     return None if lims is None else _parts(mu, lims)
 
 
-# Rows of _mode_terms: delta_pm's four terms, delta_phi's two, and the one
-# behind sup |4 r^2 W|.
-_PM_TERMS, _PHI_TERMS, _SUP_TERM = range(4), (4, 5), 6
+# Rows of _mode_terms: the first of each (quadratic, cubic) pair of delta_+,
+# delta_- and delta_phi, and the one behind sup |4 r^2 W|.
+_PLUS, _MINUS, _PHI, _SUP_TERM = 0, 2, 4, 6
 
 
 def _mode_terms(parts) -> tuple:
@@ -116,77 +119,53 @@ def _mode_terms(parts) -> tuple:
             w4 + 1.0, -w4 - 4.0 * r3wp + 1.0, -np.abs(w4))
 
 
+def _row_limits(profile: MetricProfile, mu: float) -> list:
+    """(limit at r -> 0+, limit at r -> infinity or None) of each _mode_terms row."""
+    at_inf = _parts_at_infinity(profile, mu)
+    at_inf = (None,) * (_SUP_TERM + 1) if at_inf is None else _mode_terms(at_inf)
+    return list(zip(_mode_terms(_parts_at_zero(mu)), at_inf))
+
+
 def _scan_term(pot: ModePotential, t: int, scan: InfimumScanPolicy) -> ScanExtremum:
     """Infimum of row t of :func:`_mode_terms` for one mode, scanned alone."""
-    at_inf = _parts_at_infinity(pot.profile, pot.mu)
-    return scan_infimum(
-        lambda r: _mode_terms(_parts(pot.mu, pot.profile.ratios(r)))[t], scan,
-        limit_at_zero=_mode_terms(_parts_at_zero(pot.mu))[t],
-        limit_at_infinity=None if at_inf is None else _mode_terms(at_inf)[t])
+    at_zero, at_inf = _row_limits(pot.profile, pot.mu)[t]
+    return scan_infimum(lambda r: _mode_terms(_parts(pot.mu, pot.profile.ratios(r)))[t], scan,
+                        limit_at_zero=at_zero, limit_at_infinity=at_inf)
 
 
 @dataclass(frozen=True)
-class DeltaPair:
-    """delta_+ and delta_- with the per-term infima that produced them."""
+class Delta:
+    """min(cap, inf of a quadratic term, inf of a cubic term), with both infima."""
 
-    delta_plus: float
-    delta_minus: float
-    plus_quadratic: ScanExtremum
-    plus_cubic: ScanExtremum
-    minus_quadratic: ScanExtremum
-    minus_cubic: ScanExtremum
-
-    @classmethod
-    def from_terms(cls, pq: ScanExtremum, pc: ScanExtremum,
-                   mq: ScanExtremum, mc: ScanExtremum) -> "DeltaPair":
-        return cls(delta_plus=min(0.25, pq.value, pc.value),
-                   delta_minus=min(0.25, mq.value, mc.value),
-                   plus_quadratic=pq, plus_cubic=pc,
-                   minus_quadratic=mq, minus_cubic=mc)
-
-
-@dataclass(frozen=True)
-class DeltaPhi:
     value: float
     quad_term: ScanExtremum
     cubic_term: ScanExtremum
 
     @classmethod
-    def from_terms(cls, quad: ScanExtremum, cubic: ScanExtremum) -> "DeltaPhi":
-        return cls(value=min(1.0, quad.value, cubic.value), quad_term=quad, cubic_term=cubic)
+    def from_terms(cls, cap: float, quad: ScanExtremum, cubic: ScanExtremum) -> "Delta":
+        return cls(min(cap, quad.value, cubic.value), quad, cubic)
 
     def violating_term(self) -> Optional[ScanExtremum]:
         """First non-positive term (quadratic checked before cubic), if any."""
-        if self.value > 0.0:
-            return None
-        for term in (self.quad_term, self.cubic_term):
-            if term.value <= 0.0:
-                return term
-        return None  # pragma: no cover
-
-
-@dataclass(frozen=True)
-class DeltaC:
-    value: float
-    quad_term: ScanExtremum
-    cubic_term: ScanExtremum
+        return next((t for t in (self.quad_term, self.cubic_term) if t.value <= 0.0), None)
 
 
 def delta_pm(pot: ModePotential,
-             scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> DeltaPair:
-    """Both Hardy-form infima for the +/- channels of one mode."""
-    return DeltaPair.from_terms(*(_scan_term(pot, t, scan) for t in _PM_TERMS))
+             scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> tuple[Delta, Delta]:
+    """Both Hardy-form infima (delta_+, delta_-) for the +/- channels of one mode."""
+    return tuple(Delta.from_terms(0.25, _scan_term(pot, t, scan), _scan_term(pot, t + 1, scan))
+                 for t in (_PLUS, _MINUS))
 
 
 def delta_phi(profile: MetricProfile, mu: float,
-              scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> DeltaPhi:
+              scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> Delta:
     """Quadratic-weight variant built on W = mu (mu + phi')/phi^2."""
     pot = ModePotential(profile=profile, mu=mu)
-    return DeltaPhi.from_terms(*(_scan_term(pot, t, scan) for t in _PHI_TERMS))
+    return Delta.from_terms(1.0, _scan_term(pot, _PHI, scan), _scan_term(pot, _PHI + 1, scan))
 
 
 def delta_c(pot: ModePotential, sign: int,
-            scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> DeltaC:
+            scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> Delta:
     """Generic channel functional min[1/4, inf(c r^2 + (n-2)^2/4), inf(-r^3 c' - r^2 c + (n-2)^2/4)].
 
     Evaluated directly from the c_{+-} channel of ``pot``; agreement with
@@ -217,9 +196,7 @@ def delta_c(pot: ModePotential, sign: int,
                             limit_at_zero=term(_parts_at_zero(pot.mu)),
                             limit_at_infinity=None if at_inf is None else term(at_inf))
 
-    quad, cubic = infimum(term2), infimum(term3)
-    return DeltaC(value=min(0.25, quad.value, cubic.value),
-                  quad_term=quad, cubic_term=cubic)
+    return Delta.from_terms(0.25, infimum(term2), infimum(term3))
 
 
 @dataclass(frozen=True)
@@ -279,12 +256,7 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
             for t, values in enumerate(_mode_terms(_parts(mu, block))):
                 out[width * k + t] = values
 
-    limits = []
-    for mu in signed:
-        at_inf = _parts_at_infinity(profile, mu)
-        at_inf = (None,) * width if at_inf is None else _mode_terms(at_inf)
-        limits += zip(_mode_terms(_parts_at_zero(mu)), at_inf)
-
+    limits = [lim for mu in signed for lim in _row_limits(profile, mu)]
     signed_mu = np.array(signed, dtype=float)
 
     def evaluate(ids, radii):
@@ -299,28 +271,19 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     reports = []
     for pot in pots:
         mu = pot.mu
-        pair = DeltaPair.from_terms(*(terms[mu][t] for t in _PM_TERMS))
-        dphi_pos = DeltaPhi.from_terms(*(terms[mu][t] for t in _PHI_TERMS))
-        dphi_neg = DeltaPhi.from_terms(*(terms[-mu][t] for t in _PHI_TERMS))
+        plus, minus = (Delta.from_terms(0.25, *terms[mu][t:t + 2]) for t in (_PLUS, _MINUS))
+        dphi_pos, dphi_neg = (Delta.from_terms(1.0, *terms[nu][_PHI:_PHI + 2]) for nu in (mu, -mu))
         sup = terms[mu][_SUP_TERM].negated()
         sup_finite = not sup.diverging and math.isfinite(sup.value)
         decay_ok = _potential_decays(mu, probes, probe_ratios)
         admissible = (dphi_pos.value > 0.0 and dphi_neg.value > 0.0
                       and sup_finite and decay_ok)
-
-        witness = None
-        if not admissible:
-            for d in (dphi_pos, dphi_neg):
-                t = d.violating_term()
-                if t is not None:
-                    witness = t.arg_r
-                    break
-            if witness is None and not sup_finite:
-                witness = sup.arg_r
-
+        # an admissible mode has no violating term and a finite supremum
+        violated = dphi_pos.violating_term() or dphi_neg.violating_term()
+        witness = violated.arg_r if violated else (None if sup_finite else sup.arg_r)
         reports.append(AdmissibilityReport(
             mu=mu, family=profile.family.value, n=profile.n,
-            delta_plus=pair.delta_plus, delta_minus=pair.delta_minus,
+            delta_plus=plus.value, delta_minus=minus.value,
             delta_phi_mu=dphi_pos.value, delta_phi_neg_mu=dphi_neg.value,
             sup_4r2V=sup.value, limit_at_infinity_ok=decay_ok,
             admissible=admissible, witness_r=witness,
@@ -328,13 +291,10 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     return reports
 
 
-def delta_lower_bound(constants: ProfileConstants, mu0: float) -> float:
-    """Guaranteed lower bound for delta_pm over all modes with |mu| >= mu0.
+def delta_lower_bound(verdict: A2Verdict) -> float:
+    """Guaranteed lower bound for delta_pm over all modes with |mu| >= verdict.mu0.
 
-    1/4 when mu0 >= 2, otherwise min(1/4 + mu0^2 - mu0, 1/8) - max(A_phi, B_phi).
+    1/4 when mu0 >= 2, otherwise the A2 threshold min(1/4 + mu0^2 - mu0, 1/8)
+    less the achieved max(A_phi, B_phi), both as :func:`check_A2` found them.
     """
-    if not mu0 > 0.5:
-        raise ConfigurationError(f"lower bound needs mu0 > 1/2, got {mu0}")
-    if mu0 >= 2.0:
-        return 0.25
-    return min(0.25 + mu0 * mu0 - mu0, 0.125) - max(constants.a_phi, constants.b_phi)
+    return 0.25 if verdict.mu0 >= 2.0 else verdict.threshold - verdict.achieved

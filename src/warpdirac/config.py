@@ -20,7 +20,7 @@ from .estimates import (DEFAULT_EPSILON_LOSS, DEFAULT_SAMPLES, DEFAULT_T_MAX, Da
                         ExponentTriple, is_admissible_triple)
 from .evolution import causal_time_limit, gaussian_support_radius
 from .operators import DEFAULT_N_CELLS, DEFAULT_R_MAX, DEFAULT_TRIALS, MIN_CELLS, RadialGrid
-from .profiles import Family, MetricProfile
+from .profiles import MAX_AF_EXPONENT, MAX_POLY_DEGREE, Family, MetricProfile
 from .scan import DEFAULT_SCAN_POLICY, MIN_SCAN_POINTS, InfimumScanPolicy
 from .spectrum import ModeIndex, lp_band, sphere_spectrum
 
@@ -159,7 +159,7 @@ def _parse_modes(parser: _Parser, n: int) -> tuple:
         for chunk in map(str.strip, spec.split(",")):
             try:
                 mode = ModeIndex(chunk, n)
-            except (ValueError, ZeroDivisionError, ConfigurationError):
+            except ConfigurationError:
                 raise parser.error("modes.mu_list", f"must list modes of the sphere spectrum "
                                    f"+-((n-1)/2 + N) for n={n}, not '{chunk}'") from None
             if mode.mu in modes:
@@ -192,13 +192,18 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigurationError("missing required key 'profile.family'")
     default_profile = MetricProfile(Family(family))
     n = parser.take_int("n", default_profile.n, minimum=3)
-    profile = MetricProfile(
-        family=default_profile.family, n=n,
-        epsilon=parser.take_float("profile.epsilon", default_profile.epsilon, minimum=0),
-        alpha=parser.take_int("profile.alpha", default_profile.alpha),
-        beta=parser.take_int("profile.beta", default_profile.beta),
-        degree=parser.take_int("profile.degree", default_profile.degree),
-    )
+    epsilon = parser.take_float("profile.epsilon", default_profile.epsilon, minimum=0)
+    alpha = parser.take_int("profile.alpha", default_profile.alpha)
+    beta = parser.take_int("profile.beta", default_profile.beta)
+    degree = parser.take_int("profile.degree", default_profile.degree)
+    if default_profile.family is Family.ASYMPTOTICALLY_FLAT and not (
+            1 <= alpha <= beta <= MAX_AF_EXPONENT):
+        raise parser.error("profile.beta" if "profile.beta" in parser.lines else "profile.alpha",
+                           f"must keep 1 <= profile.alpha <= profile.beta <= {MAX_AF_EXPONENT}, "
+                           f"got {alpha} and {beta}")
+    if default_profile.family is Family.POLYNOMIAL and not 2 <= degree <= MAX_POLY_DEGREE:
+        raise parser.error("profile.degree", f"must lie between 2 and {MAX_POLY_DEGREE}")
+    profile = MetricProfile(default_profile.family, n, epsilon, alpha, beta, degree)
     m = parser.take_float("m", 0.0)
     modes = _parse_modes(parser, n)
 

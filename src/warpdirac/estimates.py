@@ -311,6 +311,8 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
         triple.require_admissible(m, n)
     if samples < 2:
         raise ConfigurationError(f"mu_scan needs at least two time samples, got {samples}")
+    if not 0 < t_max < math.inf:
+        raise ConfigurationError(f"mu_scan needs a positive, finite t_max, got {t_max}")
     seen = set()
     for mu in mu_list:
         if float(mu) in seen:

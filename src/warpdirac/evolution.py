@@ -203,6 +203,8 @@ def evolve(op: DiscreteRadialOperator, initial: SpinorState,
     if initial.grid != op.grid:
         raise ConfigurationError("initial data grid does not match the operator")
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ConfigurationError(f"evolve needs finite times, got {times}")
     v0 = initial.as_vector()
     start = _barrier_cell(op, v0)
     vecs = _chebyshev_propagate(op, v0, times, start)

@@ -47,8 +47,10 @@ class RadialGrid:
     n_cells: int = DEFAULT_N_CELLS
 
     def __post_init__(self):
-        if self.r_max <= 0:
-            raise ConfigurationError("r_max must be positive")
+        if not 0 < self.r_max < np.inf:
+            raise ConfigurationError(f"r_max must be positive and finite, got {self.r_max}")
+        if not isinstance(self.n_cells, (int, np.integer)):
+            raise ConfigurationError(f"n_cells must be an integer, got {self.n_cells!r}")
         if self.n_cells < MIN_CELLS:
             raise GridTooCoarseError(
                 f"grid needs at least {MIN_CELLS} cells, got {self.n_cells}")
@@ -78,6 +80,8 @@ class DiscreteRadialOperator:
         if kind not in _KINDS or np.shape(potential) != grid.nodes.shape or (
                 kind == "dirac" and m is None):
             raise ConfigurationError(f"bad {kind} operator: need a potential per node (and m)")
+        if m is not None and not np.isfinite(m):
+            raise ConfigurationError(f"the mass m must be finite, got {m}")
         self.grid, self.kind, self.potential = grid, kind, potential
         self.profile, self.mu, self.m = profile, mu, m
         self._eig: Optional[tuple] = None
@@ -307,6 +311,8 @@ def norm_equivalence_check(profile: MetricProfile, exponents: Sequence[float],
     """
     from .estimates import SobolevCalculus  # estimates imports this module
 
+    if trials < 1:
+        raise ConfigurationError(f"norm equivalence needs at least one trial, got {trials}")
     for expo in exponents:
         if not 0.0 <= expo <= 1.0:
             raise ConfigurationError(f"s must be in [0, 1], got {expo}")

@@ -27,8 +27,8 @@ from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_supremum
 __all__ = ["Family", "MetricProfile", "ProfileConstants", "A2Verdict",
            "sigma_log_derivative_bound", "profile_constants", "check_A2"]
 
-_MAX_POLY_DEGREE = 20  # keeps phi^2 within double range on the scan grid
-_MAX_AF_EXPONENT = 12
+MAX_POLY_DEGREE = 20  # keeps phi^2 within double range on the scan grid
+MAX_AF_EXPONENT = 12
 _SINH_LARGE = 30.0  # beyond this use exponential asymptotics
 
 
@@ -57,20 +57,24 @@ class MetricProfile:
     degree: int = 3
 
     def __post_init__(self):
+        for name in ("n", "alpha", "beta", "degree"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 3:
             raise ConfigurationError(f"dimension n must be >= 3, got {self.n}")
         if self.family is Family.ASYMPTOTICALLY_FLAT:
-            if self.epsilon < 0:
-                raise ConfigurationError("amplitude epsilon must be >= 0")
+            if not 0 <= self.epsilon < np.inf:
+                raise ConfigurationError(
+                    f"amplitude epsilon must be finite and >= 0, got {self.epsilon}")
             if not (1 <= self.alpha <= self.beta):
                 raise ConfigurationError(
                     f"exponents must satisfy 1 <= alpha <= beta, got "
                     f"alpha={self.alpha}, beta={self.beta}")
-            if self.beta > _MAX_AF_EXPONENT:
-                raise ConfigurationError(f"beta must be <= {_MAX_AF_EXPONENT}")
-        if self.family is Family.POLYNOMIAL and not (2 <= self.degree <= _MAX_POLY_DEGREE):
+            if self.beta > MAX_AF_EXPONENT:
+                raise ConfigurationError(f"beta must be <= {MAX_AF_EXPONENT}")
+        if self.family is Family.POLYNOMIAL and not (2 <= self.degree <= MAX_POLY_DEGREE):
             raise ConfigurationError(
-                f"polynomial degree must be in [2, {_MAX_POLY_DEGREE}], got {self.degree}")
+                f"polynomial degree must be in [2, {MAX_POLY_DEGREE}], got {self.degree}")
 
     # -- phi1 decomposition (flat / asymptotically flat only) ---------------
 

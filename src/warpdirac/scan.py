@@ -26,6 +26,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = ["InfimumScanPolicy", "ScanExtremum", "scan_infima", "scan_infimum",
            "scan_supremum", "DEFAULT_SCAN_POLICY", "MIN_SCAN_POINTS"]
 
@@ -46,10 +48,10 @@ class InfimumScanPolicy:
     points: int = 100_000
 
     def __post_init__(self):
-        if not (0 < self.r_min < self.r_max):
-            raise ValueError("scan range must satisfy 0 < r_min < r_max")
+        if not 0 < self.r_min < self.r_max < math.inf:
+            raise ConfigurationError("scan range must satisfy 0 < r_min < r_max < inf")
         if self.points < MIN_SCAN_POINTS:
-            raise ValueError(f"scan needs at least {MIN_SCAN_POINTS} points")
+            raise ConfigurationError(f"scan needs at least {MIN_SCAN_POINTS} points")
 
     def grid(self) -> np.ndarray:
         return np.geomspace(self.r_min, self.r_max, self.points)

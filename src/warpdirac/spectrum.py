@@ -19,6 +19,14 @@ __all__ = ["ModeIndex", "LPBand", "sphere_spectrum", "lp_band", "band_index",
            "laplace_eigenvalue_check"]
 
 
+def _exact(value, name: str) -> Fraction:
+    """``value`` as an exact Fraction; nan, inf and non-numbers are refused."""
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigurationError(f"{name}={value!r} is not a rational number") from None
+
+
 def _degrees(mu: Fraction, n: int) -> tuple[int, int]:
     """Harmonic degrees (plus component, minus component) for eigenvalue mu."""
     mu, half = Fraction(mu), Fraction(n - 1, 2)
@@ -41,7 +49,7 @@ class ModeIndex:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", Fraction(self.mu))
+        object.__setattr__(self, "mu", _exact(self.mu, "mu"))
         if self.n < 3:
             raise ConfigurationError(f"dimension n must be >= 3, got {self.n}")
         _degrees(self.mu, self.n)  # raises unless mu is in the spectrum (0 never is)
@@ -79,7 +87,7 @@ def sphere_spectrum(n: int, mu_max) -> list[ModeIndex]:
     """All modes with |mu| <= mu_max, both signs, ordered by mu."""
     if n < 3:
         raise ConfigurationError(f"dimension n must be >= 3, got {n}")
-    mu_max = Fraction(mu_max)  # exact for a float, so a cap below a mode leaves it out
+    mu_max = _exact(mu_max, "mu_max")  # exact for a float, so a cap below a mode leaves it out
     gap = Fraction(n - 1, 2)
     modes: list[ModeIndex] = []
     mu = gap

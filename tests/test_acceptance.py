@@ -15,7 +15,7 @@ from warpdirac import (ExponentTriple, Family, MetricProfile, ModePotential,
                        delta_lower_bound, evolve, factorization_check,
                        FlatBesselOracle, gaussian_state, kg_crosscheck,
                        lp_band, laplace_eigenvalue_check, mu_scan,
-                       norm_equivalence_check, profile_constants,
+                       norm_equivalence_check,
                        sphere_spectrum, verify_square)
 from warpdirac.cli import main as cli_main
 from warpdirac.profiles import sigma_log_derivative_bound
@@ -76,8 +76,8 @@ def test_criterion_2_factorization_convergence():
 def test_criterion_3_flat_delta_values():
     worst = 0.0
     for k in range(1, 9):
-        pair = delta_pm(ModePotential(profile=FLAT, mu=float(k)))
-        worst = max(worst, abs(pair.delta_plus - 0.25), abs(pair.delta_minus - 0.25))
+        plus, minus = delta_pm(ModePotential(profile=FLAT, mu=float(k)))
+        worst = max(worst, abs(plus.value - 0.25), abs(minus.value - 0.25))
     verdict(3, worst <= 1e-6,
             f"flat delta_pm(mu) = 1/4 for mu in 1..8 (max deviation {worst:.2e})")
 
@@ -86,12 +86,13 @@ def test_criterion_4_delta_floor():
     worst_margin = math.inf
     for eps in (0.001, 0.01):
         profile = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=eps)
-        assert check_A2(profile, 1.0).passed
-        bound = delta_lower_bound(profile_constants(profile), 1.0)
+        a2 = check_A2(profile, 1.0)
+        assert a2.passed
+        bound = delta_lower_bound(a2)
         for k in range(1, 9):
             for mu in (float(k), -float(k)):
-                pair = delta_pm(ModePotential(profile=profile, mu=mu))
-                margin = min(pair.delta_plus, pair.delta_minus) - (bound - 1e-6)
+                plus, minus = delta_pm(ModePotential(profile=profile, mu=mu))
+                margin = min(plus.value, minus.value) - (bound - 1e-6)
                 worst_margin = min(worst_margin, margin)
     verdict(4, worst_margin >= 0.0,
             f"delta_pm >= guaranteed floor - 1e-6 on |mu| <= 8, eps in {{1e-3, 1e-2}} "

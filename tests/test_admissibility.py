@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpdirac import (ConfigurationError, Family, FlatBesselOracle,
+from warpdirac import (A2Verdict, ConfigurationError, Family, FlatBesselOracle,
                        HypothesisViolationError, MetricProfile, ModePotential,
-                       RadialGrid, assemble_dirac, check_admissible, delta_c,
-                       delta_phi, delta_pm, delta_lower_bound,
+                       ProfileConstants, RadialGrid, assemble_dirac, check_A2,
+                       check_admissible, delta_c, delta_phi, delta_pm, delta_lower_bound,
                        profile_constants)
 from warpdirac import admissibility
 from warpdirac.admissibility import _parts, _parts_at_infinity, _parts_at_zero
@@ -33,16 +33,16 @@ def flat_delta_phi_oracle(mu: float) -> float:
 
 @pytest.mark.parametrize("mu", [1.0, 2.0, 3.0, 5.0, 8.0, -1.0, -4.0, -8.0])
 def test_flat_delta_pm_matches_oracle(mu):
-    pair = delta_pm(ModePotential(profile=FLAT, mu=mu))
-    assert pair.delta_plus == pytest.approx(flat_delta_oracle(mu, +1), abs=1e-9)
-    assert pair.delta_minus == pytest.approx(flat_delta_oracle(mu, -1), abs=1e-9)
+    plus, minus = delta_pm(ModePotential(profile=FLAT, mu=mu))
+    assert plus.value == pytest.approx(flat_delta_oracle(mu, +1), abs=1e-9)
+    assert minus.value == pytest.approx(flat_delta_oracle(mu, -1), abs=1e-9)
 
 
 def test_flat_deltas_are_one_quarter():
     for mu in range(1, 9):
-        pair = delta_pm(ModePotential(profile=FLAT, mu=float(mu)))
-        assert pair.delta_plus == pytest.approx(0.25, abs=1e-6)
-        assert pair.delta_minus == pytest.approx(0.25, abs=1e-6)
+        plus, minus = delta_pm(ModePotential(profile=FLAT, mu=float(mu)))
+        assert plus.value == pytest.approx(0.25, abs=1e-6)
+        assert minus.value == pytest.approx(0.25, abs=1e-6)
 
 
 @pytest.mark.parametrize("mu", [1.0, 2.0, -1.0, -3.0])
@@ -95,18 +95,18 @@ def test_quadratic_weight_identity(mu, r, tag):
 def test_delta_phi_equals_four_delta_minus():
     for prof in (FLAT, AF001):
         for mu in (1.0, -1.0, 2.0, -3.0):
-            pair = delta_pm(ModePotential(profile=prof, mu=mu))
+            _, minus = delta_pm(ModePotential(profile=prof, mu=mu))
             res = delta_phi(prof, mu)
-            assert res.value == pytest.approx(4.0 * pair.delta_minus, rel=1e-9)
+            assert res.value == pytest.approx(4.0 * minus.value, rel=1e-9)
 
 
 @pytest.mark.parametrize("prof", [FLAT, AF001], ids=["flat", "af"])
 def test_delta_c_equals_delta_pm(prof):
     for mu in [float(k) for k in range(1, 9)] + [-1.0, -2.0, -5.0, -8.0]:
         pot = ModePotential(profile=prof, mu=mu)
-        pair = delta_pm(pot)
-        assert delta_c(pot, +1).value == pytest.approx(pair.delta_plus, abs=1e-9)
-        assert delta_c(pot, -1).value == pytest.approx(pair.delta_minus, abs=1e-9)
+        plus, minus = delta_pm(pot)
+        assert delta_c(pot, +1).value == pytest.approx(plus.value, abs=1e-9)
+        assert delta_c(pot, -1).value == pytest.approx(minus.value, abs=1e-9)
 
 
 def test_delta_c_zero_potential_shape():
@@ -166,7 +166,7 @@ SIGNED_MUS = [float(sign * k) for k in range(1, 9) for sign in (1, -1)]
 def _single_functional_report(prof, mu, scan):
     """Report fields from one scan per functional, as check_admissible once did per mode."""
     pot = ModePotential(profile=prof, mu=mu)
-    pair = delta_pm(pot, scan)
+    plus, minus = delta_pm(pot, scan)
     pos, neg = delta_phi(prof, mu, scan), delta_phi(prof, -mu, scan)
 
     def r2w(parts):
@@ -189,7 +189,7 @@ def _single_functional_report(prof, mu, scan):
         terms = [t for t in terms if t is not None]
         witness = terms[0].arg_r if terms else (None if sup_finite else sup.arg_r)
     return dict(mu=mu, family=prof.family.value, n=3,
-                delta_plus=pair.delta_plus, delta_minus=pair.delta_minus,
+                delta_plus=plus.value, delta_minus=minus.value,
                 delta_phi_mu=pos.value, delta_phi_neg_mu=neg.value,
                 sup_4r2V=sup.value, limit_at_infinity_ok=decays,
                 admissible=admissible, witness_r=witness)
@@ -314,31 +314,29 @@ def test_report_serialization_fields():
 
 def test_delta_floor_values():
     consts = profile_constants(AF001)
-    assert delta_lower_bound(consts, 2.0) == 0.25
-    assert delta_lower_bound(consts, 1.0) == pytest.approx(
+    assert delta_lower_bound(check_A2(AF001, 2.0)) == 0.25
+    assert delta_lower_bound(check_A2(AF001, 1.0)) == pytest.approx(
         0.125 - max(consts.a_phi, consts.b_phi))
-    flat_consts = profile_constants(FLAT)
-    assert delta_lower_bound(flat_consts, 1.0) == pytest.approx(0.125)
+    assert delta_lower_bound(check_A2(FLAT, 1.0)) == pytest.approx(0.125)
 
 
 def test_delta_floor_substitution_example():
-    from warpdirac.profiles import ProfileConstants
     consts = ProfileConstants(a_phi=0.05, b_phi=0.04, c_phi=0.0)
-    assert delta_lower_bound(consts, 1.0) == pytest.approx(0.075)
+    verdict = A2Verdict(passed=True, threshold=0.125, achieved=0.05, mu0=1.0, constants=consts)
+    assert delta_lower_bound(verdict) == pytest.approx(0.075)
 
 
 @pytest.mark.parametrize("eps", [0.001, 0.01])
 def test_delta_floor_holds_on_sphere_modes(eps):
     prof = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=eps)
-    consts = profile_constants(prof)
-    bound = delta_lower_bound(consts, 1.0)
-    quarter = delta_lower_bound(consts, 2.0)
+    bound = delta_lower_bound(check_A2(prof, 1.0))
+    quarter = delta_lower_bound(check_A2(prof, 2.0))
     assert quarter == 0.25
     for k in range(1, 11):
         for mu in (float(k), -float(k)):
-            pair = delta_pm(ModePotential(profile=prof, mu=mu))
-            assert pair.delta_plus >= bound - 1e-6
-            assert pair.delta_minus >= bound - 1e-6
+            plus, minus = delta_pm(ModePotential(profile=prof, mu=mu))
+            assert plus.value >= bound - 1e-6
+            assert minus.value >= bound - 1e-6
             if k >= 2:
                 # modes above the mu0 = 2 gap keep the full quarter
-                assert min(pair.delta_plus, pair.delta_minus) >= quarter - 1e-6
+                assert min(plus.value, minus.value) >= quarter - 1e-6

@@ -62,6 +62,10 @@ def test_minimal_config_takes_the_library_defaults():
     assert inspect.signature(norm_equivalence_check).parameters["trials"].default == cfg.trials
 
 
+def test_profile_keys_are_checked_for_the_family_that_uses_them():
+    assert parse_config(MINIMAL + "profile.degree = 50\nprofile.alpha = 9\n").profile.degree == 50
+
+
 def test_comments_and_blank_lines():
     cfg = parse_config("# header\n\nprofile.family = flat  # inline\n")
     assert cfg.profile.family.value == "flat"
@@ -288,6 +292,14 @@ FLAT = "profile.family = flat\n"
     pytest.param(FLAT + "scan.r_max = 1e-7",
                  "line 2: 'scan.r_max' must keep scan.r_min < scan.r_max, got 1e-06 and 1e-07",
                  id="scan_r_max_below_default_r_min"),
+    pytest.param("profile.family = polynomial\nprofile.degree = 50",
+                 "line 2: 'profile.degree' must lie between 2 and 20", id="degree"),
+    pytest.param("profile.family = asymptotically_flat\nprofile.alpha = 3",
+                 "line 2: 'profile.alpha' must keep 1 <= profile.alpha <= profile.beta <= 12, "
+                 "got 3 and 1", id="alpha_above_default_beta"),
+    pytest.param("profile.family = asymptotically_flat\nprofile.beta = 13\nprofile.alpha = 2",
+                 "line 2: 'profile.beta' must keep 1 <= profile.alpha <= profile.beta <= 12, "
+                 "got 2 and 13", id="beta_above_cap"),
     pytest.param("profile.family = torus",
                  "line 1: 'profile.family' must be one of flat, asymptotically_flat, sinh, "
                  "polynomial", id="family"),

@@ -385,8 +385,9 @@ def test_mu_scan_rejects_a_window_past_the_causal_limit_first(monkeypatch):
 
 
 def test_mu_scan_needs_two_samples_before_scanning(monkeypatch):
-    """A single time sample leaves no smoothing window; it is refused before
-    anything is scanned or evolved."""
+    """A single time sample leaves no smoothing window, and a window end that
+    is not positive and finite none at all; both are refused before anything
+    is scanned or evolved."""
     import warpdirac.estimates as estimates
 
     ran = []
@@ -394,6 +395,9 @@ def test_mu_scan_needs_two_samples_before_scanning(monkeypatch):
     monkeypatch.setattr(estimates, "evolve", lambda *args: ran.append(args))
     with pytest.raises(ConfigurationError, match="at least two time samples, got 1"):
         mu_scan(FLAT, [T44], [1.0, 2.0], grid=RadialGrid(40, 512), samples=1)
+    for t_max in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="positive, finite t_max"):
+            mu_scan(FLAT, [T44], [1.0, 2.0], grid=RadialGrid(40, 512), t_max=t_max)
     assert ran == []
 
 

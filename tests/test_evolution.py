@@ -325,6 +325,21 @@ def test_causal_window_recorded(flat_op):
     assert traj.causal_t_max == pytest.approx(causal_time_limit(40.0, 16.5))
 
 
+def test_non_finite_times_and_masses_are_refused(flat_op):
+    """A NaN or infinite time or mass is a ConfigurationError, not an IndexError
+    from the length of the Chebyshev expansion."""
+    from warpdirac import ExponentTriple, mu_scan
+
+    init = gaussian_state(GRID)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="finite times"):
+            evolve(flat_op, init, [0.0, bad])
+        with pytest.raises(ConfigurationError, match="mass m must be finite"):
+            evolve(assemble_dirac(FLAT, 1.0, bad, GRID), init, [0.0, 1.0])
+    with pytest.raises(ConfigurationError, match="mass m must be finite"):
+        mu_scan(FLAT, [ExponentTriple(math.inf, 2.0)], [1.0], grid=GRID, m=math.nan)
+
+
 def test_grid_mismatch(flat_op):
     other = gaussian_state(RadialGrid(40.0, 256))
     with pytest.raises(ConfigurationError):

@@ -1,4 +1,5 @@
 import inspect
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -54,6 +55,10 @@ def test_grid_nodes_offset():
 def test_grid_too_coarse():
     with pytest.raises(GridTooCoarseError, match="at least 16 cells, got 8"):
         RadialGrid(40.0, 8)
+    for r_max, n_cells in ((math.nan, 64), (math.inf, 64), (40.0, 64.5), (40.0, 64.0)):
+        with pytest.raises(ConfigurationError):
+            RadialGrid(r_max, n_cells)
+    assert RadialGrid(40.0, np.int64(64)).nodes.shape == (64,)
 
 
 def test_dirac_exactly_symmetric():
@@ -232,6 +237,9 @@ def test_operator_data_must_fit_its_kind():
         DiscreteRadialOperator(grid=GRID, kind="kg", potential=pot, m=0.0)
     with pytest.raises(ConfigurationError):
         assemble_dirac(FLAT, 1.0, 0.0, GRID).eigh()
+    for m in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="mass m must be finite"):
+            assemble_dirac(FLAT, 1.0, m, GRID)
 
 
 def test_norm_equivalence_flat_is_exact():
@@ -285,6 +293,8 @@ def test_norm_equivalence_exponent_range():
     from warpdirac.errors import ConfigurationError as CfgErr
     with pytest.raises(CfgErr):
         norm_equivalence_check(FLAT, [1.5], trials=1, grid=GRID)
+    with pytest.raises(CfgErr, match="at least one trial, got 0"):
+        norm_equivalence_check(FLAT, [0.5], trials=0, grid=GRID)
 
 
 def test_sigma_log_derivative_bounds():

@@ -65,6 +65,11 @@ def test_invalid_parameters():
         MetricProfile(Family.POLYNOMIAL, degree=1)
     with pytest.raises(ConfigurationError):
         MetricProfile(Family.FLAT, n=2)
+    for bad in (dict(epsilon=math.nan), dict(epsilon=math.inf), dict(n=3.5), dict(alpha=1.5),
+                dict(beta=2.0), dict(degree=3.5)):
+        with pytest.raises(ConfigurationError):
+            MetricProfile(Family.ASYMPTOTICALLY_FLAT, **bad)
+    assert MetricProfile(Family.POLYNOMIAL, n=np.int64(4), degree=np.int64(5)).degree == 5
 
 
 @settings(max_examples=60, deadline=None)

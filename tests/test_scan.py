@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from warpdirac.errors import ConfigurationError
 from warpdirac.scan import (BLOCK, InfimumScanPolicy, ScanExtremum, _GridMinimum, _golden_lanes,
                             _settle, scan_infima, scan_infimum, scan_supremum)
 
@@ -47,10 +48,10 @@ def test_supremum_mirror():
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        InfimumScanPolicy(r_min=1.0, r_max=0.5)
-    with pytest.raises(ValueError):
-        InfimumScanPolicy(points=4)
+    for bad in (dict(r_min=1.0, r_max=0.5), dict(r_min=5, r_max=1), dict(points=4),
+                dict(r_max=math.inf), dict(r_max=math.nan), dict(r_min=math.nan)):
+        with pytest.raises(ConfigurationError):
+            InfimumScanPolicy(**bad)
 
 
 def test_non_finite_raises():

@@ -103,6 +103,12 @@ def test_invalid_modes_rejected():
         ModeIndex(1.3, 3)  # its exact binary value is no half-integer
     with pytest.raises(ConfigurationError):
         ModeIndex(1.5000000000000002, 4)  # one ulp above 3/2
+    for mu in (math.nan, math.inf, "x", "1/0"):
+        with pytest.raises(ConfigurationError, match="is not a rational number"):
+            ModeIndex(mu, 3)
+    for cap in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="is not a rational number"):
+            sphere_spectrum(3, cap)
     assert ModeIndex("3/2", 4).mu == Fraction(3, 2)
 
 
