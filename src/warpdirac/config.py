@@ -28,6 +28,7 @@ __all__ = ["RunConfig", "parse_config", "load_config"]
 
 _MODE_KEYS = ("modes.mu_list", "modes.band_j", "modes.mu_max")  # choose at most one
 _MAX_ABS_MU = 1024  # largest |mu| that modes.mu_max or modes.band_j may enumerate
+_CAUSAL_KEYS = ("time.t_max", "grid.r_max", "data.center", "data.width")
 
 
 @dataclass(frozen=True)
@@ -238,10 +239,12 @@ def parse_config(text: str) -> RunConfig:
 
     limit = causal_time_limit(grid.r_max, gaussian_support_radius(data.center, data.width))
     if t_max > limit + 1e-9:
-        raise ConfigurationError(
-            f"time.t_max={t_max:g} exceeds the causal window "
-            f"(r_max - data support - 2 = {limit:g}); enlarge grid.r_max or "
-            f"shrink the window")
+        # the defaults fit the window, so the config gave at least one of these keys
+        given = [key for key in _CAUSAL_KEYS if key in parser.lines]
+        raise parser.error(max(given, key=parser.lines.get),
+                           f"puts time.t_max={t_max:g} past the causal window "
+                           f"(r_max - data support - 2 = {limit:g}); enlarge grid.r_max "
+                           f"or shrink the window")
 
     return RunConfig(profile=profile, m=m, modes=modes, grid=grid,
                      t_max=t_max, samples=samples, triples=triples,

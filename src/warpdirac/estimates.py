@@ -2,10 +2,11 @@
 
 Fractional Sobolev norms are defined once and for all through the flat
 flattened reference operator: ||(1 + H0)^(s/2) v||, with H0 the discrete
-flat radial Laplacian, by a DST-I for n = 3 and an eigenbasis otherwise
-(SobolevCalculus).  Strichartz norms weight the state pointwise by
-(phi/r)^((n-1)/2 (1 - 2/q)) before the fractional power, take l^q(dr) in
-space and L^p (trapezoid over the causal window) in time.
+flat radial Laplacian, through the one SobolevCalculus of operators.py.
+Strichartz norms weight the state pointwise by (phi/r)^((n-1)/2 (1 - 2/q))
+before the fractional power, take l^q(dr) in space and L^p (trapezoid over
+the sampled causal window) in time; the smoothing norm integrates over the
+same sampled window.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from .errors import ConfigurationError, ContractViolationError, NonAdmissibleErr
 from .evolution import (DEFAULT_BUMP_CENTER, DEFAULT_BUMP_WIDTH, SpinorState,
                         SpinorTrajectory, causal_time_limit, check_bump, evolve,
                         gaussian_state)
-from .operators import RadialGrid, assemble_dirac, flat_reference_operator, real_matmul
+from .operators import RadialGrid, SobolevCalculus, assemble_dirac, flat_reference_operator
 from .profiles import MetricProfile
 from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy
 
-__all__ = ["ExponentTriple", "is_admissible_triple", "SobolevCalculus",
-           "smoothing_norm", "strichartz_norm",
+__all__ = ["ExponentTriple", "is_admissible_triple", "smoothing_norm", "strichartz_norm",
            "DataTemplate", "ModeScanRow", "NormScanResult", "mu_scan",
            "DEFAULT_EPSILON_LOSS", "DEFAULT_T_MAX", "DEFAULT_SAMPLES", "SLOPE_SLACK",
            "SMOOTHING_SLOPE_LIMIT"]
@@ -73,84 +73,6 @@ class ExponentTriple:
                 f"triple (p={self.p}, q={self.q}) is not admissible for m={m} in n={n}")
 
 
-class SobolevCalculus:
-    """Fractional calculus of (1 + H0) on one grid.
-
-    For n = 3, H0 is the plain Dirichlet second difference, whose
-    orthonormal eigenbasis is exactly the DST-I (Strang, SIAM Review 41
-    (1999) 135): eigenvalues (2 sin(pi k / (2 (N + 1))) / dr)^2 and
-    eigenvectors sqrt(2 / (N + 1)) sin(pi j k / (N + 1)), j, k = 1..N.  So
-    the calculus needs no eigensolve and no N x N array.  For other n, H0
-    carries (n-1)(n-3)/(4 r^2), and the eigenbasis comes from one
-    eigh_tridiagonal per calculus; share one calculus to share it.
-    """
-
-    def __init__(self, grid: RadialGrid, n: int):
-        if n < 3:
-            raise ConfigurationError(f"dimension n must be >= 3, got {n}")
-        self.grid, self.n = grid, n
-        if n == 3:
-            k = np.arange(1, grid.n_cells + 1)
-            self._w = (2.0 * np.sin(0.5 * np.pi * k / (grid.n_cells + 1)) / grid.dr) ** 2
-            self._u = None
-        else:
-            self._w, self._u = flat_reference_operator(n, grid).eigh()
-
-    def powers(self, s: float) -> np.ndarray:
-        """(1 + w)^(s/2) for the ascending eigenvalues w of H0."""
-        return np.maximum(1.0 + self._w, 0.0) ** (s / 2.0)
-
-    def coefficients(self, block: np.ndarray) -> np.ndarray:
-        """U^T block: each column of a real or complex N x K block in the eigenbasis."""
-        return _dst1(block) if self._u is None else real_matmul(self._u.T, block)
-
-    def apply(self, v: np.ndarray, s: float) -> np.ndarray:
-        """(1 + H0)^(s/2) v by spectral calculus, for a vector or an N x T block.
-
-        A complex block goes through every transform as its real and
-        imaginary parts side by side (the DST-I skips a part that is all
-        zero), so the eigenbasis is never cast to complex.
-        """
-        block = self.powers(s)[:, None] * self.coefficients(v.reshape(len(self._w), -1))
-        out = _dst1(block) if self._u is None else real_matmul(self._u, block)
-        return out.reshape(v.shape)
-
-    def norm(self, state: SpinorState, s: float) -> float:
-        if state.grid != self.grid:
-            raise ConfigurationError(f"the calculus is for {self.grid}, the state on {state.grid}")
-        gp = self.apply(state.plus, s)
-        gm = self.apply(state.minus, s)
-        return float(np.sqrt(state.grid.dr
-                             * (np.sum(np.abs(gp) ** 2) + np.sum(np.abs(gm) ** 2))))
-
-
-def _dst1(block: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I of each column of a real or complex N x K block.
-
-    sum_j x_j sin(pi j k / (N + 1)) is -Im/2 of the FFT of the odd extension
-    [0, x, 0, -reversed x] of length 2 (N + 1); scaled by sqrt(2 / (N + 1)),
-    the transform is orthonormal and its own inverse.  A complex block's
-    real and imaginary parts go through one FFT side by side, and a part
-    that is all zero is not transformed (at m = 0 a flow's v_plus is real
-    and its v_minus imaginary); the FFT treats each column alone, so the
-    result is the joint transform's, bit for bit.
-    """
-    if np.iscomplexobj(block):
-        re, im = block.real, block.imag
-        if not np.any(im):
-            return _dst1(re) + 0j
-        if not np.any(re):
-            return 1j * _dst1(im)
-        cols = block.shape[1]
-        out = _dst1(np.hstack([re, im]))
-        return out[:, :cols] + 1j * out[:, cols:]
-    nn = len(block)
-    ext = np.zeros((2 * (nn + 1), block.shape[1]))
-    ext[1:nn + 1] = block
-    ext[nn + 2:] = -block[::-1]
-    return -np.sqrt(0.5 / (nn + 1)) * np.fft.rfft(ext, axis=0)[1:nn + 1].imag
-
-
 def _time_weights(times: np.ndarray) -> np.ndarray:
     """Trapezoid weights for the sampled window."""
     w = np.zeros_like(times)
@@ -160,27 +82,24 @@ def _time_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def _check_causal(traj: SpinorTrajectory, t0: float, t1: float) -> None:
-    """Refuse a window [t0, t1] that reaches past the trajectory's causal limit."""
+def _check_causal(traj: SpinorTrajectory) -> None:
+    """Refuse a trajectory whose first or last sample lies past its causal limit."""
     limit = traj.causal_t_max
+    t0, t1 = traj.times[0], traj.times[-1]
     if limit is not None and (abs(t0) > limit + 1e-9 or abs(t1) > limit + 1e-9):
-        raise PolicyError(f"window [{t0}, {t1}] exceeds the causal limit {limit:g}")
+        raise PolicyError(f"samples [{t0}, {t1}] exceed the causal limit {limit:g}")
 
 
-def smoothing_norm(traj: SpinorTrajectory, window: tuple[float, float]) -> float:
-    """Space-time L^2 of r^-1 u over the window, flattened measure dr."""
-    t0, t1 = window
-    if t1 <= t0:
-        raise ConfigurationError("window must have positive length")
-    _check_causal(traj, t0, t1)
-    mask = (traj.times >= t0 - 1e-12) & (traj.times <= t1 + 1e-12)
-    if np.count_nonzero(mask) < 2:
-        raise ConfigurationError("window must contain at least two samples")
-    times = traj.times[mask]
+def smoothing_norm(traj: SpinorTrajectory) -> float:
+    """Space-time L^2 of r^-1 u over the sampled window, flattened measure dr."""
+    if len(traj.times) < 2:
+        raise ConfigurationError("the smoothing norm needs at least two samples")
+    _check_causal(traj)
     r = traj.grid.nodes[:, None]
     density = (np.abs(traj.block("plus")) ** 2 + np.abs(traj.block("minus")) ** 2) / r**2
-    densities = traj.grid.dr * np.sum(density[:, mask], axis=0)
-    return float(np.sqrt(np.sum(_time_weights(times) * densities)))
+    # one contiguous column per sample, so each radial sum is NumPy's pairwise sum
+    densities = traj.grid.dr * np.sum(np.asfortranarray(density), axis=0)
+    return float(np.sqrt(np.sum(_time_weights(traj.times) * densities)))
 
 
 def strichartz_weight(profile: MetricProfile, r: np.ndarray, q: float) -> np.ndarray:
@@ -195,20 +114,19 @@ def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple,
 
     The triple must be admissible for the trajectory's own mass and
     dimension, and its samples must lie in the causal window.  ``calculus``
-    is the SobolevCalculus of the trajectory's grid and dimension, built
-    here if not given.
+    is the SobolevCalculus of the trajectory's own H0 (its grid and
+    dimension), built here if not given.
     """
     triple.require_admissible(traj.m, traj.profile.n)
-    _check_causal(traj, traj.times[0], traj.times[-1])
-    calc = SobolevCalculus(traj.grid, traj.profile.n) if calculus is None else calculus
-    if calc.grid != traj.grid or calc.n != traj.profile.n:
-        raise ConfigurationError(f"the calculus is for {calc.grid} in n={calc.n}, the "
-                                 f"trajectory for {traj.grid} in n={traj.profile.n}")
-    s = triple.s
-    q = triple.q
-    r = traj.grid.nodes
-    dr = traj.grid.dr
-    weight = strichartz_weight(traj.profile, r, q)[:, None]
+    _check_causal(traj)
+    h0 = flat_reference_operator(traj.profile.n, traj.grid)
+    calc = SobolevCalculus(h0) if calculus is None else calculus
+    own = calc.op
+    if (own.kind, own.grid, own.profile) != (h0.kind, h0.grid, h0.profile):
+        raise ConfigurationError(f"the calculus is of {own.kind} on {own.grid}, not of the "
+                                 f"trajectory's H0 on {traj.grid} in n={traj.profile.n}")
+    s, q, dr = triple.s, triple.q, traj.grid.dr
+    weight = strichartz_weight(traj.profile, traj.grid.nodes, q)[:, None]
     gp = calc.apply(weight * traj.block("plus"), s)
     gm = calc.apply(weight * traj.block("minus"), s)
     mag = np.sqrt(np.abs(gp) ** 2 + np.abs(gm) ** 2)
@@ -305,14 +223,16 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
     that one trajectory.  Modes run one after another, in the order of
     ``mu_list``, which must not list a mode twice.
     """
-    triples = tuple(triples)
-    n = profile.n
-    for triple in triples:
-        triple.require_admissible(m, n)
+    if not math.isfinite(m):
+        raise ConfigurationError(f"the mass m must be finite, got {m}")
     if samples < 2:
         raise ConfigurationError(f"mu_scan needs at least two time samples, got {samples}")
     if not 0 < t_max < math.inf:
         raise ConfigurationError(f"mu_scan needs a positive, finite t_max, got {t_max}")
+    triples = tuple(triples)
+    n = profile.n
+    for triple in triples:
+        triple.require_admissible(m, n)
     seen = set()
     for mu in mu_list:
         if float(mu) in seen:
@@ -324,7 +244,7 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
     if t_max > limit + 1e-9:
         raise PolicyError(f"t_max={t_max} exceeds the causal limit {limit:g}")
     times = np.linspace(0.0, t_max, samples)
-    calc = SobolevCalculus(grid, n)  # one eigenbasis per scan when n != 3
+    calc = SobolevCalculus(flat_reference_operator(n, grid))  # one eigenbasis when n != 3
     h_half = calc.norm(initial, 0.5)
 
     reports = check_admissible(profile, mu_list, scan)
@@ -337,7 +257,7 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
         # a function scope, so each trajectory is freed before the next mode evolves
         op = assemble_dirac(profile, mu, m, grid)
         traj = evolve(op, initial, times)
-        smoo = smoothing_norm(traj, (0.0, t_max))
+        smoo = smoothing_norm(traj)
         rows = []
         for triple in triples:
             stri = strichartz_norm(traj, triple, calc)

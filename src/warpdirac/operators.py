@@ -14,6 +14,10 @@ off-diagonal blocks are exact transposes and h is exactly symmetric; the
 Klein-Gordon side uses the standard 3-point second difference.  The grid is
 cell-centered, r_i = (i + 1/2) dr, so V is never evaluated at r = 0, with an
 effective Dirichlet truncation at r_max.
+
+Every matrix function goes through one SobolevCalculus of (1 + A) for a
+tridiagonal A: the flat reference H0 behind every Sobolev norm, and the
+phi-weighted Laplacian A_phi on the other side of the norm equivalence.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ import numpy as np
 
 from .admissibility import ModePotential
 from .errors import ConfigurationError, GridTooCoarseError, NumericalError
-from .profiles import MetricProfile
+from .profiles import Family, MetricProfile
 
-__all__ = ["RadialGrid", "DiscreteRadialOperator",
+__all__ = ["RadialGrid", "DiscreteRadialOperator", "SobolevCalculus",
            "assemble_dirac", "assemble_kg", "flat_reference_operator",
            "weighted_laplacian_operator", "verify_square", "factorization_check",
            "norm_equivalence_check", "probe_functions",
@@ -179,6 +183,84 @@ def real_matmul(a: np.ndarray, block: np.ndarray) -> np.ndarray:
     return out[:, :cols] + 1j * out[:, cols:]
 
 
+class SobolevCalculus:
+    """Fractional calculus of (1 + A) for one tridiagonal operator A.
+
+    When A's potential vanishes, A is the plain Dirichlet second
+    difference, whose orthonormal eigenbasis is exactly the DST-I (Strang,
+    SIAM Review 41 (1999) 135): eigenvalues (2 sin(pi k / (2 (N + 1))) / dr)^2
+    and eigenvectors sqrt(2 / (N + 1)) sin(pi j k / (N + 1)), j, k = 1..N.
+    So the calculus needs no eigensolve and no N x N array.  Otherwise the
+    eigenbasis comes from one ``op.eigh()`` per calculus; share one
+    calculus to share it.
+    """
+
+    def __init__(self, op: DiscreteRadialOperator):
+        self.op = op
+        if op.kind == "dirac" or np.any(op.potential):
+            self._w, self._u = op.eigh()  # eigh refuses a Dirac operator
+        else:
+            nn = op.grid.n_cells
+            k = np.arange(1, nn + 1)
+            self._w = (2.0 * np.sin(0.5 * np.pi * k / (nn + 1)) / op.grid.dr) ** 2
+            self._u = None
+
+    def powers(self, s: float) -> np.ndarray:
+        """(1 + w)^(s/2) for the ascending eigenvalues w of A."""
+        return np.maximum(1.0 + self._w, 0.0) ** (s / 2.0)
+
+    def coefficients(self, block: np.ndarray) -> np.ndarray:
+        """U^T block: each column of a real or complex N x K block in the eigenbasis."""
+        return _dst1(block) if self._u is None else real_matmul(self._u.T, block)
+
+    def apply(self, v: np.ndarray, s: float) -> np.ndarray:
+        """(1 + A)^(s/2) v by spectral calculus, for a vector or an N x T block.
+
+        A complex block goes through every transform as its real and
+        imaginary parts side by side (the DST-I skips a part that is all
+        zero), so the eigenbasis is never cast to complex.
+        """
+        block = self.powers(s)[:, None] * self.coefficients(v.reshape(len(self._w), -1))
+        out = _dst1(block) if self._u is None else real_matmul(self._u, block)
+        return out.reshape(v.shape)
+
+    def norm(self, state, s: float) -> float:
+        """||(1 + A)^(s/2) state|| in L^2(dr) for a SpinorState on the operator's grid."""
+        if state.grid != self.op.grid:
+            raise ConfigurationError(
+                f"the calculus is for {self.op.grid}, the state on {state.grid}")
+        gp, gm = self.apply(state.plus, s), self.apply(state.minus, s)
+        return float(np.sqrt(state.grid.dr
+                             * (np.sum(np.abs(gp) ** 2) + np.sum(np.abs(gm) ** 2))))
+
+
+def _dst1(block: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I of each column of a real or complex N x K block.
+
+    sum_j x_j sin(pi j k / (N + 1)) is -Im/2 of the FFT of the odd extension
+    [0, x, 0, -reversed x] of length 2 (N + 1); scaled by sqrt(2 / (N + 1)),
+    the transform is orthonormal and its own inverse.  A complex block's
+    real and imaginary parts go through one FFT side by side, and a part
+    that is all zero is not transformed (at m = 0 a flow's v_plus is real
+    and its v_minus imaginary); the FFT treats each column alone, so the
+    result is the joint transform's, bit for bit.
+    """
+    if np.iscomplexobj(block):
+        re, im = block.real, block.imag
+        if not np.any(im):
+            return _dst1(re) + 0j
+        if not np.any(re):
+            return 1j * _dst1(im)
+        cols = block.shape[1]
+        out = _dst1(np.hstack([re, im]))
+        return out[:, :cols] + 1j * out[:, cols:]
+    nn = len(block)
+    ext = np.zeros((2 * (nn + 1), block.shape[1]))
+    ext[1:nn + 1] = block
+    ext[nn + 2:] = -block[::-1]
+    return -np.sqrt(0.5 / (nn + 1)) * np.fft.rfft(ext, axis=0)[1:nn + 1].imag
+
+
 def assemble_dirac(profile: MetricProfile, mu: float, m: float,
                    grid: RadialGrid) -> DiscreteRadialOperator:
     """Flattened mode Dirac operator [[m, -d/dr + V], [d/dr + V, -m]]."""
@@ -201,10 +283,14 @@ def assemble_kg(profile: MetricProfile, mu: float, m: float,
 
 
 def flat_reference_operator(n: int, grid: RadialGrid) -> DiscreteRadialOperator:
-    """Flattened flat radial Laplacian H0 = -d2/dr2 + (n-1)(n-3)/(4 r^2)."""
+    """Flattened flat radial Laplacian H0 = -d2/dr2 + (n-1)(n-3)/(4 r^2).
+
+    Its flat profile of dimension n refuses n < 3, where the potential is negative.
+    """
     r = grid.nodes
     return DiscreteRadialOperator(grid=grid, kind="flat_shift",
-                                  potential=(n - 1) * (n - 3) / (4.0 * r**2))
+                                  potential=(n - 1) * (n - 3) / (4.0 * r**2),
+                                  profile=MetricProfile(Family.FLAT, n))
 
 
 def weighted_laplacian_operator(profile: MetricProfile,
@@ -304,29 +390,24 @@ def norm_equivalence_check(profile: MetricProfile, exponents: Sequence[float],
 
     Multiplication by sigma^((n-1)/2) maps the flat-measure H^s onto the weighted
     one; in flattened variables both norms act on the same vector, through
-    (1 + A_phi)^(s/2) and (1 + H0)^(s/2) respectively, the latter by the
-    one flat Sobolev calculus (estimates.SobolevCalculus).  Returns one pair
-    (max ratio, max inverse ratio) over the random trials per exponent s;
-    both spectral transforms of the seeded bumps are shared by all.
+    (1 + A_phi)^(s/2) and (1 + H0)^(s/2), one SobolevCalculus each.  Returns
+    one pair (max ratio, max inverse ratio) over the random trials per
+    exponent s; both spectral transforms of the seeded bumps are shared by all.
     """
-    from .estimates import SobolevCalculus  # estimates imports this module
-
     if trials < 1:
         raise ConfigurationError(f"norm equivalence needs at least one trial, got {trials}")
     for expo in exponents:
         if not 0.0 <= expo <= 1.0:
             raise ConfigurationError(f"s must be in [0, 1], got {expo}")
     grid = grid or RadialGrid()
-    w_phi, u_phi = weighted_laplacian_operator(profile, grid).eigh()
-    flat = SobolevCalculus(grid, profile.n)
+    weighted = SobolevCalculus(weighted_laplacian_operator(profile, grid))
+    flat = SobolevCalculus(flat_reference_operator(profile.n, grid))
     rng = np.random.default_rng(seed)
     bumps = np.stack([_random_bump(rng, grid) for _ in range(trials)], axis=1)
-    c_phi, c_flat = u_phi.T @ bumps, flat.coefficients(bumps)
+    c_phi, c_flat = weighted.coefficients(bumps), flat.coefficients(bumps)
     out = []
     for expo in exponents:
-        # clip tiny negative roundoff before the fractional power
-        pw_phi = np.maximum(1.0 + w_phi, 0.0) ** (expo / 2.0)
-        ratio = (np.linalg.norm(pw_phi[:, None] * c_phi, axis=0)
+        ratio = (np.linalg.norm(weighted.powers(expo)[:, None] * c_phi, axis=0)
                  / np.linalg.norm(flat.powers(expo)[:, None] * c_flat, axis=0))
         out.append((float(np.max(ratio, initial=0.0)),
                     float(np.max(1.0 / ratio, initial=0.0))))

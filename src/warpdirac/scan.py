@@ -50,6 +50,8 @@ class InfimumScanPolicy:
     def __post_init__(self):
         if not 0 < self.r_min < self.r_max < math.inf:
             raise ConfigurationError("scan range must satisfy 0 < r_min < r_max < inf")
+        if not isinstance(self.points, (int, np.integer)):
+            raise ConfigurationError(f"scan points must be an integer, got {self.points!r}")
         if self.points < MIN_SCAN_POINTS:
             raise ConfigurationError(f"scan needs at least {MIN_SCAN_POINTS} points")
 

@@ -9,6 +9,9 @@ The ``def``s that never ran must be exactly NEVER_RUN: the references that
 tests compare against, the paper's explicit condition on the metric, and
 two sample views that the tests evolve from.  Anything else that no command
 runs is either a command path that lost its caller or code to delete.
+
+The package's modules import each other at module level only: a ``def``
+that imports a package module hides an import cycle.
 """
 
 import ast
@@ -141,3 +144,23 @@ def test_every_def_outside_the_pinned_ones_runs_under_a_command(tmp_path, capsys
             source = importlib.import_module(f"warpdirac.{node.module}")
             for alias in node.names:
                 assert hasattr(source, alias.name) and hasattr(warpdirac, alias.name)
+
+
+def test_no_def_imports_a_package_module():
+    """SciPy's imports inside the functions that call it are the only
+    function-level imports; a package module is imported at the top."""
+    inside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for stmt in ast.walk(node):
+                if isinstance(stmt, ast.ImportFrom):
+                    names = [stmt.module or ""] if not stmt.level else ["."]
+                elif isinstance(stmt, ast.Import):
+                    names = [alias.name for alias in stmt.names]
+                else:
+                    continue
+                if any(name == "." or name.split(".")[0] == "warpdirac" for name in names):
+                    inside.append(f"{path.stem}.{node.name}, line {stmt.lineno}")
+    assert inside == []

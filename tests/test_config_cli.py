@@ -115,8 +115,14 @@ def test_mu_max_is_an_exact_cap():
 
 
 def test_causal_window_gate():
+    """The window is refused at the last-given of the keys that set it."""
     with pytest.raises(ConfigurationError, match="causal"):
         parse_config(MINIMAL + "time.t_max = 30\n")
+    with pytest.raises(ConfigurationError,
+                       match=r"^line 2: 'grid.r_max' puts time.t_max=8 past the causal window"):
+        parse_config("profile.family = flat\ngrid.r_max = 20\n")
+    with pytest.raises(ConfigurationError, match=r"^line 3: 'grid.r_max' .* causal"):
+        parse_config("profile.family = flat\ntime.t_max = 18\ngrid.r_max = 30\n")
 
 
 def test_inf_exponent():

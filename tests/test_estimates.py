@@ -11,8 +11,10 @@ from warpdirac import (ConfigurationError, ContractViolationError, DataTemplate,
                        evolve, gaussian_state, is_admissible_triple, mu_scan, smoothing_norm,
                        strichartz_norm)
 from warpdirac.errors import PolicyError
-from warpdirac.estimates import SobolevCalculus, _dst1, strichartz_weight
-from warpdirac.operators import DiscreteRadialOperator, flat_reference_operator, real_matmul
+from warpdirac.estimates import strichartz_weight
+from warpdirac.operators import (DiscreteRadialOperator, SobolevCalculus, _dst1,
+                                 flat_reference_operator, real_matmul,
+                                 weighted_laplacian_operator)
 
 FLAT = MetricProfile(Family.FLAT)
 AF001 = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=0.01)
@@ -48,14 +50,18 @@ def test_triple_s_derived():
 
 def test_sobolev_norm_zero_exponent_is_l2():
     state = gaussian_state(GRID)
-    assert SobolevCalculus(GRID, 3).norm(state, 0.0) == pytest.approx(state.norm(), rel=1e-12)
+    calc = SobolevCalculus(flat_reference_operator(3, GRID))
+    assert calc.norm(state, 0.0) == pytest.approx(state.norm(), rel=1e-12)
 
 
 def test_sobolev_calculus_refuses_n_below_3():
     """H0 = -d2/dr2 + (n-1)(n-3)/(4 r^2) has a negative potential at n = 2;
-    MetricProfile refuses n < 3 the same way."""
+    the flat profile that H0 carries refuses n < 3, as every MetricProfile does.
+    A Dirac operator has no calculus, even with a vanishing potential."""
     with pytest.raises(ConfigurationError, match="n must be >= 3"):
-        SobolevCalculus(GRID, 2)
+        SobolevCalculus(flat_reference_operator(2, GRID))
+    with pytest.raises(ConfigurationError, match="not a Dirac operator"):
+        SobolevCalculus(DiscreteRadialOperator(GRID, "dirac", np.zeros(GRID.n_cells), m=0.0))
 
 
 @pytest.mark.parametrize("bump", [{"center": 0.0}, {"center": -12.0}, {"width": 0.0},
@@ -86,11 +92,12 @@ def test_sobolev_norm_on_eigenvector():
     state = SpinorState(grid=GRID, plus=u[:, k].astype(complex),
                         minus=np.zeros(GRID.n_cells, dtype=complex))
     expect = math.sqrt(1.0 + lam[k]) * state.norm()
-    assert SobolevCalculus(GRID, 3).norm(state, 1.0) == pytest.approx(expect, rel=1e-12)
+    calc = SobolevCalculus(flat_reference_operator(3, GRID))
+    assert calc.norm(state, 1.0) == pytest.approx(expect, rel=1e-12)
 
 
 def test_sobolev_apply_block_matches_columns():
-    calc = SobolevCalculus(GRID, 3)
+    calc = SobolevCalculus(flat_reference_operator(3, GRID))
     lam, u = _sine_basis(GRID)
     rng = np.random.default_rng(7)
     block = (rng.standard_normal((GRID.n_cells, 6))
@@ -110,7 +117,7 @@ def test_sobolev_dst_matches_eigenbasis(n_cells):
     import scipy.linalg
 
     grid = RadialGrid(40.0, n_cells)
-    calc = SobolevCalculus(grid, 3)
+    calc = SobolevCalculus(flat_reference_operator(3, grid))
     dr2 = grid.dr ** 2
     w, u = scipy.linalg.eigh_tridiagonal(np.full(n_cells, 2.0 / dr2),
                                          np.full(n_cells - 1, -1.0 / dr2))
@@ -143,7 +150,7 @@ def test_zero_part_transforms_equal_the_joint_transform(part):
     re, im = rng.standard_normal((2, grid.n_cells, 5))
     block = {"real": re + 0j, "imaginary": 1j * im, "complex": re + 1j * im}[part]
     a = rng.standard_normal((grid.n_cells, grid.n_cells))
-    calc3, calc5 = SobolevCalculus(grid, 3), SobolevCalculus(grid, 5)
+    calc3, calc5 = (SobolevCalculus(flat_reference_operator(n, grid)) for n in (3, 5))
     for transform in (_dst1, lambda x: real_matmul(a, x),
                       lambda x: calc3.apply(x, 0.5), lambda x: calc5.apply(x, -0.5)):
         got = transform(block)
@@ -157,24 +164,25 @@ def test_smoothing_norm_zero_state(flat_traj):
     op = assemble_dirac(FLAT, 1.0, 0.0, GRID)
     # evolve rejects nothing about zero data; norm is zero throughout
     traj = evolve(op, zero, [0.0, 1.0, 2.0])
-    assert smoothing_norm(traj, (0.0, 2.0)) == 0.0
+    assert smoothing_norm(traj) == 0.0
 
 
-def test_smoothing_norm_window_policy(flat_traj):
-    with pytest.raises(PolicyError):
-        smoothing_norm(flat_traj, (0.0, flat_traj.causal_t_max + 5.0))
-    with pytest.raises(ConfigurationError):
-        smoothing_norm(flat_traj, (2.0, 1.0))
+def test_smoothing_norm_window_policy():
+    """Both norms integrate over every sample, so both refuse a trajectory
+    sampled past its causal limit."""
     op = assemble_dirac(FLAT, 1.0, 0.0, GRID)
     long = evolve(op, gaussian_state(GRID), np.linspace(0.0, 30.0, 31))  # limit 21.5
-    with pytest.raises(PolicyError):  # strichartz_norm integrates every sample
-        strichartz_norm(long, T44)
+    for norm in (smoothing_norm, lambda traj: strichartz_norm(traj, T44)):
+        with pytest.raises(PolicyError, match="causal limit"):
+            norm(long)
+    with pytest.raises(ConfigurationError, match="at least two samples"):
+        smoothing_norm(evolve(op, gaussian_state(GRID), [3.0]))
     # a sample's support has grown by the light cone, so a second 20-unit leg
     # from t = 20 has 1.5 units left
     leg = evolve(op, long.state(20), np.linspace(0.0, 20.0, 21))
     assert leg.causal_t_max == pytest.approx(1.5)
     with pytest.raises(PolicyError):
-        smoothing_norm(leg, (0.0, 20.0))
+        smoothing_norm(leg)
 
 
 def test_smoothing_norm_window_stability():
@@ -186,7 +194,7 @@ def test_smoothing_norm_window_stability():
         op = assemble_dirac(FLAT, 1.0, 0.0, grid)
         init = gaussian_state(grid, center=12.0, width=1.5)
         traj = evolve(op, init, np.linspace(0.0, t_max, int(t_max * 4) + 1))
-        vals.append(smoothing_norm(traj, (0.0, t_max)))
+        vals.append(smoothing_norm(traj))
     assert abs(vals[1] - vals[0]) / vals[0] <= 0.05
 
 
@@ -200,18 +208,21 @@ def test_strichartz_weight_flat_is_one(flat_traj):
 def test_strichartz_norm_refuses_a_calculus_of_another_grid_or_dimension(flat_traj):
     """Another dimension or r_max would change the norm silently, and another
     cell count would fail in a reshape; only the trajectory's own calculus
-    is taken."""
-    for calc in (SobolevCalculus(GRID, 5), SobolevCalculus(RadialGrid(20.0, 512), 3),
-                 SobolevCalculus(RadialGrid(40.0, 1024), 3)):
+    is taken.  The weighted Laplacian of the flat n = 3 profile has the same
+    numbers as H0, but it is not H0."""
+    for op in (flat_reference_operator(5, GRID), flat_reference_operator(3, RadialGrid(20.0, 512)),
+               flat_reference_operator(3, RadialGrid(40.0, 1024)),
+               weighted_laplacian_operator(FLAT, GRID)):
+        calc = SobolevCalculus(op)
         with pytest.raises(ConfigurationError, match="calculus"):
             strichartz_norm(flat_traj, ExponentTriple(p=math.inf, q=2.0), calc)
-    own = SobolevCalculus(GRID, 3)
+    own = SobolevCalculus(flat_reference_operator(3, GRID))
     assert strichartz_norm(flat_traj, T44, own) == strichartz_norm(flat_traj, T44)
     # a state's norm folds a finer grid into columns or reads another dr
     for cells, calc_grid in ((512, RadialGrid(40.0, 256)), (256, RadialGrid(20.0, 256))):
         state = gaussian_state(RadialGrid(40.0, cells), center=10.0)
         with pytest.raises(ConfigurationError, match="calculus"):
-            SobolevCalculus(calc_grid, 3).norm(state, 0.5)
+            SobolevCalculus(flat_reference_operator(3, calc_grid)).norm(state, 0.5)
 
 
 def test_strichartz_norm_gate(flat_traj):
@@ -250,7 +261,7 @@ def test_strichartz_norm_s_zero_two_paths(flat_traj):
 def test_strichartz_norm_sup_in_time(flat_traj):
     trip = ExponentTriple(p=math.inf, q=2.0)
     val = strichartz_norm(flat_traj, trip)
-    calc = SobolevCalculus(GRID, 3)
+    calc = SobolevCalculus(flat_reference_operator(3, GRID))
     per_time = [
         math.sqrt(GRID.dr) * math.sqrt(
             np.sum(np.abs(calc.apply(s.plus, 0.5)) ** 2)
@@ -269,10 +280,9 @@ def test_norm_homogeneity(scale):
                               support_radius=init.support_radius)
     traj = evolve(op, init, np.linspace(0.0, 4.0, 5))
     scaled = evolve(op, init_scaled, np.linspace(0.0, 4.0, 5))
-    for fn in (lambda tr: smoothing_norm(tr, (0.0, 4.0)),
-               lambda tr: strichartz_norm(tr, T44)):
+    for fn in (smoothing_norm, lambda tr: strichartz_norm(tr, T44)):
         assert fn(scaled) == pytest.approx(scale * fn(traj), rel=1e-9)
-    calc = SobolevCalculus(grid, 3)
+    calc = SobolevCalculus(flat_reference_operator(3, grid))
     assert calc.norm(init_scaled, 0.5) == pytest.approx(scale * calc.norm(init, 0.5), rel=1e-9)
 
 
@@ -286,7 +296,7 @@ def test_fractional_kg_norm_tracks_mode_weight():
     grid = RadialGrid(40.0, 512)
     state = gaussian_state(grid, center=2.5, width=1.0)
     v = state.plus.real
-    h_half = SobolevCalculus(grid, 3).norm(state, 0.5)
+    h_half = SobolevCalculus(flat_reference_operator(3, grid)).norm(state, 0.5)
     for profile in (FLAT, AF001):
         ratios = []
         for k in range(1, 9):
@@ -330,7 +340,7 @@ def test_mu_scan_n5_builds_one_eigenbasis(monkeypatch):
     assert calls == ["flat_shift"]
     monkeypatch.undo()
     initial = gaussian_state(grid)
-    h_half = SobolevCalculus(grid, 5).norm(initial, 0.5)
+    h_half = SobolevCalculus(flat_reference_operator(5, grid)).norm(initial, 0.5)
     for k, mu in enumerate(mus):
         traj = evolve(assemble_dirac(flat5, mu, 0.0, grid), initial,
                       np.linspace(0.0, 4.0, 5))
@@ -398,6 +408,21 @@ def test_mu_scan_needs_two_samples_before_scanning(monkeypatch):
     for t_max in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ConfigurationError, match="positive, finite t_max"):
             mu_scan(FLAT, [T44], [1.0, 2.0], grid=RadialGrid(40, 512), t_max=t_max)
+    assert ran == []
+
+
+def test_mu_scan_refuses_a_non_finite_mass_before_scanning(monkeypatch):
+    """The p = inf, q = 2 endpoint is admissible whatever the mass, so the
+    mass itself is checked before the admissibility scan."""
+    import warpdirac.estimates as estimates
+
+    ran = []
+    monkeypatch.setattr(estimates, "check_admissible", lambda *args: ran.append(args))
+    for m in (math.nan, math.inf):
+        assert is_admissible_triple(math.inf, 2.0, m, 3)
+        with pytest.raises(ConfigurationError, match="mass m must be finite"):
+            mu_scan(FLAT, [ExponentTriple(p=math.inf, q=2.0)], [1.0, 2.0],
+                    grid=RadialGrid(40, 256), m=m)
     assert ran == []
 
 

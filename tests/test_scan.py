@@ -49,9 +49,11 @@ def test_supremum_mirror():
 
 def test_policy_validation():
     for bad in (dict(r_min=1.0, r_max=0.5), dict(r_min=5, r_max=1), dict(points=4),
-                dict(r_max=math.inf), dict(r_max=math.nan), dict(r_min=math.nan)):
+                dict(r_max=math.inf), dict(r_max=math.nan), dict(r_min=math.nan),
+                dict(points=100.5), dict(points=100.0)):
         with pytest.raises(ConfigurationError):
             InfimumScanPolicy(**bad)
+    assert InfimumScanPolicy(points=np.int64(100)).grid().size == 100
 
 
 def test_non_finite_raises():
