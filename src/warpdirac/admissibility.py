@@ -34,7 +34,7 @@ test (:func:`warpdirac.profiles.check_A2`) guarantees.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,6 +62,7 @@ class ModePotential:
     mu: float
 
     def __post_init__(self):
+        object.__setattr__(self, "mu", float(self.mu))
         if not abs(self.mu) > 0.5:
             raise HypothesisViolationError(
                 f"angular eigenvalue mu={self.mu} needs |mu| > 1/2 "
@@ -93,9 +94,8 @@ def _parts_at_zero(mu: float) -> tuple:
     return mu, -mu, 2.0 * mu, -2.0 * mu * (mu + 1.0)
 
 
-def _parts_at_infinity(profile: MetricProfile, mu: float) -> Optional[tuple]:
-    lims = profile.ratios_at_infinity()
-    return None if lims is None else _parts(mu, lims)
+def _parts_at_infinity(profile: MetricProfile, mu: float) -> tuple:
+    return _parts(mu, profile.ratios_at_infinity())
 
 
 # Rows of _mode_terms: the first of each (quadratic, cubic) pair of delta_+,
@@ -120,10 +120,9 @@ def _mode_terms(parts) -> tuple:
 
 
 def _row_limits(profile: MetricProfile, mu: float) -> list:
-    """(limit at r -> 0+, limit at r -> infinity or None) of each _mode_terms row."""
-    at_inf = _parts_at_infinity(profile, mu)
-    at_inf = (None,) * (_SUP_TERM + 1) if at_inf is None else _mode_terms(at_inf)
-    return list(zip(_mode_terms(_parts_at_zero(mu)), at_inf))
+    """(limit at r -> 0+, limit at r -> infinity) of each _mode_terms row."""
+    return list(zip(_mode_terms(_parts_at_zero(mu)),
+                    _mode_terms(_parts_at_infinity(profile, mu))))
 
 
 def _scan_term(pot: ModePotential, t: int, scan: InfimumScanPolicy) -> ScanExtremum:
@@ -194,7 +193,7 @@ def delta_c(pot: ModePotential, sign: int,
     def infimum(term):
         return scan_infimum(lambda r: term(_parts(pot.mu, pot.profile.ratios(r))), scan,
                             limit_at_zero=term(_parts_at_zero(pot.mu)),
-                            limit_at_infinity=None if at_inf is None else term(at_inf))
+                            limit_at_infinity=term(at_inf))
 
     return Delta.from_terms(0.25, infimum(term2), infimum(term3))
 
@@ -214,9 +213,6 @@ class AdmissibilityReport:
     limit_at_infinity_ok: bool
     admissible: bool
     witness_r: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _potential_decays(mu: float, probes: tuple, probe_ratios) -> bool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -52,12 +53,12 @@ def _mu_label(mu: float) -> str:
 
 
 def _write_all(out: Path, files: list):
-    for name, kind, payload in files:
-        if kind == "json":
+    """Write each (name, payload): a .json name takes a JSON value, a .csv one (header, rows)."""
+    for name, payload in files:
+        if name.endswith(".json"):
             write_json_atomic(out / name, payload)
         else:
-            header, rows = payload
-            write_csv_atomic(out / name, header, rows)
+            write_csv_atomic(out / name, *payload)
 
 
 def cmd_check_metric(cfg: RunConfig, args) -> tuple[int, list]:
@@ -65,11 +66,11 @@ def cmd_check_metric(cfg: RunConfig, args) -> tuple[int, list]:
     reports = check_admissible(cfg.profile, mus, cfg.scan)
     payload = {
         "profile": _profile_dict(cfg.profile),
-        "reports": [r.to_dict() for r in reports],
+        "reports": [asdict(r) for r in reports],
         "all_admissible": all(r.admissible for r in reports),
     }
     code = 0 if payload["all_admissible"] else 3
-    return code, [("check_metric.json", "json", payload)]
+    return code, [("check_metric.json", payload)]
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> tuple[int, list]:
@@ -83,7 +84,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple[int, list]:
             band_index(mode),
         ))
     header = ["mu", "multiplicity", "degree_plus", "degree_minus", "band_j"]
-    return 0, [("spectrum.csv", "csv", (header, rows))]
+    return 0, [("spectrum.csv", (header, rows))]
 
 
 def _ladder(n_cells: int) -> list[int]:
@@ -143,7 +144,7 @@ def cmd_validate(cfg: RunConfig, args) -> tuple[int, list]:
     payload = {
         "profile": _profile_dict(cfg.profile),
         "m": cfg.m,
-        "grid": {"r_max": cfg.grid.r_max, "n_cells": cfg.grid.n_cells},
+        "grid": asdict(cfg.grid),
         "seed": args.seed,
         "c_phi": c_phi,
         "squaring": squaring,
@@ -151,7 +152,7 @@ def cmd_validate(cfg: RunConfig, args) -> tuple[int, list]:
         "norm_equivalence": equivalence,
         "pass": passed,
     }
-    return (0 if passed else 2), [("validate.json", "json", payload)]
+    return (0 if passed else 2), [("validate.json", payload)]
 
 
 def cmd_evolve(cfg: RunConfig, args) -> tuple[int, list]:
@@ -171,20 +172,19 @@ def cmd_evolve(cfg: RunConfig, args) -> tuple[int, list]:
                                  plus.real.ravel(), plus.imag.ravel(),
                                  minus.real.ravel(), minus.imag.ravel()])
         name = f"trajectory_mu_{_mu_label(mu)}.csv"
-        files.append((name, "csv", (header, table)))
+        files.append((name, (header, table)))
         norms = traj.norms()
         meta_modes.append({"mu": mu, "file": name,
                            "norm_drift": float(np.max(np.abs(norms / norms[0] - 1.0)))})
     meta = {
         "profile": _profile_dict(cfg.profile),
         "m": cfg.m,
-        "grid": {"r_max": cfg.grid.r_max, "n_cells": cfg.grid.n_cells},
+        "grid": asdict(cfg.grid),
         "times": [float(t) for t in times],
-        "data": {"center": cfg.data.center, "width": cfg.data.width,
-                 "amplitude": cfg.data.amplitude, "component": cfg.data.component},
+        "data": asdict(cfg.data),
         "modes": meta_modes,
     }
-    files.insert(0, ("evolve_meta.json", "json", meta))
+    files.insert(0, ("evolve_meta.json", meta))
     return 0, files
 
 
@@ -195,15 +195,13 @@ def cmd_strichartz_scan(cfg: RunConfig, args) -> tuple[int, list]:
                       m=cfg.m, epsilon_loss=cfg.epsilon_loss, scan=cfg.scan)
     failed = any(ok is False for result in results
                  for ok in (result.strichartz_slope_ok, result.smoothing_slope_ok))
-    files = [("strichartz_scan.json", "json",
-              {"scans": [result.to_dict() for result in results]})]
+    files = [("strichartz_scan.json", {"scans": [asdict(result) for result in results]})]
     header = ["mu", "ratio_strichartz", "ratio_smoothing"]
     for result in results:
         rows = [(row.mu, row.ratio_strichartz, row.ratio_smoothing)
                 for row in result.rows]
         p_label = "inf" if math.isinf(result.p) else f"{result.p:g}"
-        files.append((f"strichartz_scan_p{p_label}_q{result.q:g}.csv", "csv",
-                      (header, rows)))
+        files.append((f"strichartz_scan_p{p_label}_q{result.q:g}.csv", (header, rows)))
     return (2 if failed else 0), files
 
 

@@ -12,7 +12,7 @@ same sampled window.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -83,7 +83,10 @@ def _time_weights(times: np.ndarray) -> np.ndarray:
 
 
 def _check_causal(traj: SpinorTrajectory) -> None:
-    """Refuse a trajectory whose first or last sample lies past its causal limit."""
+    """Refuse a window of fewer than two samples, or one whose first or last
+    sample lies past the trajectory's causal limit."""
+    if len(traj.times) < 2:
+        raise ConfigurationError("a space-time norm needs at least two samples")
     limit = traj.causal_t_max
     t0, t1 = traj.times[0], traj.times[-1]
     if limit is not None and (abs(t0) > limit + 1e-9 or abs(t1) > limit + 1e-9):
@@ -92,8 +95,6 @@ def _check_causal(traj: SpinorTrajectory) -> None:
 
 def smoothing_norm(traj: SpinorTrajectory) -> float:
     """Space-time L^2 of r^-1 u over the sampled window, flattened measure dr."""
-    if len(traj.times) < 2:
-        raise ConfigurationError("the smoothing norm needs at least two samples")
     _check_causal(traj)
     r = traj.grid.nodes[:, None]
     density = (np.abs(traj.block("plus")) ** 2 + np.abs(traj.block("minus")) ** 2) / r**2
@@ -168,7 +169,10 @@ class ModeScanRow:
 
 @dataclass(frozen=True)
 class NormScanResult:
-    """Per-mode norms, ratios, and fitted growth exponents."""
+    """Per-mode norms, ratios, and fitted growth exponents.
+
+    Each ``*_slope_ok`` is ``slope <= limit``, or None when no slope was fitted.
+    """
 
     family: str
     n: int
@@ -181,22 +185,8 @@ class NormScanResult:
     smoothing_slope: Optional[float]
     strichartz_slope_limit: float
     smoothing_slope_limit: float
-
-    @property
-    def strichartz_slope_ok(self) -> Optional[bool]:
-        if self.strichartz_slope is None:
-            return None
-        return self.strichartz_slope <= self.strichartz_slope_limit
-
-    @property
-    def smoothing_slope_ok(self) -> Optional[bool]:
-        if self.smoothing_slope is None:
-            return None
-        return self.smoothing_slope <= self.smoothing_slope_limit
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "strichartz_slope_ok": self.strichartz_slope_ok,
-                "smoothing_slope_ok": self.smoothing_slope_ok}
+    strichartz_slope_ok: Optional[bool]
+    smoothing_slope_ok: Optional[bool]
 
 
 def _fit_slope(abs_mu: np.ndarray, ratios: np.ndarray) -> Optional[float]:
@@ -276,12 +266,14 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
         slope_s = _fit_slope(abs_mu, np.array([row.ratio_strichartz for row in rows]))
         slope_m = _fit_slope(abs_mu, np.array([row.ratio_smoothing for row in rows]))
         p_inv = 0.0 if math.isinf(triple.p) else 1.0 / triple.p
+        limit_s = 5.0 * p_inv + epsilon_loss + SLOPE_SLACK
         results.append(NormScanResult(
             family=profile.family.value, n=n, p=triple.p, q=triple.q, m=m,
             epsilon_loss=epsilon_loss, rows=rows,
             strichartz_slope=slope_s, smoothing_slope=slope_m,
-            strichartz_slope_limit=5.0 * p_inv + epsilon_loss + SLOPE_SLACK,
-            smoothing_slope_limit=SMOOTHING_SLOPE_LIMIT,
+            strichartz_slope_limit=limit_s, smoothing_slope_limit=SMOOTHING_SLOPE_LIMIT,
+            strichartz_slope_ok=None if slope_s is None else slope_s <= limit_s,
+            smoothing_slope_ok=None if slope_m is None else slope_m <= SMOOTHING_SLOPE_LIMIT,
         ))
     return results
 

@@ -147,11 +147,8 @@ class SpinorTrajectory:
                            minus=self.block("minus")[:, k], support_radius=reach)
 
     def norms(self) -> np.ndarray:
-        """L^2(dr) norm of every sample, summed along each sample as SpinorState.norm."""
-        nn = self.grid.n_cells
-        density = np.abs(self.samples.T.copy()) ** 2
-        return np.sqrt(self.grid.dr * (density[:, :nn].sum(axis=1)
-                                       + density[:, nn:].sum(axis=1)))
+        """SpinorState.norm of every sample, in time order."""
+        return np.array([self.state(k).norm() for k in range(len(self.times))])
 
 
 def causal_time_limit(r_max: float, support_radius: float) -> float:

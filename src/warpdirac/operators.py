@@ -266,7 +266,7 @@ def assemble_dirac(profile: MetricProfile, mu: float, m: float,
     """Flattened mode Dirac operator [[m, -d/dr + V], [d/dr + V, -m]]."""
     pot = ModePotential(profile=profile, mu=mu)
     return DiscreteRadialOperator(grid=grid, kind="dirac", potential=pot.V(grid.nodes),
-                                  profile=profile, mu=mu, m=m)
+                                  profile=profile, mu=pot.mu, m=m)
 
 
 def assemble_kg(profile: MetricProfile, mu: float, m: float,
@@ -279,7 +279,7 @@ def assemble_kg(profile: MetricProfile, mu: float, m: float,
     kind = "kg_plus" if sign > 0 else "kg_minus"
     return DiscreteRadialOperator(grid=grid, kind=kind,
                                   potential=pot.V(r) ** 2 + sign * pot.V_prime(r) + m * m,
-                                  profile=profile, mu=mu, m=m)
+                                  profile=profile, mu=pot.mu, m=m)
 
 
 def flat_reference_operator(n: int, grid: RadialGrid) -> DiscreteRadialOperator:

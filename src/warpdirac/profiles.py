@@ -3,11 +3,12 @@
 The metric on the spatial slice is dr^2 + phi(r)^2 d(omega)^2.  Four closed
 families are supported; derivatives are hand-coded so that downstream
 admissibility functionals see exact phi, phi', phi'' rather than numerical
-differentiation noise.
+differentiation noise.  Flat is the asymptotically flat form with phi1 = 0
+exactly, and is evaluated through it.
 
 Families
 --------
-flat                 phi(r) = r
+flat                 phi(r) = r,  phi1 = 0
 asymptotically_flat  phi(r) = r (1 + phi1(r)),  phi1 = eps r^a / (1+r^2)^(b/2)
 sinh                 phi(r) = sinh r
 polynomial           phi(r) = r + r^2 + ... + r^p
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -97,14 +97,10 @@ class MetricProfile:
         # r phi1' = eps r^a w^(-b/2-1) (a + (a-b) r^2)
         s = a + (a - b) * r * r
         rp = eps * r**a * w ** (-b / 2.0 - 1.0) * s
-        # r^2 phi1'' assembled from the product rule; the (a-1) term vanishes
-        # identically for a = 1 and would hit r^(a-2) at r = 0 otherwise.
-        t2 = -(b + 2.0) * eps * r ** (a + 2) * w ** (-b / 2.0 - 2.0) * s
-        t3 = 2.0 * (a - b) * eps * r ** (a + 2) * w ** (-b / 2.0 - 1.0)
-        if a == 1:
-            rpp = t2 + t3
-        else:
-            rpp = (a - 1.0) * eps * r**a * w ** (-b / 2.0 - 1.0) * s + t2 + t3
+        # r^2 phi1'' by the product rule; at a = 1 the first term is exactly +-0.0
+        rpp = ((a - 1.0) * eps * r**a * w ** (-b / 2.0 - 1.0) * s
+               - (b + 2.0) * eps * r ** (a + 2) * w ** (-b / 2.0 - 2.0) * s
+               + 2.0 * (a - b) * eps * r ** (a + 2) * w ** (-b / 2.0 - 1.0))
         return phi1, rp, rpp
 
     def phi1_limit_at_infinity(self) -> float:
@@ -121,8 +117,6 @@ class MetricProfile:
     def phi_dphi_d2phi(self, r):
         """(phi, phi', phi'') elementwise; exact limits at r = 0."""
         r = np.asarray(r, dtype=float)
-        if self.family is Family.FLAT:
-            return r.copy(), np.ones_like(r), np.zeros_like(r)
         if self.family is Family.SINH:
             return np.sinh(r), np.cosh(r), np.sinh(r)
         if self.family is Family.POLYNOMIAL:
@@ -137,8 +131,8 @@ class MetricProfile:
         dphi = 1.0 + phi1 + rp
         with np.errstate(divide="ignore", invalid="ignore"):
             d2phi = np.where(r > 0.0, (2.0 * rp + rpp) / np.where(r > 0.0, r, 1.0), 0.0)
-        # phi''(0) = 2 phi1'(0), nonzero only for alpha == 1
-        if self.alpha == 1:
+        # phi''(0) = 2 phi1'(0), nonzero only for alpha == 1; flat keeps an unused epsilon
+        if self.family is Family.ASYMPTOTICALLY_FLAT and self.alpha == 1:
             d2phi = np.where(r == 0.0, 2.0 * self.epsilon, d2phi)
         return phi, dphi, d2phi
 
@@ -151,9 +145,6 @@ class MetricProfile:
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0.0):
             raise ValueError("ratios need r > 0; use the analytic limits at 0")
-        if self.family is Family.FLAT:
-            one = np.ones_like(r)
-            return one, one.copy(), np.zeros_like(r)
         if self.family is Family.SINH:
             s1 = np.empty_like(r)
             s3 = np.empty_like(r)
@@ -179,8 +170,8 @@ class MetricProfile:
         s3 = (2.0 * rp + rpp) / den**2
         return s1, s2, s3
 
-    def ratios_at_infinity(self) -> Optional[tuple]:
-        """Limits of :meth:`ratios` at r -> infinity, or None if not finite.
+    def ratios_at_infinity(self) -> tuple:
+        """Limits of :meth:`ratios` at r -> infinity, finite for every family.
 
         sinh and polynomial growth drive all three ratios to 0; for the
         flat / asymptotically flat families the limits follow from the

@@ -1,4 +1,6 @@
 import math
+from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from warpdirac import (A2Verdict, ConfigurationError, Family, FlatBesselOracle,
                        profile_constants)
 from warpdirac import admissibility
 from warpdirac.admissibility import _parts, _parts_at_infinity, _parts_at_zero
+from warpdirac.reporting import canonical_json
 from warpdirac.scan import BLOCK, DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_supremum
 
 FLAT = MetricProfile(Family.FLAT)
@@ -117,6 +120,23 @@ def test_delta_c_zero_potential_shape():
     assert res.value == pytest.approx(0.25, abs=1e-9)
 
 
+def test_delta_c_refuses_a_sign_other_than_one():
+    with pytest.raises(ConfigurationError, match="sign must be"):
+        delta_c(ModePotential(profile=FLAT, mu=1.0), 0)
+
+
+def test_no_modes_give_no_reports():
+    assert check_admissible(AF001, []) == []
+
+
+def test_report_mu_is_a_float():
+    """A rational, NumPy or integer mu is stored as a float, so the report is writable."""
+    reports = [check_admissible(FLAT, [mu])[0] for mu in (Fraction(1), np.float64(1.0), 1)]
+    assert all(type(rep.mu) is float for rep in reports)
+    assert reports[0] == reports[1] == reports[2] == check_admissible(FLAT, [1.0])[0]
+    assert canonical_json(asdict(reports[0]))
+
+
 def test_delta_c_dimension_shift():
     # same channel, higher n: the (n-2)^2/4 shift raises both infima
     pot5 = ModePotential(profile=MetricProfile(Family.FLAT, n=5), mu=2.0)
@@ -172,10 +192,9 @@ def _single_functional_report(prof, mu, scan):
     def r2w(parts):
         return parts[0] ** 2 - parts[1]
 
-    at_inf = _parts_at_infinity(prof, mu)
     sup = scan_supremum(lambda r: np.abs(4.0 * r2w(_parts(mu, prof.ratios(r)))), scan,
                         limit_at_zero=abs(4.0 * r2w(_parts_at_zero(mu))),
-                        limit_at_infinity=None if at_inf is None else abs(4.0 * r2w(at_inf)))
+                        limit_at_infinity=abs(4.0 * r2w(_parts_at_infinity(prof, mu))))
     probes = []
     for r in (scan.r_max / 100, scan.r_max / 10, scan.r_max):
         rv, r2vp, _, _ = _parts(mu, prof.ratios(np.array([r])))
@@ -204,7 +223,7 @@ def test_batched_reports_equal_single_functional_scans(tag, scan):
     reports = check_admissible(prof, SIGNED_MUS, scan)
     assert len(reports) == len(SIGNED_MUS)
     for mu, rep in zip(SIGNED_MUS, reports):
-        assert rep.to_dict() == _single_functional_report(prof, mu, scan), mu
+        assert asdict(rep) == _single_functional_report(prof, mu, scan), mu
     if tag in ("sinh", "poly"):
         assert any(rep.witness_r is not None for rep in reports)
 
@@ -306,7 +325,7 @@ def test_blocked_scan_of_distinct_functionals(monkeypatch):
 
 def test_report_serialization_fields():
     (rep,) = check_admissible(FLAT, [1.0])
-    d = rep.to_dict()
+    d = asdict(rep)
     for key in ("delta_plus", "delta_minus", "delta_phi_mu", "delta_phi_neg_mu",
                 "sup_4r2V", "limit_at_infinity_ok", "admissible", "witness_r"):
         assert key in d

@@ -6,9 +6,9 @@ every subcommand on small grids, and three runs that fail with exit codes
 source and matched to the code objects that ran by its first line, which
 for a decorated ``def`` is its first decorator's line (``co_firstlineno``).
 The ``def``s that never ran must be exactly NEVER_RUN: the references that
-tests compare against, the paper's explicit condition on the metric, and
-two sample views that the tests evolve from.  Anything else that no command
-runs is either a command path that lost its caller or code to delete.
+tests compare against and the paper's explicit condition on the metric.
+Anything else that no command runs is either a command path that lost its
+caller or code to delete.
 
 The package's modules import each other at module level only: a ``def``
 that imports a package module hides an import cycle.
@@ -50,9 +50,6 @@ NEVER_RUN = {
     "profiles.check_A2",
     "admissibility.delta_lower_bound",
     "profiles.MetricProfile.has_phi1",
-    # sample views: the 2N x T layout and the dr norm convention
-    "evolution.SpinorTrajectory.state",
-    "evolution.SpinorState.norm",
 }
 
 _SCAN = "profile.family = {family}\nn = {n}\ngrid.n_cells = 256\ntriples = {triples}\n"

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpdirac import Family, MetricProfile, assemble_dirac, evolve
+from warpdirac import (AdmissibilityReport, Family, MetricProfile, NormScanResult,
+                       assemble_dirac, evolve)
 from warpdirac.cli import main
 from warpdirac.config import RunConfig, parse_config
 from warpdirac.errors import ConfigurationError
@@ -20,7 +22,7 @@ from warpdirac.estimates import (DEFAULT_EPSILON_LOSS, DEFAULT_SAMPLES, DEFAULT_
                                  DataTemplate, mu_scan)
 from warpdirac.operators import DEFAULT_TRIALS, RadialGrid, norm_equivalence_check
 from warpdirac.scan import InfimumScanPolicy
-from warpdirac.reporting import canonical_json, write_csv_atomic
+from warpdirac.reporting import canonical_json, write_csv_atomic, write_text_atomic
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -192,6 +194,18 @@ def test_canonical_json_shape():
     assert canonical_json(float("inf")) == '"inf"'
     assert canonical_json(float("-inf")) == '"-inf"'
     assert canonical_json(float("nan")) == '"nan"'
+    assert canonical_json({}) == "{}" and canonical_json([]) == "[]"
+    assert canonical_json("a\\b\x01") == '"a\\\\b\\u0001"'
+    with pytest.raises(TypeError, match="keys must be strings"):
+        canonical_json({1: 0.5})
+    with pytest.raises(TypeError, match="cannot serialize"):
+        canonical_json(1j)
+
+
+def test_a_failed_write_leaves_no_file(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(tmp_path / "a.json", "\ud800")  # a lone surrogate has no UTF-8
+    assert list(tmp_path.iterdir()) == []
 
 
 def _write(tmp_path: Path, text: str) -> str:
@@ -491,6 +505,51 @@ def test_cli_strichartz_scan_uses_configured_scan_policy(tmp_path, monkeypatch):
     assert main(["strichartz-scan", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert seen == [parse_config(text).scan]
     assert seen[0].points == 5000
+
+
+def test_cli_numerical_failure_exits_5_and_writes_nothing(tmp_path):
+    """A degree-20 polynomial overflows on a scan grid out to 1e20: exit 5, no
+    artifact.  NumPy warns on the way, so the run is a process of its own."""
+    cfg = _write(tmp_path, "profile.family = polynomial\nprofile.degree = 20\n"
+                           "scan.r_max = 1e20\nscan.points = 2000\n")
+    out = tmp_path / "out"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "warpdirac.cli", "check-metric",
+                             "--config", cfg, "--out", str(out)], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 5
+    assert "numerical error: scan functional not finite at r=" in result.stderr
+    assert not out.exists()
+
+
+def test_artifact_records_are_written_whole(tmp_path):
+    """Every check-metric report and strichartz-scan scan holds exactly the
+    fields of its record, and the grid and data blocks of evolve and validate
+    are those of the configuration."""
+    text = SMALL + "scan.points = 2000\n"
+    cfg = parse_config(text)
+    for command in ("check-metric", "evolve", "validate"):
+        assert main([command, "--config", _write(tmp_path, text),
+                     "--out", str(tmp_path / command)]) == 0
+    reports = json.loads((tmp_path / "check-metric" / "check_metric.json").read_text())["reports"]
+    assert [set(r) for r in reports] == [{f.name for f in fields(AdmissibilityReport)}]
+    meta = json.loads((tmp_path / "evolve" / "evolve_meta.json").read_text())
+    assert meta["data"] == asdict(cfg.data) and meta["grid"] == asdict(cfg.grid)
+    assert json.loads((tmp_path / "validate" / "validate.json").read_text())["grid"] \
+        == asdict(cfg.grid)
+
+    for k, mu_list in enumerate(("1, 2", "1, -1")):  # |mu| = 1 twice fits no slope
+        out = tmp_path / f"scan{k}"
+        scan_text = text.replace("modes.mu_list = 1", f"modes.mu_list = {mu_list}")
+        assert main(["strichartz-scan", "--config", _write(tmp_path, scan_text),
+                     "--out", str(out)]) == 0
+        (scan,) = json.loads((out / "strichartz_scan.json").read_text())["scans"]
+        assert set(scan) == {f.name for f in fields(NormScanResult)}
+        for kind in ("strichartz", "smoothing"):
+            slope = scan[f"{kind}_slope"]
+            assert (slope is None) == (k == 1)
+            want = None if slope is None else slope <= scan[f"{kind}_slope_limit"]
+            assert scan[f"{kind}_slope_ok"] is want
 
 
 def test_cli_missing_config(tmp_path):

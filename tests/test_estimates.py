@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ def flat_traj():
     (4.0, 3.0, 1.0, 3, True),
     (4.0, 3.1, 1.0, 3, False),
     (1.5, 4.0, 0.0, 3, False),
+    (2.0, math.inf, 0.0, 3, False),  # the 3-D wave endpoint lies on the scaling line
     (8.0, 3.0, 0.0, 4, True),   # 2/8 + 3/3 = 5/4 ... check: (n-1)/2 = 3/2; 1/4+1 != 3/2
 ])
 def test_admissible_triples(p, q, m, n, ok):
@@ -175,8 +177,11 @@ def test_smoothing_norm_window_policy():
     for norm in (smoothing_norm, lambda traj: strichartz_norm(traj, T44)):
         with pytest.raises(PolicyError, match="causal limit"):
             norm(long)
-    with pytest.raises(ConfigurationError, match="at least two samples"):
-        smoothing_norm(evolve(op, gaussian_state(GRID), [3.0]))
+    single = evolve(op, gaussian_state(GRID), [3.0])
+    for norm in (smoothing_norm, lambda traj: strichartz_norm(traj, T44),
+                 lambda traj: strichartz_norm(traj, ExponentTriple(p=math.inf, q=2.0))):
+        with pytest.raises(ConfigurationError, match="at least two samples"):
+            norm(single)
     # a sample's support has grown by the light cone, so a second 20-unit leg
     # from t = 20 has 1.5 units left
     leg = evolve(op, long.state(20), np.linspace(0.0, 20.0, 21))
@@ -317,7 +322,7 @@ def test_mu_scan_small():
     assert res.strichartz_slope <= res.strichartz_slope_limit
     assert res.smoothing_slope <= res.smoothing_slope_limit
     assert all(row.strichartz > 0 and row.h_half > 0 for row in res.rows)
-    d = res.to_dict()
+    d = asdict(res)
     assert d["strichartz_slope_ok"] and d["smoothing_slope_ok"]
 
 

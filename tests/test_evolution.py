@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpdirac import (ConfigurationError, Family, FlatBesselOracle,
-                       MetricProfile, RadialGrid, SpinorState,
+                       MetricProfile, RadialGrid, SpinorState, SpinorTrajectory,
                        assemble_dirac, assemble_kg, evolve, factorization_check,
                        gaussian_state, kg_crosscheck, verify_square)
 from warpdirac import evolution
@@ -251,8 +252,8 @@ def test_shallow_cut_fails_its_certificate(monkeypatch):
 @pytest.mark.parametrize("mu", [1.0, 64.0], ids=["chebyshev", "cut"])
 def test_trajectory_is_one_sample_block(mu):
     """Cut or not, the samples are one read-only, C-ordered 2N x T array:
-    block() views it, state(k) is its column k, and norms() sums each
-    sample as SpinorState.norm does, bit for bit."""
+    block() views it, state(k) is its column k, and norms() is
+    SpinorState.norm of each state(k)."""
     grid = RadialGrid(40.0, 512)
     op = assemble_dirac(AF001, mu, 0.7, grid)
     init = gaussian_state(grid)
@@ -269,6 +270,44 @@ def test_trajectory_is_one_sample_block(mu):
     assert traj.norms().tolist() == [state.norm() for state in states]
     for k, state in enumerate(states):
         assert np.array_equal(np.concatenate([state.plus, state.minus]), traj.samples[:, k])
+
+
+def test_states_and_trajectories_refuse_bad_samples():
+    zero = np.zeros(GRID.n_cells, complex)
+    with pytest.raises(ConfigurationError, match="length must match"):
+        SpinorState(grid=GRID, plus=zero[:-1], minus=zero)
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        SpinorState(grid=GRID, plus=zero, minus=np.full(GRID.n_cells, np.nan, complex))
+    mode = dict(grid=GRID, profile=FLAT, mu=1.0, m=0.0)
+    with pytest.raises(ConfigurationError, match="2N x T"):
+        SpinorTrajectory(times=np.array([0.0, 1.0]), samples=np.zeros((2 * GRID.n_cells, 3)),
+                         **mode)
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        SpinorTrajectory(times=np.array([1.0, 1.0]), samples=np.zeros((2 * GRID.n_cells, 2)),
+                         **mode)
+
+
+def test_components_are_plus_or_minus(flat_op):
+    traj = evolve(flat_op, gaussian_state(GRID), [0.0, 1.0])
+    with pytest.raises(ConfigurationError, match="'plus' or 'minus'"):
+        traj.block("up")
+    with pytest.raises(ConfigurationError, match="'plus' or 'minus'"):
+        gaussian_state(GRID, component="up")
+
+
+def test_evolve_needs_a_dirac_operator():
+    with pytest.raises(ConfigurationError, match="Dirac-mode operator"):
+        evolve(assemble_kg(FLAT, 1.0, 0.0, +1, GRID), gaussian_state(GRID), [0.0, 1.0])
+
+
+def test_a_rational_or_integer_mu_flows_as_its_float():
+    init = gaussian_state(GRID)
+    times = np.linspace(0.0, 4.0, 3)
+    want = evolve(assemble_dirac(AF001, 1.0, 0.0, GRID), init, times)
+    for mu in (Fraction(1), np.float64(1.0), 1):
+        traj = evolve(assemble_dirac(AF001, mu, 0.0, GRID), init, times)
+        assert type(traj.mu) is float
+        assert np.array_equal(traj.samples, want.samples)
 
 
 def test_bessel_coefficients_match_scipy():

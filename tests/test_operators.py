@@ -61,6 +61,11 @@ def test_grid_too_coarse():
     assert RadialGrid(40.0, np.int64(64)).nodes.shape == (64,)
 
 
+def test_kg_refuses_a_sign_other_than_one():
+    with pytest.raises(ConfigurationError, match="sign must be"):
+        assemble_kg(FLAT, 1.0, 0.0, 0, GRID)
+
+
 def test_dirac_exactly_symmetric():
     for prof in (FLAT, AF001, SINH):
         op = assemble_dirac(prof, 2.0, 0.5, GRID)

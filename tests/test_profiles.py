@@ -22,11 +22,17 @@ AF0001_B_PHI = 0.001972913368
 
 
 def test_flat_is_identity():
+    """Flat is phi1 = 0 on the asymptotically flat path, whose epsilon it
+    still carries: phi = r, phi' = 1, phi'' = 0 and ratios (1, 1, 0) exactly."""
     r = np.linspace(0.0, 50.0, 101)
     phi, dphi, d2phi = FLAT.phi_dphi_d2phi(r)
+    assert FLAT.epsilon != 0.0
     assert np.array_equal(phi, r)
     assert np.all(dphi == 1.0)
     assert np.all(d2phi == 0.0)
+    for ratio, want in zip(FLAT.ratios(np.geomspace(1e-6, 1e6, 101)), (1.0, 1.0, 0.0)):
+        assert np.all(ratio == want)
+    assert FLAT.ratios_at_infinity() == (1.0, 1.0, 0.0)
 
 
 def test_sinh_values():
@@ -65,6 +71,8 @@ def test_invalid_parameters():
         MetricProfile(Family.POLYNOMIAL, degree=1)
     with pytest.raises(ConfigurationError):
         MetricProfile(Family.FLAT, n=2)
+    with pytest.raises(ConfigurationError, match="beta must be <= 12"):
+        MetricProfile(Family.ASYMPTOTICALLY_FLAT, alpha=1, beta=13)
     for bad in (dict(epsilon=math.nan), dict(epsilon=math.inf), dict(n=3.5), dict(alpha=1.5),
                 dict(beta=2.0), dict(degree=3.5)):
         with pytest.raises(ConfigurationError):
@@ -133,6 +141,18 @@ def test_profile_constants_unsupported_families():
     for prof in (SINH, POLY3):
         with pytest.raises(UnsupportedFamilyError):
             profile_constants(prof)
+    with pytest.raises(UnsupportedFamilyError, match="no phi1 decomposition"):
+        SINH.phi1_parts(np.array([1.0]))
+    with pytest.raises(UnsupportedFamilyError, match="no phi1 decomposition"):
+        SINH.phi1_limit_at_infinity()
+
+
+def test_every_family_has_finite_ratio_limits():
+    for prof in (FLAT, SINH, AF001, POLY3, MetricProfile(Family.ASYMPTOTICALLY_FLAT,
+                                                         epsilon=0.5, alpha=2, beta=2)):
+        limits = prof.ratios_at_infinity()
+        assert isinstance(limits, tuple) and len(limits) == 3
+        assert all(math.isfinite(x) for x in limits)
 
 
 def test_check_A2_flat_passes():

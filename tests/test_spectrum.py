@@ -112,6 +112,17 @@ def test_invalid_modes_rejected():
     assert ModeIndex("3/2", 4).mu == Fraction(3, 2)
 
 
+def test_tables_refuse_a_dimension_band_or_component_outside_their_range():
+    with pytest.raises(ConfigurationError, match="n must be >= 3"):
+        sphere_spectrum(2, 3)
+    with pytest.raises(ConfigurationError, match="n must be >= 3"):
+        lp_band(2, 0)
+    with pytest.raises(ConfigurationError, match="band index must be >= 0"):
+        lp_band(3, -1)
+    with pytest.raises(ConfigurationError, match="component must be"):
+        laplace_eigenvalue_check(ModeIndex(1, 3), "x")
+
+
 @pytest.mark.parametrize("n,j,a,b", [
     (3, 0, 1, 3),
     (3, 2, 4, 9),
