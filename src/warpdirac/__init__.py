@@ -5,9 +5,9 @@ from .admissibility import (AdmissibilityReport, ModePotential, check_admissible
 from .errors import (ConfigurationError, ContractViolationError, GridTooCoarseError,
                      HypothesisViolationError, NonAdmissibleError, NumericalError,
                      PolicyError, UnsupportedFamilyError, WarpDiracError)
-from .estimates import (DataTemplate, ExponentTriple, NormScanResult, is_admissible_triple,
-                        mu_scan, smoothing_norm, strichartz_norm)
-from .evolution import (FlatBesselOracle, SpinorState, SpinorTrajectory, evolve,
+from .estimates import (ExponentTriple, NormScanResult, is_admissible_triple, mu_scan,
+                        smoothing_norm, strichartz_norm)
+from .evolution import (DataTemplate, FlatBesselOracle, SpinorState, SpinorTrajectory, evolve,
                         gaussian_state, kg_crosscheck)
 from .operators import (DiscreteRadialOperator, RadialGrid, assemble_dirac,
                         assemble_kg, factorization_check, flat_reference_operator,

@@ -9,9 +9,11 @@ evolve           trajectory CSV per mode plus a JSON metadata header
 strichartz-scan  growth-in-mu scan with fitted slopes
 
 Exit codes: 0 pass, 2 contract violation, 3 non-admissible metric,
-4 configuration error (command-line usage errors included), 5 numerical
-failure.  Failed runs never leave partial artifacts; every file is written
-via temp-and-rename after the whole workflow has finished.
+4 configuration error (command-line usage errors and artifact writes that
+fail included), 5 numerical failure.  Failed runs never leave partial
+artifacts: every file is written via temp-and-rename after the whole
+workflow has finished, and if one write fails, the run's files already in
+place are removed.
 """
 
 from __future__ import annotations
@@ -53,12 +55,24 @@ def _mu_label(mu: float) -> str:
 
 
 def _write_all(out: Path, files: list):
-    """Write each (name, payload): a .json name takes a JSON value, a .csv one (header, rows)."""
+    """Write each (name, payload): a .json name takes a JSON value, a .csv one (header, rows).
+
+    If a write fails, the files already written are removed and the run is
+    refused with a ConfigurationError naming the path.
+    """
+    written = []
     for name, payload in files:
-        if name.endswith(".json"):
-            write_json_atomic(out / name, payload)
-        else:
-            write_csv_atomic(out / name, *payload)
+        path = out / name
+        try:
+            if name.endswith(".json"):
+                write_json_atomic(path, payload)
+            else:
+                write_csv_atomic(path, *payload)
+        except OSError as exc:
+            for done in written:
+                done.unlink()
+            raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+        written.append(path)
 
 
 def cmd_check_metric(cfg: RunConfig, args) -> tuple[int, list]:
@@ -167,7 +181,7 @@ def cmd_evolve(cfg: RunConfig, args) -> tuple[int, list]:
         op = assemble_dirac(cfg.profile, mu, cfg.m, cfg.grid)
         traj = evolve(op, initial, times)
         # one row per (time, node), time-major: the CSV is this T*N x 6 block
-        plus, minus = traj.block("plus").T, traj.block("minus").T
+        plus, minus = traj.plus.T, traj.minus.T
         table = np.column_stack([np.repeat(traj.times, len(r)), np.tile(r, len(times)),
                                  plus.real.ravel(), plus.imag.ravel(),
                                  minus.real.ravel(), minus.imag.ravel()])

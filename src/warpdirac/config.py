@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigurationError
-from .estimates import (DEFAULT_EPSILON_LOSS, DEFAULT_SAMPLES, DEFAULT_T_MAX, DataTemplate,
-                        ExponentTriple, is_admissible_triple)
-from .evolution import causal_time_limit, gaussian_support_radius
+from .estimates import (DEFAULT_EPSILON_LOSS, DEFAULT_SAMPLES, DEFAULT_T_MAX, ExponentTriple,
+                        is_admissible_triple)
+from .evolution import DataTemplate, causal_time_limit
 from .operators import DEFAULT_N_CELLS, DEFAULT_R_MAX, DEFAULT_TRIALS, MIN_CELLS, RadialGrid
 from .profiles import MAX_AF_EXPONENT, MAX_POLY_DEGREE, Family, MetricProfile
 from .scan import DEFAULT_SCAN_POLICY, MIN_SCAN_POINTS, InfimumScanPolicy
@@ -237,7 +237,7 @@ def parse_config(text: str) -> RunConfig:
     trials = parser.take_int("trials", DEFAULT_TRIALS, minimum=1)
     parser.reject_unknown()
 
-    limit = causal_time_limit(grid.r_max, gaussian_support_radius(data.center, data.width))
+    limit = causal_time_limit(grid.r_max, data.support_radius)
     if t_max > limit + 1e-9:
         # the defaults fit the window, so the config gave at least one of these keys
         given = [key for key in _CAUSAL_KEYS if key in parser.lines]

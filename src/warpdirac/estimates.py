@@ -19,15 +19,13 @@ import numpy as np
 
 from .admissibility import check_admissible
 from .errors import ConfigurationError, ContractViolationError, NonAdmissibleError, PolicyError
-from .evolution import (DEFAULT_BUMP_CENTER, DEFAULT_BUMP_WIDTH, SpinorState,
-                        SpinorTrajectory, causal_time_limit, check_bump, evolve,
-                        gaussian_state)
+from .evolution import DataTemplate, SpinorTrajectory, causal_time_limit, evolve
 from .operators import RadialGrid, SobolevCalculus, assemble_dirac, flat_reference_operator
 from .profiles import MetricProfile
 from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy
 
 __all__ = ["ExponentTriple", "is_admissible_triple", "smoothing_norm", "strichartz_norm",
-           "DataTemplate", "ModeScanRow", "NormScanResult", "mu_scan",
+           "ModeScanRow", "NormScanResult", "mu_scan",
            "DEFAULT_EPSILON_LOSS", "DEFAULT_T_MAX", "DEFAULT_SAMPLES", "SLOPE_SLACK",
            "SMOOTHING_SLOPE_LIMIT"]
 
@@ -97,7 +95,7 @@ def smoothing_norm(traj: SpinorTrajectory) -> float:
     """Space-time L^2 of r^-1 u over the sampled window, flattened measure dr."""
     _check_causal(traj)
     r = traj.grid.nodes[:, None]
-    density = (np.abs(traj.block("plus")) ** 2 + np.abs(traj.block("minus")) ** 2) / r**2
+    density = (np.abs(traj.plus) ** 2 + np.abs(traj.minus) ** 2) / r**2
     # one contiguous column per sample, so each radial sum is NumPy's pairwise sum
     densities = traj.grid.dr * np.sum(np.asfortranarray(density), axis=0)
     return float(np.sqrt(np.sum(_time_weights(traj.times) * densities)))
@@ -128,31 +126,14 @@ def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple,
                                  f"trajectory's H0 on {traj.grid} in n={traj.profile.n}")
     s, q, dr = triple.s, triple.q, traj.grid.dr
     weight = strichartz_weight(traj.profile, traj.grid.nodes, q)[:, None]
-    gp = calc.apply(weight * traj.block("plus"), s)
-    gm = calc.apply(weight * traj.block("minus"), s)
+    gp = calc.apply(weight * traj.plus, s)
+    gm = calc.apply(weight * traj.minus, s)
     mag = np.sqrt(np.abs(gp) ** 2 + np.abs(gm) ** 2)
     spatial = (dr * np.sum(mag**q, axis=0)) ** (1.0 / q)
     if math.isinf(triple.p):
         return float(np.max(spatial))
     return float(np.sum(_time_weights(traj.times) * spatial**triple.p)
                  ** (1.0 / triple.p))
-
-
-@dataclass(frozen=True)
-class DataTemplate:
-    """Shared radial initial data used across a mu scan."""
-
-    center: float = DEFAULT_BUMP_CENTER
-    width: float = DEFAULT_BUMP_WIDTH
-    amplitude: float = 1.0
-    component: str = "plus"
-
-    def __post_init__(self):
-        check_bump(self.center, self.width, self.amplitude)
-
-    def realize(self, grid: RadialGrid) -> SpinorState:
-        return gaussian_state(grid, self.center, self.width, self.amplitude,
-                              self.component)
 
 
 @dataclass(frozen=True)
@@ -229,10 +210,10 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
             raise ConfigurationError(f"mode {mu} is listed twice")
         seen.add(float(mu))
     grid = grid or RadialGrid()
-    initial = data_template.realize(grid)
-    limit = causal_time_limit(grid.r_max, initial.support_radius)
+    limit = causal_time_limit(grid.r_max, data_template.support_radius)
     if t_max > limit + 1e-9:
         raise PolicyError(f"t_max={t_max} exceeds the causal limit {limit:g}")
+    initial = data_template.realize(grid)
     times = np.linspace(0.0, t_max, samples)
     calc = SobolevCalculus(flat_reference_operator(n, grid))  # one eigenbasis when n != 3
     h_half = calc.norm(initial, 0.5)

@@ -58,12 +58,9 @@ from .operators import (DiscreteRadialOperator, RadialGrid, coupling_product,
                         dirac_band_product, real_matmul)
 from .profiles import Family, MetricProfile
 
-__all__ = ["SpinorState", "SpinorTrajectory", "gaussian_state", "evolve",
-           "FlatBesselOracle", "kg_crosscheck", "causal_time_limit",
-           "gaussian_support_radius", "DEFAULT_BUMP_CENTER", "DEFAULT_BUMP_WIDTH"]
+__all__ = ["SpinorState", "DataTemplate", "SpinorTrajectory", "gaussian_state", "evolve",
+           "FlatBesselOracle", "kg_crosscheck", "causal_time_limit"]
 
-DEFAULT_BUMP_CENTER = 12.0
-DEFAULT_BUMP_WIDTH = 1.5
 _SUPPORT_SIGMAS = 3.0
 _CAUSAL_MARGIN = 2.0
 _CHUNK = 64  # Chebyshev vectors added into the samples per GEMM (even)
@@ -103,12 +100,41 @@ class SpinorState:
 
 
 @dataclass(frozen=True)
+class DataTemplate:
+    """The initial datum of every mode flow: amplitude exp(-((r - center) / width)^2)
+    in one component ("plus" or "minus"), zero in the other."""
+
+    center: float = 12.0
+    width: float = 1.5
+    amplitude: float = 1.0
+    component: str = "plus"
+
+    def __post_init__(self):
+        # center <= 0 or width <= 0 would make the support radius and causal
+        # limit wrong, and amplitude 0 divides every norm ratio by zero
+        if not (self.center > 0.0 and self.width > 0.0 and self.amplitude != 0.0):
+            raise ConfigurationError(
+                f"a Gaussian bump needs center > 0, width > 0 and amplitude != 0, "
+                f"got {self.center}, {self.width} and {self.amplitude}")
+        if self.component not in ("plus", "minus"):
+            raise ConfigurationError("component must be 'plus' or 'minus'")
+
+    @property
+    def support_radius(self) -> float:
+        """Radius past which the bump counts as zero: center + 3 widths."""
+        return self.center + _SUPPORT_SIGMAS * self.width
+
+    def realize(self, grid: RadialGrid) -> SpinorState:
+        return gaussian_state(grid, self.center, self.width, self.amplitude, self.component)
+
+
+@dataclass(frozen=True)
 class SpinorTrajectory:
     """Time samples of one mode flow, immutable after creation.
 
     ``samples`` is one C-ordered complex 2N x T array: column k is the
     state at times[k], v_plus in the first N rows and v_minus below, so
-    each component's N x T block is a contiguous view.
+    ``plus`` and ``minus`` are contiguous N x T views, one column per time.
     """
 
     times: np.ndarray
@@ -131,20 +157,21 @@ class SpinorTrajectory:
             return None
         return causal_time_limit(self.grid.r_max, self.support_radius)
 
-    def block(self, component: str) -> np.ndarray:
-        """N x T view of one component ("plus" or "minus"), one column per time."""
-        if component not in ("plus", "minus"):
-            raise ConfigurationError("component must be 'plus' or 'minus'")
-        nn = self.grid.n_cells
-        return self.samples[:nn] if component == "plus" else self.samples[nn:]
+    @property
+    def plus(self) -> np.ndarray:
+        return self.samples[:self.grid.n_cells]
+
+    @property
+    def minus(self) -> np.ndarray:
+        return self.samples[self.grid.n_cells:]
 
     def state(self, k: int) -> SpinorState:
         """The sample at times[k], its components viewing the stored samples;
         its support radius is the datum's grown by the light cone |times[k]|."""
         reach = (None if self.support_radius is None
                  else self.support_radius + float(abs(self.times[k])))
-        return SpinorState(grid=self.grid, plus=self.block("plus")[:, k],
-                           minus=self.block("minus")[:, k], support_radius=reach)
+        return SpinorState(grid=self.grid, plus=self.plus[:, k], minus=self.minus[:, k],
+                           support_radius=reach)
 
     def norms(self) -> np.ndarray:
         """SpinorState.norm of every sample, in time order."""
@@ -156,32 +183,14 @@ def causal_time_limit(r_max: float, support_radius: float) -> float:
     return r_max - support_radius - _CAUSAL_MARGIN
 
 
-def gaussian_support_radius(center: float, width: float) -> float:
-    """Radius past which a Gaussian bump counts as zero: center + 3 widths."""
-    return center + _SUPPORT_SIGMAS * width
-
-
-def check_bump(center: float, width: float, amplitude: float) -> None:
-    """Refuse center <= 0 or width <= 0 (the support radius and causal limit
-    would be wrong) and amplitude 0 (every norm ratio divides by it)."""
-    if not (center > 0.0 and width > 0.0 and amplitude != 0.0):
-        raise ConfigurationError(f"a Gaussian bump needs center > 0, width > 0 and amplitude "
-                                 f"!= 0, got {center}, {width} and {amplitude}")
-
-
-def gaussian_state(grid: RadialGrid, center: float = DEFAULT_BUMP_CENTER,
-                   width: float = DEFAULT_BUMP_WIDTH, amplitude: float = 1.0,
-                   component: str = "plus") -> SpinorState:
-    """Gaussian bump in one component, zero in the other."""
-    check_bump(center, width, amplitude)
-    if component not in ("plus", "minus"):
-        raise ConfigurationError("component must be 'plus' or 'minus'")
-    bump = amplitude * np.exp(-((grid.nodes - center) / width) ** 2)
+def gaussian_state(grid: RadialGrid, *bump, **fields) -> SpinorState:
+    """The datum DataTemplate(*bump, **fields) sampled on the grid."""
+    data = DataTemplate(*bump, **fields)
+    values = data.amplitude * np.exp(-((grid.nodes - data.center) / data.width) ** 2)
     zero = np.zeros(grid.n_cells)
-    plus, minus = (bump, zero) if component == "plus" else (zero, bump)
+    plus, minus = (values, zero) if data.component == "plus" else (zero, values)
     return SpinorState(grid=grid, plus=plus.astype(complex),
-                       minus=minus.astype(complex),
-                       support_radius=gaussian_support_radius(center, width))
+                       minus=minus.astype(complex), support_radius=data.support_radius)
 
 
 def evolve(op: DiscreteRadialOperator, initial: SpinorState,
@@ -412,7 +421,7 @@ class FlatBesselOracle:
         ModePotential(MetricProfile(Family.FLAT, n), mu)
         import scipy.special
 
-        self.mu, self.m, self.n, self.grid = mu, m, n, grid
+        self.m, self.grid = m, grid
         nodes, weights = np.polynomial.legendre.leggauss(n_rho)
         self.rho = 0.5 * rho_max * (nodes + 1.0)
         self.w_rho = 0.5 * rho_max * weights
@@ -425,30 +434,25 @@ class FlatBesselOracle:
         self._b_minus *= root
         self.coupling_sign = 1.0 if mu > 0 else -1.0
 
-    def _forward(self, state: SpinorState) -> tuple[np.ndarray, np.ndarray]:
-        dr = self.grid.dr
-        return (dr * real_matmul(self._b_plus, state.plus[:, None])[:, 0],
-                dr * real_matmul(self._b_minus, state.minus[:, None])[:, 0])
-
-    def _inverse(self, hat_plus: np.ndarray, hat_minus: np.ndarray) -> SpinorState:
-        plus = real_matmul(self._b_plus.T, (self.w_rho * hat_plus)[:, None])[:, 0]
-        minus = real_matmul(self._b_minus.T, (self.w_rho * hat_minus)[:, None])[:, 0]
-        return SpinorState(grid=self.grid, plus=plus, minus=minus)
-
     def propagate(self, initial: SpinorState, t: float) -> SpinorState:
-        """Advance by the exact per-frequency rotation of the coupled system;
-        the support radius grows by the light cone |t|, as in SpinorTrajectory.state."""
-        p0, m0 = self._forward(initial)
+        """Transform forward, advance each frequency by the exact rotation of the
+        coupled system, and transform back; the support radius grows by the
+        light cone |t|, as in SpinorTrajectory.state."""
+        dr = self.grid.dr
+        p0 = dr * real_matmul(self._b_plus, initial.plus[:, None])[:, 0]
+        m0 = dr * real_matmul(self._b_minus, initial.minus[:, None])[:, 0]
         omega = np.sqrt(self.rho**2 + self.m**2)
         cos = np.cos(omega * t)
         sinc = np.where(omega > 0.0, np.sin(omega * t) / np.where(omega > 0, omega, 1.0), t)
         s = self.coupling_sign
         pt = cos * p0 - 1j * sinc * (self.m * p0 + s * self.rho * m0)
         mt = cos * m0 - 1j * sinc * (s * self.rho * p0 - self.m * m0)
-        out = self._inverse(pt, mt)
         reach = None if initial.support_radius is None else initial.support_radius + abs(t)
-        return SpinorState(grid=self.grid, plus=out.plus, minus=out.minus,
-                           support_radius=reach)
+        return SpinorState(
+            grid=self.grid,
+            plus=real_matmul(self._b_plus.T, (self.w_rho * pt)[:, None])[:, 0],
+            minus=real_matmul(self._b_minus.T, (self.w_rho * mt)[:, None])[:, 0],
+            support_radius=reach)
 
 
 def kg_crosscheck(traj: SpinorTrajectory, kg_minus: DiscreteRadialOperator,
@@ -473,8 +477,7 @@ def kg_crosscheck(traj: SpinorTrajectory, kg_minus: DiscreteRadialOperator,
             raise ConfigurationError(
                 f"operator mismatch: expected {kind} on the trajectory's mode and grid")
     worst = 0.0
-    for comp, kg in (("plus", kg_minus), ("minus", kg_plus)):
-        block = traj.block(comp)
+    for block, kg in ((traj.plus, kg_minus), (traj.minus, kg_plus)):
         here = block[:, 1:-1]
         dtt = (block[:, 2:] - 2.0 * here + block[:, :-2]) / dt**2
         num = np.linalg.norm(dtt + kg.apply(here), axis=0)

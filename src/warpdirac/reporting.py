@@ -4,21 +4,25 @@ JSON is rendered by a canonical writer (sorted keys, floats at 17
 significant digits in lowercase scientific notation, non-finite values as
 strings) so identical inputs produce byte-identical files; a CSV float is
 its shortest round-trip repr.  All writes go through temp-and-rename so
-failed runs never leave partial artifacts.
+failed runs never leave partial artifacts, and a file gets the mode that
+open() would give it (0666 less the umask).
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = ["canonical_json", "write_text_atomic", "write_json_atomic",
            "write_csv_atomic", "format_float"]
+
+_CSV_BLOCK = 4096  # rows rendered into one string at a time
 
 
 def format_float(x: float) -> str:
@@ -28,20 +32,6 @@ def format_float(x: float) -> str:
     if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
     return f"{x:.16e}"
-
-
-def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
 
 
 def canonical_json(obj, indent: int = 0) -> str:
@@ -56,7 +46,7 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
-        return f'"{_escape(obj)}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -64,7 +54,7 @@ def canonical_json(obj, indent: int = 0) -> str:
         for key in sorted(obj,):
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {type(key)}")
-            items.append(f'{inner}"{_escape(key)}": {canonical_json(obj[key], indent + 1)}')
+            items.append(f"{inner}{canonical_json(key)}: {canonical_json(obj[key], indent + 1)}")
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -74,13 +64,20 @@ def canonical_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)} canonically")
 
 
-def write_text_atomic(path: Path, text: str):
+def write_text_atomic(path: Path, text: str | Iterable[str]):
+    """Write one string, or the strings of an iterable in turn, as UTF-8."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp's 0600 would survive the rename
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -96,12 +93,17 @@ def write_csv_atomic(path: Path, header: Sequence[str], rows: Sequence[Sequence]
     """Header line, then one line per row, every cell rendered by str.
 
     ``rows`` is a sequence of rows or a 2-D float array, which becomes
-    Python floats here, one file at a time.  str renders a float as its
+    Python floats here, _CSV_BLOCK rows at a time, and each block is
+    rendered and written before the next.  str renders a float as its
     shortest round-trip repr (nan, inf and -inf bare), an int as its
     digits and a str as itself.
     """
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    def blocks():
+        yield ",".join(header) + "\n"
+        for lo in range(0, len(rows), _CSV_BLOCK):
+            block = rows[lo:lo + _CSV_BLOCK]
+            if isinstance(block, np.ndarray):
+                block = block.tolist()
+            yield "".join(",".join(map(str, row)) + "\n" for row in block)
+
+    write_text_atomic(path, blocks())

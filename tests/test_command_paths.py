@@ -27,8 +27,6 @@ PACKAGE = Path(warpdirac.__file__).resolve().parent
 NEVER_RUN = {
     # references that tests compare against
     "evolution.FlatBesselOracle.__init__",
-    "evolution.FlatBesselOracle._forward",
-    "evolution.FlatBesselOracle._inverse",
     "evolution.FlatBesselOracle.propagate",
     "evolution.bessel_orders",
     "evolution.kg_crosscheck",

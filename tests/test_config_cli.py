@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -18,8 +19,8 @@ from warpdirac import (AdmissibilityReport, Family, MetricProfile, NormScanResul
 from warpdirac.cli import main
 from warpdirac.config import RunConfig, parse_config
 from warpdirac.errors import ConfigurationError
-from warpdirac.estimates import (DEFAULT_EPSILON_LOSS, DEFAULT_SAMPLES, DEFAULT_T_MAX,
-                                 DataTemplate, mu_scan)
+from warpdirac.estimates import DEFAULT_EPSILON_LOSS, DEFAULT_SAMPLES, DEFAULT_T_MAX, mu_scan
+from warpdirac.evolution import DataTemplate
 from warpdirac.operators import DEFAULT_TRIALS, RadialGrid, norm_equivalence_check
 from warpdirac.scan import InfimumScanPolicy
 from warpdirac.reporting import canonical_json, write_csv_atomic, write_text_atomic
@@ -196,6 +197,7 @@ def test_canonical_json_shape():
     assert canonical_json(float("nan")) == '"nan"'
     assert canonical_json({}) == "{}" and canonical_json([]) == "[]"
     assert canonical_json("a\\b\x01") == '"a\\\\b\\u0001"'
+    assert canonical_json("a\nb") == '"a\\nb"'
     with pytest.raises(TypeError, match="keys must be strings"):
         canonical_json({1: 0.5})
     with pytest.raises(TypeError, match="cannot serialize"):
@@ -206,6 +208,36 @@ def test_a_failed_write_leaves_no_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         write_text_atomic(tmp_path / "a.json", "\ud800")  # a lone surrogate has no UTF-8
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_artifacts_take_the_mode_that_open_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        write_text_atomic(tmp_path / "a.json", "{}\n")
+        write_csv_atomic(tmp_path / "b.csv", ["a"], [(1,)])
+    finally:
+        os.umask(previous)
+    for path in tmp_path.iterdir():
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_cli_write_failure_exits_4_and_leaves_no_artifact(tmp_path, capsys):
+    """--out naming a file fails at the first write; a directory in the place
+    of the second artifact fails after evolve_meta.json is in place, which
+    is then removed."""
+    cfg = _write(tmp_path, SMALL)
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    assert main(["spectrum", "--config", cfg, "--out", str(taken)]) == 4
+    assert f"cannot write {taken / 'spectrum.csv'}" in capsys.readouterr().err
+    assert taken.read_text() == "x"
+    out = tmp_path / "out"
+    (out / "trajectory_mu_1.csv").mkdir(parents=True)
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 4
+    assert f"cannot write {out / 'trajectory_mu_1.csv'}" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["trajectory_mu_1.csv"]
+    assert not any((out / "trajectory_mu_1.csv").iterdir())
 
 
 def _write(tmp_path: Path, text: str) -> str:

@@ -9,7 +9,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpdirac import (ConfigurationError, Family, FlatBesselOracle,
+from warpdirac import (ConfigurationError, DataTemplate, Family, FlatBesselOracle,
                        MetricProfile, RadialGrid, SpinorState, SpinorTrajectory,
                        assemble_dirac, assemble_kg, evolve, factorization_check,
                        gaussian_state, kg_crosscheck, verify_square)
@@ -252,7 +252,7 @@ def test_shallow_cut_fails_its_certificate(monkeypatch):
 @pytest.mark.parametrize("mu", [1.0, 64.0], ids=["chebyshev", "cut"])
 def test_trajectory_is_one_sample_block(mu):
     """Cut or not, the samples are one read-only, C-ordered 2N x T array:
-    block() views it, state(k) is its column k, and norms() is
+    plus and minus view it, state(k) is its column k, and norms() is
     SpinorState.norm of each state(k)."""
     grid = RadialGrid(40.0, 512)
     op = assemble_dirac(AF001, mu, 0.7, grid)
@@ -260,8 +260,7 @@ def test_trajectory_is_one_sample_block(mu):
     traj = evolve(op, init, np.linspace(0.0, 8.0, 5))
     assert (_barrier_cell(op, init.as_vector()) > 0) == (mu == 64.0)
     assert traj.samples.shape == (1024, 5) and traj.samples.flags.c_contiguous
-    for component, rows in (("plus", slice(None, 512)), ("minus", slice(512, None))):
-        block = traj.block(component)
+    for block, rows in ((traj.plus, slice(None, 512)), (traj.minus, slice(512, None))):
         assert np.shares_memory(block, traj.samples) and block.flags.c_contiguous
         assert np.array_equal(block, traj.samples[rows])
         with pytest.raises(ValueError):
@@ -287,10 +286,9 @@ def test_states_and_trajectories_refuse_bad_samples():
                          **mode)
 
 
-def test_components_are_plus_or_minus(flat_op):
-    traj = evolve(flat_op, gaussian_state(GRID), [0.0, 1.0])
+def test_components_are_plus_or_minus():
     with pytest.raises(ConfigurationError, match="'plus' or 'minus'"):
-        traj.block("up")
+        DataTemplate(component="up")
     with pytest.raises(ConfigurationError, match="'plus' or 'minus'"):
         gaussian_state(GRID, component="up")
 
