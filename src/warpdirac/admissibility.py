@@ -18,12 +18,14 @@ both scanned infima, the first non-positive of which witnesses a failure.
 The two are tied by the algebraic identity 4 r^2 W + 1 = 4 (1/4 + r^2 (V^2 - V'))
 which is kept as a permanent regression test.  All infima are evaluated in
 overflow-safe scaled variables (r V, r^2 V', r^3 V'', r^3 W') so the scan
-grid can span [1e-6, 1e6] for every family including sinh.
+grid can span [1e-6, 1e6] for every family including sinh.  V is odd in
+mu, so the + channel at mu is the - channel at -mu, and delta_+(mu) is
+delta_-(-mu) bit for bit.
 
 :func:`check_admissible` checks a whole sequence of modes in one pass: the
 profile is evaluated once on the scan grid, then block by block the scaled
-parts of each signed mu and its functionals (:func:`_mode_terms`, the one
-place they are written) are scanned together
+parts of each signed mu and its five functionals (:func:`_mode_terms`, the
+one place they are written) are scanned together
 (:func:`warpdirac.scan.scan_infima`), and every golden-section refinement
 of every mode steps together.  Its values equal those of the
 per-functional scans (:func:`delta_pm`, :func:`delta_phi`) bit for bit.
@@ -98,24 +100,22 @@ def _parts_at_infinity(profile: MetricProfile, mu: float) -> tuple:
     return _parts(mu, profile.ratios_at_infinity())
 
 
-# Rows of _mode_terms: the first of each (quadratic, cubic) pair of delta_+,
-# delta_- and delta_phi, and the one behind sup |4 r^2 W|.
-_PLUS, _MINUS, _PHI, _SUP_TERM = 0, 2, 4, 6
+# Rows of _mode_terms: the first of the (quadratic, cubic) pairs of delta_- and
+# delta_phi, and the one behind sup |4 r^2 W|.
+_MINUS, _PHI, _SUP_TERM = 0, 2, 4
 
 
 def _mode_terms(parts) -> tuple:
-    """The seven infimum functionals of one signed mu, from its scaled parts.
+    """The five infimum functionals of one signed mu, from its scaled parts.
 
-    In order: 1/4 + r^2 (V^2 +- V') and 1/4 - r^3 (2VV' +- V'') - r^2 (V^2 +- V')
-    for + then -, 4 r^2 W + 1, -4 r^2 W - 4 r^3 W' + 1 and -|4 r^2 W|.
+    In order: 1/4 + r^2 (V^2 - V'), 1/4 - r^3 (2VV' - V'') - r^2 (V^2 - V'),
+    4 r^2 W + 1, -4 r^2 W - 4 r^3 W' + 1 and -|4 r^2 W|.  _parts(-mu) negates
+    rV, r^2 V' and r^3 V'' exactly, so the - rows at -mu are the + channel at mu.
     """
     rv, r2vp, r3vpp, r3wp = parts
     rv2 = rv**2
-    quarter = 0.25 + rv2
-    cross = 2.0 * rv * r2vp
     w4 = 4.0 * (rv2 - r2vp)  # 4 r^2 W
-    return (quarter + r2vp, 0.25 - (cross + r3vpp) - (rv2 + r2vp),
-            quarter - r2vp, 0.25 - (cross - r3vpp) - (rv2 - r2vp),
+    return ((0.25 + rv2) - r2vp, 0.25 - (2.0 * rv * r2vp - r3vpp) - (rv2 - r2vp),
             w4 + 1.0, -w4 - 4.0 * r3wp + 1.0, -np.abs(w4))
 
 
@@ -125,10 +125,10 @@ def _row_limits(profile: MetricProfile, mu: float) -> list:
                     _mode_terms(_parts_at_infinity(profile, mu))))
 
 
-def _scan_term(pot: ModePotential, t: int, scan: InfimumScanPolicy) -> ScanExtremum:
-    """Infimum of row t of :func:`_mode_terms` for one mode, scanned alone."""
-    at_zero, at_inf = _row_limits(pot.profile, pot.mu)[t]
-    return scan_infimum(lambda r: _mode_terms(_parts(pot.mu, pot.profile.ratios(r)))[t], scan,
+def _scan_term(profile: MetricProfile, mu: float, t: int, scan: InfimumScanPolicy) -> ScanExtremum:
+    """Infimum of row t of :func:`_mode_terms` for one signed mu, scanned alone."""
+    at_zero, at_inf = _row_limits(profile, mu)[t]
+    return scan_infimum(lambda r: _mode_terms(_parts(mu, profile.ratios(r)))[t], scan,
                         limit_at_zero=at_zero, limit_at_infinity=at_inf)
 
 
@@ -151,16 +151,17 @@ class Delta:
 
 def delta_pm(pot: ModePotential,
              scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> tuple[Delta, Delta]:
-    """Both Hardy-form infima (delta_+, delta_-) for the +/- channels of one mode."""
-    return tuple(Delta.from_terms(0.25, _scan_term(pot, t, scan), _scan_term(pot, t + 1, scan))
-                 for t in (_PLUS, _MINUS))
+    """Both Hardy-form infima (delta_+, delta_-) of one mode: the - rows at -mu, then at mu."""
+    return tuple(Delta.from_terms(0.25, *(_scan_term(pot.profile, nu, t, scan)
+                                          for t in (_MINUS, _MINUS + 1)))
+                 for nu in (-pot.mu, pot.mu))
 
 
 def delta_phi(profile: MetricProfile, mu: float,
               scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> Delta:
     """Quadratic-weight variant built on W = mu (mu + phi')/phi^2."""
-    pot = ModePotential(profile=profile, mu=mu)
-    return Delta.from_terms(1.0, _scan_term(pot, _PHI, scan), _scan_term(pot, _PHI + 1, scan))
+    mu = ModePotential(profile=profile, mu=mu).mu
+    return Delta.from_terms(1.0, *(_scan_term(profile, mu, t, scan) for t in (_PHI, _PHI + 1)))
 
 
 def delta_c(pot: ModePotential, sign: int,
@@ -228,15 +229,15 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     """Full sufficient-condition report for each angular eigenvalue, in order.
 
     Mode mu needs delta_pm(mu), delta_phi(+-mu) and sup |4 r^2 W| at mu.
-    All of these are scanned in one pass, as one table holding the
-    :func:`_mode_terms` rows of every signed mu in +-mus, row 7k + t for
-    the k-th signed mu: ``profile.ratios`` once on the policy grid, then
-    block by block the scaled parts of each signed mu
-    (:func:`warpdirac.scan.scan_infima`).  Every golden-section refinement
-    steps in lockstep with one ``profile.ratios`` call per step.  The
-    potential's decay is probed at the top of the policy range.  The values
-    are those of :func:`delta_pm`, :func:`delta_phi` and a supremum scan per
-    mode, bit for bit.
+    All of these are scanned in one pass, as one table holding the five
+    :func:`_mode_terms` rows of every signed mu in +-mus, row 5k + t for
+    the k-th signed mu, so delta_+(mu) is read from the - rows of -mu:
+    ``profile.ratios`` once on the policy grid, then block by block the
+    scaled parts of each signed mu (:func:`warpdirac.scan.scan_infima`).
+    Every golden-section refinement steps in lockstep with one
+    ``profile.ratios`` call per step.  The potential's decay is probed at
+    the top of the policy range.  The values are those of :func:`delta_pm`,
+    :func:`delta_phi` and a supremum scan per mode, bit for bit.
     """
     pots = [ModePotential(profile=profile, mu=mu) for mu in mus]
     if not pots:
@@ -267,10 +268,10 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     reports = []
     for pot in pots:
         mu = pot.mu
-        plus, minus = (Delta.from_terms(0.25, *terms[mu][t:t + 2]) for t in (_PLUS, _MINUS))
+        plus, minus = (Delta.from_terms(0.25, *terms[nu][_MINUS:_MINUS + 2]) for nu in (-mu, mu))
         dphi_pos, dphi_neg = (Delta.from_terms(1.0, *terms[nu][_PHI:_PHI + 2]) for nu in (mu, -mu))
         sup = terms[mu][_SUP_TERM].negated()
-        sup_finite = not sup.diverging and math.isfinite(sup.value)
+        sup_finite = math.isfinite(sup.value)
         decay_ok = _potential_decays(mu, probes, probe_ratios)
         admissible = (dphi_pos.value > 0.0 and dphi_neg.value > 0.0
                       and sup_finite and decay_ok)

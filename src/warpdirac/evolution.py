@@ -47,6 +47,7 @@ mu(mu+1)/r^2 and mu(mu-1)/r^2 of the flattened system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -54,7 +55,7 @@ import numpy as np
 
 from .admissibility import ModePotential
 from .errors import ConfigurationError, NumericalError
-from .operators import (DiscreteRadialOperator, RadialGrid, coupling_product,
+from .operators import (DiscreteRadialOperator, RadialGrid, assemble_kg, coupling_product,
                         dirac_band_product, real_matmul)
 from .profiles import Family, MetricProfile
 
@@ -73,6 +74,13 @@ _EDGE_CELLS = 8  # kept cells next to the cut that every sample must leave empty
 _EDGE_TOL = 1e-14  # relative to the datum's largest amplitude
 
 
+def _check_support_radius(radius: Optional[float]) -> None:
+    """Refuse a support radius other than None or a finite one >= 0: a NaN
+    would switch off every causal-window check."""
+    if radius is not None and not 0.0 <= radius < math.inf:
+        raise ConfigurationError(f"support radius must be finite and >= 0, got {radius}")
+
+
 @dataclass(frozen=True)
 class SpinorState:
     """Samples of the two flattened spinor components on a radial grid."""
@@ -88,6 +96,7 @@ class SpinorState:
             raise ConfigurationError("component length must match the grid")
         if not (np.all(np.isfinite(self.plus)) and np.all(np.isfinite(self.minus))):
             raise ConfigurationError("spinor samples must be finite")
+        _check_support_radius(self.support_radius)
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.plus, self.minus]).astype(complex)
@@ -111,11 +120,13 @@ class DataTemplate:
 
     def __post_init__(self):
         # center <= 0 or width <= 0 would make the support radius and causal
-        # limit wrong, and amplitude 0 divides every norm ratio by zero
-        if not (self.center > 0.0 and self.width > 0.0 and self.amplitude != 0.0):
+        # limit wrong, amplitude 0 divides every norm ratio by zero, and an
+        # infinite center or width realizes a zero or a constant datum
+        if not (0.0 < self.center < math.inf and 0.0 < self.width < math.inf
+                and self.amplitude != 0.0 and math.isfinite(self.amplitude)):
             raise ConfigurationError(
-                f"a Gaussian bump needs center > 0, width > 0 and amplitude != 0, "
-                f"got {self.center}, {self.width} and {self.amplitude}")
+                f"a Gaussian bump needs a finite center > 0, a finite width > 0 and a "
+                f"finite amplitude != 0, got {self.center}, {self.width} and {self.amplitude}")
         if self.component not in ("plus", "minus"):
             raise ConfigurationError("component must be 'plus' or 'minus'")
 
@@ -150,6 +161,7 @@ class SpinorTrajectory:
             raise ConfigurationError("samples must be 2N x T for the grid and times")
         if np.any(np.diff(self.times) <= 0):
             raise ConfigurationError("times must be strictly increasing")
+        _check_support_radius(self.support_radius)
 
     @property
     def causal_t_max(self) -> Optional[float]:
@@ -455,14 +467,13 @@ class FlatBesselOracle:
             support_radius=reach)
 
 
-def kg_crosscheck(traj: SpinorTrajectory, kg_minus: DiscreteRadialOperator,
-                  kg_plus: DiscreteRadialOperator) -> float:
+def kg_crosscheck(traj: SpinorTrajectory) -> float:
     """Residual of the second-order form along a uniformly sampled trajectory.
 
     max over interior times of || D_t^2 v_pm + K v_pm || / || v_pm || with
     the centered time second difference and K the matching Klein-Gordon
-    operator of the trajectory's grid and mode (v_plus pairs with kg_minus).
-    O(dt^2) under refinement.
+    operator, assembled on the trajectory's grid for its mode and mass
+    (v_plus pairs with kg_minus).  O(dt^2) under refinement.
     """
     times = traj.times
     if len(times) < 3:
@@ -471,13 +482,9 @@ def kg_crosscheck(traj: SpinorTrajectory, kg_minus: DiscreteRadialOperator,
     dt = dts[0]
     if not np.allclose(dts, dt, rtol=1e-10, atol=1e-12):
         raise ConfigurationError("kg_crosscheck needs uniform time samples")
-    key = (traj.grid, traj.profile, traj.mu, traj.m)
-    for kg, kind in ((kg_minus, "kg_minus"), (kg_plus, "kg_plus")):
-        if kg.kind != kind or (kg.grid, kg.profile, kg.mu, kg.m) != key:
-            raise ConfigurationError(
-                f"operator mismatch: expected {kind} on the trajectory's mode and grid")
     worst = 0.0
-    for block, kg in ((traj.plus, kg_minus), (traj.minus, kg_plus)):
+    for block, sign in ((traj.plus, -1), (traj.minus, +1)):
+        kg = assemble_kg(traj.profile, traj.mu, traj.m, sign, traj.grid)
         here = block[:, 1:-1]
         dtt = (block[:, 2:] - 2.0 * here + block[:, :-2]) / dt**2
         num = np.linalg.norm(dtt + kg.apply(here), axis=0)

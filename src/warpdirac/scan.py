@@ -2,27 +2,26 @@
 
 All infima/suprema of radial functionals are evaluated the same way: a
 logarithmic grid on [r_min, r_max], golden-section refinement around the
-discrete extremum, and analytic limits at r -> 0+ and r -> infinity appended
-when the caller can supply them.  This makes every reported constant
-reproducible bit for bit.
+discrete extremum, and the analytic limits at r -> 0+ and r -> infinity,
+which every caller supplies (+-inf where the functional diverges there).
+The scan never guesses what happens past the grid, and every reported
+constant is reproducible bit for bit.
 
 :func:`scan_infima` runs many functionals on one grid, one block of at most
 BLOCK points at a time: the caller fills a reused ``(functionals, block)``
 buffer, and the scan keeps per functional only its running minimum with the
-first index where it occurs, its maximum, its second and next-to-last
-values and its first non-finite radius.  That summary settles the grid
-minimum, the divergence sentinel and the non-finite error exactly as the
-whole grid array would, with no grid-sized temporary.  All the
-golden-section refinements then step in lockstep, one evaluation call per
-step.  :func:`scan_infimum` and :func:`scan_supremum` are its
-one-functional case.
+first index where it occurs and its first non-finite radius.  That summary
+settles the grid minimum and the non-finite error exactly as the whole grid
+array would, with no grid-sized temporary.  All the golden-section
+refinements then step in lockstep, one evaluation call per step.
+:func:`scan_infimum` and :func:`scan_supremum` are its one-functional case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,97 +63,46 @@ DEFAULT_SCAN_POLICY = InfimumScanPolicy()
 
 @dataclass(frozen=True)
 class ScanExtremum:
-    """Result of a scan: extremal value, its witness r, divergence flag.
-
-    ``arg_r`` is 0.0 or math.inf when an appended analytic limit is the
-    extremum.  ``diverging`` is set when the scan detects a monotone trend
-    past the grid edge with no analytic limit to settle it; the value is
-    then the +-inf sentinel.
-    """
+    """Result of a scan: extremal value and its witness r (0.0 or inf for a limit)."""
 
     value: float
     arg_r: float
-    diverging: bool = False
 
     def negated(self) -> "ScanExtremum":
         """The supremum that an infimum of the negated functional stands for."""
-        return ScanExtremum(-self.value, self.arg_r, self.diverging)
+        return ScanExtremum(-self.value, self.arg_r)
 
 
-@dataclass(frozen=True)
-class _GridMinimum:
-    """What survives of one functional's grid values: its minimum and limits."""
+def _grid_minima(r: np.ndarray, count: int,
+                 fill: Callable[[int, int, np.ndarray], None]) -> tuple[np.ndarray, np.ndarray]:
+    """Each functional's minimum on the grid ``r`` and the first index where it occurs.
 
-    value: float
-    arg_r: float
-    bracket: Optional[tuple[float, float]]  # grid neighbours of an interior minimum
-    limit_at_zero: Optional[float]
-    limit_at_infinity: Optional[float]
-
-
-def _grid_minima(r: np.ndarray, limits: Sequence[tuple[Optional[float], Optional[float]]],
-                 fill: Callable[[int, int, np.ndarray], None]) -> list:
-    """Reduce each functional to a :class:`_GridMinimum`, or to the divergence sentinel.
-
-    ``fill`` writes the functionals on ``r[lo:hi]`` into one reused
-    ``(len(limits), hi - lo)`` buffer, one block of at most BLOCK points at
+    ``fill`` writes the ``count`` functionals on ``r[lo:hi]`` into one
+    reused ``(count, hi - lo)`` buffer, one block of at most BLOCK points at
     a time.  A minimum found in an earlier block wins ties, so its index is
     the first one, as ``argmin`` over the whole grid gives.  Raises
     FloatingPointError at the first non-finite value of the first
     functional (in order) that has one.
     """
-    n, count = len(r), len(limits)
+    n = len(r)
     buf = np.empty((count, min(n, BLOCK)))
     rows = np.arange(count)
     low = np.full(count, np.inf)
     where = np.zeros(count, dtype=int)
-    high = np.full(count, -np.inf)
     bad = np.full(count, n)  # first non-finite index; n while none is seen
     for lo in range(0, n, BLOCK):
         block = buf[:, :min(n - lo, BLOCK)]
         fill(lo, lo + block.shape[1], block)
         at = block.argmin(axis=1)  # a NaN is its own argmin
-        lows, highs = block[rows, at], block.max(axis=1)
+        lows, highs = block[rows, at], block.max(axis=1)  # the max catches +inf
         for k in np.flatnonzero(~(np.isfinite(lows) & np.isfinite(highs)) & (bad == n)):
             bad[k] = lo + int(np.argmax(~np.isfinite(block[k])))
         new = lows < low
         low[new], where[new] = lows[new], lo + at[new]
-        np.maximum(high, highs, out=high)
-        if lo == 0:
-            second = block[:, 1].copy()
-        if lo <= n - 2 < lo + block.shape[1]:
-            penultimate = block[:, n - 2 - lo].copy()
     if np.any(bad < n):
         first = int(bad[np.argmax(bad < n)])
         raise FloatingPointError(f"scan functional not finite at r={r[first]:g}")
-
-    found = []
-    for k, (limit_at_zero, limit_at_infinity) in enumerate(limits):
-        i, best = int(where[k]), float(low[k])
-        # Edge heuristics: a strict decrease into an edge with no limit available
-        # is reported as divergence rather than a spurious finite infimum.
-        tol = 1e-9 * max(1.0, abs(best)) + 1e-12 * (float(high[k]) - best)
-        if i == n - 1 and limit_at_infinity is None and best < penultimate[k] - tol:
-            found.append(ScanExtremum(-math.inf, math.inf, diverging=True))
-        elif i == 0 and limit_at_zero is None and best < second[k] - tol:
-            found.append(ScanExtremum(-math.inf, 0.0, diverging=True))
-        else:
-            bracket = (float(r[i - 1]), float(r[i + 1])) if 0 < i < n - 1 else None
-            found.append(_GridMinimum(best, float(r[i]), bracket, limit_at_zero,
-                                      limit_at_infinity))
-    return found
-
-
-def _settle(found: _GridMinimum, refined: Optional[tuple[float, float]]) -> ScanExtremum:
-    """Pick among the grid minimum, its refinement and the analytic limits."""
-    best, arg = found.value, found.arg_r
-    if refined is not None and refined[0] < best:
-        best, arg = refined
-    if found.limit_at_zero is not None and found.limit_at_zero < best:
-        best, arg = float(found.limit_at_zero), 0.0
-    if found.limit_at_infinity is not None and found.limit_at_infinity < best:
-        best, arg = float(found.limit_at_infinity), math.inf
-    return ScanExtremum(best, arg)
+    return low, where
 
 
 def _golden_lanes(evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -207,39 +155,42 @@ def _golden_lanes(evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 def scan_infima(
     r: np.ndarray,
-    limits: Sequence[tuple[Optional[float], Optional[float]]],
+    limits: Sequence[tuple[float, float]],
     fill: Callable[[int, int, np.ndarray], None],
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> list[ScanExtremum]:
     """Infima of many radial functionals scanned on one grid ``r``.
 
-    ``limits`` holds, per functional, its analytic limits at 0 and infinity
-    (None when unknown).  ``fill(lo, hi, out)`` writes functional k's values
+    ``limits`` holds, per functional, its analytic limits at 0 and infinity;
+    either may be +-inf.  ``fill(lo, hi, out)`` writes functional k's values
     on ``r[lo:hi]`` into row k of ``out``, one reused ``(len(limits),
     hi - lo)`` buffer of at most BLOCK columns.  ``evaluate(ids, radii)``
     returns functional ``ids[k]`` (its position in ``limits``) at
     ``radii[k]``; it serves every golden-section refinement step at once.
+    Each infimum is the first least of the grid minimum, its refinement (for
+    an interior minimum), the limit at 0 (witness 0.0) and the limit at
+    infinity (witness inf).
     """
-    found = _grid_minima(r, limits, fill)
-    lanes = [k for k, f in enumerate(found)
-             if isinstance(f, _GridMinimum) and f.bracket is not None]
-    refined = dict(zip(lanes, _golden_lanes(evaluate, lanes,
-                                            [found[k].bracket for k in lanes])))
-    return [f if isinstance(f, ScanExtremum) else _settle(f, refined.get(k))
-            for k, f in enumerate(found)]
+    low, where = _grid_minima(r, len(limits), fill)
+    lanes = [k for k, i in enumerate(where) if 0 < i < len(r) - 1]
+    refined = dict(zip(lanes, _golden_lanes(
+        evaluate, lanes, [(float(r[where[k] - 1]), float(r[where[k] + 1])) for k in lanes])))
+    found = []
+    for k, (at_zero, at_inf) in enumerate(limits):
+        grid = (float(low[k]), float(r[where[k]]))
+        # min keeps the first least candidate: each later one must be strictly below
+        found.append(ScanExtremum(*min((grid, refined.get(k, grid), (float(at_zero), 0.0),
+                                        (float(at_inf), math.inf)), key=lambda c: c[0])))
+    return found
 
 
-def scan_infimum(
-    f: Callable[[np.ndarray], np.ndarray],
-    policy: InfimumScanPolicy = DEFAULT_SCAN_POLICY,
-    limit_at_zero: Optional[float] = None,
-    limit_at_infinity: Optional[float] = None,
-) -> ScanExtremum:
+def scan_infimum(f: Callable[[np.ndarray], np.ndarray], policy: InfimumScanPolicy,
+                 limit_at_zero: float, limit_at_infinity: float) -> ScanExtremum:
     """Infimum of a vectorized radial functional under the scan policy.
 
     ``f`` must accept an ndarray of radii r > 0, and is called on one grid
-    block at a time.  Analytic limits are appended as candidate values
-    with witnesses 0.0 / inf.
+    block at a time.  The analytic limits are candidate values with
+    witnesses 0.0 / inf.
     """
     r = policy.grid()
 
@@ -251,13 +202,8 @@ def scan_infimum(
     return res
 
 
-def scan_supremum(
-    f: Callable[[np.ndarray], np.ndarray],
-    policy: InfimumScanPolicy = DEFAULT_SCAN_POLICY,
-    limit_at_zero: Optional[float] = None,
-    limit_at_infinity: Optional[float] = None,
-) -> ScanExtremum:
+def scan_supremum(f: Callable[[np.ndarray], np.ndarray], policy: InfimumScanPolicy,
+                  limit_at_zero: float, limit_at_infinity: float) -> ScanExtremum:
     """Supremum scan; mirrors :func:`scan_infimum`."""
-    neg_zero = None if limit_at_zero is None else -limit_at_zero
-    neg_inf = None if limit_at_infinity is None else -limit_at_infinity
-    return scan_infimum(lambda r: -np.asarray(f(r)), policy, neg_zero, neg_inf).negated()
+    return scan_infimum(lambda r: -np.asarray(f(r)), policy,
+                        -limit_at_zero, -limit_at_infinity).negated()

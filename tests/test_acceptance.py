@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from warpdirac import (ExponentTriple, Family, MetricProfile, ModePotential,
-                       RadialGrid, SpinorState, assemble_dirac, assemble_kg,
+                       RadialGrid, SpinorState, assemble_dirac,
                        check_A2, check_admissible, delta_pm,
                        delta_lower_bound, evolve, factorization_check,
                        FlatBesselOracle, gaussian_state, kg_crosscheck,
@@ -158,15 +158,13 @@ def test_criterion_8_kg_crosscheck_order(flat_dirac_2048):
                        plus=np.exp(-((r - 16.0) / 3.0) ** 2).astype(complex),
                        minus=0.8 * np.exp(-((r - 14.0) / 2.5) ** 2).astype(complex),
                        support_radius=25.0)
-    km = assemble_kg(FLAT, 1.0, 0.0, -1, grid)
-    kp = assemble_kg(FLAT, 1.0, 0.0, +1, grid)
     dts = (0.8, 0.4, 0.2)
     res = []
     for dt in dts:
         worst = 0.0
         for t_check in (0.8, 1.6, 2.4):
             traj = evolve(flat_dirac_2048, init, [t_check - dt, t_check, t_check + dt])
-            worst = max(worst, kg_crosscheck(traj, km, kp))
+            worst = max(worst, kg_crosscheck(traj))
         res.append(worst)
     order = float(np.polyfit(np.log(dts), np.log(res), 1)[0])
     verdict(8, order >= 1.9,

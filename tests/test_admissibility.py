@@ -200,7 +200,7 @@ def _single_functional_report(prof, mu, scan):
         rv, r2vp, _, _ = _parts(mu, prof.ratios(np.array([r])))
         probes.append(abs(float(rv[0] ** 2 - r2vp[0])) / r**2)
     decays = probes[0] >= probes[1] >= probes[2] and probes[2] < 1e-6
-    sup_finite = not sup.diverging and math.isfinite(sup.value)
+    sup_finite = math.isfinite(sup.value)
     admissible = pos.value > 0.0 and neg.value > 0.0 and sup_finite and decays
     witness = None
     if not admissible:
@@ -228,25 +228,42 @@ def test_batched_reports_equal_single_functional_scans(tag, scan):
         assert any(rep.witness_r is not None for rep in reports)
 
 
+def _written_out_channels(rv, r2vp, r3vpp):
+    """The Hardy-form (quadratic, cubic) pair of the + and then the - channel."""
+    return [(0.25 + rv**2 + sign * r2vp,
+             0.25 - (2.0 * rv * r2vp + sign * r3vpp) - (rv**2 + sign * r2vp))
+            for sign in (1, -1)]
+
+
 @pytest.mark.parametrize("tag", sorted(PROFILES))
 def test_mode_terms_equal_the_written_out_functionals(tag):
-    """The shared subexpressions of _parts and _mode_terms change no bit of any functional."""
-    ratios = PROFILES[tag].ratios(InfimumScanPolicy(1e-4, 1e4, 5000).grid())
+    """The shared subexpressions of _parts and _mode_terms change no bit of any functional,
+    and the - rows at -mu are the written-out + channel at mu, on the grid and in the limits."""
+    prof = PROFILES[tag]
+    ratios = prof.ratios(InfimumScanPolicy(1e-4, 1e4, 5000).grid())
     s1, s2, s3 = ratios
     for mu in SIGNED_MUS + [np.resize(SIGNED_MUS, len(s1))]:  # array mu as in refinements
         rv = mu * s1
         r2vp = -mu * s1 * s2
         r3vpp = 2.0 * mu * s1 * s2**2 - mu * s3
         r3wp = mu * s3 - 2.0 * rv**2 * s2 - 2.0 * mu * s1 * s2**2
-        hardy = [0.25 + rv**2 + sign * r2vp for sign in (1, -1)]
-        cubic = [0.25 - (2.0 * rv * r2vp + sign * r3vpp) - (rv**2 + sign * r2vp)
-                 for sign in (1, -1)]
-        expected = (hardy[0], cubic[0], hardy[1], cubic[1], 4.0 * (rv**2 - r2vp) + 1.0,
+        plus, minus = _written_out_channels(rv, r2vp, r3vpp)
+        expected = (*minus, 4.0 * (rv**2 - r2vp) + 1.0,
                     -4.0 * (rv**2 - r2vp) - 4.0 * r3wp + 1.0, -np.abs(4.0 * (rv**2 - r2vp)))
         parts = admissibility._parts(mu, ratios)
         for got, want in zip((*parts, *admissibility._mode_terms(parts)),
                              (rv, r2vp, r3vpp, r3wp, *expected), strict=True):
             assert np.array_equal(got, want)
+        mirrored = admissibility._mode_terms(admissibility._parts(-mu, ratios))
+        for got, want in zip(mirrored[:2], plus, strict=True):
+            assert np.array_equal(got, want)
+    for mu in SIGNED_MUS:
+        at_zero, at_inf = (_written_out_channels(*parts[:3])[0]
+                           for parts in (_parts_at_zero(mu), _parts_at_infinity(prof, mu)))
+        assert admissibility._row_limits(prof, -mu)[:2] == list(zip(at_zero, at_inf))
+    for mu in (1.0, 2.5, 8.0):
+        pos, neg = check_admissible(prof, [mu, -mu])
+        assert pos.delta_plus == neg.delta_minus and neg.delta_plus == pos.delta_minus
 
 
 def test_one_profile_evaluation_per_scan_grid(monkeypatch):
@@ -287,7 +304,7 @@ def test_profile_is_never_evaluated_beyond_the_policy_range(monkeypatch):
 
 
 def test_blocked_scan_of_distinct_functionals(monkeypatch):
-    """Mode terms only see one grid block; each signed mu scans its seven functionals once."""
+    """Mode terms only see one grid block; each signed mu scans its five functionals once."""
     expected = check_admissible(AF001, SIGNED_MUS)
     longest, counts, blocks = [0], [], []
     filling = [False]
@@ -319,7 +336,7 @@ def test_blocked_scan_of_distinct_functionals(monkeypatch):
     monkeypatch.setattr(admissibility, "scan_infima", counting)
     assert check_admissible(AF001, SIGNED_MUS) == expected
     assert 0 < longest[0] <= BLOCK
-    assert counts == [16 * 7]  # every (mu, term) of 16 signed modes
+    assert counts == [16 * 5]  # every (mu, term) of 16 signed modes
     assert len(blocks) > 1 and all(sorted(b) == sorted(SIGNED_MUS) for b in blocks)
 
 

@@ -67,11 +67,16 @@ def test_sobolev_calculus_refuses_n_below_3():
 
 
 @pytest.mark.parametrize("bump", [{"center": 0.0}, {"center": -12.0}, {"width": 0.0},
-                                  {"width": -1.5}, {"amplitude": 0.0}])
+                                  {"width": -1.5}, {"amplitude": 0.0}, {"center": math.inf},
+                                  {"width": math.inf}, {"center": math.nan},
+                                  {"width": math.nan}, {"amplitude": math.inf},
+                                  {"amplitude": -math.inf}, {"amplitude": math.nan}])
 def test_gaussian_data_that_the_config_refuses_are_refused(bump):
     """A width of -1.5 would give support radius 7.5 (causal limit 30.5
-    instead of 21.5), a center of -12 an almost-zero datum and amplitude 0 a
-    division by zero in every norm ratio; parse_config refuses all three."""
+    instead of 21.5), a center of -12 an almost-zero datum, amplitude 0 a
+    division by zero in every norm ratio, an infinite center an all-zero
+    datum and an infinite width a constant one; parse_config refuses all of
+    them, and every non-finite value."""
     for build in (lambda: DataTemplate(**bump), lambda: gaussian_state(GRID, **bump)):
         with pytest.raises(ConfigurationError) as err:
             build()

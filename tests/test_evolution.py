@@ -284,6 +284,15 @@ def test_states_and_trajectories_refuse_bad_samples():
     with pytest.raises(ConfigurationError, match="strictly increasing"):
         SpinorTrajectory(times=np.array([1.0, 1.0]), samples=np.zeros((2 * GRID.n_cells, 2)),
                          **mode)
+    # a NaN support radius would switch off the causal-window check of the norms
+    for radius in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ConfigurationError, match="support radius"):
+            SpinorState(grid=GRID, plus=zero, minus=zero, support_radius=radius)
+        with pytest.raises(ConfigurationError, match="support radius"):
+            SpinorTrajectory(times=np.array([0.0, 1.0]), samples=np.zeros((2 * GRID.n_cells, 2)),
+                             support_radius=radius, **mode)
+    for radius in (None, 0.0, 16.5):
+        assert SpinorState(grid=GRID, plus=zero, minus=zero, support_radius=radius)
 
 
 def test_components_are_plus_or_minus():
@@ -456,32 +465,34 @@ def test_kg_crosscheck_refinement():
                        minus=0.8 * np.exp(-((r - 14.0) / 2.5) ** 2).astype(complex),
                        support_radius=25.0)
     op = assemble_dirac(FLAT, 1.0, 0.0, grid)
-    km = assemble_kg(FLAT, 1.0, 0.0, -1, grid)
-    kp = assemble_kg(FLAT, 1.0, 0.0, +1, grid)
     res = []
     for dt in (0.8, 0.4):
         worst = 0.0
         for t_check in (0.8, 1.6, 2.4):
             traj = evolve(op, init, [t_check - dt, t_check, t_check + dt])
-            worst = max(worst, kg_crosscheck(traj, km, kp))
+            worst = max(worst, kg_crosscheck(traj))
         res.append(worst)
     assert res[0] / res[1] >= 3.5
 
 
 class DenseKG:
-    """Stand-in for a Klein-Gordon operator: a dense K (for instance a
-    pentadiagonal block of h^2, which no tridiagonal kind can hold) with the
-    grid and mode of the Dirac operator ``op``."""
+    """Stand-in for a Klein-Gordon operator: a dense K, for instance a
+    pentadiagonal block of h^2, which no tridiagonal kind can hold."""
 
-    def __init__(self, op, kind, matrix):
-        self.grid, self.profile, self.mu, self.m = op.grid, op.profile, op.mu, op.m
-        self.kind, self.matrix = kind, matrix
+    def __init__(self, matrix):
+        self.matrix = matrix
 
     def apply(self, block):
         return self.matrix @ block
 
 
-def test_kg_crosscheck_eigenmode_exact(flat_op):
+def _pair_kg_crosscheck_with(monkeypatch, kg_minus, kg_plus):
+    """Make kg_crosscheck pair v_plus with the dense kg_minus and v_minus with kg_plus."""
+    pair = {-1: DenseKG(kg_minus), +1: DenseKG(kg_plus)}
+    monkeypatch.setattr(evolution, "assemble_kg", lambda profile, mu, m, sign, grid: pair[sign])
+
+
+def test_kg_crosscheck_eigenmode_exact(flat_op, monkeypatch):
     """On an eigenvector, with the squared operator itself on the right,
     the residual is exactly the cos second-difference defect."""
     w, u = scipy.linalg.eigh(flat_op.matrix)
@@ -491,17 +502,16 @@ def test_kg_crosscheck_eigenmode_exact(flat_op):
     vec = u[:, k].astype(complex)
     init = SpinorState(grid=GRID, plus=vec[:nn], minus=vec[nn:])
     h2 = flat_op.matrix @ flat_op.matrix
-    km = DenseKG(flat_op, "kg_minus", h2[:nn, :nn])
-    kp = DenseKG(flat_op, "kg_plus", h2[nn:, nn:])
+    _pair_kg_crosscheck_with(monkeypatch, h2[:nn, :nn], h2[nn:, nn:])
     dt = 0.25
     traj = evolve(flat_op, init, [0.0, dt, 2 * dt])
-    res = kg_crosscheck(traj, km, kp)
+    res = kg_crosscheck(traj)
     exact = abs((2.0 * math.cos(lam * dt) - 2.0) / dt**2 + lam**2)
     assert res == pytest.approx(exact, rel=1e-8)
     assert res <= (lam * dt) ** 2 / 12.0 * lam**2
 
 
-def test_kg_crosscheck_mass_shift_on_eigenmode(flat_op):
+def test_kg_crosscheck_mass_shift_on_eigenmode(flat_op, monkeypatch):
     """Shifting the right-hand operator by m^2 changes the residual vector
     by exactly m^2 v on an eigenmode."""
     w, u = scipy.linalg.eigh(flat_op.matrix)
@@ -515,39 +525,22 @@ def test_kg_crosscheck_mass_shift_on_eigenmode(flat_op):
     # residuals computed directly from the scalar time factor
     base = (2.0 * math.cos(lam * dt) - 2.0) / dt**2 + lam**2
     shifted = base + m2
-    km = DenseKG(flat_op, "kg_minus", h2[:nn, :nn] + m2 * np.eye(nn))
-    kp = DenseKG(flat_op, "kg_plus", h2[nn:, nn:] + m2 * np.eye(nn))
+    _pair_kg_crosscheck_with(monkeypatch, h2[:nn, :nn] + m2 * np.eye(nn),
+                             h2[nn:, nn:] + m2 * np.eye(nn))
     init = SpinorState(grid=GRID, plus=vec[:nn], minus=vec[nn:])
     traj = evolve(flat_op, init, [0.0, dt, 2 * dt])
-    res = kg_crosscheck(traj, km, kp)
+    res = kg_crosscheck(traj)
     assert res == pytest.approx(abs(shifted), rel=1e-8)
 
 
 def test_kg_crosscheck_needs_uniform_times(flat_op):
     init = gaussian_state(GRID)
-    km = assemble_kg(FLAT, 1.0, 0.0, -1, GRID)
-    kp = assemble_kg(FLAT, 1.0, 0.0, +1, GRID)
     traj = evolve(flat_op, init, [0.0, 0.5, 1.5])
     with pytest.raises(ConfigurationError):
-        kg_crosscheck(traj, km, kp)
+        kg_crosscheck(traj)
     short = evolve(flat_op, init, [0.0, 0.5])
     with pytest.raises(ConfigurationError):
-        kg_crosscheck(short, km, kp)
-
-
-def test_kg_crosscheck_rejects_swapped_or_foreign_operators(flat_op):
-    """The Klein-Gordon pair must be (kg_minus, kg_plus) of the trajectory's
-    own grid and mode."""
-    km = assemble_kg(FLAT, 1.0, 0.0, -1, GRID)
-    kp = assemble_kg(FLAT, 1.0, 0.0, +1, GRID)
-    traj = evolve(flat_op, gaussian_state(GRID), [0.0, 0.5, 1.0])
-    assert kg_crosscheck(traj, km, kp) > 0.0
-    with pytest.raises(ConfigurationError):
-        kg_crosscheck(traj, kp, km)
-    with pytest.raises(ConfigurationError):
-        kg_crosscheck(traj, km, assemble_kg(FLAT, 3.0, 0.0, +1, GRID))
-    with pytest.raises(ConfigurationError):
-        kg_crosscheck(traj, km, assemble_kg(FLAT, 1.0, 0.0, +1, RadialGrid(40.0, 256)))
+        kg_crosscheck(short)
 
 
 def test_validate_residuals_bounded_memory_at_8192_cells():

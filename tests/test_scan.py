@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from warpdirac.errors import ConfigurationError
-from warpdirac.scan import (BLOCK, InfimumScanPolicy, ScanExtremum, _GridMinimum, _golden_lanes,
-                            _settle, scan_infima, scan_infimum, scan_supremum)
+from warpdirac.scan import (BLOCK, DEFAULT_SCAN_POLICY, InfimumScanPolicy, ScanExtremum,
+                            _golden_lanes, _grid_minima, scan_infima, scan_infimum, scan_supremum)
+
+POLICY = DEFAULT_SCAN_POLICY
 
 
 def _fill(r, fs):
@@ -17,34 +19,29 @@ def _fill(r, fs):
 
 
 def test_constant_function():
-    res = scan_infimum(lambda r: np.full_like(r, 2.5))
-    assert res.value == 2.5
-    assert not res.diverging
+    res = scan_infimum(lambda r: np.full_like(r, 2.5), POLICY, 2.5, 2.5)
+    assert res == ScanExtremum(2.5, float(POLICY.grid()[0]))  # the grid minimum wins ties
 
 
 def test_interior_minimum_refined():
-    # min of (log r)^2 + 1 at r = 1, exactly 1
-    res = scan_infimum(lambda r: np.log(r) ** 2 + 1.0)
+    # min of (log r)^2 + 1 at r = 1, exactly 1; it grows without bound at both ends
+    res = scan_infimum(lambda r: np.log(r) ** 2 + 1.0, POLICY, math.inf, math.inf)
     assert res.value == pytest.approx(1.0, abs=1e-12)
     assert res.arg_r == pytest.approx(1.0, rel=1e-6)
 
 
 def test_limits_can_win():
-    res = scan_infimum(lambda r: 1.0 / (1.0 + r), limit_at_infinity=0.0)
+    res = scan_infimum(lambda r: 1.0 / (1.0 + r), POLICY, 1.0, 0.0)
     assert res.value == 0.0
     assert math.isinf(res.arg_r)
-    res0 = scan_infimum(lambda r: r / (1.0 + r), limit_at_zero=0.0)
+    res0 = scan_infimum(lambda r: r / (1.0 + r), POLICY, 0.0, 1.0)
     assert res0.value == 0.0 and res0.arg_r == 0.0
 
 
-def test_divergence_sentinel():
-    res = scan_infimum(lambda r: -np.log(r))
-    assert res.diverging and res.value == -math.inf
-
-
 def test_supremum_mirror():
-    res = scan_supremum(lambda r: -((np.log(r)) ** 2) + 3.0)
+    res = scan_supremum(lambda r: -((np.log(r)) ** 2) + 3.0, POLICY, -math.inf, -math.inf)
     assert res.value == pytest.approx(3.0, abs=1e-12)
+    assert scan_supremum(lambda r: r / (1.0 + r), POLICY, 0.0, 1.0) == ScanExtremum(1.0, math.inf)
 
 
 def test_policy_validation():
@@ -58,17 +55,17 @@ def test_policy_validation():
 
 def test_non_finite_raises():
     with pytest.raises(FloatingPointError):
-        scan_infimum(lambda r: np.where(r > 1.0, np.nan, 0.0))
+        scan_infimum(lambda r: np.where(r > 1.0, np.nan, 0.0), POLICY, 0.0, 0.0)
 
 
 def test_scan_infima_equals_one_scan_per_functional():
     """Lockstep refinement: each functional's result is its lone scan's, bit for bit."""
     cases = [
-        (lambda r: np.log(r) ** 2 + 1.0, None, None),           # interior minimum
-        (lambda r: (np.log(r) - 3.0) ** 2 - 2.0, None, None),   # another bracket
-        (lambda r: 1.0 / (1.0 + r), None, 0.0),                 # limit wins
-        (lambda r: -np.log(r), None, None),                     # diverging
-        (lambda r: np.full_like(r, 2.5), 3.0, None),            # edge, no refinement
+        (lambda r: np.log(r) ** 2 + 1.0, math.inf, math.inf),            # interior minimum
+        (lambda r: (np.log(r) - 3.0) ** 2 - 2.0, math.inf, math.inf),    # another bracket
+        (lambda r: 1.0 / (1.0 + r), 1.0, 0.0),                           # limit wins
+        (lambda r: -np.log(r), math.inf, -math.inf),                     # -inf limit wins
+        (lambda r: np.full_like(r, 2.5), 3.0, 2.5),                      # edge, no refinement
     ]
     policy = InfimumScanPolicy(1e-3, 1e3, 2000)
     r = policy.grid()
@@ -79,6 +76,7 @@ def test_scan_infima_equals_one_scan_per_functional():
     batched = scan_infima(r, [(lim0, liminf) for _, lim0, liminf in cases],
                           _fill(r, [f for f, _, _ in cases]), evaluate)
     assert batched == [scan_infimum(f, policy, lim0, liminf) for f, lim0, liminf in cases]
+    assert batched[3] == ScanExtremum(-math.inf, math.inf)
 
 
 def test_lockstep_lanes_stop_on_their_own():
@@ -90,37 +88,33 @@ def test_lockstep_lanes_stop_on_their_own():
     def evaluate(ids, radii):
         return np.array([fs[i](np.array([x]))[0] for i, x in zip(ids, radii)])
 
-    together = scan_infima(r, [(None, None)] * len(fs), _fill(r, fs), evaluate)
-    alone = [scan_infima(r, [(None, None)], _fill(r, [f]), lambda ids, x, f=f: f(x))[0]
-             for f in fs]
+    limits = [(math.inf, math.inf)]
+    together = scan_infima(r, limits * len(fs), _fill(r, fs), evaluate)
+    alone = [scan_infima(r, limits, _fill(r, [f]), lambda ids, x, f=f: f(x))[0] for f in fs]
     assert together == alone
 
 
 def _whole_array_infima(r, values, limits, evaluate):
     """Reference: each functional reduced from its whole grid array at once."""
-    found = []
-    for vals, (limit_at_zero, limit_at_infinity) in zip(values, limits):
+    for vals in values:
         if not np.all(np.isfinite(vals)):
             bad = int(np.argmax(~np.isfinite(vals)))
             raise FloatingPointError(f"scan functional not finite at r={r[bad]:g}")
-        i = int(np.argmin(vals))
-        best = float(vals[i])
-        span = float(np.max(vals) - np.min(vals))
-        tol = 1e-9 * max(1.0, abs(best)) + 1e-12 * span
-        if i == len(r) - 1 and limit_at_infinity is None and vals[-1] < vals[-2] - tol:
-            found.append(ScanExtremum(-math.inf, math.inf, diverging=True))
-        elif i == 0 and limit_at_zero is None and vals[0] < vals[1] - tol:
-            found.append(ScanExtremum(-math.inf, 0.0, diverging=True))
-        else:
-            bracket = (float(r[i - 1]), float(r[i + 1])) if 0 < i < len(r) - 1 else None
-            found.append(_GridMinimum(best, float(r[i]), bracket, limit_at_zero,
-                                      limit_at_infinity))
-    lanes = [k for k, f in enumerate(found)
-             if isinstance(f, _GridMinimum) and f.bracket is not None]
-    refined = dict(zip(lanes, _golden_lanes(evaluate, lanes,
-                                            [found[k].bracket for k in lanes])))
-    return [f if isinstance(f, ScanExtremum) else _settle(f, refined.get(k))
-            for k, f in enumerate(found)]
+    where = [int(np.argmin(vals)) for vals in values]
+    lanes = [k for k, i in enumerate(where) if 0 < i < len(r) - 1]
+    refined = dict(zip(lanes, _golden_lanes(
+        evaluate, lanes, [(float(r[where[k] - 1]), float(r[where[k] + 1])) for k in lanes])))
+    found = []
+    for k, (vals, (limit_at_zero, limit_at_infinity)) in enumerate(zip(values, limits)):
+        best, arg = float(vals[where[k]]), float(r[where[k]])
+        if k in refined and refined[k][0] < best:
+            best, arg = refined[k]
+        if limit_at_zero < best:
+            best, arg = float(limit_at_zero), 0.0
+        if limit_at_infinity < best:
+            best, arg = float(limit_at_infinity), math.inf
+        found.append(ScanExtremum(best, arg))
+    return found
 
 
 def _tabulated(r, values):
@@ -156,37 +150,38 @@ def test_tie_between_blocks_keeps_first_index(points):
     first, last = points // 3, points - 1   # different blocks once points > BLOCK
     vals = 1.0 + np.abs(np.linspace(-1.0, 1.0, points))
     vals[first] = vals[last] = 0.0
-    blocked, whole = _blocked_and_whole(r, [vals], [(None, None)])
+    blocked, whole = _blocked_and_whole(r, [vals], [(2.0, 2.0)])
     assert blocked == whole
     assert r[first - 1] <= blocked[0].arg_r <= r[first + 1]
 
 
 @pytest.mark.parametrize("points", BLOCK_SIZES)
 def test_minimum_at_last_point_reads_the_point_before(points):
-    """With points = k BLOCK + 1 the last block holds one point and value N-1 sits in the block before."""
+    """With points = k BLOCK + 1 the last block holds one point, the grid minimum, and value
+    N-1 sits in the block before."""
     r = np.geomspace(1e-3, 1e3, points)
-    falling = np.linspace(2.0, 1.0, points)        # strict decrease into r_max: diverging
+    falling = np.linspace(2.0, 1.0, points)        # strict decrease into r_max
     flat_tail = falling.copy()
-    flat_tail[-2] = flat_tail[-1] + 1e-12          # within tolerance: a finite edge minimum
-    limits = [(None, None), (None, None), (None, 0.5)]
-    blocked, whole = _blocked_and_whole(r, [falling, flat_tail, falling], limits)
+    flat_tail[-2] = flat_tail[-1] + 1e-12
+    limits = [(2.0, 1.0), (2.0, 0.5)]              # the grid minimum wins a tie with its limit
+    blocked, whole = _blocked_and_whole(r, [flat_tail, falling], limits)
     assert blocked == whole
-    assert blocked[0] == ScanExtremum(-math.inf, math.inf, diverging=True)
-    assert blocked[1] == ScanExtremum(1.0, float(r[-1]))
-    assert blocked[2] == ScanExtremum(0.5, math.inf)
+    assert blocked[0] == ScanExtremum(1.0, float(r[-1]))
+    assert blocked[1] == ScanExtremum(0.5, math.inf)
+    assert _grid_minima(r, 1, _tabulated(r, [falling])[0])[1].tolist() == [points - 1]
 
 
 @pytest.mark.parametrize("points", BLOCK_SIZES)
 def test_divergence_at_either_edge(points):
+    """A functional that diverges at an edge says so by its -inf limit, which wins there."""
     r = np.geomspace(1e-3, 1e3, points)
     down, up = np.linspace(1.0, 0.0, points), np.linspace(0.0, 1.0, points)
     flat_head = up.copy()
-    flat_head[1] = flat_head[0] + 1e-12            # within tolerance: a finite edge minimum
-    limits = [(None, None), (None, None), (-1.0, None), (None, None)]
+    flat_head[1] = flat_head[0] + 1e-12
+    limits = [(1.0, -math.inf), (-math.inf, 1.0), (-1.0, 1.0), (0.0, 1.0)]
     blocked, whole = _blocked_and_whole(r, [down, up, up, flat_head], limits)
     assert blocked == whole
-    assert blocked[:2] == [ScanExtremum(-math.inf, math.inf, diverging=True),
-                           ScanExtremum(-math.inf, 0.0, diverging=True)]
+    assert blocked[:2] == [ScanExtremum(-math.inf, math.inf), ScanExtremum(-math.inf, 0.0)]
     assert blocked[2:] == [ScanExtremum(-1.0, 0.0), ScanExtremum(0.0, float(r[0]))]
 
 
@@ -197,7 +192,7 @@ def test_nan_in_a_later_block_names_its_radius(points):
     late[[points - 2, points - 1]] = np.nan, np.inf   # first functional with a bad value
     early[1] = -np.inf                                # an earlier radius, later functional
     fill, evaluate = _tabulated(r, [np.ones(points), late, early])
-    limits = [(None, None)] * 3
+    limits = [(1.0, 1.0)] * 3
     with pytest.raises(FloatingPointError) as whole:
         _whole_array_infima(r, [np.ones(points), late, early], limits, evaluate)
     with pytest.raises(FloatingPointError) as blocked:
@@ -213,6 +208,6 @@ def test_fill_sees_blocks_of_at_most_block_points():
         spans.append((lo, hi, out.shape))
         out[0] = np.log(r[lo:hi]) ** 2
 
-    scan_infima(r, [(None, None)], fill, lambda ids, x: np.log(x) ** 2)
+    scan_infima(r, [(math.inf, math.inf)], fill, lambda ids, x: np.log(x) ** 2)
     assert spans == [(0, BLOCK, (1, BLOCK)), (BLOCK, 2 * BLOCK, (1, BLOCK)),
                      (2 * BLOCK, 2 * BLOCK + 1, (1, 1))]
