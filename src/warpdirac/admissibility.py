@@ -24,8 +24,8 @@ delta_-(-mu) bit for bit.
 
 :func:`check_admissible` checks a whole sequence of modes in one pass: the
 profile is evaluated once on the scan grid, then block by block the scaled
-parts of each signed mu and its five functionals (:func:`_mode_terms`, the
-one place they are written) are scanned together
+parts of each signed mu and the functionals of it that a report reads
+(:func:`_mode_terms`, the one place they are written) are scanned together
 (:func:`warpdirac.scan.scan_infima`), and every golden-section refinement
 of every mode steps together.  Its values equal those of the
 per-functional scans (:func:`delta_pm`, :func:`delta_phi`) bit for bit.
@@ -229,11 +229,12 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     """Full sufficient-condition report for each angular eigenvalue, in order.
 
     Mode mu needs delta_pm(mu), delta_phi(+-mu) and sup |4 r^2 W| at mu.
-    All of these are scanned in one pass, as one table holding the five
-    :func:`_mode_terms` rows of every signed mu in +-mus, row 5k + t for
-    the k-th signed mu, so delta_+(mu) is read from the - rows of -mu:
-    ``profile.ratios`` once on the policy grid, then block by block the
-    scaled parts of each signed mu (:func:`warpdirac.scan.scan_infima`).
+    All of these are scanned in one pass, as one table holding the four
+    delta rows of :func:`_mode_terms` for every signed mu in +-mus, so
+    delta_+(mu) is read from the - rows of -mu, and the -|4 r^2 W| row for
+    the requested mu only (``[1, 2]`` scans 18 rows): ``profile.ratios``
+    once on the policy grid, then block by block the scaled parts of each
+    signed mu (:func:`warpdirac.scan.scan_infima`).
     Every golden-section refinement steps in lockstep with one
     ``profile.ratios`` call per step.  The potential's decay is probed at
     the top of the policy range.  The values are those of :func:`delta_pm`,
@@ -243,34 +244,40 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     if not pots:
         return []
     signed = list(dict.fromkeys(sign * pot.mu for pot in pots for sign in (1, -1)))
-    width = _SUP_TERM + 1  # rows of _mode_terms per signed mu
+    asked = {pot.mu for pot in pots}
+    rows = [(mu, t) for mu in signed for t in range(_SUP_TERM + 1)
+            if t != _SUP_TERM or mu in asked]
+    row_of = {row: k for k, row in enumerate(rows)}
     r = scan.grid()
     ratios = profile.ratios(r)
 
     def fill(lo, hi, out):
         block = tuple(s[lo:hi] for s in ratios)
-        for k, mu in enumerate(signed):
+        for mu in signed:
             for t, values in enumerate(_mode_terms(_parts(mu, block))):
-                out[width * k + t] = values
+                if (mu, t) in row_of:
+                    out[row_of[mu, t]] = values
 
-    limits = [lim for mu in signed for lim in _row_limits(profile, mu)]
-    signed_mu = np.array(signed, dtype=float)
+    limits = {mu: _row_limits(profile, mu) for mu in signed}
+    row_mu = np.array([mu for mu, _ in rows])
+    row_term = np.array([t for _, t in rows])
 
     def evaluate(ids, radii):
-        values = np.stack(_mode_terms(_parts(signed_mu[ids // width], profile.ratios(radii))))
-        return values[ids % width, np.arange(len(ids))]
+        values = np.stack(_mode_terms(_parts(row_mu[ids], profile.ratios(radii))))
+        return values[row_term[ids], np.arange(len(ids))]
 
-    found = scan_infima(r, limits, fill, evaluate)
-    terms = {mu: found[width * k:width * (k + 1)] for k, mu in enumerate(signed)}
+    term = dict(zip(rows, scan_infima(r, [limits[mu][t] for mu, t in rows], fill, evaluate)))
     probes = (scan.r_max / 100, scan.r_max / 10, scan.r_max)
     probe_ratios = profile.ratios(np.array(probes))
 
     reports = []
     for pot in pots:
         mu = pot.mu
-        plus, minus = (Delta.from_terms(0.25, *terms[nu][_MINUS:_MINUS + 2]) for nu in (-mu, mu))
-        dphi_pos, dphi_neg = (Delta.from_terms(1.0, *terms[nu][_PHI:_PHI + 2]) for nu in (mu, -mu))
-        sup = terms[mu][_SUP_TERM].negated()
+        plus, minus = (Delta.from_terms(0.25, term[nu, _MINUS], term[nu, _MINUS + 1])
+                       for nu in (-mu, mu))
+        dphi_pos, dphi_neg = (Delta.from_terms(1.0, term[nu, _PHI], term[nu, _PHI + 1])
+                              for nu in (mu, -mu))
+        sup = term[mu, _SUP_TERM].negated()
         sup_finite = math.isfinite(sup.value)
         decay_ok = _potential_decays(mu, probes, probe_ratios)
         admissible = (dphi_pos.value > 0.0 and dphi_neg.value > 0.0

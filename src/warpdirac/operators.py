@@ -15,9 +15,11 @@ Klein-Gordon side uses the standard 3-point second difference.  The grid is
 cell-centered, r_i = (i + 1/2) dr, so V is never evaluated at r = 0, with an
 effective Dirichlet truncation at r_max.
 
-Every matrix function goes through one SobolevCalculus of (1 + A) for a
-tridiagonal A: the flat reference H0 behind every Sobolev norm, and the
-phi-weighted Laplacian A_phi on the other side of the norm equivalence.
+Fractional powers of (1 + A), for a tridiagonal A, are needed twice.  The
+flat reference H0 behind every Sobolev and Strichartz norm goes through one
+SobolevCalculus, which applies (1 + H0)^(s/2) to a block.  The norm
+equivalence only needs the squared norms x^T (1 + A)^s x of A_phi and H0,
+and takes them as quadratic forms from the bands, with no eigenbasis.
 """
 
 from __future__ import annotations
@@ -205,14 +207,6 @@ class SobolevCalculus:
             self._w = (2.0 * np.sin(0.5 * np.pi * k / (nn + 1)) / op.grid.dr) ** 2
             self._u = None
 
-    def powers(self, s: float) -> np.ndarray:
-        """(1 + w)^(s/2) for the ascending eigenvalues w of A."""
-        return np.maximum(1.0 + self._w, 0.0) ** (s / 2.0)
-
-    def coefficients(self, block: np.ndarray) -> np.ndarray:
-        """U^T block: each column of a real or complex N x K block in the eigenbasis."""
-        return _dst1(block) if self._u is None else real_matmul(self._u.T, block)
-
     def apply(self, v: np.ndarray, s: float) -> np.ndarray:
         """(1 + A)^(s/2) v by spectral calculus, for a vector or an N x T block.
 
@@ -220,8 +214,12 @@ class SobolevCalculus:
         imaginary parts side by side (the DST-I skips a part that is all
         zero), so the eigenbasis is never cast to complex.
         """
-        block = self.powers(s)[:, None] * self.coefficients(v.reshape(len(self._w), -1))
-        out = _dst1(block) if self._u is None else real_matmul(self._u, block)
+        block = v.reshape(len(self._w), -1)
+        powers = np.maximum(1.0 + self._w, 0.0)[:, None] ** (s / 2.0)
+        if self._u is None:
+            out = _dst1(powers * _dst1(block))
+        else:
+            out = real_matmul(self._u, powers * real_matmul(self._u.T, block))
         return out.reshape(v.shape)
 
     def norm(self, state, s: float) -> float:
@@ -380,6 +378,78 @@ def _random_bump(rng: np.random.Generator, grid: RadialGrid) -> np.ndarray:
     return out
 
 
+_LOG_STEP = 0.5  # trapezoid step in log(tau) of the resolvent integral
+_LOG_PAD = 28.0  # log(tau) covered beyond each end of the spectrum's bounds
+
+
+def _band_forms(op: DiscreteRadialOperator, x: np.ndarray,
+                exponents: Sequence[float]) -> list[np.ndarray]:
+    """x^T (1 + A)^s x for each s in ``exponents`` and each column of a real N x K block.
+
+    A = op is tridiagonal, so the forms come from its bands, with B = 1 + A:
+    s = 0 is ||x||^2, s = 1 is x^T B x, and for 0 < s < 1
+
+        x^T B^s x = (sin(pi s) / pi) int_0^inf tau^(s-1) f(tau) dtau,
+        f(tau) = (B x)^T (tau + B)^(-1) x
+
+    (Bonito and Pasciak, Math. Comp. 84 (2015) 2083).  In u = log(tau) the
+    integrand is analytic in the strip |Im u| < pi, so the trapezoid rule of
+    step _LOG_STEP converges like exp(-2 pi^2 / _LOG_STEP) (Hale, Higham and
+    Trefethen, SIAM J. Numer. Anal. 46 (2008) 2505).  Its nodes run from
+    _LOG_PAD below log 1 (A >= 0 in the continuum) to _LOG_PAD above the
+    Gershgorin bound on B; beyond them f is ||x||^2 and x^T B x / tau to a
+    relative exp(-_LOG_PAD), and both tails are summed as geometric series.
+
+    Each node is one forward LDL^T sweep of tau + B, all nodes and columns
+    at once: f = sum_i y_i z_i / p_i with L y = B x and L z = x, so nothing
+    N long is kept per node, and every exponent reuses the node values.
+    With g = 1 / dr^2 and c = tau + 1 + potential, the pivots p = g + q
+    follow q_i = c_i + q_(i-1) g / p_(i-1): 2 g never cancels against
+    g^2 / p_(i-1), so c keeps its digits beside 2 g.  Refuses a B that is not
+    positive definite.
+    """
+    g = 1.0 / op.grid.dr ** 2
+    c = 1.0 + op.potential
+    diffs = np.diff(x, axis=0)  # x_(i+1) - x_i
+    bx = np.empty_like(x)
+    np.subtract(diffs[:-1], diffs[1:], out=bx[1:-1])
+    bx[0], bx[-1] = x[0] - diffs[0], diffs[-1] + x[-1]  # zero outside the grid
+    del diffs
+    bx *= g
+    bx += c[:, None] * x
+    forms = {0.0: np.sum(x * x, axis=0), 1.0: np.sum(bx * x, axis=0)}
+    u = np.arange(-_LOG_PAD, np.log(np.max(c) + 4.0 * g) + _LOG_PAD, _LOG_STEP)
+    tau = np.exp(u)[:, None]
+    q = tau + c[0] + g
+    lowest = g + q  # least pivot of each node
+    inv = 1.0 / lowest
+    y, z = bx[0] * np.ones((len(u), 1)), x[0] * np.ones((len(u), 1))  # (node, column)
+    acc = y * inv * z
+    term = np.empty_like(acc)
+    for i in range(1, len(c)):
+        ratio = g * inv
+        q = tau + c[i] + q * ratio
+        pivot = g + q
+        inv = 1.0 / pivot
+        np.minimum(lowest, pivot, out=lowest)
+        y *= ratio
+        y += bx[i]
+        z *= ratio
+        z += x[i]
+        np.multiply(y, inv, out=term)
+        term *= z
+        acc += term
+    if not np.all(lowest > 0.0):
+        raise NumericalError(f"1 + A of the {op.kind} operator is not positive definite "
+                             f"on {op.grid}")
+    for s in set(exponents) - set(forms):
+        left = forms[0.0] * np.exp(u[0] * s) / np.expm1(_LOG_STEP * s)
+        right = forms[1.0] * np.exp(u[-1] * (s - 1.0)) / np.expm1(_LOG_STEP * (1.0 - s))
+        forms[s] = (_LOG_STEP * np.sin(np.pi * s) / np.pi
+                    * (np.exp(u * s) @ acc + left + right))
+    return [forms[s] for s in exponents]
+
+
 DEFAULT_TRIALS = 100  # random test functions per norm-equivalence check
 
 
@@ -390,9 +460,11 @@ def norm_equivalence_check(profile: MetricProfile, exponents: Sequence[float],
 
     Multiplication by sigma^((n-1)/2) maps the flat-measure H^s onto the weighted
     one; in flattened variables both norms act on the same vector, through
-    (1 + A_phi)^(s/2) and (1 + H0)^(s/2), one SobolevCalculus each.  Returns
-    one pair (max ratio, max inverse ratio) over the random trials per
-    exponent s; both spectral transforms of the seeded bumps are shared by all.
+    (1 + A_phi)^(s/2) and (1 + H0)^(s/2).  Each squared norm is the quadratic
+    form x^T (1 + A)^s x, taken from the bands of A (``_band_forms``), so
+    no eigenbasis is built.  Returns one pair (max ratio, max inverse ratio)
+    over the random trials per exponent s; the node values of both forms
+    are shared by all exponents.
     """
     if trials < 1:
         raise ConfigurationError(f"norm equivalence needs at least one trial, got {trials}")
@@ -400,15 +472,13 @@ def norm_equivalence_check(profile: MetricProfile, exponents: Sequence[float],
         if not 0.0 <= expo <= 1.0:
             raise ConfigurationError(f"s must be in [0, 1], got {expo}")
     grid = grid or RadialGrid()
-    weighted = SobolevCalculus(weighted_laplacian_operator(profile, grid))
-    flat = SobolevCalculus(flat_reference_operator(profile.n, grid))
     rng = np.random.default_rng(seed)
     bumps = np.stack([_random_bump(rng, grid) for _ in range(trials)], axis=1)
-    c_phi, c_flat = weighted.coefficients(bumps), flat.coefficients(bumps)
+    weighted = _band_forms(weighted_laplacian_operator(profile, grid), bumps, exponents)
+    flat = _band_forms(flat_reference_operator(profile.n, grid), bumps, exponents)
     out = []
-    for expo in exponents:
-        ratio = (np.linalg.norm(weighted.powers(expo)[:, None] * c_phi, axis=0)
-                 / np.linalg.norm(flat.powers(expo)[:, None] * c_flat, axis=0))
+    for q_phi, q_flat in zip(weighted, flat):
+        ratio = np.sqrt(q_phi / q_flat)
         out.append((float(np.max(ratio, initial=0.0)),
                     float(np.max(1.0 / ratio, initial=0.0))))
     return out

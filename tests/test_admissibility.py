@@ -228,6 +228,26 @@ def test_batched_reports_equal_single_functional_scans(tag, scan):
         assert any(rep.witness_r is not None for rep in reports)
 
 
+@pytest.mark.parametrize("tag", sorted(PROFILES))
+def test_sup_rows_only_at_the_requested_modes(tag, monkeypatch):
+    """A mode list not closed under mu -> -mu scans the sup row of its own
+    modes only (18 rows for [1, 2], not 20), and every report keeps its bits."""
+    prof = PROFILES[tag]
+    counts = []
+    real_scan = admissibility.scan_infima
+
+    def counting(r, limits, fill, evaluate):
+        counts.append(len(limits))
+        return real_scan(r, limits, fill, evaluate)
+
+    monkeypatch.setattr(admissibility, "scan_infima", counting)
+    for mus, rows in (([1.0, 2.0], 18), ([-3.0], 9), ([2.0, -2.0], 10)):
+        reports = check_admissible(prof, mus)
+        assert counts.pop() == rows
+        for mu, rep in zip(mus, reports):
+            assert asdict(rep) == _single_functional_report(prof, mu, DEFAULT_SCAN_POLICY), mu
+
+
 def _written_out_channels(rv, r2vp, r3vpp):
     """The Hardy-form (quadratic, cubic) pair of the + and then the - channel."""
     return [(0.25 + rv**2 + sign * r2vp,

@@ -21,7 +21,8 @@ from warpdirac.config import RunConfig, parse_config
 from warpdirac.errors import ConfigurationError
 from warpdirac.estimates import DEFAULT_EPSILON_LOSS, DEFAULT_SAMPLES, DEFAULT_T_MAX, mu_scan
 from warpdirac.evolution import DataTemplate
-from warpdirac.operators import DEFAULT_TRIALS, RadialGrid, norm_equivalence_check
+from warpdirac.operators import (DEFAULT_TRIALS, DiscreteRadialOperator, RadialGrid,
+                                 norm_equivalence_check)
 from warpdirac.scan import InfimumScanPolicy
 from warpdirac.reporting import canonical_json, write_csv_atomic, write_text_atomic
 
@@ -507,6 +508,38 @@ def test_evolve_and_strichartz_scan_never_load_scipy(tmp_path):
     assert (tmp_path / "evolve" / "trajectory_mu_-1.csv").exists()
     assert (tmp_path / "evolve" / "trajectory_mu_64.csv").exists()
     assert (tmp_path / "scan" / "strichartz_scan.json").exists()
+
+
+AF_VALIDATE = ("profile.family = asymptotically_flat\nprofile.epsilon = 0.01\n"
+               "modes.mu_max = 2\ngrid.n_cells = 512\ntrials = 20\nn = {n}\n")
+
+
+def test_validate_never_loads_scipy(tmp_path):
+    """validate's norm equivalence takes its quadratic forms from the bands,
+    so neither n = 3 nor n = 5 (where H0 has a potential) loads SciPy."""
+    script = "import sys\nfrom warpdirac import cli\n"
+    for n in (3, 5):
+        (tmp_path / f"n{n}").mkdir()
+        cfg = _write(tmp_path / f"n{n}", AF_VALIDATE.format(n=n))
+        script += (f"assert cli.main(['validate', '--config', {cfg!r}, '--out', "
+                   f"{str(tmp_path / f'out{n}')!r}]) == 0\n")
+    script += "print('scipy' in sys.modules)\n"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert result.stdout == "False\n"
+    for n in (3, 5):
+        assert json.loads((tmp_path / f"out{n}" / "validate.json").read_text())["pass"] is True
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_validate_calls_no_eigensolver(tmp_path, monkeypatch, n):
+    def refuse(self):
+        raise AssertionError("validate called eigh")
+
+    monkeypatch.setattr(DiscreteRadialOperator, "eigh", refuse)
+    cfg = _write(tmp_path, AF_VALIDATE.format(n=n))
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cli_strichartz_scan(tmp_path):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,8 +14,9 @@ from warpdirac import (ConfigurationError, Family, GridTooCoarseError,
                        verify_square)
 from warpdirac.estimates import mu_scan, strichartz_weight
 from warpdirac.evolution import SpinorTrajectory
-from warpdirac.operators import (DiscreteRadialOperator, _random_bump,
-                                 weighted_laplacian_operator)
+from warpdirac.errors import NumericalError
+from warpdirac.operators import (DiscreteRadialOperator, SobolevCalculus, _band_forms,
+                                 _random_bump, weighted_laplacian_operator)
 from warpdirac.profiles import sigma_log_derivative_bound
 
 FLAT = MetricProfile(Family.FLAT)
@@ -249,7 +251,8 @@ def test_operator_data_must_fit_its_kind():
 
 def test_norm_equivalence_flat_is_exact():
     """At n = 3 the flat weighted Laplacian is the plain second difference,
-    so both sides go through one DST-I and every ratio is exactly 1."""
+    so both sides run identical bands through identical arithmetic and every
+    ratio is exactly 1."""
     [(worst, worst_inv)] = norm_equivalence_check(FLAT, [0.7], trials=20, grid=GRID)
     assert (worst, worst_inv) == (1.0, 1.0)
 
@@ -301,6 +304,64 @@ def test_norm_equivalence_exponent_range():
         norm_equivalence_check(FLAT, [1.5], trials=1, grid=GRID)
     with pytest.raises(CfgErr, match="at least one trial, got 0"):
         norm_equivalence_check(FLAT, [0.5], trials=0, grid=GRID)
+
+
+def _bumps(grid, count, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.stack([_random_bump(rng, grid) for _ in range(count)], axis=1)
+
+
+@pytest.mark.parametrize("n_cells", [512, 2048])
+def test_band_forms_match_the_dst1_forms_of_h0(n_cells):
+    """At n = 3, H0 is the plain second difference, whose exact eigenbasis is
+    the DST-I of SobolevCalculus: the quadrature of the resolvent integral
+    gives its forms x^T (1 + H0)^s x within 1e-14."""
+    grid = RadialGrid(40.0, n_cells)
+    h0 = flat_reference_operator(3, grid)
+    x = _bumps(grid, 20)
+    exponents = (0.1, 0.25, 0.5, 0.75, 0.9)
+    calculus = SobolevCalculus(h0)
+    for s, form in zip(exponents, _band_forms(h0, x, exponents)):
+        exact = np.sum(calculus.apply(x, s) ** 2, axis=0)
+        assert np.max(np.abs(form / exact - 1.0)) <= 5e-13
+
+
+@pytest.mark.parametrize("prof", [SINH, AF001], ids=["sinh", "af"])
+def test_band_forms_at_the_integer_exponents(prof):
+    """s = 1 is x^T (1 + A) x and s = 0 is ||x||^2, with no quadrature."""
+    op = weighted_laplacian_operator(prof, GRID)
+    x = _bumps(GRID, 20, seed=4)
+    zero, one = _band_forms(op, x, (0.0, 1.0))
+    assert np.array_equal(zero, np.sum(x * x, axis=0))
+    dense = np.sum(x * (x + op.matrix @ x), axis=0)
+    assert np.max(np.abs(one / dense - 1.0)) <= 1e-13
+
+
+def test_band_forms_refuse_an_operator_that_is_not_positive_definite():
+    """1 + A with A = -d2/dr2 - 5 has negative eigenvalues, where the resolvent
+    integral has a pole and (1 + A)^s x is no norm."""
+    op = DiscreteRadialOperator(GRID, "weighted_laplacian", np.full(GRID.n_cells, -5.0))
+    for exponents in ((0.5,), (0.0, 1.0)):
+        with pytest.raises(NumericalError, match="not positive definite"):
+            _band_forms(op, _bumps(GRID, 2), exponents)
+
+
+def test_norm_equivalence_keeps_no_eigenbasis(monkeypatch):
+    """validate's check at 2048 cells and 100 trials: no eigh, and a
+    tracemalloc peak far below the 33.5 MB of one 2048 x 2048 eigenbasis."""
+
+    def refuse(self):
+        raise AssertionError("norm_equivalence_check called eigh")
+
+    monkeypatch.setattr(DiscreteRadialOperator, "eigh", refuse)
+    grid = RadialGrid(40.0, 2048)
+    tracemalloc.start()
+    try:
+        norm_equivalence_check(AF001, (0.0, 0.5, 1.0), trials=100, grid=grid, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 def test_sigma_log_derivative_bounds():
