@@ -15,11 +15,15 @@ Klein-Gordon side uses the standard 3-point second difference.  The grid is
 cell-centered, r_i = (i + 1/2) dr, so V is never evaluated at r = 0, with an
 effective Dirichlet truncation at r_max.
 
-Fractional powers of (1 + A), for a tridiagonal A, are needed twice.  The
-flat reference H0 behind every Sobolev and Strichartz norm goes through one
-SobolevCalculus, which applies (1 + H0)^(s/2) to a block.  The norm
-equivalence only needs the squared norms x^T (1 + A)^s x of A_phi and H0,
-and takes them as quadratic forms from the bands, with no eigenbasis.
+Fractional powers of B = 1 + A, for a tridiagonal A, come from one resolvent
+integral, B^a = (sin(pi a) / pi) int_0^inf tau^(a-1) (tau + B)^(-1) B dtau,
+taken by the trapezoid rule in log(tau) with one LDL^T sweep of tau + B per
+node.  Forward sweeps alone give the quadratic forms x^T B^s x of the norm
+equivalence; forward and back sweeps give the action B^(s/2) v of the
+SobolevCalculus behind every Sobolev and Strichartz norm.  When A has no
+potential (H0 at n = 3) its eigenbasis is exactly the DST-I, and the
+calculus takes that exact special case.  No eigenbasis and no N x N array
+is built on any of these paths.
 """
 
 from __future__ import annotations
@@ -90,7 +94,6 @@ class DiscreteRadialOperator:
             raise ConfigurationError(f"the mass m must be finite, got {m}")
         self.grid, self.kind, self.potential = grid, kind, potential
         self.profile, self.mu, self.m = profile, mu, m
-        self._eig: Optional[tuple] = None
 
     def _tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
         """(diagonal, off-diagonal) of a second-difference kind."""
@@ -123,17 +126,19 @@ class DiscreteRadialOperator:
         return out.T.reshape(x.shape)
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (ascending eigenvalues, orthonormal columns) of a tridiagonal kind."""
+        """(ascending eigenvalues, orthonormal columns) of a tridiagonal kind.
+
+        A dense reference for tests, computed on every call as ``matrix`` is
+        assembled; no command path takes an eigenbasis.
+        """
         if self.kind == "dirac":
             raise ConfigurationError("eigh takes a tridiagonal kind, not a Dirac operator")
-        if self._eig is None:
-            import scipy.linalg
+        import scipy.linalg
 
-            try:
-                self._eig = scipy.linalg.eigh_tridiagonal(*self._tridiagonal())
-            except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-                raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-        return self._eig
+        try:
+            return scipy.linalg.eigh_tridiagonal(*self._tridiagonal())
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+            raise NumericalError(f"eigendecomposition failed: {exc}") from exc
 
 
 _KINDS = ("dirac", "kg_plus", "kg_minus", "flat_shift", "weighted_laplacian")
@@ -168,58 +173,171 @@ def coupling_product(x: np.ndarray, v: np.ndarray, e: float, out: np.ndarray) ->
     out[:, 1:] += e * x[:, :-1]
 
 
-def real_matmul(a: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """a @ block for a real matrix ``a`` and a real or complex N x K block.
+_LOG_STEP = 0.5  # trapezoid step in log(tau) of the resolvent integral
+_LOG_PAD = 28.0  # log(tau) covered beyond each end of the spectrum's bounds
+_BLOCK = 64  # cells per block of the back sweep of the resolvent's action
 
-    A complex block's real and imaginary parts go through one real GEMM side
-    by side, so ``a`` is never cast to complex (NumPy would otherwise copy
-    the whole matrix to complex on every call).  Both parts go through even
-    when one is all zero: a GEMM rounds a column according to the width of
-    its block (a one-column block takes the matrix-vector path), so the
-    other part alone would change the last digits of n != 3 artifacts.
+
+def _log_nodes(op: DiscreteRadialOperator) -> np.ndarray:
+    """Nodes u = log(tau) of the trapezoid rule for the resolvent integral of 1 + A.
+
+    In u the integrand is analytic in the strip |Im u| < pi, so the rule of
+    step _LOG_STEP converges like exp(-2 pi^2 / _LOG_STEP) (Hale, Higham and
+    Trefethen, SIAM J. Numer. Anal. 46 (2008) 2505).  The nodes run from
+    _LOG_PAD below log 1 (A >= 0 in the continuum) to _LOG_PAD above the
+    Gershgorin bound on 1 + A, so beyond them the resolvent is its limit at
+    0 or at infinity to a relative exp(-_LOG_PAD).
     """
-    if not np.iscomplexobj(block):
-        return a @ block
-    cols = block.shape[1]
-    out = a @ np.hstack([block.real, block.imag])
-    return out[:, :cols] + 1j * out[:, cols:]
+    g = 1.0 / op.grid.dr ** 2
+    return np.arange(-_LOG_PAD, np.log(np.max(1.0 + op.potential) + 4.0 * g) + _LOG_PAD,
+                     _LOG_STEP)
+
+
+def _ldl_pivots(op: DiscreteRadialOperator, tau: np.ndarray):
+    """The LDL^T pivots p of tau + 1 + A for each shift in ``tau``, cell by cell.
+
+    Yields (g / p_(i-1), 1 / p_i) for each cell i, the first ratio 0 (no cell
+    before the first), with g = 1 / dr^2 the off-diagonal's magnitude.  With
+    c = tau + 1 + potential, the pivots p = g + q follow
+    q_i = c_i + q_(i-1) g / p_(i-1): 2 g never cancels against g^2 / p_(i-1),
+    so c keeps its digits beside 2 g.  After the last cell it refuses a 1 + A
+    that is not positive definite, where the resolvent integral has a pole.
+    """
+    g = 1.0 / op.grid.dr ** 2
+    c = (1.0 + op.potential).tolist()
+    q = tau + c[0] + g
+    lowest = g + q  # least pivot of each shift
+    inv = 1.0 / lowest
+    yield np.zeros_like(inv), inv
+    for ci in c[1:]:
+        ratio = g * inv
+        q *= ratio
+        q += tau + ci
+        pivot = g + q
+        inv = 1.0 / pivot
+        np.minimum(lowest, pivot, out=lowest)
+        yield ratio, inv
+    if not np.all(lowest > 0.0):
+        raise NumericalError(f"1 + A of the {op.kind} operator is not positive definite "
+                             f"on {op.grid}")
+
+
+def _resolvent_sum(u: np.ndarray, s: float, nodes, low, high):
+    """(sin(pi s) / pi) int_0^inf tau^(s-1) f(tau) dtau, 0 < s < 1, on the nodes u = log(tau).
+
+    ``nodes`` is the trapezoid sum sum_j exp(u_j s) f(exp(u_j)).  Beyond the
+    nodes f is its limit ``low`` at 0 below them and ``high`` / tau above
+    them, and both tails of the rule are summed as geometric series.
+    """
+    left = low * np.exp(u[0] * s) / np.expm1(_LOG_STEP * s)
+    right = high * np.exp(u[-1] * (s - 1.0)) / np.expm1(_LOG_STEP * (1.0 - s))
+    return _LOG_STEP * np.sin(np.pi * s) / np.pi * (nodes + left + right)
+
+
+def _one_plus(op: DiscreteRadialOperator, x: np.ndarray) -> np.ndarray:
+    """(1 + A) x for a real N x K block, the second difference taken as a
+    difference of first differences, zero outside the grid."""
+    diffs = np.diff(x, axis=0)  # x_(i+1) - x_i
+    bx = np.empty_like(x)
+    np.subtract(diffs[:-1], diffs[1:], out=bx[1:-1])
+    bx[0], bx[-1] = x[0] - diffs[0], diffs[-1] + x[-1]
+    del diffs
+    bx *= 1.0 / op.grid.dr ** 2
+    bx += (1.0 + op.potential)[:, None] * x
+    return bx
+
+
+def _shifted_solves(rhs: np.ndarray, ratio: np.ndarray, inv: np.ndarray,
+                    weights: np.ndarray) -> np.ndarray:
+    """sum_j weights_j (tau_j + B)^(-1) rhs for a real N x K block, one shift tau_j per
+    column of the pivots (``ratio[i]`` = g / p_(i-1), ``inv[i]`` = 1 / p_i).
+
+    Each block of _BLOCK cells is swept forward, L^(-1) rhs for every column
+    and shift, from a checkpoint that the first forward pass keeps at its
+    first cell.  The back sweep takes the blocks from the last, sweeps each
+    forward again, turns it in place into the weighted solutions and sums
+    them over the shifts.  So nothing N long is kept per shift, and every
+    operation treats each column alone: a column's result does not depend
+    on the others.
+    """
+    nn = len(rhs)
+    out = np.empty(rhs.shape)
+    b = list(rhs[:, :, None])
+    ratios, winv = list(ratio), list(inv * weights)
+    block = np.empty((_BLOCK, rhs.shape[1], len(weights)))  # (cell, column, shift)
+    rows = list(block)
+    starts = range(0, nn, _BLOCK)
+    checkpoints = np.empty((len(starts),) + block.shape[1:])
+
+    def forward(k: int) -> int:
+        """Fill the block with L^(-1) rhs on block k; returns its cell count."""
+        lo, hi = starts[k], min(starts[k] + _BLOCK, nn)
+        rows[0][...] = checkpoints[k]
+        for cur, prev, r, bi in zip(rows[1:hi - lo], rows, ratios[lo + 1:hi], b[lo + 1:hi]):
+            np.multiply(prev, r, out=cur)
+            cur += bi
+        return hi - lo
+
+    checkpoints[0] = b[0]
+    for k in range(1, len(starts)):
+        last = rows[forward(k - 1) - 1]
+        np.multiply(last, ratios[starts[k]], out=checkpoints[k])
+        checkpoints[k] += b[starts[k]]
+    carry, term = np.zeros(block.shape[1:]), np.empty(block.shape[1:])
+    ratios.append(np.zeros(len(weights)))  # no cell beyond the last
+    for k in reversed(range(len(starts))):
+        count, lo = forward(k), starts[k]
+        for j in reversed(range(count)):
+            np.multiply(carry, ratios[lo + j + 1], out=term)
+            carry = rows[j]
+            carry *= winv[lo + j]
+            carry += term
+        carry = carry.copy()  # the next block refills the buffer
+        np.sum(block[:count], axis=-1, out=out[lo:lo + count])
+    return out
 
 
 class SobolevCalculus:
-    """Fractional calculus of (1 + A) for one tridiagonal operator A.
+    """Fractional calculus of B = 1 + A for one tridiagonal operator A.
 
     When A's potential vanishes, A is the plain Dirichlet second
     difference, whose orthonormal eigenbasis is exactly the DST-I (Strang,
     SIAM Review 41 (1999) 135): eigenvalues (2 sin(pi k / (2 (N + 1))) / dr)^2
     and eigenvectors sqrt(2 / (N + 1)) sin(pi j k / (N + 1)), j, k = 1..N.
-    So the calculus needs no eigensolve and no N x N array.  Otherwise the
-    eigenbasis comes from one ``op.eigh()`` per calculus; share one
-    calculus to share it.
+    Otherwise B^(s/2) comes from the resolvent integral on the bands of A,
+    whose LDL^T pivots the calculus builds on first use and keeps (N x 136
+    twice, about 4.5 MB at 2048 cells).  Neither path builds an eigenbasis
+    or an N x N array.
     """
 
     def __init__(self, op: DiscreteRadialOperator):
+        if op.kind == "dirac":
+            raise ConfigurationError(
+                "a Sobolev calculus takes a tridiagonal kind, not a Dirac operator")
         self.op = op
-        if op.kind == "dirac" or np.any(op.potential):
-            self._w, self._u = op.eigh()  # eigh refuses a Dirac operator
-        else:
-            nn = op.grid.n_cells
-            k = np.arange(1, nn + 1)
-            self._w = (2.0 * np.sin(0.5 * np.pi * k / (nn + 1)) / op.grid.dr) ** 2
-            self._u = None
+        self._pivots: Optional[tuple] = None  # of the resolvent, built on first use
 
     def apply(self, v: np.ndarray, s: float) -> np.ndarray:
-        """(1 + A)^(s/2) v by spectral calculus, for a vector or an N x T block.
+        """(1 + A)^(s/2) v for a vector or an N x T block; v itself at s = 0.
 
-        A complex block goes through every transform as its real and
-        imaginary parts side by side (the DST-I skips a part that is all
-        zero), so the eigenbasis is never cast to complex.
+        A complex block goes through as its real and imaginary parts side by
+        side, and a part that is all zero is skipped; both paths treat each
+        column alone, so the result is the joint transform's, bit for bit.
+        Where the potential does not vanish, s must lie in (-2, 2).
         """
-        block = v.reshape(len(self._w), -1)
-        powers = np.maximum(1.0 + self._w, 0.0)[:, None] ** (s / 2.0)
-        if self._u is None:
-            out = _dst1(powers * _dst1(block))
+        if s == 0.0:
+            return v
+        nn = self.op.grid.n_cells
+        block = v.reshape(nn, -1)
+        if np.any(self.op.potential):
+            if not -2.0 < s < 2.0:
+                raise ConfigurationError(f"the resolvent calculus takes -2 < s < 2, got {s}")
+            out = _by_parts(lambda part: self._resolvent(part, s / 2.0), block)
         else:
-            out = real_matmul(self._u, powers * real_matmul(self._u.T, block))
+            k = np.arange(1, nn + 1)
+            w = (2.0 * np.sin(0.5 * np.pi * k / (nn + 1)) / self.op.grid.dr) ** 2
+            powers = (1.0 + w)[:, None] ** (s / 2.0)
+            out = _by_parts(lambda part: _dst1(powers * _dst1(part)), block)
         return out.reshape(v.shape)
 
     def norm(self, state, s: float) -> float:
@@ -227,31 +345,61 @@ class SobolevCalculus:
         if state.grid != self.op.grid:
             raise ConfigurationError(
                 f"the calculus is for {self.op.grid}, the state on {state.grid}")
-        gp, gm = self.apply(state.plus, s), self.apply(state.minus, s)
+        g = self.apply(np.stack([state.plus, state.minus], axis=1), s)
         return float(np.sqrt(state.grid.dr
-                             * (np.sum(np.abs(gp) ** 2) + np.sum(np.abs(gm) ** 2))))
+                             * (np.sum(np.abs(g[:, 0]) ** 2) + np.sum(np.abs(g[:, 1]) ** 2))))
+
+    def _resolvent(self, x: np.ndarray, a: float) -> np.ndarray:
+        """B^a x for a real N x K block, 0 < |a| < 1.
+
+        For a > 0 the integrand is f(tau) = (tau + B)^(-1) B x, whose limit at
+        0 is x itself.  For a < 0 it is (tau + B)^(-1) x with the exponent
+        a + 1, and its limit at 0 is the solve B^(-1) x at the shift 0.
+        """
+        if self._pivots is None:
+            u = _log_nodes(self.op)
+            ratio, inv = np.empty((2, self.op.grid.n_cells, len(u) + 1))
+            tau = np.concatenate([[0.0], np.exp(u)])  # the shift 0, then the nodes
+            for i, (r, p) in enumerate(_ldl_pivots(self.op, tau)):
+                ratio[i], inv[i] = r, p
+            self._pivots = u, ratio, inv
+        u, ratio, inv = self._pivots
+        if a > 0.0:
+            rhs, low = _one_plus(self.op, x), x
+        else:
+            a += 1.0
+            rhs = x
+            low = _shifted_solves(x, ratio[:, :1], inv[:, :1], np.ones(1))
+        nodes = _shifted_solves(rhs, ratio[:, 1:], inv[:, 1:], np.exp(u * a))
+        return _resolvent_sum(u, a, nodes, low, rhs)
+
+
+def _by_parts(transform, block: np.ndarray) -> np.ndarray:
+    """A real transform that treats each column alone, of a real or complex N x K block.
+
+    A complex block's real and imaginary parts go through one call side by
+    side, and a part that is all zero is not transformed (at m = 0 a flow's
+    v_plus is real and its v_minus imaginary).
+    """
+    if not np.iscomplexobj(block):
+        return transform(block)
+    re, im = block.real, block.imag
+    if not np.any(im):
+        return transform(re) + 0j
+    if not np.any(re):
+        return 1j * transform(im)
+    cols = block.shape[1]
+    out = transform(np.hstack([re, im]))
+    return out[:, :cols] + 1j * out[:, cols:]
 
 
 def _dst1(block: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I of each column of a real or complex N x K block.
+    """Orthonormal DST-I of each column of a real N x K block.
 
     sum_j x_j sin(pi j k / (N + 1)) is -Im/2 of the FFT of the odd extension
     [0, x, 0, -reversed x] of length 2 (N + 1); scaled by sqrt(2 / (N + 1)),
-    the transform is orthonormal and its own inverse.  A complex block's
-    real and imaginary parts go through one FFT side by side, and a part
-    that is all zero is not transformed (at m = 0 a flow's v_plus is real
-    and its v_minus imaginary); the FFT treats each column alone, so the
-    result is the joint transform's, bit for bit.
+    the transform is orthonormal and its own inverse.
     """
-    if np.iscomplexobj(block):
-        re, im = block.real, block.imag
-        if not np.any(im):
-            return _dst1(re) + 0j
-        if not np.any(re):
-            return 1j * _dst1(im)
-        cols = block.shape[1]
-        out = _dst1(np.hstack([re, im]))
-        return out[:, :cols] + 1j * out[:, cols:]
     nn = len(block)
     ext = np.zeros((2 * (nn + 1), block.shape[1]))
     ext[1:nn + 1] = block
@@ -378,10 +526,6 @@ def _random_bump(rng: np.random.Generator, grid: RadialGrid) -> np.ndarray:
     return out
 
 
-_LOG_STEP = 0.5  # trapezoid step in log(tau) of the resolvent integral
-_LOG_PAD = 28.0  # log(tau) covered beyond each end of the spectrum's bounds
-
-
 def _band_forms(op: DiscreteRadialOperator, x: np.ndarray,
                 exponents: Sequence[float]) -> list[np.ndarray]:
     """x^T (1 + A)^s x for each s in ``exponents`` and each column of a real N x K block.
@@ -392,46 +536,20 @@ def _band_forms(op: DiscreteRadialOperator, x: np.ndarray,
         x^T B^s x = (sin(pi s) / pi) int_0^inf tau^(s-1) f(tau) dtau,
         f(tau) = (B x)^T (tau + B)^(-1) x
 
-    (Bonito and Pasciak, Math. Comp. 84 (2015) 2083).  In u = log(tau) the
-    integrand is analytic in the strip |Im u| < pi, so the trapezoid rule of
-    step _LOG_STEP converges like exp(-2 pi^2 / _LOG_STEP) (Hale, Higham and
-    Trefethen, SIAM J. Numer. Anal. 46 (2008) 2505).  Its nodes run from
-    _LOG_PAD below log 1 (A >= 0 in the continuum) to _LOG_PAD above the
-    Gershgorin bound on B; beyond them f is ||x||^2 and x^T B x / tau to a
-    relative exp(-_LOG_PAD), and both tails are summed as geometric series.
+    (Bonito and Pasciak, Math. Comp. 84 (2015) 2083), on the nodes of
+    ``_log_nodes``; beyond them f is ||x||^2 and x^T B x / tau.
 
     Each node is one forward LDL^T sweep of tau + B, all nodes and columns
     at once: f = sum_i y_i z_i / p_i with L y = B x and L z = x, so nothing
     N long is kept per node, and every exponent reuses the node values.
-    With g = 1 / dr^2 and c = tau + 1 + potential, the pivots p = g + q
-    follow q_i = c_i + q_(i-1) g / p_(i-1): 2 g never cancels against
-    g^2 / p_(i-1), so c keeps its digits beside 2 g.  Refuses a B that is not
-    positive definite.
+    Refuses a B that is not positive definite.
     """
-    g = 1.0 / op.grid.dr ** 2
-    c = 1.0 + op.potential
-    diffs = np.diff(x, axis=0)  # x_(i+1) - x_i
-    bx = np.empty_like(x)
-    np.subtract(diffs[:-1], diffs[1:], out=bx[1:-1])
-    bx[0], bx[-1] = x[0] - diffs[0], diffs[-1] + x[-1]  # zero outside the grid
-    del diffs
-    bx *= g
-    bx += c[:, None] * x
+    bx = _one_plus(op, x)
     forms = {0.0: np.sum(x * x, axis=0), 1.0: np.sum(bx * x, axis=0)}
-    u = np.arange(-_LOG_PAD, np.log(np.max(c) + 4.0 * g) + _LOG_PAD, _LOG_STEP)
-    tau = np.exp(u)[:, None]
-    q = tau + c[0] + g
-    lowest = g + q  # least pivot of each node
-    inv = 1.0 / lowest
-    y, z = bx[0] * np.ones((len(u), 1)), x[0] * np.ones((len(u), 1))  # (node, column)
-    acc = y * inv * z
+    u = _log_nodes(op)
+    y, z, acc = np.zeros((3, len(u), x.shape[1]))  # (node, column)
     term = np.empty_like(acc)
-    for i in range(1, len(c)):
-        ratio = g * inv
-        q = tau + c[i] + q * ratio
-        pivot = g + q
-        inv = 1.0 / pivot
-        np.minimum(lowest, pivot, out=lowest)
+    for i, (ratio, inv) in enumerate(_ldl_pivots(op, np.exp(u)[:, None])):
         y *= ratio
         y += bx[i]
         z *= ratio
@@ -439,14 +557,8 @@ def _band_forms(op: DiscreteRadialOperator, x: np.ndarray,
         np.multiply(y, inv, out=term)
         term *= z
         acc += term
-    if not np.all(lowest > 0.0):
-        raise NumericalError(f"1 + A of the {op.kind} operator is not positive definite "
-                             f"on {op.grid}")
     for s in set(exponents) - set(forms):
-        left = forms[0.0] * np.exp(u[0] * s) / np.expm1(_LOG_STEP * s)
-        right = forms[1.0] * np.exp(u[-1] * (s - 1.0)) / np.expm1(_LOG_STEP * (1.0 - s))
-        forms[s] = (_LOG_STEP * np.sin(np.pi * s) / np.pi
-                    * (np.exp(u * s) @ acc + left + right))
+        forms[s] = _resolvent_sum(u, s, np.exp(u * s) @ acc, forms[0.0], forms[1.0])
     return [forms[s] for s in exponents]
 
 

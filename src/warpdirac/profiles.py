@@ -97,8 +97,10 @@ class MetricProfile:
         # r phi1' = eps r^a w^(-b/2-1) (a + (a-b) r^2)
         s = a + (a - b) * r * r
         rp = eps * r**a * w ** (-b / 2.0 - 1.0) * s
-        # r^2 phi1'' by the product rule; at a = 1 the first term is exactly +-0.0
-        rpp = ((a - 1.0) * eps * r**a * w ** (-b / 2.0 - 1.0) * s
+        # r^2 phi1'' by the product rule; at a = 1 the first term is a zero with the
+        # sign of the second, so 0.0 stands in for it bit for bit
+        first = (a - 1.0) * eps * r**a * w ** (-b / 2.0 - 1.0) * s if a != 1 else 0.0
+        rpp = (first
                - (b + 2.0) * eps * r ** (a + 2) * w ** (-b / 2.0 - 2.0) * s
                + 2.0 * (a - b) * eps * r ** (a + 2) * w ** (-b / 2.0 - 1.0))
         return phi1, rp, rpp

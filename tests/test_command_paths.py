@@ -30,6 +30,7 @@ NEVER_RUN = {
     "evolution.FlatBesselOracle.propagate",
     "evolution.bessel_orders",
     "evolution.kg_crosscheck",
+    "evolution._real_matmul",
     "admissibility.delta_pm",
     "admissibility.delta_phi",
     "admissibility._scan_term",
@@ -39,6 +40,7 @@ NEVER_RUN = {
     "admissibility.delta_c.<locals>.term3",
     "admissibility.delta_c.<locals>.infimum",
     "operators.DiscreteRadialOperator.matrix",
+    "operators.DiscreteRadialOperator.eigh",
     "spectrum.laplace_eigenvalue_check",
     # the paper's explicit sufficient condition on the metric
     "profiles.profile_constants",

@@ -486,28 +486,38 @@ def test_check_metric_and_spectrum_never_load_scipy(tmp_path):
 
 
 def test_evolve_and_strichartz_scan_never_load_scipy(tmp_path):
-    """Both mode-flow commands on their default n = 3 paths: Chebyshev
-    propagation on the full grid (|mu| <= 2) and cut at the centrifugal
-    barrier (|mu| = 64), power-series Bessel rows and the DST-I Sobolev
-    calculus."""
+    """Both mode-flow commands at n = 3 and n = 5: Chebyshev propagation on
+    the full grid (|mu| <= 2) and cut at the centrifugal barrier
+    (|mu| = 64), power-series Bessel rows, and the Sobolev calculus by the
+    DST-I (n = 3) and by the resolvent quadrature (n = 5, where H0 has a
+    potential)."""
     flat = _write(tmp_path, SMALL.replace("modes.mu_list = 1", "modes.mu_list = 1, -1, 64"))
-    (tmp_path / "af").mkdir()
-    af = _write(tmp_path / "af", "profile.family = asymptotically_flat\nprofile.epsilon = 0.01\n"
-                                 "modes.mu_list = 1, -1, 2\ntriples = 4:4, inf:2\n"
-                                 "grid.n_cells = 512\ntime.samples = 9\n")
-    script = ("import sys\nfrom warpdirac import cli\n"
-              f"assert cli.main(['evolve', '--config', {flat!r}, '--out', "
-              f"{str(tmp_path / 'evolve')!r}]) == 0\n"
-              f"assert cli.main(['strichartz-scan', '--config', {af!r}, '--out', "
-              f"{str(tmp_path / 'scan')!r}]) == 0\n"
-              "print('scipy' in sys.modules)\n")
+    runs = [("evolve", flat, "evolve")]
+    for n, mus, triples in ((3, "1, -1, 2", "4:4, inf:2"),
+                            (5, "2, -2, 3", "4:2.6666666666666667, inf:2")):
+        (tmp_path / f"af{n}").mkdir()
+        af = _write(tmp_path / f"af{n}",
+                    "profile.family = asymptotically_flat\nprofile.epsilon = 0.01\n"
+                    f"modes.mu_list = {mus}\ntriples = {triples}\n"
+                    f"grid.n_cells = 512\ntime.samples = 9\nn = {n}\n")
+        runs.append(("strichartz-scan", af, f"scan{n}"))
+    (tmp_path / "flat5").mkdir()
+    runs.append(("evolve", _write(tmp_path / "flat5", SMALL.replace(
+        "modes.mu_list = 1", "modes.mu_list = 2, -3") + "n = 5\n"), "evolve5"))
+    script = "import sys\nfrom warpdirac import cli\n"
+    for command, cfg, out in runs:
+        script += (f"assert cli.main([{command!r}, '--config', {cfg!r}, '--out', "
+                   f"{str(tmp_path / out)!r}]) == 0\n")
+    script += "print('scipy' in sys.modules)\n"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": path}, check=True)
     assert result.stdout == "False\n"
     assert (tmp_path / "evolve" / "trajectory_mu_-1.csv").exists()
     assert (tmp_path / "evolve" / "trajectory_mu_64.csv").exists()
-    assert (tmp_path / "scan" / "strichartz_scan.json").exists()
+    assert (tmp_path / "evolve5" / "trajectory_mu_-3.csv").exists()
+    for n in (3, 5):
+        assert (tmp_path / f"scan{n}" / "strichartz_scan.json").exists()
 
 
 AF_VALIDATE = ("profile.family = asymptotically_flat\nprofile.epsilon = 0.01\n"

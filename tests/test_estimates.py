@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -13,9 +14,9 @@ from warpdirac import (ConfigurationError, ContractViolationError, DataTemplate,
                        strichartz_norm)
 from warpdirac.errors import PolicyError
 from warpdirac.estimates import strichartz_weight
-from warpdirac.operators import (DiscreteRadialOperator, SobolevCalculus, _dst1,
-                                 flat_reference_operator, real_matmul,
-                                 weighted_laplacian_operator)
+from warpdirac.evolution import _real_matmul
+from warpdirac.operators import (DiscreteRadialOperator, SobolevCalculus,
+                                 flat_reference_operator)
 
 FLAT = MetricProfile(Family.FLAT)
 AF001 = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=0.01)
@@ -51,9 +52,12 @@ def test_triple_s_derived():
 
 
 def test_sobolev_norm_zero_exponent_is_l2():
+    """s = 0 is the identity on both paths, with no transform and no quadrature."""
     state = gaussian_state(GRID)
-    calc = SobolevCalculus(flat_reference_operator(3, GRID))
-    assert calc.norm(state, 0.0) == pytest.approx(state.norm(), rel=1e-12)
+    for n in (3, 5):
+        calc = SobolevCalculus(flat_reference_operator(n, GRID))
+        assert calc.apply(state.plus, 0.0) is state.plus
+        assert calc.norm(state, 0.0) == pytest.approx(state.norm(), rel=1e-12)
 
 
 def test_sobolev_calculus_refuses_n_below_3():
@@ -140,6 +144,31 @@ def test_sobolev_dst_matches_eigenbasis(n_cells):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("n_cells", [256, 300, 512, 2048])
+def test_sobolev_resolvent_matches_eigenbasis(n_cells):
+    """The n = 5 calculus, whose H0 has a potential, against the dense
+    U diag((1 + w)^(s/2)) U^T of op.eigh(), for real, imaginary and complex
+    blocks (300 cells end in a short block of the back sweep); s < 0 takes
+    the solve at the shift 0.  |s| >= 2 is refused."""
+    grid = RadialGrid(40.0, n_cells)
+    op = flat_reference_operator(5, grid)
+    calc = SobolevCalculus(op)
+    w, u = op.eigh()
+    rng = np.random.default_rng(n_cells)
+    real = rng.standard_normal((n_cells, 4))
+    imag = 1j * rng.standard_normal((n_cells, 4))
+    for block in (real, imag, real + imag):
+        for s in (-1.0, -0.5, 0.25, 0.5, 1.0):
+            powers = ((1.0 + w) ** (s / 2.0))[:, None]
+            want = u @ (powers * (u.T @ block.real)) + 1j * (u @ (powers * (u.T @ block.imag)))
+            got = calc.apply(block, s)
+            assert got.dtype == block.dtype
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for s in (-2.0, 2.0):
+        with pytest.raises(ConfigurationError, match="-2 < s < 2"):
+            calc.apply(real, s)
+
+
 def _joint(transform, block):
     """transform of a complex block with its real and imaginary parts side by side."""
     cols = block.shape[1]
@@ -149,17 +178,17 @@ def _joint(transform, block):
 
 @pytest.mark.parametrize("part", ["real", "imaginary", "complex"])
 def test_zero_part_transforms_equal_the_joint_transform(part):
-    """The DST-I transforms only the part of a complex block that is not all
-    zero, and it, real_matmul and the n = 3 and n = 5 calculi equal the
-    joint transform of [Re | Im] exactly."""
+    """The n = 3 (DST-I) and n = 5 (resolvent) calculi transform only the
+    part of a complex block that is not all zero, and they and the oracle's
+    real-matrix product equal the joint transform of [Re | Im] exactly."""
     grid = RadialGrid(40.0, 128)
     rng = np.random.default_rng(7)
     re, im = rng.standard_normal((2, grid.n_cells, 5))
     block = {"real": re + 0j, "imaginary": 1j * im, "complex": re + 1j * im}[part]
     a = rng.standard_normal((grid.n_cells, grid.n_cells))
     calc3, calc5 = (SobolevCalculus(flat_reference_operator(n, grid)) for n in (3, 5))
-    for transform in (_dst1, lambda x: real_matmul(a, x),
-                      lambda x: calc3.apply(x, 0.5), lambda x: calc5.apply(x, -0.5)):
+    for transform in (lambda x: _real_matmul(a, x), lambda x: calc3.apply(x, 0.5),
+                      lambda x: calc5.apply(x, -0.5), lambda x: calc5.apply(x, 0.5)):
         got = transform(block)
         assert got.dtype == complex
         assert np.array_equal(got, _joint(transform, block))
@@ -215,20 +244,8 @@ def test_strichartz_weight_flat_is_one(flat_traj):
     assert direct > 0.0
 
 
-def test_strichartz_norm_refuses_a_calculus_of_another_grid_or_dimension(flat_traj):
-    """Another dimension or r_max would change the norm silently, and another
-    cell count would fail in a reshape; only the trajectory's own calculus
-    is taken.  The weighted Laplacian of the flat n = 3 profile has the same
-    numbers as H0, but it is not H0."""
-    for op in (flat_reference_operator(5, GRID), flat_reference_operator(3, RadialGrid(20.0, 512)),
-               flat_reference_operator(3, RadialGrid(40.0, 1024)),
-               weighted_laplacian_operator(FLAT, GRID)):
-        calc = SobolevCalculus(op)
-        with pytest.raises(ConfigurationError, match="calculus"):
-            strichartz_norm(flat_traj, ExponentTriple(p=math.inf, q=2.0), calc)
-    own = SobolevCalculus(flat_reference_operator(3, GRID))
-    assert strichartz_norm(flat_traj, T44, own) == strichartz_norm(flat_traj, T44)
-    # a state's norm folds a finer grid into columns or reads another dr
+def test_sobolev_norm_refuses_a_state_of_another_grid():
+    """A state's norm would fold a finer grid into columns or read another dr."""
     for cells, calc_grid in ((512, RadialGrid(40.0, 256)), (256, RadialGrid(20.0, 256))):
         state = gaussian_state(RadialGrid(40.0, cells), center=10.0)
         with pytest.raises(ConfigurationError, match="calculus"):
@@ -331,24 +348,19 @@ def test_mu_scan_small():
     assert d["strichartz_slope_ok"] and d["smoothing_slope_ok"]
 
 
-def test_mu_scan_n5_builds_one_eigenbasis(monkeypatch):
-    """For n != 3 one scan shares one flat eigenbasis between h_half and every
-    (mode, triple) norm, and gets what per-call calculi give."""
+def test_mu_scan_n5_takes_no_eigenbasis(monkeypatch):
+    """For n != 3 a scan never calls eigh, and its rows are what per-call
+    norms give."""
     grid = RadialGrid(40.0, 256)
     triples = [ExponentTriple(p=math.inf, q=2.0), ExponentTriple(p=4.0, q=8.0 / 3.0)]
     mus = [1.0, 2.0]
-    calls = []
-    eigh = DiscreteRadialOperator.eigh
 
-    def counted(op):
-        calls.append(op.kind)
-        return eigh(op)
+    def refuse(self):
+        raise AssertionError("mu_scan called eigh")
 
-    monkeypatch.setattr(DiscreteRadialOperator, "eigh", counted)
+    monkeypatch.setattr(DiscreteRadialOperator, "eigh", refuse)
     flat5 = MetricProfile(Family.FLAT, n=5)
     results = mu_scan(flat5, triples, mus, grid=grid, t_max=4.0, samples=5)
-    assert calls == ["flat_shift"]
-    monkeypatch.undo()
     initial = gaussian_state(grid)
     h_half = SobolevCalculus(flat_reference_operator(5, grid)).norm(initial, 0.5)
     for k, mu in enumerate(mus):
@@ -359,6 +371,23 @@ def test_mu_scan_n5_builds_one_eigenbasis(monkeypatch):
             assert row.h_half == pytest.approx(h_half, rel=1e-12)
             assert row.strichartz == pytest.approx(strichartz_norm(traj, triple),
                                                    rel=1e-12)
+
+
+def test_n5_strichartz_norm_keeps_no_dense_array():
+    """One n = 5 Strichartz norm at 2048 cells and 17 samples peaks at
+    10.6 MB under tracemalloc (the dense calculus it replaced peaked at
+    67-83 MB, its 2048 x 2048 eigenbasis alone being 33.5 MB)."""
+    grid = RadialGrid(40.0, 2048)
+    profile = MetricProfile(Family.ASYMPTOTICALLY_FLAT, n=5, epsilon=0.01)
+    traj = evolve(assemble_dirac(profile, 2.0, 0.0, grid), gaussian_state(grid),
+                  np.linspace(0.0, 8.0, 17))
+    tracemalloc.start()
+    try:
+        strichartz_norm(traj, ExponentTriple(p=math.inf, q=2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14e6
 
 
 def test_mu_scan_single_mode_degenerate_fit():

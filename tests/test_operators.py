@@ -339,11 +339,15 @@ def test_band_forms_at_the_integer_exponents(prof):
 
 def test_band_forms_refuse_an_operator_that_is_not_positive_definite():
     """1 + A with A = -d2/dr2 - 5 has negative eigenvalues, where the resolvent
-    integral has a pole and (1 + A)^s x is no norm."""
+    integral has a pole and (1 + A)^s x is no norm; the calculus, which takes
+    the same integral, refuses it too."""
     op = DiscreteRadialOperator(GRID, "weighted_laplacian", np.full(GRID.n_cells, -5.0))
     for exponents in ((0.5,), (0.0, 1.0)):
         with pytest.raises(NumericalError, match="not positive definite"):
             _band_forms(op, _bumps(GRID, 2), exponents)
+    for s in (-0.5, 0.5):
+        with pytest.raises(NumericalError, match="not positive definite"):
+            SobolevCalculus(op).apply(_bumps(GRID, 2), s)
 
 
 def test_norm_equivalence_keeps_no_eigenbasis(monkeypatch):
