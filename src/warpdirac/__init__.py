@@ -1,5 +1,15 @@
 """Radial Dirac equation on warped products: operators, flows, estimate checks."""
 
+import os
+
+# One BLAS thread, set before NumPy first loads (its OpenBLAS reads the
+# variable once, at load).  Every command runs in one thread, on banded
+# sweeps and thin products that a second BLAS thread does not speed up;
+# OpenBLAS's idle workers would only spin, and a threaded dot product
+# (np.linalg.norm) would make the last digits of the artifacts depend on
+# the core count.  A value set in the environment is left alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .admissibility import (AdmissibilityReport, ModePotential, check_admissible,
                             delta_c, delta_phi, delta_pm, delta_lower_bound)
 from .errors import (ConfigurationError, ContractViolationError, GridTooCoarseError,

@@ -3,9 +3,9 @@
 Fractional Sobolev norms are defined once and for all through the flat
 flattened reference operator: ||(1 + H0)^(s/2) v||, with H0 the discrete
 flat radial Laplacian, through the SobolevCalculus of operators.py (the
-exact DST-I at n = 3, the resolvent quadrature on H0's bands otherwise);
-each norm builds the calculus of its own grid and dimension, which costs
-no eigensolve.
+exact DST-I at n = 3, the resolvent quadrature on H0's bands otherwise),
+which costs no eigensolve; mu_scan builds one calculus and hands it to
+every norm it takes.
 Strichartz norms weight the state pointwise by (phi/r)^((n-1)/2 (1 - 2/q))
 before the fractional power, take l^q(dr) in space and L^p (trapezoid over
 the sampled causal window) in time; the smoothing norm integrates over the
@@ -110,17 +110,24 @@ def strichartz_weight(profile: MetricProfile, r: np.ndarray, q: float) -> np.nda
     return (phi / r) ** (0.5 * (profile.n - 1) * (1.0 - 2.0 / q))
 
 
-def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple) -> float:
+def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple,
+                    calculus: Optional[SobolevCalculus] = None) -> float:
     """Weighted L^p_t W^(s,q) norm of a trajectory, s = 1/q - 1/p.
 
     The triple must be admissible for the trajectory's own mass and
-    dimension, and its samples must lie in the causal window.  The
-    fractional power is the SobolevCalculus of the trajectory's own H0 (its
-    grid and dimension).
+    dimension, and its samples must lie in the causal window.  ``calculus``
+    is the SobolevCalculus of the trajectory's own H0 (its grid and
+    dimension), built here if not given; one calculus keeps its resolvent
+    pivots for every norm it serves.
     """
     triple.require_admissible(traj.m, traj.profile.n)
     _check_causal(traj)
-    calc = SobolevCalculus(flat_reference_operator(traj.profile.n, traj.grid))
+    h0 = flat_reference_operator(traj.profile.n, traj.grid)
+    calc = SobolevCalculus(h0) if calculus is None else calculus
+    own = calc.op
+    if (own.kind, own.grid, own.profile) != (h0.kind, h0.grid, h0.profile):
+        raise ConfigurationError(f"the calculus is of {own.kind} on {own.grid}, not of the "
+                                 f"trajectory's H0 on {traj.grid} in n={traj.profile.n}")
     s, q, dr = triple.s, triple.q, traj.grid.dr
     weight = strichartz_weight(traj.profile, traj.grid.nodes, q)[:, None]
     mag = np.abs(calc.apply(weight * traj.plus, s)) ** 2
@@ -212,7 +219,8 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
         raise PolicyError(f"t_max={t_max} exceeds the causal limit {limit:g}")
     initial = data_template.realize(grid)
     times = np.linspace(0.0, t_max, samples)
-    h_half = SobolevCalculus(flat_reference_operator(n, grid)).norm(initial, 0.5)
+    calc = SobolevCalculus(flat_reference_operator(n, grid))  # one set of pivots
+    h_half = calc.norm(initial, 0.5)
 
     reports = check_admissible(profile, mu_list, scan)
     for mu, report in zip(mu_list, reports):
@@ -227,7 +235,7 @@ def mu_scan(profile: MetricProfile, triples: Sequence[ExponentTriple],
         smoo = smoothing_norm(traj)
         rows = []
         for triple in triples:
-            stri = strichartz_norm(traj, triple)
+            stri = strichartz_norm(traj, triple, calc)
             rows.append(ModeScanRow(
                 mu=float(mu), strichartz=stri, smoothing=smoo, h_half=h_half,
                 ratio_strichartz=stri / h_half, ratio_smoothing=smoo / h_half,

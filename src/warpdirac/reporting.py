@@ -89,21 +89,37 @@ def write_json_atomic(path: Path, obj):
     write_text_atomic(path, canonical_json(obj) + "\n")
 
 
+def _float_columns(block: np.ndarray) -> list[list[str]]:
+    """str of each cell of a float64 block, column by column.
+
+    Each distinct bit pattern of a column is rendered once (a time or a
+    radius repeats on every row of the evolve table); the bits, not the
+    values, tell cells apart, so -0.0 keeps its sign.
+    """
+    columns = []
+    for column in block.T:
+        bits, where = np.unique(column.view(np.int64), return_inverse=True)
+        text = np.array([str(x) for x in bits.view(np.float64).tolist()], dtype=object)
+        columns.append(text[where].tolist())
+    return columns
+
+
 def write_csv_atomic(path: Path, header: Sequence[str], rows: Sequence[Sequence] | np.ndarray):
     """Header line, then one line per row, every cell rendered by str.
 
-    ``rows`` is a sequence of rows or a 2-D float array, which becomes
-    Python floats here, _CSV_BLOCK rows at a time, and each block is
-    rendered and written before the next.  str renders a float as its
-    shortest round-trip repr (nan, inf and -inf bare), an int as its
-    digits and a str as itself.
+    ``rows`` is a sequence of rows or a 2-D array of floats (float64 cells
+    here), rendered _CSV_BLOCK rows at a time, each block written before
+    the next.  str renders a float as its shortest round-trip repr (nan,
+    inf and -inf bare), an int as its digits and a str as itself.
     """
     def blocks():
         yield ",".join(header) + "\n"
         for lo in range(0, len(rows), _CSV_BLOCK):
             block = rows[lo:lo + _CSV_BLOCK]
             if isinstance(block, np.ndarray):
-                block = block.tolist()
-            yield "".join(",".join(map(str, row)) + "\n" for row in block)
+                block = zip(*_float_columns(block.astype(np.float64, copy=False)))
+            else:
+                block = (map(str, row) for row in block)
+            yield "".join(",".join(row) + "\n" for row in block)
 
     write_text_atomic(path, blocks())

@@ -469,6 +469,41 @@ def test_csv_cells_are_repr_or_the_value(tmp_path):
     assert path.read_text() == "a\n" + want + "\n" + ",".join(want.split(",")[::-1]) + "\n"
 
 
+def test_csv_float_array_is_str_of_each_cell(tmp_path):
+    """An array renders each distinct bit pattern of a column once; the bytes
+    are str of every cell, across block edges, with -0.0 apart from 0.0."""
+    rng = np.random.default_rng(7)
+    special = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                        -2.5e-310, 2.2250738585072014e-308, 0.1, 1e16, -1e-05])
+    cells = rng.choice(special, size=(9000, 3))
+    cells[::7, 1] = rng.standard_normal(len(cells[::7]))  # many distinct values
+    cells[:, 2] = np.repeat(np.linspace(0.0, 1.0, 9), 1000)  # runs of one value
+    path = tmp_path / "floats.csv"
+    write_csv_atomic(path, ["a", "b", "c"], cells)
+    want = "a,b,c\n" + "".join(",".join(map(str, row)) + "\n" for row in cells.tolist())
+    assert path.read_bytes() == want.encode()
+    rendered = set(want.replace("\n", ",").split(","))
+    assert {"-0.0", "0.0", "nan", "inf", "-inf", "5e-324"} <= rendered
+
+
+def test_import_pins_one_blas_thread_unless_set():
+    """The package sets OPENBLAS_NUM_THREADS to 1 before NumPy loads, so
+    OpenBLAS starts no worker thread; a value already set is left alone."""
+    script = ("import os, sys\nimport warpdirac\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+              "if sys.platform.startswith('linux'):\n"
+              "    print(len(os.listdir('/proc/self/task')))\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = path
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout == ("1\n1\n" if sys.platform.startswith("linux") else "1\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**env, "OPENBLAS_NUM_THREADS": "2"}, check=True)
+    assert result.stdout.splitlines()[0] == "2"
+
+
 def test_check_metric_and_spectrum_never_load_scipy(tmp_path):
     cfg = _write(tmp_path, "profile.family = asymptotically_flat\nprofile.epsilon = 0.01\n"
                            "modes.mu_max = 2\n")

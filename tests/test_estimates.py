@@ -15,7 +15,7 @@ from warpdirac import (ConfigurationError, ContractViolationError, DataTemplate,
 from warpdirac.errors import PolicyError
 from warpdirac.estimates import strichartz_weight
 from warpdirac.evolution import _real_matmul
-from warpdirac.operators import (DiscreteRadialOperator, SobolevCalculus,
+from warpdirac.operators import (DiscreteRadialOperator, SobolevCalculus, _ldl_pivots,
                                  flat_reference_operator)
 
 FLAT = MetricProfile(Family.FLAT)
@@ -371,6 +371,38 @@ def test_mu_scan_n5_takes_no_eigenbasis(monkeypatch):
             assert row.h_half == pytest.approx(h_half, rel=1e-12)
             assert row.strichartz == pytest.approx(strichartz_norm(traj, triple),
                                                    rel=1e-12)
+
+
+def test_mu_scan_n5_builds_the_pivots_once(monkeypatch):
+    """A scan hands one calculus to h_half and to every Strichartz norm, so
+    the resolvent pivots of H0 are built once (3 modes x 2 triples would
+    build them 7 times over), and its rows are per-call norms bit for bit."""
+    grid = RadialGrid(40.0, 512)
+    profile = MetricProfile(Family.ASYMPTOTICALLY_FLAT, n=5, epsilon=0.01)
+    triples = [ExponentTriple(p=4.0, q=8.0 / 3.0), ExponentTriple(p=math.inf, q=2.0)]
+    mus = [2.0, -2.0, 3.0]
+    builds = []
+
+    def counted(op, tau):
+        builds.append(op.kind)
+        return _ldl_pivots(op, tau)
+
+    monkeypatch.setattr("warpdirac.operators._ldl_pivots", counted)
+    results = mu_scan(profile, triples, mus, grid=grid, t_max=4.0, samples=5)
+    assert builds == ["flat_shift"]
+    initial = gaussian_state(grid)
+    for k, mu in enumerate(mus):
+        traj = evolve(assemble_dirac(profile, mu, 0.0, grid), initial, np.linspace(0.0, 4.0, 5))
+        for result, triple in zip(results, triples):
+            assert result.rows[k].strichartz == strichartz_norm(traj, triple)
+
+
+def test_strichartz_norm_refuses_a_calculus_of_another_grid_or_dimension(flat_traj):
+    for n, grid in ((3, RadialGrid(40.0, 256)), (5, GRID)):
+        with pytest.raises(ConfigurationError, match="calculus"):
+            strichartz_norm(flat_traj, T44, SobolevCalculus(flat_reference_operator(n, grid)))
+    own = SobolevCalculus(flat_reference_operator(3, GRID))
+    assert strichartz_norm(flat_traj, T44, own) == strichartz_norm(flat_traj, T44)
 
 
 def test_n5_strichartz_norm_keeps_no_dense_array():
