@@ -49,9 +49,6 @@ from .scan import (DEFAULT_SCAN_POLICY, InfimumScanPolicy, ScanExtremum, scan_in
 __all__ = ["ModePotential", "Delta", "AdmissibilityReport", "delta_pm", "delta_phi", "delta_c",
            "check_admissible", "delta_lower_bound"]
 
-_DECAY_TOL = 1e-6
-
-
 @dataclass(frozen=True)
 class ModePotential:
     """V = mu/phi and its derivative, for operator assembly on a grid.
@@ -201,7 +198,11 @@ def delta_c(pot: ModePotential, sign: int,
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Outcome of the full sufficient-condition check for one mode."""
+    """Outcome of the full sufficient-condition check for one mode.
+
+    ``limit_at_infinity_ok`` says W -> 0 as r -> infinity: the exact limit of
+    4 r^2 W + 1 there is finite.
+    """
 
     mu: float
     family: str
@@ -214,13 +215,6 @@ class AdmissibilityReport:
     limit_at_infinity_ok: bool
     admissible: bool
     witness_r: Optional[float] = None
-
-
-def _potential_decays(mu: float, probes: tuple, probe_ratios) -> bool:
-    """Surrogate for lim_{r->inf} W = 0: monotone decay below 1e-6 at probes."""
-    rv, r2vp, _, _ = _parts(mu, probe_ratios)
-    vals = [abs(float(rv[k] ** 2 - r2vp[k])) / r**2 for k, r in enumerate(probes)]
-    return vals[0] >= vals[1] >= vals[2] and vals[2] < _DECAY_TOL
 
 
 def check_admissible(profile: MetricProfile, mus: Sequence[float],
@@ -236,9 +230,10 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     once on the policy grid, then block by block the scaled parts of each
     signed mu (:func:`warpdirac.scan.scan_infima`).
     Every golden-section refinement steps in lockstep with one
-    ``profile.ratios`` call per step.  The potential's decay is probed at
-    the top of the policy range.  The values are those of :func:`delta_pm`,
-    :func:`delta_phi` and a supremum scan per mode, bit for bit.
+    ``profile.ratios`` call per step.  W -> 0 at infinity is read from the
+    table's own limit of 4 r^2 W + 1 there.  The values are those of
+    :func:`delta_pm`, :func:`delta_phi` and a supremum scan per mode, bit
+    for bit.
     """
     pots = [ModePotential(profile=profile, mu=mu) for mu in mus]
     if not pots:
@@ -267,8 +262,6 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
         return values[row_term[ids], np.arange(len(ids))]
 
     term = dict(zip(rows, scan_infima(r, [limits[mu][t] for mu, t in rows], fill, evaluate)))
-    probes = (scan.r_max / 100, scan.r_max / 10, scan.r_max)
-    probe_ratios = profile.ratios(np.array(probes))
 
     reports = []
     for pot in pots:
@@ -279,7 +272,7 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
                               for nu in (mu, -mu))
         sup = term[mu, _SUP_TERM].negated()
         sup_finite = math.isfinite(sup.value)
-        decay_ok = _potential_decays(mu, probes, probe_ratios)
+        decay_ok = math.isfinite(limits[mu][_PHI][1])
         admissible = (dphi_pos.value > 0.0 and dphi_neg.value > 0.0
                       and sup_finite and decay_ok)
         # an admissible mode has no violating term and a finite supremum

@@ -55,8 +55,8 @@ import numpy as np
 
 from .admissibility import ModePotential
 from .errors import ConfigurationError, NumericalError
-from .operators import (DiscreteRadialOperator, RadialGrid, assemble_kg, coupling_product,
-                        dirac_band_product)
+from .operators import (DiscreteRadialOperator, RadialGrid, _by_parts, assemble_kg,
+                        coupling_product, dirac_band_product)
 from .profiles import Family, MetricProfile
 
 __all__ = ["SpinorState", "DataTemplate", "SpinorTrajectory", "gaussian_state", "evolve",
@@ -419,20 +419,6 @@ def bessel_orders(mu: float) -> tuple[float, float]:
     return abs(2.0 * mu + 1.0) / 2.0, abs(2.0 * mu - 1.0) / 2.0
 
 
-def _real_matmul(a: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """a @ block for a real matrix ``a`` and a real or complex N x K block.
-
-    A complex block's real and imaginary parts go through one real GEMM side
-    by side, so ``a`` is never cast to complex (NumPy would otherwise copy
-    the whole matrix to complex on every call).
-    """
-    if not np.iscomplexobj(block):
-        return a @ block
-    cols = block.shape[1]
-    out = a @ np.hstack([block.real, block.imag])
-    return out[:, :cols] + 1j * out[:, cols:]
-
-
 class FlatBesselOracle:
     """Exact flat-space mode flow through half-line Bessel transforms.
 
@@ -465,8 +451,8 @@ class FlatBesselOracle:
         coupled system, and transform back; the support radius grows by the
         light cone |t|, as in SpinorTrajectory.state."""
         dr = self.grid.dr
-        p0 = dr * _real_matmul(self._b_plus, initial.plus[:, None])[:, 0]
-        m0 = dr * _real_matmul(self._b_minus, initial.minus[:, None])[:, 0]
+        p0 = dr * _by_parts(lambda x: self._b_plus @ x, initial.plus[:, None])[:, 0]
+        m0 = dr * _by_parts(lambda x: self._b_minus @ x, initial.minus[:, None])[:, 0]
         omega = np.sqrt(self.rho**2 + self.m**2)
         cos = np.cos(omega * t)
         sinc = np.where(omega > 0.0, np.sin(omega * t) / np.where(omega > 0, omega, 1.0), t)
@@ -476,8 +462,8 @@ class FlatBesselOracle:
         reach = None if initial.support_radius is None else initial.support_radius + abs(t)
         return SpinorState(
             grid=self.grid,
-            plus=_real_matmul(self._b_plus.T, (self.w_rho * pt)[:, None])[:, 0],
-            minus=_real_matmul(self._b_minus.T, (self.w_rho * mt)[:, None])[:, 0],
+            plus=_by_parts(lambda x: self._b_plus.T @ x, (self.w_rho * pt)[:, None])[:, 0],
+            minus=_by_parts(lambda x: self._b_minus.T @ x, (self.w_rho * mt)[:, None])[:, 0],
             support_radius=reach)
 
 

@@ -181,6 +181,33 @@ def test_polynomial_fails():
 
 PROFILES = {"flat": FLAT, "af": AF001, "sinh": SINH, "poly": POLY3}
 SIGNED_MUS = [float(sign * k) for k in range(1, 9) for sign in (1, -1)]
+LARGE_AND_SMALL_MUS = [float(sign * k) for k in (1, 2, 1000, 1024) for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("r_max", [None, 1e2, 1e3, 1e8], ids=["default", "1e2", "1e3", "1e8"])
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("family", [Family.FLAT, Family.ASYMPTOTICALLY_FLAT])
+def test_flat_and_af_modes_are_admissible_at_every_scan_range(family, n, r_max):
+    """W -> 0 comes from the exact limit at infinity, so neither |mu| up to the
+    config's cap of 1024 nor a short scan range makes a mode non-admissible."""
+    prof = MetricProfile(family, n, epsilon=0.01)
+    scan = DEFAULT_SCAN_POLICY if r_max is None else InfimumScanPolicy(1e-6, r_max, 2000)
+    for rep in check_admissible(prof, LARGE_AND_SMALL_MUS, scan):
+        assert rep.admissible and rep.limit_at_infinity_ok, rep
+        assert rep.witness_r is None
+
+
+@pytest.mark.parametrize("prof", [SINH, POLY3], ids=["sinh", "poly"])
+def test_growing_profiles_fail_with_a_witness_on_a_short_scan_range(prof):
+    """At scan.r_max = 10 sinh and polynomial still fail with a finite witness,
+    and W -> 0 at infinity holds for every mode."""
+    scan = InfimumScanPolicy(DEFAULT_SCAN_POLICY.r_min, 10.0, DEFAULT_SCAN_POLICY.points)
+    reports = check_admissible(prof, SIGNED_MUS, scan)
+    assert not all(rep.admissible for rep in reports)
+    for rep in reports:
+        assert rep.limit_at_infinity_ok
+        assert (rep.witness_r is None) == rep.admissible
+        assert rep.witness_r is None or math.isfinite(rep.witness_r)
 
 
 def _single_functional_report(prof, mu, scan):
@@ -195,11 +222,8 @@ def _single_functional_report(prof, mu, scan):
     sup = scan_supremum(lambda r: np.abs(4.0 * r2w(_parts(mu, prof.ratios(r)))), scan,
                         limit_at_zero=abs(4.0 * r2w(_parts_at_zero(mu))),
                         limit_at_infinity=abs(4.0 * r2w(_parts_at_infinity(prof, mu))))
-    probes = []
-    for r in (scan.r_max / 100, scan.r_max / 10, scan.r_max):
-        rv, r2vp, _, _ = _parts(mu, prof.ratios(np.array([r])))
-        probes.append(abs(float(rv[0] ** 2 - r2vp[0])) / r**2)
-    decays = probes[0] >= probes[1] >= probes[2] and probes[2] < 1e-6
+    # W -> 0 at infinity: 4 r^2 W + 1 has a finite limit there
+    decays = math.isfinite(4.0 * r2w(_parts_at_infinity(prof, mu)) + 1.0)
     sup_finite = math.isfinite(sup.value)
     admissible = pos.value > 0.0 and neg.value > 0.0 and sup_finite and decays
     witness = None
@@ -309,7 +333,7 @@ def test_one_profile_evaluation_per_scan_grid(monkeypatch):
 
 
 def test_profile_is_never_evaluated_beyond_the_policy_range(monkeypatch):
-    """The decay probes come from the policy, not from fixed radii up to 1e6."""
+    """Every profile evaluation lies in the policy's range, not at fixed radii up to 1e6."""
     scan = InfimumScanPolicy(1e-4, 1e4, 5000)
     largest = []
     real = MetricProfile.ratios

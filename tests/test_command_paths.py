@@ -30,7 +30,6 @@ NEVER_RUN = {
     "evolution.FlatBesselOracle.propagate",
     "evolution.bessel_orders",
     "evolution.kg_crosscheck",
-    "evolution._real_matmul",
     "admissibility.delta_pm",
     "admissibility.delta_phi",
     "admissibility._scan_term",

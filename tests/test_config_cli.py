@@ -266,6 +266,24 @@ def test_cli_check_metric_flat_ok(tmp_path):
     assert data["all_admissible"] is True
 
 
+@pytest.mark.parametrize("settings", ["modes.mu_list = 999, 1000, 1024\n", "scan.r_max = 1000\n"],
+                         ids=["large-mu", "short-scan"])
+def test_cli_check_metric_flat_is_admissible_at_large_mu_and_short_scans(tmp_path, settings):
+    """Flat space is admissible however small W is at the top of the scan range."""
+    cfg = _write(tmp_path, "profile.family = flat\n" + settings)
+    out = tmp_path / "out"
+    assert main(["check-metric", "--config", cfg, "--out", str(out)]) == 0
+    for rep in json.loads((out / "check_metric.json").read_text())["reports"]:
+        assert rep["admissible"] is True and rep["limit_at_infinity_ok"] is True, rep
+        assert rep["witness_r"] is None
+
+
+def test_cli_strichartz_scan_runs_flat_at_mu_1000(tmp_path):
+    cfg = _write(tmp_path, "profile.family = flat\nmodes.mu_list = 1000\ngrid.n_cells = 256\n"
+                           "time.t_max = 4\ntime.samples = 5\n")
+    assert main(["strichartz-scan", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_cli_check_metric_sinh_exit_code(tmp_path):
     cfg = _write(tmp_path, "profile.family = sinh\nmodes.mu_list = -1\n")
     out = tmp_path / "out"
