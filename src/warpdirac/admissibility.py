@@ -24,10 +24,10 @@ delta_-(-mu) bit for bit.
 
 :func:`check_admissible` checks a whole sequence of modes in one pass: the
 profile is evaluated once on the scan grid, then block by block the scaled
-parts of each signed mu and the functionals of it that a report reads
-(:func:`_mode_terms`, the one place they are written) are scanned together
+parts of each signed mu and its five functionals (:func:`_mode_terms`, the
+one place they are written) are scanned together, 32 signed modes at a time
 (:func:`warpdirac.scan.scan_infima`), and every golden-section refinement
-of every mode steps together.  Its values equal those of the
+of a chunk steps together.  Its values equal those of the
 per-functional scans (:func:`delta_pm`, :func:`delta_phi`) bit for bit.
 :func:`delta_lower_bound` is the floor on delta_pm that the A2 smallness
 test (:func:`warpdirac.profiles.check_A2`) guarantees.
@@ -98,8 +98,11 @@ def _parts_at_infinity(profile: MetricProfile, mu: float) -> tuple:
 
 
 # Rows of _mode_terms: the first of the (quadratic, cubic) pairs of delta_- and
-# delta_phi, and the one behind sup |4 r^2 W|.
-_MINUS, _PHI, _SUP_TERM = 0, 2, 4
+# delta_phi, and the one behind sup |4 r^2 W|; _TERMS rows in all.
+_MINUS, _PHI, _SUP_TERM, _TERMS = 0, 2, 4, 5
+# Signed modes per scan_infima call: its block buffer stays at most
+# 32 * _TERMS rows of BLOCK points (5.2 MB), however many modes are checked.
+_CHUNK = 32
 
 
 def _mode_terms(parts) -> tuple:
@@ -223,54 +226,50 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     """Full sufficient-condition report for each angular eigenvalue, in order.
 
     Mode mu needs delta_pm(mu), delta_phi(+-mu) and sup |4 r^2 W| at mu.
-    All of these are scanned in one pass, as one table holding the four
-    delta rows of :func:`_mode_terms` for every signed mu in +-mus, so
-    delta_+(mu) is read from the - rows of -mu, and the -|4 r^2 W| row for
-    the requested mu only (``[1, 2]`` scans 18 rows): ``profile.ratios``
-    once on the policy grid, then block by block the scaled parts of each
-    signed mu (:func:`warpdirac.scan.scan_infima`).
-    Every golden-section refinement steps in lockstep with one
-    ``profile.ratios`` call per step.  W -> 0 at infinity is read from the
-    table's own limit of 4 r^2 W + 1 there.  The values are those of
-    :func:`delta_pm`, :func:`delta_phi` and a supremum scan per mode, bit
-    for bit.
+    All of these are read from one table holding the five rows of
+    :func:`_mode_terms` for every signed mu in +-mus (row 5k + t is term t
+    of the k-th signed mu), so delta_+(mu) is read from the - rows of -mu:
+    ``profile.ratios`` once on the policy grid, then _CHUNK signed modes at
+    a time, block by block, the scaled parts of each signed mu
+    (:func:`warpdirac.scan.scan_infima`).  Every golden-section refinement
+    of a chunk steps in lockstep with one ``profile.ratios`` call per step.
+    W -> 0 at infinity is read from the table's own limit of 4 r^2 W + 1
+    there.  The values are those of :func:`delta_pm`, :func:`delta_phi`
+    and a supremum scan per mode, bit for bit.
     """
     pots = [ModePotential(profile=profile, mu=mu) for mu in mus]
     if not pots:
         return []
     signed = list(dict.fromkeys(sign * pot.mu for pot in pots for sign in (1, -1)))
-    asked = {pot.mu for pot in pots}
-    rows = [(mu, t) for mu in signed for t in range(_SUP_TERM + 1)
-            if t != _SUP_TERM or mu in asked]
-    row_of = {row: k for k, row in enumerate(rows)}
     r = scan.grid()
     ratios = profile.ratios(r)
-
-    def fill(lo, hi, out):
-        block = tuple(s[lo:hi] for s in ratios)
-        for mu in signed:
-            for t, values in enumerate(_mode_terms(_parts(mu, block))):
-                if (mu, t) in row_of:
-                    out[row_of[mu, t]] = values
-
     limits = {mu: _row_limits(profile, mu) for mu in signed}
-    row_mu = np.array([mu for mu, _ in rows])
-    row_term = np.array([t for _, t in rows])
+    term = {}
+    for start in range(0, len(signed), _CHUNK):
+        chunk = signed[start:start + _CHUNK]
+        row_mu = np.repeat(chunk, _TERMS)
 
-    def evaluate(ids, radii):
-        values = np.stack(_mode_terms(_parts(row_mu[ids], profile.ratios(radii))))
-        return values[row_term[ids], np.arange(len(ids))]
+        def fill(lo, hi, out):
+            block = tuple(s[lo:hi] for s in ratios)
+            for k, mu in enumerate(chunk):
+                for t, values in enumerate(_mode_terms(_parts(mu, block))):
+                    out[_TERMS * k + t] = values
 
-    term = dict(zip(rows, scan_infima(r, [limits[mu][t] for mu, t in rows], fill, evaluate)))
+        def evaluate(ids, radii):
+            values = np.stack(_mode_terms(_parts(row_mu[ids], profile.ratios(radii))))
+            return values[ids % _TERMS, np.arange(len(ids))]
+
+        found = scan_infima(r, [lim for mu in chunk for lim in limits[mu]], fill, evaluate)
+        term.update((mu, found[_TERMS * k:_TERMS * (k + 1)]) for k, mu in enumerate(chunk))
 
     reports = []
     for pot in pots:
         mu = pot.mu
-        plus, minus = (Delta.from_terms(0.25, term[nu, _MINUS], term[nu, _MINUS + 1])
+        plus, minus = (Delta.from_terms(0.25, *term[nu][_MINUS:_MINUS + 2])
                        for nu in (-mu, mu))
-        dphi_pos, dphi_neg = (Delta.from_terms(1.0, term[nu, _PHI], term[nu, _PHI + 1])
+        dphi_pos, dphi_neg = (Delta.from_terms(1.0, *term[nu][_PHI:_PHI + 2])
                               for nu in (mu, -mu))
-        sup = term[mu, _SUP_TERM].negated()
+        sup = term[mu][_SUP_TERM].negated()
         sup_finite = math.isfinite(sup.value)
         decay_ok = math.isfinite(limits[mu][_PHI][1])
         admissible = (dphi_pos.value > 0.0 and dphi_neg.value > 0.0

@@ -266,7 +266,7 @@ def main(argv=None) -> int:
     except WarpDiracError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FloatingPointError as exc:
+    except ArithmeticError as exc:  # FloatingPointError, OverflowError, ZeroDivisionError
         print(f"numerical error: {exc}", file=sys.stderr)
         return 5
 

@@ -54,7 +54,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .admissibility import ModePotential
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, GridTooCoarseError, NumericalError
 from .operators import (DiscreteRadialOperator, RadialGrid, _by_parts, assemble_kg,
                         coupling_product, dirac_band_product)
 from .profiles import Family, MetricProfile
@@ -66,6 +66,7 @@ _SUPPORT_SIGMAS = 3.0
 _CAUSAL_MARGIN = 2.0
 _CHUNK = 64  # Chebyshev vectors added into the samples per GEMM (even)
 _BESSEL_TAIL = 1e-18  # |J_k| at or below which a term is dropped
+_TAIL_CHECKED = 1e7  # largest rho |t| for which _tail_terms was checked
 _SERIES_TERMS = 20  # power-series terms of J_k(x) for x < 1
 _AGMON_DEPTH = 40.0  # Agmon distance from the turning point to the first kept cell
 _ENERGY_FACTOR = 4.0  # E = 4 sqrt(|h^2 v0| / |v0|) places the turning point
@@ -136,7 +137,13 @@ class DataTemplate:
         return self.center + _SUPPORT_SIGMAS * self.width
 
     def realize(self, grid: RadialGrid) -> SpinorState:
-        return gaussian_state(grid, self.center, self.width, self.amplitude, self.component)
+        """The datum on the grid; refused, like amplitude 0, if every sample is zero."""
+        state = gaussian_state(grid, self.center, self.width, self.amplitude, self.component)
+        if not np.any(getattr(state, self.component)):
+            raise GridTooCoarseError(
+                f"the datum of width {self.width} samples as zero on the grid "
+                f"(dr = {grid.dr:g}); refine the grid or widen the datum")
+        return state
 
 
 @dataclass(frozen=True)
@@ -265,7 +272,7 @@ def _tail_terms(x: np.ndarray) -> np.ndarray:
     """Number of terms past which |J_k(x)| < _BESSEL_TAIL for good, x >= 0.
 
     x + 12 x^(1/3) + 28 is past the last such k by at least 24 for every x
-    checked from 0 to 2e5.
+    checked from 0 to _TAIL_CHECKED.
     """
     return (x + 12.0 * np.cbrt(x) + 28.0).astype(int)
 
@@ -322,9 +329,14 @@ def _bessel_coefficients(x: np.ndarray) -> np.ndarray:
     """(2 - delta_k0) s_k J_k(x) with s_k = (-1)^(k // 2), one row per x.
 
     Coefficients with |J_k(x)| <= _BESSEL_TAIL are dropped (set to zero),
-    and the columns end with the last one kept in any row.
+    and the columns end with the last one kept in any row.  An |x| past
+    _TAIL_CHECKED (a huge mass or a huge time) raises NumericalError.
     """
     ax = np.abs(x)
+    largest = float(np.max(ax, initial=0.0))
+    if not largest <= _TAIL_CHECKED:
+        raise NumericalError(f"the Chebyshev series needs rho |t| = {largest:.0e}, past "
+                             f"{_TAIL_CHECKED:.0e}, where its truncation was checked")
     sizes = _tail_terms(ax)
     out = _bessel_j(ax, int(sizes.max(initial=1)))
     k = np.arange(out.shape[1])

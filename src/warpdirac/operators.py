@@ -92,6 +92,10 @@ class DiscreteRadialOperator:
             raise ConfigurationError(f"bad {kind} operator: need a potential per node (and m)")
         if m is not None and not np.isfinite(m):
             raise ConfigurationError(f"the mass m must be finite, got {m}")
+        bad = ~np.isfinite(potential)
+        if bad.any():
+            raise NumericalError(f"the {kind} potential is not finite at "
+                                 f"r = {grid.nodes[np.argmax(bad)]:g}")
         self.grid, self.kind, self.potential = grid, kind, potential
         self.profile, self.mu, self.m = profile, mu, m
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -253,10 +254,31 @@ def test_batched_reports_equal_single_functional_scans(tag, scan):
 
 
 @pytest.mark.parametrize("tag", sorted(PROFILES))
-def test_sup_rows_only_at_the_requested_modes(tag, monkeypatch):
-    """A mode list not closed under mu -> -mu scans the sup row of its own
-    modes only (18 rows for [1, 2], not 20), and every report keeps its bits."""
+def test_mode_lists_not_closed_under_negation_keep_their_bits(tag):
+    """A mode list that is not closed under mu -> -mu, or repeats a |mu|,
+    gives every report the bits of the per-functional scans."""
     prof = PROFILES[tag]
+    for mus in ([1.0, 2.0], [-3.0], [2.0, -2.0]):
+        for mu, rep in zip(mus, check_admissible(prof, mus), strict=True):
+            assert asdict(rep) == _single_functional_report(prof, mu, DEFAULT_SCAN_POLICY), mu
+
+
+@pytest.mark.parametrize("tag", ["af", "sinh"])
+def test_mode_lists_over_three_chunks_keep_their_bits(tag):
+    """mu = 1..39 (78 signed modes) is scanned 32 signed modes at a time, and
+    every report still has the bits of the per-functional scans."""
+    prof = PROFILES[tag]
+    scan = InfimumScanPolicy(1e-4, 1e4, 2000)
+    mus = [float(k) for k in range(1, 40)]
+    assert 2 * len(mus) > 2 * admissibility._CHUNK
+    for mu, rep in zip(mus, check_admissible(prof, mus, scan), strict=True):
+        assert asdict(rep) == _single_functional_report(prof, mu, scan), mu
+
+
+def test_admissibility_memory_does_not_grow_with_the_mode_count(monkeypatch):
+    """+-1..+-64 is four scans of at most 160 functionals, and the check's
+    tracemalloc peak stays at most 16 MB (one table for all 128 signed modes
+    took 31.6 MB)."""
     counts = []
     real_scan = admissibility.scan_infima
 
@@ -265,11 +287,16 @@ def test_sup_rows_only_at_the_requested_modes(tag, monkeypatch):
         return real_scan(r, limits, fill, evaluate)
 
     monkeypatch.setattr(admissibility, "scan_infima", counting)
-    for mus, rows in (([1.0, 2.0], 18), ([-3.0], 9), ([2.0, -2.0], 10)):
-        reports = check_admissible(prof, mus)
-        assert counts.pop() == rows
-        for mu, rep in zip(mus, reports):
-            assert asdict(rep) == _single_functional_report(prof, mu, DEFAULT_SCAN_POLICY), mu
+    mus = [float(sign * k) for k in range(1, 65) for sign in (1, -1)]
+    tracemalloc.start()
+    try:
+        reports = check_admissible(AF001, mus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == len(mus) and all(rep.admissible for rep in reports)
+    assert counts == [160] * 4
+    assert peak <= 16e6
 
 
 def _written_out_channels(rv, r2vp, r3vpp):

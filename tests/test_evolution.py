@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpdirac import (ConfigurationError, DataTemplate, Family, FlatBesselOracle,
-                       MetricProfile, RadialGrid, SpinorState, SpinorTrajectory,
+                       GridTooCoarseError, MetricProfile, NumericalError, RadialGrid, SpinorState, SpinorTrajectory,
                        assemble_dirac, assemble_kg, evolve, factorization_check,
                        gaussian_state, kg_crosscheck, verify_square)
 from warpdirac import evolution
 from warpdirac.evolution import (_barrier_cell, _bessel_coefficients, _chebyshev_propagate,
-                                 bessel_orders, causal_time_limit)
+                                 _tail_terms, bessel_orders, causal_time_limit)
 
 FLAT = MetricProfile(Family.FLAT)
 AF001 = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=0.01)
@@ -383,6 +383,28 @@ def test_bessel_coefficients_match_scipy():
     bessel = coeffs * np.where(k % 4 < 2, 1.0, -1.0) / np.where(k == 0, 1.0, 2.0)
     assert np.max(np.abs(bessel - scipy.special.jv(k, small[:, None]))) <= 1e-16
     assert bessel[0].tolist() == [1.0] + [0.0] * (len(k) - 1)
+
+
+def test_tail_terms_hold_over_the_checked_range():
+    """Every J_k(x) from 24 orders below _tail_terms(x) to 15 above it is at most
+    _BESSEL_TAIL for x up to _TAIL_CHECKED, and a larger or NaN rho |t| is refused
+    before any table is built."""
+    x = np.geomspace(1.0, evolution._TAIL_CHECKED, 60)
+    k = _tail_terms(x)[:, None] + np.arange(-24, 16)
+    assert np.max(np.abs(scipy.special.jv(k, x[:, None]))) <= evolution._BESSEL_TAIL
+    for bad in (1.0001e7, -8e12, np.inf, np.nan):
+        with pytest.raises(NumericalError, match="past 1e\\+07, where its truncation"):
+            _bessel_coefficients(np.array([0.5, bad]))
+
+
+def test_a_datum_that_samples_as_zero_is_refused():
+    """A bump far narrower than dr between two nodes has only zero samples, which
+    would make every norm ratio 0 / 0; gaussian_state itself still samples it."""
+    grid = RadialGrid(40.0, 16)
+    with pytest.raises(GridTooCoarseError, match="width 0.01 samples as zero"):
+        DataTemplate(width=0.01).realize(grid)
+    assert not np.any(gaussian_state(grid, width=0.01).plus)
+    assert np.any(DataTemplate(width=0.01, component="minus").realize(RadialGrid(40.0, 4000)).minus)
 
 
 def _peak_memory_of_evolve(profile, mu, times):

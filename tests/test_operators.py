@@ -249,6 +249,17 @@ def test_operator_data_must_fit_its_kind():
             assemble_dirac(FLAT, 1.0, m, GRID)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_potential_that_is_not_finite_is_refused(bad):
+    """A potential with a NaN or an infinity (sinh's phi overflows past r = 710)
+    is a NumericalError naming the kind and the first bad node, not a later crash."""
+    pot = np.ones(GRID.n_cells)
+    pot[[100, 200]] = bad
+    with pytest.raises(NumericalError,
+                       match=f"the kg_minus potential is not finite at r = {GRID.nodes[100]:g}$"):
+        DiscreteRadialOperator(GRID, "kg_minus", pot)
+
+
 def test_norm_equivalence_flat_is_exact():
     """At n = 3 the flat weighted Laplacian is the plain second difference,
     so both sides run identical bands through identical arithmetic and every
