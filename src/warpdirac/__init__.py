@@ -11,21 +11,20 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .admissibility import (AdmissibilityReport, ModePotential, check_admissible,
-                            delta_c, delta_phi, delta_pm, delta_lower_bound)
+                            delta_lower_bound)
 from .errors import (ConfigurationError, ContractViolationError, GridTooCoarseError,
                      HypothesisViolationError, NonAdmissibleError, NumericalError,
                      PolicyError, UnsupportedFamilyError, WarpDiracError)
 from .estimates import (ExponentTriple, NormScanResult, is_admissible_triple, mu_scan,
                         smoothing_norm, strichartz_norm)
 from .evolution import (DataTemplate, FlatBesselOracle, SpinorState, SpinorTrajectory, evolve,
-                        gaussian_state, kg_crosscheck)
+                        gaussian_state)
 from .operators import (DiscreteRadialOperator, RadialGrid, assemble_dirac,
                         assemble_kg, factorization_check, flat_reference_operator,
                         norm_equivalence_check, verify_square)
 from .profiles import (A2Verdict, Family, MetricProfile, ProfileConstants,
                        check_A2, profile_constants)
 from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy
-from .spectrum import (LPBand, ModeIndex, band_index, laplace_eigenvalue_check,
-                       lp_band, sphere_spectrum)
+from .spectrum import LPBand, ModeIndex, band_index, lp_band, sphere_spectrum
 
 __version__ = "0.1.0"

@@ -27,8 +27,9 @@ profile is evaluated once on the scan grid, then block by block the scaled
 parts of each signed mu and its five functionals (:func:`_mode_terms`, the
 one place they are written) are scanned together, 32 signed modes at a time
 (:func:`warpdirac.scan.scan_infima`), and every golden-section refinement
-of a chunk steps together.  Its values equal those of the
-per-functional scans (:func:`delta_pm`, :func:`delta_phi`) bit for bit.
+of a chunk steps together.  Its values equal those of one
+:func:`warpdirac.scan.scan_infimum` per row of :func:`_mode_terms`, with
+the limits of :func:`_row_limits`, bit for bit.
 :func:`delta_lower_bound` is the floor on delta_pm that the A2 smallness
 test (:func:`warpdirac.profiles.check_A2`) guarantees.
 """
@@ -41,13 +42,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, HypothesisViolationError
+from .errors import HypothesisViolationError
 from .profiles import A2Verdict, MetricProfile
-from .scan import (DEFAULT_SCAN_POLICY, InfimumScanPolicy, ScanExtremum, scan_infima,
-                   scan_infimum)
+from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, ScanExtremum, scan_infima
 
-__all__ = ["ModePotential", "Delta", "AdmissibilityReport", "delta_pm", "delta_phi", "delta_c",
-           "check_admissible", "delta_lower_bound"]
+__all__ = ["ModePotential", "Delta", "AdmissibilityReport", "check_admissible",
+           "delta_lower_bound"]
 
 @dataclass(frozen=True)
 class ModePotential:
@@ -73,7 +73,11 @@ class ModePotential:
 
     def V_prime(self, r):
         phi, dphi, _ = self.profile.phi_dphi_d2phi(np.asarray(r, dtype=float))
-        return -self.mu * dphi / phi**2
+        # sinh: phi^2 overflows to inf from r ~ 355 on, where this gives a signed
+        # zero for a V' of about 2 mu e^-r; past r ~ 710 phi' is inf too, and the
+        # nan of inf / inf is refused by the operator that assembles the potential
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -self.mu * dphi / phi**2
 
 
 def _parts(mu, ratios):
@@ -125,13 +129,6 @@ def _row_limits(profile: MetricProfile, mu: float) -> list:
                     _mode_terms(_parts_at_infinity(profile, mu))))
 
 
-def _scan_term(profile: MetricProfile, mu: float, t: int, scan: InfimumScanPolicy) -> ScanExtremum:
-    """Infimum of row t of :func:`_mode_terms` for one signed mu, scanned alone."""
-    at_zero, at_inf = _row_limits(profile, mu)[t]
-    return scan_infimum(lambda r: _mode_terms(_parts(mu, profile.ratios(r)))[t], scan,
-                        limit_at_zero=at_zero, limit_at_infinity=at_inf)
-
-
 @dataclass(frozen=True)
 class Delta:
     """min(cap, inf of a quadratic term, inf of a cubic term), with both infima."""
@@ -147,56 +144,6 @@ class Delta:
     def violating_term(self) -> Optional[ScanExtremum]:
         """First non-positive term (quadratic checked before cubic), if any."""
         return next((t for t in (self.quad_term, self.cubic_term) if t.value <= 0.0), None)
-
-
-def delta_pm(pot: ModePotential,
-             scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> tuple[Delta, Delta]:
-    """Both Hardy-form infima (delta_+, delta_-) of one mode: the - rows at -mu, then at mu."""
-    return tuple(Delta.from_terms(0.25, *(_scan_term(pot.profile, nu, t, scan)
-                                          for t in (_MINUS, _MINUS + 1)))
-                 for nu in (-pot.mu, pot.mu))
-
-
-def delta_phi(profile: MetricProfile, mu: float,
-              scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> Delta:
-    """Quadratic-weight variant built on W = mu (mu + phi')/phi^2."""
-    mu = ModePotential(profile=profile, mu=mu).mu
-    return Delta.from_terms(1.0, *(_scan_term(profile, mu, t, scan) for t in (_PHI, _PHI + 1)))
-
-
-def delta_c(pot: ModePotential, sign: int,
-            scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> Delta:
-    """Generic channel functional min[1/4, inf(c r^2 + (n-2)^2/4), inf(-r^3 c' - r^2 c + (n-2)^2/4)].
-
-    Evaluated directly from the c_{+-} channel of ``pot``; agreement with
-    :func:`delta_pm` is an invariant, not an implementation shortcut.
-    """
-    if sign not in (+1, -1):
-        raise ConfigurationError("sign must be +1 or -1")
-    n = pot.profile.n
-    shift = (n - 2) ** 2 / 4.0
-    corner = (n - 1) * (n - 3) / 4.0
-
-    def r2c(parts):
-        rv, r2vp, _, _ = parts
-        return -corner + rv**2 + sign * r2vp
-
-    def term2(parts):
-        return r2c(parts) + shift
-
-    def term3(parts):
-        rv, r2vp, r3vpp, _ = parts
-        r3cp = 2.0 * corner + 2.0 * rv * r2vp + sign * r3vpp
-        return -r3cp - r2c(parts) + shift
-
-    at_inf = _parts_at_infinity(pot.profile, pot.mu)
-
-    def infimum(term):
-        return scan_infimum(lambda r: term(_parts(pot.mu, pot.profile.ratios(r))), scan,
-                            limit_at_zero=term(_parts_at_zero(pot.mu)),
-                            limit_at_infinity=term(at_inf))
-
-    return Delta.from_terms(0.25, infimum(term2), infimum(term3))
 
 
 @dataclass(frozen=True)
@@ -234,8 +181,8 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     (:func:`warpdirac.scan.scan_infima`).  Every golden-section refinement
     of a chunk steps in lockstep with one ``profile.ratios`` call per step.
     W -> 0 at infinity is read from the table's own limit of 4 r^2 W + 1
-    there.  The values are those of :func:`delta_pm`, :func:`delta_phi`
-    and a supremum scan per mode, bit for bit.
+    there.  The values are those of one scan per functional of each mode,
+    bit for bit.
     """
     pots = [ModePotential(profile=profile, mu=mu) for mu in mus]
     if not pots:

@@ -55,12 +55,12 @@ import numpy as np
 
 from .admissibility import ModePotential
 from .errors import ConfigurationError, GridTooCoarseError, NumericalError
-from .operators import (DiscreteRadialOperator, RadialGrid, _by_parts, assemble_kg,
-                        coupling_product, dirac_band_product)
+from .operators import (DiscreteRadialOperator, RadialGrid, _by_parts, coupling_product,
+                        dirac_band_product)
 from .profiles import Family, MetricProfile
 
 __all__ = ["SpinorState", "DataTemplate", "SpinorTrajectory", "gaussian_state", "evolve",
-           "FlatBesselOracle", "kg_crosscheck", "causal_time_limit"]
+           "FlatBesselOracle", "causal_time_limit"]
 
 _SUPPORT_SIGMAS = 3.0
 _CAUSAL_MARGIN = 2.0
@@ -230,6 +230,10 @@ def evolve(op: DiscreteRadialOperator, initial: SpinorState,
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise ConfigurationError(f"evolve needs finite times, got {times}")
+    # rho >= |m| + 1/dr on every cut, so this refuses, before h is first
+    # applied, a flow that _bessel_coefficients would refuse anyway
+    _check_tail_reach((abs(float(op.m)) + 1.0 / op.grid.dr)
+                      * float(np.max(np.abs(times), initial=0.0)))
     v0 = initial.as_vector()
     start = _barrier_cell(op, v0)
     vecs = _chebyshev_propagate(op, v0, times, start)
@@ -325,6 +329,13 @@ def _bessel_series(x: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
+def _check_tail_reach(largest: float) -> None:
+    """Refuse a largest rho |t| past _TAIL_CHECKED, or a nan one."""
+    if not largest <= _TAIL_CHECKED:
+        raise NumericalError(f"the Chebyshev series needs rho |t| = {largest:.0e}, past "
+                             f"{_TAIL_CHECKED:.0e}, where its truncation was checked")
+
+
 def _bessel_coefficients(x: np.ndarray) -> np.ndarray:
     """(2 - delta_k0) s_k J_k(x) with s_k = (-1)^(k // 2), one row per x.
 
@@ -333,10 +344,7 @@ def _bessel_coefficients(x: np.ndarray) -> np.ndarray:
     _TAIL_CHECKED (a huge mass or a huge time) raises NumericalError.
     """
     ax = np.abs(x)
-    largest = float(np.max(ax, initial=0.0))
-    if not largest <= _TAIL_CHECKED:
-        raise NumericalError(f"the Chebyshev series needs rho |t| = {largest:.0e}, past "
-                             f"{_TAIL_CHECKED:.0e}, where its truncation was checked")
+    _check_tail_reach(float(np.max(ax, initial=0.0)))
     sizes = _tail_terms(ax)
     out = _bessel_j(ax, int(sizes.max(initial=1)))
     k = np.arange(out.shape[1])
@@ -477,30 +485,3 @@ class FlatBesselOracle:
             plus=_by_parts(lambda x: self._b_plus.T @ x, (self.w_rho * pt)[:, None])[:, 0],
             minus=_by_parts(lambda x: self._b_minus.T @ x, (self.w_rho * mt)[:, None])[:, 0],
             support_radius=reach)
-
-
-def kg_crosscheck(traj: SpinorTrajectory) -> float:
-    """Residual of the second-order form along a uniformly sampled trajectory.
-
-    max over interior times of || D_t^2 v_pm + K v_pm || / || v_pm || with
-    the centered time second difference and K the matching Klein-Gordon
-    operator, assembled on the trajectory's grid for its mode and mass
-    (v_plus pairs with kg_minus).  O(dt^2) under refinement.
-    """
-    times = traj.times
-    if len(times) < 3:
-        raise ConfigurationError("need at least 3 time samples")
-    dts = np.diff(times)
-    dt = dts[0]
-    if not np.allclose(dts, dt, rtol=1e-10, atol=1e-12):
-        raise ConfigurationError("kg_crosscheck needs uniform time samples")
-    worst = 0.0
-    for block, sign in ((traj.plus, -1), (traj.minus, +1)):
-        kg = assemble_kg(traj.profile, traj.mu, traj.m, sign, traj.grid)
-        here = block[:, 1:-1]
-        dtt = (block[:, 2:] - 2.0 * here + block[:, :-2]) / dt**2
-        num = np.linalg.norm(dtt + kg.apply(here), axis=0)
-        denom = np.linalg.norm(here, axis=0)
-        keep = denom != 0.0
-        worst = max(worst, float(np.max(num[keep] / denom[keep], initial=0.0)))
-    return worst

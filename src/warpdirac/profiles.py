@@ -120,7 +120,8 @@ class MetricProfile:
         """(phi, phi', phi'') elementwise; exact limits at r = 0."""
         r = np.asarray(r, dtype=float)
         if self.family is Family.SINH:
-            return np.sinh(r), np.cosh(r), np.sinh(r)
+            with np.errstate(over="ignore"):  # inf past r ~ 710, correctly rounded
+                return np.sinh(r), np.cosh(r), np.sinh(r)
         if self.family is Family.POLYNOMIAL:
             p = self.degree
             ks = np.arange(1, p + 1)

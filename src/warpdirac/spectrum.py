@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from .errors import ConfigurationError
 
-__all__ = ["ModeIndex", "LPBand", "sphere_spectrum", "lp_band", "band_index",
-           "laplace_eigenvalue_check"]
+__all__ = ["ModeIndex", "LPBand", "sphere_spectrum", "lp_band", "band_index"]
 
 
 def _exact(value, name: str) -> Fraction:
@@ -114,23 +113,3 @@ def band_index(mode: ModeIndex) -> int:
     |mu| = (n-1)/2 + k, the j with 2^j < k <= 2^(j+1), or 0 for k <= 2."""
     k = int(mode.abs_mu - Fraction(mode.n - 1, 2))
     return max(0, (k - 1).bit_length() - 1)
-
-
-def laplace_eigenvalue_check(mode: ModeIndex, component: str) -> tuple[Fraction, Fraction]:
-    """(lhs, rhs) of the flat-Laplacian eigenvalue identity for one component.
-
-    lhs is the product formula in mu; rhs is l (l + n - 2) at the
-    component's degree.  The contract lhs == rhs holds exactly.
-    """
-    if component not in ("+", "-"):
-        raise ConfigurationError("component must be '+' or '-'")
-    mu, n = mode.mu, mode.n
-    half = Fraction(n - 1, 2)
-    if component == "+":
-        lhs = (mu - half) * (mu + half - 1)
-        deg = mode.degree_plus
-    else:
-        lhs = (mu + half) * (mu - half + 1)
-        deg = mode.degree_minus
-    rhs = Fraction(deg * (deg + n - 2))
-    return lhs, rhs

@@ -9,16 +9,18 @@ import math
 import numpy as np
 import pytest
 
-from warpdirac import (ExponentTriple, Family, MetricProfile, ModePotential,
+from warpdirac import (ExponentTriple, Family, MetricProfile,
                        RadialGrid, SpinorState, assemble_dirac,
-                       check_A2, check_admissible, delta_pm,
+                       check_A2, check_admissible,
                        delta_lower_bound, evolve, factorization_check,
-                       FlatBesselOracle, gaussian_state, kg_crosscheck,
-                       lp_band, laplace_eigenvalue_check, mu_scan,
+                       FlatBesselOracle, gaussian_state,
+                       lp_band, mu_scan,
                        norm_equivalence_check,
                        sphere_spectrum, verify_square)
 from warpdirac.cli import main as cli_main
 from warpdirac.profiles import sigma_log_derivative_bound
+
+from references import kg_crosscheck, laplace_eigenvalue_check
 
 FLAT = MetricProfile(Family.FLAT)
 AF001 = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=0.01)
@@ -75,9 +77,8 @@ def test_criterion_2_factorization_convergence():
 
 def test_criterion_3_flat_delta_values():
     worst = 0.0
-    for k in range(1, 9):
-        plus, minus = delta_pm(ModePotential(profile=FLAT, mu=float(k)))
-        worst = max(worst, abs(plus.value - 0.25), abs(minus.value - 0.25))
+    for rep in check_admissible(FLAT, [float(k) for k in range(1, 9)]):
+        worst = max(worst, abs(rep.delta_plus - 0.25), abs(rep.delta_minus - 0.25))
     verdict(3, worst <= 1e-6,
             f"flat delta_pm(mu) = 1/4 for mu in 1..8 (max deviation {worst:.2e})")
 
@@ -89,11 +90,10 @@ def test_criterion_4_delta_floor():
         a2 = check_A2(profile, 1.0)
         assert a2.passed
         bound = delta_lower_bound(a2)
-        for k in range(1, 9):
-            for mu in (float(k), -float(k)):
-                plus, minus = delta_pm(ModePotential(profile=profile, mu=mu))
-                margin = min(plus.value, minus.value) - (bound - 1e-6)
-                worst_margin = min(worst_margin, margin)
+        mus = [float(sign * k) for k in range(1, 9) for sign in (1, -1)]
+        for rep in check_admissible(profile, mus):
+            margin = min(rep.delta_plus, rep.delta_minus) - (bound - 1e-6)
+            worst_margin = min(worst_margin, margin)
     verdict(4, worst_margin >= 0.0,
             f"delta_pm >= guaranteed floor - 1e-6 on |mu| <= 8, eps in {{1e-3, 1e-2}} "
             f"(worst margin {worst_margin:.2e})")

@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 from warpdirac import (A2Verdict, ConfigurationError, Family, FlatBesselOracle,
                        HypothesisViolationError, MetricProfile, ModePotential,
                        ProfileConstants, RadialGrid, assemble_dirac, check_A2,
-                       check_admissible, delta_c, delta_phi, delta_pm, delta_lower_bound,
-                       profile_constants)
+                       check_admissible, delta_lower_bound, profile_constants)
 from warpdirac import admissibility
-from warpdirac.admissibility import _parts, _parts_at_infinity, _parts_at_zero
+from warpdirac.admissibility import (_MINUS, _PHI, Delta, _mode_terms, _parts,
+                                     _parts_at_infinity, _parts_at_zero, _row_limits)
 from warpdirac.reporting import canonical_json
-from warpdirac.scan import BLOCK, DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_supremum
+from warpdirac.scan import (BLOCK, DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_infimum,
+                            scan_supremum)
+
+from references import delta_c
 
 FLAT = MetricProfile(Family.FLAT)
 SINH = MetricProfile(Family.SINH)
@@ -37,22 +40,21 @@ def flat_delta_phi_oracle(mu: float) -> float:
 
 @pytest.mark.parametrize("mu", [1.0, 2.0, 3.0, 5.0, 8.0, -1.0, -4.0, -8.0])
 def test_flat_delta_pm_matches_oracle(mu):
-    plus, minus = delta_pm(ModePotential(profile=FLAT, mu=mu))
-    assert plus.value == pytest.approx(flat_delta_oracle(mu, +1), abs=1e-9)
-    assert minus.value == pytest.approx(flat_delta_oracle(mu, -1), abs=1e-9)
+    (rep,) = check_admissible(FLAT, [mu])
+    assert rep.delta_plus == pytest.approx(flat_delta_oracle(mu, +1), abs=1e-9)
+    assert rep.delta_minus == pytest.approx(flat_delta_oracle(mu, -1), abs=1e-9)
 
 
 def test_flat_deltas_are_one_quarter():
-    for mu in range(1, 9):
-        plus, minus = delta_pm(ModePotential(profile=FLAT, mu=float(mu)))
-        assert plus.value == pytest.approx(0.25, abs=1e-6)
-        assert minus.value == pytest.approx(0.25, abs=1e-6)
+    for rep in check_admissible(FLAT, [float(mu) for mu in range(1, 9)]):
+        assert rep.delta_plus == pytest.approx(0.25, abs=1e-6)
+        assert rep.delta_minus == pytest.approx(0.25, abs=1e-6)
 
 
 @pytest.mark.parametrize("mu", [1.0, 2.0, -1.0, -3.0])
 def test_flat_delta_phi_matches_oracle(mu):
-    res = delta_phi(FLAT, mu)
-    assert res.value == pytest.approx(flat_delta_phi_oracle(mu), abs=1e-9)
+    (rep,) = check_admissible(FLAT, [mu])
+    assert rep.delta_phi_mu == pytest.approx(flat_delta_phi_oracle(mu), abs=1e-9)
 
 
 def test_mu_zero_rejected():
@@ -98,19 +100,17 @@ def test_quadratic_weight_identity(mu, r, tag):
 
 def test_delta_phi_equals_four_delta_minus():
     for prof in (FLAT, AF001):
-        for mu in (1.0, -1.0, 2.0, -3.0):
-            _, minus = delta_pm(ModePotential(profile=prof, mu=mu))
-            res = delta_phi(prof, mu)
-            assert res.value == pytest.approx(4.0 * minus.value, rel=1e-9)
+        for rep in check_admissible(prof, [1.0, -1.0, 2.0, -3.0]):
+            assert rep.delta_phi_mu == pytest.approx(4.0 * rep.delta_minus, rel=1e-9)
 
 
 @pytest.mark.parametrize("prof", [FLAT, AF001], ids=["flat", "af"])
 def test_delta_c_equals_delta_pm(prof):
-    for mu in [float(k) for k in range(1, 9)] + [-1.0, -2.0, -5.0, -8.0]:
+    mus = [float(k) for k in range(1, 9)] + [-1.0, -2.0, -5.0, -8.0]
+    for mu, rep in zip(mus, check_admissible(prof, mus), strict=True):
         pot = ModePotential(profile=prof, mu=mu)
-        plus, minus = delta_pm(pot)
-        assert delta_c(pot, +1).value == pytest.approx(plus.value, abs=1e-9)
-        assert delta_c(pot, -1).value == pytest.approx(minus.value, abs=1e-9)
+        assert delta_c(pot, +1).value == pytest.approx(rep.delta_plus, abs=1e-9)
+        assert delta_c(pot, -1).value == pytest.approx(rep.delta_minus, abs=1e-9)
 
 
 def test_delta_c_zero_potential_shape():
@@ -213,9 +213,17 @@ def test_growing_profiles_fail_with_a_witness_on_a_short_scan_range(prof):
 
 def _single_functional_report(prof, mu, scan):
     """Report fields from one scan per functional, as check_admissible once did per mode."""
-    pot = ModePotential(profile=prof, mu=mu)
-    plus, minus = delta_pm(pot, scan)
-    pos, neg = delta_phi(prof, mu, scan), delta_phi(prof, -mu, scan)
+
+    def single_delta(nu, cap, row):
+        """min(cap, ...) of _mode_terms rows row and row + 1 at nu, each scanned alone."""
+        limits = _row_limits(prof, nu)
+        return Delta.from_terms(cap, *(
+            scan_infimum(lambda r, t=t: _mode_terms(_parts(nu, prof.ratios(r)))[t], scan,
+                         limit_at_zero=limits[t][0], limit_at_infinity=limits[t][1])
+            for t in (row, row + 1)))
+
+    plus, minus = (single_delta(nu, 0.25, _MINUS) for nu in (-mu, mu))
+    pos, neg = (single_delta(nu, 1.0, _PHI) for nu in (mu, -mu))
 
     def r2w(parts):
         return parts[0] ** 2 - parts[1]
@@ -439,11 +447,10 @@ def test_delta_floor_holds_on_sphere_modes(eps):
     bound = delta_lower_bound(check_A2(prof, 1.0))
     quarter = delta_lower_bound(check_A2(prof, 2.0))
     assert quarter == 0.25
-    for k in range(1, 11):
-        for mu in (float(k), -float(k)):
-            plus, minus = delta_pm(ModePotential(profile=prof, mu=mu))
-            assert plus.value >= bound - 1e-6
-            assert minus.value >= bound - 1e-6
-            if k >= 2:
-                # modes above the mu0 = 2 gap keep the full quarter
-                assert min(plus.value, minus.value) >= quarter - 1e-6
+    mus = [float(sign * k) for k in range(1, 11) for sign in (1, -1)]
+    for rep in check_admissible(prof, mus):
+        assert rep.delta_plus >= bound - 1e-6
+        assert rep.delta_minus >= bound - 1e-6
+        if abs(rep.mu) >= 2:
+            # modes above the mu0 = 2 gap keep the full quarter
+            assert min(rep.delta_plus, rep.delta_minus) >= quarter - 1e-6

@@ -1,8 +1,9 @@
-"""The benchmark's own invocations and artifact checks, run in this process.
+"""The benchmark's own invocations, artifact checks and tracer, run in this process.
 
 Each invocation of ``bench/workloads.py`` runs through ``cli.main`` on its
 generated config, and its workload check must find no problem: a change that
-would make the benchmark report wrong outputs fails here first.
+would make the benchmark report wrong outputs fails here first.  The tracer
+of the benchmark's traced run hooks package names, so it must install too.
 """
 
 import sys
@@ -10,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from warpdirac import cli
+from warpdirac import admissibility, cli, estimates
+from warpdirac.operators import DiscreteRadialOperator
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from tracer import Tracer  # noqa: E402
 from workloads import CHECKS, WORKLOADS  # noqa: E402
 
 RUNS = [inv for invocations in WORKLOADS.values() for inv in invocations]
@@ -28,3 +31,21 @@ def test_benchmark_invocation_passes_its_check(inv, tmp_path, capsys):
     capsys.readouterr()
     problems, _ = CHECKS[inv.command](out, inv)
     assert problems == []
+
+
+def test_tracer_installs_and_restores_its_hooks():
+    """Installing fails if the package loses a name that the tracer hooks;
+    restoring puts the hooked methods and functions back."""
+    eigh = vars(DiscreteRadialOperator)["eigh"]
+    init = vars(estimates.SobolevCalculus)["__init__"]
+    check = admissibility.check_admissible
+    restore = Tracer().install()
+    try:
+        assert vars(DiscreteRadialOperator)["eigh"] is not eigh
+        assert vars(estimates.SobolevCalculus)["__init__"] is not init
+        assert admissibility.check_admissible is not check
+    finally:
+        restore()
+    assert vars(DiscreteRadialOperator)["eigh"] is eigh
+    assert vars(estimates.SobolevCalculus)["__init__"] is init
+    assert admissibility.check_admissible is check

@@ -5,9 +5,10 @@ every subcommand on small grids, and three runs that fail with exit codes
 3 and 4.  Every ``def`` in ``src/warpdirac`` is named by its qualname in the
 source and matched to the code objects that ran by its first line, which
 for a decorated ``def`` is its first decorator's line (``co_firstlineno``).
-The ``def``s that never ran must be exactly NEVER_RUN: the references that
-tests compare against and the paper's explicit condition on the metric.
-Anything else that no command runs is either a command path that lost its
+The ``def``s that never ran must be exactly NEVER_RUN: the flat oracle and
+the dense references, which the benchmark still uses, and the paper's
+explicit condition on the metric.  A reference that only tests use lives in
+``tests/references.py``.  Anything else that no command runs is either a command path that lost its
 caller or code to delete.
 
 The package's modules import each other at module level only: a ``def``
@@ -25,22 +26,13 @@ from warpdirac import cli
 PACKAGE = Path(warpdirac.__file__).resolve().parent
 
 NEVER_RUN = {
-    # references that tests compare against
+    # the flat oracle, which the benchmark's evolve check imports
     "evolution.FlatBesselOracle.__init__",
     "evolution.FlatBesselOracle.propagate",
     "evolution.bessel_orders",
-    "evolution.kg_crosscheck",
-    "admissibility.delta_pm",
-    "admissibility.delta_phi",
-    "admissibility._scan_term",
-    "admissibility.delta_c",
-    "admissibility.delta_c.<locals>.r2c",
-    "admissibility.delta_c.<locals>.term2",
-    "admissibility.delta_c.<locals>.term3",
-    "admissibility.delta_c.<locals>.infimum",
+    # dense references, which the benchmark's tracer hooks
     "operators.DiscreteRadialOperator.matrix",
     "operators.DiscreteRadialOperator.eigh",
-    "spectrum.laplace_eigenvalue_check",
     # the paper's explicit sufficient condition on the metric
     "profiles.profile_constants",
     "profiles.profile_constants.<locals>.f_a",

@@ -652,6 +652,8 @@ def test_cli_numerical_failure_exits_5_and_writes_nothing(tmp_path):
 
 @pytest.mark.parametrize("command, keys, code, message", [
     ("evolve", {"m": "-1e300"}, 5, "the Chebyshev series needs rho |t| = 8e+300, past 1e+07"),
+    ("strichartz-scan", {"m": "-1e300", "modes.mu_list": "1, 2"}, 5,
+     "the Chebyshev series needs rho |t| = 8e+300, past 1e+07"),
     ("strichartz-scan", {"m": "1e12", "modes.mu_list": "1, 2"}, 5,
      "the Chebyshev series needs rho |t| = 8e+12, past 1e+07"),
     ("validate", {"profile.family": "sinh", "grid.n_cells": "512", "grid.r_max": "800"}, 5,
@@ -661,25 +663,45 @@ def test_cli_numerical_failure_exits_5_and_writes_nothing(tmp_path):
      "the datum of width 0.01 samples as zero on the grid (dr = 2.5)"),
     ("strichartz-scan", {"data.width": "0.01", "grid.n_cells": "16", "modes.mu_list": "1, 2"},
      4, "the datum of width 0.01 samples as zero on the grid (dr = 2.5)"),
-], ids=["negative-huge-mass", "huge-mass", "sinh-overflow", "huge-radius",
-        "zero-datum-evolve", "zero-datum-scan"])
+], ids=["negative-huge-mass", "negative-huge-mass-scan", "huge-mass", "sinh-overflow",
+        "huge-radius", "zero-datum-evolve", "zero-datum-scan"])
 def test_cli_out_of_range_runs_exit_with_their_code(tmp_path, command, keys, code, message):
     """A mass past the Bessel series' checked range of rho |t|, a potential
     that overflows, a radius whose dr^2 overflows and a datum that the grid
     samples as zero end in a documented exit code with one error line: no
     traceback, no artifact (so no NaN norm drift).  Each is a process of its
-    own, since sinh warns of its overflow on the way."""
+    own under python -W error, so a NumPy warning on the way (a huge mass
+    applied to the datum, sinh's overflow) would end it with a traceback."""
+    result, out = _run_warning_free(tmp_path, command, keys)
+    assert result.returncode == code, result.stderr
+    (line,) = result.stderr.splitlines()
+    assert message in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, r_max", [("evolve", 500), ("validate", 500),
+                                            ("evolve", 800)])
+def test_sinh_runs_past_the_overflow_radius_print_nothing(tmp_path, command, r_max):
+    """sinh's phi^2 is inf from r ~ 355 and phi from r ~ 710, correctly rounded:
+    under python -W error these runs still exit 0 with nothing on stderr."""
+    result, out = _run_warning_free(tmp_path, command, {
+        "profile.family": "sinh", "grid.n_cells": "512", "grid.r_max": str(r_max)})
+    assert (result.returncode, result.stderr) == (0, "")
+    assert out.exists()
+
+
+def _run_warning_free(tmp_path, command, keys):
+    """One CLI process under python -W error on a small flat config updated by keys."""
     keys = {"profile.family": "flat", "modes.mu_list": "1", "grid.n_cells": "128",
             "time.samples": "3", **keys}
     text = "".join(f"{key} = {value}\n" for key, value in keys.items())
     out = tmp_path / "out"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-m", "warpdirac.cli", command, "--config",
-                             _write(tmp_path, text), "--out", str(out)], capture_output=True,
-                            text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert result.returncode == code, result.stderr
-    assert message in result.stderr and "Traceback" not in result.stderr
-    assert not out.exists()
+    result = subprocess.run([sys.executable, "-W", "error", "-m", "warpdirac.cli", command,
+                             "--config", _write(tmp_path, text), "--out", str(out)],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    return result, out
 
 
 def test_artifact_records_are_written_whole(tmp_path):

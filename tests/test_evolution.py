@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 from warpdirac import (ConfigurationError, DataTemplate, Family, FlatBesselOracle,
                        GridTooCoarseError, MetricProfile, NumericalError, RadialGrid, SpinorState, SpinorTrajectory,
                        assemble_dirac, assemble_kg, evolve, factorization_check,
-                       gaussian_state, kg_crosscheck, verify_square)
+                       gaussian_state, verify_square)
 from warpdirac import evolution
 from warpdirac.evolution import (_barrier_cell, _bessel_coefficients, _chebyshev_propagate,
                                  _tail_terms, bessel_orders, causal_time_limit)
+
+import references
+from references import kg_crosscheck
 
 FLAT = MetricProfile(Family.FLAT)
 AF001 = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=0.01)
@@ -560,7 +563,7 @@ class DenseKG:
 def _pair_kg_crosscheck_with(monkeypatch, kg_minus, kg_plus):
     """Make kg_crosscheck pair v_plus with the dense kg_minus and v_minus with kg_plus."""
     pair = {-1: DenseKG(kg_minus), +1: DenseKG(kg_plus)}
-    monkeypatch.setattr(evolution, "assemble_kg", lambda profile, mu, m, sign, grid: pair[sign])
+    monkeypatch.setattr(references, "assemble_kg", lambda profile, mu, m, sign, grid: pair[sign])
 
 
 def test_kg_crosscheck_eigenmode_exact(flat_op, monkeypatch):
