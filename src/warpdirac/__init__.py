@@ -10,8 +10,7 @@ import os
 # the core count.  A value set in the environment is left alone.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .admissibility import (AdmissibilityReport, ModePotential, check_admissible,
-                            delta_lower_bound)
+from .admissibility import AdmissibilityReport, ModePotential, check_admissible
 from .errors import (ConfigurationError, ContractViolationError, GridTooCoarseError,
                      HypothesisViolationError, NonAdmissibleError, NumericalError,
                      PolicyError, UnsupportedFamilyError, WarpDiracError)

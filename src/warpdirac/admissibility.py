@@ -29,9 +29,9 @@ one place they are written) are scanned together, 32 signed modes at a time
 (:func:`warpdirac.scan.scan_infima`), and every golden-section refinement
 of a chunk steps together.  Its values equal those of one
 :func:`warpdirac.scan.scan_infimum` per row of :func:`_mode_terms`, with
-the limits of :func:`_row_limits`, bit for bit.
-:func:`delta_lower_bound` is the floor on delta_pm that the A2 smallness
-test (:func:`warpdirac.profiles.check_A2`) guarantees.
+the limits of :func:`_row_limits`, bit for bit.  The floor on delta_pm
+that the A2 smallness test guarantees is the ``delta_floor`` of
+:func:`warpdirac.profiles.check_A2`.
 """
 
 from __future__ import annotations
@@ -43,11 +43,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import HypothesisViolationError
-from .profiles import A2Verdict, MetricProfile
+from .profiles import MetricProfile
 from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, ScanExtremum, scan_infima
 
-__all__ = ["ModePotential", "Delta", "AdmissibilityReport", "check_admissible",
-           "delta_lower_bound"]
+__all__ = ["ModePotential", "Delta", "AdmissibilityReport", "check_admissible"]
 
 @dataclass(frozen=True)
 class ModePotential:
@@ -73,11 +72,14 @@ class ModePotential:
 
     def V_prime(self, r):
         phi, dphi, _ = self.profile.phi_dphi_d2phi(np.asarray(r, dtype=float))
-        # sinh: phi^2 overflows to inf from r ~ 355 on, where this gives a signed
-        # zero for a V' of about 2 mu e^-r; past r ~ 710 phi' is inf too, and the
-        # nan of inf / inf is refused by the operator that assembles the potential
+        # sinh: phi^2 overflows to inf from r ~ 355 on while phi is finite, and
+        # dividing by phi twice keeps V' ~ -2 mu e^-r there; past r ~ 710 phi' is
+        # inf too, and the nan of inf / inf is refused by the operator that
+        # assembles the potential
         with np.errstate(over="ignore", invalid="ignore"):
-            return -self.mu * dphi / phi**2
+            square = phi**2
+            return np.where(np.isinf(square) & np.isfinite(phi),
+                            -self.mu * (dphi / phi) / phi, -self.mu * dphi / square)
 
 
 def _parts(mu, ratios):
@@ -233,11 +235,3 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
         ))
     return reports
 
-
-def delta_lower_bound(verdict: A2Verdict) -> float:
-    """Guaranteed lower bound for delta_pm over all modes with |mu| >= verdict.mu0.
-
-    1/4 when mu0 >= 2, otherwise the A2 threshold min(1/4 + mu0^2 - mu0, 1/8)
-    less the achieved max(A_phi, B_phi), both as :func:`check_A2` found them.
-    """
-    return 0.25 if verdict.mu0 >= 2.0 else verdict.threshold - verdict.achieved

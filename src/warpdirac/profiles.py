@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, HypothesisViolationError, UnsupportedFamilyError
-from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_supremum
+from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_infima, scan_supremum
 
 __all__ = ["Family", "MetricProfile", "ProfileConstants", "A2Verdict",
            "sigma_log_derivative_bound", "profile_constants", "check_A2"]
@@ -77,10 +77,6 @@ class MetricProfile:
                 f"polynomial degree must be in [2, {MAX_POLY_DEGREE}], got {self.degree}")
 
     # -- phi1 decomposition (flat / asymptotically flat only) ---------------
-
-    @property
-    def has_phi1(self) -> bool:
-        return self.family in (Family.FLAT, Family.ASYMPTOTICALLY_FLAT)
 
     def phi1_parts(self, r):
         """(phi1, r phi1', r^2 phi1'') evaluated elementwise, r >= 0."""
@@ -176,9 +172,13 @@ class MetricProfile:
     def ratios_at_infinity(self) -> tuple:
         """Limits of :meth:`ratios` at r -> infinity, finite for every family.
 
-        sinh and polynomial growth drive all three ratios to 0; for the
-        flat / asymptotically flat families the limits follow from the
-        phi1 limit L: (1/(1+L), 1, 0).
+        For the flat / asymptotically flat families they follow from the
+        phi1 limit L: (1/(1+L), 1, 0).  On sinh and polynomial growth
+        r/phi and r^3 phi''/phi^2 tend to 0, but r phi'/phi does not: it
+        grows like r on sinh and tends to the degree on a polynomial.  The
+        0 that stands in for it is exact where the limits are used, in the
+        scaled parts of :mod:`warpdirac.admissibility`: each multiplies it
+        by r/phi or r^3 phi''/phi^2.
         """
         if self.family in (Family.SINH, Family.POLYNOMIAL):
             return 0.0, 0.0, 0.0
@@ -206,10 +206,18 @@ class ProfileConstants:
 
 @dataclass(frozen=True)
 class A2Verdict:
+    """The A2 smallness test at the spectral gap mu0.
+
+    ``delta_floor`` is the lower bound on delta_pm over all modes with
+    |mu| >= mu0 that a passed test guarantees: 1/4 when mu0 >= 2, otherwise
+    ``threshold - achieved``.
+    """
+
     passed: bool
     threshold: float
     achieved: float
     mu0: float
+    delta_floor: float
     constants: ProfileConstants
 
 
@@ -232,34 +240,36 @@ def sigma_log_derivative_bound(profile: MetricProfile,
                          limit_at_infinity=at_inf).value
 
 
+def _phi1_terms(parts) -> tuple:
+    """The negated functionals behind A_phi and B_phi's two suprema, from phi1_parts."""
+    phi1, rp, rpp = parts
+    return (-np.abs(phi1 + rp), -np.abs(rp + (1.0 + phi1) * (phi1 + rp)),
+            -np.abs(2.0 * rp**2 + (1.0 + phi1) * rpp))
+
+
 def profile_constants(profile: MetricProfile,
                       scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> ProfileConstants:
-    """Scan the A_phi, B_phi, c_phi suprema for a flat / asymptotically flat profile."""
-    if not profile.has_phi1:
-        raise UnsupportedFamilyError(
-            f"constants A_phi/B_phi need a phi1 decomposition; "
-            f"family {profile.family.value} has none")
-    if profile.family is Family.FLAT or profile.epsilon == 0.0:
-        return ProfileConstants(0.0, 0.0, 0.0)
+    """Scan the A_phi, B_phi, c_phi suprema for a flat / asymptotically flat profile.
 
+    The three phi1 suprema are the infima of the rows of :func:`_phi1_terms`,
+    scanned as one table (:func:`warpdirac.scan.scan_infima`): one
+    ``phi1_parts`` call per grid block and per golden-section step.  Their
+    values and witnesses are those of one :func:`warpdirac.scan.scan_supremum`
+    per functional, bit for bit.  Families without a phi1 decomposition
+    raise UnsupportedFamilyError.
+    """
     lim = profile.phi1_limit_at_infinity()
+    r = scan.grid()
 
-    def f_a(r):
-        phi1, rp, _ = profile.phi1_parts(r)
-        return np.abs(phi1 + rp)
+    def fill(lo, hi, out):
+        out[:] = _phi1_terms(profile.phi1_parts(r[lo:hi]))
 
-    def f_b1(r):
-        phi1, rp, _ = profile.phi1_parts(r)
-        return np.abs(rp + (1.0 + phi1) * (phi1 + rp))
+    def evaluate(ids, radii):
+        return np.stack(_phi1_terms(profile.phi1_parts(radii)))[ids, np.arange(len(ids))]
 
-    def f_b2(r):
-        phi1, rp, rpp = profile.phi1_parts(r)
-        return np.abs(2.0 * rp**2 + (1.0 + phi1) * rpp)
-
-    sup_a = scan_supremum(f_a, scan, limit_at_zero=0.0, limit_at_infinity=abs(lim))
-    sup_b1 = scan_supremum(f_b1, scan, limit_at_zero=0.0,
-                           limit_at_infinity=abs((1.0 + lim) * lim))
-    sup_b2 = scan_supremum(f_b2, scan, limit_at_zero=0.0, limit_at_infinity=0.0)
+    # the limits at 0 and infinity of each row, as scan_supremum negates them
+    limits = [(-0.0, -abs(lim)), (-0.0, -abs((1.0 + lim) * lim)), (-0.0, -0.0)]
+    sup_a, sup_b1, sup_b2 = (t.negated() for t in scan_infima(r, limits, fill, evaluate))
     return ProfileConstants(
         a_phi=sup_a.value,
         b_phi=sup_b1.value + sup_b2.value,
@@ -274,8 +284,9 @@ def check_A2(profile: MetricProfile, mu0: float,
              scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> A2Verdict:
     """Smallness test: max(A_phi, B_phi) against the mu0-dependent threshold.
 
-    The bound is 1 for mu0 >= 2 (inclusive) and the strict bound
-    min(1/4 + mu0^2 - mu0, 1/8) otherwise.
+    The bound is 1 for mu0 >= 2 (inclusive), where the floor on delta_pm
+    is the full 1/4, and the strict bound min(1/4 + mu0^2 - mu0, 1/8)
+    otherwise, where the floor is what the achieved value leaves of it.
     """
     if not mu0 > 0.5:
         raise HypothesisViolationError(
@@ -283,10 +294,11 @@ def check_A2(profile: MetricProfile, mu0: float,
     consts = profile_constants(profile, scan)
     achieved = max(consts.a_phi, consts.b_phi)
     if mu0 >= 2.0:
-        threshold = 1.0
+        threshold, floor = 1.0, 0.25
         passed = achieved <= threshold
     else:
         threshold = min(0.25 + mu0 * mu0 - mu0, 0.125)
         passed = achieved < threshold
+        floor = threshold - achieved
     return A2Verdict(passed=passed, threshold=threshold, achieved=achieved,
-                     mu0=mu0, constants=consts)
+                     mu0=mu0, delta_floor=floor, constants=consts)

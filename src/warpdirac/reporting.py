@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -68,11 +67,10 @@ def write_text_atomic(path: Path, text: str | Iterable[str]):
     """Write one string, or the strings of an iterable in turn, as UTF-8."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    # created 0666 like open() would, so the kernel applies the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)  # mkstemp's 0600 would survive the rename
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             if isinstance(text, str):
                 fh.write(text)

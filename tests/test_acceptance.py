@@ -12,7 +12,7 @@ import pytest
 from warpdirac import (ExponentTriple, Family, MetricProfile,
                        RadialGrid, SpinorState, assemble_dirac,
                        check_A2, check_admissible,
-                       delta_lower_bound, evolve, factorization_check,
+                       evolve, factorization_check,
                        FlatBesselOracle, gaussian_state,
                        lp_band, mu_scan,
                        norm_equivalence_check,
@@ -89,7 +89,7 @@ def test_criterion_4_delta_floor():
         profile = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=eps)
         a2 = check_A2(profile, 1.0)
         assert a2.passed
-        bound = delta_lower_bound(a2)
+        bound = a2.delta_floor
         mus = [float(sign * k) for k in range(1, 9) for sign in (1, -1)]
         for rep in check_admissible(profile, mus):
             margin = min(rep.delta_plus, rep.delta_minus) - (bound - 1e-6)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpdirac import (A2Verdict, ConfigurationError, Family, FlatBesselOracle,
+from warpdirac import (ConfigurationError, Family, FlatBesselOracle,
                        HypothesisViolationError, MetricProfile, ModePotential,
-                       ProfileConstants, RadialGrid, assemble_dirac, check_A2,
-                       check_admissible, delta_lower_bound, profile_constants)
+                       RadialGrid, assemble_dirac, check_A2,
+                       check_admissible, profile_constants)
 from warpdirac import admissibility
 from warpdirac.admissibility import (_MINUS, _PHI, Delta, _mode_terms, _parts,
                                      _parts_at_infinity, _parts_at_zero, _row_limits)
@@ -82,6 +83,44 @@ def test_flat_channel_potentials():
     r = np.geomspace(0.1, 30.0, 50)
     assert np.allclose((pot.V(r) ** 2 + pot.V_prime(r)) * r**2, 2.0, rtol=1e-12)
     assert np.allclose((pot.V(r) ** 2 - pot.V_prime(r)) * r**2, 6.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("mu", [1.0, -2.5])
+def test_sinh_v_prime_stays_finite_where_phi_squared_overflows(mu):
+    """From r ~ 355 to 710 sinh's phi^2 overflows while phi does not; V' there is
+    -mu cosh/sinh^2 = -2 mu e^-r to rounding, not a signed zero.  Below 355 the
+    value keeps the bits of -mu phi'/phi^2."""
+    pot = ModePotential(profile=SINH, mu=mu)
+    far = np.array([356.0, 400.0, 600.0, 700.0])
+    near = np.geomspace(1e-3, 354.0, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pot.V_prime(far)
+        kept = pot.V_prime(near)
+    assert np.allclose(got, -2.0 * mu * np.exp(-far), rtol=1e-14, atol=0.0)
+    phi, dphi, _ = SINH.phi_dphi_d2phi(near)
+    assert np.array_equal(kept, -mu * dphi / phi**2)
+
+
+@pytest.mark.parametrize("prof, radius", [
+    (FLAT, 1e6), (AF001, 1e6),
+    (MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=0.5, alpha=2, beta=4), 1e6),
+    (POLY3, 1e6), (MetricProfile(Family.POLYNOMIAL, degree=20), 1e6), (SINH, 50.0)],
+    ids=["flat", "af001", "af_2_4", "poly3", "poly20", "sinh"])
+def test_ratio_limits_give_the_limits_of_the_scaled_parts(prof, radius):
+    """The stand-in 0 for r phi'/phi on sinh and polynomials is exact in the scaled
+    parts, since each multiplies it by r/phi or r^3 phi''/phi^2: far out they
+    approach their limits at infinity."""
+    r = np.array([radius])
+    for mu in (1.0, -1.0, 2.5):
+        near = [float(x[0]) for x in _parts(mu, prof.ratios(r))]
+        assert near == pytest.approx(list(_parts_at_infinity(prof, mu)), rel=0.0, abs=1e-9)
+    # r phi'/phi itself grows like r on sinh and tends to the degree on a polynomial
+    s2 = float(prof.ratios(r)[1][0])
+    if prof.family is Family.SINH:
+        assert s2 == pytest.approx(radius)
+    elif prof.family is Family.POLYNOMIAL:
+        assert s2 == pytest.approx(prof.degree, rel=1e-5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -429,23 +468,31 @@ def test_report_serialization_fields():
 
 def test_delta_floor_values():
     consts = profile_constants(AF001)
-    assert delta_lower_bound(check_A2(AF001, 2.0)) == 0.25
-    assert delta_lower_bound(check_A2(AF001, 1.0)) == pytest.approx(
+    assert check_A2(AF001, 2.0).delta_floor == 0.25
+    assert check_A2(AF001, 1.0).delta_floor == pytest.approx(
         0.125 - max(consts.a_phi, consts.b_phi))
-    assert delta_lower_bound(check_A2(FLAT, 1.0)) == pytest.approx(0.125)
+    assert check_A2(FLAT, 1.0).delta_floor == pytest.approx(0.125)
 
 
-def test_delta_floor_substitution_example():
-    consts = ProfileConstants(a_phi=0.05, b_phi=0.04, c_phi=0.0)
-    verdict = A2Verdict(passed=True, threshold=0.125, achieved=0.05, mu0=1.0, constants=consts)
-    assert delta_lower_bound(verdict) == pytest.approx(0.075)
+@pytest.mark.parametrize("mu0", [0.75, 1.0, 1.5, 2.0, 3.0])
+def test_delta_floor_substitution_example(mu0):
+    """check_A2's own arithmetic: below mu0 = 2 the floor is what the achieved
+    max(A_phi, B_phi) leaves of the threshold, from 2 on it is 1/4."""
+    verdict = check_A2(MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=0.02), mu0)
+    achieved = max(verdict.constants.a_phi, verdict.constants.b_phi)
+    assert verdict.achieved == achieved
+    if mu0 < 2.0:
+        assert verdict.threshold == min(0.25 + mu0 * mu0 - mu0, 0.125)
+        assert verdict.delta_floor == verdict.threshold - achieved
+    else:
+        assert (verdict.threshold, verdict.delta_floor) == (1.0, 0.25)
 
 
 @pytest.mark.parametrize("eps", [0.001, 0.01])
 def test_delta_floor_holds_on_sphere_modes(eps):
     prof = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=eps)
-    bound = delta_lower_bound(check_A2(prof, 1.0))
-    quarter = delta_lower_bound(check_A2(prof, 2.0))
+    bound = check_A2(prof, 1.0).delta_floor
+    quarter = check_A2(prof, 2.0).delta_floor
     assert quarter == 0.25
     mus = [float(sign * k) for k in range(1, 11) for sign in (1, -1)]
     for rep in check_admissible(prof, mus):

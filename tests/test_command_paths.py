@@ -34,13 +34,11 @@ NEVER_RUN = {
     "operators.DiscreteRadialOperator.matrix",
     "operators.DiscreteRadialOperator.eigh",
     # the paper's explicit sufficient condition on the metric
+    "profiles._phi1_terms",
     "profiles.profile_constants",
-    "profiles.profile_constants.<locals>.f_a",
-    "profiles.profile_constants.<locals>.f_b1",
-    "profiles.profile_constants.<locals>.f_b2",
+    "profiles.profile_constants.<locals>.fill",
+    "profiles.profile_constants.<locals>.evaluate",
     "profiles.check_A2",
-    "admissibility.delta_lower_bound",
-    "profiles.MetricProfile.has_phi1",
 }
 
 _SCAN = "profile.family = {family}\nn = {n}\ngrid.n_cells = 256\ntriples = {triples}\n"

@@ -24,7 +24,8 @@ from warpdirac.evolution import DataTemplate
 from warpdirac.operators import (DEFAULT_TRIALS, DiscreteRadialOperator, RadialGrid,
                                  norm_equivalence_check)
 from warpdirac.scan import InfimumScanPolicy
-from warpdirac.reporting import canonical_json, write_csv_atomic, write_text_atomic
+from warpdirac.reporting import (canonical_json, write_csv_atomic, write_json_atomic,
+                                 write_text_atomic)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -221,6 +222,21 @@ def test_artifacts_take_the_mode_that_open_gives(tmp_path, umask):
         os.umask(previous)
     for path in tmp_path.iterdir():
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_artifacts_are_written_without_touching_the_umask(tmp_path, monkeypatch):
+    """The process umask is never set, not even for a moment: another thread
+    creating a file meanwhile would get none."""
+
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    write_json_atomic(tmp_path / "a.json", {"x": 0.5})
+    write_csv_atomic(tmp_path / "b.csv", ["a"], [(1,)])
+    assert (tmp_path / "a.json").read_text() == '{\n  "x": 5.0000000000000000e-01\n}\n'
+    assert (tmp_path / "b.csv").read_text() == "a\n1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.csv"]
 
 
 def test_cli_write_failure_exits_4_and_leaves_no_artifact(tmp_path, capsys):

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from warpdirac import (ConfigurationError, Family, HypothesisViolationError,
                        MetricProfile, UnsupportedFamilyError, check_A2,
                        profile_constants)
+from warpdirac import profiles, scan
+from warpdirac.profiles import ProfileConstants, sigma_log_derivative_bound
+from warpdirac.scan import DEFAULT_SCAN_POLICY, scan_supremum
 
 FLAT = MetricProfile(Family.FLAT)
 SINH = MetricProfile(Family.SINH)
@@ -102,15 +105,71 @@ def test_derivatives_match_finite_differences(tag, r):
     assert abs(fd2 - d2phi) / scale2 < 1e-4
 
 
+def _single_functional_constants(prof, policy=DEFAULT_SCAN_POLICY):
+    """ProfileConstants from one scan_supremum per phi1 functional."""
+    lim = prof.phi1_limit_at_infinity()
+
+    def f_a(r):
+        phi1, rp, _ = prof.phi1_parts(r)
+        return np.abs(phi1 + rp)
+
+    def f_b1(r):
+        phi1, rp, _ = prof.phi1_parts(r)
+        return np.abs(rp + (1.0 + phi1) * (phi1 + rp))
+
+    def f_b2(r):
+        phi1, rp, rpp = prof.phi1_parts(r)
+        return np.abs(2.0 * rp**2 + (1.0 + phi1) * rpp)
+
+    sup_a = scan_supremum(f_a, policy, limit_at_zero=0.0, limit_at_infinity=abs(lim))
+    sup_b1 = scan_supremum(f_b1, policy, limit_at_zero=0.0,
+                           limit_at_infinity=abs((1.0 + lim) * lim))
+    sup_b2 = scan_supremum(f_b2, policy, limit_at_zero=0.0, limit_at_infinity=0.0)
+    return ProfileConstants(
+        a_phi=sup_a.value, b_phi=sup_b1.value + sup_b2.value,
+        c_phi=sigma_log_derivative_bound(prof, policy),
+        arg_a=sup_a.arg_r, arg_b1=sup_b1.arg_r, arg_b2=sup_b2.arg_r)
+
+
+def _hex_fields(consts):
+    return {name: float(value).hex() for name, value in vars(consts).items()}
+
+
+@pytest.mark.parametrize("eps, alpha, beta", [(0.01, 1, 1), (0.001, 1, 1), (0.5, 2, 4),
+                                              (0.2, 1, 1), (3.0, 1, 3), (20.0, 1, 3),
+                                              (0.3, 2, 2)])
+def test_one_table_equals_single_functional_scans(eps, alpha, beta):
+    """The one-table constants equal one scan_supremum per functional, every bit."""
+    prof = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=eps, alpha=alpha, beta=beta)
+    assert _hex_fields(profile_constants(prof)) == _hex_fields(_single_functional_constants(prof))
+
+
+def test_profile_constants_one_table_per_check(monkeypatch):
+    """An AF check_A2 runs two scans: the phi1 table and the sigma'/sigma bound."""
+    real, calls = scan.scan_infima, []
+
+    def counting(r, limits, fill, evaluate):
+        calls.append(len(limits))
+        return real(r, limits, fill, evaluate)
+
+    monkeypatch.setattr(scan, "scan_infima", counting)
+    monkeypatch.setattr(profiles, "scan_infima", counting)
+    check_A2(AF001, 1.0)
+    assert calls == [3, 1]
+
+
+def _assert_exact_zeros(c):
+    """+0.0 constants, each witnessed at the first grid radius."""
+    assert [float(x).hex() for x in (c.a_phi, c.b_phi, c.c_phi)] == [(0.0).hex()] * 3
+    assert (c.arg_a, c.arg_b1, c.arg_b2) == (DEFAULT_SCAN_POLICY.r_min,) * 3
+
+
 def test_profile_constants_flat_zero():
-    c = profile_constants(FLAT)
-    assert c.a_phi == 0.0 and c.b_phi == 0.0 and c.c_phi == 0.0
+    _assert_exact_zeros(profile_constants(FLAT))
 
 
 def test_profile_constants_zero_amplitude():
-    prof = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=0.0)
-    c = profile_constants(prof)
-    assert c.a_phi == 0.0 and c.b_phi == 0.0
+    _assert_exact_zeros(profile_constants(MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=0.0)))
 
 
 def test_profile_constants_frozen_values():
@@ -179,6 +238,7 @@ def test_check_A2_large_amplitude_fails():
 def test_check_A2_threshold_cases():
     assert check_A2(AF001, 2.0).threshold == 1.0
     assert check_A2(AF001, 0.75).threshold == pytest.approx(0.25 + 0.75**2 - 0.75)
+
 
 
 def test_check_A2_hypothesis_gate():
