@@ -22,12 +22,13 @@ grid can span [1e-6, 1e6] for every family including sinh.  V is odd in
 mu, so the + channel at mu is the - channel at -mu, and delta_+(mu) is
 delta_-(-mu) bit for bit.
 
-:func:`check_admissible` checks a whole sequence of modes in one pass: the
-profile is evaluated once on the scan grid, then block by block the scaled
-parts of each signed mu and its five functionals (:func:`_mode_terms`, the
-one place they are written) are scanned together, 32 signed modes at a time
+:func:`check_admissible` checks a whole sequence of modes in one pass over
+the scan grid: block by block the profile is evaluated once, then the
+scaled parts of each signed mu and its five functionals
+(:func:`_mode_terms`, the one place they are written) are filled 32 signed
+modes at a time into one reused buffer
 (:func:`warpdirac.scan.scan_infima`), and every golden-section refinement
-of a chunk steps together.  Its values equal those of one
+of the whole table steps together.  Its values equal those of one
 :func:`warpdirac.scan.scan_infimum` per row of :func:`_mode_terms`, with
 the limits of :func:`_row_limits`, bit for bit.  The floor on delta_pm
 that the A2 smallness test guarantees is the ``delta_floor`` of
@@ -36,6 +37,7 @@ that the A2 smallness test guarantees is the ``delta_floor`` of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -106,7 +108,7 @@ def _parts_at_infinity(profile: MetricProfile, mu: float) -> tuple:
 # Rows of _mode_terms: the first of the (quadratic, cubic) pairs of delta_- and
 # delta_phi, and the one behind sup |4 r^2 W|; _TERMS rows in all.
 _MINUS, _PHI, _SUP_TERM, _TERMS = 0, 2, 4, 5
-# Signed modes per scan_infima call: its block buffer stays at most
+# Signed modes per fill of the table's block buffer: it stays at most
 # 32 * _TERMS rows of BLOCK points (5.2 MB), however many modes are checked.
 _CHUNK = 32
 
@@ -177,11 +179,13 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     Mode mu needs delta_pm(mu), delta_phi(+-mu) and sup |4 r^2 W| at mu.
     All of these are read from one table holding the five rows of
     :func:`_mode_terms` for every signed mu in +-mus (row 5k + t is term t
-    of the k-th signed mu), so delta_+(mu) is read from the - rows of -mu:
-    ``profile.ratios`` once on the policy grid, then _CHUNK signed modes at
-    a time, block by block, the scaled parts of each signed mu
-    (:func:`warpdirac.scan.scan_infima`).  Every golden-section refinement
-    of a chunk steps in lockstep with one ``profile.ratios`` call per step.
+    of the k-th signed mu), so delta_+(mu) is read from the - rows of -mu.
+    One pass walks the policy grid block by block
+    (:func:`warpdirac.scan.scan_infima`): ``profile.ratios`` once per block,
+    then the scaled parts of _CHUNK signed modes at a time.  So the working
+    set is the grid and one block buffer, however long the grid.  Every
+    golden-section refinement of the table steps in lockstep with one
+    ``profile.ratios`` call per step.
     W -> 0 at infinity is read from the table's own limit of 4 r^2 W + 1
     there.  The values are those of one scan per functional of each mode,
     bit for bit.
@@ -191,25 +195,26 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
         return []
     signed = list(dict.fromkeys(sign * pot.mu for pot in pots for sign in (1, -1)))
     r = scan.grid()
-    ratios = profile.ratios(r)
+    row_mu = np.repeat(signed, _TERMS)
+
+    @functools.lru_cache(maxsize=1)
+    def block_ratios(lo, hi):
+        return profile.ratios(r[lo:hi])
+
+    def fill(lo, hi, first, out):
+        block = block_ratios(lo, hi)
+        for k, mu in enumerate(signed[first // _TERMS:(first + len(out)) // _TERMS]):
+            for t, values in enumerate(_mode_terms(_parts(mu, block))):
+                out[_TERMS * k + t] = values
+
+    def evaluate(ids, radii):
+        values = np.stack(_mode_terms(_parts(row_mu[ids], profile.ratios(radii))))
+        return values[ids % _TERMS, np.arange(len(ids))]
+
     limits = {mu: _row_limits(profile, mu) for mu in signed}
-    term = {}
-    for start in range(0, len(signed), _CHUNK):
-        chunk = signed[start:start + _CHUNK]
-        row_mu = np.repeat(chunk, _TERMS)
-
-        def fill(lo, hi, out):
-            block = tuple(s[lo:hi] for s in ratios)
-            for k, mu in enumerate(chunk):
-                for t, values in enumerate(_mode_terms(_parts(mu, block))):
-                    out[_TERMS * k + t] = values
-
-        def evaluate(ids, radii):
-            values = np.stack(_mode_terms(_parts(row_mu[ids], profile.ratios(radii))))
-            return values[ids % _TERMS, np.arange(len(ids))]
-
-        found = scan_infima(r, [lim for mu in chunk for lim in limits[mu]], fill, evaluate)
-        term.update((mu, found[_TERMS * k:_TERMS * (k + 1)]) for k, mu in enumerate(chunk))
+    found = scan_infima(r, [lim for mu in signed for lim in limits[mu]], fill, evaluate,
+                        rows=_TERMS * _CHUNK)
+    term = {mu: found[_TERMS * k:_TERMS * (k + 1)] for k, mu in enumerate(signed)}
 
     reports = []
     for pot in pots:

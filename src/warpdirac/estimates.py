@@ -176,7 +176,8 @@ class NormScanResult:
 
 def _fit_slope(abs_mu: np.ndarray, ratios: np.ndarray) -> Optional[float]:
     """Least-squares slope of log ratio against log |mu|; None if degenerate."""
-    if len(np.unique(abs_mu)) < 2:
+    # min == max rather than np.unique, which loads numpy.ma on NumPy 2.4
+    if len(abs_mu) == 0 or abs_mu.min() == abs_mu.max():
         return None
     return float(np.polyfit(np.log(abs_mu), np.log(ratios), 1)[0])
 

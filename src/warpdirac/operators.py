@@ -238,16 +238,22 @@ def _resolvent_sum(u: np.ndarray, s: float, nodes, low, high):
     return _LOG_STEP * np.sin(np.pi * s) / np.pi * (nodes + left + right)
 
 
-def _one_plus(op: DiscreteRadialOperator, x: np.ndarray) -> np.ndarray:
+def _one_plus(op: DiscreteRadialOperator, x: np.ndarray,
+              scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """(1 + A) x for a real N x K block, the second difference taken as a
-    difference of first differences, zero outside the grid."""
-    diffs = np.diff(x, axis=0)  # x_(i+1) - x_i
+    difference of first differences, zero outside the grid.
+
+    ``scratch``, an array shaped like ``x``, holds the differences and then
+    the potential term; it is overwritten.
+    """
+    scratch = np.empty_like(x) if scratch is None else scratch
+    diffs = scratch[:-1]
+    np.subtract(x[1:], x[:-1], out=diffs)  # x_(i+1) - x_i
     bx = np.empty_like(x)
     np.subtract(diffs[:-1], diffs[1:], out=bx[1:-1])
     bx[0], bx[-1] = x[0] - diffs[0], diffs[-1] + x[-1]
-    del diffs
     bx *= 1.0 / op.grid.dr ** 2
-    bx += (1.0 + op.potential)[:, None] * x
+    bx += np.multiply((1.0 + op.potential)[:, None], x, out=scratch)
     return bx
 
 
@@ -546,10 +552,13 @@ def _band_forms(op: DiscreteRadialOperator, x: np.ndarray,
     Each node is one forward LDL^T sweep of tau + B, all nodes and columns
     at once: f = sum_i y_i z_i / p_i with L y = B x and L z = x, so nothing
     N long is kept per node, and every exponent reuses the node values.
-    Refuses a B that is not positive definite.
+    Refuses a B that is not positive definite.  Besides x, only B x and
+    one scratch array are N x K.
     """
-    bx = _one_plus(op, x)
-    forms = {0.0: np.sum(x * x, axis=0), 1.0: np.sum(bx * x, axis=0)}
+    scratch = np.empty_like(x)
+    bx = _one_plus(op, x, scratch)
+    forms = {0.0: np.multiply(x, x, out=scratch).sum(axis=0),
+             1.0: np.multiply(bx, x, out=scratch).sum(axis=0)}
     u = _log_nodes(op)
     y, z, acc = np.zeros((3, len(u), x.shape[1]))  # (node, column)
     term = np.empty_like(acc)
@@ -589,7 +598,9 @@ def norm_equivalence_check(profile: MetricProfile, exponents: Sequence[float],
             raise ConfigurationError(f"s must be in [0, 1], got {expo}")
     grid = grid or RadialGrid()
     rng = np.random.default_rng(seed)
-    bumps = np.stack([_random_bump(rng, grid) for _ in range(trials)], axis=1)
+    bumps = np.empty((grid.n_cells, trials))
+    for k in range(trials):
+        bumps[:, k] = _random_bump(rng, grid)
     weighted = _band_forms(weighted_laplacian_operator(profile, grid), bumps, exponents)
     flat = _band_forms(flat_reference_operator(profile.n, grid), bumps, exponents)
     out = []

@@ -166,7 +166,12 @@ class MetricProfile:
         den = 1.0 + phi1
         s1 = 1.0 / den
         s2 = 1.0 + rp / den
-        s3 = (2.0 * rp + rpp) / den**2
+        # a huge amplitude overflows den^2 while den is finite: dividing by den
+        # twice keeps s3 there, and every s3 with a finite den^2 keeps its bits
+        with np.errstate(over="ignore"):
+            square = den**2
+        num = 2.0 * rp + rpp
+        s3 = np.where(np.isinf(square) & np.isfinite(den), num / den / den, num / square)
         return s1, s2, s3
 
     def ratios_at_infinity(self) -> tuple:
@@ -261,7 +266,7 @@ def profile_constants(profile: MetricProfile,
     lim = profile.phi1_limit_at_infinity()
     r = scan.grid()
 
-    def fill(lo, hi, out):
+    def fill(lo, hi, first, out):
         out[:] = _phi1_terms(profile.phi1_parts(r[lo:hi]))
 
     def evaluate(ids, radii):

@@ -8,12 +8,13 @@ The scan never guesses what happens past the grid, and every reported
 constant is reproducible bit for bit.
 
 :func:`scan_infima` runs many functionals on one grid, one block of at most
-BLOCK points at a time: the caller fills a reused ``(functionals, block)``
-buffer, and the scan keeps per functional only its running minimum with the
-first index where it occurs and its first non-finite radius.  That summary
-settles the grid minimum and the non-finite error exactly as the whole grid
-array would, with no grid-sized temporary.  All the golden-section
-refinements then step in lockstep, one evaluation call per step.
+BLOCK points at a time and, within a block, at most ``rows`` functionals at
+a time: the caller fills a reused ``(rows, block)`` buffer, and the scan
+keeps per functional only its running minimum with the first index where
+it occurs and its first non-finite radius.  That summary settles the grid
+minimum and the non-finite error exactly as the whole grid array would,
+with no grid-sized temporary.  All the golden-section refinements then step
+in lockstep, one evaluation call per step.
 :func:`scan_infimum` and :func:`scan_supremum` are its one-functional case.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -74,31 +75,37 @@ class ScanExtremum:
 
 
 def _grid_minima(r: np.ndarray, count: int,
-                 fill: Callable[[int, int, np.ndarray], None]) -> tuple[np.ndarray, np.ndarray]:
+                 fill: Callable[[int, int, int, np.ndarray], None],
+                 rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Each functional's minimum on the grid ``r`` and the first index where it occurs.
 
-    ``fill`` writes the ``count`` functionals on ``r[lo:hi]`` into one
-    reused ``(count, hi - lo)`` buffer, one block of at most BLOCK points at
-    a time.  A minimum found in an earlier block wins ties, so its index is
-    the first one, as ``argmin`` over the whole grid gives.  Raises
-    FloatingPointError at the first non-finite value of the first
+    Block by block, ``fill(lo, hi, first, out)`` writes functionals
+    ``first, first + 1, ...`` on ``r[lo:hi]`` into one reused buffer of at
+    most ``rows`` rows and BLOCK points, for every row range of a block
+    before the next block.  A minimum found in an earlier block wins ties,
+    so its index is the first one, as ``argmin`` over the whole grid gives.
+    Raises FloatingPointError at the first non-finite value of the first
     functional (in order) that has one.
     """
     n = len(r)
-    buf = np.empty((count, min(n, BLOCK)))
-    rows = np.arange(count)
+    buf = np.empty((min(count, rows), min(n, BLOCK)))
     low = np.full(count, np.inf)
     where = np.zeros(count, dtype=int)
     bad = np.full(count, n)  # first non-finite index; n while none is seen
     for lo in range(0, n, BLOCK):
-        block = buf[:, :min(n - lo, BLOCK)]
-        fill(lo, lo + block.shape[1], block)
-        at = block.argmin(axis=1)  # a NaN is its own argmin
-        lows, highs = block[rows, at], block.max(axis=1)  # the max catches +inf
-        for k in np.flatnonzero(~(np.isfinite(lows) & np.isfinite(highs)) & (bad == n)):
-            bad[k] = lo + int(np.argmax(~np.isfinite(block[k])))
-        new = lows < low
-        low[new], where[new] = lows[new], lo + at[new]
+        hi = min(n, lo + BLOCK)
+        for first in range(0, count, rows):
+            part = slice(first, min(count, first + rows))
+            block = buf[:part.stop - first, :hi - lo]
+            fill(lo, hi, first, block)
+            at = block.argmin(axis=1)  # a NaN is its own argmin
+            lows, highs = block[np.arange(len(block)), at], block.max(axis=1)  # max: +inf
+            for k in np.flatnonzero(~(np.isfinite(lows) & np.isfinite(highs))
+                                    & (bad[part] == n)):
+                bad[first + k] = lo + int(np.argmax(~np.isfinite(block[k])))
+            low_part, where_part = low[part], where[part]  # views: they write low, where
+            new = lows < low_part
+            low_part[new], where_part[new] = lows[new], lo + at[new]
     if np.any(bad < n):
         first = int(bad[np.argmax(bad < n)])
         raise FloatingPointError(f"scan functional not finite at r={r[first]:g}")
@@ -156,22 +163,25 @@ def _golden_lanes(evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
 def scan_infima(
     r: np.ndarray,
     limits: Sequence[tuple[float, float]],
-    fill: Callable[[int, int, np.ndarray], None],
+    fill: Callable[[int, int, int, np.ndarray], None],
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    rows: Optional[int] = None,
 ) -> list[ScanExtremum]:
     """Infima of many radial functionals scanned on one grid ``r``.
 
     ``limits`` holds, per functional, its analytic limits at 0 and infinity;
-    either may be +-inf.  ``fill(lo, hi, out)`` writes functional k's values
-    on ``r[lo:hi]`` into row k of ``out``, one reused ``(len(limits),
-    hi - lo)`` buffer of at most BLOCK columns.  ``evaluate(ids, radii)``
-    returns functional ``ids[k]`` (its position in ``limits``) at
-    ``radii[k]``; it serves every golden-section refinement step at once.
-    Each infimum is the first least of the grid minimum, its refinement (for
-    an interior minimum), the limit at 0 (witness 0.0) and the limit at
-    infinity (witness inf).
+    either may be +-inf.  ``fill(lo, hi, first, out)`` writes functional
+    ``first + k``'s values on ``r[lo:hi]`` into row k of ``out``, one reused
+    buffer of at most ``rows`` rows (all of them by default) and BLOCK
+    columns; it is called for every row range of one block before the
+    next block, so work shared by a block's rows can be done once per
+    block.  ``evaluate(ids, radii)`` returns functional ``ids[k]`` (its
+    position in ``limits``) at ``radii[k]``; it serves every golden-section
+    refinement step at once.  Each infimum is the first least of the grid
+    minimum, its refinement (for an interior minimum), the limit at 0
+    (witness 0.0) and the limit at infinity (witness inf).
     """
-    low, where = _grid_minima(r, len(limits), fill)
+    low, where = _grid_minima(r, len(limits), fill, rows or len(limits))
     lanes = [k for k, i in enumerate(where) if 0 < i < len(r) - 1]
     refined = dict(zip(lanes, _golden_lanes(
         evaluate, lanes, [(float(r[where[k] - 1]), float(r[where[k] + 1])) for k in lanes])))
@@ -194,7 +204,7 @@ def scan_infimum(f: Callable[[np.ndarray], np.ndarray], policy: InfimumScanPolic
     """
     r = policy.grid()
 
-    def fill(lo, hi, out):
+    def fill(lo, hi, first, out):
         out[0] = f(r[lo:hi])
 
     (res,) = scan_infima(r, [(limit_at_zero, limit_at_infinity)], fill,

@@ -5,16 +5,25 @@ Hardy infima that :func:`warpdirac.check_admissible` reads from its table,
 ``kg_crosscheck`` checks a Dirac flow against the Klein-Gordon form of the
 mode (acceptance criterion 8), and ``laplace_eigenvalue_check`` checks the
 sphere's degree bookkeeping against the flat Laplacian (criterion 11).
+``full_grid_check_admissible`` and ``whole_block_band_forms`` are the
+earlier forms of :func:`warpdirac.check_admissible` (the profile evaluated
+on the whole scan grid, one table per 32 signed modes) and of
+``operators._band_forms`` (a fresh N x K temporary per step), whose bits
+the streamed forms keep.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from warpdirac import (ConfigurationError, ModeIndex, ModePotential, SpinorTrajectory,
                        assemble_kg)
-from warpdirac.admissibility import Delta, _parts, _parts_at_infinity, _parts_at_zero
-from warpdirac.scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_infimum
+from warpdirac.admissibility import (_CHUNK, _MINUS, _PHI, _SUP_TERM, _TERMS,
+                                     AdmissibilityReport, Delta, _mode_terms, _parts,
+                                     _parts_at_infinity, _parts_at_zero, _row_limits)
+from warpdirac.operators import _ldl_pivots, _log_nodes, _resolvent_sum
+from warpdirac.scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_infima, scan_infimum
 
 
 def delta_c(pot: ModePotential, sign: int,
@@ -98,3 +107,81 @@ def laplace_eigenvalue_check(mode: ModeIndex, component: str) -> tuple[Fraction,
         deg = mode.degree_minus
     rhs = Fraction(deg * (deg + n - 2))
     return lhs, rhs
+
+
+def full_grid_check_admissible(profile, mus, scan=DEFAULT_SCAN_POLICY):
+    """check_admissible as one ``profile.ratios`` call on the whole policy grid,
+    then one scan_infima table per _CHUNK signed modes."""
+    pots = [ModePotential(profile=profile, mu=mu) for mu in mus]
+    if not pots:
+        return []
+    signed = list(dict.fromkeys(sign * pot.mu for pot in pots for sign in (1, -1)))
+    r = scan.grid()
+    ratios = profile.ratios(r)
+    limits = {mu: _row_limits(profile, mu) for mu in signed}
+    term = {}
+    for start in range(0, len(signed), _CHUNK):
+        chunk = signed[start:start + _CHUNK]
+        row_mu = np.repeat(chunk, _TERMS)
+
+        def fill(lo, hi, first, out):
+            block = tuple(s[lo:hi] for s in ratios)
+            for k, mu in enumerate(chunk):
+                for t, values in enumerate(_mode_terms(_parts(mu, block))):
+                    out[_TERMS * k + t] = values
+
+        def evaluate(ids, radii):
+            values = np.stack(_mode_terms(_parts(row_mu[ids], profile.ratios(radii))))
+            return values[ids % _TERMS, np.arange(len(ids))]
+
+        found = scan_infima(r, [lim for mu in chunk for lim in limits[mu]], fill, evaluate)
+        term.update((mu, found[_TERMS * k:_TERMS * (k + 1)]) for k, mu in enumerate(chunk))
+
+    reports = []
+    for pot in pots:
+        mu = pot.mu
+        plus, minus = (Delta.from_terms(0.25, *term[nu][_MINUS:_MINUS + 2])
+                       for nu in (-mu, mu))
+        dphi_pos, dphi_neg = (Delta.from_terms(1.0, *term[nu][_PHI:_PHI + 2])
+                              for nu in (mu, -mu))
+        sup = term[mu][_SUP_TERM].negated()
+        sup_finite = math.isfinite(sup.value)
+        decay_ok = math.isfinite(limits[mu][_PHI][1])
+        admissible = (dphi_pos.value > 0.0 and dphi_neg.value > 0.0
+                      and sup_finite and decay_ok)
+        violated = dphi_pos.violating_term() or dphi_neg.violating_term()
+        witness = violated.arg_r if violated else (None if sup_finite else sup.arg_r)
+        reports.append(AdmissibilityReport(
+            mu=mu, family=profile.family.value, n=profile.n,
+            delta_plus=plus.value, delta_minus=minus.value,
+            delta_phi_mu=dphi_pos.value, delta_phi_neg_mu=dphi_neg.value,
+            sup_4r2V=sup.value, limit_at_infinity_ok=decay_ok,
+            admissible=admissible, witness_r=witness,
+        ))
+    return reports
+
+
+def whole_block_band_forms(op, x, exponents):
+    """operators._band_forms with (1 + A) x, x * x and (B x) * x each a fresh N x K array."""
+    diffs = np.diff(x, axis=0)
+    bx = np.empty_like(x)
+    np.subtract(diffs[:-1], diffs[1:], out=bx[1:-1])
+    bx[0], bx[-1] = x[0] - diffs[0], diffs[-1] + x[-1]
+    del diffs
+    bx *= 1.0 / op.grid.dr ** 2
+    bx += (1.0 + op.potential)[:, None] * x
+    forms = {0.0: np.sum(x * x, axis=0), 1.0: np.sum(bx * x, axis=0)}
+    u = _log_nodes(op)
+    y, z, acc = np.zeros((3, len(u), x.shape[1]))
+    term = np.empty_like(acc)
+    for i, (ratio, inv) in enumerate(_ldl_pivots(op, np.exp(u)[:, None])):
+        y *= ratio
+        y += bx[i]
+        z *= ratio
+        z += x[i]
+        np.multiply(y, inv, out=term)
+        term *= z
+        acc += term
+    for s in set(exponents) - set(forms):
+        forms[s] = _resolvent_sum(u, s, np.exp(u * s) @ acc, forms[0.0], forms[1.0])
+    return [forms[s] for s in exponents]

@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from warpdirac import (ConfigurationError, Family, FlatBesselOracle,
                        HypothesisViolationError, MetricProfile, ModePotential,
                        RadialGrid, assemble_dirac, check_A2,
-                       check_admissible, profile_constants)
+                       check_admissible, profile_constants, sphere_spectrum)
 from warpdirac import admissibility
 from warpdirac.admissibility import (_MINUS, _PHI, Delta, _mode_terms, _parts,
                                      _parts_at_infinity, _parts_at_zero, _row_limits)
@@ -20,7 +20,7 @@ from warpdirac.reporting import canonical_json
 from warpdirac.scan import (BLOCK, DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_infimum,
                             scan_supremum)
 
-from references import delta_c
+from references import delta_c, full_grid_check_admissible
 
 FLAT = MetricProfile(Family.FLAT)
 SINH = MetricProfile(Family.SINH)
@@ -323,15 +323,20 @@ def test_mode_lists_over_three_chunks_keep_their_bits(tag):
 
 
 def test_admissibility_memory_does_not_grow_with_the_mode_count(monkeypatch):
-    """+-1..+-64 is four scans of at most 160 functionals, and the check's
-    tracemalloc peak stays at most 16 MB (one table for all 128 signed modes
-    took 31.6 MB)."""
-    counts = []
+    """+-1..+-64 is one table of 640 functionals filled at most 160 rows at a
+    time, and the check's tracemalloc peak stays at most 16 MB (one buffer
+    for all 128 signed modes took 31.6 MB)."""
+    calls, heights = [], []
     real_scan = admissibility.scan_infima
 
-    def counting(r, limits, fill, evaluate):
-        counts.append(len(limits))
-        return real_scan(r, limits, fill, evaluate)
+    def counting(r, limits, fill, evaluate, rows=None):
+        calls.append((len(limits), rows))
+
+        def fill_rows(lo, hi, first, out):
+            heights.append(len(out))
+            fill(lo, hi, first, out)
+
+        return real_scan(r, limits, fill_rows, evaluate, rows)
 
     monkeypatch.setattr(admissibility, "scan_infima", counting)
     mus = [float(sign * k) for k in range(1, 65) for sign in (1, -1)]
@@ -342,8 +347,27 @@ def test_admissibility_memory_does_not_grow_with_the_mode_count(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(reports) == len(mus) and all(rep.admissible for rep in reports)
-    assert counts == [160] * 4
+    assert calls == [(640, 160)]
+    assert set(heights) == {160}
     assert peak <= 16e6
+
+
+@pytest.mark.parametrize("family", ["flat", "af", "sinh"])
+def test_admissibility_memory_does_not_grow_with_the_scan_grid(family):
+    """Only the grid itself (8 bytes a point) grows with scan.points: the
+    check's tracemalloc peak grows by at most 16 bytes per added point from
+    100k to 400k points (evaluating the profile on the whole grid took 49 to 72)."""
+    prof = {"flat": FLAT, "af": AF001, "sinh": SINH}[family]
+    peaks = []
+    for points in (100_000, 400_000):
+        scan = InfimumScanPolicy(DEFAULT_SCAN_POLICY.r_min, DEFAULT_SCAN_POLICY.r_max, points)
+        tracemalloc.start()
+        try:
+            check_admissible(prof, [1.0, 2.0], scan)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 300_000 <= 16.0
 
 
 def _written_out_channels(rv, r2vp, r3vpp):
@@ -385,7 +409,8 @@ def test_mode_terms_equal_the_written_out_functionals(tag):
 
 
 def test_one_profile_evaluation_per_scan_grid(monkeypatch):
-    """One ratios call on the policy grid; refinements share their small calls across modes."""
+    """One ratios call per grid block, however many modes; refinements share
+    their small calls across modes."""
     sizes = []
     real = MetricProfile.ratios
 
@@ -394,16 +419,21 @@ def test_one_profile_evaluation_per_scan_grid(monkeypatch):
         return real(self, r)
 
     monkeypatch.setattr(MetricProfile, "ratios", counting)
+    points = DEFAULT_SCAN_POLICY.points
+    blocks = [BLOCK] * (points // BLOCK) + [points % BLOCK]
 
     def small_calls(mus):
         sizes.clear()
         check_admissible(AF001, mus)
-        assert sizes.count(DEFAULT_SCAN_POLICY.points) == 1
-        return len(sizes) - 1
+        assert sizes[:len(blocks)] == blocks
+        return len(sizes) - len(blocks)
 
     two = small_calls([1.0, -1.0])
     assert two > 2  # the refinement ran
     assert small_calls(SIGNED_MUS) == two
+    many = [float(k) for k in range(1, 41)]
+    assert 2 * len(many) > 2 * admissibility._CHUNK
+    assert small_calls(many) == two
 
 
 def test_profile_is_never_evaluated_beyond_the_policy_range(monkeypatch):
@@ -438,16 +468,16 @@ def test_blocked_scan_of_distinct_functionals(monkeypatch):
             blocks[-1].append(mu)
         return real_parts(mu, ratios)
 
-    def counting(r, limits, fill, evaluate):
+    def counting(r, limits, fill, evaluate, rows=None):
         counts.append(len(limits))
 
-        def block_fill(lo, hi, out):
+        def block_fill(lo, hi, first, out):
             blocks.append([])
             filling[0] = True
-            fill(lo, hi, out)
+            fill(lo, hi, first, out)
             filling[0] = False
 
-        return real_scan(r, limits, block_fill, evaluate)
+        return real_scan(r, limits, block_fill, evaluate, rows)
 
     monkeypatch.setattr(admissibility, "_mode_terms", sized)
     monkeypatch.setattr(admissibility, "_parts", recorded)
@@ -456,6 +486,43 @@ def test_blocked_scan_of_distinct_functionals(monkeypatch):
     assert 0 < longest[0] <= BLOCK
     assert counts == [16 * 5]  # every (mu, term) of 16 signed modes
     assert len(blocks) > 1 and all(sorted(b) == sorted(SIGNED_MUS) for b in blocks)
+
+
+STREAMED_PROFILES = {
+    **{f"af{a}{b}_{eps:g}": MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=eps,
+                                          alpha=a, beta=b)
+       for a, b, eps in ((1, 1, 0.01), (2, 4, 0.5), (1, 3, 20.0))},
+    "flat": FLAT, "sinh": SINH, "poly": POLY3,
+}
+
+
+def _hex_fields(report):
+    return {key: value.hex() if isinstance(value, float) else value
+            for key, value in asdict(report).items()}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("tag", sorted(STREAMED_PROFILES))
+def test_streamed_table_equals_the_full_grid_table(tag, n):
+    """Streaming the grid block by block, with one profile evaluation per
+    block and one refinement for the whole table, keeps every report field
+    of the full-grid tables in float hex."""
+    prof = replace(STREAMED_PROFILES[tag], n=n)
+    got = check_admissible(prof, SIGNED_MUS)
+    assert ([_hex_fields(rep) for rep in got]
+            == [_hex_fields(rep) for rep in full_grid_check_admissible(prof, SIGNED_MUS)])
+
+
+@pytest.mark.parametrize("tag", ["af11_0.01", "sinh"])
+def test_streamed_table_over_three_chunks_equals_the_full_grid_tables(tag):
+    """modes.mu_max = 40 at n = 3 is 80 signed modes, three fills of the
+    block buffer per grid block, against three full-grid tables."""
+    prof = STREAMED_PROFILES[tag]
+    mus = [mode.mu for mode in sphere_spectrum(3, 40)]
+    assert len(mus) > 2 * admissibility._CHUNK
+    got = check_admissible(prof, mus)
+    assert ([_hex_fields(rep) for rep in got]
+            == [_hex_fields(rep) for rep in full_grid_check_admissible(prof, mus)])
 
 
 def test_report_serialization_fields():

@@ -539,17 +539,18 @@ def test_import_pins_one_blas_thread_unless_set():
 
 
 def test_check_metric_and_spectrum_never_load_scipy(tmp_path):
+    """Neither SciPy nor numpy.ma is loaded by the static commands."""
     cfg = _write(tmp_path, "profile.family = asymptotically_flat\nprofile.epsilon = 0.01\n"
                            "modes.mu_max = 2\n")
     script = ("import sys\nimport warpdirac\nfrom warpdirac import cli\n"
               "for command in ('check-metric', 'spectrum'):\n"
               f"    assert cli.main([command, '--config', {cfg!r}, '--out', "
               f"{str(tmp_path / 'out')!r}]) == 0\n"
-              "print('scipy' in sys.modules)\n")
+              "print('scipy' in sys.modules, 'numpy.ma' in sys.modules)\n")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert result.stdout == "False\n"
+    assert result.stdout == "False False\n"
     assert (tmp_path / "out" / "check_metric.json").exists()
     assert (tmp_path / "out" / "spectrum.csv").exists()
 
@@ -559,7 +560,7 @@ def test_evolve_and_strichartz_scan_never_load_scipy(tmp_path):
     the full grid (|mu| <= 2) and cut at the centrifugal barrier
     (|mu| = 64), power-series Bessel rows, and the Sobolev calculus by the
     DST-I (n = 3) and by the resolvent quadrature (n = 5, where H0 has a
-    potential)."""
+    potential).  The slope fit loads no numpy.ma either (np.unique would)."""
     flat = _write(tmp_path, SMALL.replace("modes.mu_list = 1", "modes.mu_list = 1, -1, 64"))
     runs = [("evolve", flat, "evolve")]
     for n, mus, triples in ((3, "1, -1, 2", "4:4, inf:2"),
@@ -577,11 +578,11 @@ def test_evolve_and_strichartz_scan_never_load_scipy(tmp_path):
     for command, cfg, out in runs:
         script += (f"assert cli.main([{command!r}, '--config', {cfg!r}, '--out', "
                    f"{str(tmp_path / out)!r}]) == 0\n")
-    script += "print('scipy' in sys.modules)\n"
+    script += "print('scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert result.stdout == "False\n"
+    assert result.stdout == "False False\n"
     assert (tmp_path / "evolve" / "trajectory_mu_-1.csv").exists()
     assert (tmp_path / "evolve" / "trajectory_mu_64.csv").exists()
     assert (tmp_path / "evolve5" / "trajectory_mu_-3.csv").exists()
@@ -595,18 +596,19 @@ AF_VALIDATE = ("profile.family = asymptotically_flat\nprofile.epsilon = 0.01\n"
 
 def test_validate_never_loads_scipy(tmp_path):
     """validate's norm equivalence takes its quadratic forms from the bands,
-    so neither n = 3 nor n = 5 (where H0 has a potential) loads SciPy."""
+    so neither n = 3 nor n = 5 (where H0 has a potential) loads SciPy, nor
+    numpy.ma."""
     script = "import sys\nfrom warpdirac import cli\n"
     for n in (3, 5):
         (tmp_path / f"n{n}").mkdir()
         cfg = _write(tmp_path / f"n{n}", AF_VALIDATE.format(n=n))
         script += (f"assert cli.main(['validate', '--config', {cfg!r}, '--out', "
                    f"{str(tmp_path / f'out{n}')!r}]) == 0\n")
-    script += "print('scipy' in sys.modules)\n"
+    script += "print('scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert result.stdout == "False\n"
+    assert result.stdout == "False False\n"
     for n in (3, 5):
         assert json.loads((tmp_path / f"out{n}" / "validate.json").read_text())["pass"] is True
 

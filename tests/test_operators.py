@@ -14,10 +14,13 @@ from warpdirac import (ConfigurationError, Family, GridTooCoarseError,
                        verify_square)
 from warpdirac.estimates import mu_scan, strichartz_weight
 from warpdirac.evolution import SpinorTrajectory
+from warpdirac import operators
 from warpdirac.errors import NumericalError
 from warpdirac.operators import (DiscreteRadialOperator, SobolevCalculus, _band_forms,
                                  _random_bump, weighted_laplacian_operator)
 from warpdirac.profiles import sigma_log_derivative_bound
+
+from references import whole_block_band_forms
 
 FLAT = MetricProfile(Family.FLAT)
 SINH = MetricProfile(Family.SINH)
@@ -346,6 +349,37 @@ def test_band_forms_at_the_integer_exponents(prof):
     assert np.array_equal(zero, np.sum(x * x, axis=0))
     dense = np.sum(x * (x + op.matrix @ x), axis=0)
     assert np.max(np.abs(one / dense - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 20, 100])
+@pytest.mark.parametrize("prof", [FLAT, SINH, AF001], ids=["flat", "sinh", "af"])
+def test_band_forms_with_one_scratch_keep_the_whole_block_bits(prof, k):
+    """One reused N x K scratch for B x and the s = 0 and s = 1 forms keeps
+    the bits of a fresh temporary per step, at every column count (NumPy sums
+    one column pairwise and several column by column)."""
+    op = weighted_laplacian_operator(prof, GRID)
+    x = _bumps(GRID, k, seed=k)
+    exponents = (0.0, 0.5, 1.0, 0.25)
+    for got, want in zip(_band_forms(op, x, exponents),
+                         whole_block_band_forms(op, x, exponents), strict=True):
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+def test_norm_equivalence_bumps_are_the_stacked_bumps(monkeypatch):
+    """The trials are written column by column into one N x trials block,
+    the same bits as stacking the bumps."""
+    seen = []
+    real = operators._band_forms
+
+    def recording(op, x, exponents):
+        seen.append(x.copy())
+        return real(op, x, exponents)
+
+    monkeypatch.setattr(operators, "_band_forms", recording)
+    norm_equivalence_check(AF001, (0.5,), trials=9, grid=GRID, seed=3)
+    stacked = _bumps(GRID, 9, seed=3)
+    assert len(seen) == 2 and all(np.array_equal(x, stacked) for x in seen)
+    assert all(x.flags.c_contiguous for x in seen)
 
 
 def test_band_forms_refuse_an_operator_that_is_not_positive_definite():

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from warpdirac import (ConfigurationError, Family, HypothesisViolationError,
                        MetricProfile, UnsupportedFamilyError, check_A2,
                        profile_constants)
-from warpdirac import profiles, scan
+from warpdirac import cli, profiles, scan
 from warpdirac.profiles import ProfileConstants, sigma_log_derivative_bound
 from warpdirac.scan import DEFAULT_SCAN_POLICY, scan_supremum
 
@@ -212,6 +214,57 @@ def test_every_family_has_finite_ratio_limits():
         limits = prof.ratios_at_infinity()
         assert isinstance(limits, tuple) and len(limits) == 3
         assert all(math.isfinite(x) for x in limits)
+
+
+HUGE_AF = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=1.35e154)
+REAL_RATIOS = MetricProfile.ratios
+
+
+def _squared_den_ratios(self, r):
+    """MetricProfile.ratios with the AF s3 divided by den**2 alone, as it once was."""
+    s1, s2, _ = REAL_RATIOS(self, r)
+    phi1, rp, rpp = self.phi1_parts(r)
+    return s1, s2, (2.0 * rp + rpp) / (1.0 + phi1) ** 2
+
+
+def test_huge_amplitude_ratio_s3_does_not_overflow():
+    """At eps = 1.35e154, (1 + phi1)^2 overflows on the far grid while 1 + phi1
+    is finite: s3 = r^3 phi''/phi^2 stays finite and right there, with no
+    warning, and every s3 whose square is finite keeps the bits of dividing
+    by it."""
+    r = DEFAULT_SCAN_POLICY.grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, s3 = HUGE_AF.ratios(r)
+    phi1, rp, rpp = HUGE_AF.phi1_parts(r)
+    den, num = 1.0 + phi1, 2.0 * rp + rpp
+    with np.errstate(over="ignore"):
+        square = den**2
+    fits = np.isfinite(square)
+    assert fits.any() and not fits.all()
+    assert np.all(np.isfinite(s3))
+    assert np.array_equal(s3[fits], num[fits] / square[fits])
+    # in scaled variables nothing overflows: s3 (den 2^-600)^2 = num 2^-600 2^-600
+    scale = 2.0**-600
+    assert np.allclose(s3 * (den * scale) ** 2, num * scale * scale, rtol=1e-14, atol=0.0)
+
+
+def test_check_metric_at_a_huge_amplitude_warns_no_overflow(tmp_path, monkeypatch):
+    """check-metric at eps = 1.35e154 runs without a RuntimeWarning, and at
+    eps = 0.01 writes the bytes of s3 divided by den**2 alone."""
+    def check_metric(eps, out):
+        cfg = tmp_path / f"{out}.cfg"
+        cfg.write_text(f"profile.family = asymptotically_flat\nprofile.epsilon = {eps!r}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["check-metric", "--config", str(cfg),
+                             "--out", str(tmp_path / out)]) == 0
+        return hashlib.sha256((tmp_path / out / "check_metric.json").read_bytes()).hexdigest()
+
+    check_metric(1.35e154, "huge")
+    kept = check_metric(0.01, "small")
+    monkeypatch.setattr(MetricProfile, "ratios", _squared_den_ratios)
+    assert check_metric(0.01, "former") == kept
 
 
 def test_check_A2_flat_passes():

@@ -12,8 +12,8 @@ POLICY = DEFAULT_SCAN_POLICY
 
 def _fill(r, fs):
     """Block filler for functionals given as callables of r."""
-    def fill(lo, hi, out):
-        for k, f in enumerate(fs):
+    def fill(lo, hi, first, out):
+        for k, f in enumerate(fs[first:first + len(out)]):
             out[k] = f(r[lo:hi])
     return fill
 
@@ -125,8 +125,8 @@ def _tabulated(r, values):
     """
     log_r = np.log(r)
 
-    def fill(lo, hi, out):
-        for k, vals in enumerate(values):
+    def fill(lo, hi, first, out):
+        for k, vals in enumerate(values[first:first + len(out)]):
             out[k] = vals[lo:hi]
 
     def evaluate(ids, radii):
@@ -135,9 +135,9 @@ def _tabulated(r, values):
     return fill, evaluate
 
 
-def _blocked_and_whole(r, values, limits):
+def _blocked_and_whole(r, values, limits, rows=None):
     fill, evaluate = _tabulated(r, values)
-    return (scan_infima(r, limits, fill, evaluate),
+    return (scan_infima(r, limits, fill, evaluate, rows),
             _whole_array_infima(r, values, limits, evaluate))
 
 
@@ -164,11 +164,12 @@ def test_minimum_at_last_point_reads_the_point_before(points):
     flat_tail = falling.copy()
     flat_tail[-2] = flat_tail[-1] + 1e-12
     limits = [(2.0, 1.0), (2.0, 0.5)]              # the grid minimum wins a tie with its limit
-    blocked, whole = _blocked_and_whole(r, [flat_tail, falling], limits)
-    assert blocked == whole
-    assert blocked[0] == ScanExtremum(1.0, float(r[-1]))
-    assert blocked[1] == ScanExtremum(0.5, math.inf)
-    assert _grid_minima(r, 1, _tabulated(r, [falling])[0])[1].tolist() == [points - 1]
+    for rows in (1, 2):
+        blocked, whole = _blocked_and_whole(r, [flat_tail, falling], limits, rows)
+        assert blocked == whole
+        assert blocked[0] == ScanExtremum(1.0, float(r[-1]))
+        assert blocked[1] == ScanExtremum(0.5, math.inf)
+    assert _grid_minima(r, 1, _tabulated(r, [falling])[0], 1)[1].tolist() == [points - 1]
 
 
 @pytest.mark.parametrize("points", BLOCK_SIZES)
@@ -179,10 +180,11 @@ def test_divergence_at_either_edge(points):
     flat_head = up.copy()
     flat_head[1] = flat_head[0] + 1e-12
     limits = [(1.0, -math.inf), (-math.inf, 1.0), (-1.0, 1.0), (0.0, 1.0)]
-    blocked, whole = _blocked_and_whole(r, [down, up, up, flat_head], limits)
-    assert blocked == whole
-    assert blocked[:2] == [ScanExtremum(-math.inf, math.inf), ScanExtremum(-math.inf, 0.0)]
-    assert blocked[2:] == [ScanExtremum(-1.0, 0.0), ScanExtremum(0.0, float(r[0]))]
+    for rows in (None, 1, 3):  # row ranges of one, of three and one, of all four
+        blocked, whole = _blocked_and_whole(r, [down, up, up, flat_head], limits, rows)
+        assert blocked == whole
+        assert blocked[:2] == [ScanExtremum(-math.inf, math.inf), ScanExtremum(-math.inf, 0.0)]
+        assert blocked[2:] == [ScanExtremum(-1.0, 0.0), ScanExtremum(0.0, float(r[0]))]
 
 
 @pytest.mark.parametrize("points", BLOCK_SIZES)
@@ -195,19 +197,38 @@ def test_nan_in_a_later_block_names_its_radius(points):
     limits = [(1.0, 1.0)] * 3
     with pytest.raises(FloatingPointError) as whole:
         _whole_array_infima(r, [np.ones(points), late, early], limits, evaluate)
-    with pytest.raises(FloatingPointError) as blocked:
-        scan_infima(r, limits, fill, evaluate)
-    assert str(blocked.value) == str(whole.value) == f"scan functional not finite at r={r[-2]:g}"
+    for rows in (None, 1, 2):  # the bad rows in one row range, in two, in one after the first
+        with pytest.raises(FloatingPointError) as blocked:
+            scan_infima(r, limits, fill, evaluate, rows)
+        assert (str(blocked.value) == str(whole.value)
+                == f"scan functional not finite at r={r[-2]:g}")
 
 
 def test_fill_sees_blocks_of_at_most_block_points():
     r = np.geomspace(1e-3, 1e3, 2 * BLOCK + 1)
     spans = []
 
-    def fill(lo, hi, out):
-        spans.append((lo, hi, out.shape))
-        out[0] = np.log(r[lo:hi]) ** 2
+    def fill(lo, hi, first, out):
+        spans.append((lo, hi, first, out.shape))
+        out[:] = np.log(r[lo:hi]) ** 2
 
     scan_infima(r, [(math.inf, math.inf)], fill, lambda ids, x: np.log(x) ** 2)
-    assert spans == [(0, BLOCK, (1, BLOCK)), (BLOCK, 2 * BLOCK, (1, BLOCK)),
-                     (2 * BLOCK, 2 * BLOCK + 1, (1, 1))]
+    assert spans == [(0, BLOCK, 0, (1, BLOCK)), (BLOCK, 2 * BLOCK, 0, (1, BLOCK)),
+                     (2 * BLOCK, 2 * BLOCK + 1, 0, (1, 1))]
+
+
+def test_fill_sees_every_row_range_of_a_block_before_the_next_block():
+    """Three functionals at most two rows at a time: two fills per block,
+    all of a block's rows before the next block."""
+    r = np.geomspace(1e-3, 1e3, BLOCK + 1)
+    spans = []
+
+    def fill(lo, hi, first, out):
+        spans.append((lo, hi, first, out.shape))
+        out[:] = np.log(r[lo:hi]) ** 2
+
+    found = scan_infima(r, [(math.inf, math.inf)] * 3, fill, lambda ids, x: np.log(x) ** 2,
+                        rows=2)
+    assert spans == [(0, BLOCK, 0, (2, BLOCK)), (0, BLOCK, 2, (1, BLOCK)),
+                     (BLOCK, BLOCK + 1, 0, (2, 1)), (BLOCK, BLOCK + 1, 2, (1, 1))]
+    assert found == [found[0]] * 3 and found[0].value == pytest.approx(0.0, abs=1e-20)
