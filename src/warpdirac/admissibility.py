@@ -23,21 +23,18 @@ mu, so the + channel at mu is the - channel at -mu, and delta_+(mu) is
 delta_-(-mu) bit for bit.
 
 :func:`check_admissible` checks a whole sequence of modes in one pass over
-the scan grid: block by block the profile is evaluated once, then the
-scaled parts of each signed mu and its five functionals
-(:func:`_mode_terms`, the one place they are written) are filled 32 signed
-modes at a time into one reused buffer
-(:func:`warpdirac.scan.scan_infima`), and every golden-section refinement
-of the whole table steps together.  Its values equal those of one
-:func:`warpdirac.scan.scan_infimum` per row of :func:`_mode_terms`, with
-the limits of :func:`_row_limits`, bit for bit.  The floor on delta_pm
-that the A2 smallness test guarantees is the ``delta_floor`` of
-:func:`warpdirac.profiles.check_A2`.
+the scan grid (:func:`warpdirac.scan.scan_infima`): block by block the
+profile ratios are evaluated once, then each signed mu's scaled parts and
+five functionals (:func:`_mode_terms`, the one place they are written), and
+every golden-section refinement of the whole table steps together.  Its
+values equal those of one :func:`warpdirac.scan.scan_infimum` per term of
+:func:`_mode_terms`, with the limits of :func:`_row_limits`, bit for bit.
+The floor on delta_pm that the A2 smallness test guarantees is the
+``delta_floor`` of :func:`warpdirac.profiles.check_A2`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -105,12 +102,9 @@ def _parts_at_infinity(profile: MetricProfile, mu: float) -> tuple:
     return _parts(mu, profile.ratios_at_infinity())
 
 
-# Rows of _mode_terms: the first of the (quadratic, cubic) pairs of delta_- and
-# delta_phi, and the one behind sup |4 r^2 W|; _TERMS rows in all.
-_MINUS, _PHI, _SUP_TERM, _TERMS = 0, 2, 4, 5
-# Signed modes per fill of the table's block buffer: it stays at most
-# 32 * _TERMS rows of BLOCK points (5.2 MB), however many modes are checked.
-_CHUNK = 32
+# Terms of _mode_terms: the first of the (quadratic, cubic) pairs of delta_- and
+# delta_phi, and the one behind sup |4 r^2 W|.
+_MINUS, _PHI, _SUP_TERM = 0, 2, 4
 
 
 def _mode_terms(parts) -> tuple:
@@ -128,7 +122,7 @@ def _mode_terms(parts) -> tuple:
 
 
 def _row_limits(profile: MetricProfile, mu: float) -> list:
-    """(limit at r -> 0+, limit at r -> infinity) of each _mode_terms row."""
+    """(limit at r -> 0+, limit at r -> infinity) of each _mode_terms term."""
     return list(zip(_mode_terms(_parts_at_zero(mu)),
                     _mode_terms(_parts_at_infinity(profile, mu))))
 
@@ -177,15 +171,15 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     """Full sufficient-condition report for each angular eigenvalue, in order.
 
     Mode mu needs delta_pm(mu), delta_phi(+-mu) and sup |4 r^2 W| at mu.
-    All of these are read from one table holding the five rows of
-    :func:`_mode_terms` for every signed mu in +-mus (row 5k + t is term t
-    of the k-th signed mu), so delta_+(mu) is read from the - rows of -mu.
-    One pass walks the policy grid block by block
-    (:func:`warpdirac.scan.scan_infima`): ``profile.ratios`` once per block,
-    then the scaled parts of _CHUNK signed modes at a time.  So the working
-    set is the grid and one block buffer, however long the grid.  Every
-    golden-section refinement of the table steps in lockstep with one
-    ``profile.ratios`` call per step.
+    All of these are read from one table with a group of five terms, those
+    of :func:`_mode_terms`, for every signed mu in +-mus, so delta_+(mu) is
+    read from the - terms of -mu.  One pass walks the policy grid block by
+    block (:func:`warpdirac.scan.scan_infima`): ``profile.ratios`` is the
+    scan's ``prepare``, once per block, and each signed mu's scaled parts
+    and terms follow from it.  So the working set is the grid and the
+    scan's one block buffer, however long the grid.  Every golden-section
+    refinement of the table steps in lockstep with one ``profile.ratios``
+    call per step.
     W -> 0 at infinity is read from the table's own limit of 4 r^2 W + 1
     there.  The values are those of one scan per functional of each mode,
     bit for bit.
@@ -194,27 +188,11 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     if not pots:
         return []
     signed = list(dict.fromkeys(sign * pot.mu for pot in pots for sign in (1, -1)))
-    r = scan.grid()
-    row_mu = np.repeat(signed, _TERMS)
-
-    @functools.lru_cache(maxsize=1)
-    def block_ratios(lo, hi):
-        return profile.ratios(r[lo:hi])
-
-    def fill(lo, hi, first, out):
-        block = block_ratios(lo, hi)
-        for k, mu in enumerate(signed[first // _TERMS:(first + len(out)) // _TERMS]):
-            for t, values in enumerate(_mode_terms(_parts(mu, block))):
-                out[_TERMS * k + t] = values
-
-    def evaluate(ids, radii):
-        values = np.stack(_mode_terms(_parts(row_mu[ids], profile.ratios(radii))))
-        return values[ids % _TERMS, np.arange(len(ids))]
-
+    mu_of = np.array(signed)
     limits = {mu: _row_limits(profile, mu) for mu in signed}
-    found = scan_infima(r, [lim for mu in signed for lim in limits[mu]], fill, evaluate,
-                        rows=_TERMS * _CHUNK)
-    term = {mu: found[_TERMS * k:_TERMS * (k + 1)] for k, mu in enumerate(signed)}
+    found = scan_infima(scan.grid(), list(limits.values()), profile.ratios,
+                        lambda g, ratios: _mode_terms(_parts(mu_of[g], ratios)))
+    term = dict(zip(signed, found))
 
     reports = []
     for pot in pots:

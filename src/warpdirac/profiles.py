@@ -12,6 +12,11 @@ flat                 phi(r) = r,  phi1 = 0
 asymptotically_flat  phi(r) = r (1 + phi1(r)),  phi1 = eps r^a / (1+r^2)^(b/2)
 sinh                 phi(r) = sinh r
 polynomial           phi(r) = r + r^2 + ... + r^p
+
+The smallness constants A_phi, B_phi of a flat / asymptotically flat
+profile are the suprema of the three functionals of :func:`_phi1_terms`,
+scanned as one group of :func:`warpdirac.scan.scan_infima` on
+``phi1_parts``; :func:`check_A2` tests them against the spectral gap.
 """
 
 from __future__ import annotations
@@ -256,25 +261,19 @@ def profile_constants(profile: MetricProfile,
                       scan: InfimumScanPolicy = DEFAULT_SCAN_POLICY) -> ProfileConstants:
     """Scan the A_phi, B_phi, c_phi suprema for a flat / asymptotically flat profile.
 
-    The three phi1 suprema are the infima of the rows of :func:`_phi1_terms`,
-    scanned as one table (:func:`warpdirac.scan.scan_infima`): one
-    ``phi1_parts`` call per grid block and per golden-section step.  Their
-    values and witnesses are those of one :func:`warpdirac.scan.scan_supremum`
-    per functional, bit for bit.  Families without a phi1 decomposition
-    raise UnsupportedFamilyError.
+    The three phi1 suprema are the infima of the terms of :func:`_phi1_terms`,
+    scanned as one group (:func:`warpdirac.scan.scan_infima`): ``phi1_parts``
+    is the scan's ``prepare``, one call per grid block and per golden-section
+    step.  Their values and witnesses are those of one
+    :func:`warpdirac.scan.scan_supremum` per functional, bit for bit.
+    Families without a phi1 decomposition raise UnsupportedFamilyError.
     """
     lim = profile.phi1_limit_at_infinity()
-    r = scan.grid()
-
-    def fill(lo, hi, first, out):
-        out[:] = _phi1_terms(profile.phi1_parts(r[lo:hi]))
-
-    def evaluate(ids, radii):
-        return np.stack(_phi1_terms(profile.phi1_parts(radii)))[ids, np.arange(len(ids))]
-
-    # the limits at 0 and infinity of each row, as scan_supremum negates them
+    # the limits at 0 and infinity of each term, as scan_supremum negates them
     limits = [(-0.0, -abs(lim)), (-0.0, -abs((1.0 + lim) * lim)), (-0.0, -0.0)]
-    sup_a, sup_b1, sup_b2 = (t.negated() for t in scan_infima(r, limits, fill, evaluate))
+    (infima,) = scan_infima(scan.grid(), [limits], profile.phi1_parts,
+                            lambda g, parts: _phi1_terms(parts))
+    sup_a, sup_b1, sup_b2 = (t.negated() for t in infima)
     return ProfileConstants(
         a_phi=sup_a.value,
         b_phi=sup_b1.value + sup_b2.value,

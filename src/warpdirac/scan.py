@@ -7,14 +7,15 @@ which every caller supplies (+-inf where the functional diverges there).
 The scan never guesses what happens past the grid, and every reported
 constant is reproducible bit for bit.
 
-:func:`scan_infima` runs many functionals on one grid, one block of at most
-BLOCK points at a time and, within a block, at most ``rows`` functionals at
-a time: the caller fills a reused ``(rows, block)`` buffer, and the scan
-keeps per functional only its running minimum with the first index where
-it occurs and its first non-finite radius.  That summary settles the grid
-minimum and the non-finite error exactly as the whole grid array would,
-with no grid-sized temporary.  All the golden-section refinements then step
-in lockstep, one evaluation call per step.
+:func:`scan_infima` runs groups of functionals on one grid, one block of at
+most BLOCK points at a time.  The caller passes ``prepare``, what the
+groups share at some radii, and ``terms``, one group's functionals from it;
+the scan writes at most GROUPS groups at a time into one reused buffer,
+and keeps per functional only its running minimum with the first index
+where it occurs and its first non-finite radius.  That summary settles the
+grid minimum and the non-finite error exactly as the whole grid array
+would, with no grid-sized temporary.  All the golden-section refinements
+then step in lockstep, one ``prepare`` and one ``terms`` call per step.
 :func:`scan_infimum` and :func:`scan_supremum` are its one-functional case.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -36,6 +37,9 @@ _REFINE_ITERS = 80
 # Grid points per block: one functional's block (32 KB) stays below glibc's
 # 128 KB mmap threshold and in L2.
 BLOCK = 4096
+# Groups of functionals per block buffer: with the five terms of a signed mode
+# it stays at most 160 rows of BLOCK points (5.2 MB), however many groups.
+GROUPS = 32
 MIN_SCAN_POINTS = 16  # fewest grid points of any scan
 
 
@@ -56,7 +60,11 @@ class InfimumScanPolicy:
             raise ConfigurationError(f"scan needs at least {MIN_SCAN_POINTS} points")
 
     def grid(self) -> np.ndarray:
-        return np.geomspace(self.r_min, self.r_max, self.points)
+        """``np.geomspace(r_min, r_max, points)`` bit for bit, built in one array."""
+        r = np.linspace(np.log10(self.r_min), np.log10(self.r_max), self.points)
+        np.power(10.0, r, out=r)
+        r[0], r[-1] = self.r_min, self.r_max
+        return r
 
 
 DEFAULT_SCAN_POLICY = InfimumScanPolicy()
@@ -74,35 +82,38 @@ class ScanExtremum:
         return ScanExtremum(-self.value, self.arg_r)
 
 
-def _grid_minima(r: np.ndarray, count: int,
-                 fill: Callable[[int, int, int, np.ndarray], None],
-                 rows: int) -> tuple[np.ndarray, np.ndarray]:
+def _grid_minima(r: np.ndarray, groups: int, width: int, prepare: Callable, terms: Callable
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Each functional's minimum on the grid ``r`` and the first index where it occurs.
 
-    Block by block, ``fill(lo, hi, first, out)`` writes functionals
-    ``first, first + 1, ...`` on ``r[lo:hi]`` into one reused buffer of at
-    most ``rows`` rows and BLOCK points, for every row range of a block
-    before the next block.  A minimum found in an earlier block wins ties,
-    so its index is the first one, as ``argmin`` over the whole grid gives.
+    Functional ``g * width + t`` is term t of group g.  Block by block,
+    ``prepare`` runs once on the block's radii, and the ``width`` terms of
+    each group are written into one reused buffer of at most GROUPS groups
+    and BLOCK points.  A minimum found in an earlier block wins ties, so its
+    index is the first one, as ``argmin`` over the whole grid gives.
     Raises FloatingPointError at the first non-finite value of the first
     functional (in order) that has one.
     """
-    n = len(r)
-    buf = np.empty((min(count, rows), min(n, BLOCK)))
+    n, count = len(r), groups * width
+    buf = np.empty((min(groups, GROUPS) * width, min(n, BLOCK)))
     low = np.full(count, np.inf)
     where = np.zeros(count, dtype=int)
     bad = np.full(count, n)  # first non-finite index; n while none is seen
     for lo in range(0, n, BLOCK):
         hi = min(n, lo + BLOCK)
-        for first in range(0, count, rows):
-            part = slice(first, min(count, first + rows))
-            block = buf[:part.stop - first, :hi - lo]
-            fill(lo, hi, first, block)
+        shared = prepare(r[lo:hi])
+        for start in range(0, groups, GROUPS):
+            stop = min(groups, start + GROUPS)
+            part = slice(start * width, stop * width)
+            block = buf[:part.stop - part.start, :hi - lo]
+            for g in range(start, stop):
+                for row, values in enumerate(terms(g, shared), (g - start) * width):
+                    block[row] = values
             at = block.argmin(axis=1)  # a NaN is its own argmin
             lows, highs = block[np.arange(len(block)), at], block.max(axis=1)  # max: +inf
             for k in np.flatnonzero(~(np.isfinite(lows) & np.isfinite(highs))
                                     & (bad[part] == n)):
-                bad[first + k] = lo + int(np.argmax(~np.isfinite(block[k])))
+                bad[part.start + k] = lo + int(np.argmax(~np.isfinite(block[k])))
             low_part, where_part = low[part], where[part]  # views: they write low, where
             new = lows < low_part
             low_part[new], where_part[new] = lows[new], lo + at[new]
@@ -162,36 +173,41 @@ def _golden_lanes(evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 def scan_infima(
     r: np.ndarray,
-    limits: Sequence[tuple[float, float]],
-    fill: Callable[[int, int, int, np.ndarray], None],
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    rows: Optional[int] = None,
-) -> list[ScanExtremum]:
-    """Infima of many radial functionals scanned on one grid ``r``.
+    limits: Sequence[Sequence[tuple[float, float]]],
+    prepare: Callable[[np.ndarray], Any],
+    terms: Callable[[Any, Any], Sequence[np.ndarray]],
+) -> list[list[ScanExtremum]]:
+    """Infima of groups of radial functionals scanned on one grid ``r``.
 
-    ``limits`` holds, per functional, its analytic limits at 0 and infinity;
-    either may be +-inf.  ``fill(lo, hi, first, out)`` writes functional
-    ``first + k``'s values on ``r[lo:hi]`` into row k of ``out``, one reused
-    buffer of at most ``rows`` rows (all of them by default) and BLOCK
-    columns; it is called for every row range of one block before the
-    next block, so work shared by a block's rows can be done once per
-    block.  ``evaluate(ids, radii)`` returns functional ``ids[k]`` (its
-    position in ``limits``) at ``radii[k]``; it serves every golden-section
-    refinement step at once.  Each infimum is the first least of the grid
+    ``limits[g][t]`` holds the analytic limits at 0 and infinity of term t
+    of group g; either may be +-inf, and every group has as many terms.
+    ``prepare(radii)`` computes what the groups share at some radii, once
+    per grid block of at most BLOCK points and once per golden-section
+    step.  ``terms(g, shared)`` returns the terms of group g at those radii,
+    in order; ``g`` is an int on the grid, and an index array (one group
+    per radius) in the refinement steps, which serve every refinement at
+    once.  Each infimum ``found[g][t]`` is the first least of the grid
     minimum, its refinement (for an interior minimum), the limit at 0
     (witness 0.0) and the limit at infinity (witness inf).
     """
-    low, where = _grid_minima(r, len(limits), fill, rows or len(limits))
+    width = len(limits[0])
+    flat = [lim for group in limits for lim in group]
+    low, where = _grid_minima(r, len(limits), width, prepare, terms)
+
+    def on_lanes(ids, radii):
+        values = np.array(terms(ids // width, prepare(radii)), dtype=float)
+        return values[ids % width, np.arange(len(ids))]
+
     lanes = [k for k, i in enumerate(where) if 0 < i < len(r) - 1]
     refined = dict(zip(lanes, _golden_lanes(
-        evaluate, lanes, [(float(r[where[k] - 1]), float(r[where[k] + 1])) for k in lanes])))
+        on_lanes, lanes, [(float(r[where[k] - 1]), float(r[where[k] + 1])) for k in lanes])))
     found = []
-    for k, (at_zero, at_inf) in enumerate(limits):
+    for k, (at_zero, at_inf) in enumerate(flat):
         grid = (float(low[k]), float(r[where[k]]))
         # min keeps the first least candidate: each later one must be strictly below
         found.append(ScanExtremum(*min((grid, refined.get(k, grid), (float(at_zero), 0.0),
                                         (float(at_inf), math.inf)), key=lambda c: c[0])))
-    return found
+    return [found[g * width:(g + 1) * width] for g in range(len(limits))]
 
 
 def scan_infimum(f: Callable[[np.ndarray], np.ndarray], policy: InfimumScanPolicy,
@@ -202,13 +218,8 @@ def scan_infimum(f: Callable[[np.ndarray], np.ndarray], policy: InfimumScanPolic
     block at a time.  The analytic limits are candidate values with
     witnesses 0.0 / inf.
     """
-    r = policy.grid()
-
-    def fill(lo, hi, first, out):
-        out[0] = f(r[lo:hi])
-
-    (res,) = scan_infima(r, [(limit_at_zero, limit_at_infinity)], fill,
-                         lambda ids, radii: np.asarray(f(radii), dtype=float))
+    ((res,),) = scan_infima(policy.grid(), [[(limit_at_zero, limit_at_infinity)]], f,
+                            lambda g, values: (values,))
     return res
 
 

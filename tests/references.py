@@ -7,7 +7,7 @@ mode (acceptance criterion 8), and ``laplace_eigenvalue_check`` checks the
 sphere's degree bookkeeping against the flat Laplacian (criterion 11).
 ``full_grid_check_admissible`` and ``whole_block_band_forms`` are the
 earlier forms of :func:`warpdirac.check_admissible` (the profile evaluated
-on the whole scan grid, one table per 32 signed modes) and of
+on the whole scan grid, each mode reading its block of it) and of
 ``operators._band_forms`` (a fresh N x K temporary per step), whose bits
 the streamed forms keep.
 """
@@ -19,9 +19,9 @@ import numpy as np
 
 from warpdirac import (ConfigurationError, ModeIndex, ModePotential, SpinorTrajectory,
                        assemble_kg)
-from warpdirac.admissibility import (_CHUNK, _MINUS, _PHI, _SUP_TERM, _TERMS,
-                                     AdmissibilityReport, Delta, _mode_terms, _parts,
-                                     _parts_at_infinity, _parts_at_zero, _row_limits)
+from warpdirac.admissibility import (_MINUS, _PHI, _SUP_TERM, AdmissibilityReport, Delta,
+                                     _mode_terms, _parts, _parts_at_infinity, _parts_at_zero,
+                                     _row_limits)
 from warpdirac.operators import _ldl_pivots, _log_nodes, _resolvent_sum
 from warpdirac.scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_infima, scan_infimum
 
@@ -110,32 +110,25 @@ def laplace_eigenvalue_check(mode: ModeIndex, component: str) -> tuple[Fraction,
 
 
 def full_grid_check_admissible(profile, mus, scan=DEFAULT_SCAN_POLICY):
-    """check_admissible as one ``profile.ratios`` call on the whole policy grid,
-    then one scan_infima table per _CHUNK signed modes."""
+    """check_admissible with ``profile.ratios`` evaluated once on the whole policy
+    grid, each group's terms reading their block of it, and the refinement
+    steps evaluating the ratios inside ``terms``."""
     pots = [ModePotential(profile=profile, mu=mu) for mu in mus]
     if not pots:
         return []
     signed = list(dict.fromkeys(sign * pot.mu for pot in pots for sign in (1, -1)))
+    mu_of = np.array(signed)
     r = scan.grid()
     ratios = profile.ratios(r)
+
+    def terms(g, radii):
+        if np.ndim(g) == 0:  # a grid block: its radii are r[lo:lo + len(radii)]
+            lo = int(np.searchsorted(r, radii[0]))
+            return _mode_terms(_parts(signed[g], tuple(s[lo:lo + len(radii)] for s in ratios)))
+        return _mode_terms(_parts(mu_of[g], profile.ratios(radii)))
+
     limits = {mu: _row_limits(profile, mu) for mu in signed}
-    term = {}
-    for start in range(0, len(signed), _CHUNK):
-        chunk = signed[start:start + _CHUNK]
-        row_mu = np.repeat(chunk, _TERMS)
-
-        def fill(lo, hi, first, out):
-            block = tuple(s[lo:hi] for s in ratios)
-            for k, mu in enumerate(chunk):
-                for t, values in enumerate(_mode_terms(_parts(mu, block))):
-                    out[_TERMS * k + t] = values
-
-        def evaluate(ids, radii):
-            values = np.stack(_mode_terms(_parts(row_mu[ids], profile.ratios(radii))))
-            return values[ids % _TERMS, np.arange(len(ids))]
-
-        found = scan_infima(r, [lim for mu in chunk for lim in limits[mu]], fill, evaluate)
-        term.update((mu, found[_TERMS * k:_TERMS * (k + 1)]) for k, mu in enumerate(chunk))
+    term = dict(zip(signed, scan_infima(r, list(limits.values()), lambda radii: radii, terms)))
 
     reports = []
     for pot in pots:

@@ -17,8 +17,8 @@ from warpdirac import admissibility
 from warpdirac.admissibility import (_MINUS, _PHI, Delta, _mode_terms, _parts,
                                      _parts_at_infinity, _parts_at_zero, _row_limits)
 from warpdirac.reporting import canonical_json
-from warpdirac.scan import (BLOCK, DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_infimum,
-                            scan_supremum)
+from warpdirac.scan import (BLOCK, DEFAULT_SCAN_POLICY, GROUPS, InfimumScanPolicy,
+                            scan_infimum, scan_supremum)
 
 from references import delta_c, full_grid_check_admissible
 
@@ -312,31 +312,36 @@ def test_mode_lists_not_closed_under_negation_keep_their_bits(tag):
 
 @pytest.mark.parametrize("tag", ["af", "sinh"])
 def test_mode_lists_over_three_chunks_keep_their_bits(tag):
-    """mu = 1..39 (78 signed modes) is scanned 32 signed modes at a time, and
+    """mu = 1..39 (78 signed modes) is scanned GROUPS signed modes at a time, and
     every report still has the bits of the per-functional scans."""
     prof = PROFILES[tag]
     scan = InfimumScanPolicy(1e-4, 1e4, 2000)
     mus = [float(k) for k in range(1, 40)]
-    assert 2 * len(mus) > 2 * admissibility._CHUNK
+    assert 2 * len(mus) > 2 * GROUPS
     for mu, rep in zip(mus, check_admissible(prof, mus, scan), strict=True):
         assert asdict(rep) == _single_functional_report(prof, mu, scan), mu
 
 
 def test_admissibility_memory_does_not_grow_with_the_mode_count(monkeypatch):
-    """+-1..+-64 is one table of 640 functionals filled at most 160 rows at a
-    time, and the check's tracemalloc peak stays at most 16 MB (one buffer
-    for all 128 signed modes took 31.6 MB)."""
-    calls, heights = [], []
+    """+-1..+-64 is one table of 128 groups of five functionals, each block's
+    terms written GROUPS groups at a time into the scan's one buffer, and the
+    check's tracemalloc peak stays at most 16 MB (one buffer for all 128
+    signed modes took 31.6 MB)."""
+    calls, per_block = [], []
     real_scan = admissibility.scan_infima
 
-    def counting(r, limits, fill, evaluate, rows=None):
-        calls.append((len(limits), rows))
+    def counting(r, limits, prepare, terms):
+        calls.append((len(limits), {len(group) for group in limits}))
 
-        def fill_rows(lo, hi, first, out):
-            heights.append(len(out))
-            fill(lo, hi, first, out)
+        def prepare_block(radii):
+            per_block.append(0)
+            return prepare(radii)
 
-        return real_scan(r, limits, fill_rows, evaluate, rows)
+        def counted_terms(g, shared):
+            per_block[-1] += 1
+            return terms(g, shared)
+
+        return real_scan(r, limits, prepare_block, counted_terms)
 
     monkeypatch.setattr(admissibility, "scan_infima", counting)
     mus = [float(sign * k) for k in range(1, 65) for sign in (1, -1)]
@@ -347,16 +352,19 @@ def test_admissibility_memory_does_not_grow_with_the_mode_count(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(reports) == len(mus) and all(rep.admissible for rep in reports)
-    assert calls == [(640, 160)]
-    assert set(heights) == {160}
+    assert calls == [(128, {5})]
+    blocks = -(-DEFAULT_SCAN_POLICY.points // BLOCK)
+    assert per_block[:blocks] == [128] * blocks and set(per_block[blocks:]) == {1}
+    assert 128 > GROUPS
     assert peak <= 16e6
 
 
 @pytest.mark.parametrize("family", ["flat", "af", "sinh"])
 def test_admissibility_memory_does_not_grow_with_the_scan_grid(family):
     """Only the grid itself (8 bytes a point) grows with scan.points: the
-    check's tracemalloc peak grows by at most 16 bytes per added point from
-    100k to 400k points (evaluating the profile on the whole grid took 49 to 72)."""
+    check's tracemalloc peak grows by at most 9 bytes per added point from
+    100k to 400k points (evaluating the profile on the whole grid took 49 to 72,
+    and building the grid with np.geomspace 14.7)."""
     prof = {"flat": FLAT, "af": AF001, "sinh": SINH}[family]
     peaks = []
     for points in (100_000, 400_000):
@@ -367,7 +375,7 @@ def test_admissibility_memory_does_not_grow_with_the_scan_grid(family):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert (peaks[1] - peaks[0]) / 300_000 <= 16.0
+    assert (peaks[1] - peaks[0]) / 300_000 <= 9.0
 
 
 def _written_out_channels(rv, r2vp, r3vpp):
@@ -432,7 +440,7 @@ def test_one_profile_evaluation_per_scan_grid(monkeypatch):
     assert two > 2  # the refinement ran
     assert small_calls(SIGNED_MUS) == two
     many = [float(k) for k in range(1, 41)]
-    assert 2 * len(many) > 2 * admissibility._CHUNK
+    assert 2 * len(many) > 2 * GROUPS
     assert small_calls(many) == two
 
 
@@ -455,7 +463,6 @@ def test_blocked_scan_of_distinct_functionals(monkeypatch):
     """Mode terms only see one grid block; each signed mu scans its five functionals once."""
     expected = check_admissible(AF001, SIGNED_MUS)
     longest, counts, blocks = [0], [], []
-    filling = [False]
     real_terms, real_parts = admissibility._mode_terms, admissibility._parts
     real_scan = admissibility.scan_infima
 
@@ -464,28 +471,27 @@ def test_blocked_scan_of_distinct_functionals(monkeypatch):
         return real_terms(parts)
 
     def recorded(mu, ratios):
-        if filling[0]:
-            blocks[-1].append(mu)
+        if np.ndim(mu) == 0 and np.ndim(ratios[0]) == 1:  # a grid block: no limit, no lanes
+            blocks[-1].append(float(mu))
         return real_parts(mu, ratios)
 
-    def counting(r, limits, fill, evaluate, rows=None):
-        counts.append(len(limits))
+    def counting(r, limits, prepare, terms):
+        counts.append([len(group) for group in limits])
 
-        def block_fill(lo, hi, first, out):
+        def block_prepare(radii):
             blocks.append([])
-            filling[0] = True
-            fill(lo, hi, first, out)
-            filling[0] = False
+            return prepare(radii)
 
-        return real_scan(r, limits, block_fill, evaluate, rows)
+        return real_scan(r, limits, block_prepare, terms)
 
     monkeypatch.setattr(admissibility, "_mode_terms", sized)
     monkeypatch.setattr(admissibility, "_parts", recorded)
     monkeypatch.setattr(admissibility, "scan_infima", counting)
     assert check_admissible(AF001, SIGNED_MUS) == expected
     assert 0 < longest[0] <= BLOCK
-    assert counts == [16 * 5]  # every (mu, term) of 16 signed modes
-    assert len(blocks) > 1 and all(sorted(b) == sorted(SIGNED_MUS) for b in blocks)
+    assert counts == [[5] * 16]  # every (mu, term) of 16 signed modes
+    grid_blocks = [b for b in blocks if b]
+    assert len(grid_blocks) > 1 and all(b == SIGNED_MUS for b in grid_blocks)
 
 
 STREAMED_PROFILES = {
@@ -516,10 +522,10 @@ def test_streamed_table_equals_the_full_grid_table(tag, n):
 @pytest.mark.parametrize("tag", ["af11_0.01", "sinh"])
 def test_streamed_table_over_three_chunks_equals_the_full_grid_tables(tag):
     """modes.mu_max = 40 at n = 3 is 80 signed modes, three fills of the
-    block buffer per grid block, against three full-grid tables."""
+    scan's block buffer per grid block, against the full-grid table."""
     prof = STREAMED_PROFILES[tag]
     mus = [mode.mu for mode in sphere_spectrum(3, 40)]
-    assert len(mus) > 2 * admissibility._CHUNK
+    assert len(mus) > 2 * GROUPS
     got = check_admissible(prof, mus)
     assert ([_hex_fields(rep) for rep in got]
             == [_hex_fields(rep) for rep in full_grid_check_admissible(prof, mus)])

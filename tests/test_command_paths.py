@@ -36,8 +36,6 @@ NEVER_RUN = {
     # the paper's explicit sufficient condition on the metric
     "profiles._phi1_terms",
     "profiles.profile_constants",
-    "profiles.profile_constants.<locals>.fill",
-    "profiles.profile_constants.<locals>.evaluate",
     "profiles.check_A2",
 }
 

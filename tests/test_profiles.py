@@ -150,14 +150,14 @@ def test_profile_constants_one_table_per_check(monkeypatch):
     """An AF check_A2 runs two scans: the phi1 table and the sigma'/sigma bound."""
     real, calls = scan.scan_infima, []
 
-    def counting(r, limits, fill, evaluate):
-        calls.append(len(limits))
-        return real(r, limits, fill, evaluate)
+    def counting(r, limits, prepare, terms):
+        calls.append([len(group) for group in limits])
+        return real(r, limits, prepare, terms)
 
     monkeypatch.setattr(scan, "scan_infima", counting)
     monkeypatch.setattr(profiles, "scan_infima", counting)
     check_A2(AF001, 1.0)
-    assert calls == [3, 1]
+    assert calls == [[3], [1]]
 
 
 def _assert_exact_zeros(c):
