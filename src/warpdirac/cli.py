@@ -11,15 +11,20 @@ strichartz-scan  growth-in-mu scan with fitted slopes
 Exit codes: 0 pass, 2 contract violation, 3 non-admissible metric,
 4 configuration error (command-line usage errors and artifact writes that
 fail included), 5 numerical failure.  Failed runs never leave partial
-artifacts: every file is written via temp-and-rename after the whole
-workflow has finished, and if one write fails, the run's files already in
-place are removed.
+artifacts: each artifact is staged as soon as the command has produced it,
+written to a hidden temp file in the output directory, and the staged
+files are renamed into place together once the command has returned.  On
+any error the run's staged and renamed files are removed, and so is the
+output directory if the run created it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -54,28 +59,51 @@ def _mu_label(mu: float) -> str:
     return f"{mu:g}"
 
 
-def _write_all(out: Path, files: list):
-    """Write each (name, payload): a .json name takes a JSON value, a .csv one (header, rows).
+def _write_all(out: Path, command) -> int:
+    """Run ``command(stage)``, publish the artifacts it stages and return its exit code.
 
-    If a write fails, the files already written are removed and the run is
-    refused with a ConfigurationError naming the path.
+    ``stage(name, payload)`` writes one artifact at once to a hidden temp
+    file in ``out`` (a .json name takes a JSON value, a .csv one (header,
+    rows)), so a command can hand over each artifact when it is finished and
+    let it go.  Only after the command has returned are the staged files
+    renamed into place.  On any error the staged files and those already
+    renamed are removed, and so is ``out`` if this run created it; a write
+    or rename that fails is refused with a ConfigurationError naming the
+    artifact's path.
     """
-    written = []
-    for name, payload in files:
-        path = out / name
+    created = not out.exists()
+    staged, published = [], []
+
+    def stage(name: str, payload):
+        path, hidden = out / name, out / f".{name}.{os.urandom(8).hex()}"
         try:
             if name.endswith(".json"):
-                write_json_atomic(path, payload)
+                write_json_atomic(hidden, payload)
             else:
-                write_csv_atomic(path, *payload)
+                write_csv_atomic(hidden, *payload)
         except OSError as exc:
-            for done in written:
-                done.unlink()
             raise ConfigurationError(f"cannot write {path}: {exc}") from exc
-        written.append(path)
+        staged.append((hidden, path))
+
+    try:
+        code = command(stage)
+        for hidden, path in staged:
+            try:
+                os.replace(hidden, path)
+            except OSError as exc:
+                raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+            published.append(path)
+        return code
+    except BaseException:
+        for path in [hidden for hidden, _ in staged] + published:
+            path.unlink(missing_ok=True)
+        if created:
+            with contextlib.suppress(OSError):
+                out.rmdir()
+        raise
 
 
-def cmd_check_metric(cfg: RunConfig, args) -> tuple[int, list]:
+def cmd_check_metric(cfg: RunConfig, args, stage) -> int:
     mus = sorted({float(m.mu) for m in cfg.modes})
     reports = check_admissible(cfg.profile, mus, cfg.scan)
     payload = {
@@ -83,11 +111,11 @@ def cmd_check_metric(cfg: RunConfig, args) -> tuple[int, list]:
         "reports": [asdict(r) for r in reports],
         "all_admissible": all(r.admissible for r in reports),
     }
-    code = 0 if payload["all_admissible"] else 3
-    return code, [("check_metric.json", payload)]
+    stage("check_metric.json", payload)
+    return 0 if payload["all_admissible"] else 3
 
 
-def cmd_spectrum(cfg: RunConfig, args) -> tuple[int, list]:
+def cmd_spectrum(cfg: RunConfig, args, stage) -> int:
     rows = []
     for mode in cfg.modes:
         rows.append((
@@ -98,7 +126,8 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple[int, list]:
             band_index(mode),
         ))
     header = ["mu", "multiplicity", "degree_plus", "degree_minus", "band_j"]
-    return 0, [("spectrum.csv", (header, rows))]
+    stage("spectrum.csv", (header, rows))
+    return 0
 
 
 def _ladder(n_cells: int) -> list[int]:
@@ -111,7 +140,7 @@ def _order(ns: list[int], residuals: list[float]) -> float:
     return float(-np.polyfit(np.log(ns), np.log(residuals), 1)[0])
 
 
-def cmd_validate(cfg: RunConfig, args) -> tuple[int, list]:
+def cmd_validate(cfg: RunConfig, args, stage) -> int:
     mus = sorted({abs(float(m.mu)) for m in cfg.modes})
     ns = _ladder(cfg.grid.n_cells)
     if len(ns) < 2:
@@ -166,57 +195,63 @@ def cmd_validate(cfg: RunConfig, args) -> tuple[int, list]:
         "norm_equivalence": equivalence,
         "pass": passed,
     }
-    return (0 if passed else 2), [("validate.json", payload)]
+    stage("validate.json", payload)
+    return 0 if passed else 2
 
 
-def cmd_evolve(cfg: RunConfig, args) -> tuple[int, list]:
-    times = np.linspace(0.0, cfg.t_max, cfg.samples)
-    files = []
-    meta_modes = []
-    header = ["t", "r", "re_v_plus", "im_v_plus", "re_v_minus", "im_v_minus"]
-    initial = cfg.data.realize(cfg.grid)
+_TRAJECTORY_HEADER = ["t", "r", "re_v_plus", "im_v_plus", "re_v_minus", "im_v_minus"]
+
+
+def _evolve_mode(cfg: RunConfig, mu: float, initial, times: np.ndarray, stage) -> dict:
+    """Flow one mode, stage its trajectory CSV and return its metadata entry.
+
+    Nothing of the flow outlives the call, so a run holds one mode at a time.
+    """
+    traj = evolve(assemble_dirac(cfg.profile, mu, cfg.m, cfg.grid), initial, times)
     r = cfg.grid.nodes
-    for mode in cfg.modes:
-        mu = float(mode.mu)
-        op = assemble_dirac(cfg.profile, mu, cfg.m, cfg.grid)
-        traj = evolve(op, initial, times)
-        # one row per (time, node), time-major: the CSV is this T*N x 6 block
-        plus, minus = traj.plus.T, traj.minus.T
-        table = np.column_stack([np.repeat(traj.times, len(r)), np.tile(r, len(times)),
-                                 plus.real.ravel(), plus.imag.ravel(),
-                                 minus.real.ravel(), minus.imag.ravel()])
-        name = f"trajectory_mu_{_mu_label(mu)}.csv"
-        files.append((name, (header, table)))
-        norms = traj.norms()
-        meta_modes.append({"mu": mu, "file": name,
-                           "norm_drift": float(np.max(np.abs(norms / norms[0] - 1.0)))})
-    meta = {
+    # one row per (time, node), time-major: the CSV is this T*N x 6 block
+    plus, minus = traj.plus.T, traj.minus.T
+    table = np.column_stack([np.repeat(traj.times, len(r)), np.tile(r, len(times)),
+                             plus.real.ravel(), plus.imag.ravel(),
+                             minus.real.ravel(), minus.imag.ravel()])
+    name = f"trajectory_mu_{_mu_label(mu)}.csv"
+    stage(name, (_TRAJECTORY_HEADER, table))
+    norms = traj.norms()
+    return {"mu": mu, "file": name,
+            "norm_drift": float(np.max(np.abs(norms / norms[0] - 1.0)))}
+
+
+def cmd_evolve(cfg: RunConfig, args, stage) -> int:
+    times = np.linspace(0.0, cfg.t_max, cfg.samples)
+    initial = cfg.data.realize(cfg.grid)
+    meta_modes = [_evolve_mode(cfg, float(mode.mu), initial, times, stage)
+                  for mode in cfg.modes]
+    stage("evolve_meta.json", {
         "profile": _profile_dict(cfg.profile),
         "m": cfg.m,
         "grid": asdict(cfg.grid),
         "times": [float(t) for t in times],
         "data": asdict(cfg.data),
         "modes": meta_modes,
-    }
-    files.insert(0, ("evolve_meta.json", meta))
-    return 0, files
+    })
+    return 0
 
 
-def cmd_strichartz_scan(cfg: RunConfig, args) -> tuple[int, list]:
+def cmd_strichartz_scan(cfg: RunConfig, args, stage) -> int:
     mus = [float(m.mu) for m in cfg.modes]
     results = mu_scan(cfg.profile, cfg.triples, mus, data_template=cfg.data,
                       grid=cfg.grid, t_max=cfg.t_max, samples=cfg.samples,
                       m=cfg.m, epsilon_loss=cfg.epsilon_loss, scan=cfg.scan)
     failed = any(ok is False for result in results
                  for ok in (result.strichartz_slope_ok, result.smoothing_slope_ok))
-    files = [("strichartz_scan.json", {"scans": [asdict(result) for result in results]})]
+    stage("strichartz_scan.json", {"scans": [asdict(result) for result in results]})
     header = ["mu", "ratio_strichartz", "ratio_smoothing"]
     for result in results:
         rows = [(row.mu, row.ratio_strichartz, row.ratio_smoothing)
                 for row in result.rows]
         p_label = "inf" if math.isinf(result.p) else f"{result.p:g}"
-        files.append((f"strichartz_scan_p{p_label}_q{result.q:g}.csv", (header, rows)))
-    return (2 if failed else 0), files
+        stage(f"strichartz_scan_p{p_label}_q{result.q:g}.csv", (header, rows))
+    return 2 if failed else 0
 
 
 _COMMANDS = {
@@ -260,9 +295,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
-        code, files = _COMMANDS[args.command](cfg, args)
-        _write_all(Path(args.out), files)
-        return code
+        return _write_all(Path(args.out),
+                          functools.partial(_COMMANDS[args.command], cfg, args))
     except WarpDiracError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

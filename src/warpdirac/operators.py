@@ -238,22 +238,28 @@ def _resolvent_sum(u: np.ndarray, s: float, nodes, low, high):
     return _LOG_STEP * np.sin(np.pi * s) / np.pi * (nodes + left + right)
 
 
-def _one_plus(op: DiscreteRadialOperator, x: np.ndarray,
-              scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """(1 + A) x for a real N x K block, the second difference taken as a
-    difference of first differences, zero outside the grid.
+def _one_plus(op: DiscreteRadialOperator, x: np.ndarray, lo: int = 0,
+              hi: Optional[int] = None) -> np.ndarray:
+    """Rows lo:hi of (1 + A) x for a real N x K block, all rows by default.
 
-    ``scratch``, an array shaped like ``x``, holds the differences and then
-    the potential term; it is overwritten.
+    The second difference is taken as a difference of the first differences
+    x_(i+1) - x_i, zero outside the grid, from x's rows lo - 1 to hi alone.
     """
-    scratch = np.empty_like(x) if scratch is None else scratch
-    diffs = scratch[:-1]
-    np.subtract(x[1:], x[:-1], out=diffs)  # x_(i+1) - x_i
-    bx = np.empty_like(x)
-    np.subtract(diffs[:-1], diffs[1:], out=bx[1:-1])
-    bx[0], bx[-1] = x[0] - diffs[0], diffs[-1] + x[-1]
+    nn = len(x)
+    hi = nn if hi is None else hi
+    diffs = np.empty((hi - lo + 1,) + x.shape[1:])  # x_(i+1) - x_i for i = lo - 1 .. hi - 1
+    if lo:
+        np.subtract(x[lo], x[lo - 1], out=diffs[0])
+    else:
+        diffs[0] = x[0]  # x_0 - 0
+    np.subtract(x[lo + 1:hi], x[lo:hi - 1], out=diffs[1:-1])
+    if hi < nn:
+        np.subtract(x[hi], x[hi - 1], out=diffs[-1])
+    else:
+        np.negative(x[-1], out=diffs[-1])  # 0 - x_(N-1)
+    bx = np.subtract(diffs[:-1], diffs[1:])
     bx *= 1.0 / op.grid.dr ** 2
-    bx += np.multiply((1.0 + op.potential)[:, None], x, out=scratch)
+    bx += np.multiply((1.0 + op.potential[lo:hi])[:, None], x[lo:hi], out=diffs[:-1])
     return bx
 
 
@@ -552,24 +558,40 @@ def _band_forms(op: DiscreteRadialOperator, x: np.ndarray,
     Each node is one forward LDL^T sweep of tau + B, all nodes and columns
     at once: f = sum_i y_i z_i / p_i with L y = B x and L z = x, so nothing
     N long is kept per node, and every exponent reuses the node values.
-    Refuses a B that is not positive definite.  Besides x, only B x and
-    one scratch array are N x K.
+    B x is formed one block of _BLOCK rows at a time inside the sweep.  The
+    s = 0 and s = 1 sums keep NumPy's order: it sums one column pairwise,
+    so for K = 1 all N products are kept, and several columns row by row,
+    so for K > 1 each block's products are added in turn to running sums.
+    Refuses a B that is not positive definite.  Besides x, nothing N x K
+    is held.
     """
-    scratch = np.empty_like(x)
-    bx = _one_plus(op, x, scratch)
-    forms = {0.0: np.multiply(x, x, out=scratch).sum(axis=0),
-             1.0: np.multiply(bx, x, out=scratch).sum(axis=0)}
+    nn, k = x.shape
     u = _log_nodes(op)
-    y, z, acc = np.zeros((3, len(u), x.shape[1]))  # (node, column)
+    y, z, acc = np.zeros((3, len(u), k))  # (node, column)
     term = np.empty_like(acc)
+    # x_i^2 and (B x)_i x_i; with K > 1 row 0 holds the running sums
+    products = np.empty((2, nn if k == 1 else _BLOCK + 1, k))
     for i, (ratio, inv) in enumerate(_ldl_pivots(op, np.exp(u)[:, None])):
+        j = i % _BLOCK
+        if j == 0:
+            hi = min(i + _BLOCK, nn)
+            bx, xs = _one_plus(op, x, i, hi), x[i:hi]
+            rows = products[:, i:hi] if k == 1 else products[:, 1:hi - i + 1]
+            np.multiply(xs, xs, out=rows[0])
+            np.multiply(bx, xs, out=rows[1])
+            if k > 1:
+                first = 1 if i == 0 else 0  # the first block starts the sums
+                for sums in products:
+                    sums[0] = sums[first:hi - i + 1].sum(axis=0)
         y *= ratio
-        y += bx[i]
+        y += bx[j]
         z *= ratio
         z += x[i]
         np.multiply(y, inv, out=term)
         term *= z
         acc += term
+    zero, one = (p.sum(axis=0) if k == 1 else p[0] for p in products)
+    forms = {0.0: zero, 1.0: one}
     for s in set(exponents) - set(forms):
         forms[s] = _resolvent_sum(u, s, np.exp(u * s) @ acc, forms[0.0], forms[1.0])
     return [forms[s] for s in exponents]

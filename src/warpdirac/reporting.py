@@ -3,9 +3,11 @@
 JSON is rendered by a canonical writer (sorted keys, floats at 17
 significant digits in lowercase scientific notation, non-finite values as
 strings) so identical inputs produce byte-identical files; a CSV float is
-its shortest round-trip repr.  All writes go through temp-and-rename so
-failed runs never leave partial artifacts, and a file gets the mode that
-open() would give it (0666 less the umask).
+its shortest round-trip repr.  Every write goes through temp-and-rename,
+so a failed write leaves no partial file, and a file gets the mode that
+open() would give it (0666 less the umask).  The command line writes each
+artifact this way to a hidden name as soon as it is produced, and renames
+the staged files into place together once the command has returned.
 """
 
 from __future__ import annotations

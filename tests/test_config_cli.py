@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 
 from warpdirac import (AdmissibilityReport, Family, MetricProfile, NormScanResult,
                        assemble_dirac, evolve)
+from warpdirac import cli
 from warpdirac.cli import main
 from warpdirac.config import RunConfig, parse_config
-from warpdirac.errors import ConfigurationError
+from warpdirac.errors import ConfigurationError, NumericalError
 from warpdirac.estimates import DEFAULT_EPSILON_LOSS, DEFAULT_SAMPLES, DEFAULT_T_MAX, mu_scan
 from warpdirac.evolution import DataTemplate
 from warpdirac.operators import (DEFAULT_TRIALS, DiscreteRadialOperator, RadialGrid,
@@ -255,6 +257,58 @@ def test_cli_write_failure_exits_4_and_leaves_no_artifact(tmp_path, capsys):
     assert f"cannot write {out / 'trajectory_mu_1.csv'}" in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == ["trajectory_mu_1.csv"]
     assert not any((out / "trajectory_mu_1.csv").iterdir())
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new-out", "existing-out"])
+def test_cli_failure_after_a_staged_artifact_leaves_no_artifact(tmp_path, monkeypatch, capsys,
+                                                                existed):
+    """A two-mode evolve whose second flow fails exits 5 after the first
+    mode's CSV was staged: no staged file is left, and --out is removed if
+    the run created it."""
+    calls, staged = [], []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            staged.extend(p.name for p in out.iterdir())
+            raise NumericalError("second flow fails")
+        return evolve(*args)
+
+    monkeypatch.setattr(cli, "evolve", failing)
+    cfg = _write(tmp_path, SMALL.replace("modes.mu_list = 1", "modes.mu_list = 1, 2"))
+    out = tmp_path / "out"
+    if existed:
+        out.mkdir()
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 5
+    assert "second flow fails" in capsys.readouterr().err
+    assert len(calls) == 2 and len(staged) == 1
+    assert staged[0].startswith(".trajectory_mu_1.csv.")
+    assert out.exists() == existed
+    if existed:
+        assert list(out.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["run.cfg"] + (["out"] if existed else []))
+
+
+def _evolve_peak(tmp_path: Path, mu_max: int) -> int:
+    cfg = _write(tmp_path, f"profile.family = flat\nmodes.mu_max = {mu_max}\n"
+                           "grid.n_cells = 2048\ntime.samples = 17\n")
+    tracemalloc.start()
+    try:
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / f"out{mu_max}")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evolve_holds_one_mode_at_a_time(tmp_path):
+    """Each mode's CSV is staged as its flow ends and nothing of the flow is
+    kept, so evolve's tracemalloc peak at 2048 cells and 17 samples grows by
+    under 0.5 MB from 2 to 6 modes (keeping every mode's table until the
+    last write grew it by 6.8 MB)."""
+    two, six = (_evolve_peak(tmp_path, mu_max) for mu_max in (1, 3))
+    assert len(list((tmp_path / "out3").glob("trajectory_mu_*.csv"))) == 6
+    assert six - two < 0.5e6
 
 
 def _write(tmp_path: Path, text: str) -> str:

@@ -352,17 +352,20 @@ def test_band_forms_at_the_integer_exponents(prof):
 
 
 @pytest.mark.parametrize("k", [1, 7, 8, 9, 20, 100])
-@pytest.mark.parametrize("prof", [FLAT, SINH, AF001], ids=["flat", "sinh", "af"])
+@pytest.mark.parametrize("prof", [FLAT, SINH, AF001, replace(AF001, n=5)],
+                         ids=["flat", "sinh", "af", "af5"])
 def test_band_forms_with_one_scratch_keep_the_whole_block_bits(prof, k):
-    """One reused N x K scratch for B x and the s = 0 and s = 1 forms keeps
-    the bits of a fresh temporary per step, at every column count (NumPy sums
-    one column pairwise and several column by column)."""
-    op = weighted_laplacian_operator(prof, GRID)
-    x = _bumps(GRID, k, seed=k)
-    exponents = (0.0, 0.5, 1.0, 0.25)
-    for got, want in zip(_band_forms(op, x, exponents),
-                         whole_block_band_forms(op, x, exponents), strict=True):
-        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    """B x formed a row block at a time, and the s = 0 and s = 1 forms summed
+    block by block, keep the bits of a fresh N x K temporary per step, at
+    every column count (NumPy sums one column pairwise and several row by
+    row) and on grids whose cell count is not a multiple of the block."""
+    for grid in (GRID, RadialGrid(40.0, 300), RadialGrid(40.0, 2047)):
+        op = weighted_laplacian_operator(prof, grid)
+        x = _bumps(grid, k, seed=k)
+        exponents = (0.0, 0.5, 1.0, 0.25)
+        for got, want in zip(_band_forms(op, x, exponents),
+                             whole_block_band_forms(op, x, exponents), strict=True):
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
 def test_norm_equivalence_bumps_are_the_stacked_bumps(monkeypatch):
@@ -397,7 +400,9 @@ def test_band_forms_refuse_an_operator_that_is_not_positive_definite():
 
 def test_norm_equivalence_keeps_no_eigenbasis(monkeypatch):
     """validate's check at 2048 cells and 100 trials: no eigh, and a
-    tracemalloc peak far below the 33.5 MB of one 2048 x 2048 eigenbasis."""
+    tracemalloc peak of at most 3.5 MB, far below the 33.5 MB of one
+    2048 x 2048 eigenbasis: besides the 1.6 MB of bumps, only row blocks
+    and node-set arrays are held (N x K temporaries for B x peaked at 6 MB)."""
 
     def refuse(self):
         raise AssertionError("norm_equivalence_check called eigh")
@@ -410,7 +415,7 @@ def test_norm_equivalence_keeps_no_eigenbasis(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12e6
+    assert peak <= 3.5e6
 
 
 def test_sigma_log_derivative_bounds():
