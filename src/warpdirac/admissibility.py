@@ -17,8 +17,10 @@ Each is a :class:`Delta`: min(cap, quadratic infimum, cubic infimum) with
 both scanned infima, the first non-positive of which witnesses a failure.
 The two are tied by the algebraic identity 4 r^2 W + 1 = 4 (1/4 + r^2 (V^2 - V'))
 which is kept as a permanent regression test.  All infima are evaluated in
-overflow-safe scaled variables (r V, r^2 V', r^3 V'', r^3 W') so the scan
-grid can span [1e-6, 1e6] for every family including sinh.  V is odd in
+the scaled variables (r V, r^2 V', r^3 V'', r^3 W'), built from the bounded
+profile ratios of :meth:`warpdirac.MetricProfile.ratios`, so none of them
+overflows at any radius for |mu| up to about 1e153: a scan grid may reach
+scan.r_max = 1e300 and beyond for every family, sinh included.  V is odd in
 mu, so the + channel at mu is the - channel at -mu, and delta_+(mu) is
 delta_-(-mu) bit for bit.
 
@@ -29,6 +31,9 @@ five functionals (:func:`_mode_terms`, the one place they are written), and
 every golden-section refinement of the whole table steps together.  Its
 values equal those of one :func:`warpdirac.scan.scan_infimum` per term of
 :func:`_mode_terms`, with the limits of :func:`_row_limits`, bit for bit.
+The grid is the scan policy's, widened for an asymptotically flat
+amplitude eps > 1 (:func:`_scan_grid`), which moves the radii where phi1 is
+of order 1 toward r = 0 and, for beta > alpha, toward r = inf.
 The floor on delta_pm that the A2 smallness test guarantees is the
 ``delta_floor`` of :func:`warpdirac.profiles.check_A2`.
 """
@@ -36,13 +41,13 @@ The floor on delta_pm that the A2 smallness test guarantees is the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import HypothesisViolationError
-from .profiles import MetricProfile
+from .profiles import Family, MetricProfile
 from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, ScanExtremum, scan_infima
 
 __all__ = ["ModePotential", "Delta", "AdmissibilityReport", "check_admissible"]
@@ -88,9 +93,10 @@ def _parts(mu, ratios):
     """
     s1, s2, s3 = ratios
     rv = mu * s1
+    r2vp = -rv * s2
     mu_s3 = mu * s3
-    bend = 2.0 * rv * s2**2  # 2 mu s1 s2^2
-    return rv, -rv * s2, bend - mu_s3, mu_s3 - 2.0 * rv**2 * s2 - bend
+    bend = -2.0 * r2vp * s2  # 2 mu s1 s2^2, bounded where s2 = r coth r is not
+    return rv, r2vp, bend - mu_s3, mu_s3 - 2.0 * rv**2 * s2 - bend
 
 
 def _parts_at_zero(mu: float) -> tuple:
@@ -125,6 +131,29 @@ def _row_limits(profile: MetricProfile, mu: float) -> list:
     """(limit at r -> 0+, limit at r -> infinity) of each _mode_terms term."""
     return list(zip(_mode_terms(_parts_at_zero(mu)),
                     _mode_terms(_parts_at_infinity(profile, mu))))
+
+
+def _scan_grid(profile: MetricProfile, scan: InfimumScanPolicy) -> np.ndarray:
+    """The radii that :func:`check_admissible` scans: the policy grid, widened
+    for an asymptotically flat amplitude eps > 1.
+
+    The ratios, and so the terms, are functions of phi1 alone where
+    phi1 ~ eps r^alpha (r -> 0) and phi1 ~ eps r^(alpha - beta) (r -> inf),
+    and the scan adds their limits at 0 and inf.  A large eps moves what the
+    terms do where phi1 is of order 1 (delta_phi fails near r = eps^(-1/alpha)
+    for alpha = 1) out of [r_min, r_max], where the limits alone would stand
+    for it.  So the grid runs from r_min eps^(-1/alpha) to, for beta > alpha,
+    r_max eps^(1/(beta - alpha)), where phi1 is what it is at r_min and r_max
+    for eps = 1, with the policy's number of points, from no lower than the
+    smallest positive double to no higher than 1e308, whose power of ten the
+    grid still forms.
+    """
+    if profile.family is Family.ASYMPTOTICALLY_FLAT and profile.epsilon > 1.0:
+        a, b, eps = profile.alpha, profile.beta, profile.epsilon
+        r_max = scan.r_max if b == a else scan.r_max * eps ** (1.0 / (b - a))
+        scan = replace(scan, r_min=max(scan.r_min * eps ** (-1.0 / a), math.ulp(0.0)),
+                       r_max=min(r_max, 1e308))
+    return scan.grid()
 
 
 @dataclass(frozen=True)
@@ -173,11 +202,11 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     Mode mu needs delta_pm(mu), delta_phi(+-mu) and sup |4 r^2 W| at mu.
     All of these are read from one table with a group of five terms, those
     of :func:`_mode_terms`, for every signed mu in +-mus, so delta_+(mu) is
-    read from the - terms of -mu.  One pass walks the policy grid block by
-    block (:func:`warpdirac.scan.scan_infima`): ``profile.ratios`` is the
-    scan's ``prepare``, once per block, and each signed mu's scaled parts
-    and terms follow from it.  So the working set is the grid and the
-    scan's one block buffer, however long the grid.  Every golden-section
+    read from the - terms of -mu.  One pass walks the grid of
+    :func:`_scan_grid` block by block (:func:`warpdirac.scan.scan_infima`):
+    ``profile.ratios`` is the scan's ``prepare``, once per block, and each
+    signed mu's scaled parts and terms follow from it.  So the working set is
+    the grid and the scan's one block buffer, however long the grid.  Every golden-section
     refinement of the table steps in lockstep with one ``profile.ratios``
     call per step.
     W -> 0 at infinity is read from the table's own limit of 4 r^2 W + 1
@@ -190,7 +219,7 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     signed = list(dict.fromkeys(sign * pot.mu for pot in pots for sign in (1, -1)))
     mu_of = np.array(signed)
     limits = {mu: _row_limits(profile, mu) for mu in signed}
-    found = scan_infima(scan.grid(), list(limits.values()), profile.ratios,
+    found = scan_infima(_scan_grid(profile, scan), list(limits.values()), profile.ratios,
                         lambda g, ratios: _mode_terms(_parts(mu_of[g], ratios)))
     term = dict(zip(signed, found))
 

@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .admissibility import check_admissible
-from .errors import ConfigurationError, ContractViolationError, NonAdmissibleError, PolicyError
+from .errors import (ConfigurationError, ContractViolationError, NonAdmissibleError,
+                     NumericalError, PolicyError)
 from .evolution import DataTemplate, SpinorTrajectory, causal_time_limit, evolve
 from .operators import RadialGrid, SobolevCalculus, assemble_dirac, flat_reference_operator
 from .profiles import MetricProfile
@@ -128,16 +129,20 @@ def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple,
     if (own.kind, own.grid, own.profile) != (h0.kind, h0.grid, h0.profile):
         raise ConfigurationError(f"the calculus is of {own.kind} on {own.grid}, not of the "
                                  f"trajectory's H0 on {traj.grid} in n={traj.profile.n}")
-    s, q, dr = triple.s, triple.q, traj.grid.dr
-    weight = strichartz_weight(traj.profile, traj.grid.nodes, q)[:, None]
-    mag = np.abs(calc.apply(weight * traj.plus, s)) ** 2
-    mag += np.abs(calc.apply(weight * traj.minus, s)) ** 2
-    np.sqrt(mag, out=mag)
-    spatial = (dr * np.sum(mag**q, axis=0)) ** (1.0 / q)
-    if math.isinf(triple.p):
-        return float(np.max(spatial))
-    return float(np.sum(_time_weights(traj.times) * spatial**triple.p)
-                 ** (1.0 / triple.p))
+    s, q, p, dr = triple.s, triple.q, triple.p, traj.grid.dr
+    # a huge amplitude carries eps^(1 - 2/q) in the weight, and |.|^q may overflow:
+    # a norm that is not finite is refused, not read as a slope
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = strichartz_weight(traj.profile, traj.grid.nodes, q)[:, None]
+        mag = np.abs(calc.apply(weight * traj.plus, s)) ** 2
+        mag += np.abs(calc.apply(weight * traj.minus, s)) ** 2
+        np.sqrt(mag, out=mag)
+        spatial = (dr * np.sum(mag**q, axis=0)) ** (1.0 / q)
+        norm = float(np.max(spatial) if math.isinf(p)
+                     else np.sum(_time_weights(traj.times) * spatial**p) ** (1.0 / p))
+    if not math.isfinite(norm):
+        raise NumericalError(f"the L^{p:g}_t W^({s:g},{q:g}) Strichartz norm is not finite")
+    return norm
 
 
 @dataclass(frozen=True)

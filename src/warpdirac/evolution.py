@@ -8,7 +8,11 @@ spectrum of h,
     exp(-i t h) = sum_k (2 - delta_k0) (-i)^k J_k(rho t) T_k(h / rho),
 
 and terms whose Bessel coefficient is below 1e-18 are dropped, which ends
-the series within rho |t| + 12 (rho |t|)^(1/3) + 28 terms.  One recurrence
+the series within rho |t| + 12 (rho |t|)^(1/3) + 28 terms.  A flow whose
+series would take more than 1e6 terms is refused before its Bessel table
+is built and its recurrence runs (a large mass or time before h is first
+applied): its cost grows with the term count, and the table alone holds
+that many coefficients per sample.  One recurrence
 T_(k+1) = 2 (h / rho) T_k - T_(k-1), in O(N) per step, serves every sample
 time (negative and non-uniform ones included), so nothing of size N^2 is
 built.  At the default grid the samples are within 2e-15 relative of an
@@ -67,6 +71,7 @@ _CAUSAL_MARGIN = 2.0
 _CHUNK = 64  # Chebyshev vectors added into the samples per GEMM (even)
 _BESSEL_TAIL = 1e-18  # |J_k| at or below which a term is dropped
 _TAIL_CHECKED = 1e7  # largest rho |t| for which _tail_terms was checked
+_TERM_BUDGET = 1_000_000  # most Chebyshev terms a flow may take, well inside _TAIL_CHECKED
 _SERIES_TERMS = 20  # power-series terms of J_k(x) for x < 1
 _AGMON_DEPTH = 40.0  # Agmon distance from the turning point to the first kept cell
 _ENERGY_FACTOR = 4.0  # E = 4 sqrt(|h^2 v0| / |v0|) places the turning point
@@ -330,10 +335,14 @@ def _bessel_series(x: np.ndarray, width: int) -> np.ndarray:
 
 
 def _check_tail_reach(largest: float) -> None:
-    """Refuse a largest rho |t| past _TAIL_CHECKED, or a nan one."""
-    if not largest <= _TAIL_CHECKED:
-        raise NumericalError(f"the Chebyshev series needs rho |t| = {largest:.0e}, past "
-                             f"{_TAIL_CHECKED:.0e}, where its truncation was checked")
+    """Refuse a largest rho |t| past _TAIL_CHECKED (or a nan one), where the tail
+    was not checked, and one whose series would take more than _TERM_BUDGET
+    terms: the Bessel table and the recurrence grow with it."""
+    checked = largest <= _TAIL_CHECKED
+    if not checked or _tail_terms(largest) > _TERM_BUDGET:
+        past = (f"its budget of {_TERM_BUDGET:.0e} terms" if checked
+                else f"{_TAIL_CHECKED:.0e}, where its truncation was checked")
+        raise NumericalError(f"the Chebyshev series needs rho |t| = {largest:.0e}, past {past}")
 
 
 def _bessel_coefficients(x: np.ndarray) -> np.ndarray:
@@ -341,7 +350,8 @@ def _bessel_coefficients(x: np.ndarray) -> np.ndarray:
 
     Coefficients with |J_k(x)| <= _BESSEL_TAIL are dropped (set to zero),
     and the columns end with the last one kept in any row.  An |x| past
-    _TAIL_CHECKED (a huge mass or a huge time) raises NumericalError.
+    the term budget (a huge mass, potential or time) raises NumericalError
+    before the table is built.
     """
     ax = np.abs(x)
     _check_tail_reach(float(np.max(ax, initial=0.0)))

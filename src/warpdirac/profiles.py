@@ -13,6 +13,15 @@ asymptotically_flat  phi(r) = r (1 + phi1(r)),  phi1 = eps r^a / (1+r^2)^(b/2)
 sinh                 phi(r) = sinh r
 polynomial           phi(r) = r + r^2 + ... + r^p
 
+The scan reads each profile through :meth:`MetricProfile.ratios` (and, for
+the explicit condition, ``phi1_parts``), written in quantities bounded by
+construction, so one formula per family holds on the whole half-line with
+no intermediate that overflows, at any amplitude: asymptotically flat in
+t = r^2/(1+r^2) and u = 1/(1+r^2), sinh through e^-r, and the polynomial by
+Horner in min(r, 1/r).  The flat / asymptotically flat limits at infinity
+are the same formulas at r = inf, where x = min(r, 1/r) = 0 makes them
+exact.
+
 The smallness constants A_phi, B_phi of a flat / asymptotically flat
 profile are the suprema of the three functionals of :func:`_phi1_terms`,
 scanned as one group of :func:`warpdirac.scan.scan_infima` on
@@ -32,9 +41,8 @@ from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_infima, scan_supr
 __all__ = ["Family", "MetricProfile", "ProfileConstants", "A2Verdict",
            "sigma_log_derivative_bound", "profile_constants", "check_A2"]
 
-MAX_POLY_DEGREE = 20  # keeps phi^2 within double range on the scan grid
+MAX_POLY_DEGREE = 20  # widest accepted degree; the scan's ratios are bounded at any degree
 MAX_AF_EXPONENT = 12
-_SINH_LARGE = 30.0  # beyond this use exponential asymptotics
 
 
 class Family(enum.Enum):
@@ -83,37 +91,37 @@ class MetricProfile:
 
     # -- phi1 decomposition (flat / asymptotically flat only) ---------------
 
-    def phi1_parts(self, r):
-        """(phi1, r phi1', r^2 phi1'') evaluated elementwise, r >= 0."""
-        r = np.asarray(r, dtype=float)
+    def _phi1_factors(self, r):
+        """(phi1, g, c) with r phi1' = phi1 g and r^2 phi1'' = phi1 c, elementwise.
+
+        With x = min(r, 1/r), t = r^2/(1+r^2) and u = 1/(1+r^2) are x^2 v and
+        v = 1/(1+x^2) in some order, so no factor exceeds 1 and none
+        overflows: phi1 = eps t^(a/2) u^((b-a)/2) is eps v^(b/2) times x^a
+        (r <= 1) or x^(b-a) (r > 1), g = a u + (a-b) t and
+        c = g (g - 1) - 2 b t u, with g - 1 = (a-1) u + (a-b-1) t.  All three
+        are exact at r = 0 (t = 0, u = 1) and at r = inf (t = 1, u = 0).
+        Flat is phi1 = 0 with exact zeros.
+        """
         if self.family is Family.FLAT:
             z = np.zeros_like(r)
-            return z, z.copy(), z.copy()
+            return z, z, z
         if self.family is not Family.ASYMPTOTICALLY_FLAT:
             raise UnsupportedFamilyError(
                 f"{self.family.value} profile has no phi1 decomposition")
-        eps, a, b = self.epsilon, self.alpha, self.beta
-        w = 1.0 + r * r
-        phi1 = eps * r**a * w ** (-b / 2.0)
-        # r phi1' = eps r^a w^(-b/2-1) (a + (a-b) r^2)
-        s = a + (a - b) * r * r
-        rp = eps * r**a * w ** (-b / 2.0 - 1.0) * s
-        # r^2 phi1'' by the product rule; at a = 1 the first term is a zero with the
-        # sign of the second, so 0.0 stands in for it bit for bit
-        first = (a - 1.0) * eps * r**a * w ** (-b / 2.0 - 1.0) * s if a != 1 else 0.0
-        rpp = (first
-               - (b + 2.0) * eps * r ** (a + 2) * w ** (-b / 2.0 - 2.0) * s
-               + 2.0 * (a - b) * eps * r ** (a + 2) * w ** (-b / 2.0 - 1.0))
-        return phi1, rp, rpp
+        a, b = self.alpha, self.beta
+        big = r > 1.0
+        x = np.divide(1.0, r, out=r.copy(), where=big)
+        v = 1.0 / (1.0 + x * x)
+        x2v = x * x * v
+        t, u = np.where(big, v, x2v), np.where(big, x2v, v)
+        phi1 = self.epsilon * np.where(big, x ** (b - a), x**a) * v ** (b / 2.0)
+        g = a * u + (a - b) * t
+        return phi1, g, g * ((a - 1) * u + (a - b - 1) * t) - 2.0 * b * t * u
 
-    def phi1_limit_at_infinity(self) -> float:
-        """lim phi1(r) as r -> infinity (0 for flat, eps when alpha == beta)."""
-        if self.family is Family.FLAT:
-            return 0.0
-        if self.family is Family.ASYMPTOTICALLY_FLAT:
-            return self.epsilon if self.alpha == self.beta else 0.0
-        raise UnsupportedFamilyError(
-            f"{self.family.value} profile has no phi1 decomposition")
+    def phi1_parts(self, r):
+        """(phi1, r phi1', r^2 phi1'') elementwise, finite on all of [0, inf]."""
+        phi1, g, c = self._phi1_factors(np.asarray(r, dtype=float))
+        return phi1, phi1 * g, phi1 * c
 
     # -- direct evaluation ---------------------------------------------------
 
@@ -133,8 +141,7 @@ class MetricProfile:
         phi1, rp, rpp = self.phi1_parts(r)
         phi = r * (1.0 + phi1)
         dphi = 1.0 + phi1 + rp
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d2phi = np.where(r > 0.0, (2.0 * rp + rpp) / np.where(r > 0.0, r, 1.0), 0.0)
+        d2phi = np.where(r > 0.0, (2.0 * rp + rpp) / np.where(r > 0.0, r, 1.0), 0.0)
         # phi''(0) = 2 phi1'(0), nonzero only for alpha == 1; flat keeps an unused epsilon
         if self.family is Family.ASYMPTOTICALLY_FLAT and self.alpha == 1:
             d2phi = np.where(r == 0.0, 2.0 * self.epsilon, d2phi)
@@ -143,47 +150,51 @@ class MetricProfile:
     def ratios(self, r):
         """Stable ratios (r/phi, r phi'/phi, r^3 phi''/phi^2) for r > 0.
 
-        These stay finite across the whole scan grid even where phi itself
-        overflows (sinh beyond r ~ 710).
+        Finite and warning-free for every r up to inf and every amplitude,
+        also where phi itself overflows (sinh beyond r ~ 710): r / sinh r
+        through e^-r, the polynomial's sums by Horner in min(r, 1/r), and the
+        asymptotically flat ratios from the bounded factors of
+        :meth:`_phi1_factors` and phi1 / (1 + phi1) < 1.
         """
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0.0):
             raise ValueError("ratios need r > 0; use the analytic limits at 0")
         if self.family is Family.SINH:
-            s1 = np.empty_like(r)
-            s3 = np.empty_like(r)
-            small = r <= _SINH_LARGE
-            rs = r[small]
-            s1[small] = rs / np.sinh(rs)
-            s3[small] = rs**3 / np.sinh(rs)
-            rl = r[~small]
-            s1[~small] = 2.0 * rl * np.exp(-rl)
-            s3[~small] = 2.0 * rl**3 * np.exp(-rl)
-            s2 = r / np.tanh(r)
-            return s1, s2, s3
+            # r / sinh r = 2 r e^-r / (1 - e^-2r), and 1 - e^-2r = -expm1(-r) (1 + e^-r)
+            e = np.exp(-r)
+            s1 = r * (e + e) / (-np.expm1(-r) * (1.0 + e))
+            return s1, r / np.tanh(r), s1 * r * r
         if self.family is Family.POLYNOMIAL:
+            # phi/r, phi' and r phi'' are polynomials in z = r; beyond r = 1, divided
+            # by r^(p-1), in z = 1/r with the orders k reversed (Horner in z <= 1)
             p = self.degree
-            g = sum(r**k for k in range(p))            # phi / r
-            dphi = sum(k * r ** (k - 1) for k in range(1, p + 1))
-            rpp = sum(k * (k - 1) * r ** (k - 1) for k in range(2, p + 1))  # r phi''
-            return 1.0 / g, dphi / g, rpp / g**2
-        phi1, rp, rpp = self.phi1_parts(r)
-        den = 1.0 + phi1
-        s1 = 1.0 / den
-        s2 = 1.0 + rp / den
-        # a huge amplitude overflows den^2 while den is finite: dividing by den
-        # twice keeps s3 there, and every s3 with a finite den^2 keeps its bits
-        with np.errstate(over="ignore"):
-            square = den**2
-        num = 2.0 * rp + rpp
-        s3 = np.where(np.isinf(square) & np.isfinite(den), num / den / den, num / square)
-        return s1, s2, s3
+            k = np.arange(p, 0.0, -1.0)  # the orders of the terms, from that of z^(p-1) down
+            out = np.empty((3,) + r.shape)
+            big = r > 1.0
+            for part, z, ks, e in ((~big, r[~big], k, 0), (big, 1.0 / r[big], k[::-1], p - 1)):
+                g, dphi, rpp = (np.polyval(c, z) for c in (np.ones(p), ks, ks * (ks - 1.0)))
+                scale = z**e
+                out[:, part] = scale / g, dphi / g, rpp * scale / g**2
+            return tuple(out)
+        return self._phi1_ratios(r)
+
+    def _phi1_ratios(self, r):
+        """:meth:`ratios` of a flat / asymptotically flat profile, also at r = inf.
+
+        :meth:`ratios_at_infinity` reads the limits here, so that every call of
+        :meth:`ratios` is an evaluation on the scan range.
+        """
+        phi1, g, c = self._phi1_factors(r)
+        s1 = 1.0 / (1.0 + phi1)
+        h = phi1 * s1  # phi1 / (1 + phi1), in [0, 1)
+        return s1, 1.0 + h * g, h * s1 * (g + g + c)
 
     def ratios_at_infinity(self) -> tuple:
         """Limits of :meth:`ratios` at r -> infinity, finite for every family.
 
-        For the flat / asymptotically flat families they follow from the
-        phi1 limit L: (1/(1+L), 1, 0).  On sinh and polynomial growth
+        For the flat / asymptotically flat families they are the ratios at
+        r = inf, exact there: (1/(1+L), 1, 0) with L = lim phi1, eps when
+        alpha == beta and 0 otherwise.  On sinh and polynomial growth
         r/phi and r^3 phi''/phi^2 tend to 0, but r phi'/phi does not: it
         grows like r on sinh and tends to the degree on a polynomial.  The
         0 that stands in for it is exact where the limits are used, in the
@@ -192,8 +203,7 @@ class MetricProfile:
         """
         if self.family in (Family.SINH, Family.POLYNOMIAL):
             return 0.0, 0.0, 0.0
-        lim = self.phi1_limit_at_infinity()
-        return 1.0 / (1.0 + lim), 1.0, 0.0
+        return tuple(float(x) for x in self._phi1_ratios(np.array(np.inf)))
 
 
 @dataclass(frozen=True)
@@ -268,9 +278,9 @@ def profile_constants(profile: MetricProfile,
     :func:`warpdirac.scan.scan_supremum` per functional, bit for bit.
     Families without a phi1 decomposition raise UnsupportedFamilyError.
     """
-    lim = profile.phi1_limit_at_infinity()
-    # the limits at 0 and infinity of each term, as scan_supremum negates them
-    limits = [(-0.0, -abs(lim)), (-0.0, -abs((1.0 + lim) * lim)), (-0.0, -0.0)]
+    # each term's limits are its values at r = 0 and r = inf, where phi1_parts is exact
+    ends = _phi1_terms(profile.phi1_parts(np.array([0.0, np.inf])))
+    limits = [(float(lo), float(hi)) for lo, hi in ends]
     (infima,) = scan_infima(scan.grid(), [limits], profile.phi1_parts,
                             lambda g, parts: _phi1_terms(parts))
     sup_a, sup_b1, sup_b2 = (t.negated() for t in infima)

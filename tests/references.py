@@ -9,7 +9,10 @@ sphere's degree bookkeeping against the flat Laplacian (criterion 11).
 earlier forms of :func:`warpdirac.check_admissible` (the profile evaluated
 on the whole scan grid, each mode reading its block of it) and of
 ``operators._band_forms`` (a fresh N x K temporary per step), whose bits
-the streamed forms keep.
+the streamed forms keep.  ``reference_phi1_parts`` and ``reference_ratios``
+are the earlier profile formulas, in powers of r that overflow at large r
+or large amplitudes, which the bounded formulas of
+:class:`warpdirac.MetricProfile` match wherever these are finite.
 """
 
 import math
@@ -17,11 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from warpdirac import (ConfigurationError, ModeIndex, ModePotential, SpinorTrajectory,
+from warpdirac import (ConfigurationError, Family, ModeIndex, ModePotential, SpinorTrajectory,
                        assemble_kg)
 from warpdirac.admissibility import (_MINUS, _PHI, _SUP_TERM, AdmissibilityReport, Delta,
                                      _mode_terms, _parts, _parts_at_infinity, _parts_at_zero,
-                                     _row_limits)
+                                     _row_limits, _scan_grid)
 from warpdirac.operators import _ldl_pivots, _log_nodes, _resolvent_sum
 from warpdirac.scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_infima, scan_infimum
 
@@ -110,7 +113,7 @@ def laplace_eigenvalue_check(mode: ModeIndex, component: str) -> tuple[Fraction,
 
 
 def full_grid_check_admissible(profile, mus, scan=DEFAULT_SCAN_POLICY):
-    """check_admissible with ``profile.ratios`` evaluated once on the whole policy
+    """check_admissible with ``profile.ratios`` evaluated once on its whole scan
     grid, each group's terms reading their block of it, and the refinement
     steps evaluating the ratios inside ``terms``."""
     pots = [ModePotential(profile=profile, mu=mu) for mu in mus]
@@ -118,7 +121,7 @@ def full_grid_check_admissible(profile, mus, scan=DEFAULT_SCAN_POLICY):
         return []
     signed = list(dict.fromkeys(sign * pot.mu for pot in pots for sign in (1, -1)))
     mu_of = np.array(signed)
-    r = scan.grid()
+    r = _scan_grid(profile, scan)
     ratios = profile.ratios(r)
 
     def terms(g, radii):
@@ -178,3 +181,59 @@ def whole_block_band_forms(op, x, exponents):
     for s in set(exponents) - set(forms):
         forms[s] = _resolvent_sum(u, s, np.exp(u * s) @ acc, forms[0.0], forms[1.0])
     return [forms[s] for s in exponents]
+
+
+def reference_phi1_parts(profile, r):
+    """MetricProfile.phi1_parts as powers of r and of w = 1 + r^2: it overflows
+    where r^(a + 2) does, and huge amplitudes overflow r^2 phi1''."""
+    r = np.asarray(r, dtype=float)
+    if profile.family is Family.FLAT:
+        z = np.zeros_like(r)
+        return z, z.copy(), z.copy()
+    eps, a, b = profile.epsilon, profile.alpha, profile.beta
+    w = 1.0 + r * r
+    phi1 = eps * r**a * w ** (-b / 2.0)
+    # r phi1' = eps r^a w^(-b/2-1) (a + (a-b) r^2)
+    s = a + (a - b) * r * r
+    rp = eps * r**a * w ** (-b / 2.0 - 1.0) * s
+    # r^2 phi1'' by the product rule; at a = 1 the first term is a zero with the
+    # sign of the second, so 0.0 stands in for it bit for bit
+    first = (a - 1.0) * eps * r**a * w ** (-b / 2.0 - 1.0) * s if a != 1 else 0.0
+    rpp = (first
+           - (b + 2.0) * eps * r ** (a + 2) * w ** (-b / 2.0 - 2.0) * s
+           + 2.0 * (a - b) * eps * r ** (a + 2) * w ** (-b / 2.0 - 1.0))
+    return phi1, rp, rpp
+
+
+def reference_ratios(profile, r):
+    """MetricProfile.ratios with sinh split at r = 30 into r / sinh r and
+    2 r e^-r, the polynomial's power sums, and the asymptotically flat s3
+    divided by den**2, or by den twice where den**2 overflows."""
+    r = np.asarray(r, dtype=float)
+    if profile.family is Family.SINH:
+        s1 = np.empty_like(r)
+        s3 = np.empty_like(r)
+        small = r <= 30.0
+        rs = r[small]
+        s1[small] = rs / np.sinh(rs)
+        s3[small] = rs**3 / np.sinh(rs)
+        rl = r[~small]
+        s1[~small] = 2.0 * rl * np.exp(-rl)
+        s3[~small] = 2.0 * rl**3 * np.exp(-rl)
+        s2 = r / np.tanh(r)
+        return s1, s2, s3
+    if profile.family is Family.POLYNOMIAL:
+        p = profile.degree
+        g = sum(r**k for k in range(p))            # phi / r
+        dphi = sum(k * r ** (k - 1) for k in range(1, p + 1))
+        rpp = sum(k * (k - 1) * r ** (k - 1) for k in range(2, p + 1))  # r phi''
+        return 1.0 / g, dphi / g, rpp / g**2
+    phi1, rp, rpp = reference_phi1_parts(profile, r)
+    den = 1.0 + phi1
+    s1 = 1.0 / den
+    s2 = 1.0 + rp / den
+    with np.errstate(over="ignore"):
+        square = den**2
+    num = 2.0 * rp + rpp
+    s3 = np.where(np.isinf(square) & np.isfinite(den), num / den / den, num / square)
+    return s1, s2, s3

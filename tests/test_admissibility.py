@@ -395,8 +395,8 @@ def test_mode_terms_equal_the_written_out_functionals(tag):
     for mu in SIGNED_MUS + [np.resize(SIGNED_MUS, len(s1))]:  # array mu as in refinements
         rv = mu * s1
         r2vp = -mu * s1 * s2
-        r3vpp = 2.0 * mu * s1 * s2**2 - mu * s3
-        r3wp = mu * s3 - 2.0 * rv**2 * s2 - 2.0 * mu * s1 * s2**2
+        r3vpp = 2.0 * (mu * s1 * s2) * s2 - mu * s3
+        r3wp = mu * s3 - 2.0 * rv**2 * s2 - 2.0 * (mu * s1 * s2) * s2
         plus, minus = _written_out_channels(rv, r2vp, r3vpp)
         expected = (*minus, 4.0 * (rv**2 - r2vp) + 1.0,
                     -4.0 * (rv**2 - r2vp) - 4.0 * r3wp + 1.0, -np.abs(4.0 * (rv**2 - r2vp)))
@@ -457,6 +457,67 @@ def test_profile_is_never_evaluated_beyond_the_policy_range(monkeypatch):
     monkeypatch.setattr(MetricProfile, "ratios", recording)
     check_admissible(AF001, SIGNED_MUS, scan)
     assert largest and max(largest) <= scan.r_max
+
+
+@pytest.mark.parametrize("prof", [FLAT, SINH, POLY3, AF001,
+                                  MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=1.0)])
+def test_up_to_unit_amplitude_the_scan_grid_is_the_policy_grid(prof):
+    policy = InfimumScanPolicy(1e-4, 1e4, 5000)
+    assert np.array_equal(admissibility._scan_grid(prof, policy), policy.grid())
+
+
+@pytest.mark.parametrize("eps", [1e10, 1e100, 1.35e154, 1e300])
+def test_a_large_amplitude_begins_the_scan_grid_below_r_min(eps):
+    """Near r = 0 the terms depend on phi1 ~ eps r (alpha = 1) alone, so
+    delta_phi(-1) fails near r = 1/eps with -37/27 at every eps.  The grid
+    begins at r_min / eps, with the policy's points, and finds the failure
+    far below r_min, where the limit at 0 alone would read it as admissible."""
+    prof = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=eps)
+    r = admissibility._scan_grid(prof, DEFAULT_SCAN_POLICY)
+    assert r[0] == DEFAULT_SCAN_POLICY.r_min * eps**-1.0
+    assert (r[-1], len(r)) == (DEFAULT_SCAN_POLICY.r_max, DEFAULT_SCAN_POLICY.points)
+    (rep,) = check_admissible(prof, [1.0])
+    assert not rep.admissible
+    assert rep.delta_phi_neg_mu == pytest.approx(-37.0 / 27.0, rel=1e-12)
+    assert rep.witness_r * eps == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("eps", [1e10, 1e100, 1e300])
+def test_a_large_amplitude_with_beta_above_alpha_ends_the_scan_grid_beyond_r_max(eps):
+    """At alpha = 1, beta = 2, phi1 ~ eps / r is of order 1 near r = eps, past
+    r_max, where delta_minus and delta_phi(mu) have their infima.  The grid
+    ends at r_max eps, and every delta of modes 1 and 2 is that of eps = 1e10
+    read on a grid wide enough for both ends."""
+    prof = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=eps, alpha=1, beta=2)
+    r = admissibility._scan_grid(prof, DEFAULT_SCAN_POLICY)
+    assert (r[0], r[-1]) == (DEFAULT_SCAN_POLICY.r_min * eps**-1.0,
+                            DEFAULT_SCAN_POLICY.r_max * eps)
+    wide = InfimumScanPolicy(1e-20, 1e20, 400_000)
+    reference = check_admissible(replace(prof, epsilon=1e10), [1.0, 2.0], wide)
+    for rep, ref in zip(check_admissible(prof, [1.0, 2.0]), reference):
+        assert not rep.admissible
+        for key in ("delta_plus", "delta_minus", "delta_phi_mu", "delta_phi_neg_mu"):
+            assert getattr(rep, key) == pytest.approx(getattr(ref, key), rel=1e-6), key
+    assert reference[0].delta_minus < 0.2  # the default policy grid alone reads 1/4
+
+
+def test_a_widened_scan_grid_stays_between_the_smallest_double_and_1e308():
+    """r_min / eps underflows to 0 at r_min = 1e-30, eps = 1e300, and
+    beta - alpha = 1 puts r_max eps past the largest double at eps = 1e303:
+    the grid begins at the smallest positive double and ends at 1e308, with
+    no overflow on the way, and still finds the failure near r = 1/eps and
+    the infimum of delta_minus near r = eps."""
+    policy = InfimumScanPolicy(1e-30, 1e6, 20_000)
+    for eps, beta in ((1e300, 1), (1e303, 2)):
+        prof = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=eps, alpha=1, beta=beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = admissibility._scan_grid(prof, policy)
+            (rep,) = check_admissible(prof, [1.0], policy)
+        assert r[0] == math.ulp(0.0) and np.all(np.isfinite(r))
+        assert r[-1] == (policy.r_max if beta == 1 else 1e308)
+        assert rep.delta_phi_neg_mu == pytest.approx(-37.0 / 27.0, rel=1e-12)
+    assert rep.delta_minus == pytest.approx(0.175926, rel=1e-5)
 
 
 def test_blocked_scan_of_distinct_functionals(monkeypatch):

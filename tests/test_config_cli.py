@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -708,10 +709,10 @@ def test_cli_strichartz_scan_uses_configured_scan_policy(tmp_path, monkeypatch):
 
 
 def test_cli_numerical_failure_exits_5_and_writes_nothing(tmp_path):
-    """A degree-20 polynomial overflows on a scan grid out to 1e20: exit 5, no
+    """A mode of mu = 1e154 overflows 4 r^2 W = 4 mu^2 on flat: exit 5, no
     artifact.  NumPy warns on the way, so the run is a process of its own."""
-    cfg = _write(tmp_path, "profile.family = polynomial\nprofile.degree = 20\n"
-                           "scan.r_max = 1e20\nscan.points = 2000\n")
+    cfg = _write(tmp_path, "profile.family = flat\nmodes.mu_list = 1e154\n"
+                           "scan.points = 2000\n")
     out = tmp_path / "out"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-m", "warpdirac.cli", "check-metric",
@@ -728,6 +729,8 @@ def test_cli_numerical_failure_exits_5_and_writes_nothing(tmp_path):
      "the Chebyshev series needs rho |t| = 8e+300, past 1e+07"),
     ("strichartz-scan", {"m": "1e12", "modes.mu_list": "1, 2"}, 5,
      "the Chebyshev series needs rho |t| = 8e+12, past 1e+07"),
+    ("evolve", {"m": "1e6"}, 5,
+     "the Chebyshev series needs rho |t| = 8e+06, past its budget of 1e+06 terms"),
     ("validate", {"profile.family": "sinh", "grid.n_cells": "512", "grid.r_max": "800"}, 5,
      "the kg_minus potential is not finite at r = 710.938"),
     ("validate", {"grid.n_cells": "512", "grid.r_max": "1e300"}, 5, "numerical error: "),
@@ -735,11 +738,11 @@ def test_cli_numerical_failure_exits_5_and_writes_nothing(tmp_path):
      "the datum of width 0.01 samples as zero on the grid (dr = 2.5)"),
     ("strichartz-scan", {"data.width": "0.01", "grid.n_cells": "16", "modes.mu_list": "1, 2"},
      4, "the datum of width 0.01 samples as zero on the grid (dr = 2.5)"),
-], ids=["negative-huge-mass", "negative-huge-mass-scan", "huge-mass", "sinh-overflow",
-        "huge-radius", "zero-datum-evolve", "zero-datum-scan"])
+], ids=["negative-huge-mass", "negative-huge-mass-scan", "huge-mass", "over-budget-mass",
+        "sinh-overflow", "huge-radius", "zero-datum-evolve", "zero-datum-scan"])
 def test_cli_out_of_range_runs_exit_with_their_code(tmp_path, command, keys, code, message):
-    """A mass past the Bessel series' checked range of rho |t|, a potential
-    that overflows, a radius whose dr^2 overflows and a datum that the grid
+    """A mass past the Bessel series' checked range of rho |t| or past its term
+    budget, a potential that overflows, a radius whose dr^2 overflows and a datum that the grid
     samples as zero end in a documented exit code with one error line: no
     traceback, no artifact (so no NaN norm drift).  Each is a process of its
     own under python -W error, so a NumPy warning on the way (a huge mass
@@ -749,6 +752,48 @@ def test_cli_out_of_range_runs_exit_with_their_code(tmp_path, command, keys, cod
     (line,) = result.stderr.splitlines()
     assert message in line
     assert not out.exists()
+
+
+def test_over_budget_flow_is_refused_within_a_second(tmp_path):
+    """Flat evolve at m = 1e6 on 128 cells to t = 8 (rho t about 8e6, far past
+    the 1e6-term budget) is refused before its first product, at once."""
+    cfg = _write(tmp_path, "profile.family = flat\nmodes.mu_list = 1\ngrid.n_cells = 128\n"
+                           "time.samples = 3\nm = 1e6\n")
+    start = time.perf_counter()
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 5
+    assert time.perf_counter() - start < 1.0
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, keys, code", [
+    ("check-metric", {"profile.family": "asymptotically_flat", "scan.r_max": "1e200"}, 0),
+    ("check-metric", {"profile.family": "polynomial", "profile.degree": "20",
+                      "scan.r_max": "1e200"}, 3),
+    ("check-metric", {"profile.family": "sinh", "scan.r_max": "1e300"}, 3),
+    ("check-metric", {"profile.family": "asymptotically_flat", "profile.epsilon": "1e300"}, 3),
+    ("strichartz-scan", {"profile.family": "asymptotically_flat", "profile.epsilon": "1e300"},
+     3),
+    ("validate", {"profile.family": "asymptotically_flat", "profile.epsilon": "1e300",
+                  "grid.n_cells": "2048"}, 0),
+], ids=["af-r_max-1e200", "degree-20-r_max-1e200", "sinh-r_max-1e300", "af-eps-1e300",
+        "af-eps-1e300-scan", "af-eps-1e300-validate"])
+def test_huge_radii_and_amplitudes_keep_their_verdicts(tmp_path, command, keys, code):
+    """The profile ratios are bounded at every radius and amplitude, so these
+    runs end with the verdict of a moderate value and no warning under
+    python -W error; strichartz-scan refuses an inadmissible mode with one
+    error line and writes nothing.  At eps = 1e300 the failure of delta_phi
+    sits near r = 1/eps, where the admissibility grid, begun at
+    r_min / eps, finds it on the default scan policy."""
+    keys = {"modes.mu_list": "1, 2", **keys}
+    result, out = _run_warning_free(tmp_path, command, keys)
+    assert result.returncode == code, result.stderr
+    if command == "strichartz-scan":
+        (line,) = result.stderr.splitlines()
+        assert "is not admissible" in line
+        assert not out.exists()
+    else:
+        assert result.stderr == ""
+        assert out.exists()
 
 
 @pytest.mark.parametrize("command, r_max", [("evolve", 500), ("validate", 500),

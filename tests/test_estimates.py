@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -12,7 +13,7 @@ from warpdirac import (ConfigurationError, ContractViolationError, DataTemplate,
                        RadialGrid, SpinorState, assemble_dirac, assemble_kg,
                        evolve, gaussian_state, is_admissible_triple, mu_scan, smoothing_norm,
                        strichartz_norm)
-from warpdirac.errors import PolicyError
+from warpdirac.errors import NumericalError, PolicyError
 from warpdirac.estimates import strichartz_weight
 from warpdirac.operators import (DiscreteRadialOperator, SobolevCalculus, _ldl_pivots,
                                  flat_reference_operator)
@@ -393,6 +394,21 @@ def test_mu_scan_n5_builds_the_pivots_once(monkeypatch):
         traj = evolve(assemble_dirac(profile, mu, 0.0, grid), initial, np.linspace(0.0, 4.0, 5))
         for result, triple in zip(results, triples):
             assert result.rows[k].strichartz == strichartz_norm(traj, triple)
+
+
+def test_a_strichartz_norm_that_overflows_is_refused_without_a_warning():
+    """At eps = 1e300 the weight (phi/r)^(1/2) of q = 4 is about 1e150 at n = 3,
+    so |.|^4 overflows: the norm is refused (NumericalError, exit 5) with no
+    NumPy warning, not handed to a slope fit as inf.  q = 2 has no weight."""
+    prof = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=1e300)
+    grid = RadialGrid(40.0, 128)
+    traj = evolve(assemble_dirac(prof, 1.0, 0.0, grid), gaussian_state(grid),
+                  np.linspace(0.0, 4.0, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="Strichartz norm is not finite"):
+            strichartz_norm(traj, T44)
+        assert math.isfinite(strichartz_norm(traj, ExponentTriple(p=math.inf, q=2.0)))
 
 
 def test_strichartz_norm_refuses_a_calculus_of_another_grid_or_dimension(flat_traj):

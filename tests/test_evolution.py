@@ -1,5 +1,6 @@
 import functools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -398,6 +399,35 @@ def test_tail_terms_hold_over_the_checked_range():
     for bad in (1.0001e7, -8e12, np.inf, np.nan):
         with pytest.raises(NumericalError, match="past 1e\\+07, where its truncation"):
             _bessel_coefficients(np.array([0.5, bad]))
+
+
+def test_term_budget_admits_the_largest_recorded_flow_inside_the_checked_range():
+    """The 1e6-term budget admits rho t = 8.4e5 (flat |mu| = 1024 on 2048 cells
+    without the cut, the largest flow on record) and lies inside the range
+    where the tail was checked; a larger rho |t| inside that range is refused
+    for the budget, and one past it (or a NaN) for the range."""
+    budget = evolution._TERM_BUDGET
+    assert _tail_terms(8.4e5) <= budget < _tail_terms(evolution._TAIL_CHECKED)
+    evolution._check_tail_reach(8.4e5)
+    for bad in (9.99e5, 8e6, evolution._TAIL_CHECKED):
+        with pytest.raises(NumericalError, match="past its budget of 1e\\+06 terms"):
+            evolution._check_tail_reach(bad)
+    for bad in (1.0001e7, np.inf, np.nan):
+        with pytest.raises(NumericalError, match="past 1e\\+07, where its truncation"):
+            evolution._check_tail_reach(bad)
+
+
+def test_a_potential_over_the_term_budget_is_refused_before_its_bessel_table():
+    """At m = 0 the bound |m| + 1/dr that evolve checks first admits mu = 1e6 on
+    128 cells, but V = mu / r puts its own rho t past the budget: the flow is
+    refused from its spectral bound, before its Bessel table and recurrence,
+    at once."""
+    grid = RadialGrid(40.0, 128)
+    op = assemble_dirac(FLAT, 1e6, 0.0, grid)
+    start = time.perf_counter()
+    with pytest.raises(NumericalError, match="past its budget of 1e\\+06 terms"):
+        evolve(op, gaussian_state(grid), [0.0, 8.0])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_a_datum_that_samples_as_zero_is_refused():

@@ -1,4 +1,4 @@
-import hashlib
+import json
 import math
 import warnings
 
@@ -13,6 +13,8 @@ from warpdirac import (ConfigurationError, Family, HypothesisViolationError,
 from warpdirac import cli, profiles, scan
 from warpdirac.profiles import ProfileConstants, sigma_log_derivative_bound
 from warpdirac.scan import DEFAULT_SCAN_POLICY, scan_supremum
+
+from references import reference_phi1_parts, reference_ratios
 
 FLAT = MetricProfile(Family.FLAT)
 SINH = MetricProfile(Family.SINH)
@@ -108,8 +110,9 @@ def test_derivatives_match_finite_differences(tag, r):
 
 
 def _single_functional_constants(prof, policy=DEFAULT_SCAN_POLICY):
-    """ProfileConstants from one scan_supremum per phi1 functional."""
-    lim = prof.phi1_limit_at_infinity()
+    """ProfileConstants from one scan_supremum per phi1 functional, with its limits
+    written out from lim phi1 at infinity."""
+    lim = float(prof.phi1_parts(np.inf)[0])
 
     def f_a(r):
         phi1, rp, _ = prof.phi1_parts(r)
@@ -205,7 +208,7 @@ def test_profile_constants_unsupported_families():
     with pytest.raises(UnsupportedFamilyError, match="no phi1 decomposition"):
         SINH.phi1_parts(np.array([1.0]))
     with pytest.raises(UnsupportedFamilyError, match="no phi1 decomposition"):
-        SINH.phi1_limit_at_infinity()
+        POLY3.phi1_parts(np.inf)
 
 
 def test_every_family_has_finite_ratio_limits():
@@ -216,55 +219,130 @@ def test_every_family_has_finite_ratio_limits():
         assert all(math.isfinite(x) for x in limits)
 
 
+@pytest.mark.parametrize("eps, alpha, beta", [(0.0, 1, 1), (0.01, 1, 1), (0.5, 2, 2),
+                                              (0.5, 2, 4), (20.0, 1, 3), (1e300, 12, 12)])
+def test_limits_at_infinity_are_the_bounded_formulas_at_infinity(eps, alpha, beta):
+    """phi1_parts and ratios at r = inf are exact: phi1 = L, r phi1' = r^2 phi1'' = 0
+    and ratios (1/(1+L), 1, +0.0), with L = eps when alpha == beta, else 0.
+    These are the limits check_admissible takes, and profile_constants' limits
+    are its terms at r = 0 and inf, bit for bit the hand-written ones they
+    replace: (-0.0, -|L|), (-0.0, -|(1+L) L|) and (-0.0, -0.0)."""
+    for prof in (FLAT, MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=eps,
+                                     alpha=alpha, beta=beta)):
+        lim = prof.epsilon if prof.family is not Family.FLAT and alpha == beta else 0.0
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            phi1, rp, rpp = (float(x) for x in prof.phi1_parts(np.inf))
+            at_zero = [float(x) for x in prof.phi1_parts(0.0)]
+            limits = prof.ratios_at_infinity()
+        assert (phi1.hex(), rp, rpp, at_zero) == (lim.hex(), 0.0, 0.0, [0.0] * 3)
+        assert [x.hex() for x in limits] == [x.hex() for x in (1.0 / (1.0 + lim), 1.0, 0.0)]
+        assert [float(x).hex() for x in prof.ratios(np.inf)] == [x.hex() for x in limits]
+        if lim < 1e150:  # (1 + L) L overflows beyond
+            ends = profiles._phi1_terms(prof.phi1_parts(np.array([0.0, np.inf])))
+            assert [[float(x).hex() for x in end] for end in ends] == [
+                [x.hex() for x in pair] for pair in
+                [(-0.0, -abs(lim)), (-0.0, -abs((1.0 + lim) * lim)), (-0.0, -0.0)]]
+
+
+_RADII = st.one_of(st.floats(min_value=0.0, max_value=1e300),
+                   st.floats(min_value=0.0, max_value=10.0),
+                   st.sampled_from([0.0, 1.0, 30.0, 355.0, 710.0, 1e154, 1e300]))
+_PROFILES = st.one_of(
+    st.builds(lambda eps, a, d: MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=eps,
+                                              alpha=a, beta=min(a + d, 12)),
+              st.one_of(st.floats(min_value=0.0, max_value=1e300, allow_subnormal=False),
+                        st.floats(min_value=0.0, max_value=10.0, allow_subnormal=False)),
+              st.integers(1, 12), st.integers(0, 11)),
+    st.just(SINH), st.just(FLAT),
+    st.builds(lambda p: MetricProfile(Family.POLYNOMIAL, degree=p), st.integers(2, 20)))
+
+
+def _reference_where_it_fits(formula, prof, r):
+    """The earlier formula at r, or None where it overflows, divides by zero or
+    loses digits to a subnormal intermediate."""
+    try:
+        with np.errstate(all="raise"):
+            return formula(prof, np.array([r]))
+    except FloatingPointError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PROFILES, _RADII)
+def test_bounded_formulas_are_finite_and_match_the_earlier_ones(prof, r):
+    """On all of [0, 1e300], amplitudes up to 1e300, 1 <= alpha <= beta <= 12,
+    sinh and degrees 2-20: phi1_parts and ratios raise no floating-point
+    error and are finite, and wherever the earlier power formulas
+    (tests/references.py) compute without overflow or underflow they agree
+    within 1e-10 relative, or 1e-12 absolute near zeros.  phi1_parts is
+    compared in units of the amplitude, since it scales with it; a subnormal
+    amplitude has too few digits for that, so amplitudes are normal or 0."""
+    checks = []
+    if r > 0.0:
+        checks.append((MetricProfile.ratios, reference_ratios, 1.0))
+    if prof.family in (Family.FLAT, Family.ASYMPTOTICALLY_FLAT):
+        checks.append((MetricProfile.phi1_parts, reference_phi1_parts, prof.epsilon or 1.0))
+    for formula, reference, scale in checks:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = [np.asarray(x, dtype=float) for x in formula(prof, np.array([r]))]
+        assert all(np.all(np.isfinite(x)) for x in got)
+        want = _reference_where_it_fits(reference, prof, r)
+        if want is not None:
+            for new, old in zip(got, want):
+                np.testing.assert_allclose(new / scale, old / scale, rtol=1e-10, atol=1e-12)
+
+
 HUGE_AF = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=1.35e154)
-REAL_RATIOS = MetricProfile.ratios
-
-
-def _squared_den_ratios(self, r):
-    """MetricProfile.ratios with the AF s3 divided by den**2 alone, as it once was."""
-    s1, s2, _ = REAL_RATIOS(self, r)
-    phi1, rp, rpp = self.phi1_parts(r)
-    return s1, s2, (2.0 * rp + rpp) / (1.0 + phi1) ** 2
 
 
 def test_huge_amplitude_ratio_s3_does_not_overflow():
     """At eps = 1.35e154, (1 + phi1)^2 overflows on the far grid while 1 + phi1
-    is finite: s3 = r^3 phi''/phi^2 stays finite and right there, with no
-    warning, and every s3 whose square is finite keeps the bits of dividing
-    by it."""
+    is finite: s3 = r^3 phi''/phi^2 stays finite there, with no warning, and
+    within 1e-10 of the earlier formula, which divided by den twice there."""
     r = DEFAULT_SCAN_POLICY.grid()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, _, s3 = HUGE_AF.ratios(r)
-    phi1, rp, rpp = HUGE_AF.phi1_parts(r)
-    den, num = 1.0 + phi1, 2.0 * rp + rpp
+    den = 1.0 + HUGE_AF.phi1_parts(r)[0]
     with np.errstate(over="ignore"):
-        square = den**2
-    fits = np.isfinite(square)
-    assert fits.any() and not fits.all()
+        assert not np.all(np.isfinite(den**2))
     assert np.all(np.isfinite(s3))
-    assert np.array_equal(s3[fits], num[fits] / square[fits])
-    # in scaled variables nothing overflows: s3 (den 2^-600)^2 = num 2^-600 2^-600
-    scale = 2.0**-600
-    assert np.allclose(s3 * (den * scale) ** 2, num * scale * scale, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(s3, reference_ratios(HUGE_AF, r)[2], rtol=1e-10, atol=1e-12)
+
+
+def _assert_close_records(new, old):
+    """Equal keys, flags and strings; numbers within 1e-10 relative or 1e-12 absolute."""
+    if isinstance(new, dict):
+        assert new.keys() == old.keys()
+        for key in new:
+            _assert_close_records(new[key], old[key])
+    elif isinstance(new, list):
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            _assert_close_records(a, b)
+    elif isinstance(new, float) and isinstance(old, float):
+        assert new == pytest.approx(old, rel=1e-10, abs=1e-12)
+    else:
+        assert new == old
 
 
 def test_check_metric_at_a_huge_amplitude_warns_no_overflow(tmp_path, monkeypatch):
-    """check-metric at eps = 1.35e154 runs without a RuntimeWarning, and at
-    eps = 0.01 writes the bytes of s3 divided by den**2 alone."""
-    def check_metric(eps, out):
+    """check-metric at eps = 1.35e154 runs without a RuntimeWarning and finds
+    the failure of delta_phi near r = 1/eps (exit 3), and at eps = 0.01 writes
+    within 1e-10 of what the earlier ratio formulas give."""
+    def check_metric(eps, out, code=0):
         cfg = tmp_path / f"{out}.cfg"
         cfg.write_text(f"profile.family = asymptotically_flat\nprofile.epsilon = {eps!r}\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(["check-metric", "--config", str(cfg),
-                             "--out", str(tmp_path / out)]) == 0
-        return hashlib.sha256((tmp_path / out / "check_metric.json").read_bytes()).hexdigest()
+                             "--out", str(tmp_path / out)]) == code
+        return json.loads((tmp_path / out / "check_metric.json").read_text())
 
-    check_metric(1.35e154, "huge")
+    check_metric(1.35e154, "huge", code=3)
     kept = check_metric(0.01, "small")
-    monkeypatch.setattr(MetricProfile, "ratios", _squared_den_ratios)
-    assert check_metric(0.01, "former") == kept
+    monkeypatch.setattr(MetricProfile, "ratios", reference_ratios)
+    _assert_close_records(kept, check_metric(0.01, "former"))
 
 
 def test_check_A2_flat_passes():
