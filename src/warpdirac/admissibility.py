@@ -128,9 +128,18 @@ def _mode_terms(parts) -> tuple:
 
 
 def _row_limits(profile: MetricProfile, mu: float) -> list:
-    """(limit at r -> 0+, limit at r -> infinity) of each _mode_terms term."""
-    return list(zip(_mode_terms(_parts_at_zero(mu)),
-                    _mode_terms(_parts_at_infinity(profile, mu))))
+    """(limit at r -> 0+, limit at r -> infinity) of each _mode_terms term.
+
+    The limits are Python floats, whose square raises OverflowError past
+    |rV| = 1.3e154 (rV = mu at r -> 0); that is refused as an OverflowError
+    that names the mode.
+    """
+    try:
+        return list(zip(_mode_terms(_parts_at_zero(mu)),
+                        _mode_terms(_parts_at_infinity(profile, mu))))
+    except OverflowError:
+        raise OverflowError(f"the admissibility terms of mode mu={mu:g} overflow: "
+                            f"(r V)^2 = mu^2 at r -> 0 is past the largest double") from None
 
 
 def _scan_grid(profile: MetricProfile, scan: InfimumScanPolicy) -> np.ndarray:

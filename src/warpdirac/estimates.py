@@ -134,8 +134,8 @@ def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple,
     # a norm that is not finite is refused, not read as a slope
     with np.errstate(over="ignore", invalid="ignore"):
         weight = strichartz_weight(traj.profile, traj.grid.nodes, q)[:, None]
-        mag = np.abs(calc.apply(weight * traj.plus, s)) ** 2
-        mag += np.abs(calc.apply(weight * traj.minus, s)) ** 2
+        mag = _squared_power(calc, weight, traj.plus, s)
+        mag += _squared_power(calc, weight, traj.minus, s)
         np.sqrt(mag, out=mag)
         spatial = (dr * np.sum(mag**q, axis=0)) ** (1.0 / q)
         norm = float(np.max(spatial) if math.isinf(p)
@@ -143,6 +143,22 @@ def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple,
     if not math.isfinite(norm):
         raise NumericalError(f"the L^{p:g}_t W^({s:g},{q:g}) Strichartz norm is not finite")
     return norm
+
+
+def _squared_power(calc: SobolevCalculus, weight: np.ndarray, comp: np.ndarray,
+                   s: float) -> np.ndarray:
+    """|calc.apply(weight comp, s)|^2 for one complex N x T component.
+
+    A component that is purely real or purely imaginary, as each component
+    of an m = 0 flow of a real datum is, goes through the calculus as that
+    real part, and its transform is squared as a real array, with no
+    complex copy; the squares are the complex ones, bit for bit.
+    """
+    re, im = comp.real, comp.imag
+    if np.any(re) and np.any(im):
+        return np.abs(calc.apply(weight * comp, s)) ** 2
+    g = calc.apply(weight * (im if np.any(im) else re), s)
+    return np.multiply(g, g, out=g)
 
 
 @dataclass(frozen=True)

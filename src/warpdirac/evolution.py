@@ -28,6 +28,18 @@ alternate B^T and B.  What is left out is exact zeros, so the samples are
 the full recurrence's bit for bit.  A real datum in one component, the
 kind the CLI builds, costs half the arithmetic, and a quarter at m = 0.
 
+The even and odd terms are accumulated apart, as the carried rows of
+[Re v0, Im v0] on the cells that each parity writes (its component's kept
+cells at m = 0, both components' otherwise): a quarter of the four real
+copies of the samples that a full accumulator would take at m = 0, and
+half of them for a real datum at m != 0.  Even k carry a real coefficient
+and odd k an imaginary one, so the samples are even Re + odd Im and
+even Im - odd Re, each added in that order into the zeros of the complex
+2N x T samples array.  A row the flow does not carry stays +0.0 there, so
+a real datum's imaginary part is 0.0 - odd, never -odd, and carries no
+-0.0.  A cut flow writes only its kept rows, and the cells below the cut
+stay exact zeros.
+
 The term count grows with rho |t|, and rho with |mu|: V = mu / r is
 2 mu / dr at the first cell on the flat profile, where the mode never goes.
 Inside its centrifugal barrier a solution of energy E decays like
@@ -210,7 +222,8 @@ def causal_time_limit(r_max: float, support_radius: float) -> float:
 def gaussian_state(grid: RadialGrid, *bump, **fields) -> SpinorState:
     """The datum DataTemplate(*bump, **fields) sampled on the grid."""
     data = DataTemplate(*bump, **fields)
-    values = data.amplitude * np.exp(-((grid.nodes - data.center) / data.width) ** 2)
+    with np.errstate(over="ignore"):  # far out the square is inf, and exp(-inf) the exact 0
+        values = data.amplitude * np.exp(-((grid.nodes - data.center) / data.width) ** 2)
     zero = np.zeros(grid.n_cells)
     plus, minus = (values, zero) if data.component == "plus" else (zero, values)
     return SpinorState(grid=grid, plus=plus.astype(complex),
@@ -243,7 +256,8 @@ def evolve(op: DiscreteRadialOperator, initial: SpinorState,
     start = _barrier_cell(op, v0)
     vecs = _chebyshev_propagate(op, v0, times, start)
     if start and _peak(vecs, start, start + _EDGE_CELLS) > _EDGE_TOL * np.max(np.abs(v0)):
-        vecs = _chebyshev_propagate(op, v0, times)  # the cut failed its certificate
+        del vecs  # the cut failed its certificate: its samples go before the rerun
+        vecs = _chebyshev_propagate(op, v0, times)
     vecs[:, times == 0.0] = v0[:, None]
     vecs.flags.writeable = False  # blocks and states are views of it
     return SpinorTrajectory(times=times, samples=vecs, grid=op.grid, profile=op.profile,
@@ -378,13 +392,16 @@ def _chebyshev_propagate(op: DiscreteRadialOperator, v0: np.ndarray,
 
     The recurrence runs on the bands of cells >= start, with Dirichlet at
     cell start - 1, and the samples are exact zeros below it.  It runs on
-    the nonzero ones of the real rows [Re v0, Im v0]; every _CHUNK Chebyshev
-    vectors are added into the samples by one GEMM per parity of k.  Even k
-    carry a real coefficient and odd k an imaginary one, so the two parities
-    are kept apart and combined as complex numbers at the end.  At m = 0 a
+    the nonzero ones of the real rows [Re v0, Im v0] (``parts``); every
+    _CHUNK Chebyshev vectors are added into an accumulator by one GEMM per
+    parity of k.  Even k carry a real coefficient and odd k an imaginary
+    one, so the accumulator keeps the two parities apart, each as the
+    carried parts on its home cells (``cells[parity]``) alone: at m = 0 a
     datum in one component keeps T_k in that component for even k and in
     the other for odd k, so each vector is stored and stepped as that
-    component's N kept cells alone (see the module docstring).
+    component's N kept cells alone (see the module docstring).  The
+    parities are then added into the complex samples, whose kept rows they
+    write in place (see the module docstring for the sign rule).
     """
     nn = op.grid.n_cells
     kept = nn - start
@@ -400,18 +417,19 @@ def _chebyshev_propagate(op: DiscreteRadialOperator, v0: np.ndarray,
     parts = slice(parts[0], parts[-1] + 1) if len(parts) else slice(0, 1)
     comps = [c for c in (0, 1) if np.any(x0[:, c * kept:(c + 1) * kept])]
     if op.m == 0.0 and len(comps) == 1:
-        homes = [(comps[0] + k) % 2 for k in (0, 1)]  # T_k's component, by parity of k
-        cells = [slice(c * kept, (c + 1) * kept) for c in homes]
+        chiral = [(comps[0] + k) % 2 for k in (0, 1)]  # T_k's component, by parity of k
+        homes = [slice(c, c + 1) for c in chiral]  # the components T_k lies in, by parity
 
         def step(y, k, out):  # v_plus takes (v - e D) v_minus, v_minus (v + e D) v_plus
-            coupling_product(y, v, -e if homes[k % 2] else e, out)
+            coupling_product(y, v, -e if chiral[k % 2] else e, out)
     else:
-        cells = [slice(None)] * 2
+        homes = [slice(0, 2)] * 2
 
         def step(y, k, out):
             dirac_band_product(y, v, e, mass, out)
+    cells = [slice(c.start * kept, c.stop * kept) for c in homes]  # the same, in x0's columns
     first = x0[parts, cells[0]]
-    acc = np.zeros((2, len(times), 2, 2 * kept))  # [parity of k, sample, re/im row, kept rows]
+    acc = np.zeros((2, len(times)) + first.shape)  # [parity of k, sample, part, home cells]
     buf = np.zeros((_CHUNK + 2,) + first.shape)  # T_{k0-2}, T_{k0-1}, T_{k0}, ...
     for k0 in range(0, n_terms, _CHUNK):
         count = min(_CHUNK, n_terms - k0)
@@ -426,22 +444,21 @@ def _chebyshev_propagate(op: DiscreteRadialOperator, v0: np.ndarray,
                     buf[j] *= 0.5  # T_1 = (h / rho) T_0
         for parity in (0, 1):  # k0 is even, so T_(k0 + parity) lies in cells[parity]
             rows = buf[2 + parity:2 + count:2]
-            acc[parity, :, parts, cells[parity]] += (
-                coeffs[:, k0 + parity:k0 + count:2] @ rows.reshape(len(rows), first.size)
-            ).reshape((-1,) + first.shape)
+            acc[parity] += (coeffs[:, k0 + parity:k0 + count:2]
+                            @ rows.reshape(len(rows), first.size)).reshape(acc.shape[1:])
         buf[:2] = buf[count:count + 2]
-    # combined in place, acc is done; a missing row of acc is +0.0, so a real
-    # datum's imaginary part is 0.0 - odd, never -odd, and carries no -0.0
-    re, im = acc[0, :, 0], acc[0, :, 1]
-    re += acc[1, :, 1]
-    im -= acc[1, :, 0]
-    out = np.multiply(im.T, 1j, out=np.empty((2 * kept, len(times)), dtype=complex))
-    out += re.T  # re + 1j im, zero signs included
-    if not start:
-        return out
-    full = np.zeros((2 * nn, len(times)), dtype=complex)
-    full[start:nn], full[nn + start:] = out[:kept], out[kept:]
-    return full
+    # even Re + odd Im and even Im - odd Re, added in that order into zeros
+    samples = np.zeros((2, nn, len(times)), dtype=complex)
+    real, imag = samples.real[:, start:], samples.imag[:, start:]  # (component, kept cell, sample)
+    into = [[(np.add, real), (np.add, imag)],  # even k: where Re and Im of the sum go
+            [(np.subtract, imag), (np.add, real)]]  # odd k
+    for parity in (0, 1):
+        block = acc[parity].reshape(len(times), first.shape[0], -1, kept)
+        for j, part in enumerate(range(2)[parts]):
+            ufunc, dest = into[parity][part]
+            dest = dest[homes[parity]]
+            ufunc(dest, block[:, j].transpose(1, 2, 0), out=dest)
+    return samples.reshape(2 * nn, len(times))
 
 
 def bessel_orders(mu: float) -> tuple[float, float]:

@@ -22,8 +22,9 @@ node.  Forward sweeps alone give the quadratic forms x^T B^s x of the norm
 equivalence; forward and back sweeps give the action B^(s/2) v of the
 SobolevCalculus behind every Sobolev and Strichartz norm.  When A has no
 potential (H0 at n = 3) its eigenbasis is exactly the DST-I, and the
-calculus takes that exact special case.  No eigenbasis and no N x N array
-is built on any of these paths.
+calculus takes that exact special case, transforming _DST_COLUMNS columns
+at a time, so its scratch does not grow with the number of samples.  No
+eigenbasis and no N x N array is built on any of these paths.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class DiscreteRadialOperator:
 
     def _tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
         """(diagonal, off-diagonal) of a second-difference kind."""
-        dr2 = self.grid.dr ** 2
+        dr2 = _spacing_squared(self.grid)
         return 2.0 / dr2 + self.potential, np.full(self.grid.n_cells - 1, -1.0 / dr2)
 
     @property
@@ -148,6 +149,16 @@ class DiscreteRadialOperator:
 _KINDS = ("dirac", "kg_plus", "kg_minus", "flat_shift", "weighted_laplacian")
 
 
+def _spacing_squared(grid: RadialGrid) -> float:
+    """dr^2 of a second difference; past dr = 1.3e154 the Python float's square
+    raises OverflowError, which is raised again naming the spacing."""
+    try:
+        return grid.dr ** 2
+    except OverflowError:
+        raise OverflowError(f"the grid spacing dr = {grid.dr:g} (r_max / n_cells) squares "
+                            f"past the largest double") from None
+
+
 def dirac_band_product(x: np.ndarray, v: np.ndarray, e: float, mass: float,
                        out: np.ndarray) -> None:
     """out = [[mass, v - e D], [v + e D, -mass]] x on (rows, 2N) blocks.
@@ -180,6 +191,7 @@ def coupling_product(x: np.ndarray, v: np.ndarray, e: float, out: np.ndarray) ->
 _LOG_STEP = 0.5  # trapezoid step in log(tau) of the resolvent integral
 _LOG_PAD = 28.0  # log(tau) covered beyond each end of the spectrum's bounds
 _BLOCK = 64  # cells per block of the back sweep of the resolvent's action
+_DST_COLUMNS = 8  # columns per DST-I of the calculus at n = 3
 
 
 def _log_nodes(op: DiscreteRadialOperator) -> np.ndarray:
@@ -192,7 +204,7 @@ def _log_nodes(op: DiscreteRadialOperator) -> np.ndarray:
     Gershgorin bound on 1 + A, so beyond them the resolvent is its limit at
     0 or at infinity to a relative exp(-_LOG_PAD).
     """
-    g = 1.0 / op.grid.dr ** 2
+    g = 1.0 / _spacing_squared(op.grid)
     return np.arange(-_LOG_PAD, np.log(np.max(1.0 + op.potential) + 4.0 * g) + _LOG_PAD,
                      _LOG_STEP)
 
@@ -207,7 +219,7 @@ def _ldl_pivots(op: DiscreteRadialOperator, tau: np.ndarray):
     so c keeps its digits beside 2 g.  After the last cell it refuses a 1 + A
     that is not positive definite, where the resolvent integral has a pole.
     """
-    g = 1.0 / op.grid.dr ** 2
+    g = 1.0 / _spacing_squared(op.grid)
     c = (1.0 + op.potential).tolist()
     q = tau + c[0] + g
     lowest = g + q  # least pivot of each shift
@@ -258,7 +270,7 @@ def _one_plus(op: DiscreteRadialOperator, x: np.ndarray, lo: int = 0,
     else:
         np.negative(x[-1], out=diffs[-1])  # 0 - x_(N-1)
     bx = np.subtract(diffs[:-1], diffs[1:])
-    bx *= 1.0 / op.grid.dr ** 2
+    bx *= 1.0 / _spacing_squared(op.grid)
     bx += np.multiply((1.0 + op.potential[lo:hi])[:, None], x[lo:hi], out=diffs[:-1])
     return bx
 
@@ -353,7 +365,7 @@ class SobolevCalculus:
             k = np.arange(1, nn + 1)
             w = (2.0 * np.sin(0.5 * np.pi * k / (nn + 1)) / self.op.grid.dr) ** 2
             powers = (1.0 + w)[:, None] ** (s / 2.0)
-            out = _by_parts(lambda part: _dst1(powers * _dst1(part)), block)
+            out = _by_parts(lambda part: _dst_multiply(part, powers), block)
         return out.reshape(v.shape)
 
     def norm(self, state, s: float) -> float:
@@ -409,6 +421,23 @@ def _by_parts(transform, block: np.ndarray) -> np.ndarray:
     return out[:, :cols] + 1j * out[:, cols:]
 
 
+def _dst_multiply(block: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """DST-I, times ``powers`` (N x 1), DST-I again, of each column of a real N x K block.
+
+    The transforms take _DST_COLUMNS columns at a time, so their scratch
+    (the odd extension and its FFT, about 4 N reals per column) does not
+    grow with K.  The FFT treats each column alone, so the result is the
+    whole block's, bit for bit.
+    """
+    out = np.empty(block.shape)
+    for j in range(0, block.shape[1], _DST_COLUMNS):
+        cols = slice(j, j + _DST_COLUMNS)
+        spectrum = _dst1(block[:, cols])
+        spectrum *= powers
+        out[:, cols] = _dst1(spectrum)
+    return out
+
+
 def _dst1(block: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I of each column of a real N x K block.
 
@@ -419,7 +448,7 @@ def _dst1(block: np.ndarray) -> np.ndarray:
     nn = len(block)
     ext = np.zeros((2 * (nn + 1), block.shape[1]))
     ext[1:nn + 1] = block
-    ext[nn + 2:] = -block[::-1]
+    np.negative(block[::-1], out=ext[nn + 2:])
     return -np.sqrt(0.5 / (nn + 1)) * np.fft.rfft(ext, axis=0)[1:nn + 1].imag
 
 

@@ -9,7 +9,10 @@ sphere's degree bookkeeping against the flat Laplacian (criterion 11).
 earlier forms of :func:`warpdirac.check_admissible` (the profile evaluated
 on the whole scan grid, each mode reading its block of it) and of
 ``operators._band_forms`` (a fresh N x K temporary per step), whose bits
-the streamed forms keep.  ``reference_phi1_parts`` and ``reference_ratios``
+the streamed forms keep; ``whole_block_dst_calculus`` is the earlier DST-I
+path of :class:`warpdirac.SobolevCalculus` (the whole block in one
+transform, its odd extension built from a negated copy), whose bits the
+column-blocked one keeps.  ``reference_phi1_parts`` and ``reference_ratios``
 are the earlier profile formulas, in powers of r that overflow at large r
 or large amplitudes, which the bounded formulas of
 :class:`warpdirac.MetricProfile` match wherever these are finite.
@@ -237,3 +240,19 @@ def reference_ratios(profile, r):
     num = 2.0 * rp + rpp
     s3 = np.where(np.isinf(square) & np.isfinite(den), num / den / den, num / square)
     return s1, s2, s3
+
+
+def whole_block_dst_calculus(grid, block, s):
+    """(1 + H0)^(s/2) of a real N x K block at n = 3, every column in one DST-I."""
+    nn = grid.n_cells
+    k = np.arange(1, nn + 1)
+    w = (2.0 * np.sin(0.5 * np.pi * k / (nn + 1)) / grid.dr) ** 2
+    powers = (1.0 + w)[:, None] ** (s / 2.0)
+
+    def dst1(x):
+        ext = np.zeros((2 * (nn + 1), x.shape[1]))
+        ext[1:nn + 1] = x
+        ext[nn + 2:] = -x[::-1]
+        return -np.sqrt(0.5 / (nn + 1)) * np.fft.rfft(ext, axis=0)[1:nn + 1].imag
+
+    return dst1(powers * dst1(block))

@@ -733,20 +733,31 @@ def test_cli_numerical_failure_exits_5_and_writes_nothing(tmp_path):
      "the Chebyshev series needs rho |t| = 8e+06, past its budget of 1e+06 terms"),
     ("validate", {"profile.family": "sinh", "grid.n_cells": "512", "grid.r_max": "800"}, 5,
      "the kg_minus potential is not finite at r = 710.938"),
-    ("validate", {"grid.n_cells": "512", "grid.r_max": "1e300"}, 5, "numerical error: "),
+    ("validate", {"grid.n_cells": "512", "grid.r_max": "1e300"}, 5,
+     "numerical error: the grid spacing dr = 3.90625e+297 (r_max / n_cells) squares past "
+     "the largest double"),
+    ("evolve", {"grid.n_cells": "512", "grid.r_max": "1e300"}, 4,
+     "the datum of width 1.5 samples as zero on the grid (dr = 1.95313e+297)"),
+    ("check-metric", {"modes.mu_list": "1e160"}, 5,
+     "numerical error: the admissibility terms of mode mu=1e+160 overflow"),
+    ("strichartz-scan", {"modes.mu_list": "1e160, 2"}, 5,
+     "numerical error: the admissibility terms of mode mu=1e+160 overflow"),
     ("evolve", {"data.width": "0.01", "grid.n_cells": "16"}, 4,
      "the datum of width 0.01 samples as zero on the grid (dr = 2.5)"),
     ("strichartz-scan", {"data.width": "0.01", "grid.n_cells": "16", "modes.mu_list": "1, 2"},
      4, "the datum of width 0.01 samples as zero on the grid (dr = 2.5)"),
 ], ids=["negative-huge-mass", "negative-huge-mass-scan", "huge-mass", "over-budget-mass",
-        "sinh-overflow", "huge-radius", "zero-datum-evolve", "zero-datum-scan"])
+        "sinh-overflow", "huge-radius", "huge-radius-evolve", "huge-mode", "huge-mode-scan",
+        "zero-datum-evolve", "zero-datum-scan"])
 def test_cli_out_of_range_runs_exit_with_their_code(tmp_path, command, keys, code, message):
     """A mass past the Bessel series' checked range of rho |t| or past its term
-    budget, a potential that overflows, a radius whose dr^2 overflows and a datum that the grid
-    samples as zero end in a documented exit code with one error line: no
+    budget, a potential that overflows, a radius whose dr^2 overflows, a mode
+    whose mu^2 overflows and a datum that the grid samples as zero end in a
+    documented exit code with one error line that names the value: no
     traceback, no artifact (so no NaN norm drift).  Each is a process of its
     own under python -W error, so a NumPy warning on the way (a huge mass
-    applied to the datum, sinh's overflow) would end it with a traceback."""
+    applied to the datum, sinh's overflow, a datum sampled at r = 1e300)
+    would end it with a traceback."""
     result, out = _run_warning_free(tmp_path, command, keys)
     assert result.returncode == code, result.stderr
     (line,) = result.stderr.splitlines()

@@ -14,7 +14,7 @@ from warpdirac import (ConfigurationError, ContractViolationError, DataTemplate,
                        evolve, gaussian_state, is_admissible_triple, mu_scan, smoothing_norm,
                        strichartz_norm)
 from warpdirac.errors import NumericalError, PolicyError
-from warpdirac.estimates import strichartz_weight
+from warpdirac.estimates import _squared_power, strichartz_weight
 from warpdirac.operators import (DiscreteRadialOperator, SobolevCalculus, _ldl_pivots,
                                  flat_reference_operator)
 
@@ -434,6 +434,40 @@ def test_n5_strichartz_norm_keeps_no_dense_array():
     finally:
         tracemalloc.stop()
     assert peak <= 14e6
+
+
+def test_n3_strichartz_norm_scratch_is_a_fraction_of_its_samples():
+    """At m = 0 each component of the flow is purely real or purely
+    imaginary, so an n = 3 Strichartz norm at inf:2 transforms and squares
+    real arrays, its DST a few columns at a time: at 4096 cells and 33
+    samples its tracemalloc peak is at most 1.5 times the samples' bytes
+    (2.29 times with complex copies and whole-block transforms)."""
+    grid = RadialGrid(40.0, 4096)
+    traj = evolve(assemble_dirac(AF001, 1.0, 0.0, grid), gaussian_state(grid),
+                  np.linspace(0.0, 8.0, 33))
+    calc = SobolevCalculus(flat_reference_operator(3, grid))
+    tracemalloc.start()
+    try:
+        strichartz_norm(traj, ExponentTriple(p=math.inf, q=2.0), calc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * traj.samples.nbytes
+
+
+@pytest.mark.parametrize("s", [0.5, 0.0])
+@pytest.mark.parametrize("n", [3, 5])
+def test_real_components_square_as_the_complex_ones(s, n):
+    """A purely real, a purely imaginary and a general complex component:
+    the squared transform equals |calc.apply(weight comp, s)|^2, bit for bit."""
+    calc = SobolevCalculus(flat_reference_operator(n, GRID))
+    rng = np.random.default_rng(n)
+    weight = 1.0 + rng.random((GRID.n_cells, 1))
+    x, y = rng.standard_normal((2, GRID.n_cells, 5))
+    x[:, 0] = 0.0
+    for comp in (x + 0j, 1j * y, x + 1j * y, np.zeros((GRID.n_cells, 5), complex)):
+        want = np.abs(calc.apply(weight * comp, s)) ** 2
+        assert _squared_power(calc, weight, comp, s).tobytes() == want.tobytes()
 
 
 def test_mu_scan_single_mode_degenerate_fit():

@@ -20,7 +20,7 @@ from warpdirac.operators import (DiscreteRadialOperator, SobolevCalculus, _band_
                                  _random_bump, weighted_laplacian_operator)
 from warpdirac.profiles import sigma_log_derivative_bound
 
-from references import whole_block_band_forms
+from references import whole_block_band_forms, whole_block_dst_calculus
 
 FLAT = MetricProfile(Family.FLAT)
 SINH = MetricProfile(Family.SINH)
@@ -416,6 +416,29 @@ def test_norm_equivalence_keeps_no_eigenbasis(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 3.5e6
+
+
+@pytest.mark.parametrize("n_cells", [64, 1023, 2048])
+@pytest.mark.parametrize("cols", [1, 7, 8, 9, 33, 66])
+def test_dst_calculus_in_column_blocks_keeps_the_whole_blocks_bits(n_cells, cols):
+    """The n = 3 calculus transforms a few columns at a time; each column's
+    result is the whole-block transform's, bit for bit and signed zeros
+    included, whether the block ends inside a column block or on its edge,
+    and for the parts of a complex block."""
+    grid = RadialGrid(40.0, n_cells)
+    calc = SobolevCalculus(flat_reference_operator(3, grid))
+    rng = np.random.default_rng(n_cells + cols)
+    block = rng.standard_normal((n_cells, cols))
+    block[rng.random(block.shape) < 0.2] = 0.0
+    block[rng.random(block.shape) < 0.2] = -0.0
+    block[:, -1] = -0.0
+    block[:n_cells // 2, 0] = -0.0
+    both = block + 1j * block[::-1]
+    for s in (1.0, 0.5, -0.25):
+        want = whole_block_dst_calculus(grid, block, s)
+        assert calc.apply(block, s).tobytes() == want.tobytes()
+        want = operators._by_parts(lambda part: whole_block_dst_calculus(grid, part, s), both)
+        assert calc.apply(both, s).tobytes() == want.tobytes()
 
 
 def test_sigma_log_derivative_bounds():
