@@ -130,20 +130,26 @@ def _mode_terms(parts) -> tuple:
 def _row_limits(profile: MetricProfile, mu: float) -> list:
     """(limit at r -> 0+, limit at r -> infinity) of each _mode_terms term.
 
-    The limits are Python floats, whose square raises OverflowError past
-    |rV| = 1.3e154 (rV = mu at r -> 0); that is refused as an OverflowError
-    that names the mode.
+    At r -> 0 the terms are polynomials in mu with leading terms up to
+    8 mu^2 (-4 r^3 W'), which passes the largest double from
+    |mu| = 4.7e153 on, and the limits are Python floats, whose square raises
+    OverflowError past |rV| = 1.3e154 (rV = mu at r -> 0).  A limit at 0 that
+    is not finite is refused, as an OverflowError that names the mode,
+    before the scan meets the same overflow on its grid.
     """
     try:
-        return list(zip(_mode_terms(_parts_at_zero(mu)),
-                        _mode_terms(_parts_at_infinity(profile, mu))))
+        at_zero = _mode_terms(_parts_at_zero(mu))
+        at_inf = _mode_terms(_parts_at_infinity(profile, mu))
     except OverflowError:
+        at_zero = at_inf = (math.inf,)
+    if not all(map(math.isfinite, at_zero)):
         raise OverflowError(f"the admissibility terms of mode mu={mu:g} overflow: "
-                            f"(r V)^2 = mu^2 at r -> 0 is past the largest double") from None
+                            f"they reach 8 mu^2 at r -> 0, past the largest double")
+    return list(zip(at_zero, at_inf))
 
 
-def _scan_grid(profile: MetricProfile, scan: InfimumScanPolicy) -> np.ndarray:
-    """The radii that :func:`check_admissible` scans: the policy grid, widened
+def _scan_grid(profile: MetricProfile, scan: InfimumScanPolicy) -> InfimumScanPolicy:
+    """The policy whose grid :func:`check_admissible` scans: ``scan``, widened
     for an asymptotically flat amplitude eps > 1.
 
     The ratios, and so the terms, are functions of phi1 alone where
@@ -162,7 +168,7 @@ def _scan_grid(profile: MetricProfile, scan: InfimumScanPolicy) -> np.ndarray:
         r_max = scan.r_max if b == a else scan.r_max * eps ** (1.0 / (b - a))
         scan = replace(scan, r_min=max(scan.r_min * eps ** (-1.0 / a), math.ulp(0.0)),
                        r_max=min(r_max, 1e308))
-    return scan.grid()
+    return scan
 
 
 @dataclass(frozen=True)
@@ -215,9 +221,9 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     :func:`_scan_grid` block by block (:func:`warpdirac.scan.scan_infima`):
     ``profile.ratios`` is the scan's ``prepare``, once per block, and each
     signed mu's scaled parts and terms follow from it.  So the working set is
-    the grid and the scan's one block buffer, however long the grid.  Every golden-section
-    refinement of the table steps in lockstep with one ``profile.ratios``
-    call per step.
+    the scan's one block buffer, however long the grid, whose radii are
+    formed a block at a time.  Every golden-section refinement of the table
+    steps in lockstep with one ``profile.ratios`` call per step.
     W -> 0 at infinity is read from the table's own limit of 4 r^2 W + 1
     there.  The values are those of one scan per functional of each mode,
     bit for bit.

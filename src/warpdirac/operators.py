@@ -19,12 +19,14 @@ Fractional powers of B = 1 + A, for a tridiagonal A, come from one resolvent
 integral, B^a = (sin(pi a) / pi) int_0^inf tau^(a-1) (tau + B)^(-1) B dtau,
 taken by the trapezoid rule in log(tau) with one LDL^T sweep of tau + B per
 node.  Forward sweeps alone give the quadratic forms x^T B^s x of the norm
-equivalence; forward and back sweeps give the action B^(s/2) v of the
-SobolevCalculus behind every Sobolev and Strichartz norm.  When A has no
-potential (H0 at n = 3) its eigenbasis is exactly the DST-I, and the
-calculus takes that exact special case, transforming _DST_COLUMNS columns
-at a time, so its scratch does not grow with the number of samples.  No
-eigenbasis and no N x N array is built on any of these paths.
+equivalence, whose seeded random trials are formed one row block at a time
+inside the sweep, so nothing N x trials is held; forward and back sweeps
+give the action B^(s/2) v of the SobolevCalculus behind every Sobolev and
+Strichartz norm.  When A has no potential (H0 at n = 3) its eigenbasis is
+exactly the DST-I, and the calculus takes that exact special case,
+transforming _DST_COLUMNS columns at a time, so its scratch does not grow
+with the number of samples.  No eigenbasis and no N x N array is built on
+any of these paths.
 """
 
 from __future__ import annotations
@@ -252,26 +254,30 @@ def _resolvent_sum(u: np.ndarray, s: float, nodes, low, high):
 
 def _one_plus(op: DiscreteRadialOperator, x: np.ndarray, lo: int = 0,
               hi: Optional[int] = None) -> np.ndarray:
-    """Rows lo:hi of (1 + A) x for a real N x K block, all rows by default.
+    """Rows lo:hi of (1 + A) y for a real N x K block y, all rows by default.
 
-    The second difference is taken as a difference of the first differences
-    x_(i+1) - x_i, zero outside the grid, from x's rows lo - 1 to hi alone.
+    ``x`` holds the rows lo - 1 .. hi of y that lie on the grid, all of y
+    for all rows.  The second difference is taken as a difference of the
+    first differences y_(i+1) - y_i, zero outside the grid, from those rows
+    alone.
     """
-    nn = len(x)
+    nn = op.grid.n_cells
     hi = nn if hi is None else hi
-    diffs = np.empty((hi - lo + 1,) + x.shape[1:])  # x_(i+1) - x_i for i = lo - 1 .. hi - 1
+    first = 1 if lo else 0  # x[first] is row lo of y
+    ys = x[first:first + hi - lo]
+    diffs = np.empty((hi - lo + 1,) + x.shape[1:])  # y_(i+1) - y_i for i = lo - 1 .. hi - 1
     if lo:
-        np.subtract(x[lo], x[lo - 1], out=diffs[0])
+        np.subtract(ys[0], x[0], out=diffs[0])
     else:
-        diffs[0] = x[0]  # x_0 - 0
-    np.subtract(x[lo + 1:hi], x[lo:hi - 1], out=diffs[1:-1])
+        diffs[0] = ys[0]  # y_0 - 0
+    np.subtract(ys[1:], ys[:-1], out=diffs[1:-1])
     if hi < nn:
-        np.subtract(x[hi], x[hi - 1], out=diffs[-1])
+        np.subtract(x[first + hi - lo], ys[-1], out=diffs[-1])
     else:
-        np.negative(x[-1], out=diffs[-1])  # 0 - x_(N-1)
+        np.negative(ys[-1], out=diffs[-1])  # 0 - y_(N-1)
     bx = np.subtract(diffs[:-1], diffs[1:])
     bx *= 1.0 / _spacing_squared(op.grid)
-    bx += np.multiply((1.0 + op.potential[lo:hi])[:, None], x[lo:hi], out=diffs[:-1])
+    bx += np.multiply((1.0 + op.potential[lo:hi])[:, None], ys, out=diffs[:-1])
     return bx
 
 
@@ -558,22 +564,56 @@ def factorization_check(profile: MetricProfile, mu: float,
     return res_minus, res_plus
 
 
-def _random_bump(rng: np.random.Generator, grid: RadialGrid) -> np.ndarray:
-    """Random smooth function supported well inside the grid."""
-    r = grid.nodes
-    out = np.zeros_like(r)
-    for _ in range(rng.integers(1, 4)):
-        c = rng.uniform(0.2 * grid.r_max, 0.6 * grid.r_max)
-        w = rng.uniform(0.03 * grid.r_max, 0.08 * grid.r_max)
-        out += rng.uniform(-1.0, 1.0) * np.exp(-((r - c) / w) ** 2)
-    if np.linalg.norm(out) == 0.0:  # pragma: no cover
-        out += np.exp(-((r - 0.4 * grid.r_max) / (0.05 * grid.r_max)) ** 2)
-    return out
+class _Bumps:
+    """The N x trials block of seeded random bumps, formed a row block at a time.
+
+    Trial k is a sum of one to three Gaussians a exp(-((r - c) / w)^2),
+    centered in [0.2, 0.6] r_max with widths in [0.03, 0.08] r_max, so it
+    vanishes at both ends of the grid.  Only the (center, width, amplitude)
+    table of the trials is kept, drawn trial by trial from ``rng`` in the
+    order count, then c, w and a of each Gaussian; a Gaussian that a trial
+    does not draw has amplitude 0 (width 1, center 0), which adds +0.0 to a
+    sum that is never -0.0.  ``x[lo:hi]`` adds each trial's Gaussians in
+    order into zeros on the nodes lo:hi, so every value is that of the
+    trial's bump formed alone on the whole grid, bit for bit.  A trial whose
+    amplitudes are all zero would vanish, and is the fixed bump centered at
+    0.4 r_max, of width 0.05 r_max, instead.
+    """
+
+    def __init__(self, rng: np.random.Generator, grid: RadialGrid, trials: int):
+        r_max = grid.r_max
+        table = np.zeros((trials, 3, 3))  # (trial, Gaussian, (c, w, a))
+        table[:, :, 1] = 1.0
+        for k in range(trials):
+            for g in range(rng.integers(1, 4)):
+                table[k, g] = (rng.uniform(0.2 * r_max, 0.6 * r_max),
+                               rng.uniform(0.03 * r_max, 0.08 * r_max), rng.uniform(-1.0, 1.0))
+            if not table[k, :, 2].any():
+                table[k, 0] = (0.4 * r_max, 0.05 * r_max, 1.0)
+        self.nodes = grid.nodes
+        self.shape = (grid.n_cells, trials)
+        self._gaussians = table.transpose(1, 2, 0)  # (Gaussian, (c, w, a), trial)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        r = self.nodes[rows, None]
+        out = np.zeros((len(r), self.shape[1]))
+        gauss = np.empty_like(out)
+        for c, w, a in self._gaussians:  # a exp(-((r - c) / w)^2), one step at a time
+            np.subtract(r, c, out=gauss)
+            gauss /= w
+            np.square(gauss, out=gauss)
+            np.negative(gauss, out=gauss)
+            np.exp(gauss, out=gauss)
+            gauss *= a
+            out += gauss
+        return out
 
 
-def _band_forms(op: DiscreteRadialOperator, x: np.ndarray,
-                exponents: Sequence[float]) -> list[np.ndarray]:
+def _band_forms(op: DiscreteRadialOperator, x, exponents: Sequence[float]) -> list[np.ndarray]:
     """x^T (1 + A)^s x for each s in ``exponents`` and each column of a real N x K block.
+
+    ``x`` is the block or a source of its rows: anything with ``x.shape``
+    whose ``x[lo:hi]`` gives rows lo:hi (clipped to the grid) as an array.
 
     A = op is tridiagonal, so the forms come from its bands, with B = 1 + A:
     s = 0 is ||x||^2, s = 1 is x^T B x, and for 0 < s < 1
@@ -587,12 +627,13 @@ def _band_forms(op: DiscreteRadialOperator, x: np.ndarray,
     Each node is one forward LDL^T sweep of tau + B, all nodes and columns
     at once: f = sum_i y_i z_i / p_i with L y = B x and L z = x, so nothing
     N long is kept per node, and every exponent reuses the node values.
-    B x is formed one block of _BLOCK rows at a time inside the sweep.  The
-    s = 0 and s = 1 sums keep NumPy's order: it sums one column pairwise,
-    so for K = 1 all N products are kept, and several columns row by row,
-    so for K > 1 each block's products are added in turn to running sums.
-    Refuses a B that is not positive definite.  Besides x, nothing N x K
-    is held.
+    Inside the sweep, each block of _BLOCK rows reads rows lo - 1 .. hi of
+    x once and forms its rows of B x from them.  The s = 0 and s = 1 sums
+    keep NumPy's order: it sums one column pairwise, so for K = 1 all N
+    products are kept, and several columns row by row, so for K > 1 each
+    block's products are added in turn to running sums.  Refuses a B that
+    is not positive definite.  Nothing N x K is held here: a source of rows
+    costs one row block of x at a time.
     """
     nn, k = x.shape
     u = _log_nodes(op)
@@ -604,7 +645,9 @@ def _band_forms(op: DiscreteRadialOperator, x: np.ndarray,
         j = i % _BLOCK
         if j == 0:
             hi = min(i + _BLOCK, nn)
-            bx, xs = _one_plus(op, x, i, hi), x[i:hi]
+            window = x[max(i - 1, 0):hi + 1]  # the rows i - 1 .. hi on the grid
+            bx = _one_plus(op, window, i, hi)
+            xs = window[1:hi - i + 1] if i else window[:hi]
             rows = products[:, i:hi] if k == 1 else products[:, 1:hi - i + 1]
             np.multiply(xs, xs, out=rows[0])
             np.multiply(bx, xs, out=rows[1])
@@ -615,7 +658,7 @@ def _band_forms(op: DiscreteRadialOperator, x: np.ndarray,
         y *= ratio
         y += bx[j]
         z *= ratio
-        z += x[i]
+        z += xs[j]
         np.multiply(y, inv, out=term)
         term *= z
         acc += term
@@ -638,9 +681,11 @@ def norm_equivalence_check(profile: MetricProfile, exponents: Sequence[float],
     one; in flattened variables both norms act on the same vector, through
     (1 + A_phi)^(s/2) and (1 + H0)^(s/2).  Each squared norm is the quadratic
     form x^T (1 + A)^s x, taken from the bands of A (``_band_forms``), so
-    no eigenbasis is built.  Returns one pair (max ratio, max inverse ratio)
-    over the random trials per exponent s; the node values of both forms
-    are shared by all exponents.
+    no eigenbasis is built.  The trials are seeded random bumps (``_Bumps``),
+    which each form evaluates one row block at a time from their parameter
+    table, so nothing N x trials is held.  Returns one pair (max ratio, max
+    inverse ratio) over the random trials per exponent s; the node values
+    of both forms are shared by all exponents.
     """
     if trials < 1:
         raise ConfigurationError(f"norm equivalence needs at least one trial, got {trials}")
@@ -648,10 +693,7 @@ def norm_equivalence_check(profile: MetricProfile, exponents: Sequence[float],
         if not 0.0 <= expo <= 1.0:
             raise ConfigurationError(f"s must be in [0, 1], got {expo}")
     grid = grid or RadialGrid()
-    rng = np.random.default_rng(seed)
-    bumps = np.empty((grid.n_cells, trials))
-    for k in range(trials):
-        bumps[:, k] = _random_bump(rng, grid)
+    bumps = _Bumps(np.random.default_rng(seed), grid, trials)
     weighted = _band_forms(weighted_laplacian_operator(profile, grid), bumps, exponents)
     flat = _band_forms(flat_reference_operator(profile.n, grid), bumps, exponents)
     out = []

@@ -281,7 +281,7 @@ def profile_constants(profile: MetricProfile,
     # each term's limits are its values at r = 0 and r = inf, where phi1_parts is exact
     ends = _phi1_terms(profile.phi1_parts(np.array([0.0, np.inf])))
     limits = [(float(lo), float(hi)) for lo, hi in ends]
-    (infima,) = scan_infima(scan.grid(), [limits], profile.phi1_parts,
+    (infima,) = scan_infima(scan, [limits], profile.phi1_parts,
                             lambda g, parts: _phi1_terms(parts))
     sup_a, sup_b1, sup_b2 = (t.negated() for t in infima)
     return ProfileConstants(

@@ -8,14 +8,18 @@ The scan never guesses what happens past the grid, and every reported
 constant is reproducible bit for bit.
 
 :func:`scan_infima` runs groups of functionals on one grid, one block of at
-most BLOCK points at a time.  The caller passes ``prepare``, what the
-groups share at some radii, and ``terms``, one group's functionals from it;
-the scan writes at most GROUPS groups at a time into one reused buffer,
-and keeps per functional only its running minimum with the first index
-where it occurs and its first non-finite radius.  That summary settles the
-grid minimum and the non-finite error exactly as the whole grid array
-would, with no grid-sized temporary.  All the golden-section refinements
-then step in lockstep, one ``prepare`` and one ``terms`` call per step.
+most BLOCK points at a time.  The grid is never held whole: the policy
+forms the radii of each block from one formula
+(:meth:`InfimumScanPolicy.radii`), and the golden-section brackets and the
+witnesses are read from it as single points.  The caller passes
+``prepare``, what the groups share at some radii, and ``terms``, one
+group's functionals from it; the scan writes at most GROUPS groups at a
+time into one reused buffer, and keeps per functional only its running
+minimum with the first index where it occurs and its first non-finite
+radius.  That summary settles the grid minimum and the non-finite error
+exactly as the whole grid array would, so no array of the scan grows with
+its number of points.  All the golden-section refinements then step in
+lockstep, one ``prepare`` and one ``terms`` call per step.
 :func:`scan_infimum` and :func:`scan_supremum` are its one-functional case.
 """
 
@@ -34,8 +38,8 @@ __all__ = ["InfimumScanPolicy", "ScanExtremum", "scan_infima", "scan_infimum",
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_ITERS = 80
-# Grid points per block: one functional's block (32 KB) stays below glibc's
-# 128 KB mmap threshold and in L2.
+# Grid points per block, the longest run of radii a scan forms: one
+# functional's block (32 KB) stays below glibc's 128 KB mmap threshold and in L2.
 BLOCK = 4096
 # Groups of functionals per block buffer: with the five terms of a signed mode
 # it stays at most 160 rows of BLOCK points (5.2 MB), however many groups.
@@ -59,11 +63,24 @@ class InfimumScanPolicy:
         if self.points < MIN_SCAN_POINTS:
             raise ConfigurationError(f"scan needs at least {MIN_SCAN_POINTS} points")
 
-    def grid(self) -> np.ndarray:
-        """``np.geomspace(r_min, r_max, points)`` bit for bit, built in one array."""
-        r = np.linspace(np.log10(self.r_min), np.log10(self.r_max), self.points)
+    def radii(self, lo: int, hi: int) -> np.ndarray:
+        """Points lo:hi of ``np.geomspace(r_min, r_max, points)``, bit for bit.
+
+        NumPy forms point k as 10 ** (k step + log10 r_min), with
+        step = (log10 r_max - log10 r_min) / (points - 1), and then sets the
+        first and last points to r_min and r_max exactly.  Each point is
+        formed alone, so a block costs its own length, whichever it is.
+        """
+        start = np.log10(self.r_min)
+        step = (np.log10(self.r_max) - start) / (self.points - 1)
+        r = np.arange(lo, hi, dtype=float)
+        r *= step
+        r += start
         np.power(10.0, r, out=r)
-        r[0], r[-1] = self.r_min, self.r_max
+        if lo == 0 < hi:
+            r[0] = self.r_min
+        if lo < hi == self.points:
+            r[-1] = self.r_max
         return r
 
 
@@ -82,9 +99,9 @@ class ScanExtremum:
         return ScanExtremum(-self.value, self.arg_r)
 
 
-def _grid_minima(r: np.ndarray, groups: int, width: int, prepare: Callable, terms: Callable
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each functional's minimum on the grid ``r`` and the first index where it occurs.
+def _grid_minima(grid: InfimumScanPolicy, groups: int, width: int, prepare: Callable,
+                 terms: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Each functional's minimum on the grid and the first index where it occurs.
 
     Functional ``g * width + t`` is term t of group g.  Block by block,
     ``prepare`` runs once on the block's radii, and the ``width`` terms of
@@ -94,14 +111,14 @@ def _grid_minima(r: np.ndarray, groups: int, width: int, prepare: Callable, term
     Raises FloatingPointError at the first non-finite value of the first
     functional (in order) that has one.
     """
-    n, count = len(r), groups * width
+    n, count = grid.points, groups * width
     buf = np.empty((min(groups, GROUPS) * width, min(n, BLOCK)))
     low = np.full(count, np.inf)
     where = np.zeros(count, dtype=int)
     bad = np.full(count, n)  # first non-finite index; n while none is seen
     for lo in range(0, n, BLOCK):
         hi = min(n, lo + BLOCK)
-        shared = prepare(r[lo:hi])
+        shared = prepare(grid.radii(lo, hi))
         for start in range(0, groups, GROUPS):
             stop = min(groups, start + GROUPS)
             part = slice(start * width, stop * width)
@@ -119,8 +136,13 @@ def _grid_minima(r: np.ndarray, groups: int, width: int, prepare: Callable, term
             low_part[new], where_part[new] = lows[new], lo + at[new]
     if np.any(bad < n):
         first = int(bad[np.argmax(bad < n)])
-        raise FloatingPointError(f"scan functional not finite at r={r[first]:g}")
+        raise FloatingPointError(f"scan functional not finite at r={_point(grid, first):g}")
     return low, where
+
+
+def _point(grid: InfimumScanPolicy, k: int) -> float:
+    """Radius k of the grid, formed alone."""
+    return float(grid.radii(k, k + 1)[0])
 
 
 def _golden_lanes(evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -172,12 +194,15 @@ def _golden_lanes(evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 
 def scan_infima(
-    r: np.ndarray,
+    grid: InfimumScanPolicy,
     limits: Sequence[Sequence[tuple[float, float]]],
     prepare: Callable[[np.ndarray], Any],
     terms: Callable[[Any, Any], Sequence[np.ndarray]],
 ) -> list[list[ScanExtremum]]:
-    """Infima of groups of radial functionals scanned on one grid ``r``.
+    """Infima of groups of radial functionals scanned on the grid of one policy.
+
+    ``grid`` is read through ``grid.points`` and ``grid.radii(lo, hi)``
+    alone, one block or one point at a time.
 
     ``limits[g][t]`` holds the analytic limits at 0 and infinity of term t
     of group g; either may be +-inf, and every group has as many terms.
@@ -192,20 +217,21 @@ def scan_infima(
     """
     width = len(limits[0])
     flat = [lim for group in limits for lim in group]
-    low, where = _grid_minima(r, len(limits), width, prepare, terms)
+    low, where = _grid_minima(grid, len(limits), width, prepare, terms)
 
     def on_lanes(ids, radii):
         values = np.array(terms(ids // width, prepare(radii)), dtype=float)
         return values[ids % width, np.arange(len(ids))]
 
-    lanes = [k for k, i in enumerate(where) if 0 < i < len(r) - 1]
+    lanes = [k for k, i in enumerate(where) if 0 < i < grid.points - 1]
     refined = dict(zip(lanes, _golden_lanes(
-        on_lanes, lanes, [(float(r[where[k] - 1]), float(r[where[k] + 1])) for k in lanes])))
+        on_lanes, lanes, [(_point(grid, where[k] - 1), _point(grid, where[k] + 1))
+                          for k in lanes])))
     found = []
     for k, (at_zero, at_inf) in enumerate(flat):
-        grid = (float(low[k]), float(r[where[k]]))
+        least = (float(low[k]), _point(grid, where[k]))
         # min keeps the first least candidate: each later one must be strictly below
-        found.append(ScanExtremum(*min((grid, refined.get(k, grid), (float(at_zero), 0.0),
+        found.append(ScanExtremum(*min((least, refined.get(k, least), (float(at_zero), 0.0),
                                         (float(at_inf), math.inf)), key=lambda c: c[0])))
     return [found[g * width:(g + 1) * width] for g in range(len(limits))]
 
@@ -218,7 +244,7 @@ def scan_infimum(f: Callable[[np.ndarray], np.ndarray], policy: InfimumScanPolic
     block at a time.  The analytic limits are candidate values with
     witnesses 0.0 / inf.
     """
-    ((res,),) = scan_infima(policy.grid(), [[(limit_at_zero, limit_at_infinity)]], f,
+    ((res,),) = scan_infima(policy, [[(limit_at_zero, limit_at_infinity)]], f,
                             lambda g, values: (values,))
     return res
 

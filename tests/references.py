@@ -5,11 +5,15 @@ Hardy infima that :func:`warpdirac.check_admissible` reads from its table,
 ``kg_crosscheck`` checks a Dirac flow against the Klein-Gordon form of the
 mode (acceptance criterion 8), and ``laplace_eigenvalue_check`` checks the
 sphere's degree bookkeeping against the flat Laplacian (criterion 11).
-``full_grid_check_admissible`` and ``whole_block_band_forms`` are the
-earlier forms of :func:`warpdirac.check_admissible` (the profile evaluated
-on the whole scan grid, each mode reading its block of it) and of
-``operators._band_forms`` (a fresh N x K temporary per step), whose bits
-the streamed forms keep; ``whole_block_dst_calculus`` is the earlier DST-I
+``full_grid_check_admissible``, ``whole_block_band_forms`` and
+``stacked_norm_equivalence_check`` are the earlier forms of
+:func:`warpdirac.check_admissible` (the profile evaluated on the whole scan
+grid, each mode reading its block of it), of ``operators._band_forms`` (a
+fresh N x K temporary per step) and of
+:func:`warpdirac.norm_equivalence_check` (each trial's bump formed alone
+by ``random_bump`` on the whole grid, the trials stacked into one
+N x trials block), whose bits the streamed forms keep;
+``whole_block_dst_calculus`` is the earlier DST-I
 path of :class:`warpdirac.SobolevCalculus` (the whole block in one
 transform, its odd extension built from a negated copy), whose bits the
 column-blocked one keeps.  ``reference_phi1_parts`` and ``reference_ratios``
@@ -24,11 +28,12 @@ from fractions import Fraction
 import numpy as np
 
 from warpdirac import (ConfigurationError, Family, ModeIndex, ModePotential, SpinorTrajectory,
-                       assemble_kg)
+                       assemble_kg, flat_reference_operator)
 from warpdirac.admissibility import (_MINUS, _PHI, _SUP_TERM, AdmissibilityReport, Delta,
                                      _mode_terms, _parts, _parts_at_infinity, _parts_at_zero,
                                      _row_limits, _scan_grid)
-from warpdirac.operators import _ldl_pivots, _log_nodes, _resolvent_sum
+from warpdirac.operators import (_band_forms, _ldl_pivots, _log_nodes, _resolvent_sum,
+                                 weighted_laplacian_operator)
 from warpdirac.scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, scan_infima, scan_infimum
 
 
@@ -124,7 +129,8 @@ def full_grid_check_admissible(profile, mus, scan=DEFAULT_SCAN_POLICY):
         return []
     signed = list(dict.fromkeys(sign * pot.mu for pot in pots for sign in (1, -1)))
     mu_of = np.array(signed)
-    r = _scan_grid(profile, scan)
+    grid = _scan_grid(profile, scan)
+    r = grid.radii(0, grid.points)
     ratios = profile.ratios(r)
 
     def terms(g, radii):
@@ -134,7 +140,8 @@ def full_grid_check_admissible(profile, mus, scan=DEFAULT_SCAN_POLICY):
         return _mode_terms(_parts(mu_of[g], profile.ratios(radii)))
 
     limits = {mu: _row_limits(profile, mu) for mu in signed}
-    term = dict(zip(signed, scan_infima(r, list(limits.values()), lambda radii: radii, terms)))
+    term = dict(zip(signed, scan_infima(grid, list(limits.values()), lambda radii: radii,
+                                        terms)))
 
     reports = []
     for pot in pots:
@@ -158,6 +165,43 @@ def full_grid_check_admissible(profile, mus, scan=DEFAULT_SCAN_POLICY):
             admissible=admissible, witness_r=witness,
         ))
     return reports
+
+
+def random_bump(rng, grid):
+    """Random smooth function supported well inside the grid: one to three
+    Gaussians, each added in turn to zeros, and a fixed bump where they sum
+    to a zero column."""
+    r = grid.nodes
+    out = np.zeros_like(r)
+    for _ in range(rng.integers(1, 4)):
+        c = rng.uniform(0.2 * grid.r_max, 0.6 * grid.r_max)
+        w = rng.uniform(0.03 * grid.r_max, 0.08 * grid.r_max)
+        out += rng.uniform(-1.0, 1.0) * np.exp(-((r - c) / w) ** 2)
+    if np.linalg.norm(out) == 0.0:
+        out += np.exp(-((r - 0.4 * grid.r_max) / (0.05 * grid.r_max)) ** 2)
+    return out
+
+
+def stacked_bumps(grid, trials, seed=0):
+    """The N x trials block of ``random_bump`` columns drawn from one seeded generator."""
+    rng = np.random.default_rng(seed)
+    bumps = np.empty((grid.n_cells, trials))
+    for k in range(trials):
+        bumps[:, k] = random_bump(rng, grid)
+    return bumps
+
+
+def stacked_norm_equivalence_check(profile, exponents, trials, grid, seed=0):
+    """norm_equivalence_check with the trials' bumps stacked into one N x trials block."""
+    bumps = stacked_bumps(grid, trials, seed)
+    weighted = _band_forms(weighted_laplacian_operator(profile, grid), bumps, exponents)
+    flat = _band_forms(flat_reference_operator(profile.n, grid), bumps, exponents)
+    out = []
+    for q_phi, q_flat in zip(weighted, flat):
+        ratio = np.sqrt(q_phi / q_flat)
+        out.append((float(np.max(ratio, initial=0.0)),
+                    float(np.max(1.0 / ratio, initial=0.0))))
+    return out
 
 
 def whole_block_band_forms(op, x, exponents):

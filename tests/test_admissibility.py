@@ -361,10 +361,11 @@ def test_admissibility_memory_does_not_grow_with_the_mode_count(monkeypatch):
 
 @pytest.mark.parametrize("family", ["flat", "af", "sinh"])
 def test_admissibility_memory_does_not_grow_with_the_scan_grid(family):
-    """Only the grid itself (8 bytes a point) grows with scan.points: the
-    check's tracemalloc peak grows by at most 9 bytes per added point from
-    100k to 400k points (evaluating the profile on the whole grid took 49 to 72,
-    and building the grid with np.geomspace 14.7)."""
+    """Nothing grows with scan.points: the grid is formed a block at a time,
+    so the check's tracemalloc peak grows by at most 0.1 byte per added point
+    from 100k to 400k points, and stays at most 1.5 MB at 400k (the whole
+    grid took 8 bytes a point and 4.2 MB there, evaluating the profile on
+    the whole grid 49 to 72 bytes a point, and np.geomspace 14.7)."""
     prof = {"flat": FLAT, "af": AF001, "sinh": SINH}[family]
     peaks = []
     for points in (100_000, 400_000):
@@ -375,7 +376,8 @@ def test_admissibility_memory_does_not_grow_with_the_scan_grid(family):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert (peaks[1] - peaks[0]) / 300_000 <= 9.0
+    assert (peaks[1] - peaks[0]) / 300_000 <= 0.1
+    assert peaks[1] <= 1.5e6
 
 
 def _written_out_channels(rv, r2vp, r3vpp):
@@ -390,7 +392,7 @@ def test_mode_terms_equal_the_written_out_functionals(tag):
     """The shared subexpressions of _parts and _mode_terms change no bit of any functional,
     and the - rows at -mu are the written-out + channel at mu, on the grid and in the limits."""
     prof = PROFILES[tag]
-    ratios = prof.ratios(InfimumScanPolicy(1e-4, 1e4, 5000).grid())
+    ratios = prof.ratios(InfimumScanPolicy(1e-4, 1e4, 5000).radii(0, 5000))
     s1, s2, s3 = ratios
     for mu in SIGNED_MUS + [np.resize(SIGNED_MUS, len(s1))]:  # array mu as in refinements
         rv = mu * s1
@@ -463,7 +465,20 @@ def test_profile_is_never_evaluated_beyond_the_policy_range(monkeypatch):
                                   MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=1.0)])
 def test_up_to_unit_amplitude_the_scan_grid_is_the_policy_grid(prof):
     policy = InfimumScanPolicy(1e-4, 1e4, 5000)
-    assert np.array_equal(admissibility._scan_grid(prof, policy), policy.grid())
+    assert admissibility._scan_grid(prof, policy) == policy
+
+
+@pytest.mark.parametrize("eps", [1e3, 1e300])
+@pytest.mark.parametrize("alpha, beta", [(1, 1), (1, 2), (2, 4)])
+def test_a_widened_scan_grid_is_geomspace_of_its_range(eps, alpha, beta):
+    """The widened grid, formed a block at a time, is np.geomspace of its own
+    range, bit for bit."""
+    prof = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=eps, alpha=alpha, beta=beta)
+    grid = admissibility._scan_grid(prof, DEFAULT_SCAN_POLICY)
+    assert grid.r_min < DEFAULT_SCAN_POLICY.r_min and grid.points == DEFAULT_SCAN_POLICY.points
+    blocks = [grid.radii(lo, min(lo + BLOCK, grid.points)) for lo in range(0, grid.points, BLOCK)]
+    want = np.geomspace(grid.r_min, grid.r_max, grid.points)
+    assert np.concatenate(blocks).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("eps", [1e10, 1e100, 1.35e154, 1e300])
@@ -473,7 +488,8 @@ def test_a_large_amplitude_begins_the_scan_grid_below_r_min(eps):
     begins at r_min / eps, with the policy's points, and finds the failure
     far below r_min, where the limit at 0 alone would read it as admissible."""
     prof = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=eps)
-    r = admissibility._scan_grid(prof, DEFAULT_SCAN_POLICY)
+    grid = admissibility._scan_grid(prof, DEFAULT_SCAN_POLICY)
+    r = grid.radii(0, grid.points)
     assert r[0] == DEFAULT_SCAN_POLICY.r_min * eps**-1.0
     assert (r[-1], len(r)) == (DEFAULT_SCAN_POLICY.r_max, DEFAULT_SCAN_POLICY.points)
     (rep,) = check_admissible(prof, [1.0])
@@ -489,7 +505,8 @@ def test_a_large_amplitude_with_beta_above_alpha_ends_the_scan_grid_beyond_r_max
     ends at r_max eps, and every delta of modes 1 and 2 is that of eps = 1e10
     read on a grid wide enough for both ends."""
     prof = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=eps, alpha=1, beta=2)
-    r = admissibility._scan_grid(prof, DEFAULT_SCAN_POLICY)
+    grid = admissibility._scan_grid(prof, DEFAULT_SCAN_POLICY)
+    r = grid.radii(0, grid.points)
     assert (r[0], r[-1]) == (DEFAULT_SCAN_POLICY.r_min * eps**-1.0,
                             DEFAULT_SCAN_POLICY.r_max * eps)
     wide = InfimumScanPolicy(1e-20, 1e20, 400_000)
@@ -512,7 +529,8 @@ def test_a_widened_scan_grid_stays_between_the_smallest_double_and_1e308():
         prof = MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=eps, alpha=1, beta=beta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r = admissibility._scan_grid(prof, policy)
+            grid = admissibility._scan_grid(prof, policy)
+            r = grid.radii(0, grid.points)
             (rep,) = check_admissible(prof, [1.0], policy)
         assert r[0] == math.ulp(0.0) and np.all(np.isfinite(r))
         assert r[-1] == (policy.r_max if beta == 1 else 1e308)

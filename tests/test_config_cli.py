@@ -709,8 +709,8 @@ def test_cli_strichartz_scan_uses_configured_scan_policy(tmp_path, monkeypatch):
 
 
 def test_cli_numerical_failure_exits_5_and_writes_nothing(tmp_path):
-    """A mode of mu = 1e154 overflows 4 r^2 W = 4 mu^2 on flat: exit 5, no
-    artifact.  NumPy warns on the way, so the run is a process of its own."""
+    """A mode of mu = 1e154 overflows -4 r^3 W' = 8 mu^2 at r -> 0 on flat:
+    exit 5, no artifact, and one line that names the mode."""
     cfg = _write(tmp_path, "profile.family = flat\nmodes.mu_list = 1e154\n"
                            "scan.points = 2000\n")
     out = tmp_path / "out"
@@ -719,8 +719,29 @@ def test_cli_numerical_failure_exits_5_and_writes_nothing(tmp_path):
                              "--config", cfg, "--out", str(out)], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 5
-    assert "numerical error: scan functional not finite at r=" in result.stderr
+    assert result.stderr == ("numerical error: the admissibility terms of mode mu=1e+154 "
+                             "overflow: they reach 8 mu^2 at r -> 0, past the largest double\n")
     assert not out.exists()
+
+
+def test_main_freezes_the_heap_at_exit(tmp_path):
+    """main registers gc.freeze with atexit once per process, however often
+    it runs: a handler registered before main runs after it, once, and sees
+    the heap frozen."""
+    cfg = _write(tmp_path, "profile.family = flat\nmodes.mu_max = 2\n")
+    script = (
+        "import atexit, gc, sys\n"
+        "from warpdirac import cli\n"
+        "freeze, calls = gc.freeze, []\n"
+        "gc.freeze = lambda: calls.append(freeze())\n"
+        "atexit.register(lambda: print(len(calls), gc.get_freeze_count() > 0))\n"
+        "for k in range(2):\n"
+        "    assert cli.main(['spectrum', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "out")],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", "1 True\n")
 
 
 @pytest.mark.parametrize("command, keys, code, message", [
@@ -740,6 +761,10 @@ def test_cli_numerical_failure_exits_5_and_writes_nothing(tmp_path):
      "the datum of width 1.5 samples as zero on the grid (dr = 1.95313e+297)"),
     ("check-metric", {"modes.mu_list": "1e160"}, 5,
      "numerical error: the admissibility terms of mode mu=1e+160 overflow"),
+    ("check-metric", {"modes.mu_list": "1e154"}, 5,
+     "numerical error: the admissibility terms of mode mu=1e+154 overflow"),
+    ("check-metric", {"modes.mu_list": "6.7e153"}, 5,
+     "numerical error: the admissibility terms of mode mu=6.7e+153 overflow"),
     ("strichartz-scan", {"modes.mu_list": "1e160, 2"}, 5,
      "numerical error: the admissibility terms of mode mu=1e+160 overflow"),
     ("evolve", {"data.width": "0.01", "grid.n_cells": "16"}, 4,
@@ -747,7 +772,8 @@ def test_cli_numerical_failure_exits_5_and_writes_nothing(tmp_path):
     ("strichartz-scan", {"data.width": "0.01", "grid.n_cells": "16", "modes.mu_list": "1, 2"},
      4, "the datum of width 0.01 samples as zero on the grid (dr = 2.5)"),
 ], ids=["negative-huge-mass", "negative-huge-mass-scan", "huge-mass", "over-budget-mass",
-        "sinh-overflow", "huge-radius", "huge-radius-evolve", "huge-mode", "huge-mode-scan",
+        "sinh-overflow", "huge-radius", "huge-radius-evolve", "huge-mode", "mode-1e154",
+        "mode-6.7e153", "huge-mode-scan",
         "zero-datum-evolve", "zero-datum-scan"])
 def test_cli_out_of_range_runs_exit_with_their_code(tmp_path, command, keys, code, message):
     """A mass past the Bessel series' checked range of rho |t| or past its term

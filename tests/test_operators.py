@@ -16,11 +16,12 @@ from warpdirac.estimates import mu_scan, strichartz_weight
 from warpdirac.evolution import SpinorTrajectory
 from warpdirac import operators
 from warpdirac.errors import NumericalError
-from warpdirac.operators import (DiscreteRadialOperator, SobolevCalculus, _band_forms,
-                                 _random_bump, weighted_laplacian_operator)
+from warpdirac.operators import (_BLOCK, DiscreteRadialOperator, SobolevCalculus, _band_forms,
+                                 _Bumps, weighted_laplacian_operator)
 from warpdirac.profiles import sigma_log_derivative_bound
 
-from references import whole_block_band_forms, whole_block_dst_calculus
+from references import (random_bump, stacked_bumps, stacked_norm_equivalence_check,
+                        whole_block_band_forms, whole_block_dst_calculus)
 
 FLAT = MetricProfile(Family.FLAT)
 SINH = MetricProfile(Family.SINH)
@@ -296,7 +297,7 @@ def test_norm_equivalence_exponent_sequence_shares_one_setup():
     w_phi, u_phi = weighted_laplacian_operator(AF001, GRID).eigh()
     w_flat, u_flat = flat_reference_operator(3, GRID).eigh()
     rng = np.random.default_rng(3)
-    bumps = [_random_bump(rng, GRID) for _ in range(12)]
+    bumps = [random_bump(rng, GRID) for _ in range(12)]
     for s, (worst, worst_inv) in zip(exponents, pairs):
         ratios = [np.linalg.norm(np.maximum(1.0 + w_phi, 0.0) ** (s / 2) * (u_phi.T @ v))
                   / np.linalg.norm(np.maximum(1.0 + w_flat, 0.0) ** (s / 2) * (u_flat.T @ v))
@@ -321,8 +322,7 @@ def test_norm_equivalence_exponent_range():
 
 
 def _bumps(grid, count, seed=0):
-    rng = np.random.default_rng(seed)
-    return np.stack([_random_bump(rng, grid) for _ in range(count)], axis=1)
+    return stacked_bumps(grid, count, seed)
 
 
 @pytest.mark.parametrize("n_cells", [512, 2048])
@@ -369,20 +369,99 @@ def test_band_forms_with_one_scratch_keep_the_whole_block_bits(prof, k):
 
 
 def test_norm_equivalence_bumps_are_the_stacked_bumps(monkeypatch):
-    """The trials are written column by column into one N x trials block,
-    the same bits as stacking the bumps."""
+    """Both forms read the trials from one source of row blocks, each block
+    C-contiguous and the same bits as that block of the stacked bumps."""
     seen = []
     real = operators._band_forms
 
     def recording(op, x, exponents):
-        seen.append(x.copy())
+        seen.append(x)
         return real(op, x, exponents)
 
     monkeypatch.setattr(operators, "_band_forms", recording)
     norm_equivalence_check(AF001, (0.5,), trials=9, grid=GRID, seed=3)
     stacked = _bumps(GRID, 9, seed=3)
-    assert len(seen) == 2 and all(np.array_equal(x, stacked) for x in seen)
-    assert all(x.flags.c_contiguous for x in seen)
+    assert len(seen) == 2 and all(x.shape == stacked.shape for x in seen)
+    for x in seen:
+        blocks = [x[lo:lo + _BLOCK + 2] for lo in range(0, GRID.n_cells, _BLOCK)]
+        assert all(b.flags.c_contiguous for b in blocks)
+        assert np.array_equal(np.concatenate([b[:_BLOCK] for b in blocks]), stacked)
+
+
+SEEDS, TRIALS = (0, 1, 7), (1, 2, 7, 64, 65, 100)
+
+
+@pytest.mark.parametrize("n_cells", [256, 1000, 2048])
+def test_bump_row_blocks_are_the_stacked_bumps(n_cells):
+    """Every row block that _band_forms reads, rows lo - 1 .. hi of each block
+    of _BLOCK rows, is that block of the reference's stacked bumps, bit for
+    bit, at every seed and trial count."""
+    grid = RadialGrid(40.0, n_cells)
+    for seed in SEEDS:
+        for trials in TRIALS:
+            bumps = _Bumps(np.random.default_rng(seed), grid, trials)
+            stacked = stacked_bumps(grid, trials, seed)
+            assert bumps.shape == stacked.shape
+            for lo in range(0, n_cells, _BLOCK):
+                rows = slice(max(lo - 1, 0), lo + _BLOCK + 1)
+                assert bumps[rows].tobytes() == stacked[rows].tobytes()
+
+
+NORM_PROFILES = {"flat": FLAT, "af": AF001, "sinh": SINH, "poly": MetricProfile(Family.POLYNOMIAL),
+                 "af245": MetricProfile(Family.ASYMPTOTICALLY_FLAT, epsilon=0.5, alpha=2, beta=4)}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("tag", sorted(NORM_PROFILES))
+def test_norm_equivalence_from_row_blocks_keeps_the_stacked_bits(tag, n):
+    """The ratios from bumps formed a row block at a time are those of the
+    stacked N x trials block, every bit, on every grid; the seeds and trial
+    counts take turns across the grids and the cases."""
+    prof = replace(NORM_PROFILES[tag], n=n)
+    exponents = (0.0, 0.5, 1.0, 0.25)
+    turn = sorted(NORM_PROFILES).index(tag) + n
+    for k, n_cells in enumerate((256, 1000, 2048)):
+        seed, trials = SEEDS[(turn + k) % len(SEEDS)], TRIALS[(turn + k) % len(TRIALS)]
+        grid = RadialGrid(40.0, n_cells)
+        got = norm_equivalence_check(prof, exponents, trials, grid, seed)
+        want = stacked_norm_equivalence_check(prof, exponents, trials, grid, seed)
+        assert [v.hex() for pair in got for v in pair] == [v.hex() for pair in want
+                                                            for v in pair]
+
+
+class _ZeroAmplitudes:
+    """A generator stand-in whose trials draw one Gaussian of amplitude 0."""
+
+    def integers(self, lo, hi):
+        return 1
+
+    def uniform(self, lo, hi):
+        return 0.0 if lo == -1.0 else 0.5 * (lo + hi)
+
+
+def test_a_trial_whose_amplitudes_are_zero_is_the_fixed_bump():
+    """A trial whose Gaussians sum to a zero column is the fixed bump at
+    0.4 r_max, as in the reference, bit for bit."""
+    bumps = _Bumps(_ZeroAmplitudes(), GRID, 3)
+    want = random_bump(_ZeroAmplitudes(), GRID)
+    assert np.any(want)
+    for k in range(3):
+        assert bumps[0:GRID.n_cells][:, k].tobytes() == want.tobytes()
+
+
+def test_norm_equivalence_memory_does_not_grow_with_the_trials():
+    """At 2048 cells and 400 trials the check's tracemalloc peak is at most
+    0.75 N trials 8 bytes: the bumps are formed a row block at a time, and
+    only node-by-trial arrays are held (the stacked block and its copies
+    peaked at 1.5 N trials 8 bytes)."""
+    grid = RadialGrid(40.0, 2048)
+    tracemalloc.start()
+    try:
+        norm_equivalence_check(AF001, (0.0, 0.5, 1.0), trials=400, grid=grid, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * grid.n_cells * 400 * 8
 
 
 def test_band_forms_refuse_an_operator_that_is_not_positive_definite():

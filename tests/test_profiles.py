@@ -299,7 +299,7 @@ def test_huge_amplitude_ratio_s3_does_not_overflow():
     """At eps = 1.35e154, (1 + phi1)^2 overflows on the far grid while 1 + phi1
     is finite: s3 = r^3 phi''/phi^2 stays finite there, with no warning, and
     within 1e-10 of the earlier formula, which divided by den twice there."""
-    r = DEFAULT_SCAN_POLICY.grid()
+    r = DEFAULT_SCAN_POLICY.radii(0, DEFAULT_SCAN_POLICY.points)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, _, s3 = HUGE_AF.ratios(r)

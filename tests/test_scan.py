@@ -26,9 +26,24 @@ def _radii(radii):
     return radii
 
 
+class _Radii:
+    """A grid given by its radii, read the way scan_infima reads a policy."""
+
+    def __init__(self, r):
+        self.r, self.points = r, len(r)
+
+    def radii(self, lo, hi):
+        return self.r[lo:hi]
+
+
+def _geomspace(r_min, r_max, points):
+    """(policy, np.geomspace of its range), which is the policy's grid bit for bit."""
+    return InfimumScanPolicy(r_min, r_max, points), np.geomspace(r_min, r_max, points)
+
+
 def test_constant_function():
     res = scan_infimum(lambda r: np.full_like(r, 2.5), POLICY, 2.5, 2.5)
-    assert res == ScanExtremum(2.5, float(POLICY.grid()[0]))  # the grid minimum wins ties
+    assert res == ScanExtremum(2.5, POLICY.r_min)  # the grid minimum wins ties
 
 
 def test_interior_minimum_refined():
@@ -58,7 +73,7 @@ def test_policy_validation():
                 dict(points=100.5), dict(points=100.0)):
         with pytest.raises(ConfigurationError):
             InfimumScanPolicy(**bad)
-    assert InfimumScanPolicy(points=np.int64(100)).grid().size == 100
+    assert InfimumScanPolicy(points=np.int64(100)).radii(0, 100).size == 100
 
 
 def test_non_finite_raises():
@@ -76,7 +91,7 @@ def test_scan_infima_equals_one_scan_per_functional():
         (lambda r: np.full_like(r, 2.5), 3.0, 2.5),                      # edge, no refinement
     ]
     policy = InfimumScanPolicy(1e-3, 1e3, 2000)
-    batched = scan_infima(policy.grid(), [[(lim0, liminf)] for _, lim0, liminf in cases],
+    batched = scan_infima(policy, [[(lim0, liminf)] for _, lim0, liminf in cases],
                           _radii, _one_term_groups([f for f, _, _ in cases]))
     assert batched == [[scan_infimum(f, policy, lim0, liminf)] for f, lim0, liminf in cases]
     assert batched[3] == [ScanExtremum(-math.inf, math.inf)]
@@ -84,13 +99,14 @@ def test_scan_infima_equals_one_scan_per_functional():
 
 def test_lockstep_lanes_stop_on_their_own():
     """Brackets of different widths need different step counts; each lane matches its lone run."""
-    r = np.unique(np.concatenate([np.geomspace(1e-3, 1.0, 40), np.geomspace(1.0, 1e3, 4000)]))
+    grid = _Radii(np.unique(np.concatenate([np.geomspace(1e-3, 1.0, 40),
+                                            np.geomspace(1.0, 1e3, 4000)])))
     fs = [lambda x: (np.log(x) + 3.0) ** 2,   # minimum in the coarse part of the grid
           lambda x: (np.log(x) - 3.0) ** 2]   # minimum in the fine part
 
     limits = [[(math.inf, math.inf)]]
-    together = scan_infima(r, limits * len(fs), _radii, _one_term_groups(fs))
-    alone = [scan_infima(r, limits, f, lambda g, values: (values,))[0] for f in fs]
+    together = scan_infima(grid, limits * len(fs), _radii, _one_term_groups(fs))
+    alone = [scan_infima(grid, limits, f, lambda g, values: (values,))[0] for f in fs]
     assert together == alone
 
 
@@ -146,16 +162,17 @@ _FILLER = 3.0  # a constant functional, its least at the first grid point
 
 
 def _padded_table(r, values, limits, pad, width):
-    """scan_infima's arguments for the tabulated functionals after ``pad`` filler groups."""
+    """scan_infima's arguments, but the grid, for the tabulated functionals after
+    ``pad`` filler groups."""
     table = [np.full(len(r), _FILLER)] * (pad * width) + list(values)
     bounds = [(_FILLER, _FILLER)] * (pad * width) + list(limits)
     terms, _ = _tabulated(r, table, width)
     return [bounds[k:k + width] for k in range(0, len(bounds), width)], _radii, terms
 
 
-def _blocked_and_whole(r, values, limits, pad=0, width=1):
+def _blocked_and_whole(policy, r, values, limits, pad=0, width=1):
     width = width or len(values)
-    found = scan_infima(r, *_padded_table(r, values, limits, pad, width))
+    found = scan_infima(policy, *_padded_table(r, values, limits, pad, width))
     blocked = [ext for group in found for ext in group][pad * width:]
     return blocked, _whole_array_infima(r, values, limits, _tabulated(r, values, width)[1])
 
@@ -165,12 +182,12 @@ BLOCK_SIZES = [16, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
 
 @pytest.mark.parametrize("points", BLOCK_SIZES)
 def test_tie_between_blocks_keeps_first_index(points):
-    r = np.geomspace(1e-3, 1e3, points)
+    policy, r = _geomspace(1e-3, 1e3, points)
     first, last = points // 3, points - 1   # different blocks once points > BLOCK
     vals = 1.0 + np.abs(np.linspace(-1.0, 1.0, points))
     vals[first] = vals[last] = 0.0
     for pad, width in LAYOUTS:
-        blocked, whole = _blocked_and_whole(r, [vals], [(2.0, 2.0)], pad, width)
+        blocked, whole = _blocked_and_whole(policy, r, [vals], [(2.0, 2.0)], pad, width)
         assert blocked == whole
         assert r[first - 1] <= blocked[0].arg_r <= r[first + 1]
 
@@ -179,30 +196,31 @@ def test_tie_between_blocks_keeps_first_index(points):
 def test_minimum_at_last_point_reads_the_point_before(points):
     """With points = k BLOCK + 1 the last block holds one point, the grid minimum, and value
     N-1 sits in the block before."""
-    r = np.geomspace(1e-3, 1e3, points)
+    policy, r = _geomspace(1e-3, 1e3, points)
     falling = np.linspace(2.0, 1.0, points)        # strict decrease into r_max
     flat_tail = falling.copy()
     flat_tail[-2] = flat_tail[-1] + 1e-12
     limits = [(2.0, 1.0), (2.0, 0.5)]              # the grid minimum wins a tie with its limit
     for pad, width in LAYOUTS:
-        blocked, whole = _blocked_and_whole(r, [flat_tail, falling], limits, pad, width)
+        blocked, whole = _blocked_and_whole(policy, r, [flat_tail, falling], limits, pad, width)
         assert blocked == whole
         assert blocked[0] == ScanExtremum(1.0, float(r[-1]))
         assert blocked[1] == ScanExtremum(0.5, math.inf)
     terms, _ = _tabulated(r, [falling], 1)
-    assert _grid_minima(r, 1, 1, _radii, terms)[1].tolist() == [points - 1]
+    assert _grid_minima(policy, 1, 1, _radii, terms)[1].tolist() == [points - 1]
 
 
 @pytest.mark.parametrize("points", BLOCK_SIZES)
 def test_divergence_at_either_edge(points):
     """A functional that diverges at an edge says so by its -inf limit, which wins there."""
-    r = np.geomspace(1e-3, 1e3, points)
+    policy, r = _geomspace(1e-3, 1e3, points)
     down, up = np.linspace(1.0, 0.0, points), np.linspace(0.0, 1.0, points)
     flat_head = up.copy()
     flat_head[1] = flat_head[0] + 1e-12
     limits = [(1.0, -math.inf), (-math.inf, 1.0), (-1.0, 1.0), (0.0, 1.0)]
     for pad, width in LAYOUTS + [(GROUPS - 1, 2)]:
-        blocked, whole = _blocked_and_whole(r, [down, up, up, flat_head], limits, pad, width)
+        blocked, whole = _blocked_and_whole(policy, r, [down, up, up, flat_head], limits, pad,
+                                            width)
         assert blocked == whole
         assert blocked[:2] == [ScanExtremum(-math.inf, math.inf), ScanExtremum(-math.inf, 0.0)]
         assert blocked[2:] == [ScanExtremum(-1.0, 0.0), ScanExtremum(0.0, float(r[0]))]
@@ -212,7 +230,7 @@ def test_divergence_at_either_edge(points):
 def test_nan_in_a_later_block_names_its_radius(points):
     """The error names the first bad radius of the first functional, in the order
     g * width + t, that has one."""
-    r = np.geomspace(1e-3, 1e3, points)
+    policy, r = _geomspace(1e-3, 1e3, points)
     late, early = np.ones(points), np.ones(points)
     late[[points - 2, points - 1]] = np.nan, np.inf   # first functional with a bad value
     early[1] = -np.inf                                # an earlier radius, later functional
@@ -221,20 +239,21 @@ def test_nan_in_a_later_block_names_its_radius(points):
         _whole_array_infima(r, values, limits, _tabulated(r, values, 1)[1])
     for pad, width in LAYOUTS:  # the bad functionals in one fill, in two, after filler fills
         with pytest.raises(FloatingPointError) as blocked:
-            scan_infima(r, *_padded_table(r, values, limits, pad, width or len(values)))
+            scan_infima(policy, *_padded_table(r, values, limits, pad,
+                                               width or len(values)))
         assert (str(blocked.value) == str(whole.value)
                 == f"scan functional not finite at r={r[-2]:g}")
 
 
 def test_prepare_sees_blocks_of_at_most_block_points():
-    r = np.geomspace(1e-3, 1e3, 2 * BLOCK + 1)
+    policy, r = _geomspace(1e-3, 1e3, 2 * BLOCK + 1)
     spans = []
 
     def prepare(radii):
         spans.append((float(radii[0]), len(radii)))
         return np.log(radii)
 
-    scan_infima(r, [[(math.inf, math.inf)]], prepare, lambda g, log_r: (log_r ** 2,))
+    scan_infima(policy, [[(math.inf, math.inf)]], prepare, lambda g, log_r: (log_r ** 2,))
     assert spans[:3] == [(r[0], BLOCK), (r[BLOCK], BLOCK), (r[2 * BLOCK], 1)]
 
 
@@ -243,7 +262,7 @@ def test_prepare_runs_once_per_block_and_step_and_terms_once_per_group(groups):
     """On the grid: one prepare per block, then one terms call per group, in order.
     In the refinement: one prepare and one terms call per golden-section step,
     over the lanes of every group, as many steps as one group alone takes."""
-    r = np.geomspace(1e-3, 1e3, 2 * BLOCK + 1)
+    policy, r = _geomspace(1e-3, 1e3, 2 * BLOCK + 1)
     calls, lane_groups = [], []
 
     def prepare(radii):
@@ -261,7 +280,7 @@ def test_prepare_runs_once_per_block_and_step_and_terms_once_per_group(groups):
     def run(count):
         calls.clear()
         lane_groups.clear()
-        found = scan_infima(r, [[(math.inf, math.inf)] * 2] * count, prepare, terms)
+        found = scan_infima(policy, [[(math.inf, math.inf)] * 2] * count, prepare, terms)
         grid = [call for size in (BLOCK, BLOCK, 1)
                 for call in [("prepare", size)] + [("terms", g) for g in range(count)]]
         assert calls[:len(grid)] == grid
@@ -279,21 +298,40 @@ def test_prepare_runs_once_per_block_and_step_and_terms_once_per_group(groups):
     assert found[0][1].value == pytest.approx(1.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("r_min, r_max, points", [
-    (1e-6, 1e6, 100_000), (1e-6, 1e6, 2_000_000), (1e-3, 1e3, 5001), (1e-4, 1e4, 5000),
-    (1e-6, 1e200, 20_000), (0.3, 7.0, 16)])
-def test_grid_is_geomspace_bit_for_bit(r_min, r_max, points):
-    grid = InfimumScanPolicy(r_min, r_max, points).grid()
-    assert grid.tobytes() == np.geomspace(r_min, r_max, points).tobytes()
+GEOMSPACE_CASES = [
+    (1e-6, 1e6, 100_000), (1e-3, 1e3, 4097), (1e-306, 1e308, 100_000), (2.5e-7, 3.3e5, 12345),
+    (1e-6, 1e6, 16), (1e-6, 1e6, 2_000_000), (1e-3, 1e3, 5001), (1e-4, 1e4, 5000),
+    (1e-6, 1e200, 20_000), (0.3, 7.0, 16)]
 
 
-def test_grid_is_built_in_one_array():
-    """The grid's traced peak is the grid itself: np.geomspace held two grid-sized arrays."""
+def _blockwise(policy):
+    """The policy's grid as the scan forms it, one block of at most BLOCK points at a time."""
+    return np.concatenate([policy.radii(lo, min(lo + BLOCK, policy.points))
+                           for lo in range(0, policy.points, BLOCK)])
+
+
+@pytest.mark.parametrize("r_min, r_max, points", GEOMSPACE_CASES)
+def test_blockwise_grid_is_geomspace_bit_for_bit(r_min, r_max, points):
+    """Block by block, point by point and whole, the radii are np.geomspace's."""
+    policy = InfimumScanPolicy(r_min, r_max, points)
+    want = np.geomspace(r_min, r_max, points)
+    assert _blockwise(policy).tobytes() == want.tobytes()
+    assert policy.radii(0, points).tobytes() == want.tobytes()
+    rng = np.random.default_rng(points)
+    for k in [0, 1, points - 2, points - 1, *rng.integers(0, points, 50).tolist()]:
+        assert policy.radii(k, k + 1).tobytes() == want[k:k + 1].tobytes()
+    odd = slice(points // 3, min(points, points // 3 + 77))  # not on the scan's blocks
+    assert policy.radii(odd.start, odd.stop).tobytes() == want[odd].tobytes()
+
+
+def test_a_block_of_radii_costs_its_own_length():
+    """At 2e6 points the traced peak of a block of BLOCK radii is the block
+    itself: the grid is never built whole (it was 16 MB)."""
     policy = InfimumScanPolicy(points=2_000_000)
     tracemalloc.start()
     try:
-        grid = policy.grid()
+        block = policy.radii(1_000_000, 1_000_000 + BLOCK)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.01 * grid.nbytes
+    assert peak <= 1.01 * block.nbytes
