@@ -48,7 +48,8 @@ import numpy as np
 
 from .errors import HypothesisViolationError
 from .profiles import Family, MetricProfile
-from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy, ScanExtremum, scan_infima
+from .scan import (DEFAULT_SCAN_POLICY, InfimumScanPolicy, ScanExtremum, ScanNotFiniteError,
+                   scan_infima)
 
 __all__ = ["ModePotential", "Delta", "AdmissibilityReport", "check_admissible"]
 
@@ -234,8 +235,14 @@ def check_admissible(profile: MetricProfile, mus: Sequence[float],
     signed = list(dict.fromkeys(sign * pot.mu for pot in pots for sign in (1, -1)))
     mu_of = np.array(signed)
     limits = {mu: _row_limits(profile, mu) for mu in signed}
-    found = scan_infima(_scan_grid(profile, scan), list(limits.values()), profile.ratios,
-                        lambda g, ratios: _mode_terms(_parts(mu_of[g], ratios)))
+    # a term that overflows on the grid is not finite there, and is refused naming its mode
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            found = scan_infima(_scan_grid(profile, scan), list(limits.values()), profile.ratios,
+                                lambda g, ratios: _mode_terms(_parts(mu_of[g], ratios)))
+        except ScanNotFiniteError as exc:
+            raise FloatingPointError(f"the admissibility terms of mode mu={signed[exc.group]:g} "
+                                     f"are not finite at r={exc.r:g}") from None
     term = dict(zip(signed, found))
 
     reports = []

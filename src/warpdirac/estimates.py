@@ -24,7 +24,8 @@ from .admissibility import check_admissible
 from .errors import (ConfigurationError, ContractViolationError, NonAdmissibleError,
                      NumericalError, PolicyError)
 from .evolution import DataTemplate, SpinorTrajectory, causal_time_limit, evolve
-from .operators import RadialGrid, SobolevCalculus, assemble_dirac, flat_reference_operator
+from .operators import (RadialGrid, SobolevCalculus, _squared_modulus, assemble_dirac,
+                        flat_reference_operator)
 from .profiles import MetricProfile
 from .scan import DEFAULT_SCAN_POLICY, InfimumScanPolicy
 
@@ -99,7 +100,7 @@ def smoothing_norm(traj: SpinorTrajectory) -> float:
     """Space-time L^2 of r^-1 u over the sampled window, flattened measure dr."""
     _check_causal(traj)
     r = traj.grid.nodes[:, None]
-    density = (np.abs(traj.plus) ** 2 + np.abs(traj.minus) ** 2) / r**2
+    density = (_squared_modulus(traj.plus) + _squared_modulus(traj.minus)) / r**2
     # one contiguous column per sample, so each radial sum is NumPy's pairwise sum
     densities = traj.grid.dr * np.sum(np.asfortranarray(density), axis=0)
     return float(np.sqrt(np.sum(_time_weights(traj.times) * densities)))
@@ -147,18 +148,21 @@ def strichartz_norm(traj: SpinorTrajectory, triple: ExponentTriple,
 
 def _squared_power(calc: SobolevCalculus, weight: np.ndarray, comp: np.ndarray,
                    s: float) -> np.ndarray:
-    """|calc.apply(weight comp, s)|^2 for one complex N x T component.
+    """|calc.apply(weight comp, s)|^2 for one complex N x T component, as re^2 + im^2.
 
-    A component that is purely real or purely imaginary, as each component
-    of an m = 0 flow of a real datum is, goes through the calculus as that
-    real part, and its transform is squared as a real array, with no
-    complex copy; the squares are the complex ones, bit for bit.
+    The calculus is real, so this is T(weight re)^2 + T(weight im)^2 with
+    T = calc.apply(., s), summed in place.  A part that is all zero adds
+    nothing and is not transformed: at m = 0 each component of the flow of
+    a real datum is purely real or purely imaginary, and it costs one real
+    transform.
     """
-    re, im = comp.real, comp.imag
-    if np.any(re) and np.any(im):
-        return np.abs(calc.apply(weight * comp, s)) ** 2
-    g = calc.apply(weight * (im if np.any(im) else re), s)
-    return np.multiply(g, g, out=g)
+    out = None
+    for part in (comp.real, comp.imag):
+        if np.any(part):
+            g = calc.apply(weight * part, s)
+            np.multiply(g, g, out=g)
+            out = g if out is None else np.add(out, g, out=out)
+    return np.zeros(comp.shape) if out is None else out
 
 
 @dataclass(frozen=True)

@@ -71,8 +71,8 @@ import numpy as np
 
 from .admissibility import ModePotential
 from .errors import ConfigurationError, GridTooCoarseError, NumericalError
-from .operators import (DiscreteRadialOperator, RadialGrid, _by_parts, coupling_product,
-                        dirac_band_product)
+from .operators import (DiscreteRadialOperator, RadialGrid, _by_parts, _squared_modulus,
+                        coupling_product, dirac_band_product)
 from .profiles import Family, MetricProfile
 
 __all__ = ["SpinorState", "DataTemplate", "SpinorTrajectory", "gaussian_state", "evolve",
@@ -121,9 +121,8 @@ class SpinorState:
 
     def norm(self) -> float:
         """L^2(dr) norm under the flattened measure."""
-        return float(np.sqrt(self.grid.dr
-                             * (np.sum(np.abs(self.plus) ** 2)
-                                + np.sum(np.abs(self.minus) ** 2))))
+        return float(np.sqrt(self.grid.dr * (np.sum(_squared_modulus(self.plus))
+                                             + np.sum(_squared_modulus(self.minus)))))
 
 
 @dataclass(frozen=True)
@@ -498,8 +497,8 @@ class FlatBesselOracle:
         coupled system, and transform back; the support radius grows by the
         light cone |t|, as in SpinorTrajectory.state."""
         dr = self.grid.dr
-        p0 = dr * _by_parts(lambda x: self._b_plus @ x, initial.plus[:, None])[:, 0]
-        m0 = dr * _by_parts(lambda x: self._b_minus @ x, initial.minus[:, None])[:, 0]
+        p0 = dr * _by_parts(lambda x: self._b_plus @ x, initial.plus)
+        m0 = dr * _by_parts(lambda x: self._b_minus @ x, initial.minus)
         omega = np.sqrt(self.rho**2 + self.m**2)
         cos = np.cos(omega * t)
         sinc = np.where(omega > 0.0, np.sin(omega * t) / np.where(omega > 0, omega, 1.0), t)
@@ -509,6 +508,6 @@ class FlatBesselOracle:
         reach = None if initial.support_radius is None else initial.support_radius + abs(t)
         return SpinorState(
             grid=self.grid,
-            plus=_by_parts(lambda x: self._b_plus.T @ x, (self.w_rho * pt)[:, None])[:, 0],
-            minus=_by_parts(lambda x: self._b_minus.T @ x, (self.w_rho * mt)[:, None])[:, 0],
+            plus=_by_parts(lambda x: self._b_plus.T @ x, self.w_rho * pt),
+            minus=_by_parts(lambda x: self._b_minus.T @ x, self.w_rho * mt),
             support_radius=reach)

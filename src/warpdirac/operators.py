@@ -26,7 +26,11 @@ Strichartz norm.  When A has no potential (H0 at n = 3) its eigenbasis is
 exactly the DST-I, and the calculus takes that exact special case,
 transforming _DST_COLUMNS columns at a time, so its scratch does not grow
 with the number of samples.  No eigenbasis and no N x N array is built on
-any of these paths.
+any of these paths.  B x is formed from rows lo - 1 .. hi of x with a zero
+row for each row off the grid, whether the rows are a whole block or one
+window of the forms' sweep.  Every transform here is real: a complex block
+is the transform of its real part plus 1j times that of its imaginary part,
+and a squared modulus is re^2 + im^2.
 """
 
 from __future__ import annotations
@@ -252,32 +256,19 @@ def _resolvent_sum(u: np.ndarray, s: float, nodes, low, high):
     return _LOG_STEP * np.sin(np.pi * s) / np.pi * (nodes + left + right)
 
 
-def _one_plus(op: DiscreteRadialOperator, x: np.ndarray, lo: int = 0,
-              hi: Optional[int] = None) -> np.ndarray:
-    """Rows lo:hi of (1 + A) y for a real N x K block y, all rows by default.
+def _one_plus(op: DiscreteRadialOperator, y: np.ndarray, lo: int = 0) -> np.ndarray:
+    """Rows lo .. hi - 1 of (1 + A) y for a real K-column block y, from its rows lo - 1 .. hi.
 
-    ``x`` holds the rows lo - 1 .. hi of y that lie on the grid, all of y
-    for all rows.  The second difference is taken as a difference of the
-    first differences y_(i+1) - y_i, zero outside the grid, from those rows
-    alone.
+    ``y`` holds those rows of y in order, a zero row for each one off the
+    grid (row -1 and row N), so hi = lo + len(y) - 2; a whole block is
+    ``np.pad``-ed by one zero row at each end.  The second difference is
+    one difference of the first differences y_(i+1) - y_i.
     """
-    nn = op.grid.n_cells
-    hi = nn if hi is None else hi
-    first = 1 if lo else 0  # x[first] is row lo of y
-    ys = x[first:first + hi - lo]
-    diffs = np.empty((hi - lo + 1,) + x.shape[1:])  # y_(i+1) - y_i for i = lo - 1 .. hi - 1
-    if lo:
-        np.subtract(ys[0], x[0], out=diffs[0])
-    else:
-        diffs[0] = ys[0]  # y_0 - 0
-    np.subtract(ys[1:], ys[:-1], out=diffs[1:-1])
-    if hi < nn:
-        np.subtract(x[first + hi - lo], ys[-1], out=diffs[-1])
-    else:
-        np.negative(ys[-1], out=diffs[-1])  # 0 - y_(N-1)
+    diffs = np.subtract(y[1:], y[:-1])  # y_(i+1) - y_i for i = lo - 1 .. hi - 1
     bx = np.subtract(diffs[:-1], diffs[1:])
     bx *= 1.0 / _spacing_squared(op.grid)
-    bx += np.multiply((1.0 + op.potential[lo:hi])[:, None], ys, out=diffs[:-1])
+    ys = y[1:-1]
+    bx += np.multiply((1.0 + op.potential[lo:lo + len(ys)])[:, None], ys, out=diffs[:-1])
     return bx
 
 
@@ -354,10 +345,10 @@ class SobolevCalculus:
     def apply(self, v: np.ndarray, s: float) -> np.ndarray:
         """(1 + A)^(s/2) v for a vector or an N x T block; v itself at s = 0.
 
-        A complex block goes through as its real and imaginary parts side by
-        side, and a part that is all zero is skipped; both paths treat each
-        column alone, so the result is the joint transform's, bit for bit.
-        Where the potential does not vanish, s must lie in (-2, 2).
+        The power is real, so a complex block is the power of its real part
+        plus 1j times the power of its imaginary part (``_by_parts``).  Both
+        paths treat each column alone.  Where the potential does not vanish,
+        s must lie in (-2, 2).
         """
         if s == 0.0:
             return v
@@ -380,8 +371,8 @@ class SobolevCalculus:
             raise ConfigurationError(
                 f"the calculus is for {self.op.grid}, the state on {state.grid}")
         g = self.apply(np.stack([state.plus, state.minus], axis=1), s)
-        return float(np.sqrt(state.grid.dr
-                             * (np.sum(np.abs(g[:, 0]) ** 2) + np.sum(np.abs(g[:, 1]) ** 2))))
+        return float(np.sqrt(state.grid.dr * (np.sum(_squared_modulus(g[:, 0]))
+                                              + np.sum(_squared_modulus(g[:, 1])))))
 
     def _resolvent(self, x: np.ndarray, a: float) -> np.ndarray:
         """B^a x for a real N x K block, 0 < |a| < 1.
@@ -399,7 +390,7 @@ class SobolevCalculus:
             self._pivots = u, ratio, inv
         u, ratio, inv = self._pivots
         if a > 0.0:
-            rhs, low = _one_plus(self.op, x), x
+            rhs, low = _one_plus(self.op, np.pad(x, ((1, 1), (0, 0)))), x
         else:
             a += 1.0
             rhs = x
@@ -409,22 +400,19 @@ class SobolevCalculus:
 
 
 def _by_parts(transform, block: np.ndarray) -> np.ndarray:
-    """A real transform that treats each column alone, of a real or complex N x K block.
+    """``transform``, real and linear on real arrays, of a real or complex array.
 
-    A complex block's real and imaginary parts go through one call side by
-    side, and a part that is all zero is not transformed (at m = 0 a flow's
-    v_plus is real and its v_minus imaginary).
+    A complex array is transform(Re) + 1j transform(Im), one part after the
+    other; a part that is all zero is transformed like any other.
     """
     if not np.iscomplexobj(block):
         return transform(block)
-    re, im = block.real, block.imag
-    if not np.any(im):
-        return transform(re) + 0j
-    if not np.any(re):
-        return 1j * transform(im)
-    cols = block.shape[1]
-    out = transform(np.hstack([re, im]))
-    return out[:, :cols] + 1j * out[:, cols:]
+    return transform(block.real) + 1j * transform(block.imag)
+
+
+def _squared_modulus(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of a real or complex array as re^2 + im^2, with no square root."""
+    return np.square(z.real) + np.square(z.imag)
 
 
 def _dst_multiply(block: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -628,7 +616,8 @@ def _band_forms(op: DiscreteRadialOperator, x, exponents: Sequence[float]) -> li
     at once: f = sum_i y_i z_i / p_i with L y = B x and L z = x, so nothing
     N long is kept per node, and every exponent reuses the node values.
     Inside the sweep, each block of _BLOCK rows reads rows lo - 1 .. hi of
-    x once and forms its rows of B x from them.  The s = 0 and s = 1 sums
+    x once, into a window with a zero row for each row off the grid, and
+    forms its rows of B x from it.  The s = 0 and s = 1 sums
     keep NumPy's order: it sums one column pairwise, so for K = 1 all N
     products are kept, and several columns row by row, so for K > 1 each
     block's products are added in turn to running sums.  Refuses a B that
@@ -645,9 +634,10 @@ def _band_forms(op: DiscreteRadialOperator, x, exponents: Sequence[float]) -> li
         j = i % _BLOCK
         if j == 0:
             hi = min(i + _BLOCK, nn)
-            window = x[max(i - 1, 0):hi + 1]  # the rows i - 1 .. hi on the grid
-            bx = _one_plus(op, window, i, hi)
-            xs = window[1:hi - i + 1] if i else window[:hi]
+            # rows i - 1 .. hi of x, a zero row for each one off the grid
+            window = np.pad(x[max(i - 1, 0):hi + 1], ((int(i == 0), int(hi == nn)), (0, 0)))
+            bx = _one_plus(op, window, i)
+            xs = window[1:-1]
             rows = products[:, i:hi] if k == 1 else products[:, 1:hi - i + 1]
             np.multiply(xs, xs, out=rows[0])
             np.multiply(bx, xs, out=rows[1])

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = ["InfimumScanPolicy", "ScanExtremum", "scan_infima", "scan_infimum",
-           "scan_supremum", "DEFAULT_SCAN_POLICY", "MIN_SCAN_POINTS"]
+__all__ = ["InfimumScanPolicy", "ScanExtremum", "ScanNotFiniteError", "scan_infima",
+           "scan_infimum", "scan_supremum", "DEFAULT_SCAN_POLICY", "MIN_SCAN_POINTS"]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_ITERS = 80
@@ -99,6 +99,15 @@ class ScanExtremum:
         return ScanExtremum(-self.value, self.arg_r)
 
 
+class ScanNotFiniteError(FloatingPointError):
+    """A functional of :func:`scan_infima` is not finite on the grid: ``group``
+    is its group and ``r`` the first radius where it is not."""
+
+    def __init__(self, group: int, r: float):
+        super().__init__(f"scan functional not finite at r={r:g}")
+        self.group, self.r = group, r
+
+
 def _grid_minima(grid: InfimumScanPolicy, groups: int, width: int, prepare: Callable,
                  terms: Callable) -> tuple[np.ndarray, np.ndarray]:
     """Each functional's minimum on the grid and the first index where it occurs.
@@ -108,7 +117,7 @@ def _grid_minima(grid: InfimumScanPolicy, groups: int, width: int, prepare: Call
     each group are written into one reused buffer of at most GROUPS groups
     and BLOCK points.  A minimum found in an earlier block wins ties, so its
     index is the first one, as ``argmin`` over the whole grid gives.
-    Raises FloatingPointError at the first non-finite value of the first
+    Raises ScanNotFiniteError at the first non-finite value of the first
     functional (in order) that has one.
     """
     n, count = grid.points, groups * width
@@ -135,8 +144,8 @@ def _grid_minima(grid: InfimumScanPolicy, groups: int, width: int, prepare: Call
             new = lows < low_part
             low_part[new], where_part[new] = lows[new], lo + at[new]
     if np.any(bad < n):
-        first = int(bad[np.argmax(bad < n)])
-        raise FloatingPointError(f"scan functional not finite at r={_point(grid, first):g}")
+        k = int(np.argmax(bad < n))
+        raise ScanNotFiniteError(k // width, _point(grid, int(bad[k])))
     return low, where
 
 

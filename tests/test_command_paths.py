@@ -1,8 +1,8 @@
 """Which functions of the package no command runs.
 
-Twelve small CLI invocations run in this process under ``sys.setprofile``:
-every subcommand on small grids, and three runs that fail with exit codes
-3 and 4.  Every ``def`` in ``src/warpdirac`` is named by its qualname in the
+Thirteen small CLI invocations run in this process under ``sys.setprofile``:
+every subcommand on small grids, and four runs that fail with exit codes
+3, 4 and 5.  Every ``def`` in ``src/warpdirac`` is named by its qualname in the
 source and matched to the code objects that ran by its first line, which
 for a decorated ``def`` is its first decorator's line (``co_firstlineno``).
 The ``def``s that never ran must be exactly NEVER_RUN: the flat oracle and
@@ -60,8 +60,11 @@ INVOCATIONS = {
         (["--bogus"], "profile.family = flat\n", 4),
     ],
     "check-metric": [
-        ([], f"profile.family = {family}\n{_SMALL_SCAN}", code)
-        for family, code in (("sinh", 3), ("polynomial", 3), ("asymptotically_flat", 0))
+        *(([], f"profile.family = {family}\n{_SMALL_SCAN}", code)
+          for family, code in (("sinh", 3), ("polynomial", 3), ("asymptotically_flat", 0))),
+        # a mode whose terms overflow on the scan grid, and not at r -> 0
+        ([], "profile.family = asymptotically_flat\nprofile.epsilon = 1e3\nprofile.alpha = 12\n"
+             "profile.beta = 12\nmodes.mu_list = 4.7e153\n" + _SMALL_SCAN, 5),
     ],
     "validate": [
         (["--seed", "1"], "profile.family = asymptotically_flat\ngrid.n_cells = 512\n"
@@ -100,7 +103,7 @@ def test_every_def_outside_the_pinned_ones_runs_under_a_command(tmp_path, capsys
 
     runs = [(command, extra, text, code) for command, cases in INVOCATIONS.items()
             for extra, text, code in cases]
-    assert len(runs) == 12
+    assert len(runs) == 13
     sys.setprofile(record)
     try:
         for k, (command, extra, text, _) in enumerate(runs):

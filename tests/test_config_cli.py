@@ -767,22 +767,27 @@ def test_main_freezes_the_heap_at_exit(tmp_path):
      "numerical error: the admissibility terms of mode mu=6.7e+153 overflow"),
     ("strichartz-scan", {"modes.mu_list": "1e160, 2"}, 5,
      "numerical error: the admissibility terms of mode mu=1e+160 overflow"),
+    ("check-metric", {"profile.family": "asymptotically_flat", "profile.epsilon": "1e3",
+                      "profile.alpha": "12", "profile.beta": "12",
+                      "modes.mu_list": "4.7e153", "scan.points": "2000"}, 5,
+     "numerical error: the admissibility terms of mode mu=4.7e+153 are not finite at r=0.3575"),
     ("evolve", {"data.width": "0.01", "grid.n_cells": "16"}, 4,
      "the datum of width 0.01 samples as zero on the grid (dr = 2.5)"),
     ("strichartz-scan", {"data.width": "0.01", "grid.n_cells": "16", "modes.mu_list": "1, 2"},
      4, "the datum of width 0.01 samples as zero on the grid (dr = 2.5)"),
 ], ids=["negative-huge-mass", "negative-huge-mass-scan", "huge-mass", "over-budget-mass",
         "sinh-overflow", "huge-radius", "huge-radius-evolve", "huge-mode", "mode-1e154",
-        "mode-6.7e153", "huge-mode-scan",
+        "mode-6.7e153", "huge-mode-scan", "mode-4.7e153-on-the-grid",
         "zero-datum-evolve", "zero-datum-scan"])
 def test_cli_out_of_range_runs_exit_with_their_code(tmp_path, command, keys, code, message):
     """A mass past the Bessel series' checked range of rho |t| or past its term
     budget, a potential that overflows, a radius whose dr^2 overflows, a mode
-    whose mu^2 overflows and a datum that the grid samples as zero end in a
-    documented exit code with one error line that names the value: no
-    traceback, no artifact (so no NaN norm drift).  Each is a process of its
-    own under python -W error, so a NumPy warning on the way (a huge mass
-    applied to the datum, sinh's overflow, a datum sampled at r = 1e300)
+    whose mu^2 overflows at r -> 0 or only on the scan grid, and a datum that
+    the grid samples as zero end in a documented exit code with one error
+    line that names the value: no traceback, no artifact (so no NaN norm
+    drift).  Each is a process of its own under python -W error, so a NumPy
+    warning on the way (a huge mass applied to the datum, sinh's overflow, a
+    datum sampled at r = 1e300, a mode's terms overflowing on the scan grid)
     would end it with a traceback."""
     result, out = _run_warning_free(tmp_path, command, keys)
     assert result.returncode == code, result.stderr
